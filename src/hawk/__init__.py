@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .core import (
     GridSpec,
-    Position,
     SamplingConfig,
     StateError,
     TokenDistribution,
@@ -18,9 +17,6 @@ from .core import (
     apply_temperature,
     apply_top_k,
     kl_divergence,
-    normalize,
-    raster_to_rowcol,
-    rowcol_to_raster,
     sample_index,
     total_variation,
 )
@@ -53,13 +49,10 @@ from .models import (
     fit_tabular_draft_heads,
     held_out_nll,
     load_head_set,
-    load_model,
     make_exact_heads,
     make_grid_markov_target,
     make_independent_target,
     save_head_set,
-    save_model,
-    target_conditional,
 )
 from .oracle_metrics import (
     JointTable,

@@ -31,7 +31,6 @@ from typing import Optional
 from . import __version__
 from .core import GridSpec, SamplingConfig
 from .engine import (
-    MODE_HAWK,
     MODE_VANILLA,
     EngineConfig,
     TRACE_COLUMNS,
@@ -55,9 +54,8 @@ from .oracle_metrics import (
     enumerate_joint,
     joint_tv,
     rejection_curve,
+    write_csv,
     write_metrics_csv,
-    write_pairs_csv,
-    write_trace_csv,
 )
 from .rng import derive_seed
 
@@ -89,6 +87,21 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _integer(section: dict, key: str, where: str, default: Optional[int] = None) -> int:
+    """A JSON integer field (``true`` and ``2.0`` are not integers); required without default."""
+    value = _require(section, key, where) if default is None else section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config field '{where}.{key}' must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(section: dict, key: str, where: str, default: bool) -> bool:
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"config field '{where}.{key}' must be true or false, got {value!r}")
+    return value
+
+
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
@@ -114,20 +127,20 @@ def _parse_engine(section: dict) -> EngineConfig:
     _check_keys(section, allowed, "engine")
     top_k = section.get("top_k", "all")
     transform = SamplingConfig(
-        top_k=top_k if top_k == "all" else int(top_k),
+        top_k=top_k if top_k == "all" else _integer(section, "top_k", "engine"),
         temperature=float(section.get("temperature", 1.0)),
     )
     return EngineConfig(
         mode=str(_require(section, "mode", "engine")),
-        horizontal_depth=int(section.get("horizontal_depth", 1)),
-        vertical_depth=int(section.get("vertical_depth", 0)),
-        samples_per_horizontal=int(section.get("samples_per_horizontal", 1)),
-        samples_per_vertical=int(section.get("samples_per_vertical", 1)),
-        node_budget=int(section.get("node_budget", 64)),
+        horizontal_depth=_integer(section, "horizontal_depth", "engine", 1),
+        vertical_depth=_integer(section, "vertical_depth", "engine", 0),
+        samples_per_horizontal=_integer(section, "samples_per_horizontal", "engine", 1),
+        samples_per_vertical=_integer(section, "samples_per_vertical", "engine", 1),
+        node_budget=_integer(section, "node_budget", "engine", 64),
         verification_order=str(section.get("verification_order", "vertical_first")),
         transform=transform,
-        transform_drafts=bool(section.get("transform_drafts", True)),
-        lantern_k=int(section.get("lantern_k", 10)),
+        transform_drafts=_boolean(section, "transform_drafts", "engine", True),
+        lantern_k=_integer(section, "lantern_k", "engine", 10),
         lantern_lam=float(section.get("lantern_lambda", 2.0)),
         draft_overhead_ratio=float(section.get("draft_overhead_ratio", 0.0)),
     )
@@ -161,9 +174,9 @@ def load_run_config(
     grid_raw = _require(raw, "grid", "config")
     _check_keys(grid_raw, {"width", "height", "vocab_size"}, "grid")
     grid = GridSpec(
-        int(_require(grid_raw, "width", "grid")),
-        int(_require(grid_raw, "height", "grid")),
-        int(_require(grid_raw, "vocab_size", "grid")),
+        _integer(grid_raw, "width", "grid"),
+        _integer(grid_raw, "height", "grid"),
+        _integer(grid_raw, "vocab_size", "grid"),
     )
 
     model_raw = _require(raw, "model", "config")
@@ -173,7 +186,8 @@ def load_run_config(
         raise ValueError(f"unknown model.kind {kind!r}")
     if kind == "grid_markov" and "vertical_weight" not in model_raw:
         raise ValueError("missing required config field 'model.vertical_weight'")
-    _require(model_raw, "seed", "model")
+    _integer(model_raw, "seed", "model")
+    _boolean(model_raw, "constant", "model", False)
 
     heads_raw = _require(raw, "heads", "config")
     _check_keys(heads_raw, {"kind", "sample_count", "seed", "smoothing", "path"}, "heads")
@@ -181,8 +195,8 @@ def load_run_config(
     if heads_kind not in ("tabular", "exact", "file"):
         raise ValueError(f"unknown heads.kind {heads_kind!r}")
     if heads_kind == "tabular":
-        _require(heads_raw, "sample_count", "heads")
-        _require(heads_raw, "seed", "heads")
+        _integer(heads_raw, "sample_count", "heads")
+        _integer(heads_raw, "seed", "heads")
     if heads_kind == "file":
         _require(heads_raw, "path", "heads")
 
@@ -190,7 +204,7 @@ def load_run_config(
 
     oracle_raw = raw.get("oracle", {})
     _check_keys(oracle_raw, {"decode_count", "tolerance_factor"}, "oracle")
-    decode_count = int(oracle_raw.get("decode_count", 20000))
+    decode_count = _integer(oracle_raw, "decode_count", "oracle", 20000)
     if decode_count < 1:
         raise ValueError(f"oracle.decode_count must be >= 1, got {decode_count}")
     tolerance_factor = float(oracle_raw.get("tolerance_factor", 3.0))
@@ -200,7 +214,7 @@ def load_run_config(
     bench_raw = raw.get("bench", {})
     _check_keys(bench_raw, {"images", "rejection_positions", "rejection_m_max"}, "bench")
 
-    seed = int(_require(raw, "seed", "config"))
+    seed = _integer(raw, "seed", "config")
     if seed_override is not None:
         seed = seed_override
     output_dir = Path(out_override if out_override is not None else _require(raw, "output_dir", "config"))
@@ -217,9 +231,9 @@ def load_run_config(
         engine=engine,
         oracle_decode_count=decode_count,
         tolerance_factor=tolerance_factor,
-        bench_images=int(bench_raw.get("images", 4)),
-        rejection_positions=int(bench_raw.get("rejection_positions", 2000)),
-        rejection_m_max=int(bench_raw.get("rejection_m_max", 4)),
+        bench_images=_integer(bench_raw, "images", "bench", 4),
+        rejection_positions=_integer(bench_raw, "rejection_positions", "bench", 2000),
+        rejection_m_max=_integer(bench_raw, "rejection_m_max", "bench", 4),
         echo=echo,
     )
 
@@ -228,10 +242,10 @@ def build_model(config: RunConfig) -> TargetModel:
     spec = config.model_spec
     if spec["kind"] == "grid_markov":
         return make_grid_markov_target(
-            config.grid, int(spec["seed"]), float(spec["vertical_weight"])
+            config.grid, spec["seed"], float(spec["vertical_weight"])
         )
     return make_independent_target(
-        config.grid, int(spec["seed"]), constant=bool(spec.get("constant", False))
+        config.grid, spec["seed"], constant=spec.get("constant", False)
     )
 
 
@@ -245,8 +259,8 @@ def build_heads(config: RunConfig, model: TargetModel) -> DraftHeadSet:
             model,
             grid,
             horizontal + vertical,
-            int(spec["sample_count"]),
-            int(spec["seed"]),
+            spec["sample_count"],
+            spec["seed"],
             float(spec.get("smoothing", 0.5)),
             vertical_offsets=vertical,
         )
@@ -307,14 +321,14 @@ def cmd_decode(config: RunConfig) -> int:
     export_grid_image(tokens, config.grid, pgm)
     outputs.append(pgm)
     trace_path = out / "trace.csv"
-    write_trace_csv(trace_path, TRACE_COLUMNS, trace)
+    write_csv(trace_path, TRACE_COLUMNS, trace)
     outputs.append(trace_path)
     metrics_path = out / "metrics.csv"
     write_metrics_csv(metrics_path, [report])
     outputs.append(metrics_path)
     if report.kl_trace is not None:
         kl_path = out / "kl_trace.csv"
-        write_pairs_csv(kl_path, ("position", "kl_vert_horiz"), report.kl_trace)
+        write_csv(kl_path, ("position", "kl_vert_horiz"), report.kl_trace)
         outputs.append(kl_path)
     _write_manifest(config, outputs)
 
@@ -355,7 +369,7 @@ def cmd_verify(config: RunConfig) -> int:
               f"accept_length={accept_length:.3f} {status}")
 
     report_path = config.output_dir / "verify_report.csv"
-    write_trace_csv(report_path, VERIFY_COLUMNS, rows)
+    write_csv(report_path, VERIFY_COLUMNS, rows)
     _write_manifest(config, [report_path])
     return 3 if failed else 0
 
@@ -394,10 +408,10 @@ def cmd_bench(config: RunConfig) -> int:
         derive_seed(config.seed, "bench", "rejection"),
     )
     dual_path = out / "rejection_curve_dual.csv"
-    write_pairs_csv(dual_path, ("candidates", "mean_rejection_mass"), curves.dual)
+    write_csv(dual_path, ("candidates", "mean_rejection_mass"), curves.dual)
     outputs.append(dual_path)
     horiz_path = out / "rejection_curve_horizontal.csv"
-    write_pairs_csv(horiz_path, ("candidates", "mean_rejection_mass"), curves.horizontal_only)
+    write_csv(horiz_path, ("candidates", "mean_rejection_mass"), curves.horizontal_only)
     outputs.append(horiz_path)
 
     _, hawk_report = decode_image(
@@ -405,7 +419,7 @@ def cmd_bench(config: RunConfig) -> int:
     )
     if hawk_report.kl_trace is not None:
         kl_path = out / "kl_trace.csv"
-        write_pairs_csv(kl_path, ("position", "kl_vert_horiz"), hawk_report.kl_trace)
+        write_csv(kl_path, ("position", "kl_vert_horiz"), hawk_report.kl_trace)
         outputs.append(kl_path)
 
     _write_manifest(config, outputs)
@@ -422,7 +436,7 @@ def cmd_fit(config: RunConfig) -> int:
     save_head_set(heads, heads_path)
 
     holdout = held_out_nll(
-        model, heads, max(1, int(config.heads_spec["sample_count"]) // 4),
+        model, heads, max(1, config.heads_spec["sample_count"] // 4),
         derive_seed(config.seed, "fit", "holdout"),
     )
     rows = []
@@ -431,7 +445,7 @@ def cmd_fit(config: RunConfig) -> int:
         rows.append((direction, depth, offset, nll))
         print(f"head={direction} depth={depth} offset={offset} held_out_nll={nll:.4f}")
     report_path = out / "fit_report.csv"
-    write_trace_csv(report_path, FIT_COLUMNS, rows)
+    write_csv(report_path, FIT_COLUMNS, rows)
     _write_manifest(config, [heads_path, report_path])
     return 0
 

@@ -3,7 +3,7 @@
 Everything downstream (models, verification, the decoding engine) moves
 probability vectors around; this module owns their representation, the
 sampling transforms (temperature, top-k) that define effective target and
-draft distributions, and the raster addressing of 2-D token grids.
+draft distributions, and the shape of 2-D token grids.
 
 All types here are immutable values and all functions are pure, so they are
 safe to share across threads or worker processes.
@@ -47,32 +47,6 @@ class GridSpec:
     def size(self) -> int:
         """Total number of tokens in the grid."""
         return self.width * self.height
-
-    def contains(self, pos: "Position") -> bool:
-        return 0 <= pos.row < self.height and 0 <= pos.col < self.width
-
-
-@dataclass(frozen=True)
-class Position:
-    """Zero-based (row, col) grid coordinate."""
-
-    row: int
-    col: int
-
-
-def rowcol_to_raster(pos: Position, grid: GridSpec) -> int:
-    """Map a (row, col) position to its raster-scan index (row-major)."""
-    if not grid.contains(pos):
-        raise ValueError(f"position {pos} outside {grid.width}x{grid.height} grid")
-    return pos.row * grid.width + pos.col
-
-
-def raster_to_rowcol(idx: int, grid: GridSpec) -> Position:
-    """Inverse of :func:`rowcol_to_raster`."""
-    if not 0 <= idx < grid.size:
-        raise ValueError(f"raster index {idx} out of range [0, {grid.size})")
-    row, col = divmod(idx, grid.width)
-    return Position(row, col)
 
 
 class TokenDistribution:
@@ -161,27 +135,6 @@ class SamplingConfig:
     @property
     def is_identity(self) -> bool:
         return self.top_k == "all" and self.temperature == 1.0
-
-
-def normalize(weights: Union[Sequence[float], np.ndarray]) -> tuple[TokenDistribution, bool]:
-    """Normalize non-negative weights to a distribution.
-
-    Returns ``(distribution, degenerate)``. When the total mass is zero the
-    fallback is the uniform distribution and ``degenerate`` is True; callers
-    decide what to do with that. Negative weights raise ``ValueError``.
-    """
-    arr = np.array(weights, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("weights must be a non-empty 1-D sequence")
-    low = float(arr.min())
-    if low < 0.0:
-        if low < -NEGATIVE_CLAMP:
-            raise ValueError(f"negative weight {low}")
-        np.clip(arr, 0.0, None, out=arr)
-    total = float(arr.sum())
-    if total <= 0.0:
-        return TokenDistribution._wrap(np.full(arr.size, 1.0 / arr.size)), True
-    return TokenDistribution._wrap(arr / total), False
 
 
 def apply_temperature(dist: TokenDistribution, temperature: float) -> TokenDistribution:

@@ -5,11 +5,11 @@ depths 1..H from the round-start committed prefix. Each pool at depth n
 merges the horizontal head's prediction for position T+n with cached
 vertical predictions targeting the same position, written rows earlier. Per
 depth, candidates are drawn from the pool and the layers are combined as a
-Cartesian product, truncated to the node budget keeping the earliest paths
-in depth-first order. Verification walks the depths: the candidate list
-compatible with the accepted path so far is verified against the current
-target conditional; the first rejection resamples, commits the resampled
-token, and ends the round. A round that accepts through every layer commits
+Cartesian product, truncated to the node budget: the first ``node_budget``
+paths in lexicographic order are kept. Verification walks the depths: the
+candidates that continue a kept path through the accepted prefix are
+verified against the current target conditional; the first rejection
+resamples, commits the resampled token, and ends the round. A round that accepts through every layer commits
 one extra bonus token drawn from the target. Every round therefore commits
 between 1 and H+1 tokens and is accounted as exactly one target-model pass,
 which is what a batched tree verification would cost.
@@ -28,12 +28,12 @@ order, one uniform per candidate); the verify stream supplies one uniform
 per verification step plus one categorical draw per resample or bonus token.
 
 One decode session is strictly sequential; sessions over shared immutable
-models may run concurrently.
+models may run concurrently. The sessions of one batch run back to back on
+one pair of streams.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -205,10 +205,15 @@ class SamplingPool:
 
 @dataclass(frozen=True)
 class CandidateTree:
-    """Depth-indexed candidate layers plus the kept Cartesian-product paths."""
+    """Depth-indexed candidate layers.
+
+    The tree is their Cartesian product truncated to the node budget: the
+    first ``node_budget`` paths in lexicographic order are kept. A layer's
+    live candidates therefore follow from the accepted prefix and the budget
+    by arithmetic (see :func:`decode_round`).
+    """
 
     layers: tuple[tuple[Candidate, ...], ...]
-    paths: tuple[tuple[int, ...], ...]
 
 
 @dataclass
@@ -237,9 +242,11 @@ class DecodingContext:
     """Immutable run inputs plus memoized transformed distributions.
 
     The target-conditional cache is keyed by the model's own sufficient
-    statistic (``conditional_key``), the draft cache by head-output object
-    identity; both are what keeps bulk simulation fast. One context may
-    serve many sequential sessions of the same (model, heads, config).
+    statistic (``conditional_key``), the draft cache by the head-output
+    object itself (identity hash), which the cache keeps alive so its
+    identity cannot be reused; both are what keeps bulk simulation fast.
+    One context may serve many sequential sessions of the same (model,
+    heads, config).
     """
 
     def __init__(
@@ -274,7 +281,7 @@ class DecodingContext:
         self.depth_accepts: dict[int, int] = {}
         self._identity = config.transform.is_identity
         self._target_cache: dict = {}
-        self._draft_cache: dict[int, TokenDistribution] = {}
+        self._draft_cache: dict[TokenDistribution, TokenDistribution] = {}
         if config.mode == MODE_LANTERN:
             self.neighborhoods = token_neighborhoods(model.token_embeddings, config.lantern_k)
         else:
@@ -294,11 +301,10 @@ class DecodingContext:
         base = head.predict(prefix)
         if self._identity or not self.config.transform_drafts:
             return base
-        key = id(base)
-        dist = self._draft_cache.get(key)
+        dist = self._draft_cache.get(base)
         if dist is None:
             dist = apply_sampling_config(base, self.config.transform)
-            self._draft_cache[key] = dist
+            self._draft_cache[base] = dist
         return dist
 
 
@@ -325,7 +331,7 @@ def build_pool(state: DecodeState, n: int, horizontal_output: TokenDistribution)
 def build_candidate_tree(
     pools: Sequence[SamplingPool], config: EngineConfig, rng: np.random.Generator
 ) -> CandidateTree:
-    """Sample per-depth candidates and combine layers as a capped Cartesian product.
+    """Sample per-depth candidates; their product, capped by the node budget, is the tree.
 
     Every candidate keeps the distribution it was drawn from as its draft.
     Layers follow the configured verification order (vertical-sourced
@@ -355,9 +361,7 @@ def build_candidate_tree(
         layers.append(tuple(layer))
     if not layers:
         raise ValueError("no candidates at depth 1: cannot speculate")
-    index_ranges = [range(len(layer)) for layer in layers]
-    paths = tuple(itertools.islice(itertools.product(*index_ranges), config.node_budget))
-    return CandidateTree(tuple(layers), paths)
+    return CandidateTree(tuple(layers))
 
 
 def commit_token(state: DecodeState, ctx: DecodingContext, token: int, newly: list[int]) -> None:
@@ -434,31 +438,32 @@ def decode_round(state: DecodeState, ctx: DecodingContext) -> RoundResult:
         pools.append(build_pool(state, n, horizontal))
     tree = build_candidate_tree(pools, config, state.draft_rng)
 
-    active = tree.paths
+    # Path (a_0, ..., a_n) has lexicographic rank sum(a_k * stride_k), where
+    # stride_k is the product of the widths of the layers after k; it is kept
+    # iff its rank is below the node budget. With r the rank of the accepted
+    # prefix, candidate j at layer k continues a kept path iff
+    # j * stride_k < node_budget - r (= budget_left), so the live candidates
+    # are the first ceil(budget_left / stride_k) of the layer.
+    layers = tree.layers
+    strides = [1] * len(layers)
+    for k in range(len(layers) - 1, 0, -1):
+        strides[k - 1] = strides[k] * len(layers[k])
+    budget_left = config.node_budget
     ended_by_resample = False
-    for layer_index, layer in enumerate(tree.layers):
+    for layer_index, layer in enumerate(layers):
         target = ctx.target_dist(committed)
-        continuations: list[int] = []
-        seen: set[int] = set()
-        for path in active:
-            j = path[layer_index]
-            if j not in seen:
-                seen.add(j)
-                continuations.append(j)
-        candidates = [layer[j] for j in continuations]
+        stride = strides[layer_index]
+        candidates = layer[: min(len(layer), -(-budget_left // stride))]
         depth = layer_index + 1
         ctx.depth_attempts[depth] = ctx.depth_attempts.get(depth, 0) + 1
         outcome = _verify(ctx, target, candidates, state.verify_rng)
         verifications.append((depth, outcome))
-        if outcome.emitted_via == ACCEPT:
-            ctx.depth_accepts[depth] = ctx.depth_accepts.get(depth, 0) + 1
-            chosen = continuations[outcome.accepted_index]
-            active = [path for path in active if path[layer_index] == chosen]
-            commit_token(state, ctx, outcome.emitted_token, newly)
-        else:
-            commit_token(state, ctx, outcome.emitted_token, newly)
+        commit_token(state, ctx, outcome.emitted_token, newly)
+        if outcome.emitted_via != ACCEPT:
             ended_by_resample = True
             break
+        ctx.depth_accepts[depth] = ctx.depth_accepts.get(depth, 0) + 1
+        budget_left -= outcome.accepted_index * stride
 
     if not ended_by_resample and len(committed) < total:
         bonus = ctx.target_dist(committed)
@@ -480,6 +485,95 @@ TRACE_COLUMNS = (
 )
 
 
+@dataclass
+class BatchResult:
+    """Aggregate of one or more decode sessions sharing one context and seed."""
+
+    grid_counts: Counter
+    decodes: int
+    rounds: int
+    committed: int
+    depth_attempts: dict[int, int]
+    depth_accepts: dict[int, int]
+    wall_clock_ms: float
+    kl_trace: Optional[list[tuple[int, float]]] = None
+
+    @property
+    def accept_length(self) -> float:
+        return self.committed / self.rounds
+
+    def to_report(self, mode: str, draft_overhead_ratio: float = 0.0) -> MetricsReport:
+        """The run's metrics; vanilla drafts nothing, so its overhead ratio is 0."""
+        rates = {
+            d: self.depth_accepts.get(d, 0) / attempts
+            for d, attempts in sorted(self.depth_attempts.items())
+        }
+        overhead = 0.0 if mode == MODE_VANILLA else draft_overhead_ratio
+        return MetricsReport(
+            mode=mode,
+            rounds=self.rounds,
+            committed=self.committed,
+            accept_length=self.accept_length,
+            modeled_speedup=modeled_speedup(self.accept_length, overhead),
+            depth_accept_rates=rates,
+            wall_clock_ms=self.wall_clock_ms,
+            kl_trace=self.kl_trace,
+        )
+
+
+def _decode_sessions(
+    model: TargetModel,
+    heads: Optional[DraftHeadSet],
+    config: EngineConfig,
+    seed: int,
+    count: int,
+    *,
+    trace: Optional[list[TraceRow]] = None,
+    collect_kl: bool = False,
+) -> BatchResult:
+    """Run ``count`` sessions back to back on one pair of streams from the seed."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    ctx = DecodingContext(
+        model, heads, config, collect_records=trace is not None, collect_kl=collect_kl
+    )
+    grid = model.grid
+    state = DecodeState.fresh(grid, config, seed)
+    counts: Counter = Counter()
+    start = time.perf_counter()
+    for _ in range(count):
+        while len(state.committed) < grid.size:
+            result = decode_round(state, ctx)
+            if trace is not None:
+                for depth, outcome in result.verifications:
+                    for rec in outcome.steps:
+                        trace.append(
+                            (
+                                state.rounds - 1,
+                                result.frontier,
+                                depth,
+                                f"{rec.candidate.source}:{rec.candidate.depth}",
+                                rec.acceptance_prob_alpha,
+                                rec.accepted,
+                                len(result.committed),
+                            )
+                        )
+        counts[tuple(state.committed)] += 1
+        state.committed = []
+        state.cache.entries.clear()
+    wall_clock_ms = (time.perf_counter() - start) * 1000.0
+    return BatchResult(
+        grid_counts=counts,
+        decodes=count,
+        rounds=state.rounds,
+        committed=count * grid.size,
+        depth_attempts=dict(ctx.depth_attempts),
+        depth_accepts=dict(ctx.depth_accepts),
+        wall_clock_ms=wall_clock_ms,
+        kl_trace=ctx.kl_pairs if collect_kl else None,
+    )
+
+
 def decode_image(
     model: TargetModel,
     heads: Optional[DraftHeadSet],
@@ -495,66 +589,13 @@ def decode_image(
     (``TRACE_COLUMNS``). The KL trace between the depth-1 cached vertical
     prediction and the depth-1 horizontal head is collected for hawk runs.
     """
-    collect_kl = config.mode == MODE_HAWK and config.vertical_depth >= 1
-    ctx = DecodingContext(
-        model, heads, config, collect_records=trace is not None, collect_kl=collect_kl
+    batch = _decode_sessions(
+        model, heads, config, seed, 1, trace=trace, collect_kl=config.mode == MODE_HAWK
     )
-    state = DecodeState.fresh(model.grid, config, seed)
-    start = time.perf_counter()
-    while len(state.committed) < model.grid.size:
-        result = decode_round(state, ctx)
-        if trace is not None:
-            round_index = state.rounds - 1
-            for depth, outcome in result.verifications:
-                for rec in outcome.steps:
-                    trace.append(
-                        (
-                            round_index,
-                            result.frontier,
-                            depth,
-                            f"{rec.candidate.source}:{rec.candidate.depth}",
-                            rec.acceptance_prob_alpha,
-                            rec.accepted,
-                            len(result.committed),
-                        )
-                    )
-    wall_clock_ms = (time.perf_counter() - start) * 1000.0
-    tokens = np.array(state.committed, dtype=np.int64).reshape(model.grid.height, model.grid.width)
-    report = _build_report(ctx, state.rounds, model.grid.size, wall_clock_ms,
-                           kl_trace=ctx.kl_pairs if collect_kl else None)
-    return tokens, report
-
-
-@dataclass
-class BatchResult:
-    """Aggregate of many decode sessions sharing one context and seed."""
-
-    grid_counts: Counter
-    decodes: int
-    rounds: int
-    committed: int
-    depth_attempts: dict[int, int]
-    depth_accepts: dict[int, int]
-    wall_clock_ms: float
-
-    @property
-    def accept_length(self) -> float:
-        return self.committed / self.rounds
-
-    def to_report(self, mode: str, draft_overhead_ratio: float = 0.0) -> MetricsReport:
-        rates = {
-            d: self.depth_accepts.get(d, 0) / attempts
-            for d, attempts in sorted(self.depth_attempts.items())
-        }
-        return MetricsReport(
-            mode=mode,
-            rounds=self.rounds,
-            committed=self.committed,
-            accept_length=self.accept_length,
-            modeled_speedup=modeled_speedup(self.accept_length, draft_overhead_ratio),
-            depth_accept_rates=rates,
-            wall_clock_ms=self.wall_clock_ms,
-        )
+    (tokens,) = batch.grid_counts
+    grid = model.grid
+    image = np.array(tokens, dtype=np.int64).reshape(grid.height, grid.width)
+    return image, batch.to_report(config.mode, config.draft_overhead_ratio)
 
 
 def decode_batch(
@@ -566,65 +607,10 @@ def decode_batch(
 ) -> BatchResult:
     """Run ``count`` decode sessions back to back on shared streams.
 
-    Sessions are sequential on a single pair of streams derived from the
-    seed, so the whole batch is reproducible; a batch of one matches
+    The whole batch is reproducible from the seed; a batch of one matches
     :func:`decode_image` token for token.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    ctx = DecodingContext(model, heads, config)
-    draft_rng = stream(seed, "draft")
-    verify_rng = stream(seed, "verify")
-    grid = model.grid
-    counts: Counter = Counter()
-    rounds = 0
-    start = time.perf_counter()
-    for _ in range(count):
-        state = DecodeState(
-            grid=grid,
-            committed=[],
-            cache=SpeculationCache(grid.width, config.vertical_depth),
-            draft_rng=draft_rng,
-            verify_rng=verify_rng,
-        )
-        while len(state.committed) < grid.size:
-            decode_round(state, ctx)
-        counts[tuple(state.committed)] += 1
-        rounds += state.rounds
-    wall_clock_ms = (time.perf_counter() - start) * 1000.0
-    return BatchResult(
-        grid_counts=counts,
-        decodes=count,
-        rounds=rounds,
-        committed=count * grid.size,
-        depth_attempts=dict(ctx.depth_attempts),
-        depth_accepts=dict(ctx.depth_accepts),
-        wall_clock_ms=wall_clock_ms,
-    )
-
-
-def _build_report(
-    ctx: DecodingContext,
-    rounds: int,
-    committed: int,
-    wall_clock_ms: float,
-    kl_trace: Optional[list[tuple[int, float]]],
-) -> MetricsReport:
-    rates = {
-        d: ctx.depth_accepts.get(d, 0) / attempts
-        for d, attempts in sorted(ctx.depth_attempts.items())
-    }
-    accept_length = committed / rounds
-    return MetricsReport(
-        mode=ctx.config.mode,
-        rounds=rounds,
-        committed=committed,
-        accept_length=accept_length,
-        modeled_speedup=modeled_speedup(accept_length, ctx.config.draft_overhead_ratio),
-        depth_accept_rates=rates,
-        wall_clock_ms=wall_clock_ms,
-        kl_trace=kl_trace,
-    )
+    return _decode_sessions(model, heads, config, seed, count)
 
 
 def export_grid_image(

@@ -70,13 +70,6 @@ class TargetModel(abc.ABC):
         return tuple(out)
 
 
-def target_conditional(model: TargetModel, prefix: Sequence[int]) -> TokenDistribution:
-    """Next-position conditional, guarding against already-complete prefixes."""
-    if len(prefix) >= model.grid.size:
-        raise StateError(f"prefix of length {len(prefix)} leaves no position to predict")
-    return model.conditional(prefix)
-
-
 class GridMarkovModel(TargetModel):
     """Toy spatial model: the conditional depends on the left and above neighbors.
 
@@ -478,67 +471,9 @@ def held_out_nll(
 # Serialization
 # ---------------------------------------------------------------------------
 #
-# Versioned JSON with fixed field names. Floats are written with Python's
+# Tabular head sets are saved as versioned JSON with fixed field names. Floats are written with Python's
 # repr, which round-trips binary64 exactly, so a load reproduces the stored
 # decimal representations bit for bit.
-
-
-def _grid_to_json(grid: GridSpec) -> dict:
-    return {"width": grid.width, "height": grid.height, "vocab_size": grid.vocab_size}
-
-
-def _grid_from_json(obj: dict) -> GridSpec:
-    return GridSpec(int(obj["width"]), int(obj["height"]), int(obj["vocab_size"]))
-
-
-def save_model(model: TargetModel, path: Union[str, Path]) -> None:
-    if isinstance(model, GridMarkovModel):
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "kind": "grid_markov",
-            "grid": _grid_to_json(model.grid),
-            "seed": model.seed,
-            "vertical_weight": model.vertical_weight,
-            "tables": model.tables.tolist(),
-            "token_embeddings": model.token_embeddings.tolist(),
-        }
-    elif isinstance(model, IndependentPositionModel):
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "kind": "independent",
-            "grid": _grid_to_json(model.grid),
-            "seed": model.seed,
-            "tables": model.tables.tolist(),
-            "token_embeddings": model.token_embeddings.tolist(),
-        }
-    else:
-        raise ValueError(f"cannot serialize model type {type(model).__name__}")
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
-
-
-def load_model(path: Union[str, Path]) -> TargetModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {version!r}")
-    grid = _grid_from_json(payload["grid"])
-    kind = payload["kind"]
-    if kind == "grid_markov":
-        return GridMarkovModel(
-            grid,
-            int(payload["seed"]),
-            float(payload["vertical_weight"]),
-            np.array(payload["tables"], dtype=np.float64),
-            np.array(payload["token_embeddings"], dtype=np.float64),
-        )
-    if kind == "independent":
-        return IndependentPositionModel(
-            grid,
-            int(payload["seed"]),
-            np.array(payload["tables"], dtype=np.float64),
-            np.array(payload["token_embeddings"], dtype=np.float64),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def _head_to_json(head: DraftHead) -> dict:

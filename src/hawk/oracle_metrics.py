@@ -28,7 +28,6 @@ from .core import (
     SamplingConfig,
     TokenDistribution,
     apply_sampling_config,
-    kl_divergence,
 )
 from .models import DraftHeadSet, TargetModel
 from .rng import stream
@@ -272,7 +271,6 @@ class MetricsReport:
     modeled_speedup: float
     depth_accept_rates: dict[int, float]
     wall_clock_ms: float
-    rejection_curve: Optional[RejectionCurves] = None
     kl_trace: Optional[list[tuple[int, float]]] = None
 
     def __post_init__(self) -> None:
@@ -291,11 +289,6 @@ def kl_trace(report: MetricsReport) -> list[tuple[int, float]]:
     if report.kl_trace is None:
         raise ValueError("run did not collect a kl trace")
     return report.kl_trace
-
-
-def pairwise_kl(vertical: TokenDistribution, horizontal: TokenDistribution) -> float:
-    """KL(vertical || horizontal); convenience forwarding for report builders."""
-    return kl_divergence(vertical, horizontal)
 
 
 # ---------------------------------------------------------------------------
@@ -329,34 +322,16 @@ def _rates_cell(rates: dict[int, float]) -> str:
 
 def write_metrics_csv(path: Union[str, Path], reports: Sequence[MetricsReport]) -> None:
     """One row per report, fixed column order (``METRICS_COLUMNS``)."""
-    lines = [",".join(METRICS_COLUMNS)]
-    for r in reports:
-        lines.append(
-            ",".join(
-                (
-                    r.mode,
-                    str(r.rounds),
-                    str(r.committed),
-                    repr(r.accept_length),
-                    repr(r.modeled_speedup),
-                    _rates_cell(r.depth_accept_rates),
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = (
+        (r.mode, r.rounds, r.committed, r.accept_length, r.modeled_speedup,
+         _rates_cell(r.depth_accept_rates))
+        for r in reports
+    )
+    write_csv(path, METRICS_COLUMNS, rows)
 
 
-def write_pairs_csv(
-    path: Union[str, Path], header: tuple[str, str], rows: Iterable[tuple[object, object]]
-) -> None:
-    """Two-column CSV for external plotting (rejection curves, KL traces)."""
-    lines = [",".join(header)]
-    lines.extend(f"{_fmt(a)},{_fmt(b)}" for a, b in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_trace_csv(path: Union[str, Path], columns: Sequence[str], rows: Iterable[tuple]) -> None:
-    """Per-step trace CSV with the engine's column order."""
+def write_csv(path: Union[str, Path], columns: Sequence[str], rows: Iterable[tuple]) -> None:
+    """Header line plus one line per row; floats as repr, bools as true/false."""
     lines = [",".join(columns)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -73,7 +73,6 @@ class VerifyStepRecord:
     candidate: Candidate
     acceptance_prob_alpha: float
     accepted: bool
-    residual_after: TokenDistribution | None
 
 
 @dataclass(slots=True)
@@ -118,9 +117,6 @@ def residual_update(
     return TokenDistribution._wrap(left / mass), False
 
 
-AcceptRule = Callable[[TokenDistribution, Candidate], float]
-
-
 def _standard_rule(p: TokenDistribution, candidate: Candidate) -> float:
     return acceptance_ratio(p, candidate.draft_dist, candidate.token)
 
@@ -129,7 +125,7 @@ def _walk(
     p: TokenDistribution,
     candidates: Sequence[Candidate],
     rng: np.random.Generator,
-    accept_rule: AcceptRule,
+    accept_rule: Callable[[TokenDistribution, Candidate], float],
     record_steps: bool,
 ) -> VerificationOutcome:
     """Shared accept/reject walk; the rule decides each step's token probability.
@@ -146,31 +142,18 @@ def _walk(
     for index, candidate in enumerate(candidates):
         q = candidate.draft_dist
         alpha = float(np.minimum(p_cur.probs, q.probs).sum())
-        if exhausted:
-            accepted = False
-            residual_after = p_cur
-        else:
-            accepted = rng.random() < accept_rule(p_cur, candidate)
-            residual_after = None
-            if not accepted:
-                residual, degenerate = residual_update(p_cur, q)
-                if degenerate:
-                    exhausted = True
-                    logger.warning(
-                        "residual mass exhausted at step %d; keeping last residual", index
-                    )
-                else:
-                    p_cur = residual
-                residual_after = p_cur
-        if record_steps:
-            steps.append(
-                VerifyStepRecord(
-                    candidate=candidate,
-                    acceptance_prob_alpha=alpha,
-                    accepted=accepted,
-                    residual_after=None if accepted else residual_after,
+        accepted = not exhausted and rng.random() < accept_rule(p_cur, candidate)
+        if not (accepted or exhausted):
+            residual, degenerate = residual_update(p_cur, q)
+            if degenerate:
+                exhausted = True
+                logger.warning(
+                    "residual mass exhausted at step %d; keeping last residual", index
                 )
-            )
+            else:
+                p_cur = residual
+        if record_steps:
+            steps.append(VerifyStepRecord(candidate, alpha, accepted))
         if accepted:
             return VerificationOutcome(tuple(steps), candidate.token, ACCEPT, index)
     emitted = sample_index(p_cur, rng)
@@ -291,14 +274,3 @@ def token_neighborhoods(embeddings: np.ndarray, k: int) -> tuple[tuple[int, ...]
         order = np.lexsort((np.arange(n), d))
         out.append(tuple(sorted(int(i) for i in order[:k])))
     return tuple(out)
-
-
-def steps_to_csv_rows(
-    round_index: int, steps: Sequence[VerifyStepRecord]
-) -> list[tuple[int, int, str, float, bool]]:
-    """Flatten step records to (round, depth, source, alpha, accepted) rows."""
-    return [
-        (round_index, rec.candidate.depth, rec.candidate.source,
-         rec.acceptance_prob_alpha, rec.accepted)
-        for rec in steps
-    ]

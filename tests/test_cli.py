@@ -78,6 +78,62 @@ class TestConfigLoading:
         config = load_run_config(write_config(tmp_path))
         assert "output_dir" not in config.echo
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_non_bool_transform_drafts_rejected(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, engine={"transform_drafts": value})
+        assert main(["decode", "--config", str(path)]) == 1
+        assert "engine.transform_drafts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("engine", "horizontal_depth", 2.7),
+            ("engine", "vertical_depth", True),
+            ("engine", "samples_per_horizontal", "2"),
+            ("engine", "samples_per_vertical", 1.0),
+            ("engine", "node_budget", 64.5),
+            ("engine", "lantern_k", 10.0),
+            ("engine", "top_k", 2.0),
+            ("engine", "top_k", True),
+            ("grid", "width", 2.0),
+            ("grid", "height", "2"),
+            ("grid", "vocab_size", 3.5),
+            ("oracle", "decode_count", 2000.7),
+            ("bench", "images", 3.2),
+            ("bench", "rejection_positions", False),
+            ("bench", "rejection_m_max", "3"),
+            ("model", "seed", 1009.0),
+            ("heads", "sample_count", 300.5),
+            ("heads", "seed", True),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, **{section: {key: value}})
+        assert main(["decode", "--config", str(path)]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_non_integer_seed_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, seed=4242.0)
+        assert main(["decode", "--config", str(path)]) == 1
+        assert "config.seed" in capsys.readouterr().err
+
+    def test_non_bool_constant_rejected(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, model={"kind": "independent", "seed": 5, "constant": "false"},
+            heads={"kind": "exact"},
+        )
+        assert main(["decode", "--config", str(path)]) == 1
+        assert "model.constant" in capsys.readouterr().err
+
+    def test_json_integers_and_bools_accepted(self, tmp_path):
+        path = write_config(
+            tmp_path, engine={"top_k": 2, "transform_drafts": False, "node_budget": 5}
+        )
+        config = load_run_config(path)
+        assert config.engine.transform.top_k == 2
+        assert config.engine.transform_drafts is False
+        assert config.engine.node_budget == 5
+
 
 class TestBuilders:
     def test_build_grid_markov(self, tmp_path):
@@ -185,6 +241,14 @@ class TestBenchCommand:
         assert (out_dir / "rejection_curve_horizontal.csv").exists()
         assert (out_dir / "kl_trace.csv").exists()
 
+    def test_vanilla_row_has_unit_modeled_speedup(self, tmp_path):
+        path = write_config(tmp_path, engine={"draft_overhead_ratio": 0.105})
+        assert main(["bench", "--config", str(path)]) == 0
+        lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
+        cells = {line.split(",")[0]: line.split(",") for line in lines}
+        assert cells["vanilla"][4] == "1.0"
+        assert float(cells["hawk"][4]) == float(cells["hawk"][3]) / 1.105
+
     def test_deterministic_rerun(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -242,9 +306,51 @@ class TestExitCodes:
         assert main(["decode", "--config", str(path)]) == 1
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 class TestShippedConfigs:
     def test_repo_configs_parse(self):
-        root = Path(__file__).resolve().parent.parent
         for name in ("verify_2x2.json", "verify_quick.json", "bench_16x16.json"):
-            config = load_run_config(root / "configs" / name)
+            config = load_run_config(ROOT / "configs" / name)
             assert config.engine.mode == "hawk"
+
+
+# Per-file SHA-256s of the outputs of the shipped configs. A change that
+# claims to keep behaviour must leave every one of them as it is.
+PINNED_OUTPUTS = {
+    ("verify_quick", "decode"): {
+        "grid.pgm": "58d366c32dac002a5f63bd164b3d56db925c5568d96a1ba80f85460e35b5cc61",
+        "kl_trace.csv": "b2282f9e6088e3a4106fde52e9467c068ecb0414d3b7b58ef213ed17a70b6ac6",
+        "metrics.csv": "723052b72b6248d20e0441274e55ffcc49440be75d7600d2a3b741db1cc19e1b",
+        "trace.csv": "cffbb7529bc52a2a5490944bdc5a8c55ec150ca0fd29d4145e2cf7c11956c71a",
+    },
+    ("verify_quick", "bench"): {
+        "kl_trace.csv": "9d18fffb091da6665351e0d62f47223bf71583221d031e657bfd2ef83bbd708d",
+        "metrics.csv": "5c60c6a40e5524189bea04e937f7cc166269ffb17f66236a5ab072deb0997261",
+        "rejection_curve_dual.csv":
+            "bf7a9ed2a1d57c4fc257c14b2fa8a01e1cdc48d394be43fc940dba9020b41966",
+        "rejection_curve_horizontal.csv":
+            "240c368272bfc9423e4fd4b976d15300ea15ab1ad79c44d135600862cb1c1a67",
+    },
+    ("verify_quick", "fit"): {
+        "fit_report.csv": "2616b3a6137e2f1f180fc5124bddd9299781b9d4874da8e5f2dad460204ee78d",
+        "heads.json": "eb91365100ec1ded34673183b13c88901bf0a6dff80b21a847b37d89bcf26615",
+    },
+    ("bench_16x16", "decode"): {
+        "grid.pgm": "183b9a26fcb1138b0da22db6c66e7a276d5f8f7b7ab53a43f30b369ddea10bed",
+        "kl_trace.csv": "1936bababf9e63a1086869d7219a6c297880a026e9e668661c8b9f3ff13af871",
+        "metrics.csv": "55733a0498999af03dac25612a34a93f22677b44492916e1d348ed0d84dda928",
+        "trace.csv": "e2743b1853190c88162dd53e6978e7918316bf4900a46b4c2073796c49bccced",
+    },
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("config, command", sorted(PINNED_OUTPUTS))
+    def test_output_digests_unchanged(self, tmp_path, config, command):
+        out = tmp_path / "out"
+        args = [command, "--config", str(ROOT / "configs" / f"{config}.json"), "--out", str(out)]
+        assert main(args) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == PINNED_OUTPUTS[(config, command)]

@@ -1,4 +1,4 @@
-"""Grid addressing, distribution arithmetic, and sampling transforms."""
+"""Grid shape, distribution arithmetic, and sampling transforms."""
 
 import math
 
@@ -9,16 +9,12 @@ from hypothesis import strategies as st
 
 from hawk.core import (
     GridSpec,
-    Position,
     SamplingConfig,
     TokenDistribution,
     apply_sampling_config,
     apply_temperature,
     apply_top_k,
     kl_divergence,
-    normalize,
-    raster_to_rowcol,
-    rowcol_to_raster,
     sample_index,
     total_variation,
 )
@@ -42,38 +38,6 @@ def distributions(draw, min_size=2, max_size=8):
 
 
 class TestGridAddressing:
-    def test_origin(self):
-        grid = GridSpec(48, 48, 16)
-        assert rowcol_to_raster(Position(0, 0), grid) == 0
-
-    def test_interior(self):
-        grid = GridSpec(48, 48, 16)
-        assert rowcol_to_raster(Position(2, 4), grid) == 100
-        assert raster_to_rowcol(100, grid) == Position(2, 4)
-
-    def test_last_token(self):
-        grid = GridSpec(7, 5, 4)
-        assert rowcol_to_raster(Position(4, 6), grid) == 34
-
-    def test_row_end(self):
-        grid = GridSpec(48, 2, 4)
-        assert raster_to_rowcol(47, grid) == Position(0, 47)
-        assert raster_to_rowcol(0, grid) == Position(0, 0)
-
-    def test_round_trip_exhaustive(self):
-        for grid in (GridSpec(1, 1, 2), GridSpec(3, 4, 2), GridSpec(5, 2, 7)):
-            for idx in range(grid.size):
-                assert rowcol_to_raster(raster_to_rowcol(idx, grid), grid) == idx
-
-    def test_out_of_bounds(self):
-        grid = GridSpec(3, 3, 4)
-        with pytest.raises(ValueError):
-            rowcol_to_raster(Position(3, 0), grid)
-        with pytest.raises(ValueError):
-            raster_to_rowcol(9, grid)
-        with pytest.raises(ValueError):
-            raster_to_rowcol(-1, grid)
-
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(0, 3, 4)
@@ -100,27 +64,6 @@ class TestTokenDistribution:
         d = dist(0.5, 0.5)
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
-
-
-class TestNormalize:
-    def test_single_support(self):
-        d, degenerate = normalize([0.3, 0.0, 0.0])
-        assert not degenerate
-        np.testing.assert_allclose(d.probs, [1.0, 0.0, 0.0])
-
-    def test_zero_mass_falls_back_to_uniform(self):
-        d, degenerate = normalize([0.0, 0.0, 0.0])
-        assert degenerate
-        np.testing.assert_allclose(d.probs, [1 / 3] * 3)
-
-    def test_symmetric(self):
-        d, degenerate = normalize([2.0, 2.0])
-        assert not degenerate
-        np.testing.assert_allclose(d.probs, [0.5, 0.5])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            normalize([0.5, -0.5])
 
 
 class TestTemperature:

@@ -1,9 +1,18 @@
 """Decoding loop: cache law, pools, candidate tree, round structure, exports."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from hawk.core import GridSpec, SamplingConfig, StateError
+import hawk.engine
+from hawk.core import (
+    GridSpec,
+    SamplingConfig,
+    StateError,
+    TokenDistribution,
+    apply_sampling_config,
+)
 from hawk.engine import (
     DecodeState,
     DecodingContext,
@@ -21,6 +30,8 @@ from hawk.engine import (
     vertical_target_index,
 )
 from hawk.models import (
+    DraftHead,
+    DraftHeadSet,
     fit_tabular_draft_heads,
     make_exact_heads,
     make_grid_markov_target,
@@ -31,6 +42,8 @@ from hawk.oracle_metrics import (
     enumerate_joint,
     joint_tv,
 )
+from hawk.rng import stream
+from hawk.verifier import ACCEPT, VerificationOutcome
 
 class TestCacheFormulas:
     def test_capacity_values(self):
@@ -207,7 +220,6 @@ class TestCandidateTree:
         ]
         tree = build_candidate_tree(pools, config, state.draft_rng)
         assert [len(layer) for layer in tree.layers] == [1, 1]
-        assert tree.paths == ((0, 0),)
 
     def test_cartesian_product_at_interior(self):
         grid, model, heads, config = _hawk_setup()
@@ -221,21 +233,27 @@ class TestCandidateTree:
         ]
         tree = build_candidate_tree(pools, config, state.draft_rng)
         assert [len(layer) for layer in tree.layers] == [2, 2]
-        assert len(tree.paths) == 4
 
-    def test_node_budget_keeps_earliest_paths(self):
+    def test_node_budget_keeps_earliest_paths(self, monkeypatch):
+        # Budget 3 over two 2-wide layers keeps (0, 0), (0, 1) and (1, 0):
+        # accepting candidate 0 leaves two live continuations, candidate 1 one.
         grid, model, heads, _ = _hawk_setup()
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1, node_budget=3)
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
-        for token in (0, 1, 2, 0):
-            commit_token(state, ctx, token, [])
-        pools = [
-            build_pool(state, n, ctx.draft_dist(heads.horizontal[n - 1], state.committed))
-            for n in (1, 2)
-        ]
-        tree = build_candidate_tree(pools, config, state.draft_rng)
-        assert tree.paths == ((0, 0), (0, 1), (1, 0))
+        for first, live_after in ((0, 2), (1, 1)):
+            widths = []
+
+            def accept(p, candidates, rng, *, record_steps=True, choice=first):
+                widths.append(len(candidates))
+                index = choice if len(widths) == 1 else 0
+                return VerificationOutcome((), candidates[index].token, ACCEPT, index)
+
+            monkeypatch.setattr(hawk.engine, "sequential_verify", accept)
+            ctx = DecodingContext(model, heads, config)
+            state = DecodeState.fresh(grid, config, 3)
+            for token in (0, 1, 2, 0):
+                commit_token(state, ctx, token, [])
+            decode_round(state, ctx)
+            assert widths == [2, live_after]
 
     def test_vertical_first_layer_order(self):
         grid, model, heads, config = _hawk_setup()
@@ -266,6 +284,82 @@ class TestCandidateTree:
         pools = [build_pool(state, 1, ctx.draft_dist(heads.horizontal[0], []))]
         with pytest.raises(ValueError):
             build_candidate_tree(pools, config, state.draft_rng)
+
+
+class _VerifySpy:
+    """Records each round's layers and every verify call made by ``decode_round``."""
+
+    def __init__(self, monkeypatch):
+        self.rounds = []  # (layers, [(candidates, outcome), ...]) per speculative round
+        build = hawk.engine.build_candidate_tree
+        verify = hawk.engine.sequential_verify
+
+        def spy_tree(pools, config, rng):
+            tree = build(pools, config, rng)
+            self.rounds.append((tree.layers, []))
+            return tree
+
+        def spy_verify(p, candidates, rng, **kwargs):
+            outcome = verify(p, candidates, rng, **kwargs)
+            self.rounds[-1][1].append((candidates, outcome))
+            return outcome
+
+        monkeypatch.setattr(hawk.engine, "build_candidate_tree", spy_tree)
+        monkeypatch.setattr(hawk.engine, "sequential_verify", spy_verify)
+
+
+def _live_by_brute_force(widths, budget, prefix):
+    """Indices at layer len(prefix) that continue one of the first ``budget`` paths."""
+    kept = itertools.islice(itertools.product(*(range(w) for w in widths)), budget)
+    k = len(prefix)
+    return sorted({path[k] for path in kept if path[:k] == prefix})
+
+
+# (horizontal_depth, vertical_depth, samples_per_horizontal, samples_per_vertical)
+LIVE_SHAPES = [(3, 1, 1, 1), (2, 2, 2, 1), (3, 0, 3, 0)]
+
+
+def _budgets(shape):
+    h, v, sph, spv = shape
+    product = (sph + spv * v) ** h  # widest tree, reached in rows below the first
+    return [1, 3, product - 1, product + 1]
+
+
+class TestLiveContinuations:
+    @pytest.mark.parametrize("order", ["vertical_first", "horizontal_first"])
+    @pytest.mark.parametrize(
+        "shape, budget", [(shape, b) for shape in LIVE_SHAPES for b in _budgets(shape)]
+    )
+    def test_matches_truncated_product(self, monkeypatch, shape, budget, order):
+        h, v, sph, spv = shape
+        grid = GridSpec(4, 4, 3)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        vertical = [grid.width * d for d in range(1, v + 1)]
+        heads = fit_tabular_draft_heads(
+            model, grid, list(range(1, h + 1)) + vertical, 300, 5, 0.5,
+            vertical_offsets=vertical,
+        )
+        config = EngineConfig(
+            mode="hawk" if v else "medusa", horizontal_depth=h, vertical_depth=v,
+            samples_per_horizontal=sph, samples_per_vertical=spv,
+            node_budget=budget, verification_order=order,
+        )
+        spy = _VerifySpy(monkeypatch)
+        decode_batch(model, heads, config, 5, 8)
+        truncated = 0
+        for layers, calls in spy.rounds:
+            widths = [len(layer) for layer in layers]
+            truncated += np.prod(widths) > budget
+            prefix = ()
+            for k, (candidates, outcome) in enumerate(calls):
+                live = _live_by_brute_force(widths, budget, prefix)
+                assert live == list(range(len(candidates)))
+                assert all(c is layers[k][j] for j, c in enumerate(candidates))
+                if outcome.emitted_via != ACCEPT:
+                    break
+                prefix += (outcome.accepted_index,)
+        assert spy.rounds
+        assert truncated or budget > np.prod([sph + spv * v] * h)
 
 
 class TestDecodeRound:
@@ -408,6 +502,15 @@ class TestBatch:
         with pytest.raises(ValueError):
             decode_batch(model, heads, config, 21, 0)
 
+    def test_vanilla_report_has_no_draft_overhead(self):
+        grid, model, heads, config = _hawk_setup()
+        vanilla = EngineConfig(mode="vanilla", draft_overhead_ratio=0.105)
+        batch_report = decode_batch(model, None, vanilla, 21, 3).to_report("vanilla", 0.105)
+        assert batch_report.modeled_speedup == 1.0
+        assert decode_image(model, None, vanilla, 21)[1].modeled_speedup == 1.0
+        report = decode_batch(model, heads, config, 21, 3).to_report("hawk", 0.105)
+        assert report.modeled_speedup == report.accept_length / 1.105
+
     def test_report_invariants(self):
         grid, model, heads, config = _hawk_setup()
         batch = decode_batch(model, heads, config, 21, 25)
@@ -416,6 +519,40 @@ class TestBatch:
         assert report.accept_length >= 1.0
         for rate in report.depth_accept_rates.values():
             assert 0.0 <= rate <= 1.0
+
+
+class _FreshCopyHead(DraftHead):
+    """Returns a new distribution object on every call, as a learned head would."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.offset = inner.offset
+
+    def predict(self, prefix):
+        return TokenDistribution(self.inner.predict(prefix).probs)
+
+
+class TestDraftCache:
+    def test_per_call_distributions_never_hit_stale_entries(self):
+        grid, model, fitted, _ = _hawk_setup()
+        heads = DraftHeadSet(
+            width=grid.width,
+            horizontal=tuple(_FreshCopyHead(h) for h in fitted.horizontal),
+            vertical=tuple(_FreshCopyHead(h) for h in fitted.vertical),
+        )
+        transform = SamplingConfig(top_k=2, temperature=0.7)
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=2, vertical_depth=1, transform=transform
+        )
+        ctx = DecodingContext(model, heads, config)
+        gen = stream(8, "draft-cache")
+        for _ in range(20):
+            sample = model.sample_grid(gen)
+            for t in range(grid.size):
+                for head in heads.horizontal + heads.vertical:
+                    got = ctx.draft_dist(head, sample[:t])
+                    want = apply_sampling_config(head.inner.predict(sample[:t]), transform)
+                    np.testing.assert_array_equal(got.probs, want.probs)
 
 
 class TestTransformedExactness:

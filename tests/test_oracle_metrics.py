@@ -24,8 +24,8 @@ from hawk.oracle_metrics import (
     modeled_speedup,
     rejection_curve,
     verification_emitted_law,
+    write_csv,
     write_metrics_csv,
-    write_pairs_csv,
 )
 from hawk.rng import stream
 from hawk.verifier import rejection_mass
@@ -301,7 +301,7 @@ class TestReportAndCsv:
 
     def test_pairs_csv(self, tmp_path):
         path = tmp_path / "pairs.csv"
-        write_pairs_csv(path, ("m", "mass"), [(1, 0.5), (2, 0.25)])
+        write_csv(path, ("m", "mass"), [(1, 0.5), (2, 0.25)])
         assert path.read_text() == "m,mass\n1,0.5\n2,0.25\n"
 
     def test_float_cells_round_trip(self, tmp_path):

@@ -17,7 +17,6 @@ from hawk.verifier import (
     rejection_mass,
     residual_update,
     sequential_verify,
-    steps_to_csv_rows,
     token_neighborhoods,
 )
 
@@ -154,7 +153,7 @@ class TestSequentialVerify:
                 saw_resample = True
                 assert outcome.emitted_token == 0
                 assert outcome.accepted_index is None
-                assert outcome.steps[0].residual_after is not None
+                assert not outcome.steps[0].accepted
         assert saw_resample
 
     def test_monte_carlo_exactness_heterogeneous(self):
@@ -380,5 +379,6 @@ class TestCsvRows:
     def test_row_shape(self):
         p = dist(0.5, 0.5)
         outcome = sequential_verify(p, [Candidate(0, p, "vertical", 2)], stream(0, "csv"))
-        rows = steps_to_csv_rows(7, outcome.steps)
-        assert rows == [(7, 2, "vertical", 1.0, True)]
+        (rec,) = outcome.steps
+        row = (rec.candidate.depth, rec.candidate.source, rec.acceptance_prob_alpha, rec.accepted)
+        assert row == (2, "vertical", 1.0, True)
