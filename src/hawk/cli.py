@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,6 +96,14 @@ def _integer(section: dict, key: str, where: str, default: Optional[int] = None)
     return value
 
 
+def _number(section: dict, key: str, where: str, default: Optional[float] = None) -> float:
+    """A finite JSON number field (not ``true``, ``"3"`` or ``NaN``); required without default."""
+    value = _require(section, key, where) if default is None else section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"config field '{where}.{key}' must be a number, got {value!r}")
+    return float(value)
+
+
 def _boolean(section: dict, key: str, where: str, default: bool) -> bool:
     value = section.get(key, default)
     if not isinstance(value, bool):
@@ -128,7 +137,7 @@ def _parse_engine(section: dict) -> EngineConfig:
     top_k = section.get("top_k", "all")
     transform = SamplingConfig(
         top_k=top_k if top_k == "all" else _integer(section, "top_k", "engine"),
-        temperature=float(section.get("temperature", 1.0)),
+        temperature=_number(section, "temperature", "engine", 1.0),
     )
     return EngineConfig(
         mode=str(_require(section, "mode", "engine")),
@@ -141,8 +150,8 @@ def _parse_engine(section: dict) -> EngineConfig:
         transform=transform,
         transform_drafts=_boolean(section, "transform_drafts", "engine", True),
         lantern_k=_integer(section, "lantern_k", "engine", 10),
-        lantern_lam=float(section.get("lantern_lambda", 2.0)),
-        draft_overhead_ratio=float(section.get("draft_overhead_ratio", 0.0)),
+        lantern_lam=_number(section, "lantern_lambda", "engine", 2.0),
+        draft_overhead_ratio=_number(section, "draft_overhead_ratio", "engine", 0.0),
     )
 
 
@@ -184,8 +193,8 @@ def load_run_config(
     kind = _require(model_raw, "kind", "model")
     if kind not in ("grid_markov", "independent"):
         raise ValueError(f"unknown model.kind {kind!r}")
-    if kind == "grid_markov" and "vertical_weight" not in model_raw:
-        raise ValueError("missing required config field 'model.vertical_weight'")
+    # Required for grid_markov; checked wherever it appears.
+    _number(model_raw, "vertical_weight", "model", None if kind == "grid_markov" else 0.0)
     _integer(model_raw, "seed", "model")
     _boolean(model_raw, "constant", "model", False)
 
@@ -197,6 +206,7 @@ def load_run_config(
     if heads_kind == "tabular":
         _integer(heads_raw, "sample_count", "heads")
         _integer(heads_raw, "seed", "heads")
+    _number(heads_raw, "smoothing", "heads", 0.5)
     if heads_kind == "file":
         _require(heads_raw, "path", "heads")
 
@@ -207,7 +217,7 @@ def load_run_config(
     decode_count = _integer(oracle_raw, "decode_count", "oracle", 20000)
     if decode_count < 1:
         raise ValueError(f"oracle.decode_count must be >= 1, got {decode_count}")
-    tolerance_factor = float(oracle_raw.get("tolerance_factor", 3.0))
+    tolerance_factor = _number(oracle_raw, "tolerance_factor", "oracle", 3.0)
     if tolerance_factor <= 0:
         raise ValueError("oracle.tolerance_factor must be > 0")
 

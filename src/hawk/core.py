@@ -6,7 +6,10 @@ sampling transforms (temperature, top-k) that define effective target and
 draft distributions, and the shape of 2-D token grids.
 
 All types here are immutable values and all functions are pure, so they are
-safe to share across threads or worker processes.
+safe to share across threads or worker processes. A distribution lazily
+caches two derived values, its cumulative table and its last sampling
+transform; both are functions of the immutable entries, so a concurrent fill
+is a benign race.
 """
 
 from __future__ import annotations
@@ -54,10 +57,13 @@ class TokenDistribution:
 
     The entries are validated on construction: non-negative (tiny negative
     rounding noise is clamped) and summing to one within ``SUM_TOLERANCE``.
-    A cumulative table is cached lazily to make repeated sampling cheap.
+    A cumulative table is cached lazily to make repeated sampling cheap, and
+    the last sampling transform applied is memoized as a ``(SamplingConfig,
+    result)`` pair (see :func:`apply_sampling_config`), so the memo lives
+    exactly as long as the distribution it describes.
     """
 
-    __slots__ = ("probs", "_cum", "_top")
+    __slots__ = ("probs", "_cum", "_top", "_memo")
 
     def __init__(self, probs: Union[Sequence[float], np.ndarray]) -> None:
         arr = np.array(probs, dtype=np.float64)
@@ -75,6 +81,7 @@ class TokenDistribution:
         self.probs = arr
         self._cum = None
         self._top = -1
+        self._memo = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "TokenDistribution":
@@ -84,6 +91,7 @@ class TokenDistribution:
         out.probs = arr
         out._cum = None
         out._top = -1
+        out._memo = None
         return out
 
     def prob(self, token: int) -> float:
@@ -96,8 +104,8 @@ class TokenDistribution:
         return f"TokenDistribution({self.probs.tolist()!r})"
 
 
-def sample_index(dist: TokenDistribution, rng: np.random.Generator) -> int:
-    """Draw one token index from ``dist`` using a single uniform variate.
+def index_at(dist: TokenDistribution, u: float) -> int:
+    """The token index that the uniform variate ``u`` in [0, 1) selects from ``dist``.
 
     Uses the cached cumulative table; cumulative rounding shortfall at the
     upper end falls back to the last token with positive probability, so a
@@ -106,10 +114,16 @@ def sample_index(dist: TokenDistribution, rng: np.random.Generator) -> int:
     cum = dist._cum
     if cum is None:
         cum = np.cumsum(dist.probs)
-        dist._cum = cum
+        # _top first: a reader that sees _cum set must also see _top.
         dist._top = int(np.nonzero(dist.probs)[0][-1])
-    i = int(np.searchsorted(cum, rng.random(), side="right"))
+        dist._cum = cum
+    i = int(np.searchsorted(cum, u, side="right"))
     return i if i <= dist._top else dist._top
+
+
+def sample_index(dist: TokenDistribution, rng: np.random.Generator) -> int:
+    """Draw one token index from ``dist`` using a single uniform variate."""
+    return index_at(dist, rng.random())
 
 
 @dataclass(frozen=True)
@@ -173,10 +187,20 @@ def apply_top_k(dist: TokenDistribution, k: int) -> TokenDistribution:
 
 
 def apply_sampling_config(dist: TokenDistribution, config: SamplingConfig) -> TokenDistribution:
-    """Temperature first, then top-k, matching the usual sampling pipeline."""
+    """Temperature first, then top-k, matching the usual sampling pipeline.
+
+    The result is memoized on ``dist`` for the last config applied to it;
+    a transform that returns ``dist`` itself is not memoized, so the memo
+    never refers back to its owner.
+    """
+    memo = dist._memo
+    if memo is not None and (memo[0] is config or memo[0] == config):
+        return memo[1]
     out = apply_temperature(dist, config.temperature)
     if config.top_k != "all":
         out = apply_top_k(out, int(config.top_k))
+    if out is not dist:
+        dist._memo = (config, out)
     return out
 
 

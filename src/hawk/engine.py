@@ -22,10 +22,13 @@ verifier's randomness, which the exactness argument requires. Entries behind
 the frontier are evicted; live occupancy never exceeds
 ``width * vsd * (vsd + 1) / 2``.
 
-Draw order, for reproducibility: the draft stream supplies pool candidate
-draws (layers in depth order, within a layer following the verification
-order, one uniform per candidate); the verify stream supplies one uniform
-per verification step plus one categorical draw per resample or bonus token.
+Draw order, for reproducibility: the draft stream supplies one uniform per
+drawn candidate, for the whole round in one block (layers in depth order,
+within a layer following the verification order); the verify stream supplies
+one uniform per verification step plus one categorical draw per resample or
+bonus token. A candidate's token is the index its uniform selects from its
+draft, and it is computed only for the live candidates that reach the
+verifier; the others consume their uniform and are never materialized.
 
 One decode session is strictly sequential; sessions over shared immutable
 models may run concurrently. The sessions of one batch run back to back on
@@ -38,7 +41,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +51,7 @@ from .core import (
     StateError,
     TokenDistribution,
     apply_sampling_config,
+    index_at,
     kl_divergence,
     sample_index,
 )
@@ -203,17 +207,34 @@ class SamplingPool:
     vertical: tuple[tuple[int, TokenDistribution], ...]
 
 
+class DraftSlot(NamedTuple):
+    """One drawn candidate before its token is computed: where it comes from."""
+
+    draft_dist: TokenDistribution
+    source: str
+    depth: int
+
+
 @dataclass(frozen=True)
 class CandidateTree:
-    """Depth-indexed candidate layers.
+    """Depth-indexed candidate layers with one uniform per drawn candidate.
 
     The tree is their Cartesian product truncated to the node budget: the
     first ``node_budget`` paths in lexicographic order are kept. A layer's
     live candidates therefore follow from the accepted prefix and the budget
-    by arithmetic (see :func:`decode_round`).
+    by arithmetic (see :func:`decode_round`), and only those are turned into
+    :class:`Candidate` objects, by :meth:`candidates`.
     """
 
-    layers: tuple[tuple[Candidate, ...], ...]
+    layers: tuple[tuple[DraftSlot, ...], ...]
+    uniforms: tuple[list[float], ...]
+
+    def candidates(self, layer_index: int, count: int) -> list[Candidate]:
+        """The first ``count`` candidates of a layer, each token drawn by its uniform."""
+        return [
+            Candidate(index_at(slot.draft_dist, u), slot.draft_dist, slot.source, slot.depth)
+            for slot, u in zip(self.layers[layer_index][:count], self.uniforms[layer_index])
+        ]
 
 
 @dataclass
@@ -239,12 +260,13 @@ class DecodeState:
 
 
 class DecodingContext:
-    """Immutable run inputs plus memoized transformed distributions.
+    """Run inputs (model, heads, config) plus the run's counters.
 
-    The target-conditional cache is keyed by the model's own sufficient
-    statistic (``conditional_key``), the draft cache by the head-output
-    object itself (identity hash), which the cache keeps alive so its
-    identity cannot be reused; both are what keeps bulk simulation fast.
+    It holds no distribution cache: the effective target and draft
+    distributions are the transform of what the model or head returns, and
+    the transform is memoized on the returned distribution itself (see
+    :func:`~hawk.core.apply_sampling_config`), so it stays warm across
+    batches for persistent tables and is freed with per-call head outputs.
     One context may serve many sequential sessions of the same (model,
     heads, config).
     """
@@ -280,32 +302,23 @@ class DecodingContext:
         self.depth_attempts: dict[int, int] = {}
         self.depth_accepts: dict[int, int] = {}
         self._identity = config.transform.is_identity
-        self._target_cache: dict = {}
-        self._draft_cache: dict[TokenDistribution, TokenDistribution] = {}
+        self._transform_drafts = config.transform_drafts and not self._identity
         if config.mode == MODE_LANTERN:
             self.neighborhoods = token_neighborhoods(model.token_embeddings, config.lantern_k)
         else:
             self.neighborhoods = None
 
     def target_dist(self, prefix: Sequence[int]) -> TokenDistribution:
-        key = self.model.conditional_key(prefix)
-        dist = self._target_cache.get(key)
-        if dist is None:
-            dist = self.model.conditional(prefix)
-            if not self._identity:
-                dist = apply_sampling_config(dist, self.config.transform)
-            self._target_cache[key] = dist
-        return dist
+        dist = self.model.conditional(prefix)
+        if self._identity:
+            return dist
+        return apply_sampling_config(dist, self.config.transform)
 
     def draft_dist(self, head, prefix: Sequence[int]) -> TokenDistribution:
         base = head.predict(prefix)
-        if self._identity or not self.config.transform_drafts:
+        if not self._transform_drafts:
             return base
-        dist = self._draft_cache.get(base)
-        if dist is None:
-            dist = apply_sampling_config(base, self.config.transform)
-            self._draft_cache[base] = dist
-        return dist
+        return apply_sampling_config(base, self.config.transform)
 
 
 @dataclass
@@ -331,37 +344,39 @@ def build_pool(state: DecodeState, n: int, horizontal_output: TokenDistribution)
 def build_candidate_tree(
     pools: Sequence[SamplingPool], config: EngineConfig, rng: np.random.Generator
 ) -> CandidateTree:
-    """Sample per-depth candidates; their product, capped by the node budget, is the tree.
+    """Lay out per-depth candidates and draw their uniforms; their product,
+    capped by the node budget, is the tree.
 
-    Every candidate keeps the distribution it was drawn from as its draft.
+    Every candidate keeps the distribution it is drawn from as its draft.
     Layers follow the configured verification order (vertical-sourced
     candidates first by default). An empty layer shortens the round; an
-    empty first layer means there is nothing to speculate with.
+    empty first layer means there is nothing to speculate with. The round's
+    uniforms come from one ``rng.random(n)`` call, which consumes the stream
+    exactly as n scalar draws in layer order would.
     """
-    layers: list[tuple[Candidate, ...]] = []
+    sph, spv = config.samples_per_horizontal, config.samples_per_vertical
+    layers: list[tuple[DraftSlot, ...]] = []
     for depth, pool in enumerate(pools, start=1):
-        layer: list[Candidate] = []
-
-        def draw_from(dist: TokenDistribution, source: str, head_depth: int, count: int) -> None:
-            for _ in range(count):
-                layer.append(Candidate(sample_index(dist, rng), dist, source, head_depth))
-
-        def draw_vertical() -> None:
-            for vdepth, dist in pool.vertical:
-                draw_from(dist, VERTICAL, vdepth, config.samples_per_vertical)
-
+        horizontal = [DraftSlot(pool.horizontal, HORIZONTAL, depth)] * sph
+        vertical = [
+            DraftSlot(dist, VERTICAL, vdepth) for vdepth, dist in pool.vertical for _ in range(spv)
+        ]
         if config.verification_order == VERTICAL_FIRST:
-            draw_vertical()
-            draw_from(pool.horizontal, HORIZONTAL, depth, config.samples_per_horizontal)
+            layer = vertical + horizontal
         else:
-            draw_from(pool.horizontal, HORIZONTAL, depth, config.samples_per_horizontal)
-            draw_vertical()
+            layer = horizontal + vertical
         if not layer:
             break
         layers.append(tuple(layer))
     if not layers:
         raise ValueError("no candidates at depth 1: cannot speculate")
-    return CandidateTree(tuple(layers))
+    block = rng.random(sum(len(layer) for layer in layers)).tolist()
+    uniforms = []
+    start = 0
+    for layer in layers:
+        uniforms.append(block[start : start + len(layer)])
+        start += len(layer)
+    return CandidateTree(tuple(layers), tuple(uniforms))
 
 
 def commit_token(state: DecodeState, ctx: DecodingContext, token: int, newly: list[int]) -> None:
@@ -450,10 +465,10 @@ def decode_round(state: DecodeState, ctx: DecodingContext) -> RoundResult:
         strides[k - 1] = strides[k] * len(layers[k])
     budget_left = config.node_budget
     ended_by_resample = False
-    for layer_index, layer in enumerate(layers):
+    for layer_index in range(len(layers)):
         target = ctx.target_dist(committed)
         stride = strides[layer_index]
-        candidates = layer[: min(len(layer), -(-budget_left // stride))]
+        candidates = tree.candidates(layer_index, -(-budget_left // stride))
         depth = layer_index + 1
         ctx.depth_attempts[depth] = ctx.depth_attempts.get(depth, 0) + 1
         outcome = _verify(ctx, target, candidates, state.verify_rng)

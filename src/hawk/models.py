@@ -25,7 +25,7 @@ import abc
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Hashable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -52,15 +52,11 @@ class TargetModel(abc.ABC):
 
     @abc.abstractmethod
     def conditional(self, prefix: Sequence[int]) -> TokenDistribution:
-        """Distribution of the next raster position given a committed prefix."""
+        """Distribution of the next raster position given a committed prefix.
 
-    def conditional_key(self, prefix: Sequence[int]) -> Hashable:
-        """Hashable memoization key: prefixes with equal keys share a conditional.
-
-        The default is the full prefix, which is always correct but shares
-        nothing; concrete models override it with their sufficient statistic.
+        Prefixes that share a conditional should get the same object back:
+        sampling transforms are memoized on the distribution itself.
         """
-        return tuple(prefix)
 
     def sample_grid(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Ancestral sample of a complete grid, in raster order."""
@@ -115,9 +111,6 @@ class GridMarkovModel(TargetModel):
     def conditional(self, prefix: Sequence[int]) -> TokenDistribution:
         left, above = self._neighbor_key(prefix)
         return self._rows[left][above]
-
-    def conditional_key(self, prefix: Sequence[int]) -> tuple[int, int]:
-        return self._neighbor_key(prefix)
 
     def sample_grid(self, rng: np.random.Generator) -> tuple[int, ...]:
         width = self.grid.width
@@ -197,9 +190,6 @@ class IndependentPositionModel(TargetModel):
         if len(prefix) >= self.grid.size:
             raise StateError("grid already complete")
         return self._dists[len(prefix)]
-
-    def conditional_key(self, prefix: Sequence[int]) -> int:
-        return len(prefix)
 
 
 def make_independent_target(

@@ -68,17 +68,10 @@ def enumerate_joint(
             "use a smaller grid or vocabulary"
         )
     identity = transforms.is_identity
-    cond_cache: dict = {}
 
     def conditional(prefix: list[int]) -> TokenDistribution:
-        key = model.conditional_key(prefix)
-        dist = cond_cache.get(key)
-        if dist is None:
-            dist = model.conditional(prefix)
-            if not identity:
-                dist = apply_sampling_config(dist, transforms)
-            cond_cache[key] = dist
-        return dist
+        dist = model.conditional(prefix)
+        return dist if identity else apply_sampling_config(dist, transforms)
 
     probs: dict[tuple[int, ...], float] = {}
     size = grid.size

@@ -141,9 +141,13 @@ def _walk(
     exhausted = False
     for index, candidate in enumerate(candidates):
         q = candidate.draft_dist
-        alpha = float(np.minimum(p_cur.probs, q.probs).sum())
         accepted = not exhausted and rng.random() < accept_rule(p_cur, candidate)
-        if not (accepted or exhausted):
+        if record_steps:
+            alpha = float(np.minimum(p_cur.probs, q.probs).sum())
+            steps.append(VerifyStepRecord(candidate, alpha, accepted))
+        if accepted:
+            return VerificationOutcome(tuple(steps), candidate.token, ACCEPT, index)
+        if not exhausted:
             residual, degenerate = residual_update(p_cur, q)
             if degenerate:
                 exhausted = True
@@ -152,10 +156,6 @@ def _walk(
                 )
             else:
                 p_cur = residual
-        if record_steps:
-            steps.append(VerifyStepRecord(candidate, alpha, accepted))
-        if accepted:
-            return VerificationOutcome(tuple(steps), candidate.token, ACCEPT, index)
     emitted = sample_index(p_cur, rng)
     return VerificationOutcome(tuple(steps), emitted, RESIDUAL_RESAMPLE, None)
 

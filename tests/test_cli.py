@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from hawk.cli import build_heads, build_model, load_run_config, main
+from hawk.core import SamplingConfig
 from hawk.models import load_head_set
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, **overrides):
@@ -133,6 +136,37 @@ class TestConfigLoading:
         assert config.engine.transform.top_k == 2
         assert config.engine.transform_drafts is False
         assert config.engine.node_budget == 5
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("engine", "temperature", "0.7"),
+            ("engine", "temperature", float("nan")),
+            ("engine", "lantern_lambda", True),
+            ("engine", "draft_overhead_ratio", "0.1"),
+            ("oracle", "tolerance_factor", "3"),
+            ("oracle", "tolerance_factor", float("inf")),
+            ("model", "vertical_weight", False),
+            ("model", "vertical_weight", None),
+            ("heads", "smoothing", "0.5"),
+        ],
+    )
+    def test_non_number_fields_rejected(self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, **{section: {key: value}})
+        assert main(["decode", "--config", str(path)]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_json_numbers_accepted(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            engine={"temperature": 1, "lantern_lambda": 3, "draft_overhead_ratio": 0.25},
+            oracle={"tolerance_factor": 2},
+        )
+        config = load_run_config(path)
+        assert config.engine.transform == SamplingConfig()
+        assert config.engine.lantern_lam == 3.0
+        assert config.engine.draft_overhead_ratio == 0.25
+        assert config.tolerance_factor == 2.0
 
 
 class TestBuilders:
@@ -306,14 +340,15 @@ class TestExitCodes:
         assert main(["decode", "--config", str(path)]) == 1
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
 class TestShippedConfigs:
     def test_repo_configs_parse(self):
         for name in ("verify_2x2.json", "verify_quick.json", "bench_16x16.json"):
             config = load_run_config(ROOT / "configs" / name)
             assert config.engine.mode == "hawk"
+
+    @pytest.mark.parametrize("name", ["oracle_2x2", "image_16x16", "wide_tree_16x16"])
+    def test_benchmark_configs_parse(self, name):
+        load_run_config(ROOT / "perfbench" / "configs" / f"{name}.json")
 
 
 # Per-file SHA-256s of the outputs of the shipped configs. A change that

@@ -14,6 +14,7 @@ from hawk.core import (
     apply_sampling_config,
     apply_temperature,
     apply_top_k,
+    index_at,
     kl_divergence,
     sample_index,
     total_variation,
@@ -185,8 +186,39 @@ class TestSamplingConfig:
         expected = apply_top_k(apply_temperature(d, 0.5), 2)
         np.testing.assert_allclose(out.probs, expected.probs)
 
+    def test_result_memoized_for_last_config(self):
+        d = dist(0.5, 0.3, 0.2)
+        config = SamplingConfig(top_k=2, temperature=0.5)
+        out = apply_sampling_config(d, config)
+        assert apply_sampling_config(d, config) is out
+        assert apply_sampling_config(d, SamplingConfig(top_k=2, temperature=0.5)) is out
+        warmer = apply_sampling_config(d, SamplingConfig(temperature=0.5))
+        np.testing.assert_array_equal(warmer.probs, apply_temperature(d, 0.5).probs)
+        again = apply_sampling_config(d, config)
+        assert again is not out
+        np.testing.assert_array_equal(again.probs, out.probs)
+
+    def test_identity_results_not_memoized(self):
+        d = dist(0.5, 0.5)
+        assert apply_sampling_config(d, SamplingConfig()) is d
+        assert apply_sampling_config(d, SamplingConfig(top_k=2)) is d
+        assert d._memo is None
+
 
 class TestSampleIndex:
+    def test_index_at_boundaries(self):
+        d = dist(0.0, 0.5, 0.5, 0.0)
+        assert index_at(d, 0.0) == 1
+        assert index_at(d, 0.5) == 2
+        assert index_at(d, np.nextafter(1.0, 0.0)) == 2
+        short = dist(0.5, 0.5 - 1e-10, 0.0)  # cumulative shortfall at the upper end
+        assert index_at(short, 1.0 - 5e-11) == 1
+
+    def test_sample_index_is_index_at_of_next_uniform(self):
+        d = dist(0.2, 0.5, 0.3)
+        a, b = stream(4, "index-at"), stream(4, "index-at")
+        assert [sample_index(d, a) for _ in range(50)] == [index_at(d, b.random()) for _ in range(50)]
+
     def test_never_emits_zero_probability_token(self):
         d = dist(0.5, 0.0, 0.5)
         gen = stream(1, "sample-test")

@@ -1,9 +1,13 @@
 """Decoding loop: cache law, pools, candidate tree, round structure, exports."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hawk.engine
 from hawk.core import (
@@ -12,6 +16,7 @@ from hawk.core import (
     StateError,
     TokenDistribution,
     apply_sampling_config,
+    sample_index,
 )
 from hawk.engine import (
     DecodeState,
@@ -43,7 +48,7 @@ from hawk.oracle_metrics import (
     joint_tv,
 )
 from hawk.rng import stream
-from hawk.verifier import ACCEPT, VerificationOutcome
+from hawk.verifier import ACCEPT, HORIZONTAL, VERTICAL, VerificationOutcome
 
 class TestCacheFormulas:
     def test_capacity_values(self):
@@ -262,16 +267,23 @@ class TestCandidateTree:
         for token in (0, 1, 2, 0):
             commit_token(state, ctx, token, [])
         pools = [build_pool(state, 1, ctx.draft_dist(heads.horizontal[0], state.committed))]
+        ((vdepth, vdist),) = pools[0].vertical
+        vertical = (vdist, "vertical", vdepth)
+        horizontal = (pools[0].horizontal, "horizontal", 1)
+
+        def entries(tree):
+            return [(s.draft_dist, s.source, s.depth) for s in tree.layers[0]]
+
         tree = build_candidate_tree(pools, config, state.draft_rng)
-        assert [c.source for c in tree.layers[0]] == ["vertical", "horizontal"]
+        assert entries(tree) == [vertical, horizontal]
+        assert [c.draft_dist for c in tree.candidates(0, 2)] == [vdist, pools[0].horizontal]
 
         flipped = EngineConfig(
             mode="hawk", horizontal_depth=2, vertical_depth=1,
             verification_order="horizontal_first",
         )
-        ctx2 = DecodingContext(model, heads, flipped)
         tree2 = build_candidate_tree(pools, flipped, state.draft_rng)
-        assert [c.source for c in tree2.layers[0]] == ["horizontal", "vertical"]
+        assert entries(tree2) == [horizontal, vertical]
 
     def test_no_candidates_at_depth_one(self):
         grid, model, heads, _ = _hawk_setup()
@@ -354,12 +366,66 @@ class TestLiveContinuations:
             for k, (candidates, outcome) in enumerate(calls):
                 live = _live_by_brute_force(widths, budget, prefix)
                 assert live == list(range(len(candidates)))
-                assert all(c is layers[k][j] for j, c in enumerate(candidates))
+                assert all(
+                    c.draft_dist is layers[k][j].draft_dist
+                    and (c.source, c.depth) == (layers[k][j].source, layers[k][j].depth)
+                    for j, c in enumerate(candidates)
+                )
                 if outcome.emitted_via != ACCEPT:
                     break
                 prefix += (outcome.accepted_index,)
         assert spy.rounds
         assert truncated or budget > np.prod([sph + spv * v] * h)
+
+
+# (verification_order, samples_per_vertical, node_budget)
+DRAW_ORDER_CASES = [
+    ("vertical_first", 1, 64),
+    ("horizontal_first", 1, 64),
+    ("vertical_first", 0, 64),
+    ("horizontal_first", 2, 3),
+]
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("order, spv, budget", DRAW_ORDER_CASES)
+    def test_block_draw_matches_eager_draws(self, order, spv, budget):
+        # The round's uniforms come in one block; every candidate's token
+        # must equal the one an eager sample_index call per candidate gives
+        # in the documented order (depth order, then the verification order
+        # within a layer), and the stream must end in the same state.
+        grid = GridSpec(4, 4, 3)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(
+            model, grid, [1, 2, 3, 4, 8], 300, 5, 0.5, vertical_offsets=[4, 8]
+        )
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=3, vertical_depth=2, samples_per_horizontal=2,
+            samples_per_vertical=spv, node_budget=budget, verification_order=order,
+            transform=SamplingConfig(top_k=2, temperature=0.8),
+        )
+        ctx = DecodingContext(model, heads, config)
+        state = DecodeState.fresh(grid, config, 3)
+        sample = model.sample_grid(stream(4, "draw-order"))
+        for frontier in range(grid.size):
+            pools = [
+                build_pool(state, n, ctx.draft_dist(heads.horizontal[n - 1], state.committed))
+                for n in range(1, min(config.horizontal_depth, grid.size - frontier) + 1)
+            ]
+            block_rng, eager_rng = stream(frontier, "tree"), stream(frontier, "tree")
+            tree = build_candidate_tree(pools, config, block_rng)
+            for k, pool in enumerate(pools):
+                horizontal = [(pool.horizontal, HORIZONTAL, k + 1)] * 2
+                vertical = [(q, VERTICAL, d) for d, q in pool.vertical for _ in range(spv)]
+                want = vertical + horizontal
+                if order == "horizontal_first":
+                    want = horizontal + vertical
+                got = tree.candidates(k, len(tree.layers[k]))
+                assert [(c.draft_dist, c.source, c.depth) for c in got] == want
+                assert [c.token for c in got] == [sample_index(q, eager_rng) for q, _, _ in want]
+            assert len(tree.layers) == len(pools)
+            assert block_rng.random() == eager_rng.random()
+            commit_token(state, ctx, sample[frontier], [])
 
 
 class TestDecodeRound:
@@ -405,6 +471,90 @@ class TestDecodeRound:
             remaining = grid.size - len(state.committed)
             result = decode_round(state, ctx)
             assert len(result.committed) == min(config.horizontal_depth + 1, remaining)
+
+
+@st.composite
+def round_cases(draw):
+    """(grid, config) over odd shapes: 1xN, Nx1, width <= H, tiny budgets, top-k."""
+    grid = GridSpec(draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(2, 4)))
+    mode = draw(st.sampled_from(["medusa", "hawk", "lantern"]))
+    config = EngineConfig(
+        mode=mode,
+        horizontal_depth=draw(st.integers(1, 4)),
+        vertical_depth=draw(st.integers(1, 2)) if mode == "hawk" else 0,
+        samples_per_horizontal=draw(st.integers(1, 2)),
+        samples_per_vertical=draw(st.integers(0, 2)),
+        node_budget=draw(st.sampled_from([1, 2, 5, 64])),
+        verification_order=draw(st.sampled_from(["vertical_first", "horizontal_first"])),
+        transform=SamplingConfig(
+            top_k=draw(st.sampled_from(["all", 1, 2])),
+            temperature=draw(st.sampled_from([1.0, 0.7])),
+        ),
+        transform_drafts=draw(st.booleans()),
+    )
+    return grid, config
+
+
+def _hawk_case(width, height, **overrides):
+    fields = dict(mode="hawk", horizontal_depth=3, vertical_depth=2, node_budget=64)
+    return GridSpec(width, height, 3), EngineConfig(**{**fields, **overrides})
+
+
+class TestRoundProperties:
+    @given(round_cases(), st.integers(0, 2**16))
+    @example(_hawk_case(1, 5), 0)
+    @example(_hawk_case(5, 1), 0)
+    @example(_hawk_case(2, 3, node_budget=1), 0)
+    @example(_hawk_case(3, 3, samples_per_vertical=0), 0)
+    @example(_hawk_case(3, 3, transform=SamplingConfig(top_k=1, temperature=0.7)), 0)
+    @settings(max_examples=60, deadline=None)
+    def test_round_invariants(self, case, seed):
+        grid, config = case
+        h, v = config.horizontal_depth, config.vertical_depth
+        model = make_grid_markov_target(grid, seed, 0.8)
+        vertical = [grid.width * d for d in range(1, v + 1)]
+        heads = fit_tabular_draft_heads(
+            model, grid, list(range(1, h + 1)) + vertical, 30, seed, 0.5,
+            vertical_offsets=vertical,
+        )
+        ctx = DecodingContext(model, heads, config, collect_records=True)
+        state = DecodeState.fresh(grid, config, seed)
+        capacity = cache_capacity(grid.width, v)
+        results = []
+        while len(state.committed) < grid.size:
+            assert len(results) < grid.size  # every round commits at least one token
+            frontier = len(state.committed)
+            result = decode_round(state, ctx)
+            results.append(result)
+            assert result.frontier == frontier
+            assert 1 <= len(result.committed) <= h + 1
+            assert state.committed[frontier:] == result.committed
+            assert state.cache.occupancy <= capacity
+            outcomes = [outcome for _, outcome in result.verifications]
+            assert [d for d, _ in result.verifications] == list(range(1, len(outcomes) + 1))
+            assert [o.emitted_token for o in outcomes] == result.committed[: len(outcomes)]
+            assert all(o.emitted_via == ACCEPT for o in outcomes[:-1])
+            # A round that accepts through every layer adds a bonus token unless
+            # the grid is full.
+            bonus = outcomes[-1].emitted_via == ACCEPT and frontier + len(outcomes) < grid.size
+            assert len(result.committed) == len(outcomes) + bonus
+
+        # The same seed traced through decode_image: one row per verification step.
+        trace = []
+        tokens, report = decode_image(model, heads, config, seed, trace=trace)
+        assert tokens.reshape(-1).tolist() == state.committed
+        assert report.rounds == len(results)
+        want = [
+            (r, result.frontier, depth, f"{rec.candidate.source}:{rec.candidate.depth}",
+             rec.accepted, len(result.committed))
+            for r, result in enumerate(results)
+            for depth, outcome in result.verifications
+            for rec in outcome.steps
+        ]
+        assert [row[:4] + row[5:] for row in trace] == want
+        assert all(0.0 <= row[4] <= 1.0 + 1e-12 for row in trace)
+        accepts = sum(o.emitted_via == ACCEPT for r in results for _, o in r.verifications)
+        assert sum(row[5] for row in trace) == accepts
 
 
 class TestDecodeImage:
@@ -553,6 +703,62 @@ class TestDraftCache:
                     got = ctx.draft_dist(head, sample[:t])
                     want = apply_sampling_config(head.inner.predict(sample[:t]), transform)
                     np.testing.assert_array_equal(got.probs, want.probs)
+
+
+class _WeakReferableDistribution(TokenDistribution):
+    __slots__ = ("__weakref__",)
+
+
+class _RecordingHead(_FreshCopyHead):
+    """A per-call-allocating head that keeps weak references to what it returned."""
+
+    def __init__(self, inner, refs):
+        super().__init__(inner)
+        self.refs = refs
+
+    def predict(self, prefix):
+        out = _WeakReferableDistribution(self.inner.predict(prefix).probs)
+        self.refs.append(weakref.ref(out))
+        return out
+
+
+class TestTransformMemoLifetime:
+    def test_per_call_outputs_freed_after_batch(self, monkeypatch):
+        grid, model, fitted, _ = _hawk_setup()
+        refs = []
+        heads = DraftHeadSet(
+            width=grid.width,
+            horizontal=tuple(_RecordingHead(h, refs) for h in fitted.horizontal),
+            vertical=tuple(_RecordingHead(h, refs) for h in fitted.vertical),
+        )
+        transform = SamplingConfig(top_k=2, temperature=0.7)
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=2, vertical_depth=1, transform=transform
+        )
+        draft_dist = DecodingContext.draft_dist
+        checked = []
+        alive_at_session_start = []
+
+        def checked_draft_dist(ctx, head, prefix):
+            if not prefix and head is heads.horizontal[0]:
+                # A session's first draft: nothing drafted earlier may survive.
+                gc.collect()
+                alive_at_session_start.append(sum(ref() is not None for ref in refs))
+            got = draft_dist(ctx, head, prefix)
+            # A fresh copy has an empty memo, so this recomputes the transform.
+            fresh = TokenDistribution(head.inner.predict(prefix).probs)
+            np.testing.assert_array_equal(
+                got.probs, apply_sampling_config(fresh, transform).probs
+            )
+            checked.append(1)
+            return got
+
+        monkeypatch.setattr(DecodingContext, "draft_dist", checked_draft_dist)
+        decode_batch(model, heads, config, 9, 5)
+        gc.collect()
+        assert alive_at_session_start == [0] * 5
+        assert len(checked) == len(refs) > 0
+        assert all(ref() is None for ref in refs)
 
 
 class TestTransformedExactness:
