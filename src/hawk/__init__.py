@@ -23,7 +23,6 @@ from .core import (
 from .engine import (
     BatchResult,
     CandidateTree,
-    DecodeState,
     DecodingContext,
     EngineConfig,
     SamplingPool,
@@ -56,13 +55,10 @@ from .models import (
 )
 from .oracle_metrics import (
     JointTable,
-    MetricsReport,
     RejectionCurves,
-    empirical_joint,
     empirical_joint_from_counts,
     enumerate_joint,
     joint_tv,
-    kl_trace,
     modeled_speedup,
     rejection_curve,
     verification_emitted_law,

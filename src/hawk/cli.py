@@ -65,6 +65,17 @@ SCHEMA_VERSION = 1
 VERIFY_COLUMNS = ("mode", "decodes", "tv", "tolerance", "accept_length", "status")
 FIT_COLUMNS = ("direction", "depth", "offset", "held_out_nll")
 
+# The keys each model and heads kind reads; a key of another kind is an error.
+MODEL_KEYS = {
+    "grid_markov": {"kind", "seed", "vertical_weight"},
+    "independent": {"kind", "seed", "constant"},
+}
+HEADS_KEYS = {
+    "tabular": {"kind", "sample_count", "seed", "smoothing"},
+    "exact": {"kind"},
+    "file": {"kind", "path"},
+}
+
 
 @dataclass
 class RunConfig:
@@ -115,6 +126,20 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ValueError(f"unknown config key '{where}.{unknown[0]}'")
+
+
+def _kind(section: dict, keys: dict[str, set[str]], where: str) -> str:
+    """The section's kind, after rejecting unknown keys and keys the kind does not read."""
+    _check_keys(section, set().union(*keys.values()), where)
+    kind = _require(section, "kind", where)
+    if not isinstance(kind, str) or kind not in keys:
+        raise ValueError(f"unknown {where}.kind {kind!r}")
+    extra = sorted(set(section) - keys[kind])
+    if extra:
+        raise ValueError(
+            f"config field '{where}.{extra[0]}' does not apply to {where}.kind {kind!r}"
+        )
+    return kind
 
 
 def _parse_engine(section: dict) -> EngineConfig:
@@ -189,25 +214,19 @@ def load_run_config(
     )
 
     model_raw = _require(raw, "model", "config")
-    _check_keys(model_raw, {"kind", "seed", "vertical_weight", "constant"}, "model")
-    kind = _require(model_raw, "kind", "model")
-    if kind not in ("grid_markov", "independent"):
-        raise ValueError(f"unknown model.kind {kind!r}")
-    # Required for grid_markov; checked wherever it appears.
-    _number(model_raw, "vertical_weight", "model", None if kind == "grid_markov" else 0.0)
+    if _kind(model_raw, MODEL_KEYS, "model") == "grid_markov":
+        _number(model_raw, "vertical_weight", "model")
+    else:
+        _boolean(model_raw, "constant", "model", False)
     _integer(model_raw, "seed", "model")
-    _boolean(model_raw, "constant", "model", False)
 
     heads_raw = _require(raw, "heads", "config")
-    _check_keys(heads_raw, {"kind", "sample_count", "seed", "smoothing", "path"}, "heads")
-    heads_kind = _require(heads_raw, "kind", "heads")
-    if heads_kind not in ("tabular", "exact", "file"):
-        raise ValueError(f"unknown heads.kind {heads_kind!r}")
+    heads_kind = _kind(heads_raw, HEADS_KEYS, "heads")
     if heads_kind == "tabular":
         _integer(heads_raw, "sample_count", "heads")
         _integer(heads_raw, "seed", "heads")
-    _number(heads_raw, "smoothing", "heads", 0.5)
-    if heads_kind == "file":
+        _number(heads_raw, "smoothing", "heads", 0.5)
+    elif heads_kind == "file":
         _require(heads_raw, "path", "heads")
 
     engine = _parse_engine(_require(raw, "engine", "config"))
@@ -261,22 +280,20 @@ def build_model(config: RunConfig) -> TargetModel:
 
 def build_heads(config: RunConfig, model: TargetModel) -> DraftHeadSet:
     spec = config.heads_spec
-    grid = config.grid
-    horizontal = list(range(1, config.engine.horizontal_depth + 1))
-    vertical = [grid.width * d for d in range(1, config.engine.vertical_depth + 1)]
+    engine = config.engine
     if spec["kind"] == "tabular":
         return fit_tabular_draft_heads(
             model,
-            grid,
-            horizontal + vertical,
+            engine.horizontal_depth,
+            engine.vertical_depth,
             spec["sample_count"],
             spec["seed"],
             float(spec.get("smoothing", 0.5)),
-            vertical_offsets=vertical,
         )
     if spec["kind"] == "exact":
-        return make_exact_heads(model, horizontal + vertical, vertical_offsets=vertical)
+        return make_exact_heads(model, engine.horizontal_depth, engine.vertical_depth)
     heads = load_head_set(spec["path"])
+    grid = config.grid
     if heads.width != grid.width:
         raise ValueError(f"head set width {heads.width} does not match grid width {grid.width}")
     return heads
@@ -323,7 +340,7 @@ def cmd_decode(config: RunConfig) -> int:
     model = build_model(config)
     heads = None if config.engine.mode == MODE_VANILLA else build_heads(config, model)
     trace: list = []
-    tokens, report = decode_image(model, heads, config.engine, config.seed, trace=trace)
+    tokens, result = decode_image(model, heads, config.engine, config.seed, trace=trace)
 
     out = config.output_dir
     outputs = []
@@ -334,17 +351,17 @@ def cmd_decode(config: RunConfig) -> int:
     write_csv(trace_path, TRACE_COLUMNS, trace)
     outputs.append(trace_path)
     metrics_path = out / "metrics.csv"
-    write_metrics_csv(metrics_path, [report])
+    write_metrics_csv(metrics_path, [result])
     outputs.append(metrics_path)
-    if report.kl_trace is not None:
+    if result.kl_trace is not None:
         kl_path = out / "kl_trace.csv"
-        write_csv(kl_path, ("position", "kl_vert_horiz"), report.kl_trace)
+        write_csv(kl_path, ("position", "kl_vert_horiz"), result.kl_trace)
         outputs.append(kl_path)
     _write_manifest(config, outputs)
 
-    print(f"mode={report.mode} accept_length={report.accept_length:.3f} "
-          f"modeled_speedup={report.modeled_speedup:.3f}")
-    print(f"wall_clock_ms={report.wall_clock_ms:.1f}")
+    print(f"mode={result.mode} accept_length={result.accept_length:.3f} "
+          f"modeled_speedup={result.modeled_speedup:.3f}")
+    print(f"wall_clock_ms={result.wall_clock_ms:.1f}")
     return 0
 
 
@@ -391,21 +408,20 @@ def cmd_bench(config: RunConfig) -> int:
     out = config.output_dir
     outputs = []
 
-    reports = []
+    results = []
     for mode, engine in variants.items():
         mode_heads = None if mode == "vanilla" else heads
         batch = decode_batch(
             model, mode_heads, engine, derive_seed(config.seed, "bench", mode),
             config.bench_images,
         )
-        report = batch.to_report(mode, engine.draft_overhead_ratio)
-        reports.append(report)
-        print(f"mode={mode} accept_length={report.accept_length:.3f} "
-              f"modeled_speedup={report.modeled_speedup:.3f} "
+        results.append(batch)
+        print(f"mode={mode} accept_length={batch.accept_length:.3f} "
+              f"modeled_speedup={batch.modeled_speedup:.3f} "
               f"wall_clock_ms={batch.wall_clock_ms:.1f}")
 
     metrics_path = out / "metrics.csv"
-    write_metrics_csv(metrics_path, reports)
+    write_metrics_csv(metrics_path, results)
     outputs.append(metrics_path)
 
     curves = rejection_curve(
@@ -424,12 +440,12 @@ def cmd_bench(config: RunConfig) -> int:
     write_csv(horiz_path, ("candidates", "mean_rejection_mass"), curves.horizontal_only)
     outputs.append(horiz_path)
 
-    _, hawk_report = decode_image(
+    _, hawk_result = decode_image(
         model, heads, variants["hawk"], derive_seed(config.seed, "bench", "kl")
     )
-    if hawk_report.kl_trace is not None:
+    if hawk_result.kl_trace is not None:
         kl_path = out / "kl_trace.csv"
-        write_csv(kl_path, ("position", "kl_vert_horiz"), hawk_report.kl_trace)
+        write_csv(kl_path, ("position", "kl_vert_horiz"), hawk_result.kl_trace)
         outputs.append(kl_path)
 
     _write_manifest(config, outputs)
@@ -451,7 +467,7 @@ def cmd_fit(config: RunConfig) -> int:
     )
     rows = []
     for (direction, depth), nll in sorted(holdout.items()):
-        offset = depth if direction == "horizontal" else depth * config.grid.width
+        offset = getattr(heads, direction)[depth - 1].offset
         rows.append((direction, depth, offset, nll))
         print(f"head={direction} depth={depth} offset={offset} held_out_nll={nll:.4f}")
     report_path = out / "fit_report.csv"

@@ -30,9 +30,10 @@ bonus token. A candidate's token is the index its uniform selects from its
 draft, and it is computed only for the live candidates that reach the
 verifier; the others consume their uniform and are never materialized.
 
-One decode session is strictly sequential; sessions over shared immutable
-models may run concurrently. The sessions of one batch run back to back on
-one pair of streams.
+One batch is one :class:`DecodingContext`: its sessions run back to back,
+strictly sequentially, on one pair of streams, and its result is one
+:class:`BatchResult`. Batches over shared immutable models may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .core import (
     sample_index,
 )
 from .models import DraftHeadSet, TargetModel
-from .oracle_metrics import MetricsReport, modeled_speedup
+from .oracle_metrics import modeled_speedup
 from .rng import stream
 from .verifier import (
     ACCEPT,
@@ -110,8 +111,14 @@ class EngineConfig:
             raise ValueError(f"horizontal_depth must be >= 1, got {self.horizontal_depth}")
         if self.vertical_depth < 0:
             raise ValueError(f"vertical_depth must be >= 0, got {self.vertical_depth}")
-        if self.samples_per_horizontal < 0 or self.samples_per_vertical < 0:
-            raise ValueError("candidate counts must be >= 0")
+        # Row 0 has no cached vertical entries, so every first-row layer
+        # rests on the horizontal candidates alone.
+        if self.samples_per_horizontal < 1:
+            raise ValueError(
+                f"samples_per_horizontal must be >= 1, got {self.samples_per_horizontal}"
+            )
+        if self.samples_per_vertical < 0:
+            raise ValueError(f"samples_per_vertical must be >= 0, got {self.samples_per_vertical}")
         if self.node_budget < 1:
             raise ValueError(f"node_budget must be >= 1, got {self.node_budget}")
         if self.verification_order not in (VERTICAL_FIRST, HORIZONTAL_FIRST):
@@ -182,11 +189,14 @@ class SpeculationCache:
         if n > self.peak_occupancy:
             self.peak_occupancy = n
 
-    def evict_before(self, frontier: int) -> None:
-        """Drop entries whose target position is already committed."""
-        dead = [key for key in self.entries if key[0] < frontier]
-        for key in dead:
-            del self.entries[key]
+    def evict(self, position: int) -> None:
+        """Drop the entries targeting a position that has just been committed.
+
+        Positions are committed in raster order and each commit evicts its
+        own, so no entry behind the frontier is ever left to scan for.
+        """
+        for depth in range(1, self.vertical_depth + 1):
+            self.entries.pop((position, depth), None)
 
     def gather(self, target_index: int) -> list[tuple[int, TokenDistribution]]:
         """All cached entries targeting this position, ordered by depth."""
@@ -237,38 +247,20 @@ class CandidateTree:
         ]
 
 
-@dataclass
-class DecodeState:
-    """Mutable per-session state: committed prefix, cache, streams, round count."""
-
-    grid: GridSpec
-    committed: list[int]
-    cache: SpeculationCache
-    draft_rng: np.random.Generator
-    verify_rng: np.random.Generator
-    rounds: int = 0
-
-    @classmethod
-    def fresh(cls, grid: GridSpec, config: EngineConfig, seed: int) -> "DecodeState":
-        return cls(
-            grid=grid,
-            committed=[],
-            cache=SpeculationCache(grid.width, config.vertical_depth),
-            draft_rng=stream(seed, "draft"),
-            verify_rng=stream(seed, "verify"),
-        )
-
-
 class DecodingContext:
-    """Run inputs (model, heads, config) plus the run's counters.
+    """One batch of decode sessions: run inputs, session state and counters.
+
+    One object per batch holds everything a run mutates: the committed
+    prefix and speculation cache of the current session, the draft and
+    verify streams made from the seed, and the counters (rounds, per-depth
+    attempts and accepts, the KL trace). Its sessions run back to back:
+    between them only the prefix and the cache are reset.
 
     It holds no distribution cache: the effective target and draft
     distributions are the transform of what the model or head returns, and
     the transform is memoized on the returned distribution itself (see
     :func:`~hawk.core.apply_sampling_config`), so it stays warm across
     batches for persistent tables and is freed with per-call head outputs.
-    One context may serve many sequential sessions of the same (model,
-    heads, config).
     """
 
     def __init__(
@@ -276,6 +268,7 @@ class DecodingContext:
         model: TargetModel,
         heads: Optional[DraftHeadSet],
         config: EngineConfig,
+        seed: int,
         *,
         collect_records: bool = False,
         collect_kl: bool = False,
@@ -296,6 +289,12 @@ class DecodingContext:
         self.model = model
         self.heads = heads
         self.config = config
+        self.grid = model.grid
+        self.committed: list[int] = []
+        self.cache = SpeculationCache(self.grid.width, config.vertical_depth)
+        self.draft_rng = stream(seed, "draft")
+        self.verify_rng = stream(seed, "verify")
+        self.rounds = 0
         self.collect_records = collect_records
         self.collect_kl = collect_kl
         self.kl_pairs: list[tuple[int, float]] = []
@@ -330,15 +329,15 @@ class RoundResult:
     frontier: int
 
 
-def build_pool(state: DecodeState, n: int, horizontal_output: TokenDistribution) -> SamplingPool:
+def build_pool(ctx: DecodingContext, n: int, horizontal_output: TokenDistribution) -> SamplingPool:
     """Pool for speculation depth n: the horizontal prediction plus any cached
     vertical predictions targeting the same position."""
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
-    position = len(state.committed) + n - 1
-    if position >= state.grid.size:
+    position = len(ctx.committed) + n - 1
+    if position >= ctx.grid.size:
         raise ValueError(f"speculation position {position} beyond grid end")
-    return SamplingPool(position, horizontal_output, tuple(state.cache.gather(position)))
+    return SamplingPool(position, horizontal_output, tuple(ctx.cache.gather(position)))
 
 
 def build_candidate_tree(
@@ -349,10 +348,10 @@ def build_candidate_tree(
 
     Every candidate keeps the distribution it is drawn from as its draft.
     Layers follow the configured verification order (vertical-sourced
-    candidates first by default). An empty layer shortens the round; an
-    empty first layer means there is nothing to speculate with. The round's
-    uniforms come from one ``rng.random(n)`` call, which consumes the stream
-    exactly as n scalar draws in layer order would.
+    candidates first by default); every layer holds the horizontal
+    candidates, so none is empty. The round's uniforms come from one
+    ``rng.random(n)`` call, which consumes the stream exactly as n scalar
+    draws in layer order would.
     """
     sph, spv = config.samples_per_horizontal, config.samples_per_vertical
     layers: list[tuple[DraftSlot, ...]] = []
@@ -365,11 +364,7 @@ def build_candidate_tree(
             layer = vertical + horizontal
         else:
             layer = horizontal + vertical
-        if not layer:
-            break
         layers.append(tuple(layer))
-    if not layers:
-        raise ValueError("no candidates at depth 1: cannot speculate")
     block = rng.random(sum(len(layer) for layer in layers)).tolist()
     uniforms = []
     start = 0
@@ -379,32 +374,32 @@ def build_candidate_tree(
     return CandidateTree(tuple(layers), tuple(uniforms))
 
 
-def commit_token(state: DecodeState, ctx: DecodingContext, token: int, newly: list[int]) -> None:
+def commit_token(ctx: DecodingContext, token: int, newly: list[int]) -> None:
     """Append one token and apply the commit-time cache policy.
 
     For each vertical depth d the head is evaluated on the now-committed
     prefix and stored under (commit_index + d * width, d); writes whose
-    target falls past the grid end are skipped. Entries behind the new
-    frontier are evicted first, so occupancy stays within capacity.
+    target falls past the grid end are skipped. The entries targeting the
+    committed position are evicted first, so occupancy stays within capacity.
     """
-    t = len(state.committed)
+    t = len(ctx.committed)
     config = ctx.config
     if ctx.collect_kl and config.vertical_depth >= 1:
-        entry = state.cache.entries.get((t, 1))
+        entry = ctx.cache.entries.get((t, 1))
         if entry is not None:
-            h1 = ctx.draft_dist(ctx.heads.horizontal[0], state.committed)
+            h1 = ctx.draft_dist(ctx.heads.horizontal[0], ctx.committed)
             ctx.kl_pairs.append((t, kl_divergence(entry[0], h1)))
-    state.committed.append(token)
+    ctx.committed.append(token)
     newly.append(token)
     if config.mode != MODE_VANILLA and config.vertical_depth >= 1:
-        state.cache.evict_before(len(state.committed))
-        width = state.grid.width
-        total = state.grid.size
+        ctx.cache.evict(t)
+        width = ctx.grid.width
+        total = ctx.grid.size
         for d in range(1, config.vertical_depth + 1):
             target_index = vertical_target_index(t, width, d)
             if target_index < total:
-                dist = ctx.draft_dist(ctx.heads.vertical[d - 1], state.committed)
-                state.cache.insert(target_index, d, dist, t)
+                dist = ctx.draft_dist(ctx.heads.vertical[d - 1], ctx.committed)
+                ctx.cache.insert(target_index, d, dist, t)
 
 
 def _verify(
@@ -425,14 +420,14 @@ def _verify(
     return sequential_verify(target, candidates, rng, record_steps=ctx.collect_records)
 
 
-def decode_round(state: DecodeState, ctx: DecodingContext) -> RoundResult:
+def decode_round(ctx: DecodingContext) -> RoundResult:
     """Run one decoding round; commits between 1 and H+1 tokens.
 
     Accounted as a single target-model pass regardless of tree size: a real
     deployment verifies the whole candidate tree in one batched forward.
     """
-    total = state.grid.size
-    committed = state.committed
+    total = ctx.grid.size
+    committed = ctx.committed
     if len(committed) >= total:
         raise StateError("decode already finished")
     frontier = len(committed)
@@ -441,8 +436,8 @@ def decode_round(state: DecodeState, ctx: DecodingContext) -> RoundResult:
 
     if ctx.config.mode == MODE_VANILLA:
         dist = ctx.target_dist(committed)
-        commit_token(state, ctx, sample_index(dist, state.verify_rng), newly)
-        state.rounds += 1
+        commit_token(ctx, sample_index(dist, ctx.verify_rng), newly)
+        ctx.rounds += 1
         return RoundResult(newly, verifications, frontier)
 
     config = ctx.config
@@ -450,8 +445,8 @@ def decode_round(state: DecodeState, ctx: DecodingContext) -> RoundResult:
     pools = []
     for n in range(1, depth_count + 1):
         horizontal = ctx.draft_dist(ctx.heads.horizontal[n - 1], committed)
-        pools.append(build_pool(state, n, horizontal))
-    tree = build_candidate_tree(pools, config, state.draft_rng)
+        pools.append(build_pool(ctx, n, horizontal))
+    tree = build_candidate_tree(pools, config, ctx.draft_rng)
 
     # Path (a_0, ..., a_n) has lexicographic rank sum(a_k * stride_k), where
     # stride_k is the product of the widths of the layers after k; it is kept
@@ -471,9 +466,9 @@ def decode_round(state: DecodeState, ctx: DecodingContext) -> RoundResult:
         candidates = tree.candidates(layer_index, -(-budget_left // stride))
         depth = layer_index + 1
         ctx.depth_attempts[depth] = ctx.depth_attempts.get(depth, 0) + 1
-        outcome = _verify(ctx, target, candidates, state.verify_rng)
+        outcome = _verify(ctx, target, candidates, ctx.verify_rng)
         verifications.append((depth, outcome))
-        commit_token(state, ctx, outcome.emitted_token, newly)
+        commit_token(ctx, outcome.emitted_token, newly)
         if outcome.emitted_via != ACCEPT:
             ended_by_resample = True
             break
@@ -482,8 +477,8 @@ def decode_round(state: DecodeState, ctx: DecodingContext) -> RoundResult:
 
     if not ended_by_resample and len(committed) < total:
         bonus = ctx.target_dist(committed)
-        commit_token(state, ctx, sample_index(bonus, state.verify_rng), newly)
-    state.rounds += 1
+        commit_token(ctx, sample_index(bonus, ctx.verify_rng), newly)
+    ctx.rounds += 1
     return RoundResult(newly, verifications, frontier)
 
 
@@ -502,10 +497,20 @@ TRACE_COLUMNS = (
 
 @dataclass
 class BatchResult:
-    """Aggregate of one or more decode sessions sharing one context and seed."""
+    """The result of one batch: one or more decode sessions on one context.
 
+    ``draft_overhead_ratio`` is the one the batch's cost model uses: the
+    config's, or 0 for vanilla, which drafts nothing. ``kl_trace`` holds the
+    per-position KL between the depth-1 cached vertical prediction and the
+    depth-1 horizontal prediction; only :func:`decode_image` collects it,
+    for hawk runs, and it is ``None`` otherwise. Positions with no cached
+    vertical entry (the whole first row, gaps after early round ends) are
+    absent from it.
+    """
+
+    mode: str
+    draft_overhead_ratio: float
     grid_counts: Counter
-    decodes: int
     rounds: int
     committed: int
     depth_attempts: dict[int, int]
@@ -517,23 +522,16 @@ class BatchResult:
     def accept_length(self) -> float:
         return self.committed / self.rounds
 
-    def to_report(self, mode: str, draft_overhead_ratio: float = 0.0) -> MetricsReport:
-        """The run's metrics; vanilla drafts nothing, so its overhead ratio is 0."""
-        rates = {
+    @property
+    def modeled_speedup(self) -> float:
+        return modeled_speedup(self.accept_length, self.draft_overhead_ratio)
+
+    @property
+    def depth_accept_rates(self) -> dict[int, float]:
+        return {
             d: self.depth_accepts.get(d, 0) / attempts
             for d, attempts in sorted(self.depth_attempts.items())
         }
-        overhead = 0.0 if mode == MODE_VANILLA else draft_overhead_ratio
-        return MetricsReport(
-            mode=mode,
-            rounds=self.rounds,
-            committed=self.committed,
-            accept_length=self.accept_length,
-            modeled_speedup=modeled_speedup(self.accept_length, overhead),
-            depth_accept_rates=rates,
-            wall_clock_ms=self.wall_clock_ms,
-            kl_trace=self.kl_trace,
-        )
 
 
 def _decode_sessions(
@@ -550,21 +548,20 @@ def _decode_sessions(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     ctx = DecodingContext(
-        model, heads, config, collect_records=trace is not None, collect_kl=collect_kl
+        model, heads, config, seed, collect_records=trace is not None, collect_kl=collect_kl
     )
-    grid = model.grid
-    state = DecodeState.fresh(grid, config, seed)
+    grid = ctx.grid
     counts: Counter = Counter()
     start = time.perf_counter()
     for _ in range(count):
-        while len(state.committed) < grid.size:
-            result = decode_round(state, ctx)
+        while len(ctx.committed) < grid.size:
+            result = decode_round(ctx)
             if trace is not None:
                 for depth, outcome in result.verifications:
                     for rec in outcome.steps:
                         trace.append(
                             (
-                                state.rounds - 1,
+                                ctx.rounds - 1,
                                 result.frontier,
                                 depth,
                                 f"{rec.candidate.source}:{rec.candidate.depth}",
@@ -573,14 +570,15 @@ def _decode_sessions(
                                 len(result.committed),
                             )
                         )
-        counts[tuple(state.committed)] += 1
-        state.committed = []
-        state.cache.entries.clear()
+        counts[tuple(ctx.committed)] += 1
+        ctx.committed = []
+        ctx.cache.entries.clear()
     wall_clock_ms = (time.perf_counter() - start) * 1000.0
     return BatchResult(
+        mode=config.mode,
+        draft_overhead_ratio=0.0 if config.mode == MODE_VANILLA else config.draft_overhead_ratio,
         grid_counts=counts,
-        decodes=count,
-        rounds=state.rounds,
+        rounds=ctx.rounds,
         committed=count * grid.size,
         depth_attempts=dict(ctx.depth_attempts),
         depth_accepts=dict(ctx.depth_accepts),
@@ -596,21 +594,20 @@ def decode_image(
     seed: int,
     *,
     trace: Optional[list[TraceRow]] = None,
-) -> tuple[np.ndarray, MetricsReport]:
+) -> tuple[np.ndarray, BatchResult]:
     """Decode one full grid; deterministic given the seed.
 
-    Returns the height-by-width token array and a metrics report. Pass a
-    list as ``trace`` to collect one row per verification step
-    (``TRACE_COLUMNS``). The KL trace between the depth-1 cached vertical
-    prediction and the depth-1 horizontal head is collected for hawk runs.
+    Returns the height-by-width token array and the batch-of-one result. Pass
+    a list as ``trace`` to collect one row per verification step
+    (``TRACE_COLUMNS``). The result's KL trace is collected for hawk runs.
     """
-    batch = _decode_sessions(
+    result = _decode_sessions(
         model, heads, config, seed, 1, trace=trace, collect_kl=config.mode == MODE_HAWK
     )
-    (tokens,) = batch.grid_counts
+    (tokens,) = result.grid_counts
     grid = model.grid
     image = np.array(tokens, dtype=np.int64).reshape(grid.height, grid.width)
-    return image, batch.to_report(config.mode, config.draft_overhead_ratio)
+    return image, result
 
 
 def decode_batch(

@@ -277,6 +277,26 @@ class ExactDraftHead(DraftHead):
         return self._model.position_conditional(len(prefix) - 1 + self.offset)
 
 
+def head_offsets(
+    width: int, horizontal_depth: int, vertical_depth: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Raster offsets of the heads for depths 1..H and 1..VSD.
+
+    Horizontal depth n predicts offset n; vertical depth d predicts offset
+    ``d * width``, the same column d rows down. On a grid no wider than H
+    the two directions share offsets (a 2-wide grid's horizontal depth 2
+    and vertical depth 1 both predict offset 2); they stay distinct heads.
+    """
+    if horizontal_depth < 1:
+        raise ValueError(f"at least one horizontal head is required, got depth {horizontal_depth}")
+    if vertical_depth < 0:
+        raise ValueError(f"vertical_depth must be >= 0, got {vertical_depth}")
+    return (
+        tuple(range(1, horizontal_depth + 1)),
+        tuple(width * d for d in range(1, vertical_depth + 1)),
+    )
+
+
 @dataclass(frozen=True)
 class DraftHeadSet:
     """Horizontal heads for depths 1..H plus vertical heads for depths 1..VSD."""
@@ -286,13 +306,11 @@ class DraftHeadSet:
     vertical: tuple[DraftHead, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not self.horizontal:
-            raise ValueError("at least one horizontal head is required")
+        want_h, want_v = head_offsets(self.width, len(self.horizontal), len(self.vertical))
         got_h = tuple(h.offset for h in self.horizontal)
-        if got_h != tuple(range(1, len(got_h) + 1)):
-            raise ValueError(f"horizontal offsets must be contiguous from 1, got {got_h}")
+        if got_h != want_h:
+            raise ValueError(f"horizontal offsets must be {want_h}, got {got_h}")
         got_v = tuple(h.offset for h in self.vertical)
-        want_v = tuple(self.width * d for d in range(1, len(got_v) + 1))
         if got_v != want_v:
             raise ValueError(f"vertical offsets must be {want_v}, got {got_v}")
 
@@ -305,45 +323,13 @@ class DraftHeadSet:
         return len(self.vertical)
 
 
-def _classify_offsets(
-    offsets: Sequence[int], width: int, vertical_offsets: Sequence[int] | None
-) -> tuple[list[int], list[int]]:
-    """Split raster offsets into (horizontal, vertical) lists.
-
-    By default multiples of the width are treated as vertical. When that
-    heuristic is wrong (width <= horizontal depth, e.g. a 2-wide grid whose
-    horizontal depth 2 collides with vertical depth 1), pass
-    ``vertical_offsets`` explicitly: each listed offset claims one occurrence
-    from ``offsets`` for the vertical direction and the rest stay horizontal,
-    so ``offsets=[1, 2, 2], vertical_offsets=[2]`` fits horizontal depths
-    {1, 2} plus a vertical head one row down.
-    """
-    if any(d < 1 for d in offsets):
-        raise ValueError(f"offsets must be >= 1, got {list(offsets)}")
-    if vertical_offsets is not None:
-        if any(d < 1 or d % width != 0 for d in vertical_offsets):
-            raise ValueError(f"vertical offsets must be positive multiples of {width}")
-        remaining = list(offsets)
-        for d in vertical_offsets:
-            try:
-                remaining.remove(d)
-            except ValueError:
-                raise ValueError(f"vertical offset {d} not present in offsets") from None
-        return sorted(remaining), sorted(vertical_offsets)
-    horizontal = [d for d in offsets if width == 1 or d % width != 0]
-    vertical = [d for d in offsets if width > 1 and d % width == 0]
-    return sorted(horizontal), sorted(vertical)
-
-
 def fit_tabular_draft_heads(
     model: TargetModel,
-    grid: GridSpec,
-    offsets: Sequence[int],
+    horizontal_depth: int,
+    vertical_depth: int,
     sample_count: int,
     seed: int,
     smoothing: float = 0.5,
-    *,
-    vertical_offsets: Sequence[int] | None = None,
 ) -> DraftHeadSet:
     """Fit tabular heads by maximum likelihood over ancestral samples.
 
@@ -354,16 +340,16 @@ def fit_tabular_draft_heads(
     candidates are sampleable under their own draft and stabilizes residual
     chains on tiny vocabularies.
 
-    ``offsets`` are raster offsets; see :func:`_classify_offsets` for how
-    they are split into horizontal and vertical heads.
+    Heads are fitted for horizontal depths 1..``horizontal_depth`` and
+    vertical depths 1..``vertical_depth``, at the offsets of
+    :func:`head_offsets`.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     if smoothing < 0:
         raise ValueError(f"smoothing must be >= 0, got {smoothing}")
-    horizontal, vertical = _classify_offsets(offsets, grid.width, vertical_offsets)
-    if not horizontal and not vertical:
-        raise ValueError("no offsets to fit")
+    grid = model.grid
+    horizontal, vertical = head_offsets(grid.width, horizontal_depth, vertical_depth)
 
     unique_offsets = sorted(set(horizontal) | set(vertical))
     counts: dict[int, dict[tuple, np.ndarray]] = {d: {} for d in unique_offsets}
@@ -404,12 +390,10 @@ def fit_tabular_draft_heads(
 
 
 def make_exact_heads(
-    model: TargetModel,
-    offsets: Sequence[int],
-    *,
-    vertical_offsets: Sequence[int] | None = None,
+    model: TargetModel, horizontal_depth: int, vertical_depth: int
 ) -> DraftHeadSet:
-    """Heads that reproduce the target's conditional at their offset exactly.
+    """Heads for depths 1..H and 1..VSD that reproduce the target's
+    conditional at their offset exactly.
 
     Only valid for prefix-independent targets; with these heads every
     verification step accepts with probability one.
@@ -417,7 +401,7 @@ def make_exact_heads(
     if not getattr(model, "prefix_independent", False):
         raise ValueError("exact heads require a prefix-independent target model")
     width = model.grid.width
-    horizontal, vertical = _classify_offsets(offsets, width, vertical_offsets)
+    horizontal, vertical = head_offsets(width, horizontal_depth, vertical_depth)
     return DraftHeadSet(
         width=width,
         horizontal=tuple(ExactDraftHead(d, model) for d in horizontal),

@@ -6,12 +6,12 @@ thresholds are not hand-picked: the plain ancestral sampler is run at the
 same sample size to measure the Monte Carlo noise floor, and exact modes
 must land within a small multiple of it.
 
-The report side aggregates accept length (committed tokens per target pass;
-1.0 for plain decoding), a cost-model speedup, per-depth acceptance rates,
-theoretical rejection-probability curves for dual-direction versus
-horizontal-only drafting, and the KL trace between the two depth-1 heads.
-Wall clock is reported separately and never written into the CSV outputs,
-which must be byte-identical across reruns.
+The report side holds the cost-model speedup, theoretical
+rejection-probability curves for dual-direction versus horizontal-only
+drafting, and the CSV writers for the run results
+(:class:`~hawk.engine.BatchResult`). Wall clock is reported separately and
+never written into the CSV outputs, which must be byte-identical across
+reruns.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .rng import stream
 from .verifier import rejection_mass, residual_update
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .engine import EngineConfig
+    from .engine import BatchResult, EngineConfig
 
 # Refuse exact enumeration beyond this many grid outcomes.
 MAX_ENUMERATION = 10**6
@@ -92,20 +92,8 @@ def enumerate_joint(
     return JointTable(grid, probs)
 
 
-def empirical_joint(samples: Sequence[tuple[int, ...]], grid: GridSpec) -> JointTable:
-    """Frequency table over observed grids; grids never seen count as zero."""
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    counts: Counter = Counter()
-    for sample in samples:
-        if len(sample) != grid.size:
-            raise ValueError(f"sample of length {len(sample)} does not match grid {grid}")
-        counts[tuple(sample)] += 1
-    return empirical_joint_from_counts(counts, grid)
-
-
 def empirical_joint_from_counts(counts: Counter, grid: GridSpec) -> JointTable:
-    """Build the frequency table from pre-aggregated grid counts.
+    """Frequency table over observed grids from their counts; grids never seen count as zero.
 
     Counters merge associatively and commutatively (``a + b``), so partial
     counts from parallel workers can be combined before the single divide.
@@ -253,37 +241,6 @@ def rejection_curve(
     )
 
 
-@dataclass
-class MetricsReport:
-    """Benchmark summary for one decoding run or batch."""
-
-    mode: str
-    rounds: int
-    committed: int
-    accept_length: float
-    modeled_speedup: float
-    depth_accept_rates: dict[int, float]
-    wall_clock_ms: float
-    kl_trace: Optional[list[tuple[int, float]]] = None
-
-    def __post_init__(self) -> None:
-        if self.accept_length < 1.0 - 1e-12:
-            raise ValueError(f"accept_length must be >= 1, got {self.accept_length}")
-
-
-def kl_trace(report: MetricsReport) -> list[tuple[int, float]]:
-    """Per-position KL between the depth-1 vertical and horizontal predictions.
-
-    Only defined for hawk-mode runs; positions with no cached vertical entry
-    (the whole first row, gaps after early round ends) are absent.
-    """
-    if report.mode != "hawk":
-        raise ValueError(f"kl trace requires a hawk-mode run, got {report.mode!r}")
-    if report.kl_trace is None:
-        raise ValueError("run did not collect a kl trace")
-    return report.kl_trace
-
-
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
@@ -313,12 +270,12 @@ def _rates_cell(rates: dict[int, float]) -> str:
     return "|".join(f"{d}:{rates[d]!r}" for d in sorted(rates))
 
 
-def write_metrics_csv(path: Union[str, Path], reports: Sequence[MetricsReport]) -> None:
-    """One row per report, fixed column order (``METRICS_COLUMNS``)."""
+def write_metrics_csv(path: Union[str, Path], results: Sequence["BatchResult"]) -> None:
+    """One row per run result, fixed column order (``METRICS_COLUMNS``)."""
     rows = (
         (r.mode, r.rounds, r.committed, r.accept_length, r.modeled_speedup,
          _rates_cell(r.depth_accept_rates))
-        for r in reports
+        for r in results
     )
     write_csv(path, METRICS_COLUMNS, rows)
 

@@ -14,7 +14,6 @@ import pytest
 from hawk.cli import main
 from hawk.core import GridSpec, SamplingConfig, TokenDistribution
 from hawk.engine import (
-    DecodeState,
     DecodingContext,
     EngineConfig,
     cache_capacity,
@@ -78,9 +77,7 @@ def random_dist(gen, k, floor=1e-3):
 @pytest.fixture(scope="module")
 def exactness_runs():
     model = make_grid_markov_target(EXACTNESS_GRID, MODEL_SEED, 0.9)
-    heads = fit_tabular_draft_heads(
-        model, EXACTNESS_GRID, [1, 2, 2], 500, HEADS_SEED, 1.0, vertical_offsets=[2]
-    )
+    heads = fit_tabular_draft_heads(model, 2, 1, 500, HEADS_SEED, 1.0)
     exact = enumerate_joint(model, EXACTNESS_GRID, SamplingConfig())
 
     start = time.perf_counter()
@@ -157,7 +154,7 @@ def test_criterion_4_dual_source_advantage():
     """Dual-direction pools reject less than horizontal-only at m in {2,3,4}."""
     grid = GridSpec(12, 12, 6)
     model = make_grid_markov_target(grid, 2024, 0.9)
-    heads = fit_tabular_draft_heads(model, grid, [1, 2, 12], 3000, 55, 0.5)
+    heads = fit_tabular_draft_heads(model, 2, 1, 3000, 55, 0.5)
     config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
     curves = rejection_curve(
         model, heads, grid, config, 10_000, 4,
@@ -174,7 +171,7 @@ def test_criterion_5_accept_length_ordering():
     """Dual-direction drafting commits more tokens per pass than horizontal-only."""
     grid = GridSpec(16, 16, 6)
     model = make_grid_markov_target(grid, 2024, 0.9)
-    heads = fit_tabular_draft_heads(model, grid, [1, 2, 16], 3000, 55, 0.5)
+    heads = fit_tabular_draft_heads(model, 2, 1, 3000, 55, 0.5)
     images = 40  # 40 * 256 = 10240 committed tokens per mode
     lengths = {}
     for mode, config in {
@@ -206,24 +203,21 @@ def test_criterion_6_cache_law(width, vsd, height):
     entries always originate exactly depth rows above their target."""
     grid = GridSpec(width, height, 4)
     model = make_independent_target(grid, 77)
-    horizontal = [1, 2]
-    vertical = [width * d for d in range(1, vsd + 1)]
-    heads = make_exact_heads(model, horizontal + vertical, vertical_offsets=vertical)
+    heads = make_exact_heads(model, 2, vsd)
     config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=vsd)
-    ctx = DecodingContext(model, heads, config)
-    state = DecodeState.fresh(grid, config, 5)
+    ctx = DecodingContext(model, heads, config, 5)
     capacity = cache_capacity(width, vsd)
-    assert state.cache.capacity == capacity
-    while len(state.committed) < grid.size:
-        decode_round(state, ctx)
-        assert state.cache.occupancy <= capacity
-        for (target, depth), (_, source) in state.cache.entries.items():
+    assert ctx.cache.capacity == capacity
+    while len(ctx.committed) < grid.size:
+        decode_round(ctx)
+        assert ctx.cache.occupancy <= capacity
+        for (target, depth), (_, source) in ctx.cache.entries.items():
             assert target - source == depth * width
             assert target // width - source // width == depth
-    ok = state.cache.peak_occupancy == capacity
+    ok = ctx.cache.peak_occupancy == capacity
     report(
         6, ok,
-        f"IW={width} VSD={vsd}: peak occupancy {state.cache.peak_occupancy} == "
+        f"IW={width} VSD={vsd}: peak occupancy {ctx.cache.peak_occupancy} == "
         f"capacity {capacity}, depth law held",
     )
 
@@ -234,15 +228,13 @@ def test_criterion_7_all_accept_bound():
     checked = 0
     for grid in (GridSpec(3, 3, 4), GridSpec(4, 4, 4)):
         model = make_independent_target(grid, 9)
-        vertical = [grid.width]
-        heads = make_exact_heads(model, [1, 2] + vertical, vertical_offsets=vertical)
+        heads = make_exact_heads(model, h, 1)
         config = EngineConfig(mode="hawk", horizontal_depth=h, vertical_depth=1)
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 13)
+        ctx = DecodingContext(model, heads, config, 13)
         per_round = []
-        while len(state.committed) < grid.size:
-            remaining = grid.size - len(state.committed)
-            result = decode_round(state, ctx)
+        while len(ctx.committed) < grid.size:
+            remaining = grid.size - len(ctx.committed)
+            result = decode_round(ctx)
             assert len(result.committed) == min(h + 1, remaining)
             per_round.append(len(result.committed))
         full_rounds = [c for c in per_round[:-1]]

@@ -6,11 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hawk.cli
 from hawk.cli import build_heads, build_model, load_run_config, main
 from hawk.core import SamplingConfig
 from hawk.models import load_head_set
 
 ROOT = Path(__file__).resolve().parent.parent
+
+GRID_MARKOV = {"kind": "grid_markov", "seed": 1009, "vertical_weight": 0.9}
+INDEPENDENT = {"kind": "independent", "seed": 5}
+TABULAR = {"kind": "tabular", "sample_count": 300, "seed": 2003, "smoothing": 1.0}
+EXACT = {"kind": "exact"}
 
 
 def write_config(tmp_path, **overrides):
@@ -19,14 +25,16 @@ def write_config(tmp_path, **overrides):
         "seed": 4242,
         "output_dir": str(tmp_path / "out"),
         "grid": {"width": 2, "height": 2, "vocab_size": 3},
-        "model": {"kind": "grid_markov", "seed": 1009, "vertical_weight": 0.9},
-        "heads": {"kind": "tabular", "sample_count": 300, "seed": 2003, "smoothing": 1.0},
+        "model": GRID_MARKOV,
+        "heads": TABULAR,
         "engine": {"mode": "hawk", "horizontal_depth": 2, "vertical_depth": 1},
         "oracle": {"decode_count": 2000, "tolerance_factor": 3.0},
         "bench": {"images": 3, "rejection_positions": 200, "rejection_m_max": 3},
     }
+    # A section override is merged into the default section, unless it names
+    # a kind: then it is the whole section, since other kinds read other keys.
     for key, value in overrides.items():
-        if isinstance(value, dict) and key in config:
+        if isinstance(value, dict) and key in config and "kind" not in value:
             config[key] = {**config[key], **value}
         else:
             config[key] = value
@@ -155,6 +163,33 @@ class TestConfigLoading:
         path = write_config(tmp_path, **{section: {key: value}})
         assert main(["decode", "--config", str(path)]) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, heads, field",
+        [
+            ({**GRID_MARKOV, "constant": False}, TABULAR, "model.constant"),
+            ({**INDEPENDENT, "vertical_weight": 0.9}, EXACT, "model.vertical_weight"),
+            (INDEPENDENT, {**EXACT, "sample_count": 300}, "heads.sample_count"),
+            (INDEPENDENT, {**EXACT, "seed": 2003}, "heads.seed"),
+            (INDEPENDENT, {**EXACT, "smoothing": 1.0}, "heads.smoothing"),
+            (GRID_MARKOV, {**TABULAR, "path": "heads.json"}, "heads.path"),
+            (GRID_MARKOV, {"kind": "file", "path": "heads.json", "seed": 2003}, "heads.seed"),
+        ],
+    )
+    def test_fields_of_another_kind_rejected(self, tmp_path, capsys, model, heads, field):
+        path = write_config(tmp_path, model=model, heads=heads)
+        assert main(["decode", "--config", str(path)]) == 1
+        assert f"'{field}' does not apply" in capsys.readouterr().err
+
+    def test_no_horizontal_candidates_rejected_before_fitting(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        fitted = []
+        monkeypatch.setattr(hawk.cli, "fit_tabular_draft_heads", lambda *args: fitted.append(args))
+        path = write_config(tmp_path, engine={"samples_per_horizontal": 0})
+        assert main(["decode", "--config", str(path)]) == 1
+        assert "samples_per_horizontal" in capsys.readouterr().err
+        assert fitted == []
 
     def test_json_numbers_accepted(self, tmp_path):
         path = write_config(

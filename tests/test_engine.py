@@ -1,5 +1,6 @@
 """Decoding loop: cache law, pools, candidate tree, round structure, exports."""
 
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -19,7 +20,6 @@ from hawk.core import (
     sample_index,
 )
 from hawk.engine import (
-    DecodeState,
     DecodingContext,
     EngineConfig,
     SpeculationCache,
@@ -81,9 +81,13 @@ class TestSpeculationCache:
         assert cache.gather(4) == [(1, d)]
         assert cache.gather(8) == [(2, d)]
         assert cache.gather(5) == []
-        cache.evict_before(5)
+        cache.evict(5)  # nothing targets 5
+        assert cache.occupancy == 2
+        cache.evict(4)
         assert cache.gather(4) == []
+        assert cache.gather(8) == [(2, d)]
         assert cache.occupancy == 1
+        assert cache.peak_occupancy == 2
 
     def test_key_relation_enforced(self):
         from hawk.core import TokenDistribution
@@ -121,15 +125,14 @@ class TestEngineConfig:
             EngineConfig(mode="vanilla", verification_order="sideways")
         with pytest.raises(ValueError):
             EngineConfig(mode="lantern", lantern_lam=0.5)
+        with pytest.raises(ValueError):
+            EngineConfig(mode="medusa", samples_per_vertical=-1)
 
 
 def _hawk_setup(grid=None, seed=11):
     grid = grid or GridSpec(4, 4, 3)
     model = make_grid_markov_target(grid, seed, 0.8)
-    offsets = [1, 2] + [grid.width * d for d in range(1, 2)]
-    heads = fit_tabular_draft_heads(
-        model, grid, offsets, 300, 5, 0.5, vertical_offsets=[grid.width]
-    )
+    heads = fit_tabular_draft_heads(model, 2, 1, 300, 5, 0.5)
     config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
     return grid, model, heads, config
 
@@ -137,72 +140,62 @@ def _hawk_setup(grid=None, seed=11):
 class TestCommitCachePolicy:
     def test_first_commit_writes_one_entry(self):
         grid, model, heads, config = _hawk_setup()
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
-        commit_token(state, ctx, 1, [])
-        assert set(state.cache.entries) == {(4, 1)}
-        dist, source = state.cache.entries[(4, 1)]
+        ctx = DecodingContext(model, heads, config, 3)
+        commit_token(ctx, 1, [])
+        assert set(ctx.cache.entries) == {(4, 1)}
+        dist, source = ctx.cache.entries[(4, 1)]
         assert source == 0
 
     def test_vsd_zero_cache_untouched(self):
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
-        heads = fit_tabular_draft_heads(model, grid, [1, 2], 200, 5)
+        heads = fit_tabular_draft_heads(model, 2, 0, 200, 5)
         config = EngineConfig(mode="medusa", horizontal_depth=2)
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
-        commit_token(state, ctx, 1, [])
-        assert state.cache.occupancy == 0
+        ctx = DecodingContext(model, heads, config, 3)
+        commit_token(ctx, 1, [])
+        assert ctx.cache.occupancy == 0
 
     def test_writes_near_grid_end_are_clipped(self):
         grid, model, heads, config = _hawk_setup()
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
-        state.committed = [0] * (grid.size - 1)
-        commit_token(state, ctx, 1, [])  # commit index 15; target 19 beyond grid
-        assert state.cache.occupancy == 0
+        ctx = DecodingContext(model, heads, config, 3)
+        ctx.committed = [0] * (grid.size - 1)
+        commit_token(ctx, 1, [])  # commit index 15; target 19 beyond grid
+        assert ctx.cache.occupancy == 0
 
 
 class TestBuildPool:
     def test_first_row_has_no_vertical(self):
         grid, model, heads, config = _hawk_setup()
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
-        pool = build_pool(state, 1, ctx.draft_dist(heads.horizontal[0], []))
+        ctx = DecodingContext(model, heads, config, 3)
+        pool = build_pool(ctx, 1, ctx.draft_dist(heads.horizontal[0], []))
         assert pool.position == 0
         assert pool.vertical == ()
 
     def test_interior_position_gathers_vertical(self):
         grid, model, heads, config = _hawk_setup()
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
+        ctx = DecodingContext(model, heads, config, 3)
         for token in (0, 1, 2, 0):
-            commit_token(state, ctx, token, [])
-        pool = build_pool(state, 1, ctx.draft_dist(heads.horizontal[0], state.committed))
+            commit_token(ctx, token, [])
+        pool = build_pool(ctx, 1, ctx.draft_dist(heads.horizontal[0], ctx.committed))
         assert pool.position == 4
         assert [d for d, _ in pool.vertical] == [1]
 
     def test_beyond_grid_rejected(self):
         grid, model, heads, config = _hawk_setup()
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
-        state.committed = [0] * grid.size
+        ctx = DecodingContext(model, heads, config, 3)
+        ctx.committed = [0] * grid.size
         with pytest.raises(ValueError):
-            build_pool(state, 1, ctx.draft_dist(heads.horizontal[0], []))
+            build_pool(ctx, 1, ctx.draft_dist(heads.horizontal[0], []))
 
     def test_row_two_with_full_cache_gathers_both_depths(self):
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
-        vertical = [4, 8]
-        heads = fit_tabular_draft_heads(
-            model, grid, [1, 2, 4, 8], 300, 5, vertical_offsets=vertical
-        )
+        heads = fit_tabular_draft_heads(model, 2, 2, 300, 5)
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=2)
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
+        ctx = DecodingContext(model, heads, config, 3)
         for token in [0, 1, 2, 0, 1, 2, 0, 1]:  # rows 0 and 1 committed
-            commit_token(state, ctx, token, [])
-        pool = build_pool(state, 1, ctx.draft_dist(heads.horizontal[0], state.committed))
+            commit_token(ctx, token, [])
+        pool = build_pool(ctx, 1, ctx.draft_dist(heads.horizontal[0], ctx.committed))
         assert pool.position == 8  # row 2, col 0
         assert [d for d, _ in pool.vertical] == [1, 2]
 
@@ -217,26 +210,24 @@ class TestCandidateTree:
             samples_per_horizontal=1,
             samples_per_vertical=0,
         )
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
+        ctx = DecodingContext(model, heads, config, 3)
         pools = [
-            build_pool(state, n, ctx.draft_dist(heads.horizontal[n - 1], []))
+            build_pool(ctx, n, ctx.draft_dist(heads.horizontal[n - 1], []))
             for n in (1, 2)
         ]
-        tree = build_candidate_tree(pools, config, state.draft_rng)
+        tree = build_candidate_tree(pools, config, ctx.draft_rng)
         assert [len(layer) for layer in tree.layers] == [1, 1]
 
     def test_cartesian_product_at_interior(self):
         grid, model, heads, config = _hawk_setup()
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
+        ctx = DecodingContext(model, heads, config, 3)
         for token in (0, 1, 2, 0):
-            commit_token(state, ctx, token, [])
+            commit_token(ctx, token, [])
         pools = [
-            build_pool(state, n, ctx.draft_dist(heads.horizontal[n - 1], state.committed))
+            build_pool(ctx, n, ctx.draft_dist(heads.horizontal[n - 1], ctx.committed))
             for n in (1, 2)
         ]
-        tree = build_candidate_tree(pools, config, state.draft_rng)
+        tree = build_candidate_tree(pools, config, ctx.draft_rng)
         assert [len(layer) for layer in tree.layers] == [2, 2]
 
     def test_node_budget_keeps_earliest_paths(self, monkeypatch):
@@ -253,20 +244,18 @@ class TestCandidateTree:
                 return VerificationOutcome((), candidates[index].token, ACCEPT, index)
 
             monkeypatch.setattr(hawk.engine, "sequential_verify", accept)
-            ctx = DecodingContext(model, heads, config)
-            state = DecodeState.fresh(grid, config, 3)
+            ctx = DecodingContext(model, heads, config, 3)
             for token in (0, 1, 2, 0):
-                commit_token(state, ctx, token, [])
-            decode_round(state, ctx)
+                commit_token(ctx, token, [])
+            decode_round(ctx)
             assert widths == [2, live_after]
 
     def test_vertical_first_layer_order(self):
         grid, model, heads, config = _hawk_setup()
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
+        ctx = DecodingContext(model, heads, config, 3)
         for token in (0, 1, 2, 0):
-            commit_token(state, ctx, token, [])
-        pools = [build_pool(state, 1, ctx.draft_dist(heads.horizontal[0], state.committed))]
+            commit_token(ctx, token, [])
+        pools = [build_pool(ctx, 1, ctx.draft_dist(heads.horizontal[0], ctx.committed))]
         ((vdepth, vdist),) = pools[0].vertical
         vertical = (vdist, "vertical", vdepth)
         horizontal = (pools[0].horizontal, "horizontal", 1)
@@ -274,7 +263,7 @@ class TestCandidateTree:
         def entries(tree):
             return [(s.draft_dist, s.source, s.depth) for s in tree.layers[0]]
 
-        tree = build_candidate_tree(pools, config, state.draft_rng)
+        tree = build_candidate_tree(pools, config, ctx.draft_rng)
         assert entries(tree) == [vertical, horizontal]
         assert [c.draft_dist for c in tree.candidates(0, 2)] == [vdist, pools[0].horizontal]
 
@@ -282,20 +271,18 @@ class TestCandidateTree:
             mode="hawk", horizontal_depth=2, vertical_depth=1,
             verification_order="horizontal_first",
         )
-        tree2 = build_candidate_tree(pools, flipped, state.draft_rng)
+        tree2 = build_candidate_tree(pools, flipped, ctx.draft_rng)
         assert entries(tree2) == [horizontal, vertical]
 
     def test_no_candidates_at_depth_one(self):
-        grid, model, heads, _ = _hawk_setup()
-        config = EngineConfig(
-            mode="hawk", horizontal_depth=1, vertical_depth=1,
-            samples_per_horizontal=0, samples_per_vertical=1,
-        )
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
-        pools = [build_pool(state, 1, ctx.draft_dist(heads.horizontal[0], []))]
-        with pytest.raises(ValueError):
-            build_candidate_tree(pools, config, state.draft_rng)
+        # Row 0 has no cached vertical entries, so without horizontal
+        # candidates the first layer would be empty: the config is refused.
+        for mode, vertical_depth in (("hawk", 1), ("medusa", 0), ("lantern", 0)):
+            with pytest.raises(ValueError, match="samples_per_horizontal"):
+                EngineConfig(
+                    mode=mode, horizontal_depth=1, vertical_depth=vertical_depth,
+                    samples_per_horizontal=0, samples_per_vertical=1,
+                )
 
 
 class _VerifySpy:
@@ -346,11 +333,7 @@ class TestLiveContinuations:
         h, v, sph, spv = shape
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
-        vertical = [grid.width * d for d in range(1, v + 1)]
-        heads = fit_tabular_draft_heads(
-            model, grid, list(range(1, h + 1)) + vertical, 300, 5, 0.5,
-            vertical_offsets=vertical,
-        )
+        heads = fit_tabular_draft_heads(model, h, v, 300, 5, 0.5)
         config = EngineConfig(
             mode="hawk" if v else "medusa", horizontal_depth=h, vertical_depth=v,
             samples_per_horizontal=sph, samples_per_vertical=spv,
@@ -393,23 +376,20 @@ class TestDrawOrder:
         # The round's uniforms come in one block; every candidate's token
         # must equal the one an eager sample_index call per candidate gives
         # in the documented order (depth order, then the verification order
-        # within a layer), and the stream must end in the same state.
+        # within a layer), and the stream must end in the same ctx.
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
-        heads = fit_tabular_draft_heads(
-            model, grid, [1, 2, 3, 4, 8], 300, 5, 0.5, vertical_offsets=[4, 8]
-        )
+        heads = fit_tabular_draft_heads(model, 3, 2, 300, 5, 0.5)
         config = EngineConfig(
             mode="hawk", horizontal_depth=3, vertical_depth=2, samples_per_horizontal=2,
             samples_per_vertical=spv, node_budget=budget, verification_order=order,
             transform=SamplingConfig(top_k=2, temperature=0.8),
         )
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 3)
+        ctx = DecodingContext(model, heads, config, 3)
         sample = model.sample_grid(stream(4, "draw-order"))
         for frontier in range(grid.size):
             pools = [
-                build_pool(state, n, ctx.draft_dist(heads.horizontal[n - 1], state.committed))
+                build_pool(ctx, n, ctx.draft_dist(heads.horizontal[n - 1], ctx.committed))
                 for n in range(1, min(config.horizontal_depth, grid.size - frontier) + 1)
             ]
             block_rng, eager_rng = stream(frontier, "tree"), stream(frontier, "tree")
@@ -425,7 +405,7 @@ class TestDrawOrder:
                 assert [c.token for c in got] == [sample_index(q, eager_rng) for q, _, _ in want]
             assert len(tree.layers) == len(pools)
             assert block_rng.random() == eager_rng.random()
-            commit_token(state, ctx, sample[frontier], [])
+            commit_token(ctx, sample[frontier], [])
 
 
 class TestDecodeRound:
@@ -433,43 +413,39 @@ class TestDecodeRound:
         grid = GridSpec(2, 2, 3)
         model = make_grid_markov_target(grid, 7, 0.5)
         config = EngineConfig(mode="vanilla")
-        ctx = DecodingContext(model, None, config)
-        state = DecodeState.fresh(grid, config, 1)
-        result = decode_round(state, ctx)
+        ctx = DecodingContext(model, None, config, 1)
+        result = decode_round(ctx)
         assert len(result.committed) == 1
-        assert state.rounds == 1
+        assert ctx.rounds == 1
 
     def test_single_draft_commits_one_or_two(self):
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 7, 0.5)
-        heads = fit_tabular_draft_heads(model, grid, [1], 200, 5)
+        heads = fit_tabular_draft_heads(model, 1, 0, 200, 5)
         config = EngineConfig(mode="medusa", horizontal_depth=1)
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 1)
-        while len(state.committed) < grid.size:
-            result = decode_round(state, ctx)
+        ctx = DecodingContext(model, heads, config, 1)
+        while len(ctx.committed) < grid.size:
+            result = decode_round(ctx)
             assert len(result.committed) in (1, 2)
 
     def test_finished_state_rejected(self):
         grid = GridSpec(2, 2, 3)
         model = make_grid_markov_target(grid, 7, 0.5)
         config = EngineConfig(mode="vanilla")
-        ctx = DecodingContext(model, None, config)
-        state = DecodeState.fresh(grid, config, 1)
-        state.committed = [0] * grid.size
+        ctx = DecodingContext(model, None, config, 1)
+        ctx.committed = [0] * grid.size
         with pytest.raises(StateError):
-            decode_round(state, ctx)
+            decode_round(ctx)
 
     def test_all_accept_round_pattern(self):
         grid = GridSpec(4, 4, 4)
         model = make_independent_target(grid, 9)
-        heads = make_exact_heads(model, [1, 2, 4])
+        heads = make_exact_heads(model, 2, 1)
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-        ctx = DecodingContext(model, heads, config)
-        state = DecodeState.fresh(grid, config, 1)
-        while len(state.committed) < grid.size:
-            remaining = grid.size - len(state.committed)
-            result = decode_round(state, ctx)
+        ctx = DecodingContext(model, heads, config, 1)
+        while len(ctx.committed) < grid.size:
+            remaining = grid.size - len(ctx.committed)
+            result = decode_round(ctx)
             assert len(result.committed) == min(config.horizontal_depth + 1, remaining)
 
 
@@ -512,24 +488,19 @@ class TestRoundProperties:
         grid, config = case
         h, v = config.horizontal_depth, config.vertical_depth
         model = make_grid_markov_target(grid, seed, 0.8)
-        vertical = [grid.width * d for d in range(1, v + 1)]
-        heads = fit_tabular_draft_heads(
-            model, grid, list(range(1, h + 1)) + vertical, 30, seed, 0.5,
-            vertical_offsets=vertical,
-        )
-        ctx = DecodingContext(model, heads, config, collect_records=True)
-        state = DecodeState.fresh(grid, config, seed)
+        heads = fit_tabular_draft_heads(model, h, v, 30, seed, 0.5)
+        ctx = DecodingContext(model, heads, config, seed, collect_records=True)
         capacity = cache_capacity(grid.width, v)
         results = []
-        while len(state.committed) < grid.size:
+        while len(ctx.committed) < grid.size:
             assert len(results) < grid.size  # every round commits at least one token
-            frontier = len(state.committed)
-            result = decode_round(state, ctx)
+            frontier = len(ctx.committed)
+            result = decode_round(ctx)
             results.append(result)
             assert result.frontier == frontier
             assert 1 <= len(result.committed) <= h + 1
-            assert state.committed[frontier:] == result.committed
-            assert state.cache.occupancy <= capacity
+            assert ctx.committed[frontier:] == result.committed
+            assert ctx.cache.occupancy <= capacity
             outcomes = [outcome for _, outcome in result.verifications]
             assert [d for d, _ in result.verifications] == list(range(1, len(outcomes) + 1))
             assert [o.emitted_token for o in outcomes] == result.committed[: len(outcomes)]
@@ -542,7 +513,7 @@ class TestRoundProperties:
         # The same seed traced through decode_image: one row per verification step.
         trace = []
         tokens, report = decode_image(model, heads, config, seed, trace=trace)
-        assert tokens.reshape(-1).tolist() == state.committed
+        assert tokens.reshape(-1).tolist() == ctx.committed
         assert report.rounds == len(results)
         want = [
             (r, result.frontier, depth, f"{rec.candidate.source}:{rec.candidate.depth}",
@@ -570,7 +541,7 @@ class TestDecodeImage:
     def test_exact_heads_3x3_three_rounds(self):
         grid = GridSpec(3, 3, 4)
         model = make_independent_target(grid, 9)
-        heads = make_exact_heads(model, [1, 2, 3])
+        heads = make_exact_heads(model, 2, 1)
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
         tokens, report = decode_image(model, heads, config, 1)
         assert report.rounds == 3
@@ -627,9 +598,7 @@ class TestMedusaEqualsHawkWithoutVerticalInfo:
         # identical grids.
         grid = GridSpec(6, 1, 4)
         model = make_grid_markov_target(grid, 13, 0.0)
-        heads = fit_tabular_draft_heads(
-            model, grid, [1, 2, 6], 300, 5, vertical_offsets=[6]
-        )
+        heads = fit_tabular_draft_heads(model, 2, 1, 300, 5)
         medusa = EngineConfig(mode="medusa", horizontal_depth=2)
         hawk = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
         for seed in (1, 2, 3, 17):
@@ -641,11 +610,21 @@ class TestMedusaEqualsHawkWithoutVerticalInfo:
 
 class TestBatch:
     def test_batch_of_one_matches_image(self):
-        grid, model, heads, config = _hawk_setup()
-        tokens, report = decode_image(model, heads, config, 21)
+        grid, model, heads, _ = _hawk_setup()
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=2, vertical_depth=1, draft_overhead_ratio=0.105
+        )
+        tokens, result = decode_image(model, heads, config, 21)
         batch = decode_batch(model, heads, config, 21, 1)
-        assert next(iter(batch.grid_counts)) == tuple(tokens.reshape(-1).tolist())
-        assert batch.rounds == report.rounds
+        assert batch.grid_counts == {tuple(tokens.reshape(-1).tolist()): 1}
+        # Only decode_image collects the KL trace, and wall clock differs.
+        assert result.kl_trace and batch.kl_trace is None
+        # Every other field (rounds, committed, per-depth attempts and accepts,
+        # mode and overhead ratio) must be equal.
+        same = dataclasses.replace(result, kl_trace=None, wall_clock_ms=batch.wall_clock_ms)
+        assert same == batch
+        assert batch.depth_attempts and batch.committed == grid.size
+        assert batch.modeled_speedup == result.modeled_speedup == batch.accept_length / 1.105
 
     def test_batch_validation(self):
         grid, model, heads, config = _hawk_setup()
@@ -653,21 +632,28 @@ class TestBatch:
             decode_batch(model, heads, config, 21, 0)
 
     def test_vanilla_report_has_no_draft_overhead(self):
-        grid, model, heads, config = _hawk_setup()
+        grid, model, heads, _ = _hawk_setup()
         vanilla = EngineConfig(mode="vanilla", draft_overhead_ratio=0.105)
-        batch_report = decode_batch(model, None, vanilla, 21, 3).to_report("vanilla", 0.105)
-        assert batch_report.modeled_speedup == 1.0
+        batch = decode_batch(model, None, vanilla, 21, 3)
+        assert (batch.mode, batch.draft_overhead_ratio) == ("vanilla", 0.0)
+        assert batch.modeled_speedup == 1.0
         assert decode_image(model, None, vanilla, 21)[1].modeled_speedup == 1.0
-        report = decode_batch(model, heads, config, 21, 3).to_report("hawk", 0.105)
-        assert report.modeled_speedup == report.accept_length / 1.105
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=2, vertical_depth=1, draft_overhead_ratio=0.105
+        )
+        result = decode_batch(model, heads, config, 21, 3)
+        assert result.modeled_speedup == result.accept_length / 1.105
 
     def test_report_invariants(self):
         grid, model, heads, config = _hawk_setup()
-        batch = decode_batch(model, heads, config, 21, 25)
-        report = batch.to_report("hawk")
-        assert report.committed == 25 * grid.size
-        assert report.accept_length >= 1.0
-        for rate in report.depth_accept_rates.values():
+        result = decode_batch(model, heads, config, 21, 25)
+        assert result.mode == "hawk"
+        assert result.committed == 25 * grid.size
+        assert sum(result.grid_counts.values()) == 25
+        assert result.accept_length >= 1.0
+        assert result.modeled_speedup == result.accept_length  # no overhead configured
+        assert list(result.depth_accept_rates) == sorted(result.depth_attempts)
+        for rate in result.depth_accept_rates.values():
             assert 0.0 <= rate <= 1.0
 
 
@@ -694,7 +680,7 @@ class TestDraftCache:
         config = EngineConfig(
             mode="hawk", horizontal_depth=2, vertical_depth=1, transform=transform
         )
-        ctx = DecodingContext(model, heads, config)
+        ctx = DecodingContext(model, heads, config, 0)
         gen = stream(8, "draft-cache")
         for _ in range(20):
             sample = model.sample_grid(gen)
@@ -768,7 +754,7 @@ class TestTransformedExactness:
         # mode. Tolerance is calibrated from the vanilla run.
         grid = GridSpec(2, 2, 3)
         model = make_grid_markov_target(grid, 101, 0.9)
-        heads = fit_tabular_draft_heads(model, grid, [1, 2, 2], 400, 5, vertical_offsets=[2])
+        heads = fit_tabular_draft_heads(model, 2, 1, 400, 5)
         transform = SamplingConfig(top_k=2, temperature=0.7)
         exact = enumerate_joint(model, grid, transform)
         n = 40_000
@@ -798,7 +784,7 @@ class TestTransformedExactness:
         # distribution preserving.
         grid = GridSpec(2, 2, 3)
         model = make_grid_markov_target(grid, 101, 0.9)
-        heads = fit_tabular_draft_heads(model, grid, [1, 2, 2], 400, 5, vertical_offsets=[2])
+        heads = fit_tabular_draft_heads(model, 2, 1, 400, 5)
         transform = SamplingConfig(top_k=2, temperature=0.7)
         exact = enumerate_joint(model, grid, transform)
         config = EngineConfig(

@@ -7,8 +7,8 @@ from hawk.core import GridSpec, total_variation
 from hawk.models import (
     DraftHeadSet,
     ExactDraftHead,
-    _classify_offsets,
     fit_tabular_draft_heads,
+    head_offsets,
     held_out_nll,
     load_head_set,
     make_exact_heads,
@@ -128,34 +128,37 @@ class TestIndependentModel:
 
 class TestOffsetClassification:
     def test_default_split(self):
-        horizontal, vertical = _classify_offsets([1, 2, 4, 8], 4, None)
-        assert horizontal == [1, 2]
-        assert vertical == [4, 8]
+        assert head_offsets(4, 2, 2) == ((1, 2), (4, 8))
+        assert head_offsets(4, 3, 0) == ((1, 2, 3), ())
+        heads = fit_tabular_draft_heads(make_grid_markov_target(GRID, 5, 0.5), 2, 2, 5, 9)
+        assert [h.offset for h in heads.horizontal] == [1, 2]
+        assert [h.offset for h in heads.vertical] == [4, 8]
 
-    def test_width_one_is_all_horizontal(self):
-        horizontal, vertical = _classify_offsets([1, 2], 1, None)
-        assert horizontal == [1, 2]
-        assert vertical == []
+    def test_narrow_grid_directions_share_offsets(self):
+        # A 2-wide grid's horizontal depth 2 and vertical depth 1 both predict
+        # offset 2, and a 1-wide grid's every vertical depth equals a horizontal
+        # one; they are still separate heads, fitted on the same table.
+        assert head_offsets(2, 2, 1) == ((1, 2), (2,))
+        assert head_offsets(1, 2, 2) == ((1, 2), (1, 2))
+        grid = GridSpec(2, 2, 3)
+        heads = fit_tabular_draft_heads(make_grid_markov_target(grid, 5, 0.5), 2, 1, 20, 9)
+        assert (heads.horizontal_depth, heads.vertical_depth) == (2, 1)
+        assert heads.vertical[0].offset == heads.horizontal[1].offset == 2
+        assert heads.vertical[0] is not heads.horizontal[1]
+        assert heads.vertical[0].table == heads.horizontal[1].table
 
-    def test_explicit_claims_one_occurrence(self):
-        horizontal, vertical = _classify_offsets([1, 2, 2], 2, [2])
-        assert horizontal == [1, 2]
-        assert vertical == [2]
-
-    def test_explicit_missing_offset(self):
+    def test_depths_validated(self):
         with pytest.raises(ValueError):
-            _classify_offsets([1, 2], 2, [4])
-
-    def test_rejects_non_multiple(self):
+            head_offsets(4, 0, 1)
         with pytest.raises(ValueError):
-            _classify_offsets([1, 3], 4, [3])
+            head_offsets(4, 1, -1)
 
 
 class TestFitting:
     def test_deterministic(self):
         model = make_grid_markov_target(GRID, 5, 0.5)
-        a = fit_tabular_draft_heads(model, GRID, [1, 4], 50, 9)
-        b = fit_tabular_draft_heads(model, GRID, [1, 4], 50, 9)
+        a = fit_tabular_draft_heads(model, 1, 1, 50, 9)
+        b = fit_tabular_draft_heads(model, 1, 1, 50, 9)
         for ha, hb in zip(a.horizontal + a.vertical, b.horizontal + b.vertical):
             assert ha.table.keys() == hb.table.keys()
             for sig in ha.table:
@@ -163,7 +166,7 @@ class TestFitting:
 
     def test_huge_smoothing_tends_to_uniform(self):
         model = make_grid_markov_target(GRID, 5, 0.5)
-        heads = fit_tabular_draft_heads(model, GRID, [1], 20, 9, smoothing=1e9)
+        heads = fit_tabular_draft_heads(model, 1, 0, 20, 9, smoothing=1e9)
         for dist in heads.horizontal[0].table.values():
             np.testing.assert_allclose(dist.probs, [1 / 3] * 3, atol=1e-6)
 
@@ -175,7 +178,7 @@ class TestFitting:
         grid = GridSpec(4, 3, 4)
         model = make_independent_target(grid, 21, constant=True)
         truth = model.position_conditional(0)
-        heads = fit_tabular_draft_heads(model, grid, [1, 4], 4000, 13, smoothing=0.1)
+        heads = fit_tabular_draft_heads(model, 1, 1, 4000, 13, smoothing=0.1)
         for head in heads.horizontal + heads.vertical:
             assert total_variation(head.table[((), 0)], truth) < 0.05
 
@@ -185,7 +188,7 @@ class TestFitting:
         truth = model.position_conditional(0)
         errs = []
         for n in (100, 1000, 10000):
-            heads = fit_tabular_draft_heads(model, grid, [1], n, 13, smoothing=0.1)
+            heads = fit_tabular_draft_heads(model, 1, 0, n, 13, smoothing=0.1)
             head = heads.horizontal[0]
             errs.append(
                 float(np.mean([total_variation(d, truth) for d in head.table.values()]))
@@ -195,16 +198,16 @@ class TestFitting:
     def test_zero_samples_rejected(self):
         model = make_grid_markov_target(GRID, 5, 0.5)
         with pytest.raises(ValueError):
-            fit_tabular_draft_heads(model, GRID, [1], 0, 9)
+            fit_tabular_draft_heads(model, 1, 0, 0, 9)
 
     def test_empty_offsets_rejected(self):
         model = make_grid_markov_target(GRID, 5, 0.5)
         with pytest.raises(ValueError):
-            fit_tabular_draft_heads(model, GRID, [], 10, 9)
+            fit_tabular_draft_heads(model, 0, 1, 10, 9)
 
     def test_outputs_are_distributions_with_full_support(self):
         model = make_grid_markov_target(GRID, 5, 0.5)
-        heads = fit_tabular_draft_heads(model, GRID, [1, 2, 4], 100, 9, smoothing=0.5)
+        heads = fit_tabular_draft_heads(model, 2, 1, 100, 9, smoothing=0.5)
         for head in heads.horizontal + heads.vertical:
             for dist in head.table.values():
                 assert (dist.probs > 0).all()
@@ -214,7 +217,7 @@ class TestFitting:
 class TestExactHeads:
     def test_matches_target_conditional(self):
         model = make_independent_target(GRID, 3)
-        heads = make_exact_heads(model, [1, 2, 4])
+        heads = make_exact_heads(model, 2, 1)
         for length in range(0, GRID.size - 4):
             prefix = [0] * length
             np.testing.assert_array_equal(
@@ -229,7 +232,7 @@ class TestExactHeads:
     def test_rejects_prefix_dependent_model(self):
         model = make_grid_markov_target(GRID, 5, 0.5)
         with pytest.raises(ValueError):
-            make_exact_heads(model, [1])
+            make_exact_heads(model, 1, 0)
         with pytest.raises(ValueError):
             ExactDraftHead(1, model)
 
@@ -237,13 +240,13 @@ class TestExactHeads:
 class TestHeadSetValidation:
     def test_contiguous_horizontal_required(self):
         model = make_independent_target(GRID, 3)
-        heads = make_exact_heads(model, [1, 2])
+        heads = make_exact_heads(model, 2, 0)
         with pytest.raises(ValueError):
             DraftHeadSet(width=4, horizontal=(heads.horizontal[1],))
 
     def test_vertical_offsets_checked(self):
         model = make_independent_target(GRID, 3)
-        good = make_exact_heads(model, [1, 4, 8])
+        good = make_exact_heads(model, 1, 2)
         assert good.vertical_depth == 2
         with pytest.raises(ValueError):
             DraftHeadSet(width=4, horizontal=good.horizontal, vertical=(good.vertical[1],))
@@ -260,7 +263,7 @@ class TestHeldOutNll:
         # context cannot.
         grid = GridSpec(6, 6, 4)
         model = make_grid_markov_target(grid, 17, 1.0)
-        heads = fit_tabular_draft_heads(model, grid, [1, 6], 2000, 23)
+        heads = fit_tabular_draft_heads(model, 1, 1, 2000, 23)
         nll = held_out_nll(model, heads, 300, 99)
         assert nll[("vertical", 1)] < nll[("horizontal", 1)]
 
@@ -268,7 +271,7 @@ class TestHeldOutNll:
 class TestSerialization:
     def test_head_set_round_trip_identical_predictions(self, tmp_path):
         model = make_grid_markov_target(GRID, 5, 0.5)
-        heads = fit_tabular_draft_heads(model, GRID, [1, 2, 4], 80, 9)
+        heads = fit_tabular_draft_heads(model, 2, 1, 80, 9)
         path = tmp_path / "heads.json"
         save_head_set(heads, path)
         loaded = load_head_set(path)
@@ -280,13 +283,13 @@ class TestSerialization:
 
     def test_exact_heads_do_not_serialize(self, tmp_path):
         model = make_independent_target(GRID, 3)
-        heads = make_exact_heads(model, [1])
+        heads = make_exact_heads(model, 1, 0)
         with pytest.raises(ValueError):
             save_head_set(heads, tmp_path / "heads.json")
 
     def test_version_check(self, tmp_path):
         model = make_grid_markov_target(GRID, 5, 0.5)
-        heads = fit_tabular_draft_heads(model, GRID, [1, 4], 20, 9)
+        heads = fit_tabular_draft_heads(model, 1, 1, 20, 9)
         path = tmp_path / "heads.json"
         save_head_set(heads, path)
         text = path.read_text().replace('"format_version": 1', '"format_version": 99')

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hawk.core import GridSpec, SamplingConfig, TokenDistribution
-from hawk.engine import EngineConfig, decode_image
+from hawk.engine import BatchResult, EngineConfig, decode_image
 from hawk.models import (
     fit_tabular_draft_heads,
     make_exact_heads,
@@ -15,12 +15,9 @@ from hawk.models import (
 )
 from hawk.oracle_metrics import (
     JointTable,
-    MetricsReport,
-    empirical_joint,
     empirical_joint_from_counts,
     enumerate_joint,
     joint_tv,
-    kl_trace,
     modeled_speedup,
     rejection_curve,
     verification_emitted_law,
@@ -88,15 +85,15 @@ class TestEnumerateJoint:
 class TestEmpiricalJoint:
     def test_identical_samples_single_entry(self):
         grid = GridSpec(2, 1, 3)
-        table = empirical_joint([(1, 2)] * 10, grid)
+        table = empirical_joint_from_counts(Counter({(1, 2): 10}), grid)
         assert table.probs == {(1, 2): 1.0}
 
     def test_rejects_mismatched_sizes(self):
         grid = GridSpec(2, 1, 3)
         with pytest.raises(ValueError):
-            empirical_joint([(1, 2), (1, 2, 0)], grid)
+            empirical_joint_from_counts(Counter({(1, 2): 1, (1, 2, 0): 1}), grid)
         with pytest.raises(ValueError):
-            empirical_joint([], grid)
+            empirical_joint_from_counts(Counter(), grid)
 
     def test_merge_by_counts_averages(self):
         grid = GridSpec(2, 1, 3)
@@ -187,7 +184,7 @@ class TestEmittedLaw:
 def _curve_setup():
     grid = GridSpec(6, 6, 4)
     model = make_grid_markov_target(grid, 33, 0.9)
-    heads = fit_tabular_draft_heads(model, grid, [1, 2, 6], 600, 3)
+    heads = fit_tabular_draft_heads(model, 2, 1, 600, 3)
     config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
     return grid, model, heads, config
 
@@ -243,60 +240,64 @@ class TestKlTrace:
         # for a position are the same conditional, so every KL term is zero.
         grid = GridSpec(4, 4, 4)
         model = make_independent_target(grid, 9)
-        heads = make_exact_heads(model, [1, 2, 4])
+        heads = make_exact_heads(model, 2, 1)
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-        _, report = decode_image(model, heads, config, 3)
-        trace = kl_trace(report)
+        _, result = decode_image(model, heads, config, 3)
+        trace = result.kl_trace
         assert trace
         assert all(value == pytest.approx(0.0, abs=1e-12) for _, value in trace)
 
     def test_fitted_heads_disagree_on_vertical_model(self):
         grid = GridSpec(5, 5, 4)
         model = make_grid_markov_target(grid, 41, 1.0)
-        heads = fit_tabular_draft_heads(model, grid, [1, 2, 5], 800, 3)
+        heads = fit_tabular_draft_heads(model, 2, 1, 800, 3)
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-        _, report = decode_image(model, heads, config, 3)
-        values = [v for _, v in kl_trace(report)]
+        _, result = decode_image(model, heads, config, 3)
+        values = [v for _, v in result.kl_trace]
         assert values
         assert float(np.mean(values)) > 0.0
 
     def test_first_row_never_contributes(self):
         grid = GridSpec(4, 4, 4)
         model = make_independent_target(grid, 9)
-        heads = make_exact_heads(model, [1, 2, 4])
+        heads = make_exact_heads(model, 2, 1)
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-        _, report = decode_image(model, heads, config, 3)
-        assert all(pos >= grid.width for pos, _ in kl_trace(report))
+        _, result = decode_image(model, heads, config, 3)
+        assert result.kl_trace
+        assert all(pos >= grid.width for pos, _ in result.kl_trace)
 
     def test_requires_hawk_mode(self):
         grid = GridSpec(2, 2, 3)
         model = make_grid_markov_target(grid, 7, 0.5)
-        _, report = decode_image(model, None, EngineConfig(mode="vanilla"), 1)
-        with pytest.raises(ValueError):
-            kl_trace(report)
+        _, result = decode_image(model, None, EngineConfig(mode="vanilla"), 1)
+        assert result.kl_trace is None
+
+
+def _result(mode, rounds, committed, attempts, accepts, ratio=0.0):
+    return BatchResult(
+        mode=mode, draft_overhead_ratio=ratio, grid_counts=Counter(), rounds=rounds,
+        committed=committed, depth_attempts=attempts, depth_accepts=accepts,
+        wall_clock_ms=12.5,
+    )
 
 
 class TestReportAndCsv:
     def test_accept_length_validated(self):
+        result = _result("vanilla", 10, 5, {}, {})
         with pytest.raises(ValueError):
-            MetricsReport(
-                mode="vanilla", rounds=10, committed=5, accept_length=0.5,
-                modeled_speedup=0.5, depth_accept_rates={}, wall_clock_ms=0.0,
-            )
+            result.modeled_speedup
 
     def test_metrics_csv_layout(self, tmp_path):
-        report = MetricsReport(
-            mode="hawk", rounds=7, committed=16, accept_length=16 / 7,
-            modeled_speedup=16 / 7, depth_accept_rates={1: 0.75, 2: 0.5},
-            wall_clock_ms=12.5,
-        )
+        result = _result("hawk", 7, 16, {2: 4, 1: 4}, {1: 3, 2: 2}, ratio=0.25)
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, [report])
+        write_metrics_csv(path, [result])
         lines = path.read_text().splitlines()
         assert lines[0] == "mode,rounds,committed,accept_length,modeled_speedup,depth_accept_rates"
         cells = lines[1].split(",")
-        assert cells[0] == "hawk"
+        assert cells[:3] == ["hawk", "7", "16"]
         assert float(cells[3]) == 16 / 7
+        assert float(cells[4]) == 16 / 7 / 1.25
+        assert cells[5] == "1:0.75|2:0.5"
         assert "wall" not in lines[0]  # timings never enter the CSV
 
     def test_pairs_csv(self, tmp_path):
@@ -305,13 +306,9 @@ class TestReportAndCsv:
         assert path.read_text() == "m,mass\n1,0.5\n2,0.25\n"
 
     def test_float_cells_round_trip(self, tmp_path):
-        value = 1 / 3
-        report = MetricsReport(
-            mode="hawk", rounds=3, committed=4, accept_length=4 / 3,
-            modeled_speedup=value * 4, depth_accept_rates={1: value},
-            wall_clock_ms=0.0,
-        )
+        result = _result("hawk", 3, 4, {1: 3}, {1: 1})
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, [report])
-        cell = path.read_text().splitlines()[1].split(",")[3]
-        assert float(cell) == 4 / 3
+        write_metrics_csv(path, [result])
+        cells = path.read_text().splitlines()[1].split(",")
+        assert float(cells[3]) == 4 / 3
+        assert cells[5] == f"1:{1 / 3!r}"
