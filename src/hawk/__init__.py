@@ -59,6 +59,7 @@ from .oracle_metrics import (
     empirical_joint_from_counts,
     enumerate_joint,
     joint_tv,
+    kl_trace,
     modeled_speedup,
     rejection_curve,
     verification_emitted_law,

@@ -32,6 +32,7 @@ from typing import Optional
 from . import __version__
 from .core import GridSpec, SamplingConfig
 from .engine import (
+    MODE_HAWK,
     MODE_VANILLA,
     EngineConfig,
     TRACE_COLUMNS,
@@ -54,6 +55,7 @@ from .oracle_metrics import (
     empirical_joint_from_counts,
     enumerate_joint,
     joint_tv,
+    kl_trace,
     rejection_curve,
     write_csv,
     write_metrics_csv,
@@ -65,6 +67,19 @@ SCHEMA_VERSION = 1
 VERIFY_COLUMNS = ("mode", "decodes", "tv", "tolerance", "accept_length", "status")
 FIT_COLUMNS = ("direction", "depth", "offset", "held_out_nll")
 
+ENGINE_KEYS = {
+    "mode",
+    "horizontal_depth",
+    "vertical_depth",
+    "samples_per_horizontal",
+    "samples_per_vertical",
+    "node_budget",
+    "top_k",
+    "temperature",
+    "lantern_k",
+    "lantern_lambda",
+    "draft_overhead_ratio",
+}
 # The keys each model and heads kind reads; a key of another kind is an error.
 MODEL_KEYS = {
     "grid_markov": {"kind", "seed", "vertical_weight"},
@@ -143,22 +158,7 @@ def _kind(section: dict, keys: dict[str, set[str]], where: str) -> str:
 
 
 def _parse_engine(section: dict) -> EngineConfig:
-    allowed = {
-        "mode",
-        "horizontal_depth",
-        "vertical_depth",
-        "samples_per_horizontal",
-        "samples_per_vertical",
-        "node_budget",
-        "verification_order",
-        "top_k",
-        "temperature",
-        "transform_drafts",
-        "lantern_k",
-        "lantern_lambda",
-        "draft_overhead_ratio",
-    }
-    _check_keys(section, allowed, "engine")
+    _check_keys(section, ENGINE_KEYS, "engine")
     top_k = section.get("top_k", "all")
     transform = SamplingConfig(
         top_k=top_k if top_k == "all" else _integer(section, "top_k", "engine"),
@@ -171,9 +171,7 @@ def _parse_engine(section: dict) -> EngineConfig:
         samples_per_horizontal=_integer(section, "samples_per_horizontal", "engine", 1),
         samples_per_vertical=_integer(section, "samples_per_vertical", "engine", 1),
         node_budget=_integer(section, "node_budget", "engine", 64),
-        verification_order=str(section.get("verification_order", "vertical_first")),
         transform=transform,
-        transform_drafts=_boolean(section, "transform_drafts", "engine", True),
         lantern_k=_integer(section, "lantern_k", "engine", 10),
         lantern_lam=_number(section, "lantern_lambda", "engine", 2.0),
         draft_overhead_ratio=_number(section, "draft_overhead_ratio", "engine", 0.0),
@@ -296,6 +294,8 @@ def build_heads(config: RunConfig, model: TargetModel) -> DraftHeadSet:
     grid = config.grid
     if heads.width != grid.width:
         raise ValueError(f"head set width {heads.width} does not match grid width {grid.width}")
+    if any(head.vocab_size != grid.vocab_size for head in heads.horizontal + heads.vertical):
+        raise ValueError(f"head set vocab_size does not match grid vocab_size {grid.vocab_size}")
     return heads
 
 
@@ -353,9 +353,9 @@ def cmd_decode(config: RunConfig) -> int:
     metrics_path = out / "metrics.csv"
     write_metrics_csv(metrics_path, [result])
     outputs.append(metrics_path)
-    if result.kl_trace is not None:
+    if result.mode == MODE_HAWK:
         kl_path = out / "kl_trace.csv"
-        write_csv(kl_path, ("position", "kl_vert_horiz"), result.kl_trace)
+        write_csv(kl_path, ("position", "kl_vert_horiz"), kl_trace(heads, config.engine, tokens))
         outputs.append(kl_path)
     _write_manifest(config, outputs)
 
@@ -427,7 +427,6 @@ def cmd_bench(config: RunConfig) -> int:
     curves = rejection_curve(
         model,
         heads,
-        config.grid,
         variants["hawk"],
         config.rejection_positions,
         config.rejection_m_max,
@@ -440,13 +439,11 @@ def cmd_bench(config: RunConfig) -> int:
     write_csv(horiz_path, ("candidates", "mean_rejection_mass"), curves.horizontal_only)
     outputs.append(horiz_path)
 
-    _, hawk_result = decode_image(
-        model, heads, variants["hawk"], derive_seed(config.seed, "bench", "kl")
-    )
-    if hawk_result.kl_trace is not None:
-        kl_path = out / "kl_trace.csv"
-        write_csv(kl_path, ("position", "kl_vert_horiz"), hawk_result.kl_trace)
-        outputs.append(kl_path)
+    hawk = variants["hawk"]
+    hawk_tokens, _ = decode_image(model, heads, hawk, derive_seed(config.seed, "bench", "kl"))
+    kl_path = out / "kl_trace.csv"
+    write_csv(kl_path, ("position", "kl_vert_horiz"), kl_trace(heads, hawk, hawk_tokens))
+    outputs.append(kl_path)
 
     _write_manifest(config, outputs)
     return 0

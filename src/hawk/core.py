@@ -75,7 +75,7 @@ class TokenDistribution:
                 raise ValueError(f"negative probability {low}")
             np.clip(arr, 0.0, None, out=arr)
         total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
+        if not abs(total - 1.0) <= SUM_TOLERANCE:  # also refuses NaN
             raise ValueError(f"probabilities sum to {total}, expected 1.0")
         arr.setflags(write=False)
         self.probs = arr

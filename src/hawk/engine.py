@@ -24,11 +24,12 @@ the frontier are evicted; live occupancy never exceeds
 
 Draw order, for reproducibility: the draft stream supplies one uniform per
 drawn candidate, for the whole round in one block (layers in depth order,
-within a layer following the verification order); the verify stream supplies
-one uniform per verification step plus one categorical draw per resample or
-bonus token. A candidate's token is the index its uniform selects from its
-draft, and it is computed only for the live candidates that reach the
-verifier; the others consume their uniform and are never materialized.
+within a layer the vertical candidates by depth, then the horizontal ones);
+the verify stream supplies one uniform per verification step plus one
+categorical draw per resample or bonus token. A candidate's token is the
+index its uniform selects from its draft, and it is computed only for the
+live candidates that reach the verifier; the others consume their uniform
+and are never materialized.
 
 One batch is one :class:`DecodingContext`: its sessions run back to back,
 strictly sequentially, on one pair of streams, and its result is one
@@ -53,7 +54,6 @@ from .core import (
     TokenDistribution,
     apply_sampling_config,
     index_at,
-    kl_divergence,
     sample_index,
 )
 from .models import DraftHeadSet, TargetModel
@@ -76,10 +76,6 @@ MODE_HAWK = "hawk"
 MODE_LANTERN = "lantern"
 MODES = (MODE_VANILLA, MODE_MEDUSA, MODE_HAWK, MODE_LANTERN)
 
-VERTICAL_FIRST = "vertical_first"
-HORIZONTAL_FIRST = "horizontal_first"
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Decoding configuration.
@@ -87,8 +83,8 @@ class EngineConfig:
     ``samples_per_horizontal`` / ``samples_per_vertical`` are per-pool
     candidate counts (the latter applies to each cached vertical entry).
     ``transform`` shapes the effective target conditional before
-    verification; ``transform_drafts`` applies the same transform to head
-    outputs, which keeps drafts aligned with what they are verified against.
+    verification, and head outputs get the same transform, which keeps
+    drafts aligned with what they are verified against.
     """
 
     mode: str
@@ -97,9 +93,7 @@ class EngineConfig:
     samples_per_horizontal: int = 1
     samples_per_vertical: int = 1
     node_budget: int = 64
-    verification_order: str = VERTICAL_FIRST
     transform: SamplingConfig = field(default_factory=SamplingConfig)
-    transform_drafts: bool = True
     lantern_k: int = 10
     lantern_lam: float = 2.0
     draft_overhead_ratio: float = 0.0
@@ -121,8 +115,6 @@ class EngineConfig:
             raise ValueError(f"samples_per_vertical must be >= 0, got {self.samples_per_vertical}")
         if self.node_budget < 1:
             raise ValueError(f"node_budget must be >= 1, got {self.node_budget}")
-        if self.verification_order not in (VERTICAL_FIRST, HORIZONTAL_FIRST):
-            raise ValueError(f"unknown verification_order {self.verification_order!r}")
         if self.mode == MODE_HAWK and self.vertical_depth < 1:
             raise ValueError("hawk mode requires vertical_depth >= 1")
         if self.mode in (MODE_VANILLA, MODE_MEDUSA, MODE_LANTERN) and self.vertical_depth != 0:
@@ -253,7 +245,7 @@ class DecodingContext:
     One object per batch holds everything a run mutates: the committed
     prefix and speculation cache of the current session, the draft and
     verify streams made from the seed, and the counters (rounds, per-depth
-    attempts and accepts, the KL trace). Its sessions run back to back:
+    attempts and accepts). Its sessions run back to back:
     between them only the prefix and the cache are reset.
 
     It holds no distribution cache: the effective target and draft
@@ -271,7 +263,6 @@ class DecodingContext:
         seed: int,
         *,
         collect_records: bool = False,
-        collect_kl: bool = False,
     ) -> None:
         if config.mode != MODE_VANILLA:
             if heads is None:
@@ -296,12 +287,9 @@ class DecodingContext:
         self.verify_rng = stream(seed, "verify")
         self.rounds = 0
         self.collect_records = collect_records
-        self.collect_kl = collect_kl
-        self.kl_pairs: list[tuple[int, float]] = []
         self.depth_attempts: dict[int, int] = {}
         self.depth_accepts: dict[int, int] = {}
         self._identity = config.transform.is_identity
-        self._transform_drafts = config.transform_drafts and not self._identity
         if config.mode == MODE_LANTERN:
             self.neighborhoods = token_neighborhoods(model.token_embeddings, config.lantern_k)
         else:
@@ -315,7 +303,7 @@ class DecodingContext:
 
     def draft_dist(self, head, prefix: Sequence[int]) -> TokenDistribution:
         base = head.predict(prefix)
-        if not self._transform_drafts:
+        if self._identity:
             return base
         return apply_sampling_config(base, self.config.transform)
 
@@ -347,9 +335,8 @@ def build_candidate_tree(
     capped by the node budget, is the tree.
 
     Every candidate keeps the distribution it is drawn from as its draft.
-    Layers follow the configured verification order (vertical-sourced
-    candidates first by default); every layer holds the horizontal
-    candidates, so none is empty. The round's uniforms come from one
+    A layer holds the vertical candidates by depth, then the horizontal
+    ones, so none is empty. The round's uniforms come from one
     ``rng.random(n)`` call, which consumes the stream exactly as n scalar
     draws in layer order would.
     """
@@ -360,11 +347,7 @@ def build_candidate_tree(
         vertical = [
             DraftSlot(dist, VERTICAL, vdepth) for vdepth, dist in pool.vertical for _ in range(spv)
         ]
-        if config.verification_order == VERTICAL_FIRST:
-            layer = vertical + horizontal
-        else:
-            layer = horizontal + vertical
-        layers.append(tuple(layer))
+        layers.append(tuple(vertical + horizontal))
     block = rng.random(sum(len(layer) for layer in layers)).tolist()
     uniforms = []
     start = 0
@@ -384,11 +367,6 @@ def commit_token(ctx: DecodingContext, token: int, newly: list[int]) -> None:
     """
     t = len(ctx.committed)
     config = ctx.config
-    if ctx.collect_kl and config.vertical_depth >= 1:
-        entry = ctx.cache.entries.get((t, 1))
-        if entry is not None:
-            h1 = ctx.draft_dist(ctx.heads.horizontal[0], ctx.committed)
-            ctx.kl_pairs.append((t, kl_divergence(entry[0], h1)))
     ctx.committed.append(token)
     newly.append(token)
     if config.mode != MODE_VANILLA and config.vertical_depth >= 1:
@@ -500,12 +478,7 @@ class BatchResult:
     """The result of one batch: one or more decode sessions on one context.
 
     ``draft_overhead_ratio`` is the one the batch's cost model uses: the
-    config's, or 0 for vanilla, which drafts nothing. ``kl_trace`` holds the
-    per-position KL between the depth-1 cached vertical prediction and the
-    depth-1 horizontal prediction; only :func:`decode_image` collects it,
-    for hawk runs, and it is ``None`` otherwise. Positions with no cached
-    vertical entry (the whole first row, gaps after early round ends) are
-    absent from it.
+    config's, or 0 for vanilla, which drafts nothing.
     """
 
     mode: str
@@ -516,7 +489,6 @@ class BatchResult:
     depth_attempts: dict[int, int]
     depth_accepts: dict[int, int]
     wall_clock_ms: float
-    kl_trace: Optional[list[tuple[int, float]]] = None
 
     @property
     def accept_length(self) -> float:
@@ -534,7 +506,7 @@ class BatchResult:
         }
 
 
-def _decode_sessions(
+def decode_batch(
     model: TargetModel,
     heads: Optional[DraftHeadSet],
     config: EngineConfig,
@@ -542,14 +514,15 @@ def _decode_sessions(
     count: int,
     *,
     trace: Optional[list[TraceRow]] = None,
-    collect_kl: bool = False,
 ) -> BatchResult:
-    """Run ``count`` sessions back to back on one pair of streams from the seed."""
+    """Run ``count`` decode sessions back to back on one pair of streams from the seed.
+
+    The whole batch is reproducible from the seed. Pass a list as ``trace``
+    to collect one row per verification step (``TRACE_COLUMNS``).
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    ctx = DecodingContext(
-        model, heads, config, seed, collect_records=trace is not None, collect_kl=collect_kl
-    )
+    ctx = DecodingContext(model, heads, config, seed, collect_records=trace is not None)
     grid = ctx.grid
     counts: Counter = Counter()
     start = time.perf_counter()
@@ -583,7 +556,6 @@ def _decode_sessions(
         depth_attempts=dict(ctx.depth_attempts),
         depth_accepts=dict(ctx.depth_accepts),
         wall_clock_ms=wall_clock_ms,
-        kl_trace=ctx.kl_pairs if collect_kl else None,
     )
 
 
@@ -595,34 +567,12 @@ def decode_image(
     *,
     trace: Optional[list[TraceRow]] = None,
 ) -> tuple[np.ndarray, BatchResult]:
-    """Decode one full grid; deterministic given the seed.
-
-    Returns the height-by-width token array and the batch-of-one result. Pass
-    a list as ``trace`` to collect one row per verification step
-    (``TRACE_COLUMNS``). The result's KL trace is collected for hawk runs.
-    """
-    result = _decode_sessions(
-        model, heads, config, seed, 1, trace=trace, collect_kl=config.mode == MODE_HAWK
-    )
+    """Decode one full grid: the height-by-width token array and the result
+    of :func:`decode_batch` with a count of one."""
+    result = decode_batch(model, heads, config, seed, 1, trace=trace)
     (tokens,) = result.grid_counts
     grid = model.grid
-    image = np.array(tokens, dtype=np.int64).reshape(grid.height, grid.width)
-    return image, result
-
-
-def decode_batch(
-    model: TargetModel,
-    heads: Optional[DraftHeadSet],
-    config: EngineConfig,
-    seed: int,
-    count: int,
-) -> BatchResult:
-    """Run ``count`` decode sessions back to back on shared streams.
-
-    The whole batch is reproducible from the seed; a batch of one matches
-    :func:`decode_image` token for token.
-    """
-    return _decode_sessions(model, heads, config, seed, count)
+    return np.array(tokens, dtype=np.int64).reshape(grid.height, grid.width), result
 
 
 def export_grid_image(

@@ -464,12 +464,35 @@ def _head_to_json(head: DraftHead) -> dict:
     }
 
 
-def _head_from_json(obj: dict, width: int, vocab_size: int) -> TabularDraftHead:
-    table = {
-        (tuple(int(t) for t in e["context"]), int(e["column"])): TokenDistribution(e["probs"])
-        for e in obj["entries"]
-    }
-    return TabularDraftHead(int(obj["offset"]), width, vocab_size, float(obj["smoothing"]), table)
+_JSON_KINDS = {int: "an integer", float: "a number", list: "a list"}
+
+
+def _checked(value, name: str, kind: type):
+    """``value`` if it is a JSON value of ``kind`` (a boolean is no integer, an
+    integer is a number); otherwise a ``ValueError`` that names the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"head set field '{name}' must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _field(obj: dict, key: str, where: str, kind: type):
+    return _checked(obj.get(key) if isinstance(obj, dict) else None, where + key, kind)
+
+
+def _head_from_json(obj: dict, where: str, width: int, vocab_size: int) -> TabularDraftHead:
+    table = {}
+    for i, entry in enumerate(_field(obj, "entries", where, list)):
+        at = f"{where}entries[{i}]."
+        context = _field(entry, "context", at, list)
+        probs = _field(entry, "probs", at, list)
+        if len(probs) != vocab_size:
+            raise ValueError(f"head set field '{at}probs' must have {vocab_size} entries")
+        signature = tuple(_checked(t, f"{at}context[{j}]", int) for j, t in enumerate(context))
+        table[(signature, _field(entry, "column", at, int))] = TokenDistribution(
+            [_checked(p, f"{at}probs[{j}]", float) for j, p in enumerate(probs)]
+        )
+    smoothing = float(_field(obj, "smoothing", where, float))
+    return TabularDraftHead(_field(obj, "offset", where, int), width, vocab_size, smoothing, table)
 
 
 def save_head_set(heads: DraftHeadSet, path: Union[str, Path]) -> None:
@@ -489,16 +512,24 @@ def save_head_set(heads: DraftHeadSet, path: Union[str, Path]) -> None:
 
 
 def load_head_set(path: Union[str, Path]) -> DraftHeadSet:
+    """Read a head set written by :func:`save_head_set`.
+
+    The file is outside input: a missing field or one of the wrong JSON type
+    raises a ``ValueError`` that names it, and nothing is coerced.
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("format_version")
+    version = _field(payload, "format_version", "", int)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported head set format_version {version!r}")
     if payload.get("kind") != "tabular_heads":
         raise ValueError(f"unknown head set kind {payload.get('kind')!r}")
-    width = int(payload["width"])
-    vocab_size = int(payload["vocab_size"])
-    return DraftHeadSet(
-        width=width,
-        horizontal=tuple(_head_from_json(o, width, vocab_size) for o in payload["horizontal"]),
-        vertical=tuple(_head_from_json(o, width, vocab_size) for o in payload["vertical"]),
+    width = _field(payload, "width", "", int)
+    vocab_size = _field(payload, "vocab_size", "", int)
+    horizontal, vertical = (
+        tuple(
+            _head_from_json(obj, f"{direction}[{i}].", width, vocab_size)
+            for i, obj in enumerate(_field(payload, direction, "", list))
+        )
+        for direction in ("horizontal", "vertical")
     )
+    return DraftHeadSet(width=width, horizontal=horizontal, vertical=vertical)

@@ -8,7 +8,8 @@ must land within a small multiple of it.
 
 The report side holds the cost-model speedup, theoretical
 rejection-probability curves for dual-direction versus horizontal-only
-drafting, and the CSV writers for the run results
+drafting, the vertical-versus-horizontal KL trace of a decoded grid, and
+the CSV writers for the run results
 (:class:`~hawk.engine.BatchResult`). Wall clock is reported separately and
 never written into the CSV outputs, which must be byte-identical across
 reruns.
@@ -28,6 +29,7 @@ from .core import (
     SamplingConfig,
     TokenDistribution,
     apply_sampling_config,
+    kl_divergence,
 )
 from .models import DraftHeadSet, TargetModel
 from .rng import stream
@@ -67,12 +69,6 @@ def enumerate_joint(
             f"enumeration of {outcomes} outcomes exceeds bound {MAX_ENUMERATION}; "
             "use a smaller grid or vocabulary"
         )
-    identity = transforms.is_identity
-
-    def conditional(prefix: list[int]) -> TokenDistribution:
-        dist = model.conditional(prefix)
-        return dist if identity else apply_sampling_config(dist, transforms)
-
     probs: dict[tuple[int, ...], float] = {}
     size = grid.size
     prefix: list[int] = []
@@ -81,7 +77,7 @@ def enumerate_joint(
         if len(prefix) == size:
             probs[tuple(prefix)] = weight
             return
-        dist = conditional(prefix)
+        dist = apply_sampling_config(model.conditional(prefix), transforms)
         for token, p in enumerate(dist.probs):
             if p > 0.0:
                 prefix.append(token)
@@ -175,10 +171,29 @@ class RejectionCurves:
     horizontal_only: list[tuple[int, float]]
 
 
+def _engine_drafts(
+    heads: DraftHeadSet, config: "EngineConfig", tokens: Sequence[int], t: int, vertical_depth: int
+) -> tuple[TokenDistribution, list[TokenDistribution]]:
+    """The drafts the engine holds for position t when decoding ``tokens``.
+
+    The horizontal draft is the depth-1 head on ``tokens[:t]``. The depth-d
+    vertical draft was cached when the position d rows above committed, so
+    it is the depth-d head on ``tokens[:t - d * width + 1]``; one is returned
+    per depth up to ``vertical_depth`` and the row of t. Both carry the
+    transform, as :meth:`~hawk.engine.DecodingContext.draft_dist` applies it.
+    """
+    width, transform = heads.width, config.transform
+    horizontal = apply_sampling_config(heads.horizontal[0].predict(tokens[:t]), transform)
+    verticals = [
+        apply_sampling_config(heads.vertical[d - 1].predict(tokens[: t - d * width + 1]), transform)
+        for d in range(1, min(t // width, vertical_depth) + 1)
+    ]
+    return horizontal, verticals
+
+
 def rejection_curve(
     model: TargetModel,
     heads: DraftHeadSet,
-    grid: GridSpec,
     config: "EngineConfig",
     position_count: int,
     m_max: int,
@@ -192,9 +207,8 @@ def rejection_curve(
     through the available vertical depths and then the horizontal head; the
     horizontal-only chain repeats the depth-1 horizontal distribution. The
     value at m is the chance that all m candidates are rejected, averaged
-    over positions. A vertical entry of depth d is reconstructed exactly as
-    the engine caches it: the head evaluated on the prefix ending at its
-    source commit, d rows above.
+    over positions. The drafts are the ones the engine would hold there
+    (see :func:`_engine_drafts`).
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -203,29 +217,15 @@ def rejection_curve(
     if heads.vertical_depth < 1:
         raise ValueError("rejection curves need at least one vertical head")
     gen = stream(seed, "rejection-curve")
-    identity = config.transform.is_identity
-
-    def transformed(dist: TokenDistribution, is_draft: bool) -> TokenDistribution:
-        if identity or (is_draft and not config.transform_drafts):
-            return dist
-        return apply_sampling_config(dist, config.transform)
-
-    width = grid.width
+    grid = model.grid
     dual_sums = np.zeros(m_max)
     horiz_sums = np.zeros(m_max)
     seen = 0
-    h1 = heads.horizontal[0]
     while seen < position_count:
         sample = model.sample_grid(gen)
-        for t in range(width, grid.size):
-            prefix = sample[:t]
-            target = transformed(model.conditional(prefix), is_draft=False)
-            horizontal = transformed(h1.predict(prefix), is_draft=True)
-            verticals = []
-            row = t // width
-            for d in range(1, min(row, heads.vertical_depth) + 1):
-                source_prefix = sample[: t - d * width + 1]
-                verticals.append(transformed(heads.vertical[d - 1].predict(source_prefix), True))
+        for t in range(grid.width, grid.size):
+            target = apply_sampling_config(model.conditional(sample[:t]), config.transform)
+            horizontal, verticals = _engine_drafts(heads, config, sample, t, heads.vertical_depth)
             cycle = verticals + [horizontal]
             dual_chain = [cycle[i % len(cycle)] for i in range(m_max)]
             horiz_chain = [horizontal] * m_max
@@ -239,6 +239,26 @@ def rejection_curve(
         dual=[(m, float(dual_sums[m - 1] / seen)) for m in range(1, m_max + 1)],
         horizontal_only=[(m, float(horiz_sums[m - 1] / seen)) for m in range(1, m_max + 1)],
     )
+
+
+def kl_trace(
+    heads: DraftHeadSet, config: "EngineConfig", tokens: Union[np.ndarray, Sequence[int]]
+) -> list[tuple[int, float]]:
+    """KL(depth-1 vertical draft || horizontal draft) per position of a decoded grid.
+
+    The drafts are the ones the engine held when each position committed
+    (see :func:`_engine_drafts`). Every position from the second row on has
+    a depth-1 vertical entry then, so the trace covers positions
+    ``width .. size - 1`` in raster order.
+    """
+    if heads.vertical_depth < 1:
+        raise ValueError("a KL trace needs at least one vertical head")
+    flat = np.asarray(tokens).reshape(-1).tolist()
+    out = []
+    for t in range(heads.width, len(flat)):
+        horizontal, (vertical,) = _engine_drafts(heads, config, flat, t, 1)
+        out.append((t, kl_divergence(vertical, horizontal)))
+    return out
 
 
 # ---------------------------------------------------------------------------

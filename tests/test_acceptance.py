@@ -6,6 +6,7 @@ batches for the exactness criteria are shared through module-scoped
 fixtures.
 """
 
+import math
 import time
 
 import numpy as np
@@ -43,6 +44,9 @@ HEADS_SEED = 2003
 MASTER_SEED = 4242
 DECODES_PER_MODE = 500_000
 TOLERANCE_FACTOR = 3.0
+# The G-test compares counts over all 3**4 grids: 80 degrees of freedom.
+G_TEST_DOF = EXACTNESS_GRID.vocab_size**EXACTNESS_GRID.size - 1
+G_TEST_LEVEL = 1e-3
 
 EXACTNESS_CONFIGS = {
     "vanilla": EngineConfig(mode="vanilla"),
@@ -69,6 +73,19 @@ def report(criterion, ok, detail):
     assert ok, f"criterion {criterion}: {detail}"
 
 
+def g_statistic(counts, exact):
+    """G = 2 * sum O * ln(O / E) of observed grid counts against an enumerated joint."""
+    n = sum(counts.values())
+    return 2.0 * sum(o * math.log(o / (n * exact.probs[key])) for key, o in counts.items())
+
+
+def chi2_tail(x, dof):
+    """P(X > x) for X chi-square with ``dof`` degrees of freedom (Wilson-Hilferty)."""
+    v = 2.0 / (9.0 * dof)
+    z = ((x / dof) ** (1.0 / 3.0) - (1.0 - v)) / math.sqrt(v)
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
 def random_dist(gen, k, floor=1e-3):
     w = gen.random(k) + floor
     return TokenDistribution(w / w.sum())
@@ -89,7 +106,11 @@ def exactness_runs():
             derive_seed(MASTER_SEED, "acceptance", mode), DECODES_PER_MODE,
         )
         empirical = empirical_joint_from_counts(batch.grid_counts, EXACTNESS_GRID)
-        results[mode] = {"tv": joint_tv(exact, empirical), "accept_length": batch.accept_length}
+        results[mode] = {
+            "tv": joint_tv(exact, empirical),
+            "g": g_statistic(batch.grid_counts, exact),
+            "accept_length": batch.accept_length,
+        }
     exact_mode_seconds = time.perf_counter() - start
 
     lantern = decode_batch(
@@ -98,6 +119,7 @@ def exactness_runs():
     )
     results["lantern"] = {
         "tv": joint_tv(exact, empirical_joint_from_counts(lantern.grid_counts, EXACTNESS_GRID)),
+        "g": g_statistic(lantern.grid_counts, exact),
         "accept_length": lantern.accept_length,
     }
     results["_exact_mode_seconds"] = exact_mode_seconds
@@ -121,6 +143,29 @@ def test_criterion_1_exactness(exactness_runs):
         f"{', '.join(details)}, tolerance={tolerance:.5f}, "
         f"N={DECODES_PER_MODE}, runtime={elapsed:.0f}s<300s",
     )
+
+
+def test_criterion_1_g_test(exactness_runs):
+    """The same counts pass a G-test against the enumerated joint, whatever the seed's draw.
+
+    The TV gate above scales with one vanilla draw; this one compares each
+    exact mode with the chi-square law of G at a fixed level. Lantern, which
+    is not exact, must fail it, which shows the test has power at this size.
+    """
+    details = []
+    ok = True
+    for mode in ("vanilla", "medusa", "hawk", "lantern"):
+        g = exactness_runs[mode]["g"]
+        p = chi2_tail(g, G_TEST_DOF)
+        details.append(f"{mode} G={g:.2f} p={p:.3g}")
+        ok = ok and (p < G_TEST_LEVEL if mode == "lantern" else p >= G_TEST_LEVEL)
+    report("1 (G-test)", ok, f"{', '.join(details)}, dof={G_TEST_DOF}, level={G_TEST_LEVEL}")
+
+
+def test_chi2_tail_matches_tabulated_quantiles():
+    # Chi-square quantiles at 80 degrees of freedom, from standard tables.
+    for x, tail in ((124.839, 0.001), (112.329, 0.01), (101.879, 0.05), (79.334, 0.5)):
+        assert chi2_tail(x, 80) == pytest.approx(tail, rel=0.02)
 
 
 def test_criterion_2_verifier_exactness():
@@ -157,7 +202,7 @@ def test_criterion_4_dual_source_advantage():
     heads = fit_tabular_draft_heads(model, 2, 1, 3000, 55, 0.5)
     config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
     curves = rejection_curve(
-        model, heads, grid, config, 10_000, 4,
+        model, heads, config, 10_000, 4,
         derive_seed(MASTER_SEED, "acceptance", "rejection-curve"),
     )
     dual = dict(curves.dual)

@@ -1,6 +1,7 @@
 """Config parsing, subcommand behavior, manifests, and exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -89,11 +90,20 @@ class TestConfigLoading:
         config = load_run_config(write_config(tmp_path))
         assert "output_dir" not in config.echo
 
+    @pytest.mark.parametrize(
+        "key, value", [("verification_order", "vertical_first"), ("transform_drafts", True)]
+    )
+    def test_removed_engine_keys_rejected(self, tmp_path, capsys, key, value):
+        # Both options are gone: their old default values are unknown keys now.
+        path = write_config(tmp_path, engine={key: value})
+        assert main(["decode", "--config", str(path)]) == 1
+        assert f"unknown config key 'engine.{key}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_non_bool_transform_drafts_rejected(self, tmp_path, capsys, value):
         path = write_config(tmp_path, engine={"transform_drafts": value})
         assert main(["decode", "--config", str(path)]) == 1
-        assert "engine.transform_drafts" in capsys.readouterr().err
+        assert "unknown config key 'engine.transform_drafts'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -138,11 +148,12 @@ class TestConfigLoading:
 
     def test_json_integers_and_bools_accepted(self, tmp_path):
         path = write_config(
-            tmp_path, engine={"top_k": 2, "transform_drafts": False, "node_budget": 5}
+            tmp_path, model={**INDEPENDENT, "constant": False}, heads=EXACT,
+            engine={"top_k": 2, "node_budget": 5},
         )
         config = load_run_config(path)
         assert config.engine.transform.top_k == 2
-        assert config.engine.transform_drafts is False
+        assert config.model_spec["constant"] is False
         assert config.engine.node_budget == 5
 
     @pytest.mark.parametrize(
@@ -228,6 +239,65 @@ class TestBuilders:
         assert heads.horizontal_depth == 2
 
 
+DELETE = object()
+
+
+def _edit_heads(payload, path, value):
+    """Set (or, for ``DELETE``, delete) the field at a dotted path such as ``vertical.0.offset``."""
+    *parents, last = (int(key) if key.isdigit() else key for key in path.split("."))
+    for key in parents:
+        payload = payload[key]
+    if value is DELETE:
+        del payload[last]
+    else:
+        payload[last] = value
+
+
+class TestHeadsFile:
+    @pytest.fixture
+    def heads_path(self, tmp_path):
+        assert main(["fit", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)]) == 0
+        return tmp_path / "heads.json"
+
+    def test_saved_heads_decode(self, tmp_path, heads_path):
+        path = write_config(tmp_path, heads={"kind": "file", "path": str(heads_path)})
+        assert main(["decode", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("width", "2", "'width' must be an integer"),
+            ("vocab_size", 3.0, "'vocab_size' must be an integer"),
+            ("horizontal.0.offset", 1.7, "'horizontal[0].offset' must be an integer"),
+            ("vertical.0.smoothing", "1.0", "'vertical[0].smoothing' must be a number"),
+            ("horizontal.1.entries.0.column", True, "'horizontal[1].entries[0].column'"),
+            ("vertical.0.entries.1.context.0", 0.5, "'vertical[0].entries[1].context[0]'"),
+            ("horizontal.0.entries.0.probs.0", None, "'horizontal[0].entries[0].probs[0]'"),
+            ("horizontal.0.entries.0.probs.1", "0.5", "'horizontal[0].entries[0].probs[1]'"),
+            ("vertical.0.entries.0.probs.2", float("nan"), "probabilities sum to nan"),
+            ("width", DELETE, "'width' must be an integer, got None"),
+            ("vertical", DELETE, "'vertical' must be a list"),
+            ("horizontal.0.entries.0.probs", DELETE, "'horizontal[0].entries[0].probs'"),
+            ("horizontal.0.entries.0.probs", [0.5, 0.5], "'horizontal[0].entries[0].probs'"),
+        ],
+    )
+    def test_malformed_fields_named(self, tmp_path, capsys, heads_path, field, value, named):
+        payload = json.loads(heads_path.read_text())
+        _edit_heads(payload, field, value)
+        heads_path.write_text(json.dumps(payload))
+        path = write_config(tmp_path, heads={"kind": "file", "path": str(heads_path)})
+        assert main(["decode", "--config", str(path)]) == 1
+        assert named in capsys.readouterr().err
+
+    def test_vocab_size_must_match_grid(self, tmp_path, capsys, heads_path):
+        path = write_config(
+            tmp_path, grid={"width": 2, "height": 2, "vocab_size": 4},
+            heads={"kind": "file", "path": str(heads_path)},
+        )
+        assert main(["decode", "--config", str(path)]) == 1
+        assert "head set vocab_size does not match grid vocab_size 4" in capsys.readouterr().err
+
+
 class TestDecodeCommand:
     def test_outputs_and_stdout(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -243,6 +313,7 @@ class TestDecodeCommand:
         path = write_config(tmp_path, engine={"mode": "vanilla", "vertical_depth": 0})
         assert main(["decode", "--config", str(path)]) == 0
         assert "accept_length=1.000" in capsys.readouterr().out
+        assert not (tmp_path / "out" / "kl_trace.csv").exists()  # hawk runs only
 
     def test_missing_output_dir_created(self, tmp_path):
         nested = tmp_path / "a" / "b" / "c"
@@ -384,6 +455,16 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("name", ["oracle_2x2", "image_16x16", "wide_tree_16x16"])
     def test_benchmark_configs_parse(self, name):
         load_run_config(ROOT / "perfbench" / "configs" / f"{name}.json")
+
+    def test_readme_schema_matches_parser(self, tmp_path):
+        # The README's schema block, its comments stripped, is a valid config
+        # that names every engine key the parser reads and no other.
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.json"
+        path.write_text(re.sub(r"//.*", "", block))
+        load_run_config(path)
+        assert set(json.loads(path.read_text())["engine"]) == hawk.cli.ENGINE_KEYS
 
 
 # Per-file SHA-256s of the outputs of the shipped configs. A change that

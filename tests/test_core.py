@@ -52,6 +52,8 @@ class TestTokenDistribution:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             TokenDistribution([0.5, 0.4])
+        with pytest.raises(ValueError):
+            TokenDistribution([float("nan"), 0.5, 0.5])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from hawk.core import (
     StateError,
     TokenDistribution,
     apply_sampling_config,
+    kl_divergence,
     sample_index,
 )
 from hawk.engine import (
@@ -43,9 +44,11 @@ from hawk.models import (
     make_independent_target,
 )
 from hawk.oracle_metrics import (
+    _engine_drafts,
     empirical_joint_from_counts,
     enumerate_joint,
     joint_tv,
+    kl_trace,
 )
 from hawk.rng import stream
 from hawk.verifier import ACCEPT, HORIZONTAL, VERTICAL, VerificationOutcome
@@ -121,8 +124,6 @@ class TestEngineConfig:
     def test_parameter_bounds(self):
         with pytest.raises(ValueError):
             EngineConfig(mode="vanilla", node_budget=0)
-        with pytest.raises(ValueError):
-            EngineConfig(mode="vanilla", verification_order="sideways")
         with pytest.raises(ValueError):
             EngineConfig(mode="lantern", lantern_lam=0.5)
         with pytest.raises(ValueError):
@@ -267,13 +268,6 @@ class TestCandidateTree:
         assert entries(tree) == [vertical, horizontal]
         assert [c.draft_dist for c in tree.candidates(0, 2)] == [vdist, pools[0].horizontal]
 
-        flipped = EngineConfig(
-            mode="hawk", horizontal_depth=2, vertical_depth=1,
-            verification_order="horizontal_first",
-        )
-        tree2 = build_candidate_tree(pools, flipped, ctx.draft_rng)
-        assert entries(tree2) == [horizontal, vertical]
-
     def test_no_candidates_at_depth_one(self):
         # Row 0 has no cached vertical entries, so without horizontal
         # candidates the first layer would be empty: the config is refused.
@@ -325,11 +319,10 @@ def _budgets(shape):
 
 
 class TestLiveContinuations:
-    @pytest.mark.parametrize("order", ["vertical_first", "horizontal_first"])
     @pytest.mark.parametrize(
         "shape, budget", [(shape, b) for shape in LIVE_SHAPES for b in _budgets(shape)]
     )
-    def test_matches_truncated_product(self, monkeypatch, shape, budget, order):
+    def test_matches_truncated_product(self, monkeypatch, shape, budget):
         h, v, sph, spv = shape
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
@@ -337,7 +330,7 @@ class TestLiveContinuations:
         config = EngineConfig(
             mode="hawk" if v else "medusa", horizontal_depth=h, vertical_depth=v,
             samples_per_horizontal=sph, samples_per_vertical=spv,
-            node_budget=budget, verification_order=order,
+            node_budget=budget,
         )
         spy = _VerifySpy(monkeypatch)
         decode_batch(model, heads, config, 5, 8)
@@ -361,28 +354,24 @@ class TestLiveContinuations:
         assert truncated or budget > np.prod([sph + spv * v] * h)
 
 
-# (verification_order, samples_per_vertical, node_budget)
-DRAW_ORDER_CASES = [
-    ("vertical_first", 1, 64),
-    ("horizontal_first", 1, 64),
-    ("vertical_first", 0, 64),
-    ("horizontal_first", 2, 3),
-]
+# (samples_per_vertical, node_budget)
+DRAW_ORDER_CASES = [(1, 64), (0, 64), (2, 3)]
 
 
 class TestDrawOrder:
-    @pytest.mark.parametrize("order, spv, budget", DRAW_ORDER_CASES)
-    def test_block_draw_matches_eager_draws(self, order, spv, budget):
+    @pytest.mark.parametrize("spv, budget", DRAW_ORDER_CASES)
+    def test_block_draw_matches_eager_draws(self, spv, budget):
         # The round's uniforms come in one block; every candidate's token
         # must equal the one an eager sample_index call per candidate gives
-        # in the documented order (depth order, then the verification order
-        # within a layer), and the stream must end in the same ctx.
+        # in the documented order (depth order, then within a layer the
+        # vertical candidates by depth before the horizontal ones), and the
+        # stream must end in the same ctx.
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 3, 2, 300, 5, 0.5)
         config = EngineConfig(
             mode="hawk", horizontal_depth=3, vertical_depth=2, samples_per_horizontal=2,
-            samples_per_vertical=spv, node_budget=budget, verification_order=order,
+            samples_per_vertical=spv, node_budget=budget,
             transform=SamplingConfig(top_k=2, temperature=0.8),
         )
         ctx = DecodingContext(model, heads, config, 3)
@@ -398,8 +387,6 @@ class TestDrawOrder:
                 horizontal = [(pool.horizontal, HORIZONTAL, k + 1)] * 2
                 vertical = [(q, VERTICAL, d) for d, q in pool.vertical for _ in range(spv)]
                 want = vertical + horizontal
-                if order == "horizontal_first":
-                    want = horizontal + vertical
                 got = tree.candidates(k, len(tree.layers[k]))
                 assert [(c.draft_dist, c.source, c.depth) for c in got] == want
                 assert [c.token for c in got] == [sample_index(q, eager_rng) for q, _, _ in want]
@@ -461,12 +448,10 @@ def round_cases(draw):
         samples_per_horizontal=draw(st.integers(1, 2)),
         samples_per_vertical=draw(st.integers(0, 2)),
         node_budget=draw(st.sampled_from([1, 2, 5, 64])),
-        verification_order=draw(st.sampled_from(["vertical_first", "horizontal_first"])),
         transform=SamplingConfig(
             top_k=draw(st.sampled_from(["all", 1, 2])),
             temperature=draw(st.sampled_from([1.0, 0.7])),
         ),
-        transform_drafts=draw(st.booleans()),
     )
     return grid, config
 
@@ -574,14 +559,34 @@ class TestDecodeImage:
             assert source.split(":")[0] in ("horizontal", "vertical")
             assert committed >= 1
 
-    def test_kl_trace_only_on_hawk(self):
-        grid, model, heads, config = _hawk_setup()
-        _, report = decode_image(model, heads, config, 5)
-        assert report.kl_trace is not None
-        assert all(pos >= grid.width for pos, _ in report.kl_trace)
+    def test_kl_trace_only_on_hawk(self, monkeypatch):
+        # Reference: at each commit, the KL between the cached depth-1
+        # vertical entry for the position and the horizontal draft of the
+        # committed prefix. The trace computed from the decoded grid must
+        # equal it; only hawk caches vertical entries, so only hawk has one.
+        grid, model, heads, _ = _hawk_setup()
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=2, vertical_depth=1,
+            transform=SamplingConfig(top_k=2, temperature=0.8),
+        )
+        reference = {}
+        commit = hawk.engine.commit_token
+
+        def recording_commit(ctx, token, newly):
+            t = len(ctx.committed)
+            entry = ctx.cache.entries.get((t, 1))
+            if entry is not None:
+                h1 = ctx.draft_dist(ctx.heads.horizontal[0], ctx.committed)
+                reference.setdefault(ctx.config.mode, []).append((t, kl_divergence(entry[0], h1)))
+            commit(ctx, token, newly)
+
+        monkeypatch.setattr(hawk.engine, "commit_token", recording_commit)
+        tokens, _ = decode_image(model, heads, config, 5)
+        assert kl_trace(heads, config, tokens) == reference["hawk"]
+        assert [pos for pos, _ in reference["hawk"]] == list(range(grid.width, grid.size))
         medusa = EngineConfig(mode="medusa", horizontal_depth=2, samples_per_horizontal=2)
-        _, mreport = decode_image(model, heads, medusa, 5)
-        assert mreport.kl_trace is None
+        decode_image(model, heads, medusa, 5)
+        assert list(reference) == ["hawk"]
 
     def test_vanilla_heads_optional(self):
         grid = GridSpec(2, 2, 3)
@@ -589,6 +594,41 @@ class TestDecodeImage:
         decode_image(model, None, EngineConfig(mode="vanilla"), 1)
         with pytest.raises(ValueError):
             decode_image(model, None, EngineConfig(mode="medusa"), 1)
+
+
+class TestDraftRebuild:
+    def test_cached_drafts_are_the_rebuilt_ones(self):
+        # The analysis code rebuilds the drafts the engine held from the
+        # decoded grid alone. Every live cache entry, after every round, must
+        # be that rebuild, and so must the frontier's horizontal draft; the
+        # transform is not the identity, so a dropped transform shows too.
+        grid = GridSpec(4, 5, 3)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(model, 2, 2, 300, 5, 0.5)
+        transform = SamplingConfig(top_k=2, temperature=0.8)
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=2, vertical_depth=2, transform=transform
+        )
+        for seed in range(3):
+            ctx = DecodingContext(model, heads, config, seed)
+            snapshots = []
+            while len(ctx.committed) < grid.size:
+                decode_round(ctx)
+                frontier = len(ctx.committed)
+                horizontal = None
+                if frontier < grid.size:
+                    horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed)
+                snapshots.append((frontier, horizontal, dict(ctx.cache.entries)))
+            tokens = ctx.committed
+            for frontier, horizontal, entries in snapshots:
+                if horizontal is not None:
+                    rebuilt, _ = _engine_drafts(heads, config, tokens, frontier, 0)
+                    np.testing.assert_array_equal(horizontal.probs, rebuilt.probs)
+                for (t, d), (dist, source) in entries.items():
+                    assert source == t - d * grid.width
+                    _, verticals = _engine_drafts(heads, config, tokens, t, d)
+                    np.testing.assert_array_equal(dist.probs, verticals[d - 1].probs)
+            assert sum(len(entries) for _, _, entries in snapshots) > 0
 
 
 class TestMedusaEqualsHawkWithoutVerticalInfo:
@@ -617,11 +657,10 @@ class TestBatch:
         tokens, result = decode_image(model, heads, config, 21)
         batch = decode_batch(model, heads, config, 21, 1)
         assert batch.grid_counts == {tuple(tokens.reshape(-1).tolist()): 1}
-        # Only decode_image collects the KL trace, and wall clock differs.
-        assert result.kl_trace and batch.kl_trace is None
-        # Every other field (rounds, committed, per-depth attempts and accepts,
-        # mode and overhead ratio) must be equal.
-        same = dataclasses.replace(result, kl_trace=None, wall_clock_ms=batch.wall_clock_ms)
+        assert tokens.shape == (grid.height, grid.width)
+        # Every field but the wall clock (grid counts, rounds, committed,
+        # per-depth attempts and accepts, mode and overhead ratio) is equal.
+        same = dataclasses.replace(result, wall_clock_ms=batch.wall_clock_ms)
         assert same == batch
         assert batch.depth_attempts and batch.committed == grid.size
         assert batch.modeled_speedup == result.modeled_speedup == batch.accept_length / 1.105
@@ -777,26 +816,6 @@ class TestTransformedExactness:
         floor = tvs["vanilla"]
         assert tvs["medusa"] <= 3 * floor
         assert tvs["hawk"] <= 3 * floor
-
-    def test_raw_draft_flag_still_exact(self):
-        # Exactness only needs candidates sampleable under their own draft;
-        # verifying transformed targets against untransformed drafts stays
-        # distribution preserving.
-        grid = GridSpec(2, 2, 3)
-        model = make_grid_markov_target(grid, 101, 0.9)
-        heads = fit_tabular_draft_heads(model, 2, 1, 400, 5)
-        transform = SamplingConfig(top_k=2, temperature=0.7)
-        exact = enumerate_joint(model, grid, transform)
-        config = EngineConfig(
-            mode="hawk", horizontal_depth=2, vertical_depth=1,
-            transform=transform, transform_drafts=False,
-        )
-        n = 40_000
-        batch = decode_batch(model, heads, config, 78, n)
-        tv = joint_tv(exact, empirical_joint_from_counts(batch.grid_counts, grid))
-        vanilla = decode_batch(model, None, EngineConfig(mode="vanilla", transform=transform), 79, n)
-        floor = joint_tv(exact, empirical_joint_from_counts(vanilla.grid_counts, grid))
-        assert tv <= 3 * floor
 
 
 class TestGraymapExport:

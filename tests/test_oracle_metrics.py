@@ -18,6 +18,7 @@ from hawk.oracle_metrics import (
     empirical_joint_from_counts,
     enumerate_joint,
     joint_tv,
+    kl_trace,
     modeled_speedup,
     rejection_curve,
     verification_emitted_law,
@@ -192,7 +193,7 @@ def _curve_setup():
 class TestRejectionCurve:
     def test_curves_non_increasing(self):
         grid, model, heads, config = _curve_setup()
-        curves = rejection_curve(model, heads, grid, config, 400, 4, 9)
+        curves = rejection_curve(model, heads, config, 400, 4, 9)
         for series in (curves.dual, curves.horizontal_only):
             values = [v for _, v in series]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -229,9 +230,9 @@ class TestRejectionCurve:
     def test_validation(self):
         grid, model, heads, config = _curve_setup()
         with pytest.raises(ValueError):
-            rejection_curve(model, heads, grid, config, 0, 4, 9)
+            rejection_curve(model, heads, config, 0, 4, 9)
         with pytest.raises(ValueError):
-            rejection_curve(model, heads, grid, config, 10, 0, 9)
+            rejection_curve(model, heads, config, 10, 0, 9)
 
 
 class TestKlTrace:
@@ -242,8 +243,8 @@ class TestKlTrace:
         model = make_independent_target(grid, 9)
         heads = make_exact_heads(model, 2, 1)
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-        _, result = decode_image(model, heads, config, 3)
-        trace = result.kl_trace
+        tokens, _ = decode_image(model, heads, config, 3)
+        trace = kl_trace(heads, config, tokens)
         assert trace
         assert all(value == pytest.approx(0.0, abs=1e-12) for _, value in trace)
 
@@ -252,8 +253,8 @@ class TestKlTrace:
         model = make_grid_markov_target(grid, 41, 1.0)
         heads = fit_tabular_draft_heads(model, 2, 1, 800, 3)
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-        _, result = decode_image(model, heads, config, 3)
-        values = [v for _, v in result.kl_trace]
+        tokens, _ = decode_image(model, heads, config, 3)
+        values = [v for _, v in kl_trace(heads, config, tokens)]
         assert values
         assert float(np.mean(values)) > 0.0
 
@@ -262,15 +263,19 @@ class TestKlTrace:
         model = make_independent_target(grid, 9)
         heads = make_exact_heads(model, 2, 1)
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-        _, result = decode_image(model, heads, config, 3)
-        assert result.kl_trace
-        assert all(pos >= grid.width for pos, _ in result.kl_trace)
+        tokens, _ = decode_image(model, heads, config, 3)
+        trace = kl_trace(heads, config, tokens)
+        assert [pos for pos, _ in trace] == list(range(grid.width, grid.size))
 
     def test_requires_hawk_mode(self):
+        # Only a head set with a vertical head, which hawk mode needs, has a trace.
         grid = GridSpec(2, 2, 3)
         model = make_grid_markov_target(grid, 7, 0.5)
-        _, result = decode_image(model, None, EngineConfig(mode="vanilla"), 1)
-        assert result.kl_trace is None
+        tokens, _ = decode_image(model, None, EngineConfig(mode="vanilla"), 1)
+        heads = fit_tabular_draft_heads(model, 2, 0, 100, 3)
+        config = EngineConfig(mode="medusa", horizontal_depth=2)
+        with pytest.raises(ValueError, match="vertical head"):
+            kl_trace(heads, config, tokens)
 
 
 def _result(mode, rounds, committed, attempts, accepts, ratio=0.0):
