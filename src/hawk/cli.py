@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -291,11 +292,9 @@ def build_heads(config: RunConfig, model: TargetModel) -> DraftHeadSet:
     if spec["kind"] == "exact":
         return make_exact_heads(model, engine.horizontal_depth, engine.vertical_depth)
     heads = load_head_set(spec["path"])
-    grid = config.grid
-    if heads.width != grid.width:
-        raise ValueError(f"head set width {heads.width} does not match grid width {grid.width}")
-    if any(head.vocab_size != grid.vocab_size for head in heads.horizontal + heads.vertical):
-        raise ValueError(f"head set vocab_size does not match grid vocab_size {grid.vocab_size}")
+    # The engine makes the same check; making it here too lets verify and
+    # bench refuse the file before their vanilla decodes.
+    heads.check_grid(config.grid)
     return heads
 
 
@@ -453,20 +452,26 @@ def cmd_fit(config: RunConfig) -> int:
     if config.heads_spec["kind"] != "tabular":
         raise ValueError("fit requires heads.kind == 'tabular'")
     model = build_model(config)
+    started = time.perf_counter()
     heads = build_heads(config, model)
+    fit_s = time.perf_counter() - started
     out = config.output_dir
     heads_path = out / "heads.json"
     save_head_set(heads, heads_path)
 
+    started = time.perf_counter()
     holdout = held_out_nll(
         model, heads, max(1, config.heads_spec["sample_count"] // 4),
         derive_seed(config.seed, "fit", "holdout"),
     )
+    holdout_s = time.perf_counter() - started
     rows = []
     for (direction, depth), nll in sorted(holdout.items()):
         offset = getattr(heads, direction)[depth - 1].offset
         rows.append((direction, depth, offset, nll))
         print(f"head={direction} depth={depth} offset={offset} held_out_nll={nll:.4f}")
+    # Wall times go to stdout only, so fit_report.csv stays byte-identical.
+    print(f"fit_s={fit_s:.3f} holdout_s={holdout_s:.3f}")
     report_path = out / "fit_report.csv"
     write_csv(report_path, FIT_COLUMNS, rows)
     _write_manifest(config, [heads_path, report_path])

@@ -113,12 +113,30 @@ def index_at(dist: TokenDistribution, u: float) -> int:
     """
     cum = dist._cum
     if cum is None:
-        cum = np.cumsum(dist.probs)
-        # _top first: a reader that sees _cum set must also see _top.
-        dist._top = int(np.nonzero(dist.probs)[0][-1])
-        dist._cum = cum
+        cum = _fill_cumulative(dist)
     i = int(np.searchsorted(cum, u, side="right"))
     return i if i <= dist._top else dist._top
+
+
+def _fill_cumulative(dist: TokenDistribution) -> np.ndarray:
+    cum = np.cumsum(dist.probs)
+    # _top first: a reader that sees _cum set must also see _top.
+    dist._top = int(np.nonzero(dist.probs)[0][-1])
+    dist._cum = cum
+    return cum
+
+
+def sampling_table(dist: TokenDistribution) -> list[float]:
+    """The cumulative table of ``dist`` cut before its last positive-probability token.
+
+    ``bisect.bisect_right(sampling_table(dist), u)`` is ``index_at(dist, u)``
+    for every ``u``: a variate at or past the cut selects the last positive
+    token, which is the clamp of :func:`index_at`.
+    """
+    cum = dist._cum
+    if cum is None:
+        cum = _fill_cumulative(dist)
+    return cum[: dist._top].tolist()
 
 
 def sample_index(dist: TokenDistribution, rng: np.random.Generator) -> int:

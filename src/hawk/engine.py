@@ -267,6 +267,7 @@ class DecodingContext:
         if config.mode != MODE_VANILLA:
             if heads is None:
                 raise ValueError(f"{config.mode} mode requires draft heads")
+            heads.check_grid(model.grid)
             if heads.horizontal_depth < config.horizontal_depth:
                 raise ValueError(
                     f"config wants horizontal depth {config.horizontal_depth}, "

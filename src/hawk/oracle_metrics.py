@@ -61,8 +61,10 @@ def enumerate_joint(
     Walks the prefix tree depth first, multiplying transformed conditional
     probabilities; zero-probability branches are skipped, so top-k transforms
     shrink the support. Refuses grids with more than ``MAX_ENUMERATION``
-    outcomes.
+    outcomes, and a ``grid`` other than ``model.grid``.
     """
+    if grid != model.grid:
+        raise ValueError(f"grid {grid} is not the model's grid {model.grid}")
     outcomes = grid.vocab_size**grid.size
     if outcomes > MAX_ENUMERATION:
         raise ValueError(

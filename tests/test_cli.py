@@ -297,6 +297,20 @@ class TestHeadsFile:
         assert main(["decode", "--config", str(path)]) == 1
         assert "head set vocab_size does not match grid vocab_size 4" in capsys.readouterr().err
 
+    def test_width_must_match_grid(self, tmp_path, capsys, heads_path, monkeypatch):
+        path = write_config(
+            tmp_path, grid={"width": 4, "height": 2, "vocab_size": 3},
+            heads={"kind": "file", "path": str(heads_path)},
+        )
+        assert main(["decode", "--config", str(path)]) == 1
+        assert "head set width 2 does not match grid width 4" in capsys.readouterr().err
+        decoded = []
+        monkeypatch.setattr(hawk.cli, "decode_batch", lambda *args: decoded.append(args))
+        for command in ("verify", "bench"):
+            assert main([command, "--config", str(path)]) == 1
+            assert "head set width 2 does not match grid width 4" in capsys.readouterr().err
+        assert decoded == []  # refused before the vanilla decodes
+
 
 class TestDecodeCommand:
     def test_outputs_and_stdout(self, tmp_path, capsys):
@@ -410,6 +424,7 @@ class TestFitCommand:
         assert (out_dir / "fit_report.csv").exists()
         printed = capsys.readouterr().out
         assert "held_out_nll" in printed
+        assert re.search(r"^fit_s=\d+\.\d{3} holdout_s=\d+\.\d{3}$", printed, re.M)
 
         config = load_run_config(path)
         model = build_model(config)

@@ -1,6 +1,7 @@
 """Grid shape, distribution arithmetic, and sampling transforms."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hawk.core import (
     index_at,
     kl_divergence,
     sample_index,
+    sampling_table,
     total_variation,
 )
 from hawk.rng import stream
@@ -215,6 +217,18 @@ class TestSampleIndex:
         assert index_at(d, np.nextafter(1.0, 0.0)) == 2
         short = dist(0.5, 0.5 - 1e-10, 0.0)  # cumulative shortfall at the upper end
         assert index_at(short, 1.0 - 5e-11) == 1
+
+    def test_sampling_table_bisects_to_index_at(self):
+        for d in (
+            dist(0.0, 0.5, 0.5, 0.0),
+            dist(0.5, 0.5 - 1e-10, 0.0),  # cumulative shortfall at the upper end
+            dist(1.0, 0.0),
+            dist(0.2, 0.5, 0.3),
+        ):
+            table = sampling_table(d)
+            cum = np.cumsum(d.probs).tolist()
+            for u in [0.0, 0.2, 0.5, 0.7, 1.0 - 5e-11, np.nextafter(1.0, 0.0), *cum]:
+                assert bisect_right(table, u) == index_at(d, u), (d, u)
 
     def test_sample_index_is_index_at_of_next_uniform(self):
         d = dist(0.2, 0.5, 0.3)

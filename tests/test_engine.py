@@ -514,6 +514,19 @@ class TestRoundProperties:
 
 
 class TestDecodeImage:
+    def test_heads_of_another_grid_rejected(self):
+        # Heads fitted on a 4-wide grid used to decode a 2-wide one, caching
+        # the offset-4 vertical head as a one-row-down draft.
+        model = make_grid_markov_target(GridSpec(2, 8, 3), 11, 0.8)
+        wide_model = make_grid_markov_target(GridSpec(4, 4, 3), 11, 0.8)
+        wide = fit_tabular_draft_heads(wide_model, 2, 1, 200, 5)
+        config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
+        with pytest.raises(ValueError, match="head set width 4 does not match grid width 2"):
+            decode_image(model, wide, config, 3)
+        other_vocab = make_grid_markov_target(GridSpec(2, 8, 4), 11, 0.8)
+        with pytest.raises(ValueError, match="vocab_size does not match grid vocab_size 3"):
+            decode_image(model, fit_tabular_draft_heads(other_vocab, 2, 1, 20, 5), config, 3)
+
     def test_vanilla_2x2(self):
         grid = GridSpec(2, 2, 3)
         model = make_grid_markov_target(grid, 7, 0.5)

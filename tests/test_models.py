@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from hawk.core import GridSpec, total_variation
+from hawk.core import GridSpec, TokenDistribution, sample_index, total_variation
 from hawk.models import (
     DraftHeadSet,
     ExactDraftHead,
+    TabularDraftHead,
+    _signature_at,
+    _signature_code,
+    _signature_codes,
+    _signature_of,
     fit_tabular_draft_heads,
     head_offsets,
     held_out_nll,
@@ -86,8 +91,6 @@ class TestGridMarkovModel:
         fast = model.sample_grid(stream(123, "x"))
         slow = []
         gen = stream(123, "x")
-        from hawk.core import sample_index
-
         for _ in range(GRID.size):
             slow.append(sample_index(model.conditional(slow), gen))
         assert list(fast) == slow
@@ -104,6 +107,30 @@ class TestGridMarkovModel:
             # prefix [above, other]: frontier (1,0) has above == prefix[0]
             assert len({tuple(model.conditional([above, other]).probs) for other in range(3)}) == 1
             assert len(seen) == 1
+
+
+def _scalar_sample(model, gen):
+    """An ancestral sample drawn one ``sample_index`` call per position."""
+    out = []
+    for _ in range(model.grid.size):
+        out.append(sample_index(model.conditional(out), gen))
+    return tuple(out)
+
+
+class TestSampleGridStream:
+    @pytest.mark.parametrize("kind", ["grid_markov", "independent"])
+    def test_block_draw_is_the_scalar_chain(self, kind):
+        # One call consumes exactly size uniforms, and every token is the one
+        # the scalar chain draws.
+        grid = GridSpec(16, 16, 6)
+        if kind == "grid_markov":
+            model = make_grid_markov_target(grid, 2024, 0.9)
+        else:
+            model = make_independent_target(grid, 7)
+        block, scalar = stream(31, "draw"), stream(31, "draw")
+        for _ in range(5):
+            assert model.sample_grid(block) == _scalar_sample(model, scalar)
+            assert block.random() == scalar.random()
 
 
 class TestIndependentModel:
@@ -297,3 +324,143 @@ class TestSerialization:
         path.write_text(text)
         with pytest.raises(ValueError):
             load_head_set(path)
+
+
+# ---------------------------------------------------------------------------
+# Block fitting and scoring against the per-position loops they replace
+# ---------------------------------------------------------------------------
+
+
+def _reference_fit(model, horizontal_depth, vertical_depth, sample_count, seed, smoothing):
+    """Per-position fitting loop over scalar-drawn samples: table per offset."""
+    grid = model.grid
+    horizontal, vertical = head_offsets(grid.width, horizontal_depth, vertical_depth)
+    counts = {d: {} for d in sorted(set(horizontal) | set(vertical))}
+    gen = stream(seed, "head-fit")
+    for _ in range(sample_count):
+        sample = _scalar_sample(model, gen)
+        for d, table in counts.items():
+            for length in range(0, grid.size - d + 1):
+                sig = _signature_at(sample, length, grid.width)
+                row = table.get(sig)
+                if row is None:
+                    row = np.zeros(grid.vocab_size)
+                    table[sig] = row
+                row[sample[length - 1 + d]] += 1.0
+    tables = {}
+    for d, table in counts.items():
+        tables[d] = {}
+        for sig, row in table.items():
+            smoothed = row + smoothing
+            tables[d][sig] = smoothed / smoothed.sum()
+    return tables
+
+
+def _reference_held_out_nll(model, heads, sample_count, seed):
+    """Per-position scoring loop with ``predict`` over scalar-drawn samples."""
+    gen = stream(seed, "head-holdout")
+    labeled = [("horizontal", i + 1, h) for i, h in enumerate(heads.horizontal)]
+    labeled += [("vertical", i + 1, h) for i, h in enumerate(heads.vertical)]
+    totals = {(direction, depth): [0.0, 0] for direction, depth, _ in labeled}
+    size = model.grid.size
+    for _ in range(sample_count):
+        sample = _scalar_sample(model, gen)
+        for direction, depth, head in labeled:
+            acc = totals[(direction, depth)]
+            for length in range(0, size - head.offset + 1):
+                q = head.predict(sample[:length])
+                acc[0] -= float(np.log(max(q.prob(sample[length - 1 + head.offset]), 1e-300)))
+                acc[1] += 1
+    return {key: acc[0] / acc[1] for key, acc in totals.items() if acc[1]}
+
+
+# (width, height, vocab, horizontal depth, vertical depth, samples, smoothing).
+# 1x1: horizontal depth 2 predicts past the grid; 5x1: the vertical offsets 5
+# and 10 are the grid size (one position) and past it (none); vocabulary 12
+# with smoothing 0.1 makes each row sum inexact and more than 8 terms long,
+# so its summation order shows; 300 samples end in a partial block.
+REFERENCE_CASES = [
+    (1, 1, 3, 2, 1, 40, 0.5),
+    (1, 5, 3, 2, 2, 60, 0.5),
+    (5, 1, 3, 2, 2, 60, 0.5),
+    (3, 3, 2, 2, 1, 50, 0.5),
+    (3, 3, 12, 2, 1, 80, 0.1),
+    (4, 3, 3, 2, 1, 50, 0.0),
+    (4, 4, 3, 2, 1, 1, 0.5),
+    (4, 4, 3, 3, 2, 300, 1.0),
+]
+
+
+class TestBlockFitting:
+    @pytest.mark.parametrize("case", REFERENCE_CASES, ids=lambda c: "x".join(map(str, c)))
+    def test_matches_per_position_loop(self, case, tmp_path):
+        width, height, k, h, v, n, smoothing = case
+        model = make_grid_markov_target(GridSpec(width, height, k), 11, 0.7)
+        heads = fit_tabular_draft_heads(model, h, v, n, 19, smoothing)
+        want = _reference_fit(model, h, v, n, 19, smoothing)
+        for head in heads.horizontal + heads.vertical:
+            assert head.table.keys() == want[head.offset].keys()
+            for sig, dist in head.table.items():
+                assert np.array_equal(dist.probs, want[head.offset][sig])
+                assert all(type(t) is int for t in sig[0]) and type(sig[1]) is int
+
+        # Scored fresh, from a saved copy, and for a head fitted on one sample
+        # (most held-out signatures unseen, so scored by the uniform fallback).
+        save_head_set(heads, tmp_path / "heads.json")
+        sparse = fit_tabular_draft_heads(model, h, v, 1, 23, smoothing)
+        for scored in (heads, load_head_set(tmp_path / "heads.json"), sparse):
+            got = held_out_nll(model, scored, 30, 5)
+            ref = _reference_held_out_nll(model, scored, 30, 5)
+            assert got.keys() == ref.keys()
+            assert all(got[key] == ref[key] for key in ref), (got, ref)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 4), (4, 1)])
+    def test_exact_heads_match_per_position_loop(self, shape):
+        model = make_independent_target(GridSpec(*shape, 4), 9)
+        heads = make_exact_heads(model, 2, 2)
+        got = held_out_nll(model, heads, 300, 3)
+        ref = _reference_held_out_nll(model, heads, 300, 3)
+        assert got.keys() == ref.keys()
+        assert all(got[key] == ref[key] for key in ref), (got, ref)
+
+    def test_signature_codes_match_signatures(self):
+        for width, height, k in [(1, 1, 2), (1, 5, 3), (5, 1, 2), (4, 3, 3)]:
+            grids = stream(width * 10 + height, "codes").integers(k, size=(20, width * height))
+            codes = _signature_codes(grids, width, k)
+            seen = set()
+            for row, sample in zip(codes, grids.tolist()):
+                for length, code in enumerate(row.tolist()):
+                    sig = _signature_at(sample, length, width)
+                    assert _signature_code(sig, width, k) == code
+                    assert _signature_of(code, k) == sig
+                    seen.add(code)
+            assert max(seen) < width * (1 + k + k * k)
+
+    def test_unreachable_signatures_have_no_code(self):
+        for sig in [((0,), 4), ((0,), -1), ((3,), 0), ((0, 0, 0), 1), ((-1, 0), 1)]:
+            assert _signature_code(sig, 4, 3) is None
+
+    def test_loaded_signatures_no_prefix_has_are_ignored(self):
+        # A heads file may hold entries that predict can never reach; scoring
+        # skips them just as predict does.
+        grid = GridSpec(3, 2, 3)
+        model = make_grid_markov_target(grid, 5, 0.5)
+        fitted = fit_tabular_draft_heads(model, 1, 0, 20, 9).horizontal[0]
+        odd = TokenDistribution([0.98, 0.01, 0.01])
+        extra = dict(fitted.table)
+        extra.update({((0, 1, 2), 1): odd, ((7,), 1): odd, ((1, 1), 5): odd})
+        padded = TabularDraftHead(1, 3, 3, fitted.smoothing, extra)
+        grids = np.array([model.sample_grid(stream(1, "odd")) for _ in range(10)])
+        np.testing.assert_array_equal(
+            padded.true_token_probs(grids), fitted.true_token_probs(grids)
+        )
+
+    def test_mismatched_heads_rejected(self):
+        model = make_grid_markov_target(GRID, 5, 0.5)
+        for grid, message in [
+            (GridSpec(2, 8, 3), "width 2 does not match grid width 4"),
+            (GridSpec(4, 4, 2), "vocab_size does not match grid vocab_size 3"),
+        ]:
+            heads = fit_tabular_draft_heads(make_grid_markov_target(grid, 5, 0.5), 1, 1, 5, 9)
+            with pytest.raises(ValueError, match=message):
+                held_out_nll(model, heads, 5, 1)

@@ -76,6 +76,12 @@ class TestEnumerateJoint:
         joint = enumerate_joint(model, grid, SamplingConfig(top_k=1))
         assert len(joint.probs) == 1
 
+    def test_other_grid_refused(self):
+        model = make_grid_markov_target(GridSpec(2, 2, 3), 1009, 0.9)
+        for grid in (GridSpec(4, 1, 3), GridSpec(2, 1, 3)):
+            with pytest.raises(ValueError, match="is not the model's grid"):
+                enumerate_joint(model, grid, IDENTITY)
+
     def test_size_bound_refused(self):
         grid = GridSpec(5, 5, 4)
         model = make_independent_target(grid, 3)
