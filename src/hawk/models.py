@@ -25,8 +25,12 @@ context, ``1 + a`` for ``(a,)`` and ``1 + k + a * k + b`` for ``(a, b)``
 normalized on its own and held-out log terms are summed in sample, then
 position, order, so every probability and NLL equals that of a
 per-position loop bit for bit. Counting takes ``width * (1 + k + k**2) * k``
-integers per head offset, and scoring a tabular head the same number of
-floats.
+integers per head offset.
+
+A tabular head keeps one table, keyed by signature code, and lays it out
+once as the code-by-token array of ``width * (1 + k + k**2) * k`` floats
+that scoring reads; ``predict`` computes the code of its prefix. Only the
+heads file spells a signature out, as a context and a column.
 
 Models and head sets are immutable after construction, so concurrent readers
 are safe. Fitting is single-threaded per call; independent fits can run in
@@ -62,8 +66,6 @@ class TargetModel(abc.ABC):
     #: 2-D points standing in for codebook latents; used by the relaxed
     #: acceptance baseline to define token neighborhoods.
     token_embeddings: np.ndarray
-    #: True when the conditional at every position ignores the prefix.
-    prefix_independent: bool = False
 
     @abc.abstractmethod
     def conditional(self, prefix: Sequence[int]) -> TokenDistribution:
@@ -95,8 +97,6 @@ class GridMarkovModel(TargetModel):
     construction: 1.0 means the above neighbor alone shapes the conditional,
     0.0 the left neighbor alone.
     """
-
-    prefix_independent = False
 
     def __init__(
         self,
@@ -190,8 +190,6 @@ def make_grid_markov_target(grid: GridSpec, seed: int, vertical_weight: float) -
 class IndependentPositionModel(TargetModel):
     """Target whose conditional at each position ignores the prefix entirely."""
 
-    prefix_independent = True
-
     def __init__(
         self,
         grid: GridSpec,
@@ -262,17 +260,6 @@ class DraftHead(abc.ABC):
         raise NotImplementedError(f"{type(self).__name__} does not score grids in blocks")
 
 
-def _signature_at(seq: Sequence[int], length: int, width: int) -> tuple[tuple[int, ...], int]:
-    """Context signature: the last up-to-2 tokens before ``length`` plus the column."""
-    if length >= 2:
-        ctx = (seq[length - 2], seq[length - 1])
-    elif length == 1:
-        ctx = (seq[0],)
-    else:
-        ctx = ()
-    return ctx, length % width
-
-
 def _code_count(width: int, vocab_size: int) -> int:
     return width * (1 + vocab_size + vocab_size * vocab_size)
 
@@ -280,13 +267,17 @@ def _code_count(width: int, vocab_size: int) -> int:
 def _signature_code(
     signature: tuple[tuple[int, ...], int], width: int, vocab_size: int
 ) -> Optional[int]:
-    """Code of ``signature`` (see the module docstring); None if no prefix of such a grid has it."""
+    """Code of ``signature`` (see the module docstring); None if no prefix of
+    a grid of this width and vocabulary has it: too long a context, a token
+    or column out of range, or a shorter context off its prefix's column."""
     ctx, column = signature
     k = vocab_size
     if not 0 <= column < width or len(ctx) > 2 or not all(0 <= t < k for t in ctx):
         return None
     if len(ctx) == 2:
         code = 1 + k + ctx[0] * k + ctx[1]
+    elif column != len(ctx) % width:
+        return None
     else:
         code = 1 + ctx[0] if ctx else 0
     return column * (1 + k + k * k) + code
@@ -304,7 +295,7 @@ def _signature_of(code: int, vocab_size: int) -> tuple[tuple[int, ...], int]:
 
 
 def _signature_codes(grids: np.ndarray, width: int, vocab_size: int) -> np.ndarray:
-    """Column L of row i is the code of ``_signature_at(grids[i], L, width)``, L < size."""
+    """Column L of row i is the signature code of the prefix ``grids[i, :L]``, L < size."""
     k = vocab_size
     codes = np.zeros(grids.shape, dtype=np.int64)
     if grids.shape[1] > 1:
@@ -315,7 +306,8 @@ def _signature_codes(grids: np.ndarray, width: int, vocab_size: int) -> np.ndarr
 
 
 class TabularDraftHead(DraftHead):
-    """Empirical conditional table keyed by the context signature."""
+    """Empirical conditional rows keyed by signature code; a signature never
+    seen in fitting gets the smoothed empty count vector, i.e. uniform."""
 
     def __init__(
         self,
@@ -323,7 +315,7 @@ class TabularDraftHead(DraftHead):
         width: int,
         vocab_size: int,
         smoothing: float,
-        table: dict[tuple[tuple[int, ...], int], TokenDistribution],
+        table: dict[int, TokenDistribution],
     ) -> None:
         if offset < 1:
             raise ValueError(f"offset must be >= 1, got {offset}")
@@ -332,30 +324,23 @@ class TabularDraftHead(DraftHead):
         self.vocab_size = vocab_size
         self.smoothing = smoothing
         self.table = table
-        # Signatures never seen in fitting fall back to the smoothed empty
-        # count vector, i.e. uniform.
         self._fallback = TokenDistribution._wrap(np.full(vocab_size, 1.0 / vocab_size))
-        # The table by signature code, built on first use; a concurrent fill
-        # is a benign race, as for the distributions' cumulative tables.
-        self._dense: Optional[np.ndarray] = None
+        self._probs = np.full((_code_count(width, vocab_size), vocab_size), 1.0 / vocab_size)
+        for code, dist in table.items():
+            self._probs[code] = dist.probs
 
     def predict(self, prefix: Sequence[int]) -> TokenDistribution:
-        sig = _signature_at(prefix, len(prefix), self.width)
-        return self.table.get(sig, self._fallback)
+        k, length = self.vocab_size, len(prefix)
+        if length >= 2:
+            code = 1 + k + prefix[-2] * k + prefix[-1]
+        else:
+            code = 1 + prefix[0] if length else 0
+        return self.table.get(length % self.width * (1 + k + k * k) + code, self._fallback)
 
     def true_token_probs(self, grids: np.ndarray) -> np.ndarray:
-        dense = self._dense
-        if dense is None:
-            k = self.vocab_size
-            dense = np.full((_code_count(self.width, k), k), 1.0 / k)
-            for sig, dist in self.table.items():
-                code = _signature_code(sig, self.width, k)
-                if code is not None:
-                    dense[code] = dist.probs
-            self._dense = dense
         span = max(0, grids.shape[1] - self.offset + 1)
         codes = _signature_codes(grids, self.width, self.vocab_size)[:, :span]
-        return dense[codes, grids[:, self.offset - 1 :]]
+        return self._probs[codes, grids[:, self.offset - 1 :]]
 
 
 class ExactDraftHead(DraftHead):
@@ -364,7 +349,7 @@ class ExactDraftHead(DraftHead):
     def __init__(self, offset: int, model: IndependentPositionModel) -> None:
         if offset < 1:
             raise ValueError(f"offset must be >= 1, got {offset}")
-        if not getattr(model, "prefix_independent", False):
+        if not isinstance(model, IndependentPositionModel):
             raise ValueError("exact heads require a prefix-independent target model")
         self.offset = offset
         self._model = model
@@ -418,10 +403,13 @@ class DraftHeadSet:
             raise ValueError(f"vertical offsets must be {want_v}, got {got_v}")
 
     def check_grid(self, grid: GridSpec) -> None:
-        """Raise ``ValueError`` unless the heads fit ``grid``'s width and vocabulary."""
+        """Raise ``ValueError`` unless the heads fit ``grid``'s width and
+        vocabulary, and exact heads were made for ``grid`` itself."""
         if self.width != grid.width:
             raise ValueError(f"head set width {self.width} does not match grid width {grid.width}")
         for head in self.horizontal + self.vertical:
+            if isinstance(head, ExactDraftHead) and head._model.grid != grid:
+                raise ValueError(f"exact heads are for grid {head._model.grid}, not {grid}")
             if getattr(head, "vocab_size", grid.vocab_size) != grid.vocab_size:
                 raise ValueError(
                     f"head set vocab_size does not match grid vocab_size {grid.vocab_size}"
@@ -463,7 +451,7 @@ def fit_tabular_draft_heads(
 
     Draws ``sample_count`` complete grids from the target model and, for each
     offset d, tabulates the empirical distribution of the token d steps past
-    every frontier, keyed by the context signature. Additive smoothing keeps
+    every frontier, keyed by the signature code. Additive smoothing keeps
     every fitted probability positive, which both guarantees that sampled
     candidates are sampleable under their own draft and stabilizes residual
     chains on tiny vocabularies.
@@ -495,12 +483,12 @@ def fit_tabular_draft_heads(
             pairs = codes[:, : size - d + 1] * k + grids[:, d - 1 :]
             total += np.bincount(pairs.ravel(), minlength=cells)
 
-    dists: dict[int, dict[tuple, TokenDistribution]] = {d: {} for d in unique_offsets}
+    dists: dict[int, dict[int, TokenDistribution]] = {d: {} for d in unique_offsets}
     for d, total in counts.items():
         rows = total.reshape(-1, k)
         for code in np.flatnonzero(rows.any(axis=1)).tolist():
             smoothed = rows[code].astype(np.float64) + smoothing
-            dists[d][_signature_of(code, k)] = TokenDistribution._wrap(smoothed / smoothed.sum())
+            dists[d][code] = TokenDistribution._wrap(smoothed / smoothed.sum())
 
     def head(offset: int) -> TabularDraftHead:
         return TabularDraftHead(offset, width, k, smoothing, dists[offset])
@@ -518,11 +506,10 @@ def make_exact_heads(
     """Heads for depths 1..H and 1..VSD that reproduce the target's
     conditional at their offset exactly.
 
-    Only valid for prefix-independent targets; with these heads every
-    verification step accepts with probability one.
+    Only valid for an :class:`IndependentPositionModel`, and only on its
+    grid; with these heads every verification step accepts with probability
+    one.
     """
-    if not getattr(model, "prefix_independent", False):
-        raise ValueError("exact heads require a prefix-independent target model")
     width = model.grid.width
     horizontal, vertical = head_offsets(width, horizontal_depth, vertical_depth)
     return DraftHeadSet(
@@ -579,9 +566,10 @@ def held_out_nll(
 def _head_to_json(head: DraftHead) -> dict:
     if not isinstance(head, TabularDraftHead):
         raise ValueError(f"only tabular heads serialize, got {type(head).__name__}")
+    rows = {_signature_of(code, head.vocab_size): dist for code, dist in head.table.items()}
     entries = [
         {"context": list(ctx), "column": col, "probs": dist.probs.tolist()}
-        for (ctx, col), dist in sorted(head.table.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        for (ctx, col), dist in sorted(rows.items(), key=lambda kv: (kv[0][1], kv[0][0]))
     ]
     return {
         "offset": head.offset,
@@ -606,15 +594,24 @@ def _field(obj: dict, key: str, where: str, kind: type):
 
 
 def _head_from_json(obj: dict, where: str, width: int, vocab_size: int) -> TabularDraftHead:
-    table = {}
+    table: dict[int, TokenDistribution] = {}
     for i, entry in enumerate(_field(obj, "entries", where, list)):
         at = f"{where}entries[{i}]."
         context = _field(entry, "context", at, list)
         probs = _field(entry, "probs", at, list)
         if len(probs) != vocab_size:
             raise ValueError(f"head set field '{at}probs' must have {vocab_size} entries")
-        signature = tuple(_checked(t, f"{at}context[{j}]", int) for j, t in enumerate(context))
-        table[(signature, _field(entry, "column", at, int))] = TokenDistribution(
+        ctx = tuple(_checked(t, f"{at}context[{j}]", int) for j, t in enumerate(context))
+        column = _field(entry, "column", at, int)
+        code = _signature_code((ctx, column), width, vocab_size)
+        if code is None:
+            raise ValueError(
+                f"head set entry '{at[:-1]}' has context {list(ctx)} at column {column}, "
+                f"which no prefix of a width-{width}, vocab-{vocab_size} grid has"
+            )
+        if code in table:
+            raise ValueError(f"head set entry '{at[:-1]}' repeats an earlier entry's signature")
+        table[code] = TokenDistribution(
             [_checked(p, f"{at}probs[{j}]", float) for j, p in enumerate(probs)]
         )
     smoothing = float(_field(obj, "smoothing", where, float))
@@ -641,7 +638,9 @@ def load_head_set(path: Union[str, Path]) -> DraftHeadSet:
     """Read a head set written by :func:`save_head_set`.
 
     The file is outside input: a missing field or one of the wrong JSON type
-    raises a ``ValueError`` that names it, and nothing is coerced.
+    raises a ``ValueError`` that names it, and nothing is coerced. So does
+    an entry whose signature repeats an earlier one's or that no prefix of
+    a grid of the file's width and vocabulary can have.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     version = _field(payload, "format_version", "", int)

@@ -229,11 +229,8 @@ def rejection_curve(
             target = apply_sampling_config(model.conditional(sample[:t]), config.transform)
             horizontal, verticals = _engine_drafts(heads, config, sample, t, heads.vertical_depth)
             cycle = verticals + [horizontal]
-            dual_chain = [cycle[i % len(cycle)] for i in range(m_max)]
-            horiz_chain = [horizontal] * m_max
-            for m in range(1, m_max + 1):
-                dual_sums[m - 1] += rejection_mass(target, dual_chain[:m])
-                horiz_sums[m - 1] += rejection_mass(target, horiz_chain[:m])
+            dual_sums += rejection_mass(target, [cycle[i % len(cycle)] for i in range(m_max)])
+            horiz_sums += rejection_mass(target, [horizontal] * m_max)
             seen += 1
             if seen >= position_count:
                 break

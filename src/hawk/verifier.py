@@ -179,25 +179,28 @@ def sequential_verify(
     return _walk(p, candidates, rng, _standard_rule, record_steps)
 
 
-def rejection_mass(p: TokenDistribution, drafts: Sequence[TokenDistribution]) -> float:
-    """Probability that an entire chain of drafts is rejected.
+def rejection_mass(p: TokenDistribution, drafts: Sequence[TokenDistribution]) -> list[float]:
+    """Probability that the first m drafts of a chain are all rejected, for m = 1..len(drafts).
 
-    Computes prod_j (1 - alpha_j) with alpha_j = sum_x min(p_j(x), q_j(x))
-    under the residual-update chain. Appending drafts can only shrink it.
+    Entry m - 1 is prod_{j<=m} (1 - alpha_j) with alpha_j = sum_x
+    min(p_j(x), q_j(x)) under the residual-update chain, so the masses never
+    increase along the chain.
     """
+    masses = []
     product = 1.0
     p_cur = p
     exhausted = False
     for q in drafts:
         alpha = float(np.minimum(p_cur.probs, q.probs).sum())
         product *= 1.0 - alpha
+        masses.append(max(product, 0.0))
         if not exhausted:
             residual, degenerate = residual_update(p_cur, q)
             if degenerate:
                 exhausted = True
             else:
                 p_cur = residual
-    return max(product, 0.0)
+    return masses
 
 
 def lantern_acceptance(

@@ -279,6 +279,14 @@ class TestHeadsFile:
             ("vertical", DELETE, "'vertical' must be a list"),
             ("horizontal.0.entries.0.probs", DELETE, "'horizontal[0].entries[0].probs'"),
             ("horizontal.0.entries.0.probs", [0.5, 0.5], "'horizontal[0].entries[0].probs'"),
+            # Signatures that no prefix of the 2-wide, vocab-3 grid has, and
+            # a repeated one (entry 0 is ((), 0), entry 1 ((0, 0), 0)).
+            ("horizontal.0.entries.1.context", [0, 0, 0], "'horizontal[0].entries[1]' has"),
+            ("horizontal.0.entries.1.context.1", 3, "'horizontal[0].entries[1]' has"),
+            ("vertical.0.entries.1.column", 2, "'vertical[0].entries[1]' has"),
+            ("horizontal.1.entries.0.column", 1, "'horizontal[1].entries[0]' has"),
+            ("horizontal.0.entries.0.context", [0], "'horizontal[0].entries[0]' has"),
+            ("horizontal.0.entries.1.context", [], "'horizontal[0].entries[1]' repeats"),
         ],
     )
     def test_malformed_fields_named(self, tmp_path, capsys, heads_path, field, value, named):

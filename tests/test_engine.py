@@ -527,6 +527,16 @@ class TestDecodeImage:
         with pytest.raises(ValueError, match="vocab_size does not match grid vocab_size 3"):
             decode_image(model, fit_tabular_draft_heads(other_vocab, 2, 1, 20, 5), config, 3)
 
+    def test_exact_heads_of_another_grid_rejected(self):
+        # Exact heads of a 4x4 vocab-3 model used to fail mid-decode on a
+        # 4x8 grid (position 16 out of range) and on a 4x4 vocab-4 grid
+        # (length mismatch); they are refused before the first round.
+        heads = make_exact_heads(make_independent_target(GridSpec(4, 4, 3), 9), 2, 1)
+        config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
+        for grid in (GridSpec(4, 8, 3), GridSpec(4, 4, 4)):
+            with pytest.raises(ValueError, match="exact heads are for grid"):
+                decode_image(make_independent_target(grid, 9), heads, config, 3)
+
     def test_vanilla_2x2(self):
         grid = GridSpec(2, 2, 3)
         model = make_grid_markov_target(grid, 7, 0.5)

@@ -1,14 +1,14 @@
 """Target models, draft-head fitting, and serialization round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
-from hawk.core import GridSpec, TokenDistribution, sample_index, total_variation
+from hawk.core import GridSpec, sample_index, total_variation
 from hawk.models import (
     DraftHeadSet,
     ExactDraftHead,
-    TabularDraftHead,
-    _signature_at,
     _signature_code,
     _signature_codes,
     _signature_of,
@@ -206,8 +206,9 @@ class TestFitting:
         model = make_independent_target(grid, 21, constant=True)
         truth = model.position_conditional(0)
         heads = fit_tabular_draft_heads(model, 1, 1, 4000, 13, smoothing=0.1)
+        empty_code = _signature_code(((), 0), grid.width, grid.vocab_size)
         for head in heads.horizontal + heads.vertical:
-            assert total_variation(head.table[((), 0)], truth) < 0.05
+            assert total_variation(head.table[empty_code], truth) < 0.05
 
     def test_convergence_trend(self):
         grid = GridSpec(4, 3, 4)
@@ -331,6 +332,11 @@ class TestSerialization:
 # ---------------------------------------------------------------------------
 
 
+def _signature_at(seq, length, width):
+    """Context signature: the last up-to-2 tokens before ``length`` plus the column."""
+    return tuple(seq[max(0, length - 2) : length]), length % width
+
+
 def _reference_fit(model, horizontal_depth, vertical_depth, sample_count, seed, smoothing):
     """Per-position fitting loop over scalar-drawn samples: table per offset."""
     grid = model.grid
@@ -399,10 +405,11 @@ class TestBlockFitting:
         heads = fit_tabular_draft_heads(model, h, v, n, 19, smoothing)
         want = _reference_fit(model, h, v, n, 19, smoothing)
         for head in heads.horizontal + heads.vertical:
-            assert head.table.keys() == want[head.offset].keys()
-            for sig, dist in head.table.items():
+            table = {_signature_of(code, k): dist for code, dist in head.table.items()}
+            assert table.keys() == want[head.offset].keys()
+            for sig, dist in table.items():
                 assert np.array_equal(dist.probs, want[head.offset][sig])
-                assert all(type(t) is int for t in sig[0]) and type(sig[1]) is int
+            assert all(type(code) is int for code in head.table)
 
         # Scored fresh, from a saved copy, and for a head fitted on one sample
         # (most held-out signatures unseen, so scored by the uniform fallback).
@@ -437,23 +444,33 @@ class TestBlockFitting:
             assert max(seen) < width * (1 + k + k * k)
 
     def test_unreachable_signatures_have_no_code(self):
-        for sig in [((0,), 4), ((0,), -1), ((3,), 0), ((0, 0, 0), 1), ((-1, 0), 1)]:
+        for sig in [((0,), 4), ((0,), -1), ((3,), 0), ((0, 0, 0), 1), ((-1, 0), 1),
+                    ((), 3), ((0,), 2)]:
             assert _signature_code(sig, 4, 3) is None
 
-    def test_loaded_signatures_no_prefix_has_are_ignored(self):
-        # A heads file may hold entries that predict can never reach; scoring
-        # skips them just as predict does.
-        grid = GridSpec(3, 2, 3)
-        model = make_grid_markov_target(grid, 5, 0.5)
-        fitted = fit_tabular_draft_heads(model, 1, 0, 20, 9).horizontal[0]
-        odd = TokenDistribution([0.98, 0.01, 0.01])
-        extra = dict(fitted.table)
-        extra.update({((0, 1, 2), 1): odd, ((7,), 1): odd, ((1, 1), 5): odd})
-        padded = TabularDraftHead(1, 3, 3, fitted.smoothing, extra)
-        grids = np.array([model.sample_grid(stream(1, "odd")) for _ in range(10)])
-        np.testing.assert_array_equal(
-            padded.true_token_probs(grids), fitted.true_token_probs(grids)
-        )
+    @pytest.mark.parametrize(
+        "context, column",
+        [
+            ([0, 1, 2], 1),  # more than two tokens
+            ([3], 1),  # a token outside the vocabulary
+            ([0, 1], 2),  # a column outside the width
+            ([], 1),  # an empty context off column 0
+            ([0], 0),  # a one-token context off column 1
+            ([], 0),  # the signature of the head's first entry again
+        ],
+        ids=["too-long", "token", "column", "empty-off-column", "one-token-off-column", "repeat"],
+    )
+    def test_loaded_entries_no_prefix_has_or_repeated_are_refused(self, tmp_path, context, column):
+        grid = GridSpec(2, 2, 3)
+        heads = fit_tabular_draft_heads(make_grid_markov_target(grid, 5, 0.5), 1, 1, 20, 9)
+        path = tmp_path / "heads.json"
+        save_head_set(heads, path)
+        payload = json.loads(path.read_text())
+        entries = payload["vertical"][0]["entries"]
+        entries.append({"context": context, "column": column, "probs": [0.98, 0.01, 0.01]})
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"'vertical\[0\]\.entries\[{len(entries) - 1}\]'"):
+            load_head_set(path)
 
     def test_mismatched_heads_rejected(self):
         model = make_grid_markov_target(GRID, 5, 0.5)

@@ -260,19 +260,19 @@ class TestMedusaSpecialCase:
 class TestRejectionMass:
     def test_self_draft_zero(self):
         p = dist(0.5, 0.3, 0.2)
-        assert rejection_mass(p, [p]) == 0.0
+        assert rejection_mass(p, [p]) == [0.0]
 
     def test_single_draft(self):
         p = dist(0.5, 0.3, 0.2)
         q = dist(0.2, 0.5, 0.3)
-        assert abs(rejection_mass(p, [q]) - 0.3) < 1e-12
+        assert abs(rejection_mass(p, [q])[-1] - 0.3) < 1e-12
 
     def test_repeated_draft_chains_residual(self):
         # After one rejection the residual is [1,0,0]; the same draft still
         # overlaps it with mass 0.2, so the chain value is 0.3 * 0.8.
         p = dist(0.5, 0.3, 0.2)
         q = dist(0.2, 0.5, 0.3)
-        assert abs(rejection_mass(p, [q, q]) - 0.24) < 1e-12
+        assert abs(rejection_mass(p, [q, q])[-1] - 0.24) < 1e-12
 
     def test_monotone_in_chain_length(self):
         gen = stream(19, "chains")
@@ -280,7 +280,9 @@ class TestRejectionMass:
             k = int(gen.integers(2, 6))
             p = random_dist(gen, k)
             drafts = [random_dist(gen, k) for _ in range(5)]
-            values = [rejection_mass(p, drafts[:m]) for m in range(1, 6)]
+            values = rejection_mass(p, drafts)
+            # Entry m - 1 is the mass of the first m drafts alone.
+            assert values == [rejection_mass(p, drafts[:m])[-1] for m in range(1, 6)]
             assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_zero_overlap_append_is_noop(self):
@@ -289,8 +291,8 @@ class TestRejectionMass:
         p = dist(0.5, 0.0, 0.5)
         q_first = dist(0.0, 0.0, 1.0)  # residual after: [1, 0, 0]
         q_outside = dist(0.0, 1.0, 0.0)
-        base = rejection_mass(p, [q_first])
-        assert rejection_mass(p, [q_first, q_outside]) == pytest.approx(base)
+        base, appended = rejection_mass(p, [q_first, q_outside])
+        assert appended == pytest.approx(base)
 
     @given(dist_pairs())
     @settings(max_examples=100, deadline=None)
