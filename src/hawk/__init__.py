@@ -25,7 +25,6 @@ from .engine import (
     CandidateTree,
     DecodingContext,
     EngineConfig,
-    SamplingPool,
     SpeculationCache,
     build_candidate_tree,
     build_pool,
@@ -35,7 +34,6 @@ from .engine import (
     decode_image,
     decode_round,
     export_grid_image,
-    vertical_target_index,
 )
 from .models import (
     DraftHead,
@@ -67,7 +65,6 @@ from .oracle_metrics import (
 from .verifier import (
     Candidate,
     VerificationOutcome,
-    VerifyStepRecord,
     acceptance_ratio,
     lantern_acceptance,
     lantern_sequential_verify,

@@ -58,6 +58,7 @@ from .oracle_metrics import (
     joint_tv,
     kl_trace,
     rejection_curve,
+    require_two_rows,
     write_csv,
     write_metrics_csv,
 )
@@ -115,11 +116,15 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _integer(section: dict, key: str, where: str, default: Optional[int] = None) -> int:
-    """A JSON integer field (``true`` and ``2.0`` are not integers); required without default."""
+def _integer(
+    section: dict, key: str, where: str, default: Optional[int] = None, minimum: int | None = None
+) -> int:
+    """A JSON integer field (not ``true`` or ``2.0``) >= ``minimum``; required without default."""
     value = _require(section, key, where) if default is None else section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"config field '{where}.{key}' must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{where}.{key} must be >= {minimum}, got {value}")
     return value
 
 
@@ -232,9 +237,7 @@ def load_run_config(
 
     oracle_raw = raw.get("oracle", {})
     _check_keys(oracle_raw, {"decode_count", "tolerance_factor"}, "oracle")
-    decode_count = _integer(oracle_raw, "decode_count", "oracle", 20000)
-    if decode_count < 1:
-        raise ValueError(f"oracle.decode_count must be >= 1, got {decode_count}")
+    decode_count = _integer(oracle_raw, "decode_count", "oracle", 20000, minimum=1)
     tolerance_factor = _number(oracle_raw, "tolerance_factor", "oracle", 3.0)
     if tolerance_factor <= 0:
         raise ValueError("oracle.tolerance_factor must be > 0")
@@ -259,9 +262,9 @@ def load_run_config(
         engine=engine,
         oracle_decode_count=decode_count,
         tolerance_factor=tolerance_factor,
-        bench_images=_integer(bench_raw, "images", "bench", 4),
-        rejection_positions=_integer(bench_raw, "rejection_positions", "bench", 2000),
-        rejection_m_max=_integer(bench_raw, "rejection_m_max", "bench", 4),
+        bench_images=_integer(bench_raw, "images", "bench", 4, minimum=1),
+        rejection_positions=_integer(bench_raw, "rejection_positions", "bench", 2000, minimum=1),
+        rejection_m_max=_integer(bench_raw, "rejection_m_max", "bench", 4, minimum=1),
         echo=echo,
     )
 
@@ -401,6 +404,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_bench(config: RunConfig) -> int:
+    require_two_rows(config.grid)
     model = build_model(config)
     heads = build_heads(config, model)
     variants = _mode_variants(config.engine)

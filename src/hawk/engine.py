@@ -1,12 +1,12 @@
 """Raster-order decoding loop with spatial speculation.
 
-Round structure (speculative modes): pools are assembled for speculation
-depths 1..H from the round-start committed prefix. Each pool at depth n
-merges the horizontal head's prediction for position T+n with cached
-vertical predictions targeting the same position, written rows earlier. Per
-depth, candidates are drawn from the pool and the layers are combined as a
-Cartesian product, truncated to the node budget: the first ``node_budget``
-paths in lexicographic order are kept. Verification walks the depths: the
+Round structure (speculative modes): :func:`build_pool` lays out one
+candidate layer per speculation depth 1..H from the round-start committed
+prefix. The layer at depth n merges the cached vertical predictions
+targeting position T+n, written rows earlier, with the horizontal head's
+prediction for it. The layers are combined as a Cartesian product,
+truncated to the node budget: the first ``node_budget`` paths in
+lexicographic order are kept. Verification walks the depths: the
 candidates that continue a kept path through the accepted prefix are
 verified against the current target conditional; the first rejection
 resamples, commits the resampled token, and ends the round. A round that accepts through every layer commits
@@ -33,8 +33,9 @@ and are never materialized.
 
 One batch is one :class:`DecodingContext`: its sessions run back to back,
 strictly sequentially, on one pair of streams, and its result is one
-:class:`BatchResult`. Batches over shared immutable models may run
-concurrently.
+:class:`BatchResult`. A context made with a ``trace`` list gets one row per
+verification step (``TRACE_COLUMNS``) appended by each round as it ends.
+Batches over shared immutable models may run concurrently.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .models import DraftHeadSet, TargetModel
 from .oracle_metrics import modeled_speedup
 from .rng import stream
 from .verifier import (
-    ACCEPT,
     Candidate,
     HORIZONTAL,
     VERTICAL,
@@ -136,13 +136,6 @@ def cache_capacity(image_width: int, vertical_depth: int) -> int:
     return image_width * (vertical_depth * (vertical_depth + 1)) // 2
 
 
-def vertical_target_index(frontier_token: int, image_width: int, depth: int) -> int:
-    """Raster index a depth-d vertical prediction from token T targets: T + d*width."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    return frontier_token + image_width * depth
-
-
 class SpeculationCache:
     """Vertical draft distributions keyed by (target raster index, depth).
 
@@ -200,15 +193,6 @@ class SpeculationCache:
         return out
 
 
-@dataclass(frozen=True)
-class SamplingPool:
-    """Merged draft distributions for one speculation position."""
-
-    position: int
-    horizontal: TokenDistribution
-    vertical: tuple[tuple[int, TokenDistribution], ...]
-
-
 class DraftSlot(NamedTuple):
     """One drawn candidate before its token is computed: where it comes from."""
 
@@ -239,13 +223,26 @@ class CandidateTree:
         ]
 
 
+TraceRow = tuple[int, int, int, str, float, bool, int]
+
+TRACE_COLUMNS = (
+    "round",
+    "frontier_index",
+    "depth",
+    "source",
+    "alpha",
+    "accepted",
+    "committed_this_round",
+)
+
+
 class DecodingContext:
     """One batch of decode sessions: run inputs, session state and counters.
 
     One object per batch holds everything a run mutates: the committed
     prefix and speculation cache of the current session, the draft and
-    verify streams made from the seed, and the counters (rounds, per-depth
-    attempts and accepts). Its sessions run back to back:
+    verify streams made from the seed, the counters (rounds, per-depth
+    attempts and accepts) and the optional trace. Its sessions run back to back:
     between them only the prefix and the cache are reset.
 
     It holds no distribution cache: the effective target and draft
@@ -262,7 +259,7 @@ class DecodingContext:
         config: EngineConfig,
         seed: int,
         *,
-        collect_records: bool = False,
+        trace: Optional[list[TraceRow]] = None,
     ) -> None:
         if config.mode != MODE_VANILLA:
             if heads is None:
@@ -287,7 +284,7 @@ class DecodingContext:
         self.draft_rng = stream(seed, "draft")
         self.verify_rng = stream(seed, "verify")
         self.rounds = 0
-        self.collect_records = collect_records
+        self.trace = trace
         self.depth_attempts: dict[int, int] = {}
         self.depth_accepts: dict[int, int] = {}
         self._identity = config.transform.is_identity
@@ -309,46 +306,36 @@ class DecodingContext:
         return apply_sampling_config(base, self.config.transform)
 
 
-@dataclass
-class RoundResult:
-    """Tokens committed by one round plus its per-depth verification outcomes."""
+def build_pool(
+    ctx: DecodingContext, n: int, horizontal_output: TokenDistribution
+) -> tuple[DraftSlot, ...]:
+    """Candidate layer for speculation depth n.
 
-    committed: list[int]
-    verifications: list[tuple[int, VerificationOutcome]]
-    frontier: int
-
-
-def build_pool(ctx: DecodingContext, n: int, horizontal_output: TokenDistribution) -> SamplingPool:
-    """Pool for speculation depth n: the horizontal prediction plus any cached
-    vertical predictions targeting the same position."""
+    Each cached vertical prediction targeting the position, by depth,
+    ``samples_per_vertical`` times, then the horizontal prediction
+    ``samples_per_horizontal`` times, so no layer is empty. Every candidate
+    keeps the distribution it is drawn from as its draft.
+    """
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
     position = len(ctx.committed) + n - 1
     if position >= ctx.grid.size:
         raise ValueError(f"speculation position {position} beyond grid end")
-    return SamplingPool(position, horizontal_output, tuple(ctx.cache.gather(position)))
+    sph, spv = ctx.config.samples_per_horizontal, ctx.config.samples_per_vertical
+    cached = ctx.cache.gather(position)
+    vertical = [DraftSlot(q, VERTICAL, d) for d, q in cached for _ in range(spv)]
+    return tuple(vertical + [DraftSlot(horizontal_output, HORIZONTAL, n)] * sph)
 
 
 def build_candidate_tree(
-    pools: Sequence[SamplingPool], config: EngineConfig, rng: np.random.Generator
+    layers: Sequence[tuple[DraftSlot, ...]], config: EngineConfig, rng: np.random.Generator
 ) -> CandidateTree:
-    """Lay out per-depth candidates and draw their uniforms; their product,
-    capped by the node budget, is the tree.
+    """Draw the uniforms of the layers from :func:`build_pool`; their
+    product, capped by ``config.node_budget``, is the tree.
 
-    Every candidate keeps the distribution it is drawn from as its draft.
-    A layer holds the vertical candidates by depth, then the horizontal
-    ones, so none is empty. The round's uniforms come from one
-    ``rng.random(n)`` call, which consumes the stream exactly as n scalar
-    draws in layer order would.
+    The round's uniforms come from one ``rng.random(n)`` call, which
+    consumes the stream exactly as n scalar draws in layer order would.
     """
-    sph, spv = config.samples_per_horizontal, config.samples_per_vertical
-    layers: list[tuple[DraftSlot, ...]] = []
-    for depth, pool in enumerate(pools, start=1):
-        horizontal = [DraftSlot(pool.horizontal, HORIZONTAL, depth)] * sph
-        vertical = [
-            DraftSlot(dist, VERTICAL, vdepth) for vdepth, dist in pool.vertical for _ in range(spv)
-        ]
-        layers.append(tuple(vertical + horizontal))
     block = rng.random(sum(len(layer) for layer in layers)).tolist()
     uniforms = []
     start = 0
@@ -358,7 +345,7 @@ def build_candidate_tree(
     return CandidateTree(tuple(layers), tuple(uniforms))
 
 
-def commit_token(ctx: DecodingContext, token: int, newly: list[int]) -> None:
+def commit_token(ctx: DecodingContext, token: int) -> None:
     """Append one token and apply the commit-time cache policy.
 
     For each vertical depth d the head is evaluated on the now-committed
@@ -367,15 +354,14 @@ def commit_token(ctx: DecodingContext, token: int, newly: list[int]) -> None:
     committed position are evicted first, so occupancy stays within capacity.
     """
     t = len(ctx.committed)
-    config = ctx.config
+    vertical_depth = ctx.config.vertical_depth
     ctx.committed.append(token)
-    newly.append(token)
-    if config.mode != MODE_VANILLA and config.vertical_depth >= 1:
+    if vertical_depth:
         ctx.cache.evict(t)
         width = ctx.grid.width
         total = ctx.grid.size
-        for d in range(1, config.vertical_depth + 1):
-            target_index = vertical_target_index(t, width, d)
+        for d in range(1, vertical_depth + 1):
+            target_index = t + d * width
             if target_index < total:
                 dist = ctx.draft_dist(ctx.heads.vertical[d - 1], ctx.committed)
                 ctx.cache.insert(target_index, d, dist, t)
@@ -394,38 +380,37 @@ def _verify(
             rng,
             ctx.neighborhoods,
             ctx.config.lantern_lam,
-            record_steps=ctx.collect_records,
+            record_steps=ctx.trace is not None,
         )
-    return sequential_verify(target, candidates, rng, record_steps=ctx.collect_records)
+    return sequential_verify(target, candidates, rng, record_steps=ctx.trace is not None)
 
 
-def decode_round(ctx: DecodingContext) -> RoundResult:
+def decode_round(ctx: DecodingContext) -> None:
     """Run one decoding round; commits between 1 and H+1 tokens.
 
     Accounted as a single target-model pass regardless of tree size: a real
     deployment verifies the whole candidate tree in one batched forward.
+    If the context keeps a trace, the round appends its rows to it.
     """
     total = ctx.grid.size
     committed = ctx.committed
     if len(committed) >= total:
         raise StateError("decode already finished")
-    frontier = len(committed)
-    newly: list[int] = []
-    verifications: list[tuple[int, VerificationOutcome]] = []
 
     if ctx.config.mode == MODE_VANILLA:
         dist = ctx.target_dist(committed)
-        commit_token(ctx, sample_index(dist, ctx.verify_rng), newly)
+        commit_token(ctx, sample_index(dist, ctx.verify_rng))
         ctx.rounds += 1
-        return RoundResult(newly, verifications, frontier)
+        return
 
     config = ctx.config
+    frontier = len(committed)
     depth_count = min(config.horizontal_depth, total - frontier)
-    pools = []
+    layers = []
     for n in range(1, depth_count + 1):
         horizontal = ctx.draft_dist(ctx.heads.horizontal[n - 1], committed)
-        pools.append(build_pool(ctx, n, horizontal))
-    tree = build_candidate_tree(pools, config, ctx.draft_rng)
+        layers.append(build_pool(ctx, n, horizontal))
+    tree = build_candidate_tree(layers, config, ctx.draft_rng)
 
     # Path (a_0, ..., a_n) has lexicographic rank sum(a_k * stride_k), where
     # stride_k is the product of the widths of the layers after k; it is kept
@@ -433,45 +418,34 @@ def decode_round(ctx: DecodingContext) -> RoundResult:
     # prefix, candidate j at layer k continues a kept path iff
     # j * stride_k < node_budget - r (= budget_left), so the live candidates
     # are the first ceil(budget_left / stride_k) of the layer.
-    layers = tree.layers
     strides = [1] * len(layers)
     for k in range(len(layers) - 1, 0, -1):
         strides[k - 1] = strides[k] * len(layers[k])
     budget_left = config.node_budget
-    ended_by_resample = False
-    for layer_index in range(len(layers)):
+    walked: list[tuple[int, list[Candidate], tuple[float, ...], Optional[int]]] = []
+    for depth, stride in enumerate(strides, start=1):
         target = ctx.target_dist(committed)
-        stride = strides[layer_index]
-        candidates = tree.candidates(layer_index, -(-budget_left // stride))
-        depth = layer_index + 1
+        candidates = tree.candidates(depth - 1, -(-budget_left // stride))
         ctx.depth_attempts[depth] = ctx.depth_attempts.get(depth, 0) + 1
         outcome = _verify(ctx, target, candidates, ctx.verify_rng)
-        verifications.append((depth, outcome))
-        commit_token(ctx, outcome.emitted_token, newly)
-        if outcome.emitted_via != ACCEPT:
-            ended_by_resample = True
+        walked.append((depth, candidates, outcome.alphas, outcome.accepted_index))
+        commit_token(ctx, outcome.emitted_token)
+        if outcome.accepted_index is None:
             break
         ctx.depth_accepts[depth] = ctx.depth_accepts.get(depth, 0) + 1
         budget_left -= outcome.accepted_index * stride
-
-    if not ended_by_resample and len(committed) < total:
-        bonus = ctx.target_dist(committed)
-        commit_token(ctx, sample_index(bonus, ctx.verify_rng), newly)
+    else:
+        if len(committed) < total:
+            bonus = ctx.target_dist(committed)
+            commit_token(ctx, sample_index(bonus, ctx.verify_rng))
+    if ctx.trace is not None:
+        count = len(committed) - frontier
+        ctx.trace.extend(
+            (ctx.rounds, frontier, depth, f"{c.source}:{c.depth}", alpha, i == accepted, count)
+            for depth, candidates, alphas, accepted in walked
+            for i, (c, alpha) in enumerate(zip(candidates, alphas))
+        )
     ctx.rounds += 1
-    return RoundResult(newly, verifications, frontier)
-
-
-TraceRow = tuple[int, int, int, str, float, bool, int]
-
-TRACE_COLUMNS = (
-    "round",
-    "frontier_index",
-    "depth",
-    "source",
-    "alpha",
-    "accepted",
-    "committed_this_round",
-)
 
 
 @dataclass
@@ -523,27 +497,13 @@ def decode_batch(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    ctx = DecodingContext(model, heads, config, seed, collect_records=trace is not None)
+    ctx = DecodingContext(model, heads, config, seed, trace=trace)
     grid = ctx.grid
     counts: Counter = Counter()
     start = time.perf_counter()
     for _ in range(count):
         while len(ctx.committed) < grid.size:
-            result = decode_round(ctx)
-            if trace is not None:
-                for depth, outcome in result.verifications:
-                    for rec in outcome.steps:
-                        trace.append(
-                            (
-                                ctx.rounds - 1,
-                                result.frontier,
-                                depth,
-                                f"{rec.candidate.source}:{rec.candidate.depth}",
-                                rec.acceptance_prob_alpha,
-                                rec.accepted,
-                                len(result.committed),
-                            )
-                        )
+            decode_round(ctx)
         counts[tuple(ctx.committed)] += 1
         ctx.committed = []
         ctx.cache.entries.clear()

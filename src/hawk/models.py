@@ -650,6 +650,9 @@ def load_head_set(path: Union[str, Path]) -> DraftHeadSet:
         raise ValueError(f"unknown head set kind {payload.get('kind')!r}")
     width = _field(payload, "width", "", int)
     vocab_size = _field(payload, "vocab_size", "", int)
+    for key, value, least in (("width", width, 1), ("vocab_size", vocab_size, 2)):
+        if value < least:
+            raise ValueError(f"head set field '{key}' must be >= {least}, got {value}")
     horizontal, vertical = (
         tuple(
             _head_from_json(obj, f"{direction}[{i}].", width, vocab_size)

@@ -193,6 +193,12 @@ def _engine_drafts(
     return horizontal, verticals
 
 
+def require_two_rows(grid: GridSpec) -> None:
+    """Rejection curves take their positions from the second row on."""
+    if grid.height < 2:
+        raise ValueError(f"rejection curves need a grid of at least two rows, got {grid.height}")
+
+
 def rejection_curve(
     model: TargetModel,
     heads: DraftHeadSet,
@@ -218,8 +224,9 @@ def rejection_curve(
         raise ValueError(f"position_count must be >= 1, got {position_count}")
     if heads.vertical_depth < 1:
         raise ValueError("rejection curves need at least one vertical head")
-    gen = stream(seed, "rejection-curve")
     grid = model.grid
+    require_two_rows(grid)
+    gen = stream(seed, "rejection-curve")
     dual_sums = np.zeros(m_max)
     horiz_sums = np.zeros(m_max)
     seen = 0

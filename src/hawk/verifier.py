@@ -13,9 +13,9 @@ from their own q_i, the emitted token is distributed exactly as p regardless
 of how many drafts there are, what order they come in, or whether the q_i
 differ; the oracle tests enumerate this claim directly.
 
-The recorded per-step ``acceptance_prob_alpha`` is the step's marginal
-acceptance probability sum_x min(p_i(x), q_i(x)), i.e. the chance the step
-accepts before conditioning on which token the draft actually proposed. The
+The recorded per-step alpha is the step's marginal acceptance probability
+sum_x min(p_i(x), q_i(x)), i.e. the chance the step accepts before
+conditioning on which token the draft actually proposed. The
 product of (1 - alpha_i) over a chain is the rejection mass: the probability
 that the round falls through to the residual resample.
 
@@ -36,9 +36,6 @@ import numpy as np
 from .core import TokenDistribution, sample_index
 
 logger = logging.getLogger(__name__)
-
-ACCEPT = "accept"
-RESIDUAL_RESAMPLE = "residual_resample"
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -67,27 +64,20 @@ class Candidate:
 
 
 @dataclass(slots=True)
-class VerifyStepRecord:
-    """One accept/reject decision inside a verification round."""
-
-    candidate: Candidate
-    acceptance_prob_alpha: float
-    accepted: bool
-
-
-@dataclass(slots=True)
 class VerificationOutcome:
     """Result of one round: exactly one emitted token.
 
     ``accepted_index`` is the position of the accepting candidate in the
-    input order, or None when the round fell through to the resample. When
-    step records are kept it always equals ``len(steps) - 1`` for accepts.
+    input order, or None when the round fell through to the resample.
+    ``alphas`` holds, when steps are recorded, one alpha per candidate
+    walked: step i verified ``candidates[i]`` and accepted exactly when
+    ``i == accepted_index``, so an accepting walk records
+    ``accepted_index + 1`` alphas and a resampling one all of them.
     """
 
-    steps: tuple[VerifyStepRecord, ...]
     emitted_token: int
-    emitted_via: str
     accepted_index: int | None
+    alphas: tuple[float, ...] = ()
 
 
 def acceptance_ratio(p: TokenDistribution, q: TokenDistribution, token: int) -> float:
@@ -136,17 +126,16 @@ def _walk(
     their alpha is still recorded against the retained distribution, and the
     final resample uses the last non-degenerate residual.
     """
-    steps: list[VerifyStepRecord] = []
+    alphas: list[float] = []
     p_cur = p
     exhausted = False
     for index, candidate in enumerate(candidates):
         q = candidate.draft_dist
         accepted = not exhausted and rng.random() < accept_rule(p_cur, candidate)
         if record_steps:
-            alpha = float(np.minimum(p_cur.probs, q.probs).sum())
-            steps.append(VerifyStepRecord(candidate, alpha, accepted))
+            alphas.append(float(np.minimum(p_cur.probs, q.probs).sum()))
         if accepted:
-            return VerificationOutcome(tuple(steps), candidate.token, ACCEPT, index)
+            return VerificationOutcome(candidate.token, index, tuple(alphas))
         if not exhausted:
             residual, degenerate = residual_update(p_cur, q)
             if degenerate:
@@ -157,7 +146,7 @@ def _walk(
             else:
                 p_cur = residual
     emitted = sample_index(p_cur, rng)
-    return VerificationOutcome(tuple(steps), emitted, RESIDUAL_RESAMPLE, None)
+    return VerificationOutcome(emitted, None, tuple(alphas))
 
 
 def sequential_verify(
@@ -171,7 +160,7 @@ def sequential_verify(
 
     The first acceptance wins and later candidates are untouched; otherwise
     the token is resampled from the residual left after all rejections.
-    ``record_steps=False`` skips building the per-step records (the walk and
+    ``record_steps=False`` skips computing the per-step alphas (the walk and
     its draws are identical either way), which matters in bulk simulation.
     """
     if not candidates:

@@ -331,10 +331,10 @@ def test_criterion_7_all_accept_bound():
         ctx = DecodingContext(model, heads, config, 13)
         per_round = []
         while len(ctx.committed) < grid.size:
-            remaining = grid.size - len(ctx.committed)
-            result = decode_round(ctx)
-            assert len(result.committed) == min(h + 1, remaining)
-            per_round.append(len(result.committed))
+            frontier = len(ctx.committed)
+            decode_round(ctx)
+            per_round.append(len(ctx.committed) - frontier)
+            assert per_round[-1] == min(h + 1, grid.size - frontier)
         full_rounds = [c for c in per_round[:-1]]
         assert all(c == h + 1 for c in full_rounds)
         checked += 1

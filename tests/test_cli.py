@@ -79,6 +79,17 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="decode_count"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("key", ["images", "rejection_positions", "rejection_m_max"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_bench_counts_below_one_rejected(self, tmp_path, capsys, monkeypatch, key, value):
+        fitted = []
+        monkeypatch.setattr(hawk.cli, "fit_tabular_draft_heads", lambda *args: fitted.append(args))
+        path = write_config(tmp_path, bench={key: value})
+        assert main(["bench", "--config", str(path)]) == 1
+        assert f"bench.{key} must be >= 1, got {value}" in capsys.readouterr().err
+        assert fitted == []
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path)
         config = load_run_config(path, seed_override=7, out_override=str(tmp_path / "elsewhere"))
@@ -287,6 +298,10 @@ class TestHeadsFile:
             ("horizontal.1.entries.0.column", 1, "'horizontal[1].entries[0]' has"),
             ("horizontal.0.entries.0.context", [0], "'horizontal[0].entries[0]' has"),
             ("horizontal.0.entries.1.context", [], "'horizontal[0].entries[1]' repeats"),
+            # Sizes no grid has.
+            ("width", -2, "'width' must be >= 1, got -2"),
+            ("width", 0, "'width' must be >= 1, got 0"),
+            ("vocab_size", 1, "'vocab_size' must be >= 2, got 1"),
         ],
     )
     def test_malformed_fields_named(self, tmp_path, capsys, heads_path, field, value, named):
@@ -402,6 +417,17 @@ class TestBenchCommand:
         assert (out_dir / "rejection_curve_dual.csv").exists()
         assert (out_dir / "rejection_curve_horizontal.csv").exists()
         assert (out_dir / "kl_trace.csv").exists()
+
+    def test_one_row_grid_refused_before_fitting(self, tmp_path, capsys, monkeypatch):
+        # Rejection curves need a second row; without one the command used to
+        # write metrics.csv and then loop forever looking for positions.
+        fitted = []
+        monkeypatch.setattr(hawk.cli, "fit_tabular_draft_heads", lambda *args: fitted.append(args))
+        path = write_config(tmp_path, grid={"width": 4, "height": 1, "vocab_size": 3})
+        assert main(["bench", "--config", str(path)]) == 1
+        assert "rejection curves need a grid of at least two rows, got 1" in capsys.readouterr().err
+        assert fitted == []
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_vanilla_row_has_unit_modeled_speedup(self, tmp_path):
         path = write_config(tmp_path, engine={"draft_overhead_ratio": 0.105})

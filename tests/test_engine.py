@@ -22,6 +22,7 @@ from hawk.core import (
 )
 from hawk.engine import (
     DecodingContext,
+    DraftSlot,
     EngineConfig,
     SpeculationCache,
     TRACE_COLUMNS,
@@ -33,7 +34,6 @@ from hawk.engine import (
     decode_image,
     decode_round,
     export_grid_image,
-    vertical_target_index,
 )
 from hawk.models import (
     DraftHead,
@@ -51,7 +51,7 @@ from hawk.oracle_metrics import (
     kl_trace,
 )
 from hawk.rng import stream
-from hawk.verifier import ACCEPT, HORIZONTAL, VERTICAL, VerificationOutcome
+from hawk.verifier import HORIZONTAL, VERTICAL, VerificationOutcome
 
 class TestCacheFormulas:
     def test_capacity_values(self):
@@ -65,12 +65,6 @@ class TestCacheFormulas:
             cache_capacity(0, 1)
         with pytest.raises(ValueError):
             cache_capacity(4, -1)
-
-    def test_vertical_target_index(self):
-        assert vertical_target_index(100, 48, 1) == 148
-        assert vertical_target_index(100, 48, 2) == 196
-        with pytest.raises(ValueError):
-            vertical_target_index(100, 48, 0)
 
 
 class TestSpeculationCache:
@@ -142,7 +136,7 @@ class TestCommitCachePolicy:
     def test_first_commit_writes_one_entry(self):
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
-        commit_token(ctx, 1, [])
+        commit_token(ctx, 1)
         assert set(ctx.cache.entries) == {(4, 1)}
         dist, source = ctx.cache.entries[(4, 1)]
         assert source == 0
@@ -153,14 +147,14 @@ class TestCommitCachePolicy:
         heads = fit_tabular_draft_heads(model, 2, 0, 200, 5)
         config = EngineConfig(mode="medusa", horizontal_depth=2)
         ctx = DecodingContext(model, heads, config, 3)
-        commit_token(ctx, 1, [])
+        commit_token(ctx, 1)
         assert ctx.cache.occupancy == 0
 
     def test_writes_near_grid_end_are_clipped(self):
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         ctx.committed = [0] * (grid.size - 1)
-        commit_token(ctx, 1, [])  # commit index 15; target 19 beyond grid
+        commit_token(ctx, 1)  # commit index 15; target 19 beyond grid
         assert ctx.cache.occupancy == 0
 
 
@@ -168,18 +162,19 @@ class TestBuildPool:
     def test_first_row_has_no_vertical(self):
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
-        pool = build_pool(ctx, 1, ctx.draft_dist(heads.horizontal[0], []))
-        assert pool.position == 0
-        assert pool.vertical == ()
+        horizontal = ctx.draft_dist(heads.horizontal[0], [])
+        assert build_pool(ctx, 1, horizontal) == (DraftSlot(horizontal, HORIZONTAL, 1),)
 
     def test_interior_position_gathers_vertical(self):
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         for token in (0, 1, 2, 0):
-            commit_token(ctx, token, [])
-        pool = build_pool(ctx, 1, ctx.draft_dist(heads.horizontal[0], ctx.committed))
-        assert pool.position == 4
-        assert [d for d, _ in pool.vertical] == [1]
+            commit_token(ctx, token)
+        horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed)
+        vertical = ctx.cache.entries[(4, 1)][0]  # row 1, col 0
+        assert build_pool(ctx, 1, horizontal) == (
+            DraftSlot(vertical, VERTICAL, 1), DraftSlot(horizontal, HORIZONTAL, 1)
+        )
 
     def test_beyond_grid_rejected(self):
         grid, model, heads, config = _hawk_setup()
@@ -195,10 +190,15 @@ class TestBuildPool:
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=2)
         ctx = DecodingContext(model, heads, config, 3)
         for token in [0, 1, 2, 0, 1, 2, 0, 1]:  # rows 0 and 1 committed
-            commit_token(ctx, token, [])
-        pool = build_pool(ctx, 1, ctx.draft_dist(heads.horizontal[0], ctx.committed))
-        assert pool.position == 8  # row 2, col 0
-        assert [d for d, _ in pool.vertical] == [1, 2]
+            commit_token(ctx, token)
+        horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed)
+        layer = build_pool(ctx, 1, horizontal)
+        # Row 2, col 0: one entry per vertical depth, then the horizontal draft.
+        assert layer == (
+            DraftSlot(ctx.cache.entries[(8, 1)][0], VERTICAL, 1),
+            DraftSlot(ctx.cache.entries[(8, 2)][0], VERTICAL, 2),
+            DraftSlot(horizontal, HORIZONTAL, 1),
+        )
 
 
 class TestCandidateTree:
@@ -212,23 +212,23 @@ class TestCandidateTree:
             samples_per_vertical=0,
         )
         ctx = DecodingContext(model, heads, config, 3)
-        pools = [
+        layers = [
             build_pool(ctx, n, ctx.draft_dist(heads.horizontal[n - 1], []))
             for n in (1, 2)
         ]
-        tree = build_candidate_tree(pools, config, ctx.draft_rng)
+        tree = build_candidate_tree(layers, config, ctx.draft_rng)
         assert [len(layer) for layer in tree.layers] == [1, 1]
 
     def test_cartesian_product_at_interior(self):
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         for token in (0, 1, 2, 0):
-            commit_token(ctx, token, [])
-        pools = [
+            commit_token(ctx, token)
+        layers = [
             build_pool(ctx, n, ctx.draft_dist(heads.horizontal[n - 1], ctx.committed))
             for n in (1, 2)
         ]
-        tree = build_candidate_tree(pools, config, ctx.draft_rng)
+        tree = build_candidate_tree(layers, config, ctx.draft_rng)
         assert [len(layer) for layer in tree.layers] == [2, 2]
 
     def test_node_budget_keeps_earliest_paths(self, monkeypatch):
@@ -242,12 +242,12 @@ class TestCandidateTree:
             def accept(p, candidates, rng, *, record_steps=True, choice=first):
                 widths.append(len(candidates))
                 index = choice if len(widths) == 1 else 0
-                return VerificationOutcome((), candidates[index].token, ACCEPT, index)
+                return VerificationOutcome(candidates[index].token, index)
 
             monkeypatch.setattr(hawk.engine, "sequential_verify", accept)
             ctx = DecodingContext(model, heads, config, 3)
             for token in (0, 1, 2, 0):
-                commit_token(ctx, token, [])
+                commit_token(ctx, token)
             decode_round(ctx)
             assert widths == [2, live_after]
 
@@ -255,18 +255,18 @@ class TestCandidateTree:
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         for token in (0, 1, 2, 0):
-            commit_token(ctx, token, [])
-        pools = [build_pool(ctx, 1, ctx.draft_dist(heads.horizontal[0], ctx.committed))]
-        ((vdepth, vdist),) = pools[0].vertical
-        vertical = (vdist, "vertical", vdepth)
-        horizontal = (pools[0].horizontal, "horizontal", 1)
+            commit_token(ctx, token)
+        hdist = ctx.draft_dist(heads.horizontal[0], ctx.committed)
+        vdist = ctx.cache.entries[(4, 1)][0]
+        vertical = (vdist, "vertical", 1)
+        horizontal = (hdist, "horizontal", 1)
 
         def entries(tree):
             return [(s.draft_dist, s.source, s.depth) for s in tree.layers[0]]
 
-        tree = build_candidate_tree(pools, config, ctx.draft_rng)
+        tree = build_candidate_tree([build_pool(ctx, 1, hdist)], config, ctx.draft_rng)
         assert entries(tree) == [vertical, horizontal]
-        assert [c.draft_dist for c in tree.candidates(0, 2)] == [vdist, pools[0].horizontal]
+        assert [c.draft_dist for c in tree.candidates(0, 2)] == [vdist, hdist]
 
     def test_no_candidates_at_depth_one(self):
         # Row 0 has no cached vertical entries, so without horizontal
@@ -285,20 +285,23 @@ class _VerifySpy:
     def __init__(self, monkeypatch):
         self.rounds = []  # (layers, [(candidates, outcome), ...]) per speculative round
         build = hawk.engine.build_candidate_tree
-        verify = hawk.engine.sequential_verify
 
-        def spy_tree(pools, config, rng):
-            tree = build(pools, config, rng)
+        def spy_tree(layers, config, rng):
+            tree = build(layers, config, rng)
             self.rounds.append((tree.layers, []))
             return tree
 
-        def spy_verify(p, candidates, rng, **kwargs):
-            outcome = verify(p, candidates, rng, **kwargs)
-            self.rounds[-1][1].append((candidates, outcome))
-            return outcome
+        def spying(verify):
+            def spy_verify(p, candidates, rng, *args, **kwargs):
+                outcome = verify(p, candidates, rng, *args, **kwargs)
+                self.rounds[-1][1].append((candidates, outcome))
+                return outcome
+
+            return spy_verify
 
         monkeypatch.setattr(hawk.engine, "build_candidate_tree", spy_tree)
-        monkeypatch.setattr(hawk.engine, "sequential_verify", spy_verify)
+        for name in ("sequential_verify", "lantern_sequential_verify"):
+            monkeypatch.setattr(hawk.engine, name, spying(getattr(hawk.engine, name)))
 
 
 def _live_by_brute_force(widths, budget, prefix):
@@ -347,7 +350,7 @@ class TestLiveContinuations:
                     and (c.source, c.depth) == (layers[k][j].source, layers[k][j].depth)
                     for j, c in enumerate(candidates)
                 )
-                if outcome.emitted_via != ACCEPT:
+                if outcome.accepted_index is None:
                     break
                 prefix += (outcome.accepted_index,)
         assert spy.rounds
@@ -377,22 +380,22 @@ class TestDrawOrder:
         ctx = DecodingContext(model, heads, config, 3)
         sample = model.sample_grid(stream(4, "draw-order"))
         for frontier in range(grid.size):
-            pools = [
-                build_pool(ctx, n, ctx.draft_dist(heads.horizontal[n - 1], ctx.committed))
-                for n in range(1, min(config.horizontal_depth, grid.size - frontier) + 1)
-            ]
+            depths = range(1, min(config.horizontal_depth, grid.size - frontier) + 1)
+            drafts = [ctx.draft_dist(heads.horizontal[n - 1], ctx.committed) for n in depths]
+            layers = [build_pool(ctx, n, drafts[n - 1]) for n in depths]
             block_rng, eager_rng = stream(frontier, "tree"), stream(frontier, "tree")
-            tree = build_candidate_tree(pools, config, block_rng)
-            for k, pool in enumerate(pools):
-                horizontal = [(pool.horizontal, HORIZONTAL, k + 1)] * 2
-                vertical = [(q, VERTICAL, d) for d, q in pool.vertical for _ in range(spv)]
+            tree = build_candidate_tree(layers, config, block_rng)
+            for k in range(len(layers)):
+                horizontal = [(drafts[k], HORIZONTAL, k + 1)] * 2
+                cached = ctx.cache.gather(frontier + k)
+                vertical = [(q, VERTICAL, d) for d, q in cached for _ in range(spv)]
                 want = vertical + horizontal
                 got = tree.candidates(k, len(tree.layers[k]))
                 assert [(c.draft_dist, c.source, c.depth) for c in got] == want
                 assert [c.token for c in got] == [sample_index(q, eager_rng) for q, _, _ in want]
-            assert len(tree.layers) == len(pools)
+            assert len(tree.layers) == len(layers)
             assert block_rng.random() == eager_rng.random()
-            commit_token(ctx, sample[frontier], [])
+            commit_token(ctx, sample[frontier])
 
 
 class TestDecodeRound:
@@ -401,8 +404,8 @@ class TestDecodeRound:
         model = make_grid_markov_target(grid, 7, 0.5)
         config = EngineConfig(mode="vanilla")
         ctx = DecodingContext(model, None, config, 1)
-        result = decode_round(ctx)
-        assert len(result.committed) == 1
+        decode_round(ctx)
+        assert len(ctx.committed) == 1
         assert ctx.rounds == 1
 
     def test_single_draft_commits_one_or_two(self):
@@ -412,8 +415,9 @@ class TestDecodeRound:
         config = EngineConfig(mode="medusa", horizontal_depth=1)
         ctx = DecodingContext(model, heads, config, 1)
         while len(ctx.committed) < grid.size:
-            result = decode_round(ctx)
-            assert len(result.committed) in (1, 2)
+            frontier = len(ctx.committed)
+            decode_round(ctx)
+            assert len(ctx.committed) - frontier in (1, 2)
 
     def test_finished_state_rejected(self):
         grid = GridSpec(2, 2, 3)
@@ -431,9 +435,10 @@ class TestDecodeRound:
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
         ctx = DecodingContext(model, heads, config, 1)
         while len(ctx.committed) < grid.size:
-            remaining = grid.size - len(ctx.committed)
-            result = decode_round(ctx)
-            assert len(result.committed) == min(config.horizontal_depth + 1, remaining)
+            frontier = len(ctx.committed)
+            decode_round(ctx)
+            want = min(config.horizontal_depth + 1, grid.size - frontier)
+            assert len(ctx.committed) - frontier == want
 
 
 @st.composite
@@ -474,43 +479,50 @@ class TestRoundProperties:
         h, v = config.horizontal_depth, config.vertical_depth
         model = make_grid_markov_target(grid, seed, 0.8)
         heads = fit_tabular_draft_heads(model, h, v, 30, seed, 0.5)
-        ctx = DecodingContext(model, heads, config, seed, collect_records=True)
-        capacity = cache_capacity(grid.width, v)
-        results = []
-        while len(ctx.committed) < grid.size:
-            assert len(results) < grid.size  # every round commits at least one token
-            frontier = len(ctx.committed)
-            result = decode_round(ctx)
-            results.append(result)
-            assert result.frontier == frontier
-            assert 1 <= len(result.committed) <= h + 1
-            assert ctx.committed[frontier:] == result.committed
-            assert ctx.cache.occupancy <= capacity
-            outcomes = [outcome for _, outcome in result.verifications]
-            assert [d for d, _ in result.verifications] == list(range(1, len(outcomes) + 1))
-            assert [o.emitted_token for o in outcomes] == result.committed[: len(outcomes)]
-            assert all(o.emitted_via == ACCEPT for o in outcomes[:-1])
-            # A round that accepts through every layer adds a bonus token unless
-            # the grid is full.
-            bonus = outcomes[-1].emitted_via == ACCEPT and frontier + len(outcomes) < grid.size
-            assert len(result.committed) == len(outcomes) + bonus
-
-        # The same seed traced through decode_image: one row per verification step.
         trace = []
-        tokens, report = decode_image(model, heads, config, seed, trace=trace)
+        ctx = DecodingContext(model, heads, config, seed, trace=trace)
+        capacity = cache_capacity(grid.width, v)
+        with pytest.MonkeyPatch.context() as patch:
+            spy = _VerifySpy(patch)
+            while len(ctx.committed) < grid.size:
+                assert ctx.rounds < grid.size  # every round commits at least one token
+                frontier, first_row = len(ctx.committed), len(trace)
+                decode_round(ctx)
+                committed = ctx.committed[frontier:]
+                assert 1 <= len(committed) <= h + 1
+                assert ctx.cache.occupancy <= capacity
+                assert len(spy.rounds) == ctx.rounds
+                calls = spy.rounds[-1][1]
+                outcomes = [outcome for _, outcome in calls]
+                assert [o.emitted_token for o in outcomes] == committed[: len(outcomes)]
+                accepted = [o.accepted_index is not None for o in outcomes]
+                assert all(accepted[:-1])
+                # A round that accepts through every layer adds a bonus token
+                # unless the grid is full.
+                bonus = accepted[-1] and frontier + len(outcomes) < grid.size
+                assert len(committed) == len(outcomes) + bonus
+                # One alpha per candidate walked: through the accepted one, or all.
+                assert [len(o.alphas) for o in outcomes] == [
+                    len(c) if o.accepted_index is None else o.accepted_index + 1 for c, o in calls
+                ]
+                # The round's own rows: one per verification step, in walk order.
+                rows = trace[first_row:]
+                want = [
+                    (ctx.rounds - 1, frontier, depth, f"{c.source}:{c.depth}", alpha,
+                     i == o.accepted_index, len(committed))
+                    for depth, (candidates, o) in enumerate(calls, start=1)
+                    for i, (c, alpha) in enumerate(zip(candidates, o.alphas))
+                ]
+                assert rows == want
+                assert all(0.0 <= row[4] <= 1.0 + 1e-12 for row in rows)
+                assert sum(row[5] for row in rows) == sum(accepted)
+
+        # The same seed traced through decode_image writes the same rows.
+        image_trace = []
+        tokens, report = decode_image(model, heads, config, seed, trace=image_trace)
         assert tokens.reshape(-1).tolist() == ctx.committed
-        assert report.rounds == len(results)
-        want = [
-            (r, result.frontier, depth, f"{rec.candidate.source}:{rec.candidate.depth}",
-             rec.accepted, len(result.committed))
-            for r, result in enumerate(results)
-            for depth, outcome in result.verifications
-            for rec in outcome.steps
-        ]
-        assert [row[:4] + row[5:] for row in trace] == want
-        assert all(0.0 <= row[4] <= 1.0 + 1e-12 for row in trace)
-        accepts = sum(o.emitted_via == ACCEPT for r in results for _, o in r.verifications)
-        assert sum(row[5] for row in trace) == accepts
+        assert report.rounds == ctx.rounds
+        assert image_trace == trace
 
 
 class TestDecodeImage:
@@ -595,13 +607,13 @@ class TestDecodeImage:
         reference = {}
         commit = hawk.engine.commit_token
 
-        def recording_commit(ctx, token, newly):
+        def recording_commit(ctx, token):
             t = len(ctx.committed)
             entry = ctx.cache.entries.get((t, 1))
             if entry is not None:
                 h1 = ctx.draft_dist(ctx.heads.horizontal[0], ctx.committed)
                 reference.setdefault(ctx.config.mode, []).append((t, kl_divergence(entry[0], h1)))
-            commit(ctx, token, newly)
+            commit(ctx, token)
 
         monkeypatch.setattr(hawk.engine, "commit_token", recording_commit)
         tokens, _ = decode_image(model, heads, config, 5)

@@ -240,6 +240,15 @@ class TestRejectionCurve:
         with pytest.raises(ValueError):
             rejection_curve(model, heads, config, 10, 0, 9)
 
+    def test_one_row_grid_refused(self):
+        # Positions come from the second row on, so a one-row grid has none
+        # and the sampling loop would never end.
+        model = make_grid_markov_target(GridSpec(4, 1, 3), 33, 0.9)
+        heads = fit_tabular_draft_heads(model, 2, 1, 50, 3)
+        config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
+        with pytest.raises(ValueError, match="at least two rows, got 1"):
+            rejection_curve(model, heads, config, 10, 4, 9)
+
 
 class TestKlTrace:
     def test_exact_heads_give_zero_trace(self):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from hawk.core import TokenDistribution, total_variation
 from hawk.rng import stream
 from hawk.verifier import (
-    ACCEPT,
-    RESIDUAL_RESAMPLE,
     Candidate,
     acceptance_ratio,
     lantern_acceptance,
@@ -103,7 +101,6 @@ class TestSequentialVerify:
         for _ in range(200):
             token = int(gen.integers(3))
             outcome = sequential_verify(p, [Candidate(token, p, "horizontal", 1)], gen)
-            assert outcome.emitted_via == ACCEPT
             assert outcome.emitted_token == token
             assert outcome.accepted_index == 0
 
@@ -115,8 +112,8 @@ class TestSequentialVerify:
             Candidate(1, dist(0.1, 0.8, 0.1), "horizontal", 1),
         ]
         outcome = sequential_verify(p, cands, gen)
-        assert outcome.emitted_via == ACCEPT
-        assert len(outcome.steps) == 1
+        assert outcome.accepted_index == 0
+        assert len(outcome.alphas) == 1
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
@@ -127,7 +124,7 @@ class TestSequentialVerify:
         q = dist(0.2, 0.5, 0.3)
         gen = stream(3, "verify")
         outcome = sequential_verify(p, [Candidate(0, q, "horizontal", 1)], gen)
-        assert abs(outcome.steps[0].acceptance_prob_alpha - 0.7) < 1e-12
+        assert abs(outcome.alphas[0] - 0.7) < 1e-12
 
     def test_record_flag_does_not_change_outcomes(self):
         p = dist(0.4, 0.3, 0.2, 0.1)
@@ -138,9 +135,9 @@ class TestSequentialVerify:
             a = sequential_verify(p, cands, stream(trial, "flag"), record_steps=True)
             b = sequential_verify(p, cands, stream(trial, "flag"), record_steps=False)
             assert a.emitted_token == b.emitted_token
-            assert a.emitted_via == b.emitted_via
             assert a.accepted_index == b.accepted_index
-            assert b.steps == ()
+            assert len(a.alphas) == (2 if a.accepted_index is None else a.accepted_index + 1)
+            assert b.alphas == ()
 
     def test_resample_reached_and_recorded(self):
         p = dist(1.0, 0.0)
@@ -149,11 +146,10 @@ class TestSequentialVerify:
         saw_resample = False
         for _ in range(200):
             outcome = sequential_verify(p, [Candidate(1, q, "horizontal", 1)], gen)
-            if outcome.emitted_via == RESIDUAL_RESAMPLE:
+            if outcome.accepted_index is None:
                 saw_resample = True
                 assert outcome.emitted_token == 0
-                assert outcome.accepted_index is None
-                assert not outcome.steps[0].accepted
+                assert outcome.alphas == (pytest.approx(0.01),)
         assert saw_resample
 
     def test_monte_carlo_exactness_heterogeneous(self):
@@ -357,7 +353,7 @@ class TestLantern:
             p, [Candidate(1, q, "horizontal", 1)], gen, neighborhoods, 2.0
         )
         # full-vocabulary neighborhood accepts unconditionally
-        assert outcome.emitted_via == ACCEPT
+        assert outcome.accepted_index == 0
         assert outcome.emitted_token == 1
 
 
@@ -380,7 +376,8 @@ class TestTokenNeighborhoods:
 class TestCsvRows:
     def test_row_shape(self):
         p = dist(0.5, 0.5)
-        outcome = sequential_verify(p, [Candidate(0, p, "vertical", 2)], stream(0, "csv"))
-        (rec,) = outcome.steps
-        row = (rec.candidate.depth, rec.candidate.source, rec.acceptance_prob_alpha, rec.accepted)
+        (candidate,) = candidates = [Candidate(0, p, "vertical", 2)]
+        outcome = sequential_verify(p, candidates, stream(0, "csv"))
+        (alpha,) = outcome.alphas
+        row = (candidate.depth, candidate.source, alpha, outcome.accepted_index == 0)
         assert row == (2, "vertical", 1.0, True)
