@@ -6,12 +6,16 @@ distribution-preservation report against the enumeration oracle), bench
 tabular draft heads).
 
 Configs are strict JSON: a schema_version field, fixed sections, and unknown
-keys are errors so typos in experiment files cannot pass silently. All
-randomness flows from the config's single master seed; subcommands derive
-purpose-tagged child streams from it. Every run writes a manifest echoing
-the effective config and the SHA-256 digest of each output file; rerunning
-with an identical manifest reproduces the outputs byte for byte (wall-clock
-timings are printed, never written to CSV).
+keys are errors so typos in experiment files cannot pass silently. Each
+field is read once, by ``hawk.core.json_field`` (the reader heads files use
+too), into the values the builders pass on. All randomness flows from the
+config's single master seed; subcommands derive purpose-tagged child
+streams from it. A command computes all its outputs first and hands them
+to ``_write_manifest``, the one writer of a run: it creates the output
+directory and writes the files, then a manifest echoing the effective
+config and the SHA-256 digest of each output, so a refused run leaves
+nothing behind. Rerunning with an identical manifest reproduces the outputs
+byte for byte (wall-clock timings are printed, never written to CSV).
 
 Exit codes: 0 success, 1 validation error, 2 runtime error, 3 verification
 criteria failed.
@@ -23,15 +27,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
-from .core import GridSpec, SamplingConfig
+from .core import GridSpec, SamplingConfig, json_field
 from .engine import (
     MODE_HAWK,
     MODE_VANILLA,
@@ -68,29 +71,38 @@ SCHEMA_VERSION = 1
 
 VERIFY_COLUMNS = ("mode", "decodes", "tv", "tolerance", "accept_length", "status")
 FIT_COLUMNS = ("direction", "depth", "offset", "held_out_nll")
+KL_COLUMNS = ("position", "kl_vert_horiz")
+CURVE_COLUMNS = ("candidates", "mean_rejection_mass")
 
-ENGINE_KEYS = {
-    "mode",
-    "horizontal_depth",
-    "vertical_depth",
-    "samples_per_horizontal",
-    "samples_per_vertical",
-    "node_budget",
-    "top_k",
-    "temperature",
-    "lantern_k",
-    "lantern_lambda",
-    "draft_overhead_ratio",
+# The fields each section reads, as (JSON kind, default[, minimum]); a field
+# without a default is required, and a key no field names is an error.
+GRID_FIELDS = {"width": (int, None, 1), "height": (int, None, 1), "vocab_size": (int, None, 2)}
+ENGINE_FIELDS = {
+    "mode": (str, None),
+    "horizontal_depth": (int, 1),
+    "vertical_depth": (int, 0),
+    "samples_per_horizontal": (int, 1),
+    "samples_per_vertical": (int, 1),
+    "node_budget": (int, 64),
+    "temperature": (float, 1.0),
+    "lantern_k": (int, 10),
+    "lantern_lambda": (float, 2.0),
+    "draft_overhead_ratio": (float, 0.0),
 }
-# The keys each model and heads kind reads; a key of another kind is an error.
-MODEL_KEYS = {
-    "grid_markov": {"kind", "seed", "vertical_weight"},
-    "independent": {"kind", "seed", "constant"},
+ENGINE_KEYS = {"top_k", *ENGINE_FIELDS}  # top_k is "all" or an integer
+ORACLE_FIELDS = {"decode_count": (int, 20000, 1), "tolerance_factor": (float, 3.0)}
+BENCH_FIELDS = {
+    "images": (int, 4, 1), "rejection_positions": (int, 2000, 1), "rejection_m_max": (int, 4, 1),
 }
-HEADS_KEYS = {
-    "tabular": {"kind", "sample_count", "seed", "smoothing"},
-    "exact": {"kind"},
-    "file": {"kind", "path"},
+# The same for each model and heads kind; a field of another kind is an error.
+MODEL_FIELDS = {
+    "grid_markov": {"seed": (int, None), "vertical_weight": (float, None)},
+    "independent": {"seed": (int, None), "constant": (bool, False)},
+}
+HEADS_FIELDS = {
+    "tabular": {"sample_count": (int, None), "seed": (int, None), "smoothing": (float, 0.5)},
+    "exact": {},
+    "file": {"path": (str, None)},
 }
 
 
@@ -110,78 +122,44 @@ class RunConfig:
     echo: dict  # effective config as echoed into the manifest
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ValueError(f"missing required config field '{where}.{key}'")
-    return section[key]
-
-
-def _integer(
-    section: dict, key: str, where: str, default: Optional[int] = None, minimum: int | None = None
-) -> int:
-    """A JSON integer field (not ``true`` or ``2.0``) >= ``minimum``; required without default."""
-    value = _require(section, key, where) if default is None else section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config field '{where}.{key}' must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{where}.{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _number(section: dict, key: str, where: str, default: Optional[float] = None) -> float:
-    """A finite JSON number field (not ``true``, ``"3"`` or ``NaN``); required without default."""
-    value = _require(section, key, where) if default is None else section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"config field '{where}.{key}' must be a number, got {value!r}")
-    return float(value)
-
-
-def _boolean(section: dict, key: str, where: str, default: bool) -> bool:
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"config field '{where}.{key}' must be true or false, got {value!r}")
-    return value
-
-
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ValueError(f"unknown config key '{where}.{unknown[0]}'")
 
 
-def _kind(section: dict, keys: dict[str, set[str]], where: str) -> str:
-    """The section's kind, after rejecting unknown keys and keys the kind does not read."""
-    _check_keys(section, set().union(*keys.values()), where)
-    kind = _require(section, "kind", where)
-    if not isinstance(kind, str) or kind not in keys:
-        raise ValueError(f"unknown {where}.kind {kind!r}")
-    extra = sorted(set(section) - keys[kind])
+def _section(raw: dict, key: str, fields: dict, default: Optional[dict] = None) -> dict:
+    """Config section ``key``, each of its ``fields`` read once."""
+    section = json_field(raw, key, "config", dict, default)
+    _check_keys(section, set(fields), key)
+    return {name: json_field(section, name, key, *spec) for name, spec in fields.items()}
+
+
+def _kind(raw: dict, key: str, fields: dict[str, dict]) -> dict:
+    """Kinded config section ``key``: its ``kind`` and the fields that kind
+    reads, each read once, after rejecting unknown keys and keys of other kinds."""
+    section = json_field(raw, key, "config", dict)
+    _check_keys(section, {"kind"}.union(*fields.values()), key)
+    kind = json_field(section, "kind", key, str)
+    if kind not in fields:
+        raise ValueError(f"unknown {key}.kind {kind!r}")
+    extra = sorted(set(section) - {"kind"} - set(fields[kind]))
     if extra:
-        raise ValueError(
-            f"config field '{where}.{extra[0]}' does not apply to {where}.kind {kind!r}"
-        )
-    return kind
+        raise ValueError(f"field '{key}.{extra[0]}' does not apply to {key}.kind {kind!r}")
+    read = {name: json_field(section, name, key, *spec) for name, spec in fields[kind].items()}
+    return {"kind": kind, **read}
 
 
-def _parse_engine(section: dict) -> EngineConfig:
+def _parse_engine(raw: dict) -> EngineConfig:
+    section = json_field(raw, "engine", "config", dict)
     _check_keys(section, ENGINE_KEYS, "engine")
+    read = {key: json_field(section, key, "engine", *spec) for key, spec in ENGINE_FIELDS.items()}
     top_k = section.get("top_k", "all")
     transform = SamplingConfig(
-        top_k=top_k if top_k == "all" else _integer(section, "top_k", "engine"),
-        temperature=_number(section, "temperature", "engine", 1.0),
+        top_k=top_k if top_k == "all" else json_field(section, "top_k", "engine", int),
+        temperature=read.pop("temperature"),
     )
-    return EngineConfig(
-        mode=str(_require(section, "mode", "engine")),
-        horizontal_depth=_integer(section, "horizontal_depth", "engine", 1),
-        vertical_depth=_integer(section, "vertical_depth", "engine", 0),
-        samples_per_horizontal=_integer(section, "samples_per_horizontal", "engine", 1),
-        samples_per_vertical=_integer(section, "samples_per_vertical", "engine", 1),
-        node_budget=_integer(section, "node_budget", "engine", 64),
-        transform=transform,
-        lantern_k=_integer(section, "lantern_k", "engine", 10),
-        lantern_lam=_number(section, "lantern_lambda", "engine", 2.0),
-        draft_overhead_ratio=_number(section, "draft_overhead_ratio", "engine", 0.0),
-    )
+    return EngineConfig(transform=transform, lantern_lam=read.pop("lantern_lambda"), **read)
 
 
 def load_run_config(
@@ -205,66 +183,41 @@ def load_run_config(
          "oracle", "bench"},
         "config",
     )
-    version = _require(raw, "schema_version", "config")
+    version = json_field(raw, "schema_version", "config", int)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema_version {version!r}")
 
-    grid_raw = _require(raw, "grid", "config")
-    _check_keys(grid_raw, {"width", "height", "vocab_size"}, "grid")
-    grid = GridSpec(
-        _integer(grid_raw, "width", "grid"),
-        _integer(grid_raw, "height", "grid"),
-        _integer(grid_raw, "vocab_size", "grid"),
-    )
+    grid = GridSpec(**_section(raw, "grid", GRID_FIELDS))
+    model_spec = _kind(raw, "model", MODEL_FIELDS)
+    heads_spec = _kind(raw, "heads", HEADS_FIELDS)
+    engine = _parse_engine(raw)
+    oracle = _section(raw, "oracle", ORACLE_FIELDS, {})
+    if oracle["tolerance_factor"] <= 0:
+        raise ValueError(
+            f"field 'oracle.tolerance_factor' must be > 0, got {oracle['tolerance_factor']}"
+        )
+    bench = _section(raw, "bench", BENCH_FIELDS, {})
 
-    model_raw = _require(raw, "model", "config")
-    if _kind(model_raw, MODEL_KEYS, "model") == "grid_markov":
-        _number(model_raw, "vertical_weight", "model")
-    else:
-        _boolean(model_raw, "constant", "model", False)
-    _integer(model_raw, "seed", "model")
-
-    heads_raw = _require(raw, "heads", "config")
-    heads_kind = _kind(heads_raw, HEADS_KEYS, "heads")
-    if heads_kind == "tabular":
-        _integer(heads_raw, "sample_count", "heads")
-        _integer(heads_raw, "seed", "heads")
-        _number(heads_raw, "smoothing", "heads", 0.5)
-    elif heads_kind == "file":
-        _require(heads_raw, "path", "heads")
-
-    engine = _parse_engine(_require(raw, "engine", "config"))
-
-    oracle_raw = raw.get("oracle", {})
-    _check_keys(oracle_raw, {"decode_count", "tolerance_factor"}, "oracle")
-    decode_count = _integer(oracle_raw, "decode_count", "oracle", 20000, minimum=1)
-    tolerance_factor = _number(oracle_raw, "tolerance_factor", "oracle", 3.0)
-    if tolerance_factor <= 0:
-        raise ValueError("oracle.tolerance_factor must be > 0")
-
-    bench_raw = raw.get("bench", {})
-    _check_keys(bench_raw, {"images", "rejection_positions", "rejection_m_max"}, "bench")
-
-    seed = _integer(raw, "seed", "config")
+    seed = json_field(raw, "seed", "config", int)
     if seed_override is not None:
         seed = seed_override
-    output_dir = Path(out_override if out_override is not None else _require(raw, "output_dir", "config"))
+    output_dir = json_field(raw, "output_dir", "config", str, out_override)
 
     echo = {k: v for k, v in raw.items() if k != "output_dir"}
     echo["seed"] = seed
 
     return RunConfig(
         seed=seed,
-        output_dir=output_dir,
+        output_dir=Path(output_dir if out_override is None else out_override),
         grid=grid,
-        model_spec=dict(model_raw),
-        heads_spec=dict(heads_raw),
+        model_spec=model_spec,
+        heads_spec=heads_spec,
         engine=engine,
-        oracle_decode_count=decode_count,
-        tolerance_factor=tolerance_factor,
-        bench_images=_integer(bench_raw, "images", "bench", 4, minimum=1),
-        rejection_positions=_integer(bench_raw, "rejection_positions", "bench", 2000, minimum=1),
-        rejection_m_max=_integer(bench_raw, "rejection_m_max", "bench", 4, minimum=1),
+        oracle_decode_count=oracle["decode_count"],
+        tolerance_factor=oracle["tolerance_factor"],
+        bench_images=bench["images"],
+        rejection_positions=bench["rejection_positions"],
+        rejection_m_max=bench["rejection_m_max"],
         echo=echo,
     )
 
@@ -272,12 +225,8 @@ def load_run_config(
 def build_model(config: RunConfig) -> TargetModel:
     spec = config.model_spec
     if spec["kind"] == "grid_markov":
-        return make_grid_markov_target(
-            config.grid, spec["seed"], float(spec["vertical_weight"])
-        )
-    return make_independent_target(
-        config.grid, spec["seed"], constant=spec.get("constant", False)
-    )
+        return make_grid_markov_target(config.grid, spec["seed"], spec["vertical_weight"])
+    return make_independent_target(config.grid, spec["seed"], constant=spec["constant"])
 
 
 def build_heads(config: RunConfig, model: TargetModel) -> DraftHeadSet:
@@ -290,7 +239,7 @@ def build_heads(config: RunConfig, model: TargetModel) -> DraftHeadSet:
             engine.vertical_depth,
             spec["sample_count"],
             spec["seed"],
-            float(spec.get("smoothing", 0.5)),
+            spec["smoothing"],
         )
     if spec["kind"] == "exact":
         return make_exact_heads(model, engine.horizontal_depth, engine.vertical_depth)
@@ -301,20 +250,23 @@ def build_heads(config: RunConfig, model: TargetModel) -> DraftHeadSet:
     return heads
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(config: RunConfig, outputs: list[Path]) -> Path:
+def _write_manifest(config: RunConfig, outputs: dict[str, Callable[[Path], None]]) -> None:
+    """Write a run: create the output directory, write each named output with
+    its writer, then the manifest of their digests."""
+    out = config.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    digests = {}
+    for name, write in outputs.items():
+        write(out / name)
+        digests[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
     manifest = {
         "artifact_version": __version__,
         "master_seed": config.seed,
         "config": config.echo,
-        "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
+        "outputs": digests,
     }
-    path = config.output_dir / "manifest.json"
+    path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
 def _mode_variants(engine: EngineConfig) -> dict[str, EngineConfig]:
@@ -344,21 +296,14 @@ def cmd_decode(config: RunConfig) -> int:
     trace: list = []
     tokens, result = decode_image(model, heads, config.engine, config.seed, trace=trace)
 
-    out = config.output_dir
-    outputs = []
-    pgm = out / "grid.pgm"
-    export_grid_image(tokens, config.grid, pgm)
-    outputs.append(pgm)
-    trace_path = out / "trace.csv"
-    write_csv(trace_path, TRACE_COLUMNS, trace)
-    outputs.append(trace_path)
-    metrics_path = out / "metrics.csv"
-    write_metrics_csv(metrics_path, [result])
-    outputs.append(metrics_path)
+    outputs = {
+        "grid.pgm": lambda path: export_grid_image(tokens, config.grid, path),
+        "trace.csv": lambda path: write_csv(path, TRACE_COLUMNS, trace),
+        "metrics.csv": lambda path: write_metrics_csv(path, [result]),
+    }
     if result.mode == MODE_HAWK:
-        kl_path = out / "kl_trace.csv"
-        write_csv(kl_path, ("position", "kl_vert_horiz"), kl_trace(heads, config.engine, tokens))
-        outputs.append(kl_path)
+        kl = kl_trace(heads, config.engine, tokens)
+        outputs["kl_trace.csv"] = lambda path: write_csv(path, KL_COLUMNS, kl)
     _write_manifest(config, outputs)
 
     print(f"mode={result.mode} accept_length={result.accept_length:.3f} "
@@ -368,16 +313,15 @@ def cmd_decode(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    variants = _mode_variants(config.engine)
     model = build_model(config)
     heads = build_heads(config, model)
     exact = enumerate_joint(model, config.grid, config.engine.transform)
-    variants = _mode_variants(config.engine)
     n = config.oracle_decode_count
 
     results = {}
     for mode, engine in variants.items():
-        mode_heads = None if mode == "vanilla" else heads
-        batch = decode_batch(model, mode_heads, engine, derive_seed(config.seed, "verify", mode), n)
+        batch = decode_batch(model, heads, engine, derive_seed(config.seed, "verify", mode), n)
         empirical = empirical_joint_from_counts(batch.grid_counts, config.grid)
         results[mode] = (joint_tv(exact, empirical), batch.accept_length)
 
@@ -397,58 +341,47 @@ def cmd_verify(config: RunConfig) -> int:
         print(f"mode={mode} decodes={n} tv={tv:.6f} tolerance={tolerance:.6f} "
               f"accept_length={accept_length:.3f} {status}")
 
-    report_path = config.output_dir / "verify_report.csv"
-    write_csv(report_path, VERIFY_COLUMNS, rows)
-    _write_manifest(config, [report_path])
+    _write_manifest(
+        config, {"verify_report.csv": lambda path: write_csv(path, VERIFY_COLUMNS, rows)}
+    )
     return 3 if failed else 0
 
 
 def cmd_bench(config: RunConfig) -> int:
     require_two_rows(config.grid)
+    variants = _mode_variants(config.engine)
     model = build_model(config)
     heads = build_heads(config, model)
-    variants = _mode_variants(config.engine)
-    out = config.output_dir
-    outputs = []
 
     results = []
     for mode, engine in variants.items():
-        mode_heads = None if mode == "vanilla" else heads
         batch = decode_batch(
-            model, mode_heads, engine, derive_seed(config.seed, "bench", mode),
-            config.bench_images,
+            model, heads, engine, derive_seed(config.seed, "bench", mode), config.bench_images
         )
         results.append(batch)
         print(f"mode={mode} accept_length={batch.accept_length:.3f} "
               f"modeled_speedup={batch.modeled_speedup:.3f} "
               f"wall_clock_ms={batch.wall_clock_ms:.1f}")
 
-    metrics_path = out / "metrics.csv"
-    write_metrics_csv(metrics_path, results)
-    outputs.append(metrics_path)
-
+    hawk = variants["hawk"]
     curves = rejection_curve(
         model,
         heads,
-        variants["hawk"],
+        hawk,
         config.rejection_positions,
         config.rejection_m_max,
         derive_seed(config.seed, "bench", "rejection"),
     )
-    dual_path = out / "rejection_curve_dual.csv"
-    write_csv(dual_path, ("candidates", "mean_rejection_mass"), curves.dual)
-    outputs.append(dual_path)
-    horiz_path = out / "rejection_curve_horizontal.csv"
-    write_csv(horiz_path, ("candidates", "mean_rejection_mass"), curves.horizontal_only)
-    outputs.append(horiz_path)
-
-    hawk = variants["hawk"]
     hawk_tokens, _ = decode_image(model, heads, hawk, derive_seed(config.seed, "bench", "kl"))
-    kl_path = out / "kl_trace.csv"
-    write_csv(kl_path, ("position", "kl_vert_horiz"), kl_trace(heads, hawk, hawk_tokens))
-    outputs.append(kl_path)
+    kl = kl_trace(heads, hawk, hawk_tokens)
 
-    _write_manifest(config, outputs)
+    _write_manifest(config, {
+        "metrics.csv": lambda path: write_metrics_csv(path, results),
+        "rejection_curve_dual.csv": lambda path: write_csv(path, CURVE_COLUMNS, curves.dual),
+        "rejection_curve_horizontal.csv":
+            lambda path: write_csv(path, CURVE_COLUMNS, curves.horizontal_only),
+        "kl_trace.csv": lambda path: write_csv(path, KL_COLUMNS, kl),
+    })
     return 0
 
 
@@ -459,9 +392,6 @@ def cmd_fit(config: RunConfig) -> int:
     started = time.perf_counter()
     heads = build_heads(config, model)
     fit_s = time.perf_counter() - started
-    out = config.output_dir
-    heads_path = out / "heads.json"
-    save_head_set(heads, heads_path)
 
     started = time.perf_counter()
     holdout = held_out_nll(
@@ -476,9 +406,10 @@ def cmd_fit(config: RunConfig) -> int:
         print(f"head={direction} depth={depth} offset={offset} held_out_nll={nll:.4f}")
     # Wall times go to stdout only, so fit_report.csv stays byte-identical.
     print(f"fit_s={fit_s:.3f} holdout_s={holdout_s:.3f}")
-    report_path = out / "fit_report.csv"
-    write_csv(report_path, FIT_COLUMNS, rows)
-    _write_manifest(config, [heads_path, report_path])
+    _write_manifest(config, {
+        "heads.json": lambda path: save_head_set(heads, path),
+        "fit_report.csv": lambda path: write_csv(path, FIT_COLUMNS, rows),
+    })
     return 0
 
 
@@ -511,7 +442,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         config = load_run_config(args.config, seed_override=args.seed, out_override=args.out)
-        config.output_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,10 @@
 Everything downstream (models, verification, the decoding engine) moves
 probability vectors around; this module owns their representation, the
 sampling transforms (temperature, top-k) that define effective target and
-draft distributions, and the shape of 2-D token grids.
+draft distributions, and the shape of 2-D token grids. It also holds the
+one reader of JSON fields (:func:`json_value`, :func:`json_field`) that run
+configs and heads files share, so both refuse the same values with the same
+message and coerce nothing.
 
 All types here are immutable values and all functions are pure, so they are
 safe to share across threads or worker processes. A distribution lazily
@@ -15,6 +18,7 @@ is a benign race.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -242,3 +246,40 @@ def total_variation(p: TokenDistribution, q: TokenDistribution) -> float:
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
+
+
+_KIND_NAMES = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string",
+    list: "a list", dict: "an object",
+}
+
+
+def json_value(value, name: str, kind: type, minimum=None):
+    """``value`` if it is a JSON value of ``kind`` and at least ``minimum``.
+
+    Otherwise a ``ValueError`` of the form ``field '<name>' must be <kind>,
+    got <value>`` (or ``must be >= <minimum>``). No boolean counts as a
+    number, an integer counts as a number but ``2.0`` is no integer, and a
+    number must be finite; a number comes back as a ``float``.
+    """
+    number = kind is float
+    if (
+        isinstance(value, bool) != (kind is bool)
+        or not isinstance(value, (int, float) if number else kind)
+        or (number and not abs(value) <= sys.float_info.max)  # also refuses NaN
+    ):
+        raise ValueError(f"field '{name}' must be {_KIND_NAMES[kind]}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"field '{name}' must be >= {minimum}, got {value!r}")
+    return float(value) if number else value
+
+
+def json_field(obj, key: str, where: str, kind: type, default=None, minimum=None):
+    """Field ``key`` of the JSON object ``obj``, read by :func:`json_value`.
+
+    The field is named ``<where>.<key>``, or ``key`` when ``where`` is empty.
+    An absent field reads as ``default``, so a field without one is
+    required; so is every field of an ``obj`` that is no object.
+    """
+    value = obj.get(key, default) if isinstance(obj, dict) else None
+    return json_value(value, f"{where}.{key}" if where else key, kind, minimum)

@@ -48,7 +48,15 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import GridSpec, StateError, TokenDistribution, index_at, sampling_table
+from .core import (
+    GridSpec,
+    StateError,
+    TokenDistribution,
+    index_at,
+    json_field,
+    json_value,
+    sampling_table,
+)
 from .rng import stream
 
 FORMAT_VERSION = 1
@@ -578,44 +586,30 @@ def _head_to_json(head: DraftHead) -> dict:
     }
 
 
-_JSON_KINDS = {int: "an integer", float: "a number", list: "a list"}
-
-
-def _checked(value, name: str, kind: type):
-    """``value`` if it is a JSON value of ``kind`` (a boolean is no integer, an
-    integer is a number); otherwise a ``ValueError`` that names the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ValueError(f"head set field '{name}' must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _field(obj: dict, key: str, where: str, kind: type):
-    return _checked(obj.get(key) if isinstance(obj, dict) else None, where + key, kind)
-
-
 def _head_from_json(obj: dict, where: str, width: int, vocab_size: int) -> TabularDraftHead:
     table: dict[int, TokenDistribution] = {}
-    for i, entry in enumerate(_field(obj, "entries", where, list)):
-        at = f"{where}entries[{i}]."
-        context = _field(entry, "context", at, list)
-        probs = _field(entry, "probs", at, list)
+    for i, entry in enumerate(json_field(obj, "entries", where, list)):
+        at = f"{where}.entries[{i}]"
+        context = json_field(entry, "context", at, list)
+        probs = json_field(entry, "probs", at, list)
         if len(probs) != vocab_size:
-            raise ValueError(f"head set field '{at}probs' must have {vocab_size} entries")
-        ctx = tuple(_checked(t, f"{at}context[{j}]", int) for j, t in enumerate(context))
-        column = _field(entry, "column", at, int)
+            raise ValueError(f"field '{at}.probs' must have {vocab_size} entries, got {len(probs)}")
+        ctx = tuple(json_value(t, f"{at}.context[{j}]", int) for j, t in enumerate(context))
+        column = json_field(entry, "column", at, int)
         code = _signature_code((ctx, column), width, vocab_size)
         if code is None:
             raise ValueError(
-                f"head set entry '{at[:-1]}' has context {list(ctx)} at column {column}, "
+                f"head set entry '{at}' has context {list(ctx)} at column {column}, "
                 f"which no prefix of a width-{width}, vocab-{vocab_size} grid has"
             )
         if code in table:
-            raise ValueError(f"head set entry '{at[:-1]}' repeats an earlier entry's signature")
+            raise ValueError(f"head set entry '{at}' repeats an earlier entry's signature")
         table[code] = TokenDistribution(
-            [_checked(p, f"{at}probs[{j}]", float) for j, p in enumerate(probs)]
+            [json_value(p, f"{at}.probs[{j}]", float) for j, p in enumerate(probs)]
         )
-    smoothing = float(_field(obj, "smoothing", where, float))
-    return TabularDraftHead(_field(obj, "offset", where, int), width, vocab_size, smoothing, table)
+    smoothing = json_field(obj, "smoothing", where, float, minimum=0)
+    offset = json_field(obj, "offset", where, int)
+    return TabularDraftHead(offset, width, vocab_size, smoothing, table)
 
 
 def save_head_set(heads: DraftHeadSet, path: Union[str, Path]) -> None:
@@ -631,32 +625,33 @@ def save_head_set(heads: DraftHeadSet, path: Union[str, Path]) -> None:
         "horizontal": [_head_to_json(h) for h in heads.horizontal],
         "vertical": [_head_to_json(h) for h in heads.vertical],
     }
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, indent=1, allow_nan=False), encoding="utf-8")
 
 
 def load_head_set(path: Union[str, Path]) -> DraftHeadSet:
     """Read a head set written by :func:`save_head_set`.
 
-    The file is outside input: a missing field or one of the wrong JSON type
-    raises a ``ValueError`` that names it, and nothing is coerced. So does
-    an entry whose signature repeats an earlier one's or that no prefix of
-    a grid of the file's width and vocabulary can have.
+    The file is outside input: a file that cannot be read, a missing field
+    or one of the wrong JSON type (numbers must be finite, ``smoothing`` at
+    least 0) raises a ``ValueError`` that names it, and nothing is coerced.
+    So does an entry whose signature repeats an earlier one's or that no
+    prefix of a grid of the file's width and vocabulary can have.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = _field(payload, "format_version", "", int)
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"cannot read head set {path}: {exc}") from exc
+    version = json_field(payload, "format_version", "", int)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported head set format_version {version!r}")
     if payload.get("kind") != "tabular_heads":
         raise ValueError(f"unknown head set kind {payload.get('kind')!r}")
-    width = _field(payload, "width", "", int)
-    vocab_size = _field(payload, "vocab_size", "", int)
-    for key, value, least in (("width", width, 1), ("vocab_size", vocab_size, 2)):
-        if value < least:
-            raise ValueError(f"head set field '{key}' must be >= {least}, got {value}")
+    width = json_field(payload, "width", "", int, minimum=1)
+    vocab_size = json_field(payload, "vocab_size", "", int, minimum=2)
     horizontal, vertical = (
         tuple(
-            _head_from_json(obj, f"{direction}[{i}].", width, vocab_size)
-            for i, obj in enumerate(_field(payload, direction, "", list))
+            _head_from_json(obj, f"{direction}[{i}]", width, vocab_size)
+            for i, obj in enumerate(json_field(payload, direction, "", list))
         )
         for direction in ("horizontal", "vertical")
     )

@@ -1,5 +1,6 @@
 """Config parsing, subcommand behavior, manifests, and exit codes."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import hawk.cli
 from hawk.cli import build_heads, build_model, load_run_config, main
 from hawk.core import SamplingConfig
+from hawk.engine import decode_batch
 from hawk.models import load_head_set
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,9 +88,9 @@ class TestConfigLoading:
         monkeypatch.setattr(hawk.cli, "fit_tabular_draft_heads", lambda *args: fitted.append(args))
         path = write_config(tmp_path, bench={key: value})
         assert main(["bench", "--config", str(path)]) == 1
-        assert f"bench.{key} must be >= 1, got {value}" in capsys.readouterr().err
+        assert f"field 'bench.{key}' must be >= 1, got {value}" in capsys.readouterr().err
         assert fitted == []
-        assert not list((tmp_path / "out").glob("*"))
+        assert not (tmp_path / "out").exists()
 
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path)
@@ -179,6 +181,7 @@ class TestConfigLoading:
             ("model", "vertical_weight", False),
             ("model", "vertical_weight", None),
             ("heads", "smoothing", "0.5"),
+            ("engine", "temperature", 10**400),  # an integer past the float range
         ],
     )
     def test_non_number_fields_rejected(self, tmp_path, capsys, section, key, value):
@@ -285,7 +288,8 @@ class TestHeadsFile:
             ("vertical.0.entries.1.context.0", 0.5, "'vertical[0].entries[1].context[0]'"),
             ("horizontal.0.entries.0.probs.0", None, "'horizontal[0].entries[0].probs[0]'"),
             ("horizontal.0.entries.0.probs.1", "0.5", "'horizontal[0].entries[0].probs[1]'"),
-            ("vertical.0.entries.0.probs.2", float("nan"), "probabilities sum to nan"),
+            ("vertical.0.entries.0.probs.2", float("nan"),
+             "'vertical[0].entries[0].probs[2]' must be a number, got nan"),
             ("width", DELETE, "'width' must be an integer, got None"),
             ("vertical", DELETE, "'vertical' must be a list"),
             ("horizontal.0.entries.0.probs", DELETE, "'horizontal[0].entries[0].probs'"),
@@ -302,6 +306,11 @@ class TestHeadsFile:
             ("width", -2, "'width' must be >= 1, got -2"),
             ("width", 0, "'width' must be >= 1, got 0"),
             ("vocab_size", 1, "'vocab_size' must be >= 2, got 1"),
+            # Numbers that are not finite, and a smoothing below 0.
+            ("vertical.0.smoothing", float("nan"), "'vertical[0].smoothing' must be a number"),
+            ("horizontal.1.smoothing", float("-inf"),
+             "'horizontal[1].smoothing' must be a number, got -inf"),
+            ("horizontal.0.smoothing", -5.0, "'horizontal[0].smoothing' must be >= 0, got -5.0"),
         ],
     )
     def test_malformed_fields_named(self, tmp_path, capsys, heads_path, field, value, named):
@@ -311,6 +320,14 @@ class TestHeadsFile:
         path = write_config(tmp_path, heads={"kind": "file", "path": str(heads_path)})
         assert main(["decode", "--config", str(path)]) == 1
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_file_is_validation_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        path = write_config(tmp_path, heads={"kind": "file", "path": str(missing)})
+        assert main(["decode", "--config", str(path)]) == 1
+        assert f"cannot read head set {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_vocab_size_must_match_grid(self, tmp_path, capsys, heads_path):
         path = write_config(
@@ -427,7 +444,7 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(path)]) == 1
         assert "rejection curves need a grid of at least two rows, got 1" in capsys.readouterr().err
         assert fitted == []
-        assert not list((tmp_path / "out").glob("*"))
+        assert not (tmp_path / "out").exists()
 
     def test_vanilla_row_has_unit_modeled_speedup(self, tmp_path):
         path = write_config(tmp_path, engine={"draft_overhead_ratio": 0.105})
@@ -494,6 +511,40 @@ class TestExitCodes:
         path = write_config(tmp_path, engine={"mode": "warp", "vertical_depth": 0})
         assert main(["decode", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"grid": 5}, "field 'config.grid' must be an object, got 5"),
+            ({"engine": 5}, "field 'config.engine' must be an object, got 5"),
+            ({"oracle": 5}, "field 'config.oracle' must be an object, got 5"),
+            ({"output_dir": 5}, "field 'config.output_dir' must be a string, got 5"),
+            ({"heads": {"kind": "file", "path": 5}}, "field 'heads.path' must be a string, got 5"),
+            ({"engine": {"mode": 3}}, "field 'engine.mode' must be a string, got 3"),
+            ({"bench": [1]}, "field 'config.bench' must be an object, got [1]"),
+            ({"model": "x"}, "field 'config.model' must be an object, got 'x'"),
+        ],
+        ids=["grid", "engine", "oracle", "output_dir", "heads.path", "engine.mode", "bench",
+             "model"],
+    )
+    def test_mistyped_field_named_and_nothing_written(self, tmp_path, capsys, override, message):
+        path = write_config(tmp_path, **override)
+        assert main(["decode", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_mode_comparison_without_vertical_heads_refused_first(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        called = []
+        monkeypatch.setattr(hawk.cli, "fit_tabular_draft_heads", lambda *a: called.append("fit"))
+        monkeypatch.setattr(hawk.cli, "enumerate_joint", lambda *a: called.append("enumerate"))
+        path = write_config(tmp_path, engine={"mode": "medusa", "vertical_depth": 0})
+        assert main([command, "--config", str(path)]) == 1
+        assert "mode comparison requires engine.vertical_depth >= 1" in capsys.readouterr().err
+        assert called == []
+        assert not (tmp_path / "out").exists()
+
 
 class TestShippedConfigs:
     def test_repo_configs_parse(self):
@@ -501,9 +552,30 @@ class TestShippedConfigs:
             config = load_run_config(ROOT / "configs" / name)
             assert config.engine.mode == "hawk"
 
-    @pytest.mark.parametrize("name", ["oracle_2x2", "image_16x16", "wide_tree_16x16"])
+    @pytest.mark.parametrize(
+        "name", sorted(path.stem for path in (ROOT / "perfbench" / "configs").glob("*.json"))
+    )
     def test_benchmark_configs_parse(self, name):
-        load_run_config(ROOT / "perfbench" / "configs" / f"{name}.json")
+        # The benchmark loads its configs through this parser, so a stricter
+        # schema must keep every one of them loading and building.
+        config = load_run_config(ROOT / "perfbench" / "configs" / f"{name}.json")
+        assert build_model(config).grid == config.grid
+        variants = hawk.cli._mode_variants(config.engine)
+        assert list(variants) == ["vanilla", "medusa", "hawk", "lantern"]
+
+    def test_lantern_accepts_every_draft_at_shipped_k(self):
+        # Every shipped config sets lantern_k 10, past the vocabulary, so each
+        # neighbourhood is the whole vocabulary and min(1, lambda * sum p / q)
+        # is 1: lantern accepts every draft. Below the vocabulary it need not.
+        config = load_run_config(ROOT / "configs" / "verify_quick.json")
+        model = build_model(config)
+        heads = build_heads(config, model)
+        lantern = hawk.cli._mode_variants(config.engine)["lantern"]
+        assert lantern.lantern_k == 10 > config.grid.vocab_size
+        for k, lam, all_accepted in [(10, 2.0, True), (1, 1.0, False)]:
+            engine = dataclasses.replace(lantern, lantern_k=k, lantern_lam=lam)
+            rates = decode_batch(model, heads, engine, 17, 200).depth_accept_rates
+            assert (set(rates.values()) == {1.0}) == all_accepted, (k, lam, rates)
 
     def test_readme_schema_matches_parser(self, tmp_path):
         # The README's schema block, its comments stripped, is a valid config
