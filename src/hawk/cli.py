@@ -79,15 +79,15 @@ CURVE_COLUMNS = ("candidates", "mean_rejection_mass")
 GRID_FIELDS = {"width": (int, None, 1), "height": (int, None, 1), "vocab_size": (int, None, 2)}
 ENGINE_FIELDS = {
     "mode": (str, None),
-    "horizontal_depth": (int, 1),
-    "vertical_depth": (int, 0),
-    "samples_per_horizontal": (int, 1),
-    "samples_per_vertical": (int, 1),
-    "node_budget": (int, 64),
+    "horizontal_depth": (int, 1, 1),
+    "vertical_depth": (int, 0, 0),
+    "samples_per_horizontal": (int, 1, 1),
+    "samples_per_vertical": (int, 1, 0),
+    "node_budget": (int, 64, 1),
     "temperature": (float, 1.0),
-    "lantern_k": (int, 10),
-    "lantern_lambda": (float, 2.0),
-    "draft_overhead_ratio": (float, 0.0),
+    "lantern_k": (int, 10, 1),
+    "lantern_lambda": (float, 2.0, 1.0),
+    "draft_overhead_ratio": (float, 0.0, 0),
 }
 ENGINE_KEYS = {"top_k", *ENGINE_FIELDS}  # top_k is "all" or an integer
 ORACLE_FIELDS = {"decode_count": (int, 20000, 1), "tolerance_factor": (float, 3.0)}

@@ -27,9 +27,10 @@ drawn candidate, for the whole round in one block (layers in depth order,
 within a layer the vertical candidates by depth, then the horizontal ones);
 the verify stream supplies one uniform per verification step plus one
 categorical draw per resample or bonus token. A candidate's token is the
-index its uniform selects from its draft, and it is computed only for the
-live candidates that reach the verifier; the others consume their uniform
-and are never materialized.
+index its uniform selects from its draft, and it is computed only when the
+verification walk reaches the candidate: the walk reads a layer's live
+candidates in order and stops at the first acceptance. Every other
+candidate consumes its uniform and is never built.
 
 One batch is one :class:`DecodingContext`: its sessions run back to back,
 strictly sequentially, on one pair of streams, and its result is one
@@ -44,7 +45,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -201,6 +202,47 @@ class DraftSlot(NamedTuple):
     depth: int
 
 
+class LiveCandidates(Sequence[Candidate]):
+    """The live candidates of one layer, in layer order, each built when first read.
+
+    Reading candidate i computes its token, the index its uniform (drawn with
+    the round's block) selects from its draft, builds the :class:`Candidate`
+    and keeps it, so a walk that stops at its first acceptance never builds
+    the candidates after it. ``len`` is the live count.
+    """
+
+    __slots__ = ("_slots", "_uniforms", "_built")
+
+    def __init__(
+        self, slots: Sequence[DraftSlot], uniforms: Sequence[float], count: int
+    ) -> None:
+        self._slots = slots
+        self._uniforms = uniforms
+        self._built: list[Optional[Candidate]] = [None] * min(count, len(slots))
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, index: int) -> Candidate:
+        built = self._built
+        index = range(len(built))[index]  # IndexError past either end
+        candidate = built[index]
+        if candidate is None:
+            candidate = built[index] = self._build(index)
+        return candidate
+
+    def __iter__(self) -> Iterator[Candidate]:
+        built = self._built
+        for index, candidate in enumerate(built):
+            if candidate is None:
+                candidate = built[index] = self._build(index)
+            yield candidate
+
+    def _build(self, index: int) -> Candidate:
+        dist, source, depth = self._slots[index]
+        return Candidate(index_at(dist, self._uniforms[index]), dist, source, depth)
+
+
 @dataclass(frozen=True)
 class CandidateTree:
     """Depth-indexed candidate layers with one uniform per drawn candidate.
@@ -208,19 +250,18 @@ class CandidateTree:
     The tree is their Cartesian product truncated to the node budget: the
     first ``node_budget`` paths in lexicographic order are kept. A layer's
     live candidates therefore follow from the accepted prefix and the budget
-    by arithmetic (see :func:`decode_round`), and only those are turned into
-    :class:`Candidate` objects, by :meth:`candidates`.
+    by arithmetic (see :func:`decode_round`). :meth:`candidates` hands them
+    to the verifier as a :class:`LiveCandidates` view, whose walk reads them
+    in order and stops at the first acceptance, so only the candidates it
+    reaches are turned into :class:`Candidate` objects.
     """
 
     layers: tuple[tuple[DraftSlot, ...], ...]
     uniforms: tuple[list[float], ...]
 
-    def candidates(self, layer_index: int, count: int) -> list[Candidate]:
-        """The first ``count`` candidates of a layer, each token drawn by its uniform."""
-        return [
-            Candidate(index_at(slot.draft_dist, u), slot.draft_dist, slot.source, slot.depth)
-            for slot, u in zip(self.layers[layer_index][:count], self.uniforms[layer_index])
-        ]
+    def candidates(self, layer_index: int, count: int) -> LiveCandidates:
+        """The first ``count`` candidates of a layer, each token drawn by its uniform when read."""
+        return LiveCandidates(self.layers[layer_index], self.uniforms[layer_index], count)
 
 
 TraceRow = tuple[int, int, int, str, float, bool, int]
@@ -322,9 +363,10 @@ def build_pool(
     if position >= ctx.grid.size:
         raise ValueError(f"speculation position {position} beyond grid end")
     sph, spv = ctx.config.samples_per_horizontal, ctx.config.samples_per_vertical
-    cached = ctx.cache.gather(position)
-    vertical = [DraftSlot(q, VERTICAL, d) for d, q in cached for _ in range(spv)]
-    return tuple(vertical + [DraftSlot(horizontal_output, HORIZONTAL, n)] * sph)
+    slots = []
+    for d, q in ctx.cache.gather(position):
+        slots += [DraftSlot(q, VERTICAL, d)] * spv
+    return tuple(slots + [DraftSlot(horizontal_output, HORIZONTAL, n)] * sph)
 
 
 def build_candidate_tree(
@@ -422,13 +464,14 @@ def decode_round(ctx: DecodingContext) -> None:
     for k in range(len(layers) - 1, 0, -1):
         strides[k - 1] = strides[k] * len(layers[k])
     budget_left = config.node_budget
-    walked: list[tuple[int, list[Candidate], tuple[float, ...], Optional[int]]] = []
+    walked = None if ctx.trace is None else []  # (depth, candidates, outcome) per layer
     for depth, stride in enumerate(strides, start=1):
         target = ctx.target_dist(committed)
         candidates = tree.candidates(depth - 1, -(-budget_left // stride))
         ctx.depth_attempts[depth] = ctx.depth_attempts.get(depth, 0) + 1
         outcome = _verify(ctx, target, candidates, ctx.verify_rng)
-        walked.append((depth, candidates, outcome.alphas, outcome.accepted_index))
+        if walked is not None:
+            walked.append((depth, candidates, outcome))
         commit_token(ctx, outcome.emitted_token)
         if outcome.accepted_index is None:
             break
@@ -438,12 +481,15 @@ def decode_round(ctx: DecodingContext) -> None:
         if len(committed) < total:
             bonus = ctx.target_dist(committed)
             commit_token(ctx, sample_index(bonus, ctx.verify_rng))
-    if ctx.trace is not None:
+    if walked is not None:
         count = len(committed) - frontier
+        # The alphas go first in the zip: they end with the walk, and the
+        # zip stops on them before it reads a candidate the walk never reached.
         ctx.trace.extend(
-            (ctx.rounds, frontier, depth, f"{c.source}:{c.depth}", alpha, i == accepted, count)
-            for depth, candidates, alphas, accepted in walked
-            for i, (c, alpha) in enumerate(zip(candidates, alphas))
+            (ctx.rounds, frontier, depth, f"{c.source}:{c.depth}", alpha,
+             i == outcome.accepted_index, count)
+            for depth, candidates, outcome in walked
+            for i, (alpha, c) in enumerate(zip(outcome.alphas, candidates))
         )
     ctx.rounds += 1
 

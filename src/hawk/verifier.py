@@ -158,8 +158,11 @@ def sequential_verify(
 ) -> VerificationOutcome:
     """Verify candidates in order against p, emitting exactly one token.
 
-    The first acceptance wins and later candidates are untouched; otherwise
-    the token is resampled from the residual left after all rejections.
+    The walk reads the candidates one at a time, in order, and stops at the
+    first acceptance, which wins: later candidates are never read, so a
+    sequence that builds each candidate when it is first read builds none of
+    them. Otherwise the token is resampled from the residual left after all
+    rejections.
     ``record_steps=False`` skips computing the per-step alphas (the walk and
     its draws are identical either way), which matters in bulk simulation.
     """

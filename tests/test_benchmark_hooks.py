@@ -93,4 +93,8 @@ def test_tracer_hooks_every_layer(perfbench, capsys):
         assert counters[("tree.drawn", mode)] > 0, mode
         assert counters[("verify.steps", mode)] > 0, mode
         assert counters[("models.head_predict", mode)] > 0, mode
+    # A resampling walk is counted by the length of the candidates it was
+    # given, so that path of the verify hook must run too.
+    for mode in ("medusa", "hawk"):
+        assert counters[("verify.resamples", mode)] > 0, mode
     assert tracer.peaks[("cache.peak_over_capacity", "hawk")] > 0

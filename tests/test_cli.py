@@ -92,6 +92,32 @@ class TestConfigLoading:
         assert fitted == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, minimum",
+        [
+            ("horizontal_depth", 0, 1),
+            ("vertical_depth", -1, 0),
+            ("samples_per_horizontal", 0, 1),
+            ("samples_per_vertical", -1, 0),
+            ("node_budget", 0, 1),
+            ("lantern_k", 0, 1),
+            ("lantern_lambda", 0.5, 1.0),
+            ("draft_overhead_ratio", -0.5, 0),
+        ],
+    )
+    def test_engine_fields_below_minimum_rejected(
+        self, tmp_path, capsys, monkeypatch, key, value, minimum
+    ):
+        # Refused by the reader under the config's own key, before fitting.
+        fitted = []
+        monkeypatch.setattr(hawk.cli, "fit_tabular_draft_heads", lambda *args: fitted.append(args))
+        path = write_config(tmp_path, engine={key: value})
+        assert main(["decode", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"field 'engine.{key}' must be >= {minimum}, got {value}" in err
+        assert fitted == []
+        assert not (tmp_path / "out").exists()
+
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path)
         config = load_run_config(path, seed_override=7, out_override=str(tmp_path / "elsewhere"))

@@ -17,6 +17,7 @@ from hawk.core import (
     StateError,
     TokenDistribution,
     apply_sampling_config,
+    index_at,
     kl_divergence,
     sample_index,
 )
@@ -51,7 +52,7 @@ from hawk.oracle_metrics import (
     kl_trace,
 )
 from hawk.rng import stream
-from hawk.verifier import HORIZONTAL, VERTICAL, VerificationOutcome
+from hawk.verifier import HORIZONTAL, VERTICAL, Candidate, VerificationOutcome
 
 class TestCacheFormulas:
     def test_capacity_values(self):
@@ -268,6 +269,30 @@ class TestCandidateTree:
         assert entries(tree) == [vertical, horizontal]
         assert [c.draft_dist for c in tree.candidates(0, 2)] == [vdist, hdist]
 
+    def test_candidates_view(self):
+        grid, model, heads, config = _hawk_setup()
+        ctx = DecodingContext(model, heads, config, 3)
+        for token in (0, 1, 2, 0):
+            commit_token(ctx, token)
+        hdist = ctx.draft_dist(heads.horizontal[0], ctx.committed)
+        tree = build_candidate_tree([build_pool(ctx, 1, hdist)], config, ctx.draft_rng)
+        (layer,), (uniforms,) = tree.layers, tree.uniforms
+        live = tree.candidates(0, 1)
+        assert len(live) == 1
+        for index in (1, -2):
+            with pytest.raises(IndexError):
+                live[index]
+        assert len(tree.candidates(0, 5)) == len(layer) == 2
+        view = tree.candidates(0, 2)
+        last = view[1]
+        assert view[-1] is last
+        got = list(view)
+        assert got[1] is last
+        assert [(c.token, c.draft_dist, c.source, c.depth) for c in got] == [
+            (index_at(s.draft_dist, u), s.draft_dist, s.source, s.depth)
+            for s, u in zip(layer, uniforms)
+        ]
+
     def test_no_candidates_at_depth_one(self):
         # Row 0 has no cached vertical entries, so without horizontal
         # candidates the first layer would be empty: the config is refused.
@@ -355,6 +380,30 @@ class TestLiveContinuations:
                 prefix += (outcome.accepted_index,)
         assert spy.rounds
         assert truncated or budget > np.prod([sph + spv * v] * h)
+
+    def test_builds_only_the_candidates_walked(self, monkeypatch):
+        # A wide tree (H=4, V=2, interior layers 4 wide) cut by the budget:
+        # each verification step reads one candidate, and no other is built.
+        grid = GridSpec(6, 6, 3)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(model, 4, 2, 300, 5, 0.5)
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=4, vertical_depth=2, samples_per_horizontal=2,
+            node_budget=20, transform=SamplingConfig(top_k=2, temperature=0.8),
+        )
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Candidate(*args)
+
+        monkeypatch.setattr(hawk.engine, "Candidate", counting)
+        spy = _VerifySpy(monkeypatch)
+        trace = []
+        decode_batch(model, heads, config, 5, 4, trace=trace)
+        widths = [[len(layer) for layer in layers] for layers, _ in spy.rounds]
+        assert any(np.prod(w) > config.node_budget for w in widths)
+        assert len(built) == len(trace) < sum(map(sum, widths))
 
 
 # (samples_per_vertical, node_budget)
