@@ -315,8 +315,8 @@ def cmd_decode(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     variants = _mode_variants(config.engine)
     model = build_model(config)
-    heads = build_heads(config, model)
     exact = enumerate_joint(model, config.grid, config.engine.transform)
+    heads = build_heads(config, model)
     n = config.oracle_decode_count
 
     results = {}

@@ -8,8 +8,9 @@ prediction for it. The layers are combined as a Cartesian product,
 truncated to the node budget: the first ``node_budget`` paths in
 lexicographic order are kept. Verification walks the depths: the
 candidates that continue a kept path through the accepted prefix are
-verified against the current target conditional; the first rejection
-resamples, commits the resampled token, and ends the round. A round that accepts through every layer commits
+verified against the current target conditional, each drawing its token as
+the walk reaches it; the first rejection resamples, commits the resampled
+token, and ends the round. A round that accepts through every layer commits
 one extra bonus token drawn from the target. Every round therefore commits
 between 1 and H+1 tokens and is accounted as exactly one target-model pass,
 which is what a batched tree verification would cost.
@@ -27,10 +28,9 @@ drawn candidate, for the whole round in one block (layers in depth order,
 within a layer the vertical candidates by depth, then the horizontal ones);
 the verify stream supplies one uniform per verification step plus one
 categorical draw per resample or bonus token. A candidate's token is the
-index its uniform selects from its draft, and it is computed only when the
-verification walk reaches the candidate: the walk reads a layer's live
-candidates in order and stops at the first acceptance. Every other
-candidate consumes its uniform and is never built.
+index its uniform selects from its draft. The verification walk computes it
+when it reaches the candidate and stops at the first acceptance, so every
+other candidate consumes its uniform and never gets a token.
 
 One batch is one :class:`DecodingContext`: its sessions run back to back,
 strictly sequentially, on one pair of streams, and its result is one
@@ -45,7 +45,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .core import (
     StateError,
     TokenDistribution,
     apply_sampling_config,
-    index_at,
     sample_index,
 )
 from .models import DraftHeadSet, TargetModel
@@ -194,55 +193,6 @@ class SpeculationCache:
         return out
 
 
-class DraftSlot(NamedTuple):
-    """One drawn candidate before its token is computed: where it comes from."""
-
-    draft_dist: TokenDistribution
-    source: str
-    depth: int
-
-
-class LiveCandidates(Sequence[Candidate]):
-    """The live candidates of one layer, in layer order, each built when first read.
-
-    Reading candidate i computes its token, the index its uniform (drawn with
-    the round's block) selects from its draft, builds the :class:`Candidate`
-    and keeps it, so a walk that stops at its first acceptance never builds
-    the candidates after it. ``len`` is the live count.
-    """
-
-    __slots__ = ("_slots", "_uniforms", "_built")
-
-    def __init__(
-        self, slots: Sequence[DraftSlot], uniforms: Sequence[float], count: int
-    ) -> None:
-        self._slots = slots
-        self._uniforms = uniforms
-        self._built: list[Optional[Candidate]] = [None] * min(count, len(slots))
-
-    def __len__(self) -> int:
-        return len(self._built)
-
-    def __getitem__(self, index: int) -> Candidate:
-        built = self._built
-        index = range(len(built))[index]  # IndexError past either end
-        candidate = built[index]
-        if candidate is None:
-            candidate = built[index] = self._build(index)
-        return candidate
-
-    def __iter__(self) -> Iterator[Candidate]:
-        built = self._built
-        for index, candidate in enumerate(built):
-            if candidate is None:
-                candidate = built[index] = self._build(index)
-            yield candidate
-
-    def _build(self, index: int) -> Candidate:
-        dist, source, depth = self._slots[index]
-        return Candidate(index_at(dist, self._uniforms[index]), dist, source, depth)
-
-
 @dataclass(frozen=True)
 class CandidateTree:
     """Depth-indexed candidate layers with one uniform per drawn candidate.
@@ -250,18 +200,12 @@ class CandidateTree:
     The tree is their Cartesian product truncated to the node budget: the
     first ``node_budget`` paths in lexicographic order are kept. A layer's
     live candidates therefore follow from the accepted prefix and the budget
-    by arithmetic (see :func:`decode_round`). :meth:`candidates` hands them
-    to the verifier as a :class:`LiveCandidates` view, whose walk reads them
-    in order and stops at the first acceptance, so only the candidates it
-    reaches are turned into :class:`Candidate` objects.
+    by arithmetic (see :func:`decode_round`); they are the first ones of the
+    layer.
     """
 
-    layers: tuple[tuple[DraftSlot, ...], ...]
+    layers: tuple[tuple[Candidate, ...], ...]
     uniforms: tuple[list[float], ...]
-
-    def candidates(self, layer_index: int, count: int) -> LiveCandidates:
-        """The first ``count`` candidates of a layer, each token drawn by its uniform when read."""
-        return LiveCandidates(self.layers[layer_index], self.uniforms[layer_index], count)
 
 
 TraceRow = tuple[int, int, int, str, float, bool, int]
@@ -349,7 +293,7 @@ class DecodingContext:
 
 def build_pool(
     ctx: DecodingContext, n: int, horizontal_output: TokenDistribution
-) -> tuple[DraftSlot, ...]:
+) -> tuple[Candidate, ...]:
     """Candidate layer for speculation depth n.
 
     Each cached vertical prediction targeting the position, by depth,
@@ -363,14 +307,14 @@ def build_pool(
     if position >= ctx.grid.size:
         raise ValueError(f"speculation position {position} beyond grid end")
     sph, spv = ctx.config.samples_per_horizontal, ctx.config.samples_per_vertical
-    slots = []
+    layer = []
     for d, q in ctx.cache.gather(position):
-        slots += [DraftSlot(q, VERTICAL, d)] * spv
-    return tuple(slots + [DraftSlot(horizontal_output, HORIZONTAL, n)] * sph)
+        layer += [Candidate(q, VERTICAL, d)] * spv
+    return tuple(layer + [Candidate(horizontal_output, HORIZONTAL, n)] * sph)
 
 
 def build_candidate_tree(
-    layers: Sequence[tuple[DraftSlot, ...]], config: EngineConfig, rng: np.random.Generator
+    layers: Sequence[tuple[Candidate, ...]], config: EngineConfig, rng: np.random.Generator
 ) -> CandidateTree:
     """Draw the uniforms of the layers from :func:`build_pool`; their
     product, capped by ``config.node_budget``, is the tree.
@@ -413,18 +357,20 @@ def _verify(
     ctx: DecodingContext,
     target: TokenDistribution,
     candidates: Sequence[Candidate],
+    uniforms: Sequence[float],
     rng: np.random.Generator,
 ) -> VerificationOutcome:
     if ctx.config.mode == MODE_LANTERN:
         return lantern_sequential_verify(
             target,
             candidates,
+            uniforms,
             rng,
             ctx.neighborhoods,
             ctx.config.lantern_lam,
             record_steps=ctx.trace is not None,
         )
-    return sequential_verify(target, candidates, rng, record_steps=ctx.trace is not None)
+    return sequential_verify(target, candidates, uniforms, rng, record_steps=ctx.trace is not None)
 
 
 def decode_round(ctx: DecodingContext) -> None:
@@ -467,9 +413,9 @@ def decode_round(ctx: DecodingContext) -> None:
     walked = None if ctx.trace is None else []  # (depth, candidates, outcome) per layer
     for depth, stride in enumerate(strides, start=1):
         target = ctx.target_dist(committed)
-        candidates = tree.candidates(depth - 1, -(-budget_left // stride))
+        candidates = tree.layers[depth - 1][: -(-budget_left // stride)]
         ctx.depth_attempts[depth] = ctx.depth_attempts.get(depth, 0) + 1
-        outcome = _verify(ctx, target, candidates, ctx.verify_rng)
+        outcome = _verify(ctx, target, candidates, tree.uniforms[depth - 1], ctx.verify_rng)
         if walked is not None:
             walked.append((depth, candidates, outcome))
         commit_token(ctx, outcome.emitted_token)
@@ -483,8 +429,7 @@ def decode_round(ctx: DecodingContext) -> None:
             commit_token(ctx, sample_index(bonus, ctx.verify_rng))
     if walked is not None:
         count = len(committed) - frontier
-        # The alphas go first in the zip: they end with the walk, and the
-        # zip stops on them before it reads a candidate the walk never reached.
+        # One alpha per step walked, so the zip stops where the walk did.
         ctx.trace.extend(
             (ctx.rounds, frontier, depth, f"{c.source}:{c.depth}", alpha,
              i == outcome.accepted_index, count)

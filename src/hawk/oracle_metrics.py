@@ -65,11 +65,10 @@ def enumerate_joint(
     """
     if grid != model.grid:
         raise ValueError(f"grid {grid} is not the model's grid {model.grid}")
-    outcomes = grid.vocab_size**grid.size
-    if outcomes > MAX_ENUMERATION:
+    if grid.vocab_size**grid.size > MAX_ENUMERATION:
         raise ValueError(
-            f"enumeration of {outcomes} outcomes exceeds bound {MAX_ENUMERATION}; "
-            "use a smaller grid or vocabulary"
+            f"enumeration of {grid.vocab_size}**{grid.size} outcomes exceeds bound "
+            f"{MAX_ENUMERATION}; use a smaller grid or vocabulary"
         )
     probs: dict[tuple[int, ...], float] = {}
     size = grid.size
@@ -222,8 +221,8 @@ def rejection_curve(
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     if position_count < 1:
         raise ValueError(f"position_count must be >= 1, got {position_count}")
-    if heads.vertical_depth < 1:
-        raise ValueError("rejection curves need at least one vertical head")
+    if config.vertical_depth < 1:
+        raise ValueError(f"rejection curves need vertical_depth >= 1, got {config.vertical_depth}")
     grid = model.grid
     require_two_rows(grid)
     gen = stream(seed, "rejection-curve")
@@ -234,7 +233,7 @@ def rejection_curve(
         sample = model.sample_grid(gen)
         for t in range(grid.width, grid.size):
             target = apply_sampling_config(model.conditional(sample[:t]), config.transform)
-            horizontal, verticals = _engine_drafts(heads, config, sample, t, heads.vertical_depth)
+            horizontal, verticals = _engine_drafts(heads, config, sample, t, config.vertical_depth)
             cycle = verticals + [horizontal]
             dual_sums += rejection_mass(target, [cycle[i % len(cycle)] for i in range(m_max)])
             horiz_sums += rejection_mass(target, [horizontal] * m_max)

@@ -1,17 +1,18 @@
 """Multi-draft speculative verification with heterogeneous draft distributions.
 
-One verification round walks an ordered list of candidates, each carrying the
-draft distribution it was sampled from. Step i accepts candidate token t with
-probability min(1, p_i(t) / q_i(t)), where p_1 is the target conditional and
-each rejection refines the target via the residual update
+One verification round walks an ordered list of candidates, each naming the
+draft distribution q_i its token is drawn from. Step i draws candidate token
+t from q_i and accepts it with probability min(1, p_i(t) / q_i(t)), where p_1
+is the target conditional and each rejection refines the target via the
+residual update
 
     p_{i+1} = norm(max(0, p_i - q_i)).
 
 If every candidate is rejected, the emitted token is drawn from the final
-refined distribution. For candidates whose tokens are drawn independently
-from their own q_i, the emitted token is distributed exactly as p regardless
-of how many drafts there are, what order they come in, or whether the q_i
-differ; the oracle tests enumerate this claim directly.
+refined distribution. For candidate tokens drawn independently from their
+own q_i, the emitted token is distributed exactly as p regardless of how
+many drafts there are, what order they come in, or whether the q_i differ;
+the oracle tests enumerate this claim directly.
 
 The recorded per-step alpha is the step's marginal acceptance probability
 sum_x min(p_i(x), q_i(x)), i.e. the chance the step accepts before
@@ -21,19 +22,22 @@ that the round falls through to the residual resample.
 
 Everything here is a pure function of its inputs plus an explicit random
 stream, so invocations are safe to run in parallel with independent streams.
-Draw order within a call: one uniform per verification step, then a single
-categorical draw if the round resamples.
+Draw order within a call: the caller passes one uniform per candidate,
+drawn independently of ``rng``, and step i's token is the index that
+``uniforms[i]`` selects from q_i (:func:`~hawk.core.index_at`), computed
+when the walk reaches step i. ``rng`` supplies one uniform per verification
+step, then a single categorical draw if the round resamples.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import TokenDistribution, sample_index
+from .core import TokenDistribution, index_at, sample_index
 
 logger = logging.getLogger(__name__)
 
@@ -41,26 +45,18 @@ HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
-    """A proposed token together with the draft distribution that produced it.
+class Candidate(NamedTuple):
+    """One candidate slot: the draft distribution its token is drawn from.
 
     ``source`` is "horizontal" or "vertical" and ``depth`` the head depth in
     that direction (rows for vertical heads, raster steps for horizontal).
+    The token itself is drawn by the verification walk when it reaches the
+    slot.
     """
 
-    token: int
     draft_dist: TokenDistribution
     source: str
     depth: int
-
-    def __post_init__(self) -> None:
-        if self.source not in (HORIZONTAL, VERTICAL):
-            raise ValueError(f"source must be horizontal or vertical, got {self.source!r}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.draft_dist.prob(self.token) <= 0.0:
-            raise ValueError(f"candidate token {self.token} has zero draft probability")
 
 
 @dataclass(slots=True)
@@ -107,18 +103,15 @@ def residual_update(
     return TokenDistribution._wrap(left / mass), False
 
 
-def _standard_rule(p: TokenDistribution, candidate: Candidate) -> float:
-    return acceptance_ratio(p, candidate.draft_dist, candidate.token)
-
-
 def _walk(
     p: TokenDistribution,
     candidates: Sequence[Candidate],
+    uniforms: Sequence[float],
     rng: np.random.Generator,
-    accept_rule: Callable[[TokenDistribution, Candidate], float],
+    accept_rule: Callable[[TokenDistribution, TokenDistribution, int], float],
     record_steps: bool,
 ) -> VerificationOutcome:
-    """Shared accept/reject walk; the rule decides each step's token probability.
+    """Shared accept/reject walk; ``accept_rule(p_i, q_i, token)`` decides each step.
 
     If a residual ever degenerates with candidates remaining (only reachable
     through floating-point exhaustion on tiny vocabularies), the remaining
@@ -131,11 +124,12 @@ def _walk(
     exhausted = False
     for index, candidate in enumerate(candidates):
         q = candidate.draft_dist
-        accepted = not exhausted and rng.random() < accept_rule(p_cur, candidate)
+        token = index_at(q, uniforms[index])
+        accepted = not exhausted and rng.random() < accept_rule(p_cur, q, token)
         if record_steps:
             alphas.append(float(np.minimum(p_cur.probs, q.probs).sum()))
         if accepted:
-            return VerificationOutcome(candidate.token, index, tuple(alphas))
+            return VerificationOutcome(token, index, tuple(alphas))
         if not exhausted:
             residual, degenerate = residual_update(p_cur, q)
             if degenerate:
@@ -152,23 +146,23 @@ def _walk(
 def sequential_verify(
     p: TokenDistribution,
     candidates: Sequence[Candidate],
+    uniforms: Sequence[float],
     rng: np.random.Generator,
     *,
     record_steps: bool = True,
 ) -> VerificationOutcome:
     """Verify candidates in order against p, emitting exactly one token.
 
-    The walk reads the candidates one at a time, in order, and stops at the
-    first acceptance, which wins: later candidates are never read, so a
-    sequence that builds each candidate when it is first read builds none of
-    them. Otherwise the token is resampled from the residual left after all
-    rejections.
+    Step i draws candidate i's token with ``uniforms[i]``. The first
+    acceptance wins and ends the walk, so the tokens of later candidates are
+    never computed. Otherwise the token is resampled from the residual left
+    after all rejections.
     ``record_steps=False`` skips computing the per-step alphas (the walk and
     its draws are identical either way), which matters in bulk simulation.
     """
     if not candidates:
         raise ValueError("candidates must be nonempty")
-    return _walk(p, candidates, rng, _standard_rule, record_steps)
+    return _walk(p, candidates, uniforms, rng, acceptance_ratio, record_steps)
 
 
 def rejection_mass(p: TokenDistribution, drafts: Sequence[TokenDistribution]) -> list[float]:
@@ -209,7 +203,8 @@ def lantern_acceptance(
     neighborhood containing the token and any lam >= 1 can only raise it, so
     it dominates :func:`acceptance_ratio` pointwise. This rule is NOT
     distribution preserving; it trades output fidelity for acceptance rate
-    and exists as a baseline to measure that trade.
+    and exists as a baseline to measure that trade. Like
+    :func:`acceptance_ratio`, it refuses a token of zero draft probability.
     """
     if lam < 1.0:
         raise ValueError(f"lam must be >= 1, got {lam}")
@@ -217,8 +212,7 @@ def lantern_acceptance(
         raise ValueError(f"token {token} not in its neighborhood")
     qt = q.prob(token)
     if qt <= 0.0:
-        logger.warning("draft probability of token %d is zero; clipping acceptance to 1", token)
-        return 1.0
+        raise ValueError(f"token {token} has zero draft probability")
     idx = np.asarray(sorted(neighborhood), dtype=np.intp)
     mass = float(p.probs[idx].sum())
     return min(1.0, lam * mass / qt)
@@ -227,6 +221,7 @@ def lantern_acceptance(
 def lantern_sequential_verify(
     p: TokenDistribution,
     candidates: Sequence[Candidate],
+    uniforms: Sequence[float],
     rng: np.random.Generator,
     neighborhoods: Sequence[Sequence[int]],
     lam: float,
@@ -235,21 +230,19 @@ def lantern_sequential_verify(
 ) -> VerificationOutcome:
     """Sequential walk with the relaxed neighborhood acceptance rule.
 
-    The rejection bookkeeping (residual updates, final resample) matches
-    :func:`sequential_verify`; only the per-step acceptance probability is
-    relaxed. ``neighborhoods[t]`` lists the tokens counted toward accepting
-    a proposal of token t. Recorded alphas keep the standard
+    The token draws and the rejection bookkeeping (residual updates, final
+    resample) match :func:`sequential_verify`; only the per-step acceptance
+    probability is relaxed. ``neighborhoods[t]`` lists the tokens counted
+    toward accepting a proposal of token t. Recorded alphas keep the standard
     sum-min definition so traces remain comparable across modes.
     """
     if not candidates:
         raise ValueError("candidates must be nonempty")
 
-    def rule(p_cur: TokenDistribution, candidate: Candidate) -> float:
-        return lantern_acceptance(
-            p_cur, candidate.draft_dist, candidate.token, neighborhoods[candidate.token], lam
-        )
+    def rule(p_cur: TokenDistribution, q: TokenDistribution, token: int) -> float:
+        return lantern_acceptance(p_cur, q, token, neighborhoods[token], lam)
 
-    return _walk(p, candidates, rng, rule, record_steps)
+    return _walk(p, candidates, uniforms, rng, rule, record_steps)
 
 
 def token_neighborhoods(embeddings: np.ndarray, k: int) -> tuple[tuple[int, ...], ...]:

@@ -8,7 +8,9 @@ as soon as either loses its footing; nothing under ``perfbench/`` changes.
 """
 
 import ast
+import functools
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,14 @@ def test_tracer_hooks_every_layer(perfbench, capsys):
     workload = run.WORKLOADS["oracle_2x2"]
     checks = run.Checks()
     tracer = spans.Tracer(run.MODES)
+    trace_rows = Counter()  # verification steps by mode, from the decodes' own traces
+
+    def traced_session(name, fn, *args):
+        trace = []
+        result = tracer.call(name, functools.partial(fn, trace=trace), *args)
+        trace_rows[tracer.mode] += len(trace)
+        return result
+
     restore = tracer.install()
     try:
         assert "not found" not in capsys.readouterr().out
@@ -71,7 +81,7 @@ def test_tracer_hooks_every_layer(perfbench, capsys):
         batches = run.Batches(hawk, setup, workload, 1, checks)
         for mode in run.MODES:
             tracer.set_mode(mode)
-            batches.run(mode, 0, tracer.call)
+            batches.run(mode, 0, traced_session)
     finally:
         restore()
     assert checks.attempted and not checks.failed
@@ -91,10 +101,11 @@ def test_tracer_hooks_every_layer(perfbench, capsys):
                      "verifier.verify", "core.sample_index"):
             assert summary.calls(name, mode) > 0, (name, mode)
         assert counters[("tree.drawn", mode)] > 0, mode
-        assert counters[("verify.steps", mode)] > 0, mode
+        # The hook counts a resampling walk's steps as the length of the
+        # candidates it was given, so that length must be the live count.
+        assert counters[("verify.steps", mode)] == trace_rows[mode] > 0, mode
         assert counters[("models.head_predict", mode)] > 0, mode
-    # A resampling walk is counted by the length of the candidates it was
-    # given, so that path of the verify hook must run too.
+    # The resampling path of the verify hook must run too.
     for mode in ("medusa", "hawk"):
         assert counters[("verify.resamples", mode)] > 0, mode
     assert tracer.peaks[("cache.peak_over_capacity", "hawk")] > 0

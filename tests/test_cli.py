@@ -439,9 +439,15 @@ class TestVerifyCommand:
         assert statuses["lantern"] in ("expected_fail", "unexpected_pass")
         assert "mode=hawk" in printed
 
-    def test_enumeration_bound_refused(self, tmp_path):
+    def test_enumeration_bound_refused(self, tmp_path, capsys, monkeypatch):
+        # Enumerating draws nothing, so it runs before the heads are fitted.
+        fitted = []
+        monkeypatch.setattr(hawk.cli, "fit_tabular_draft_heads", lambda *a: fitted.append(a))
         path = write_config(tmp_path, grid={"width": 8, "height": 8, "vocab_size": 6})
         assert main(["verify", "--config", str(path)]) == 1
+        assert "enumeration of 6**64 outcomes exceeds bound" in capsys.readouterr().err
+        assert fitted == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestBenchCommand:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hawk.engine
+import hawk.verifier
 from hawk.core import (
     GridSpec,
     SamplingConfig,
@@ -23,7 +24,6 @@ from hawk.core import (
 )
 from hawk.engine import (
     DecodingContext,
-    DraftSlot,
     EngineConfig,
     SpeculationCache,
     TRACE_COLUMNS,
@@ -52,7 +52,7 @@ from hawk.oracle_metrics import (
     kl_trace,
 )
 from hawk.rng import stream
-from hawk.verifier import HORIZONTAL, VERTICAL, Candidate, VerificationOutcome
+from hawk.verifier import HORIZONTAL, VERTICAL, Candidate, VerificationOutcome, sequential_verify
 
 class TestCacheFormulas:
     def test_capacity_values(self):
@@ -164,7 +164,7 @@ class TestBuildPool:
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         horizontal = ctx.draft_dist(heads.horizontal[0], [])
-        assert build_pool(ctx, 1, horizontal) == (DraftSlot(horizontal, HORIZONTAL, 1),)
+        assert build_pool(ctx, 1, horizontal) == (Candidate(horizontal, HORIZONTAL, 1),)
 
     def test_interior_position_gathers_vertical(self):
         grid, model, heads, config = _hawk_setup()
@@ -174,7 +174,7 @@ class TestBuildPool:
         horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed)
         vertical = ctx.cache.entries[(4, 1)][0]  # row 1, col 0
         assert build_pool(ctx, 1, horizontal) == (
-            DraftSlot(vertical, VERTICAL, 1), DraftSlot(horizontal, HORIZONTAL, 1)
+            Candidate(vertical, VERTICAL, 1), Candidate(horizontal, HORIZONTAL, 1)
         )
 
     def test_beyond_grid_rejected(self):
@@ -196,9 +196,9 @@ class TestBuildPool:
         layer = build_pool(ctx, 1, horizontal)
         # Row 2, col 0: one entry per vertical depth, then the horizontal draft.
         assert layer == (
-            DraftSlot(ctx.cache.entries[(8, 1)][0], VERTICAL, 1),
-            DraftSlot(ctx.cache.entries[(8, 2)][0], VERTICAL, 2),
-            DraftSlot(horizontal, HORIZONTAL, 1),
+            Candidate(ctx.cache.entries[(8, 1)][0], VERTICAL, 1),
+            Candidate(ctx.cache.entries[(8, 2)][0], VERTICAL, 2),
+            Candidate(horizontal, HORIZONTAL, 1),
         )
 
 
@@ -240,10 +240,12 @@ class TestCandidateTree:
         for first, live_after in ((0, 2), (1, 1)):
             widths = []
 
-            def accept(p, candidates, rng, *, record_steps=True, choice=first):
+            def accept(p, candidates, uniforms, rng, *, record_steps=True, choice=first):
                 widths.append(len(candidates))
                 index = choice if len(widths) == 1 else 0
-                return VerificationOutcome(candidates[index].token, index)
+                return VerificationOutcome(
+                    index_at(candidates[index].draft_dist, uniforms[index]), index
+                )
 
             monkeypatch.setattr(hawk.engine, "sequential_verify", accept)
             ctx = DecodingContext(model, heads, config, 3)
@@ -259,39 +261,9 @@ class TestCandidateTree:
             commit_token(ctx, token)
         hdist = ctx.draft_dist(heads.horizontal[0], ctx.committed)
         vdist = ctx.cache.entries[(4, 1)][0]
-        vertical = (vdist, "vertical", 1)
-        horizontal = (hdist, "horizontal", 1)
-
-        def entries(tree):
-            return [(s.draft_dist, s.source, s.depth) for s in tree.layers[0]]
-
         tree = build_candidate_tree([build_pool(ctx, 1, hdist)], config, ctx.draft_rng)
-        assert entries(tree) == [vertical, horizontal]
-        assert [c.draft_dist for c in tree.candidates(0, 2)] == [vdist, hdist]
-
-    def test_candidates_view(self):
-        grid, model, heads, config = _hawk_setup()
-        ctx = DecodingContext(model, heads, config, 3)
-        for token in (0, 1, 2, 0):
-            commit_token(ctx, token)
-        hdist = ctx.draft_dist(heads.horizontal[0], ctx.committed)
-        tree = build_candidate_tree([build_pool(ctx, 1, hdist)], config, ctx.draft_rng)
-        (layer,), (uniforms,) = tree.layers, tree.uniforms
-        live = tree.candidates(0, 1)
-        assert len(live) == 1
-        for index in (1, -2):
-            with pytest.raises(IndexError):
-                live[index]
-        assert len(tree.candidates(0, 5)) == len(layer) == 2
-        view = tree.candidates(0, 2)
-        last = view[1]
-        assert view[-1] is last
-        got = list(view)
-        assert got[1] is last
-        assert [(c.token, c.draft_dist, c.source, c.depth) for c in got] == [
-            (index_at(s.draft_dist, u), s.draft_dist, s.source, s.depth)
-            for s, u in zip(layer, uniforms)
-        ]
+        assert tree.layers[0] == ((vdist, "vertical", 1), (hdist, "horizontal", 1))
+        assert len(tree.uniforms[0]) == 2
 
     def test_no_candidates_at_depth_one(self):
         # Row 0 has no cached vertical entries, so without horizontal
@@ -317,8 +289,8 @@ class _VerifySpy:
             return tree
 
         def spying(verify):
-            def spy_verify(p, candidates, rng, *args, **kwargs):
-                outcome = verify(p, candidates, rng, *args, **kwargs)
+            def spy_verify(p, candidates, *args, **kwargs):
+                outcome = verify(p, candidates, *args, **kwargs)
                 self.rounds[-1][1].append((candidates, outcome))
                 return outcome
 
@@ -370,20 +342,16 @@ class TestLiveContinuations:
             for k, (candidates, outcome) in enumerate(calls):
                 live = _live_by_brute_force(widths, budget, prefix)
                 assert live == list(range(len(candidates)))
-                assert all(
-                    c.draft_dist is layers[k][j].draft_dist
-                    and (c.source, c.depth) == (layers[k][j].source, layers[k][j].depth)
-                    for j, c in enumerate(candidates)
-                )
+                assert candidates == layers[k][: len(live)]
                 if outcome.accepted_index is None:
                     break
                 prefix += (outcome.accepted_index,)
         assert spy.rounds
         assert truncated or budget > np.prod([sph + spv * v] * h)
 
-    def test_builds_only_the_candidates_walked(self, monkeypatch):
+    def test_draws_only_the_tokens_walked(self, monkeypatch):
         # A wide tree (H=4, V=2, interior layers 4 wide) cut by the budget:
-        # each verification step reads one candidate, and no other is built.
+        # each verification step draws one token, and no other is drawn.
         grid = GridSpec(6, 6, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 4, 2, 300, 5, 0.5)
@@ -391,19 +359,19 @@ class TestLiveContinuations:
             mode="hawk", horizontal_depth=4, vertical_depth=2, samples_per_horizontal=2,
             node_budget=20, transform=SamplingConfig(top_k=2, temperature=0.8),
         )
-        built = []
+        drawn = []
 
-        def counting(*args):
-            built.append(args)
-            return Candidate(*args)
+        def counting(dist, u):
+            drawn.append(u)
+            return index_at(dist, u)
 
-        monkeypatch.setattr(hawk.engine, "Candidate", counting)
+        monkeypatch.setattr(hawk.verifier, "index_at", counting)
         spy = _VerifySpy(monkeypatch)
         trace = []
         decode_batch(model, heads, config, 5, 4, trace=trace)
         widths = [[len(layer) for layer in layers] for layers, _ in spy.rounds]
         assert any(np.prod(w) > config.node_budget for w in widths)
-        assert len(built) == len(trace) < sum(map(sum, widths))
+        assert len(drawn) == len(trace) < sum(map(sum, widths))
 
 
 # (samples_per_vertical, node_budget)
@@ -413,11 +381,11 @@ DRAW_ORDER_CASES = [(1, 64), (0, 64), (2, 3)]
 class TestDrawOrder:
     @pytest.mark.parametrize("spv, budget", DRAW_ORDER_CASES)
     def test_block_draw_matches_eager_draws(self, spv, budget):
-        # The round's uniforms come in one block; every candidate's token
-        # must equal the one an eager sample_index call per candidate gives
-        # in the documented order (depth order, then within a layer the
-        # vertical candidates by depth before the horizontal ones), and the
-        # stream must end in the same ctx.
+        # The round's uniforms come in one block; every token the walk draws
+        # from them must equal the one an eager sample_index call per
+        # candidate gives in the documented order (depth order, then within a
+        # layer the vertical candidates by depth before the horizontal ones),
+        # and the stream must end in the same state.
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 3, 2, 300, 5, 0.5)
@@ -433,15 +401,21 @@ class TestDrawOrder:
             drafts = [ctx.draft_dist(heads.horizontal[n - 1], ctx.committed) for n in depths]
             layers = [build_pool(ctx, n, drafts[n - 1]) for n in depths]
             block_rng, eager_rng = stream(frontier, "tree"), stream(frontier, "tree")
+            accept_rng = stream(frontier, "accept")
             tree = build_candidate_tree(layers, config, block_rng)
             for k in range(len(layers)):
                 horizontal = [(drafts[k], HORIZONTAL, k + 1)] * 2
                 cached = ctx.cache.gather(frontier + k)
                 vertical = [(q, VERTICAL, d) for d, q in cached for _ in range(spv)]
                 want = vertical + horizontal
-                got = tree.candidates(k, len(tree.layers[k]))
-                assert [(c.draft_dist, c.source, c.depth) for c in got] == want
-                assert [c.token for c in got] == [sample_index(q, eager_rng) for q, _, _ in want]
+                assert list(tree.layers[k]) == want
+                # Verified against its own draft, a candidate is accepted at
+                # once, so the walk emits the token it drew.
+                walked = [
+                    sequential_verify(c.draft_dist, [c], [u], accept_rng).emitted_token
+                    for c, u in zip(tree.layers[k], tree.uniforms[k])
+                ]
+                assert walked == [sample_index(q, eager_rng) for q, _, _ in want]
             assert len(tree.layers) == len(layers)
             assert block_rng.random() == eager_rng.random()
             commit_token(ctx, sample[frontier])

@@ -8,6 +8,7 @@ import pytest
 from hawk.core import GridSpec, SamplingConfig, TokenDistribution
 from hawk.engine import BatchResult, EngineConfig, decode_image
 from hawk.models import (
+    DraftHeadSet,
     fit_tabular_draft_heads,
     make_exact_heads,
     make_grid_markov_target,
@@ -232,6 +233,16 @@ class TestRejectionCurve:
             assert rejection_mass(p, drafts)[-1] == pytest.approx(
                 reference_mass(p, drafts), abs=1e-12
             )
+
+    def test_heads_deeper_than_config_change_nothing(self):
+        # The curves cycle through the drafts the engine holds, which stop at
+        # the config's vertical depth however deep the heads go.
+        grid, model, _, config = _curve_setup()
+        deep = fit_tabular_draft_heads(model, 2, 2, 600, 3)
+        shallow = DraftHeadSet(deep.width, deep.horizontal, deep.vertical[:1])
+        assert rejection_curve(model, deep, config, 100, 4, 9) == rejection_curve(
+            model, shallow, config, 100, 4, 9
+        )
 
     def test_validation(self):
         grid, model, heads, config = _curve_setup()

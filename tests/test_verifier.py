@@ -23,6 +23,11 @@ def dist(*probs):
     return TokenDistribution(list(probs))
 
 
+def selecting(q, token):
+    """The uniform that index_at maps to ``token`` under q: the middle of its cumulative step."""
+    return float(np.cumsum(q.probs)[token] - q.probs[token] / 2)
+
+
 def random_dist(gen, k, floor=1e-3):
     w = gen.random(k) + floor
     return TokenDistribution(w / w.sum())
@@ -84,46 +89,45 @@ class TestResidualUpdate:
             residual_update(dist(0.5, 0.5), dist(0.5, 0.3, 0.2))
 
 
-class TestCandidate:
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            Candidate(1, dist(1.0, 0.0), "horizontal", 1)
-        with pytest.raises(ValueError):
-            Candidate(0, dist(0.5, 0.5), "diagonal", 1)
-        with pytest.raises(ValueError):
-            Candidate(0, dist(0.5, 0.5), "vertical", 0)
-
-
 class TestSequentialVerify:
     def test_self_draft_always_accepts(self):
         p = dist(0.5, 0.3, 0.2)
         gen = stream(1, "verify")
         for _ in range(200):
             token = int(gen.integers(3))
-            outcome = sequential_verify(p, [Candidate(token, p, "horizontal", 1)], gen)
+            outcome = sequential_verify(
+                p, [Candidate(p, "horizontal", 1)], [selecting(p, token)], gen
+            )
             assert outcome.emitted_token == token
             assert outcome.accepted_index == 0
+
+    def test_never_proposes_a_zero_probability_token(self):
+        # The walk draws each token itself, so no uniform, not even one at
+        # either end of [0, 1), can propose a token its draft cannot produce.
+        q = dist(0.0, 0.5, 0.0, 0.5, 0.0)
+        gen = stream(6, "verify")
+        for u in (0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)):
+            outcome = sequential_verify(q, [Candidate(q, "horizontal", 1)], [u], gen)
+            assert q.prob(outcome.emitted_token) > 0.0
 
     def test_acceptance_leaves_later_candidates_untouched(self):
         p = dist(0.5, 0.3, 0.2)
         gen = stream(2, "verify")
-        cands = [
-            Candidate(0, p, "vertical", 1),
-            Candidate(1, dist(0.1, 0.8, 0.1), "horizontal", 1),
-        ]
-        outcome = sequential_verify(p, cands, gen)
+        q = dist(0.1, 0.8, 0.1)
+        cands = [Candidate(p, "vertical", 1), Candidate(q, "horizontal", 1)]
+        outcome = sequential_verify(p, cands, [selecting(p, 0), selecting(q, 1)], gen)
         assert outcome.accepted_index == 0
         assert len(outcome.alphas) == 1
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            sequential_verify(dist(0.5, 0.5), [], stream(0, "x"))
+            sequential_verify(dist(0.5, 0.5), [], [], stream(0, "x"))
 
     def test_alpha_recorded_as_overlap_mass(self):
         p = dist(0.5, 0.3, 0.2)
         q = dist(0.2, 0.5, 0.3)
         gen = stream(3, "verify")
-        outcome = sequential_verify(p, [Candidate(0, q, "horizontal", 1)], gen)
+        outcome = sequential_verify(p, [Candidate(q, "horizontal", 1)], [selecting(q, 0)], gen)
         assert abs(outcome.alphas[0] - 0.7) < 1e-12
 
     def test_record_flag_does_not_change_outcomes(self):
@@ -131,9 +135,10 @@ class TestSequentialVerify:
         q1 = dist(0.1, 0.2, 0.3, 0.4)
         q2 = dist(0.25, 0.25, 0.25, 0.25)
         for trial in range(50):
-            cands = [Candidate(trial % 4, q1, "vertical", 1), Candidate(0, q2, "horizontal", 1)]
-            a = sequential_verify(p, cands, stream(trial, "flag"), record_steps=True)
-            b = sequential_verify(p, cands, stream(trial, "flag"), record_steps=False)
+            cands = [Candidate(q1, "vertical", 1), Candidate(q2, "horizontal", 1)]
+            uniforms = [selecting(q1, trial % 4), selecting(q2, 0)]
+            a = sequential_verify(p, cands, uniforms, stream(trial, "flag"), record_steps=True)
+            b = sequential_verify(p, cands, uniforms, stream(trial, "flag"), record_steps=False)
             assert a.emitted_token == b.emitted_token
             assert a.accepted_index == b.accepted_index
             assert len(a.alphas) == (2 if a.accepted_index is None else a.accepted_index + 1)
@@ -145,7 +150,7 @@ class TestSequentialVerify:
         gen = stream(5, "verify")
         saw_resample = False
         for _ in range(200):
-            outcome = sequential_verify(p, [Candidate(1, q, "horizontal", 1)], gen)
+            outcome = sequential_verify(p, [Candidate(q, "horizontal", 1)], [selecting(q, 1)], gen)
             if outcome.accepted_index is None:
                 saw_resample = True
                 assert outcome.emitted_token == 0
@@ -162,15 +167,13 @@ class TestSequentialVerify:
         q3 = random_dist(gen, k)
         trials = 1_000_000
         counts = np.zeros(k)
-        from hawk.core import sample_index
-
+        cands = [
+            Candidate(q1, "vertical", 1),
+            Candidate(q2, "vertical", 2),
+            Candidate(q3, "horizontal", 1),
+        ]
         for _ in range(trials):
-            cands = [
-                Candidate(sample_index(q1, gen), q1, "vertical", 1),
-                Candidate(sample_index(q2, gen), q2, "vertical", 2),
-                Candidate(sample_index(q3, gen), q3, "horizontal", 1),
-            ]
-            outcome = sequential_verify(p, cands, gen, record_steps=False)
+            outcome = sequential_verify(p, cands, gen.random(3).tolist(), gen, record_steps=False)
             counts[outcome.emitted_token] += 1
         empirical = TokenDistribution(counts / trials)
         assert total_variation(empirical, p) <= 0.01
@@ -185,14 +188,9 @@ class TestSequentialVerify:
         first, second = (qv, qh) if order == "vertical_first" else (qh, qv)
         trials = 100_000
         counts = np.zeros(k)
-        from hawk.core import sample_index
-
+        cands = [Candidate(first, "vertical", 1), Candidate(second, "horizontal", 1)]
         for _ in range(trials):
-            cands = [
-                Candidate(sample_index(first, gen), first, "vertical", 1),
-                Candidate(sample_index(second, gen), second, "horizontal", 1),
-            ]
-            outcome = sequential_verify(p, cands, gen, record_steps=False)
+            outcome = sequential_verify(p, cands, gen.random(2).tolist(), gen, record_steps=False)
             counts[outcome.emitted_token] += 1
         assert total_variation(TokenDistribution(counts / trials), p) <= 0.02
 
@@ -247,8 +245,9 @@ class TestMedusaSpecialCase:
             ref_idx, ref_token = classic_multidraft_reference(
                 p.probs, q.probs, tokens, uniforms
             )
-            cands = [Candidate(t, q, "horizontal", 1) for t in tokens]
-            outcome = sequential_verify(p, cands, ScriptedRng(uniforms))
+            cands = [Candidate(q, "horizontal", 1)] * m
+            drafted = [selecting(q, t) for t in tokens]
+            outcome = sequential_verify(p, cands, drafted, ScriptedRng(uniforms))
             assert outcome.accepted_index == ref_idx
             assert outcome.emitted_token == ref_token
 
@@ -339,10 +338,10 @@ class TestLantern:
         with pytest.raises(ValueError):
             lantern_acceptance(p, p, 0, [0], 0.5)  # lam below 1
 
-    def test_zero_draft_prob_clips_to_one(self):
-        p = dist(0.5, 0.5)
-        q = dist(1.0, 0.0)
-        assert lantern_acceptance(p, q, 1, [0, 1], 1.0) == 1.0
+    def test_zero_draft_probability_rejected(self):
+        # The same refusal as acceptance_ratio's.
+        with pytest.raises(ValueError, match="token 1 has zero draft probability"):
+            lantern_acceptance(dist(0.5, 0.5), dist(1.0, 0.0), 1, [0, 1], 1.0)
 
     def test_sequential_walk_keeps_structure(self):
         p = dist(0.5, 0.3, 0.2)
@@ -350,7 +349,7 @@ class TestLantern:
         neighborhoods = [(0, 1, 2)] * 3
         gen = stream(31, "lantern-walk")
         outcome = lantern_sequential_verify(
-            p, [Candidate(1, q, "horizontal", 1)], gen, neighborhoods, 2.0
+            p, [Candidate(q, "horizontal", 1)], [selecting(q, 1)], gen, neighborhoods, 2.0
         )
         # full-vocabulary neighborhood accepts unconditionally
         assert outcome.accepted_index == 0
@@ -376,8 +375,8 @@ class TestTokenNeighborhoods:
 class TestCsvRows:
     def test_row_shape(self):
         p = dist(0.5, 0.5)
-        (candidate,) = candidates = [Candidate(0, p, "vertical", 2)]
-        outcome = sequential_verify(p, candidates, stream(0, "csv"))
+        (candidate,) = candidates = [Candidate(p, "vertical", 2)]
+        outcome = sequential_verify(p, candidates, [selecting(p, 0)], stream(0, "csv"))
         (alpha,) = outcome.alphas
         row = (candidate.depth, candidate.source, alpha, outcome.accepted_index == 0)
         assert row == (2, "vertical", 1.0, True)
