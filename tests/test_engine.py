@@ -265,6 +265,24 @@ class TestCandidateTree:
         assert tree.layers[0] == ((vdist, "vertical", 1), (hdist, "horizontal", 1))
         assert len(tree.uniforms[0]) == 2
 
+    def test_candidates_view(self):
+        # A layer's live candidates are a prefix of it, each with its own
+        # uniform: verified against its own draft, candidate i is accepted at
+        # once and the walk emits the token uniforms[i] draws from it.
+        grid, model, heads, config = _hawk_setup()
+        ctx = DecodingContext(model, heads, config, 3)
+        for token in (0, 1, 2, 0):
+            commit_token(ctx, token)
+        hdist = ctx.draft_dist(heads.horizontal[0], ctx.committed)
+        tree = build_candidate_tree([build_pool(ctx, 1, hdist)], config, ctx.draft_rng)
+        (layer,), (uniforms,) = tree.layers, tree.uniforms
+        assert len(layer) == len(uniforms) == 2
+        rng = stream(0, "accept")
+        for i, (c, u) in enumerate(zip(layer, uniforms)):
+            outcome = sequential_verify(c.draft_dist, layer[i:], uniforms[i:], rng)
+            assert outcome.accepted_index == 0
+            assert outcome.emitted_token == index_at(c.draft_dist, u)
+
     def test_no_candidates_at_depth_one(self):
         # Row 0 has no cached vertical entries, so without horizontal
         # candidates the first layer would be empty: the config is refused.
@@ -349,9 +367,10 @@ class TestLiveContinuations:
         assert spy.rounds
         assert truncated or budget > np.prod([sph + spv * v] * h)
 
-    def test_draws_only_the_tokens_walked(self, monkeypatch):
+    def test_builds_only_the_candidates_walked(self, monkeypatch):
         # A wide tree (H=4, V=2, interior layers 4 wide) cut by the budget:
-        # each verification step draws one token, and no other is drawn.
+        # each verification step draws one candidate's token, and no other
+        # candidate's token is drawn.
         grid = GridSpec(6, 6, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 4, 2, 300, 5, 0.5)
