@@ -359,8 +359,10 @@ def cmd_bench(config: RunConfig) -> int:
             model, heads, engine, derive_seed(config.seed, "bench", mode), config.bench_images
         )
         results.append(batch)
+        # The measured counterpart of modeled_speedup; results[0] is vanilla's.
         print(f"mode={mode} accept_length={batch.accept_length:.3f} "
               f"modeled_speedup={batch.modeled_speedup:.3f} "
+              f"wall_speedup={results[0].wall_clock_ms / batch.wall_clock_ms:.3f} "
               f"wall_clock_ms={batch.wall_clock_ms:.1f}")
 
     hawk = variants["hawk"]

@@ -24,10 +24,12 @@ the frontier are evicted; live occupancy never exceeds
 ``width * vsd * (vsd + 1) / 2``.
 
 Draw order, for reproducibility: the draft stream supplies one uniform per
-drawn candidate, for the whole round in one block (layers in depth order,
-within a layer the vertical candidates by depth, then the horizontal ones);
-the verify stream supplies one uniform per verification step plus one
-categorical draw per resample or bonus token. A candidate's token is the
+drawn candidate, round after round (layers in depth order, within a layer
+the vertical candidates by depth, then the horizontal ones); the verify
+stream supplies one uniform per verification step plus one categorical
+draw per resample or bonus token. Speculative contexts read both through
+:class:`~hawk.rng.UniformReader`, which fetches uniforms in blocks and
+hands out the scalar draws in order. A candidate's token is the
 index its uniform selects from its draft. The verification walk computes it
 when it reaches the candidate and stops at the first acceptance, so every
 other candidate consumes its uniform and never gets a token.
@@ -45,7 +47,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,12 +61,11 @@ from .core import (
 )
 from .models import DraftHeadSet, TargetModel
 from .oracle_metrics import modeled_speedup
-from .rng import stream
+from .rng import UniformReader, stream
 from .verifier import (
     Candidate,
     HORIZONTAL,
     VERTICAL,
-    VerificationOutcome,
     lantern_sequential_verify,
     sequential_verify,
     token_neighborhoods,
@@ -183,18 +184,8 @@ class SpeculationCache:
         for depth in range(1, self.vertical_depth + 1):
             self.entries.pop((position, depth), None)
 
-    def gather(self, target_index: int) -> list[tuple[int, TokenDistribution]]:
-        """All cached entries targeting this position, ordered by depth."""
-        out = []
-        for depth in range(1, self.vertical_depth + 1):
-            entry = self.entries.get((target_index, depth))
-            if entry is not None:
-                out.append((depth, entry[0]))
-        return out
 
-
-@dataclass(frozen=True)
-class CandidateTree:
+class CandidateTree(NamedTuple):
     """Depth-indexed candidate layers with one uniform per drawn candidate.
 
     The tree is their Cartesian product truncated to the node budget: the
@@ -266,8 +257,13 @@ class DecodingContext:
         self.grid = model.grid
         self.committed: list[int] = []
         self.cache = SpeculationCache(self.grid.width, config.vertical_depth)
-        self.draft_rng = stream(seed, "draft")
-        self.verify_rng = stream(seed, "verify")
+        # Vanilla draws no draft uniforms; its scalar loop is the baseline of
+        # measured speedups, so it keeps the plain verify stream.
+        if config.mode == MODE_VANILLA:
+            self.draft_uniforms, self.verify_rng = None, stream(seed, "verify")
+        else:
+            self.draft_uniforms = UniformReader(stream(seed, "draft"))
+            self.verify_rng = UniformReader(stream(seed, "verify"))
         self.rounds = 0
         self.trace = trace
         self.depth_attempts: dict[int, int] = {}
@@ -306,29 +302,23 @@ def build_pool(
     position = len(ctx.committed) + n - 1
     if position >= ctx.grid.size:
         raise ValueError(f"speculation position {position} beyond grid end")
-    sph, spv = ctx.config.samples_per_horizontal, ctx.config.samples_per_vertical
-    layer = []
-    for d, q in ctx.cache.gather(position):
-        layer += [Candidate(q, VERTICAL, d)] * spv
-    return tuple(layer + [Candidate(horizontal_output, HORIZONTAL, n)] * sph)
+    config = ctx.config
+    layer = ()
+    for d in range(1, config.vertical_depth + 1):
+        entry = ctx.cache.entries.get((position, d))
+        if entry is not None:
+            layer += (Candidate(entry[0], VERTICAL, d),) * config.samples_per_vertical
+    return layer + (Candidate(horizontal_output, HORIZONTAL, n),) * config.samples_per_horizontal
 
 
 def build_candidate_tree(
-    layers: Sequence[tuple[Candidate, ...]], config: EngineConfig, rng: np.random.Generator
+    layers: Sequence[tuple[Candidate, ...]], config: EngineConfig, reader: UniformReader
 ) -> CandidateTree:
-    """Draw the uniforms of the layers from :func:`build_pool`; their
-    product, capped by ``config.node_budget``, is the tree.
-
-    The round's uniforms come from one ``rng.random(n)`` call, which
-    consumes the stream exactly as n scalar draws in layer order would.
+    """Take the uniforms of the layers from :func:`build_pool` off the
+    context's draft reader, in layer order; the layers' product, capped by
+    ``config.node_budget``, is the tree.
     """
-    block = rng.random(sum(len(layer) for layer in layers)).tolist()
-    uniforms = []
-    start = 0
-    for layer in layers:
-        uniforms.append(block[start : start + len(layer)])
-        start += len(layer)
-    return CandidateTree(tuple(layers), tuple(uniforms))
+    return CandidateTree(tuple(layers), tuple(map(reader.take, map(len, layers))))
 
 
 def commit_token(ctx: DecodingContext, token: int) -> None:
@@ -353,26 +343,6 @@ def commit_token(ctx: DecodingContext, token: int) -> None:
                 ctx.cache.insert(target_index, d, dist, t)
 
 
-def _verify(
-    ctx: DecodingContext,
-    target: TokenDistribution,
-    candidates: Sequence[Candidate],
-    uniforms: Sequence[float],
-    rng: np.random.Generator,
-) -> VerificationOutcome:
-    if ctx.config.mode == MODE_LANTERN:
-        return lantern_sequential_verify(
-            target,
-            candidates,
-            uniforms,
-            rng,
-            ctx.neighborhoods,
-            ctx.config.lantern_lam,
-            record_steps=ctx.trace is not None,
-        )
-    return sequential_verify(target, candidates, uniforms, rng, record_steps=ctx.trace is not None)
-
-
 def decode_round(ctx: DecodingContext) -> None:
     """Run one decoding round; commits between 1 and H+1 tokens.
 
@@ -393,12 +363,13 @@ def decode_round(ctx: DecodingContext) -> None:
 
     config = ctx.config
     frontier = len(committed)
-    depth_count = min(config.horizontal_depth, total - frontier)
+    # Loops, not comprehensions: a comprehension would turn the locals it
+    # reads into cells, which every call pays for, vanilla's included.
     layers = []
-    for n in range(1, depth_count + 1):
+    for n in range(1, min(config.horizontal_depth, total - frontier) + 1):
         horizontal = ctx.draft_dist(ctx.heads.horizontal[n - 1], committed)
         layers.append(build_pool(ctx, n, horizontal))
-    tree = build_candidate_tree(layers, config, ctx.draft_rng)
+    tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
 
     # Path (a_0, ..., a_n) has lexicographic rank sum(a_k * stride_k), where
     # stride_k is the product of the widths of the layers after k; it is kept
@@ -409,14 +380,21 @@ def decode_round(ctx: DecodingContext) -> None:
     strides = [1] * len(layers)
     for k in range(len(layers) - 1, 0, -1):
         strides[k - 1] = strides[k] * len(layers[k])
+    rng = ctx.verify_rng
+    record = ctx.trace is not None
+    walked = []  # (depth, candidates, outcome) per layer, when recording
     budget_left = config.node_budget
-    walked = None if ctx.trace is None else []  # (depth, candidates, outcome) per layer
     for depth, stride in enumerate(strides, start=1):
-        target = ctx.target_dist(committed)
         candidates = tree.layers[depth - 1][: -(-budget_left // stride)]
         ctx.depth_attempts[depth] = ctx.depth_attempts.get(depth, 0) + 1
-        outcome = _verify(ctx, target, candidates, tree.uniforms[depth - 1], ctx.verify_rng)
-        if walked is not None:
+        target, uniforms = ctx.target_dist(committed), tree.uniforms[depth - 1]
+        if config.mode == MODE_LANTERN:
+            outcome = lantern_sequential_verify(target, candidates, uniforms, rng,
+                                                ctx.neighborhoods, config.lantern_lam,
+                                                record_steps=record)
+        else:
+            outcome = sequential_verify(target, candidates, uniforms, rng, record_steps=record)
+        if record:
             walked.append((depth, candidates, outcome))
         commit_token(ctx, outcome.emitted_token)
         if outcome.accepted_index is None:
@@ -425,9 +403,8 @@ def decode_round(ctx: DecodingContext) -> None:
         budget_left -= outcome.accepted_index * stride
     else:
         if len(committed) < total:
-            bonus = ctx.target_dist(committed)
-            commit_token(ctx, sample_index(bonus, ctx.verify_rng))
-    if walked is not None:
+            commit_token(ctx, sample_index(ctx.target_dist(committed), rng))
+    if record:
         count = len(committed) - frontier
         # One alpha per step walked, so the zip stops where the walk did.
         ctx.trace.extend(

@@ -45,3 +45,40 @@ def derive_seed(master_seed: int, *tags: Tag) -> int:
     """A 64-bit child seed for handing to components that take plain seeds."""
     state = seed_sequence(master_seed, *tags).generate_state(2, np.uint64)
     return int(state[0])
+
+
+# Uniforms a reader fetches per refill; what it hands out does not depend on it.
+READ_BLOCK = 256
+
+
+class UniformReader:
+    """A stream's ``random()`` draws, handed out in order and fetched in blocks.
+
+    PCG64 fills ``rng.random(n)`` with the values of n scalar draws, so a
+    reader hands out the scalar stream however its requests fall on refills,
+    and it stands in for its stream where only ``random()`` is called.
+    """
+
+    __slots__ = ("rng", "values", "next")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.values: list[float] = []
+        self.next = 0
+
+    def take(self, n: int) -> list[float]:
+        """The next ``n`` uniforms of the stream."""
+        start = self.next
+        end = start + n
+        if end > len(self.values):
+            self.values = self.values[start:] + self.rng.random(max(n, READ_BLOCK)).tolist()
+            start, end = 0, n
+        self.next = end
+        return self.values[start:end]
+
+    def random(self) -> float:
+        """The next uniform, as the stream's ``random()`` would draw it."""
+        if self.next == len(self.values):
+            self.values, self.next = self.rng.random(READ_BLOCK).tolist(), 0
+        self.next += 1
+        return self.values[self.next - 1]

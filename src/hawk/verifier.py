@@ -21,12 +21,13 @@ product of (1 - alpha_i) over a chain is the rejection mass: the probability
 that the round falls through to the residual resample.
 
 Everything here is a pure function of its inputs plus an explicit random
-stream, so invocations are safe to run in parallel with independent streams.
-Draw order within a call: the caller passes one uniform per candidate,
-drawn independently of ``rng``, and step i's token is the index that
-``uniforms[i]`` selects from q_i (:func:`~hawk.core.index_at`), computed
-when the walk reaches step i. ``rng`` supplies one uniform per verification
-step, then a single categorical draw if the round resamples.
+stream (a Generator, or a :class:`~hawk.rng.UniformReader` over one), so
+calls are safe to run in parallel with independent streams. Draw order
+within a call: the caller passes one uniform per candidate, drawn
+independently of ``rng``, and step i's token is the index that ``uniforms[i]``
+selects from q_i (:func:`~hawk.core.index_at`), computed when the walk
+reaches step i. ``rng`` supplies one uniform per verification step, then a
+single categorical draw if the round resamples.
 """
 
 from __future__ import annotations
@@ -108,10 +109,11 @@ def _walk(
     candidates: Sequence[Candidate],
     uniforms: Sequence[float],
     rng: np.random.Generator,
-    accept_rule: Callable[[TokenDistribution, TokenDistribution, int], float],
+    accept_rule: Callable[[TokenDistribution, TokenDistribution, int], float] | None,
     record_steps: bool,
 ) -> VerificationOutcome:
-    """Shared accept/reject walk; ``accept_rule(p_i, q_i, token)`` decides each step.
+    """Shared accept/reject walk; ``accept_rule(p_i, q_i, token)`` decides each
+    step, or, if None, :func:`acceptance_ratio`'s rule and refusal, inlined.
 
     If a residual ever degenerates with candidates remaining (only reachable
     through floating-point exhaustion on tiny vocabularies), the remaining
@@ -119,13 +121,23 @@ def _walk(
     their alpha is still recorded against the retained distribution, and the
     final resample uses the last non-degenerate residual.
     """
+    if not candidates:
+        raise ValueError("candidates must be nonempty")
     alphas: list[float] = []
     p_cur = p
     exhausted = False
     for index, candidate in enumerate(candidates):
         q = candidate.draft_dist
         token = index_at(q, uniforms[index])
-        accepted = not exhausted and rng.random() < accept_rule(p_cur, q, token)
+        if exhausted:
+            accepted = False
+        elif accept_rule is not None:
+            accepted = rng.random() < accept_rule(p_cur, q, token)
+        else:  # acceptance_ratio; u < min(1, r) exactly when u < r, as u < 1
+            qt = q.probs[token]
+            if qt <= 0.0:
+                raise ValueError(f"token {token} has zero draft probability")
+            accepted = rng.random() < p_cur.probs[token] / qt
         if record_steps:
             alphas.append(float(np.minimum(p_cur.probs, q.probs).sum()))
         if accepted:
@@ -160,9 +172,7 @@ def sequential_verify(
     ``record_steps=False`` skips computing the per-step alphas (the walk and
     its draws are identical either way), which matters in bulk simulation.
     """
-    if not candidates:
-        raise ValueError("candidates must be nonempty")
-    return _walk(p, candidates, uniforms, rng, acceptance_ratio, record_steps)
+    return _walk(p, candidates, uniforms, rng, None, record_steps)
 
 
 def rejection_mass(p: TokenDistribution, drafts: Sequence[TokenDistribution]) -> list[float]:
@@ -193,27 +203,28 @@ def lantern_acceptance(
     p: TokenDistribution,
     q: TokenDistribution,
     token: int,
-    neighborhood: Sequence[int],
+    neighborhood: np.ndarray | Sequence[int],
     lam: float,
 ) -> float:
     """Relaxed acceptance aggregating target mass over a token neighborhood.
 
-    Returns min(1, lam * sum_{x in neighborhood} p(x) / q(token)). With a
-    singleton neighborhood and lam = 1 this is the standard ratio; any larger
-    neighborhood containing the token and any lam >= 1 can only raise it, so
-    it dominates :func:`acceptance_ratio` pointwise. This rule is NOT
-    distribution preserving; it trades output fidelity for acceptance rate
-    and exists as a baseline to measure that trade. Like
-    :func:`acceptance_ratio`, it refuses a token of zero draft probability.
+    Returns min(1, lam * sum_{x in neighborhood} p(x) / q(token)), summed in
+    the neighborhood's order. With a singleton neighborhood and lam = 1 this
+    is the standard ratio; any larger neighborhood containing the token and
+    any lam >= 1 can only raise it, so it dominates :func:`acceptance_ratio`
+    pointwise. This rule is NOT distribution preserving; it trades output
+    fidelity for acceptance rate and exists as a baseline to measure that
+    trade. Like :func:`acceptance_ratio`, it refuses a token of zero draft
+    probability.
     """
     if lam < 1.0:
         raise ValueError(f"lam must be >= 1, got {lam}")
-    if token not in neighborhood:
+    idx = np.asarray(neighborhood, dtype=np.intp)
+    if token not in idx.tolist():
         raise ValueError(f"token {token} not in its neighborhood")
     qt = q.prob(token)
     if qt <= 0.0:
         raise ValueError(f"token {token} has zero draft probability")
-    idx = np.asarray(sorted(neighborhood), dtype=np.intp)
     mass = float(p.probs[idx].sum())
     return min(1.0, lam * mass / qt)
 
@@ -223,7 +234,7 @@ def lantern_sequential_verify(
     candidates: Sequence[Candidate],
     uniforms: Sequence[float],
     rng: np.random.Generator,
-    neighborhoods: Sequence[Sequence[int]],
+    neighborhoods: Sequence[np.ndarray | Sequence[int]],
     lam: float,
     *,
     record_steps: bool = True,
@@ -236,20 +247,19 @@ def lantern_sequential_verify(
     toward accepting a proposal of token t. Recorded alphas keep the standard
     sum-min definition so traces remain comparable across modes.
     """
-    if not candidates:
-        raise ValueError("candidates must be nonempty")
-
     def rule(p_cur: TokenDistribution, q: TokenDistribution, token: int) -> float:
         return lantern_acceptance(p_cur, q, token, neighborhoods[token], lam)
 
     return _walk(p, candidates, uniforms, rng, rule, record_steps)
 
 
-def token_neighborhoods(embeddings: np.ndarray, k: int) -> tuple[tuple[int, ...], ...]:
+def token_neighborhoods(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """k-nearest-neighbor token sets under Euclidean distance in embedding space.
 
-    Each token's own point is at distance zero, so it is always a member.
-    ``k`` is clipped to the vocabulary size; ties break by token index.
+    Each set is a sorted ``intp`` array, which :func:`lantern_acceptance`
+    indexes with as it is. Each token's own point is at distance zero, so it
+    is always a member. ``k`` is clipped to the vocabulary size; ties break
+    by token index.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -260,5 +270,5 @@ def token_neighborhoods(embeddings: np.ndarray, k: int) -> tuple[tuple[int, ...]
     for t in range(n):
         d = np.linalg.norm(points - points[t], axis=1)
         order = np.lexsort((np.arange(n), d))
-        out.append(tuple(sorted(int(i) for i in order[:k])))
+        out.append(np.sort(order[:k]))
     return tuple(out)

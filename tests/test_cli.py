@@ -1,6 +1,7 @@
 """Config parsing, subcommand behavior, manifests, and exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -13,6 +14,7 @@ from hawk.cli import build_heads, build_model, load_run_config, main
 from hawk.core import SamplingConfig
 from hawk.engine import decode_batch
 from hawk.models import load_head_set
+from hawk.rng import derive_seed
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -486,6 +488,15 @@ class TestBenchCommand:
         assert cells["vanilla"][4] == "1.0"
         assert float(cells["hawk"][4]) == float(cells["hawk"][3]) / 1.105
 
+    def test_prints_wall_speedup_over_vanilla(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["bench", "--config", str(path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("mode=")]
+        fields = [dict(item.split("=") for item in line.split()) for line in lines]
+        assert [f["mode"] for f in fields] == ["vanilla", "medusa", "hawk", "lantern"]
+        assert fields[0]["wall_speedup"] == "1.000"
+        assert all(float(f["wall_speedup"]) > 0 for f in fields)
+
     def test_deterministic_rerun(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -658,3 +669,55 @@ class TestPinnedOutputs:
         assert main(args) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == PINNED_OUTPUTS[(config, command)]
+
+
+# SHA-256 of each mode's decodes on the perfbench configs, which, unlike the
+# shipped ones, cover H=4, two vertical depths, repeated slots, a tree cut by
+# the node budget and a transform. Recorded before the speculative round was
+# restructured; a change that claims to keep every draw keeps these.
+PINNED_DECODES = {
+    "oracle_2x2": {
+        "vanilla": "36a96e2f600e581f8d5bc82f88e3587a6aff3b533e85f328d1d2fc355d8c5b7c",
+        "medusa": "7b591e1cdb200aba2b7e9b8812efa87115835bda4881cb369aceccc7b9e98fdc",
+        "hawk": "1a9ccf3e6ef51afcc2cd944b202f014606079374212621dccb91a60542d5968e",
+        "lantern": "c50b3c2db3fb2d0a0fcd8417cc7df6080e41db1fdd08b72f350ae434af7654b0",
+    },
+    "image_16x16": {
+        "vanilla": "3138bd06bd32ab4c5a519258abb2022e2e024ed270f45740b54d954c137011a7",
+        "medusa": "b461c106f45f9291ecbad661f09c606964a8b1c8636f59055653e191187e65a8",
+        "hawk": "cc560b352027866fb027fd01833150e67f1ceca2111a1d120672ba06c290c201",
+        "lantern": "948af61a891cbbb0c099580eef7eee8c2f035eb9894220f83d16a4b165067d00",
+    },
+    "wide_tree_16x16": {
+        "vanilla": "090eaca9a71f624a0d5ce0770b13173ab151eb9b44b267629898455f7f51f1c4",
+        "medusa": "8a1fcd8e5030f02bdf4107f24dfbe7e64d74058aa47825ae646e65847f7c21d7",
+        "hawk": "c079c40074d44649d584090711070e17ba6d45c67d6dcd992a5fdc50c55097a2",
+        "lantern": "045f226fc46c607937080be0186c798df41796a068608615659a122c433bce1e",
+    },
+}
+
+PINNED_DECODE_GRIDS = {"oracle_2x2": 100, "image_16x16": 2, "wide_tree_16x16": 2}
+
+
+def _decode_digests(name: str) -> dict[str, str]:
+    """Per mode: the digest of the sorted grid counts, the rounds, the depth
+    attempts and accepts, and the trace rows of a few decodes."""
+    config = load_run_config(ROOT / "perfbench" / "configs" / f"{name}.json")
+    model = build_model(config)
+    heads = build_heads(config, model)
+    digests = {}
+    for mode, engine in hawk.cli._mode_variants(config.engine).items():
+        trace = []
+        batch = decode_batch(model, heads, engine, derive_seed(config.seed, "pinned", mode),
+                             PINNED_DECODE_GRIDS[name], trace=trace)
+        record = (sorted(batch.grid_counts.items()), batch.rounds,
+                  sorted(batch.depth_attempts.items()), sorted(batch.depth_accepts.items()),
+                  trace)
+        digests[mode] = hashlib.sha256(repr(record).encode()).hexdigest()
+    return digests
+
+
+class TestPinnedPerfbenchDecodes:
+    @pytest.mark.parametrize("name", sorted(PINNED_DECODES))
+    def test_decode_digests_unchanged(self, name):
+        assert _decode_digests(name) == PINNED_DECODES[name]

@@ -76,14 +76,12 @@ class TestSpeculationCache:
         d = TokenDistribution([0.5, 0.5])
         cache.insert(4, 1, d, 0)
         cache.insert(8, 2, d, 0)
-        assert cache.gather(4) == [(1, d)]
-        assert cache.gather(8) == [(2, d)]
-        assert cache.gather(5) == []
+        # Each entry keeps the position it was computed from.
+        assert cache.entries == {(4, 1): (d, 0), (8, 2): (d, 0)}
         cache.evict(5)  # nothing targets 5
         assert cache.occupancy == 2
         cache.evict(4)
-        assert cache.gather(4) == []
-        assert cache.gather(8) == [(2, d)]
+        assert cache.entries == {(8, 2): (d, 0)}
         assert cache.occupancy == 1
         assert cache.peak_occupancy == 2
 
@@ -217,7 +215,7 @@ class TestCandidateTree:
             build_pool(ctx, n, ctx.draft_dist(heads.horizontal[n - 1], []))
             for n in (1, 2)
         ]
-        tree = build_candidate_tree(layers, config, ctx.draft_rng)
+        tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
         assert [len(layer) for layer in tree.layers] == [1, 1]
 
     def test_cartesian_product_at_interior(self):
@@ -229,7 +227,7 @@ class TestCandidateTree:
             build_pool(ctx, n, ctx.draft_dist(heads.horizontal[n - 1], ctx.committed))
             for n in (1, 2)
         ]
-        tree = build_candidate_tree(layers, config, ctx.draft_rng)
+        tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
         assert [len(layer) for layer in tree.layers] == [2, 2]
 
     def test_node_budget_keeps_earliest_paths(self, monkeypatch):
@@ -261,7 +259,7 @@ class TestCandidateTree:
             commit_token(ctx, token)
         hdist = ctx.draft_dist(heads.horizontal[0], ctx.committed)
         vdist = ctx.cache.entries[(4, 1)][0]
-        tree = build_candidate_tree([build_pool(ctx, 1, hdist)], config, ctx.draft_rng)
+        tree = build_candidate_tree([build_pool(ctx, 1, hdist)], config, ctx.draft_uniforms)
         assert tree.layers[0] == ((vdist, "vertical", 1), (hdist, "horizontal", 1))
         assert len(tree.uniforms[0]) == 2
 
@@ -274,7 +272,7 @@ class TestCandidateTree:
         for token in (0, 1, 2, 0):
             commit_token(ctx, token)
         hdist = ctx.draft_dist(heads.horizontal[0], ctx.committed)
-        tree = build_candidate_tree([build_pool(ctx, 1, hdist)], config, ctx.draft_rng)
+        tree = build_candidate_tree([build_pool(ctx, 1, hdist)], config, ctx.draft_uniforms)
         (layer,), (uniforms,) = tree.layers, tree.uniforms
         assert len(layer) == len(uniforms) == 2
         rng = stream(0, "accept")
@@ -301,8 +299,8 @@ class _VerifySpy:
         self.rounds = []  # (layers, [(candidates, outcome), ...]) per speculative round
         build = hawk.engine.build_candidate_tree
 
-        def spy_tree(layers, config, rng):
-            tree = build(layers, config, rng)
+        def spy_tree(layers, config, reader):
+            tree = build(layers, config, reader)
             self.rounds.append((tree.layers, []))
             return tree
 
@@ -400,11 +398,13 @@ DRAW_ORDER_CASES = [(1, 64), (0, 64), (2, 3)]
 class TestDrawOrder:
     @pytest.mark.parametrize("spv, budget", DRAW_ORDER_CASES)
     def test_block_draw_matches_eager_draws(self, spv, budget):
-        # The round's uniforms come in one block; every token the walk draws
-        # from them must equal the one an eager sample_index call per
-        # candidate gives in the documented order (depth order, then within a
-        # layer the vertical candidates by depth before the horizontal ones),
-        # and the stream must end in the same state.
+        # The round's uniforms come off the context's draft reader, which
+        # fetches them in blocks; every token the walk draws from them must
+        # equal the one an eager sample_index call per candidate on the draft
+        # stream gives in the documented order (rounds in turn, depth order,
+        # then within a layer the vertical candidates by depth before the
+        # horizontal ones), and after each round the next uniform the reader
+        # hands out must be the next eager draw.
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 3, 2, 300, 5, 0.5)
@@ -414,18 +414,21 @@ class TestDrawOrder:
             transform=SamplingConfig(top_k=2, temperature=0.8),
         )
         ctx = DecodingContext(model, heads, config, 3)
+        eager_rng = stream(3, "draft")
         sample = model.sample_grid(stream(4, "draw-order"))
         for frontier in range(grid.size):
             depths = range(1, min(config.horizontal_depth, grid.size - frontier) + 1)
             drafts = [ctx.draft_dist(heads.horizontal[n - 1], ctx.committed) for n in depths]
             layers = [build_pool(ctx, n, drafts[n - 1]) for n in depths]
-            block_rng, eager_rng = stream(frontier, "tree"), stream(frontier, "tree")
             accept_rng = stream(frontier, "accept")
-            tree = build_candidate_tree(layers, config, block_rng)
+            tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
             for k in range(len(layers)):
                 horizontal = [(drafts[k], HORIZONTAL, k + 1)] * 2
-                cached = ctx.cache.gather(frontier + k)
-                vertical = [(q, VERTICAL, d) for d, q in cached for _ in range(spv)]
+                entries = ctx.cache.entries
+                vertical = [
+                    (entries[(frontier + k, d)][0], VERTICAL, d)
+                    for d in (1, 2) if (frontier + k, d) in entries for _ in range(spv)
+                ]
                 want = vertical + horizontal
                 assert list(tree.layers[k]) == want
                 # Verified against its own draft, a candidate is accepted at
@@ -436,7 +439,7 @@ class TestDrawOrder:
                 ]
                 assert walked == [sample_index(q, eager_rng) for q, _, _ in want]
             assert len(tree.layers) == len(layers)
-            assert block_rng.random() == eager_rng.random()
+            assert ctx.draft_uniforms.take(1) == [eager_rng.random()]
             commit_token(ctx, sample[frontier])
 
 
