@@ -27,9 +27,9 @@ Draw order, for reproducibility: the draft stream supplies one uniform per
 drawn candidate, round after round (layers in depth order, within a layer
 the vertical candidates by depth, then the horizontal ones); the verify
 stream supplies one uniform per verification step plus one categorical
-draw per resample or bonus token. Speculative contexts read both through
-:class:`~hawk.rng.UniformReader`, which fetches uniforms in blocks and
-hands out the scalar draws in order. A candidate's token is the
+draw per resample or bonus token. A speculative context reads its draft
+stream through :class:`~hawk.rng.UniformReader`, which fetches uniforms in
+blocks and hands out the scalar draws in order. A candidate's token is the
 index its uniform selects from its draft. The verification walk computes it
 when it reaches the candidate and stops at the first acceptance, so every
 other candidate consumes its uniform and never gets a token.
@@ -257,13 +257,10 @@ class DecodingContext:
         self.grid = model.grid
         self.committed: list[int] = []
         self.cache = SpeculationCache(self.grid.width, config.vertical_depth)
-        # Vanilla draws no draft uniforms; its scalar loop is the baseline of
-        # measured speedups, so it keeps the plain verify stream.
-        if config.mode == MODE_VANILLA:
-            self.draft_uniforms, self.verify_rng = None, stream(seed, "verify")
-        else:
-            self.draft_uniforms = UniformReader(stream(seed, "draft"))
-            self.verify_rng = UniformReader(stream(seed, "verify"))
+        self.draft_rng = stream(seed, "draft")
+        self.verify_rng = stream(seed, "verify")
+        # Only a speculative round draws draft uniforms, a block at a time.
+        self.draft_uniforms = None if config.mode == MODE_VANILLA else UniformReader(self.draft_rng)
         self.rounds = 0
         self.trace = trace
         self.depth_attempts: dict[int, int] = {}
@@ -363,8 +360,6 @@ def decode_round(ctx: DecodingContext) -> None:
 
     config = ctx.config
     frontier = len(committed)
-    # Loops, not comprehensions: a comprehension would turn the locals it
-    # reads into cells, which every call pays for, vanilla's included.
     layers = []
     for n in range(1, min(config.horizontal_depth, total - frontier) + 1):
         horizontal = ctx.draft_dist(ctx.heads.horizontal[n - 1], committed)

@@ -55,8 +55,7 @@ class UniformReader:
     """A stream's ``random()`` draws, handed out in order and fetched in blocks.
 
     PCG64 fills ``rng.random(n)`` with the values of n scalar draws, so a
-    reader hands out the scalar stream however its requests fall on refills,
-    and it stands in for its stream where only ``random()`` is called.
+    reader hands out the scalar stream however its requests fall on refills.
     """
 
     __slots__ = ("rng", "values", "next")
@@ -75,10 +74,3 @@ class UniformReader:
             start, end = 0, n
         self.next = end
         return self.values[start:end]
-
-    def random(self) -> float:
-        """The next uniform, as the stream's ``random()`` would draw it."""
-        if self.next == len(self.values):
-            self.values, self.next = self.rng.random(READ_BLOCK).tolist(), 0
-        self.next += 1
-        return self.values[self.next - 1]

@@ -21,13 +21,12 @@ product of (1 - alpha_i) over a chain is the rejection mass: the probability
 that the round falls through to the residual resample.
 
 Everything here is a pure function of its inputs plus an explicit random
-stream (a Generator, or a :class:`~hawk.rng.UniformReader` over one), so
-calls are safe to run in parallel with independent streams. Draw order
-within a call: the caller passes one uniform per candidate, drawn
-independently of ``rng``, and step i's token is the index that ``uniforms[i]``
-selects from q_i (:func:`~hawk.core.index_at`), computed when the walk
-reaches step i. ``rng`` supplies one uniform per verification step, then a
-single categorical draw if the round resamples.
+stream, so invocations are safe to run in parallel with independent streams.
+Draw order within a call: the caller passes one uniform per candidate,
+drawn independently of ``rng``, and step i's token is the index that
+``uniforms[i]`` selects from q_i (:func:`~hawk.core.index_at`), computed
+when the walk reaches step i. ``rng`` supplies one uniform per verification
+step, then a single categorical draw if the round resamples.
 """
 
 from __future__ import annotations

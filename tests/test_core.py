@@ -264,9 +264,9 @@ class TestUniformReader:
     def test_hands_out_the_scalar_stream(self):
         # Requests below, at and above the block, some of them empty, so
         # refills land inside requests and after partly used blocks; then
-        # single draws, which stand in for the stream's, across a refill.
+        # single draws across a refill.
         reader, eager = UniformReader(stream(6, "reader")), stream(6, "reader")
         for n in (1, READ_BLOCK - 1, 2, READ_BLOCK, 0, 3 * READ_BLOCK + 5, 7):
             assert reader.take(n) == [eager.random() for _ in range(n)]
         for _ in range(READ_BLOCK + 1):
-            assert reader.random() == eager.random()
+            assert reader.take(1) == [eager.random()]
