@@ -14,11 +14,15 @@ at offset width despite the larger raster distance. Richer signatures (more
 history, the row index) would trade table size for fidelity; the two-token
 form keeps everything desk-scale.
 
-Fitting and held-out scoring draw ``sample_count`` grids with one
-``sample_grid`` call each; a call draws the grid's ``size`` uniforms as one
-``rng.random(size)`` block (PCG64 fills it exactly as ``size`` scalar
-draws) and gives each position the token ``sample_index`` would draw with
-its uniform. The grids are stacked in blocks of up to 32 and counted or
+Fitting and held-out scoring draw ``sample_count`` grids in blocks, one
+``sample_grid(rng, count)`` call per block. A call draws the block's
+uniforms as one ``rng.random((count, size))`` array (PCG64 fills it exactly
+as ``count * size`` scalar draws), so row n is the grid the n-th one-grid
+call would draw, and gives each position the token ``sample_index`` would
+draw with its uniform. ``GridMarkovModel`` fills a block one anti-diagonal
+at a time, as a position reads only its left and above neighbors; a token
+is the count of its row's sampling-table cuts at or below its uniform,
+which is the ``bisect_right`` of a per-token draw. The grids are counted or
 scored by signature code, ``column * (1 + k + k**2)`` plus 0 for the empty
 context, ``1 + a`` for ``(a,)`` and ``1 + k + a * k + b`` for ``(a, b)``
 (vocabulary k), so no Python runs per token there. Each fitted row is
@@ -41,7 +45,6 @@ from __future__ import annotations
 
 import abc
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
@@ -83,17 +86,22 @@ class TargetModel(abc.ABC):
         sampling transforms are memoized on the distribution itself.
         """
 
-    def sample_grid(self, rng: np.random.Generator) -> tuple[int, ...]:
-        """Ancestral sample of a complete grid, in raster order.
+    def sample_grid(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` ancestral samples of a complete grid, one per row, in raster order.
 
-        Draws the grid's ``size`` uniforms as one ``rng.random(size)`` block,
-        which PCG64 fills exactly as ``size`` scalar draws, and gives
-        position i the token ``sample_index`` would draw with the i-th.
+        Draws the block's uniforms as one ``rng.random((count, size))`` call,
+        which PCG64 fills exactly as ``count * size`` scalar draws, and gives
+        position i of row n the token ``sample_index`` would draw with that
+        row's i-th. Row n is the grid the n-th of ``count`` one-grid calls
+        would draw.
         """
-        out: list[int] = []
-        for u in rng.random(self.grid.size).tolist():
-            out.append(index_at(self.conditional(out), u))
-        return tuple(out)
+        grids = np.empty((count, self.grid.size), dtype=np.int64)
+        for n, uniforms in enumerate(rng.random((count, self.grid.size)).tolist()):
+            out: list[int] = []
+            for u in uniforms:
+                out.append(index_at(self.conditional(out), u))
+            grids[n] = out
+        return grids
 
 
 class GridMarkovModel(TargetModel):
@@ -128,7 +136,22 @@ class GridMarkovModel(TargetModel):
             [TokenDistribution(tables[left, above]) for above in range(k + 1)]
             for left in range(k + 1)
         ]
-        self._sampling = [[sampling_table(dist) for dist in row] for row in self._rows]
+        # _cuts[i][left * (k + 1) + above] is entry i of that row's sampling
+        # table, +inf past its end (the boundary context is index k), so a
+        # token is the count of its row's cuts at or below its uniform.
+        cuts = np.full((k - 1, (k + 1) * (k + 1)), np.inf)
+        for left, row in enumerate(self._rows):
+            for above, dist in enumerate(row):
+                table = sampling_table(dist)
+                cuts[: len(table), left * (k + 1) + above] = table
+        self._cuts = list(cuts)
+        # Position (r, j) reads (r, j - 1) and (r - 1, j), both on the
+        # anti-diagonal before its own: the (rows, columns) of each diagonal.
+        height, width = grid.height, grid.width
+        self._diagonals = []
+        for d in range(height + width - 1):
+            rows = np.arange(max(0, d - width + 1), min(height, d + 1))
+            self._diagonals.append((rows, d - rows))
 
     def _neighbor_key(self, prefix: Sequence[int]) -> tuple[int, int]:
         pos = len(prefix)
@@ -141,23 +164,21 @@ class GridMarkovModel(TargetModel):
         left, above = self._neighbor_key(prefix)
         return self._rows[left][above]
 
-    def sample_grid(self, rng: np.random.Generator) -> tuple[int, ...]:
-        # The base class's draw, row by row: bisecting a sampling table is
-        # index_at on the same row.
-        width = self.grid.width
-        tables = self._sampling
-        uniforms = rng.random(self.grid.size).tolist()
-        out: list[int] = []
-        above = [_BOUNDARY] * width
-        for start in range(0, len(uniforms), width):
-            left = _BOUNDARY
-            row = []
-            for up, u in zip(above, uniforms[start : start + width]):
-                left = bisect_right(tables[left][up], u)
-                row.append(left)
-            out += row
-            above = row
-        return tuple(out)
+    def sample_grid(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        # The base class's draw, a diagonal of every grid in the block at a
+        # time. tokens[r + 1, j + 1] holds position (r, j); row 0 and
+        # column 0 hold the boundary context.
+        grid, k = self.grid, self.grid.vocab_size
+        uniforms = rng.random((count, grid.size)).T.reshape(grid.height, grid.width, count)
+        tokens = np.full((grid.height + 1, grid.width + 1, count), k, dtype=np.int64)
+        for rows, cols in self._diagonals:
+            pair = tokens[rows + 1, cols] * (k + 1) + tokens[rows, cols + 1]
+            u = uniforms[rows, cols]
+            token = np.zeros(pair.shape, dtype=np.int64)
+            for cut in self._cuts:
+                token += cut[pair] <= u
+            tokens[rows + 1, cols + 1] = token
+        return tokens[1:, 1:].transpose(2, 0, 1).reshape(count, grid.size)
 
 
 def _random_rows(rng: np.random.Generator, count: int, vocab_size: int) -> np.ndarray:
@@ -432,19 +453,21 @@ class DraftHeadSet:
         return len(self.vertical)
 
 
-# Fitting and scoring stack at most this many sampled grids into one array.
-# On 16x16 grids, blocks of 32 keep peak memory within 0.2 MiB of scoring one
-# grid at a time; blocks of 256 added 4 MiB and were no faster.
-_BLOCK_GRIDS = 32
+# Fitting and scoring sample and stack at most this many grids at a time.
+# Fitting bench_16x16's heads (3,000 grids of 16x16, vocabulary 6) took 65,
+# 53 and 44 ms at blocks of 64, 128 and 256 on a 2-vCPU x86 box, with
+# tracemalloc peaks of 1.0, 1.6 and 3.1 MiB. Over three set-ups of
+# image_16x16, maxrss ended 1.7 MiB higher at 256 than at 128, and no higher
+# at 128 than with the one-grid-per-call sampler at blocks of 32.
+_BLOCK_GRIDS = 128
 
 
 def _sample_blocks(
     model: TargetModel, count: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
-    """``count`` ancestral samples, one ``sample_grid`` call each, stacked in blocks."""
+    """``count`` ancestral samples, in blocks of one ``sample_grid`` call each."""
     for start in range(0, count, _BLOCK_GRIDS):
-        block = [model.sample_grid(rng) for _ in range(min(_BLOCK_GRIDS, count - start))]
-        yield np.array(block, dtype=np.int64)
+        yield model.sample_grid(rng, min(_BLOCK_GRIDS, count - start))
 
 
 def fit_tabular_draft_heads(
@@ -625,7 +648,8 @@ def save_head_set(heads: DraftHeadSet, path: Union[str, Path]) -> None:
         "horizontal": [_head_to_json(h) for h in heads.horizontal],
         "vertical": [_head_to_json(h) for h in heads.vertical],
     }
-    Path(path).write_text(json.dumps(payload, indent=1, allow_nan=False), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        json.dump(payload, out, indent=1, allow_nan=False)
 
 
 def load_head_set(path: Union[str, Path]) -> DraftHeadSet:

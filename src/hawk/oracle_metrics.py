@@ -228,21 +228,22 @@ def rejection_curve(
     gen = stream(seed, "rejection-curve")
     dual_sums = np.zeros(m_max)
     horiz_sums = np.zeros(m_max)
-    seen = 0
-    while seen < position_count:
-        sample = model.sample_grid(gen)
-        for t in range(grid.width, grid.size):
-            target = apply_sampling_config(model.conditional(sample[:t]), config.transform)
-            horizontal, verticals = _engine_drafts(heads, config, sample, t, config.vertical_depth)
-            cycle = verticals + [horizontal]
-            dual_sums += rejection_mass(target, [cycle[i % len(cycle)] for i in range(m_max)])
-            horiz_sums += rejection_mass(target, [horizontal] * m_max)
-            seen += 1
-            if seen >= position_count:
-                break
+    # Each grid gives size - width positions, so these are the grids a
+    # draw-until-enough loop would take.
+    per_grid = grid.size - grid.width
+    samples = [tuple(s) for s in model.sample_grid(gen, -(-position_count // per_grid)).tolist()]
+    for n in range(position_count):
+        sample, t = samples[n // per_grid], grid.width + n % per_grid
+        target = apply_sampling_config(model.conditional(sample[:t]), config.transform)
+        horizontal, verticals = _engine_drafts(heads, config, sample, t, config.vertical_depth)
+        cycle = verticals + [horizontal]
+        dual_sums += rejection_mass(target, [cycle[i % len(cycle)] for i in range(m_max)])
+        horiz_sums += rejection_mass(target, [horizontal] * m_max)
     return RejectionCurves(
-        dual=[(m, float(dual_sums[m - 1] / seen)) for m in range(1, m_max + 1)],
-        horizontal_only=[(m, float(horiz_sums[m - 1] / seen)) for m in range(1, m_max + 1)],
+        dual=[(m, float(dual_sums[m - 1] / position_count)) for m in range(1, m_max + 1)],
+        horizontal_only=[
+            (m, float(horiz_sums[m - 1] / position_count)) for m in range(1, m_max + 1)
+        ],
     )
 
 

@@ -415,7 +415,7 @@ class TestDrawOrder:
         )
         ctx = DecodingContext(model, heads, config, 3)
         eager_rng = stream(3, "draft")
-        sample = model.sample_grid(stream(4, "draw-order"))
+        sample = model.sample_grid(stream(4, "draw-order"), 1)[0].tolist()
         for frontier in range(grid.size):
             depths = range(1, min(config.horizontal_depth, grid.size - frontier) + 1)
             drafts = [ctx.draft_dist(heads.horizontal[n - 1], ctx.committed) for n in depths]
@@ -801,8 +801,7 @@ class TestDraftCache:
         )
         ctx = DecodingContext(model, heads, config, 0)
         gen = stream(8, "draft-cache")
-        for _ in range(20):
-            sample = model.sample_grid(gen)
+        for sample in model.sample_grid(gen, 20).tolist():
             for t in range(grid.size):
                 for head in heads.horizontal + heads.vertical:
                     got = ctx.draft_dist(head, sample[:t])

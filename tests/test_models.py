@@ -1,14 +1,22 @@
 """Target models, draft-head fitting, and serialization round trips."""
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hawk.cli import build_heads, build_model, load_run_config
 from hawk.core import GridSpec, sample_index, total_variation
 from hawk.models import (
+    _BLOCK_GRIDS,
     DraftHeadSet,
     ExactDraftHead,
+    GridMarkovModel,
+    _sample_blocks,
     _signature_code,
     _signature_codes,
     _signature_of,
@@ -23,6 +31,7 @@ from hawk.models import (
 )
 from hawk.rng import stream
 
+ROOT = Path(__file__).resolve().parent.parent
 GRID = GridSpec(4, 4, 3)
 
 
@@ -88,12 +97,12 @@ class TestGridMarkovModel:
 
     def test_sample_grid_matches_conditional_chain(self):
         model = make_grid_markov_target(GRID, 5, 0.5)
-        fast = model.sample_grid(stream(123, "x"))
+        fast = model.sample_grid(stream(123, "x"), 1)[0]
         slow = []
         gen = stream(123, "x")
         for _ in range(GRID.size):
             slow.append(sample_index(model.conditional(slow), gen))
-        assert list(fast) == slow
+        assert fast.tolist() == slow
 
     def test_vertical_only_dependency_by_enumeration(self):
         # With vertical_weight 1 on a 2x2 grid, the second-row conditional
@@ -120,17 +129,79 @@ def _scalar_sample(model, gen):
 class TestSampleGridStream:
     @pytest.mark.parametrize("kind", ["grid_markov", "independent"])
     def test_block_draw_is_the_scalar_chain(self, kind):
-        # One call consumes exactly size uniforms, and every token is the one
-        # the scalar chain draws.
+        # One call of n grids consumes exactly n * size uniforms, and every
+        # token is the one the scalar chain draws.
         grid = GridSpec(16, 16, 6)
         if kind == "grid_markov":
             model = make_grid_markov_target(grid, 2024, 0.9)
         else:
             model = make_independent_target(grid, 7)
         block, scalar = stream(31, "draw"), stream(31, "draw")
-        for _ in range(5):
-            assert model.sample_grid(block) == _scalar_sample(model, scalar)
+        for n in (5, 1, 0, 12):
+            grids = model.sample_grid(block, n)
+            assert grids.shape == (n, grid.size) and grids.dtype == np.int64
+            assert [tuple(g) for g in grids.tolist()] == [
+                _scalar_sample(model, scalar) for _ in range(n)
+            ]
             assert block.random() == scalar.random()
+
+
+@st.composite
+def sparse_markov_models(draw):
+    """A GridMarkovModel of 1-5 by 1-5 over 2-5 tokens whose rows have
+    zero-probability tokens, trailing ones included."""
+    grid = GridSpec(draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(2, 5)))
+    k = grid.vocab_size
+    tables = np.zeros((k + 1, k + 1, k))
+    for left in range(k + 1):
+        for above in range(k + 1):
+            top = draw(st.integers(0, k - 1))
+            weights = draw(st.lists(st.integers(0, 3), min_size=top, max_size=top))
+            weights.append(draw(st.integers(1, 3)))
+            tables[left, above, : top + 1] = np.array(weights) / sum(weights)
+    return GridMarkovModel(grid, 0, 0.5, tables, np.zeros((k, 2)))
+
+
+class _FixedUniforms:
+    """Hands out the given uniforms in order, as ``Generator.random`` would."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, shape=None):
+        n = 1 if shape is None else int(np.prod(shape))
+        out, self.values = self.values[:n], self.values[n:]
+        return out[0] if shape is None else np.array(out).reshape(shape)
+
+
+class TestBlockSampler:
+    @given(
+        sparse_markov_models(),
+        st.sampled_from([1, 2, _BLOCK_GRIDS - 1, _BLOCK_GRIDS, _BLOCK_GRIDS + 1]),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_are_the_scalar_chain(self, model, count, seed):
+        block, scalar = stream(seed, "blocks"), stream(seed, "blocks")
+        blocks = list(_sample_blocks(model, count, block))
+        assert all(len(b) <= _BLOCK_GRIDS for b in blocks)
+        rows = [tuple(g) for b in blocks for g in b.tolist()]
+        assert rows == [_scalar_sample(model, scalar) for _ in range(count)]
+        assert block.random() == scalar.random()
+
+    def test_ties_and_the_clamp_are_bisect_right(self):
+        # Every row is [0.5, 0.25, 0.25 - 1e-10, 0]: its sampling table is
+        # [0.5, 0.75]. A uniform equal to a cut selects the token after it,
+        # and one past the row's cumulative sum, the last positive token.
+        grid = GridSpec(3, 2, 4)
+        row = [0.5, 0.25, 0.25 - 1e-10, 0.0]
+        model = GridMarkovModel(grid, 0, 0.5, np.tile(row, (5, 5, 1)), np.zeros((4, 2)))
+        uniforms = [0.0, 0.5, 0.75, 1 - 2**-53, 0.4999, 0.7500001] * 2
+        grids = model.sample_grid(_FixedUniforms(uniforms), 2)
+        assert grids.tolist() == [[0, 1, 2, 2, 0, 2]] * 2
+        scalar = _FixedUniforms(uniforms)
+        want = [_scalar_sample(model, scalar) for _ in range(2)]
+        assert [tuple(g) for g in grids.tolist()] == want
 
 
 class TestIndependentModel:
@@ -384,7 +455,8 @@ def _reference_held_out_nll(model, heads, sample_count, seed):
 # 1x1: horizontal depth 2 predicts past the grid; 5x1: the vertical offsets 5
 # and 10 are the grid size (one position) and past it (none); vocabulary 12
 # with smoothing 0.1 makes each row sum inexact and more than 8 terms long,
-# so its summation order shows; 300 samples end in a partial block.
+# so its summation order shows; 300 and _BLOCK_GRIDS + 1 samples end in a
+# partial block.
 REFERENCE_CASES = [
     (1, 1, 3, 2, 1, 40, 0.5),
     (1, 5, 3, 2, 2, 60, 0.5),
@@ -394,6 +466,7 @@ REFERENCE_CASES = [
     (4, 3, 3, 2, 1, 50, 0.0),
     (4, 4, 3, 2, 1, 1, 0.5),
     (4, 4, 3, 3, 2, 300, 1.0),
+    (3, 4, 3, 2, 1, _BLOCK_GRIDS + 1, 0.5),
 ]
 
 
@@ -481,3 +554,25 @@ class TestBlockFitting:
             heads = fit_tabular_draft_heads(make_grid_markov_target(grid, 5, 0.5), 1, 1, 5, 9)
             with pytest.raises(ValueError, match=message):
                 held_out_nll(model, heads, 5, 1)
+
+
+class TestMemoryPeaks:
+    # tracemalloc peaks on bench_16x16 (3,000 grids of 16x16, vocabulary 6),
+    # measured with numpy 2.4: fitting 1.64 MiB, of which the heads it
+    # returns hold 0.56, and saving 1.00 MiB above the heads. The bounds give
+    # each about 50% headroom. Blocks of 256 grids (a 3.1 MiB fit) or building
+    # the whole heads file as one string before writing it (3.5 MiB) exceed them.
+    def test_fit_and_save_stay_under_measured_peaks(self, tmp_path):
+        config = load_run_config(ROOT / "configs" / "bench_16x16.json")
+        model = build_model(config)
+        tracemalloc.start()
+        try:
+            heads = build_heads(config, model)
+            held, fit_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            save_head_set(heads, tmp_path / "heads.json")
+            save_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert fit_peak < 2.5 * 2**20, fit_peak
+        assert save_peak < 1.5 * 2**20, save_peak

@@ -64,8 +64,7 @@ class TestEnumerateJoint:
         model = make_grid_markov_target(grid, 5, 0.7)
         joint = enumerate_joint(model, grid, IDENTITY)
         gen = stream(0, "probe")
-        for _ in range(10):
-            sample = model.sample_grid(gen)
+        for sample in map(tuple, model.sample_grid(gen, 10).tolist()):
             chained = 1.0
             for idx in range(grid.size):
                 chained *= model.conditional(list(sample[:idx])).prob(sample[idx])
@@ -119,7 +118,12 @@ class TestEmpiricalJoint:
         gen = stream(1, "trend")
         errors = []
         for n in (10_000, 100_000, 1_000_000):
-            counts = Counter(model.sample_grid(gen) for _ in range(n))
+            # Drawn 10,000 grids a call, so no call holds a million.
+            counts = Counter()
+            for _ in range(n // 10_000):
+                grids = model.sample_grid(gen, 10_000)
+                keys, repeats = np.unique(grids, axis=0, return_counts=True)
+                counts.update(dict(zip(map(tuple, keys.tolist()), repeats.tolist())))
             errors.append(joint_tv(exact, empirical_joint_from_counts(counts, grid)))
         assert errors[0] > errors[1] > errors[2]
 
