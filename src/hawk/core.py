@@ -43,12 +43,9 @@ class GridSpec:
     vocab_size: int
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if self.height < 1:
-            raise ValueError(f"height must be >= 1, got {self.height}")
-        if self.vocab_size < 2:
-            raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
+        json_value(self.width, "width", int, 1)
+        json_value(self.height, "height", int, 1)
+        json_value(self.vocab_size, "vocab_size", int, 2)
 
     @property
     def size(self) -> int:
@@ -153,19 +150,17 @@ class SamplingConfig:
     """Sampling transform: temperature scaling followed by top-k filtering.
 
     ``top_k`` may be the string ``"all"`` (no filtering) or a positive
-    integer; values at or above the vocabulary size are identities.
+    integer; values at or above the vocabulary size are identities. Numbers
+    are checked by :func:`json_value`, as a config file's are.
     """
 
     top_k: Union[int, str] = "all"
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.top_k, str):
-            if self.top_k != "all":
-                raise ValueError(f'top_k must be a positive int or "all", got {self.top_k!r}')
-        elif self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.temperature <= 0:
+        if self.top_k != "all":
+            json_value(self.top_k, "top_k", int, 1)
+        if json_value(self.temperature, "temperature", float) <= 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
 
     @property

@@ -37,7 +37,8 @@ other candidate consumes its uniform and never gets a token.
 One batch is one :class:`DecodingContext`: its sessions run back to back,
 strictly sequentially, on one pair of streams, and its result is one
 :class:`BatchResult`. A context made with a ``trace`` list gets one row per
-verification step (``TRACE_COLUMNS``) appended by each round as it ends.
+verification step (``TRACE_COLUMNS``), its alpha from
+:func:`~hawk.verifier.chain_alphas`, appended by each round as it ends.
 Batches over shared immutable models may run concurrently.
 """
 
@@ -57,6 +58,7 @@ from .core import (
     StateError,
     TokenDistribution,
     apply_sampling_config,
+    json_value,
     sample_index,
 )
 from .models import DraftHeadSet, TargetModel
@@ -66,6 +68,7 @@ from .verifier import (
     Candidate,
     HORIZONTAL,
     VERTICAL,
+    chain_alphas,
     lantern_sequential_verify,
     sequential_verify,
     token_neighborhoods,
@@ -85,7 +88,8 @@ class EngineConfig:
     candidate counts (the latter applies to each cached vertical entry).
     ``transform`` shapes the effective target conditional before
     verification, and head outputs get the same transform, which keeps
-    drafts aligned with what they are verified against.
+    drafts aligned with what they are verified against. Numbers are checked
+    by :func:`~hawk.core.json_value`, as a config file's are.
     """
 
     mode: str
@@ -102,30 +106,19 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.horizontal_depth < 1:
-            raise ValueError(f"horizontal_depth must be >= 1, got {self.horizontal_depth}")
-        if self.vertical_depth < 0:
-            raise ValueError(f"vertical_depth must be >= 0, got {self.vertical_depth}")
         # Row 0 has no cached vertical entries, so every first-row layer
-        # rests on the horizontal candidates alone.
-        if self.samples_per_horizontal < 1:
-            raise ValueError(
-                f"samples_per_horizontal must be >= 1, got {self.samples_per_horizontal}"
-            )
-        if self.samples_per_vertical < 0:
-            raise ValueError(f"samples_per_vertical must be >= 0, got {self.samples_per_vertical}")
-        if self.node_budget < 1:
-            raise ValueError(f"node_budget must be >= 1, got {self.node_budget}")
+        # rests on the horizontal candidates alone: samples_per_horizontal >= 1.
+        for name, minimum in (
+            ("horizontal_depth", 1), ("vertical_depth", 0), ("samples_per_horizontal", 1),
+            ("samples_per_vertical", 0), ("node_budget", 1), ("lantern_k", 1),
+        ):
+            json_value(getattr(self, name), name, int, minimum)
+        json_value(self.lantern_lam, "lantern_lam", float, 1.0)
+        json_value(self.draft_overhead_ratio, "draft_overhead_ratio", float, 0)
         if self.mode == MODE_HAWK and self.vertical_depth < 1:
             raise ValueError("hawk mode requires vertical_depth >= 1")
         if self.mode in (MODE_VANILLA, MODE_MEDUSA, MODE_LANTERN) and self.vertical_depth != 0:
             raise ValueError(f"{self.mode} mode requires vertical_depth == 0")
-        if self.lantern_k < 1:
-            raise ValueError(f"lantern_k must be >= 1, got {self.lantern_k}")
-        if self.lantern_lam < 1.0:
-            raise ValueError(f"lantern_lam must be >= 1, got {self.lantern_lam}")
-        if self.draft_overhead_ratio < 0:
-            raise ValueError("draft_overhead_ratio must be >= 0")
 
 
 def cache_capacity(image_width: int, vertical_depth: int) -> int:
@@ -376,8 +369,8 @@ def decode_round(ctx: DecodingContext) -> None:
     for k in range(len(layers) - 1, 0, -1):
         strides[k - 1] = strides[k] * len(layers[k])
     rng = ctx.verify_rng
-    record = ctx.trace is not None
-    walked = []  # (depth, candidates, outcome) per layer, when recording
+    trace = ctx.trace
+    walked = []  # (depth, target, candidates, outcome) per layer, when tracing
     budget_left = config.node_budget
     for depth, stride in enumerate(strides, start=1):
         candidates = tree.layers[depth - 1][: -(-budget_left // stride)]
@@ -385,12 +378,11 @@ def decode_round(ctx: DecodingContext) -> None:
         target, uniforms = ctx.target_dist(committed), tree.uniforms[depth - 1]
         if config.mode == MODE_LANTERN:
             outcome = lantern_sequential_verify(target, candidates, uniforms, rng,
-                                                ctx.neighborhoods, config.lantern_lam,
-                                                record_steps=record)
+                                                ctx.neighborhoods, config.lantern_lam)
         else:
-            outcome = sequential_verify(target, candidates, uniforms, rng, record_steps=record)
-        if record:
-            walked.append((depth, candidates, outcome))
+            outcome = sequential_verify(target, candidates, uniforms, rng)
+        if trace is not None:
+            walked.append((depth, target, candidates, outcome))
         commit_token(ctx, outcome.emitted_token)
         if outcome.accepted_index is None:
             break
@@ -399,15 +391,16 @@ def decode_round(ctx: DecodingContext) -> None:
     else:
         if len(committed) < total:
             commit_token(ctx, sample_index(ctx.target_dist(committed), rng))
-    if record:
+    if trace is not None:
         count = len(committed) - frontier
-        # One alpha per step walked, so the zip stops where the walk did.
-        ctx.trace.extend(
-            (ctx.rounds, frontier, depth, f"{c.source}:{c.depth}", alpha,
-             i == outcome.accepted_index, count)
-            for depth, candidates, outcome in walked
-            for i, (alpha, c) in enumerate(zip(outcome.alphas, candidates))
-        )
+        for depth, target, candidates, outcome in walked:
+            accepted = outcome.accepted_index
+            if accepted is not None:  # the walk stopped at the accepted candidate
+                candidates = candidates[: accepted + 1]
+            alphas = chain_alphas(target, [c.draft_dist for c in candidates])
+            for i, c in enumerate(candidates):
+                trace.append((ctx.rounds, frontier, depth, f"{c.source}:{c.depth}",
+                              alphas[i], i == accepted, count))
     ctx.rounds += 1
 
 

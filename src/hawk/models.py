@@ -20,9 +20,10 @@ uniforms as one ``rng.random((count, size))`` array (PCG64 fills it exactly
 as ``count * size`` scalar draws), so row n is the grid the n-th one-grid
 call would draw, and gives each position the token ``sample_index`` would
 draw with its uniform. ``GridMarkovModel`` fills a block one anti-diagonal
-at a time, as a position reads only its left and above neighbors; a token
-is the count of its row's sampling-table cuts at or below its uniform,
-which is the ``bisect_right`` of a per-token draw. The grids are counted or
+at a time, as a position reads only its left and above neighbors, and
+``IndependentPositionModel`` fills it in one step; a token is the count of
+its conditional's sampling-table cuts at or below its uniform, which is the
+``bisect_right`` of a per-token draw. The grids are counted or
 scored by signature code, ``column * (1 + k + k**2)`` plus 0 for the empty
 context, ``1 + a`` for ``(a,)`` and ``1 + k + a * k + b`` for ``(a, b)``
 (vocabulary k), so no Python runs per token there. Each fitted row is
@@ -55,7 +56,6 @@ from .core import (
     GridSpec,
     StateError,
     TokenDistribution,
-    index_at,
     json_field,
     json_value,
     sampling_table,
@@ -86,6 +86,7 @@ class TargetModel(abc.ABC):
         sampling transforms are memoized on the distribution itself.
         """
 
+    @abc.abstractmethod
     def sample_grid(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` ancestral samples of a complete grid, one per row, in raster order.
 
@@ -95,13 +96,17 @@ class TargetModel(abc.ABC):
         row's i-th. Row n is the grid the n-th of ``count`` one-grid calls
         would draw.
         """
-        grids = np.empty((count, self.grid.size), dtype=np.int64)
-        for n, uniforms in enumerate(rng.random((count, self.grid.size)).tolist()):
-            out: list[int] = []
-            for u in uniforms:
-                out.append(index_at(self.conditional(out), u))
-            grids[n] = out
-        return grids
+
+
+def _cut_rows(dists: Sequence[TokenDistribution], vocab_size: int) -> list[np.ndarray]:
+    """Entry j of row i is entry i of ``dists[j]``'s sampling table, +inf past
+    its end, so the token ``dists[j]`` draws with a uniform is the count of
+    its cuts at or below it: the ``bisect_right`` of ``sample_index``."""
+    cuts = np.full((vocab_size - 1, len(dists)), np.inf)
+    for j, dist in enumerate(dists):
+        table = sampling_table(dist)
+        cuts[: len(table), j] = table
+    return list(cuts)
 
 
 class GridMarkovModel(TargetModel):
@@ -136,15 +141,9 @@ class GridMarkovModel(TargetModel):
             [TokenDistribution(tables[left, above]) for above in range(k + 1)]
             for left in range(k + 1)
         ]
-        # _cuts[i][left * (k + 1) + above] is entry i of that row's sampling
-        # table, +inf past its end (the boundary context is index k), so a
-        # token is the count of its row's cuts at or below its uniform.
-        cuts = np.full((k - 1, (k + 1) * (k + 1)), np.inf)
-        for left, row in enumerate(self._rows):
-            for above, dist in enumerate(row):
-                table = sampling_table(dist)
-                cuts[: len(table), left * (k + 1) + above] = table
-        self._cuts = list(cuts)
+        # Column left * (k + 1) + above of the cuts is that row's (the
+        # boundary context is index k).
+        self._cuts = _cut_rows([dist for row in self._rows for dist in row], k)
         # Position (r, j) reads (r, j - 1) and (r - 1, j), both on the
         # anti-diagonal before its own: the (rows, columns) of each diagonal.
         height, width = grid.height, grid.width
@@ -236,6 +235,7 @@ class IndependentPositionModel(TargetModel):
         self.tables = tables
         self.token_embeddings = np.asarray(token_embeddings, dtype=np.float64)
         self._dists = [TokenDistribution(row) for row in tables]
+        self._cuts = _cut_rows(self._dists, grid.vocab_size)  # column i for position i
 
     def position_conditional(self, index: int) -> TokenDistribution:
         if not 0 <= index < self.grid.size:
@@ -246,6 +246,14 @@ class IndependentPositionModel(TargetModel):
         if len(prefix) >= self.grid.size:
             raise StateError("grid already complete")
         return self._dists[len(prefix)]
+
+    def sample_grid(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        # The base class's draw, every position of the block at once.
+        uniforms = rng.random((count, self.grid.size))
+        tokens = np.zeros(uniforms.shape, dtype=np.int64)
+        for cut in self._cuts:
+            tokens += cut <= uniforms
+        return tokens
 
 
 def make_independent_target(
@@ -404,10 +412,8 @@ def head_offsets(
     the two directions share offsets (a 2-wide grid's horizontal depth 2
     and vertical depth 1 both predict offset 2); they stay distinct heads.
     """
-    if horizontal_depth < 1:
-        raise ValueError(f"at least one horizontal head is required, got depth {horizontal_depth}")
-    if vertical_depth < 0:
-        raise ValueError(f"vertical_depth must be >= 0, got {vertical_depth}")
+    json_value(horizontal_depth, "horizontal_depth", int, 1)
+    json_value(vertical_depth, "vertical_depth", int, 0)
     return (
         tuple(range(1, horizontal_depth + 1)),
         tuple(width * d for d in range(1, vertical_depth + 1)),
@@ -489,12 +495,11 @@ def fit_tabular_draft_heads(
 
     Heads are fitted for horizontal depths 1..``horizontal_depth`` and
     vertical depths 1..``vertical_depth``, at the offsets of
-    :func:`head_offsets`.
+    :func:`head_offsets`. Numbers are checked by :func:`~hawk.core.json_value`,
+    as a config file's are.
     """
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    if smoothing < 0:
-        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
+    json_value(sample_count, "sample_count", int, 1)
+    json_value(smoothing, "smoothing", float, 0)
     grid = model.grid
     horizontal, vertical = head_offsets(grid.width, horizontal_depth, vertical_depth)
 

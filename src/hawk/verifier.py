@@ -14,11 +14,13 @@ own q_i, the emitted token is distributed exactly as p regardless of how
 many drafts there are, what order they come in, or whether the q_i differ;
 the oracle tests enumerate this claim directly.
 
-The recorded per-step alpha is the step's marginal acceptance probability
-sum_x min(p_i(x), q_i(x)), i.e. the chance the step accepts before
-conditioning on which token the draft actually proposed. The
-product of (1 - alpha_i) over a chain is the rejection mass: the probability
-that the round falls through to the residual resample.
+The walk only decides: its outcome is the emitted token and the index of
+the accepting candidate. A step's alpha is its marginal acceptance
+probability sum_x min(p_i(x), q_i(x)), the chance it accepts before
+conditioning on which token the draft proposed; :func:`chain_alphas`
+computes it along the residual chain, and it alone, for the engine's trace
+and for :func:`rejection_mass`, the product of (1 - alpha_i) over a chain:
+the probability that the round falls through to the residual resample.
 
 Everything here is a pure function of its inputs plus an explicit random
 stream, so invocations are safe to run in parallel with independent streams.
@@ -64,16 +66,13 @@ class VerificationOutcome:
     """Result of one round: exactly one emitted token.
 
     ``accepted_index`` is the position of the accepting candidate in the
-    input order, or None when the round fell through to the resample.
-    ``alphas`` holds, when steps are recorded, one alpha per candidate
-    walked: step i verified ``candidates[i]`` and accepted exactly when
-    ``i == accepted_index``, so an accepting walk records
-    ``accepted_index + 1`` alphas and a resampling one all of them.
+    input order, or None when the round fell through to the resample. Step i
+    verified ``candidates[i]``, so an accepting walk took
+    ``accepted_index + 1`` steps and a resampling one all of them.
     """
 
     emitted_token: int
     accepted_index: int | None
-    alphas: tuple[float, ...] = ()
 
 
 def acceptance_ratio(p: TokenDistribution, q: TokenDistribution, token: int) -> float:
@@ -109,20 +108,17 @@ def _walk(
     uniforms: Sequence[float],
     rng: np.random.Generator,
     accept_rule: Callable[[TokenDistribution, TokenDistribution, int], float] | None,
-    record_steps: bool,
 ) -> VerificationOutcome:
     """Shared accept/reject walk; ``accept_rule(p_i, q_i, token)`` decides each
     step, or, if None, :func:`acceptance_ratio`'s rule and refusal, inlined.
 
     If a residual ever degenerates with candidates remaining (only reachable
     through floating-point exhaustion on tiny vocabularies), the remaining
-    candidates are rejected deterministically without consuming randomness,
-    their alpha is still recorded against the retained distribution, and the
-    final resample uses the last non-degenerate residual.
+    candidates are rejected deterministically without consuming randomness
+    and the final resample uses the last non-degenerate residual.
     """
     if not candidates:
         raise ValueError("candidates must be nonempty")
-    alphas: list[float] = []
     p_cur = p
     exhausted = False
     for index, candidate in enumerate(candidates):
@@ -137,10 +133,8 @@ def _walk(
             if qt <= 0.0:
                 raise ValueError(f"token {token} has zero draft probability")
             accepted = rng.random() < p_cur.probs[token] / qt
-        if record_steps:
-            alphas.append(float(np.minimum(p_cur.probs, q.probs).sum()))
         if accepted:
-            return VerificationOutcome(token, index, tuple(alphas))
+            return VerificationOutcome(token, index)
         if not exhausted:
             residual, degenerate = residual_update(p_cur, q)
             if degenerate:
@@ -151,7 +145,7 @@ def _walk(
             else:
                 p_cur = residual
     emitted = sample_index(p_cur, rng)
-    return VerificationOutcome(emitted, None, tuple(alphas))
+    return VerificationOutcome(emitted, None)
 
 
 def sequential_verify(
@@ -159,8 +153,6 @@ def sequential_verify(
     candidates: Sequence[Candidate],
     uniforms: Sequence[float],
     rng: np.random.Generator,
-    *,
-    record_steps: bool = True,
 ) -> VerificationOutcome:
     """Verify candidates in order against p, emitting exactly one token.
 
@@ -168,33 +160,38 @@ def sequential_verify(
     acceptance wins and ends the walk, so the tokens of later candidates are
     never computed. Otherwise the token is resampled from the residual left
     after all rejections.
-    ``record_steps=False`` skips computing the per-step alphas (the walk and
-    its draws are identical either way), which matters in bulk simulation.
     """
-    return _walk(p, candidates, uniforms, rng, None, record_steps)
+    return _walk(p, candidates, uniforms, rng, None)
+
+
+def chain_alphas(p: TokenDistribution, drafts: Sequence[TokenDistribution]) -> list[float]:
+    """Entry j is the alpha sum_x min(p_j(x), q_j(x)) of draft j, where p_j is
+    the residual left by rejecting drafts 0..j-1 from p; as in the walk, once
+    a residual degenerates, the last non-degenerate one stands in.
+    """
+    alphas = []
+    p_cur = p
+    exhausted = False
+    for q in drafts:
+        alphas.append(float(np.minimum(p_cur.probs, q.probs).sum()))
+        if not exhausted:
+            residual, exhausted = residual_update(p_cur, q)
+            if not exhausted:
+                p_cur = residual
+    return alphas
 
 
 def rejection_mass(p: TokenDistribution, drafts: Sequence[TokenDistribution]) -> list[float]:
     """Probability that the first m drafts of a chain are all rejected, for m = 1..len(drafts).
 
-    Entry m - 1 is prod_{j<=m} (1 - alpha_j) with alpha_j = sum_x
-    min(p_j(x), q_j(x)) under the residual-update chain, so the masses never
-    increase along the chain.
+    Entry m - 1 is prod_{j<=m} (1 - alpha_j) over :func:`chain_alphas`, so
+    the masses never increase along the chain.
     """
     masses = []
     product = 1.0
-    p_cur = p
-    exhausted = False
-    for q in drafts:
-        alpha = float(np.minimum(p_cur.probs, q.probs).sum())
+    for alpha in chain_alphas(p, drafts):
         product *= 1.0 - alpha
         masses.append(max(product, 0.0))
-        if not exhausted:
-            residual, degenerate = residual_update(p_cur, q)
-            if degenerate:
-                exhausted = True
-            else:
-                p_cur = residual
     return masses
 
 
@@ -235,21 +232,20 @@ def lantern_sequential_verify(
     rng: np.random.Generator,
     neighborhoods: Sequence[np.ndarray | Sequence[int]],
     lam: float,
-    *,
-    record_steps: bool = True,
 ) -> VerificationOutcome:
     """Sequential walk with the relaxed neighborhood acceptance rule.
 
     The token draws and the rejection bookkeeping (residual updates, final
     resample) match :func:`sequential_verify`; only the per-step acceptance
     probability is relaxed. ``neighborhoods[t]`` lists the tokens counted
-    toward accepting a proposal of token t. Recorded alphas keep the standard
-    sum-min definition so traces remain comparable across modes.
+    toward accepting a proposal of token t. Its trace rows take their alphas
+    from :func:`chain_alphas`, the standard sum-min definition, so traces
+    remain comparable across modes.
     """
     def rule(p_cur: TokenDistribution, q: TokenDistribution, token: int) -> float:
         return lantern_acceptance(p_cur, q, token, neighborhoods[token], lam)
 
-    return _walk(p, candidates, uniforms, rng, rule, record_steps)
+    return _walk(p, candidates, uniforms, rng, rule)
 
 
 def token_neighborhoods(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, ...]:

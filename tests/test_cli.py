@@ -11,9 +11,9 @@ import pytest
 
 import hawk.cli
 from hawk.cli import build_heads, build_model, load_run_config, main
-from hawk.core import SamplingConfig
-from hawk.engine import decode_batch
-from hawk.models import load_head_set
+from hawk.core import GridSpec, SamplingConfig
+from hawk.engine import EngineConfig, decode_batch
+from hawk.models import fit_tabular_draft_heads, load_head_set, make_grid_markov_target
 from hawk.rng import derive_seed
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -255,6 +255,49 @@ class TestConfigLoading:
         assert config.engine.lantern_lam == 3.0
         assert config.engine.draft_overhead_ratio == 0.25
         assert config.tolerance_factor == 2.0
+
+
+NAN, INF = float("nan"), float("inf")
+SMALL_MODEL = make_grid_markov_target(GridSpec(2, 2, 3), 1, 0.5)
+
+# (library call, its field name, config section and key, value)
+LIBRARY_REFUSALS = [
+    (lambda v: GridSpec(v, 2, 3), "width", "grid", "width", 2.0),
+    (lambda v: GridSpec(2, 2, v), "vocab_size", "grid", "vocab_size", True),
+    (lambda v: SamplingConfig(temperature=v), "temperature", "engine", "temperature", NAN),
+    (lambda v: SamplingConfig(temperature=v), "temperature", "engine", "temperature", INF),
+    (lambda v: SamplingConfig(top_k=v), "top_k", "engine", "top_k", 2.5),
+    (lambda v: SamplingConfig(top_k=v), "top_k", "engine", "top_k", True),
+    (lambda v: EngineConfig(mode="lantern", lantern_k=1, lantern_lam=v), "lantern_lam",
+     "engine", "lantern_lambda", NAN),
+    (lambda v: EngineConfig(mode="hawk", vertical_depth=1, node_budget=v), "node_budget",
+     "engine", "node_budget", 2.5),
+    (lambda v: EngineConfig(mode="medusa", draft_overhead_ratio=v), "draft_overhead_ratio",
+     "engine", "draft_overhead_ratio", -INF),
+    (lambda v: fit_tabular_draft_heads(SMALL_MODEL, 1, 0, 10, 9, smoothing=v), "smoothing",
+     "heads", "smoothing", NAN),
+    (lambda v: fit_tabular_draft_heads(SMALL_MODEL, 1, 0, v, 9), "sample_count",
+     "heads", "sample_count", 10.0),
+]
+
+
+class TestLibraryRefusals:
+    @pytest.mark.parametrize(
+        "build, name, section, key, value", LIBRARY_REFUSALS,
+        ids=[f"{case[1]}={case[4]}" for case in LIBRARY_REFUSALS],
+    )
+    def test_library_refuses_what_the_cli_refuses(
+        self, tmp_path, capsys, build, name, section, key, value
+    ):
+        # The constructors read their numbers with the config reader. Let
+        # through, a NaN temperature decodes every grid as zeros, a NaN
+        # lantern_lam accepts every draft, and a top_k of 2.5 or True acts
+        # as 2 or 1.
+        with pytest.raises(ValueError, match=f"field '{name}' must be"):
+            build(value)
+        path = write_config(tmp_path, **{section: {key: value}})
+        assert main(["decode", "--config", str(path)]) == 1
+        assert f"field '{section}.{key}' must be" in capsys.readouterr().err
 
 
 class TestBuilders:

@@ -16,6 +16,7 @@ from hawk.models import (
     DraftHeadSet,
     ExactDraftHead,
     GridMarkovModel,
+    IndependentPositionModel,
     _sample_blocks,
     _signature_code,
     _signature_codes,
@@ -147,19 +148,21 @@ class TestSampleGridStream:
 
 
 @st.composite
-def sparse_markov_models(draw):
-    """A GridMarkovModel of 1-5 by 1-5 over 2-5 tokens whose rows have
-    zero-probability tokens, trailing ones included."""
+def sparse_models(draw):
+    """A GridMarkovModel or an IndependentPositionModel of 1-5 by 1-5 over
+    2-5 tokens whose rows have zero-probability tokens, trailing ones included."""
     grid = GridSpec(draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(2, 5)))
     k = grid.vocab_size
-    tables = np.zeros((k + 1, k + 1, k))
-    for left in range(k + 1):
-        for above in range(k + 1):
-            top = draw(st.integers(0, k - 1))
-            weights = draw(st.lists(st.integers(0, 3), min_size=top, max_size=top))
-            weights.append(draw(st.integers(1, 3)))
-            tables[left, above, : top + 1] = np.array(weights) / sum(weights)
-    return GridMarkovModel(grid, 0, 0.5, tables, np.zeros((k, 2)))
+    markov = draw(st.booleans())
+    tables = np.zeros((k + 1, k + 1, k) if markov else (grid.size, k))
+    for row in tables.reshape(-1, k):
+        top = draw(st.integers(0, k - 1))
+        weights = draw(st.lists(st.integers(0, 3), min_size=top, max_size=top))
+        weights.append(draw(st.integers(1, 3)))
+        row[: top + 1] = np.array(weights) / sum(weights)
+    if markov:
+        return GridMarkovModel(grid, 0, 0.5, tables, np.zeros((k, 2)))
+    return IndependentPositionModel(grid, 0, tables, np.zeros((k, 2)))
 
 
 class _FixedUniforms:
@@ -176,11 +179,11 @@ class _FixedUniforms:
 
 class TestBlockSampler:
     @given(
-        sparse_markov_models(),
+        sparse_models(),
         st.sampled_from([1, 2, _BLOCK_GRIDS - 1, _BLOCK_GRIDS, _BLOCK_GRIDS + 1]),
         st.integers(0, 2**16),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_blocks_are_the_scalar_chain(self, model, count, seed):
         block, scalar = stream(seed, "blocks"), stream(seed, "blocks")
         blocks = list(_sample_blocks(model, count, block))
@@ -195,13 +198,17 @@ class TestBlockSampler:
         # and one past the row's cumulative sum, the last positive token.
         grid = GridSpec(3, 2, 4)
         row = [0.5, 0.25, 0.25 - 1e-10, 0.0]
-        model = GridMarkovModel(grid, 0, 0.5, np.tile(row, (5, 5, 1)), np.zeros((4, 2)))
+        embeddings = np.zeros((4, 2))
         uniforms = [0.0, 0.5, 0.75, 1 - 2**-53, 0.4999, 0.7500001] * 2
-        grids = model.sample_grid(_FixedUniforms(uniforms), 2)
-        assert grids.tolist() == [[0, 1, 2, 2, 0, 2]] * 2
-        scalar = _FixedUniforms(uniforms)
-        want = [_scalar_sample(model, scalar) for _ in range(2)]
-        assert [tuple(g) for g in grids.tolist()] == want
+        for model in (
+            GridMarkovModel(grid, 0, 0.5, np.tile(row, (5, 5, 1)), embeddings),
+            IndependentPositionModel(grid, 0, np.tile(row, (grid.size, 1)), embeddings),
+        ):
+            grids = model.sample_grid(_FixedUniforms(uniforms), 2)
+            assert grids.tolist() == [[0, 1, 2, 2, 0, 2]] * 2
+            scalar = _FixedUniforms(uniforms)
+            want = [_scalar_sample(model, scalar) for _ in range(2)]
+            assert [tuple(g) for g in grids.tolist()] == want
 
 
 class TestIndependentModel:

@@ -10,6 +10,7 @@ from hawk.rng import stream
 from hawk.verifier import (
     Candidate,
     acceptance_ratio,
+    chain_alphas,
     lantern_acceptance,
     lantern_sequential_verify,
     rejection_mass,
@@ -112,12 +113,14 @@ class TestSequentialVerify:
 
     def test_acceptance_leaves_later_candidates_untouched(self):
         p = dist(0.5, 0.3, 0.2)
-        gen = stream(2, "verify")
+        gen, reference = stream(2, "verify"), stream(2, "verify")
         q = dist(0.1, 0.8, 0.1)
         cands = [Candidate(p, "vertical", 1), Candidate(q, "horizontal", 1)]
         outcome = sequential_verify(p, cands, [selecting(p, 0), selecting(q, 1)], gen)
         assert outcome.accepted_index == 0
-        assert len(outcome.alphas) == 1
+        # One verification draw, for the accepting step alone.
+        reference.random()
+        assert gen.random() == reference.random()
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
@@ -126,23 +129,8 @@ class TestSequentialVerify:
     def test_alpha_recorded_as_overlap_mass(self):
         p = dist(0.5, 0.3, 0.2)
         q = dist(0.2, 0.5, 0.3)
-        gen = stream(3, "verify")
-        outcome = sequential_verify(p, [Candidate(q, "horizontal", 1)], [selecting(q, 0)], gen)
-        assert abs(outcome.alphas[0] - 0.7) < 1e-12
-
-    def test_record_flag_does_not_change_outcomes(self):
-        p = dist(0.4, 0.3, 0.2, 0.1)
-        q1 = dist(0.1, 0.2, 0.3, 0.4)
-        q2 = dist(0.25, 0.25, 0.25, 0.25)
-        for trial in range(50):
-            cands = [Candidate(q1, "vertical", 1), Candidate(q2, "horizontal", 1)]
-            uniforms = [selecting(q1, trial % 4), selecting(q2, 0)]
-            a = sequential_verify(p, cands, uniforms, stream(trial, "flag"), record_steps=True)
-            b = sequential_verify(p, cands, uniforms, stream(trial, "flag"), record_steps=False)
-            assert a.emitted_token == b.emitted_token
-            assert a.accepted_index == b.accepted_index
-            assert len(a.alphas) == (2 if a.accepted_index is None else a.accepted_index + 1)
-            assert b.alphas == ()
+        (alpha,) = chain_alphas(p, [q])
+        assert abs(alpha - 0.7) < 1e-12
 
     def test_resample_reached_and_recorded(self):
         p = dist(1.0, 0.0)
@@ -154,8 +142,31 @@ class TestSequentialVerify:
             if outcome.accepted_index is None:
                 saw_resample = True
                 assert outcome.emitted_token == 0
-                assert outcome.alphas == (pytest.approx(0.01),)
         assert saw_resample
+        assert chain_alphas(p, [q]) == [pytest.approx(0.01)]
+
+    def test_residual_exhaustion(self, caplog):
+        # q1 exceeds p by one ulp at token 1, so rejecting it leaves no
+        # residual mass. The walk then rejects q2 without drawing and
+        # resamples from p, the last non-degenerate residual; alphas after
+        # the exhaustion are taken against p as well.
+        p = dist(0.5, 0.5)
+        q1 = dist(0.5, 0.5000000000000001)
+        q2 = dist(0.9, 0.1)
+        cands = [Candidate(q1, "vertical", 1), Candidate(q2, "horizontal", 1)]
+        rng = ScriptedRng([0.9999999999999999, 0.25])
+        with caplog.at_level("WARNING", logger="hawk.verifier"):
+            outcome = sequential_verify(p, cands, [0.75, 0.95], rng)
+        assert (outcome.emitted_token, outcome.accepted_index) == (0, None)
+        assert rng._uniforms == []  # the rejection of q1 and the resample
+        assert [r.message for r in caplog.records] == [
+            "residual mass exhausted at step 0; keeping last residual"
+        ]
+        alphas = chain_alphas(p, [q1, q2])
+        assert alphas == [1.0, 0.6]
+        assert rejection_mass(p, [q1, q2]) == [
+            1.0 - alphas[0], (1.0 - alphas[0]) * (1.0 - alphas[1])
+        ]
 
     def test_monte_carlo_exactness_heterogeneous(self):
         # Emitted-token law equals the target regardless of draft identity.
@@ -173,7 +184,7 @@ class TestSequentialVerify:
             Candidate(q3, "horizontal", 1),
         ]
         for _ in range(trials):
-            outcome = sequential_verify(p, cands, gen.random(3).tolist(), gen, record_steps=False)
+            outcome = sequential_verify(p, cands, gen.random(3).tolist(), gen)
             counts[outcome.emitted_token] += 1
         empirical = TokenDistribution(counts / trials)
         assert total_variation(empirical, p) <= 0.01
@@ -190,7 +201,7 @@ class TestSequentialVerify:
         counts = np.zeros(k)
         cands = [Candidate(first, "vertical", 1), Candidate(second, "horizontal", 1)]
         for _ in range(trials):
-            outcome = sequential_verify(p, cands, gen.random(2).tolist(), gen, record_steps=False)
+            outcome = sequential_verify(p, cands, gen.random(2).tolist(), gen)
             counts[outcome.emitted_token] += 1
         assert total_variation(TokenDistribution(counts / trials), p) <= 0.02
 
@@ -377,6 +388,6 @@ class TestCsvRows:
         p = dist(0.5, 0.5)
         (candidate,) = candidates = [Candidate(p, "vertical", 2)]
         outcome = sequential_verify(p, candidates, [selecting(p, 0)], stream(0, "csv"))
-        (alpha,) = outcome.alphas
+        (alpha,) = chain_alphas(p, [candidate.draft_dist])
         row = (candidate.depth, candidate.source, alpha, outcome.accepted_index == 0)
         assert row == (2, "vertical", 1.0, True)
