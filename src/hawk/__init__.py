@@ -63,7 +63,6 @@ from .oracle_metrics import (
     verification_emitted_law,
 )
 from .verifier import (
-    Candidate,
     VerificationOutcome,
     acceptance_ratio,
     lantern_acceptance,

@@ -34,10 +34,11 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import __version__
-from .core import GridSpec, SamplingConfig, json_field
+from .core import GRID_MINIMUMS, GridSpec, SamplingConfig, json_field
 from .engine import (
     MODE_HAWK,
     MODE_VANILLA,
+    ENGINE_MINIMUMS,
     EngineConfig,
     TRACE_COLUMNS,
     decode_batch,
@@ -75,19 +76,18 @@ KL_COLUMNS = ("position", "kl_vert_horiz")
 CURVE_COLUMNS = ("candidates", "mean_rejection_mass")
 
 # The fields each section reads, as (JSON kind, default[, minimum]); a field
-# without a default is required, and a key no field names is an error.
-GRID_FIELDS = {"width": (int, None, 1), "height": (int, None, 1), "vocab_size": (int, None, 2)}
+# without a default is required, and a key no field names is an error. The
+# grid and engine numbers take their minimums, and the engine numbers their
+# defaults, from the classes that enforce them.
+GRID_FIELDS = {name: (int, None, minimum) for name, minimum in GRID_MINIMUMS.items()}
 ENGINE_FIELDS = {
     "mode": (str, None),
-    "horizontal_depth": (int, 1, 1),
-    "vertical_depth": (int, 0, 0),
-    "samples_per_horizontal": (int, 1, 1),
-    "samples_per_vertical": (int, 1, 0),
-    "node_budget": (int, 64, 1),
     "temperature": (float, 1.0),
-    "lantern_k": (int, 10, 1),
-    "lantern_lambda": (float, 2.0, 1.0),
-    "draft_overhead_ratio": (float, 0.0, 0),
+    **{
+        "lantern_lambda" if name == "lantern_lam" else name:
+            (kind, getattr(EngineConfig, name), minimum)
+        for name, (kind, minimum) in ENGINE_MINIMUMS.items()
+    },
 }
 ENGINE_KEYS = {"top_k", *ENGINE_FIELDS}  # top_k is "all" or an integer
 ORACLE_FIELDS = {"decode_count": (int, 20000, 1), "tolerance_factor": (float, 3.0)}

@@ -28,6 +28,8 @@ import numpy as np
 SUM_TOLERANCE = 1e-9
 # Entries in [-NEGATIVE_CLAMP, 0) are treated as rounding noise and clamped.
 NEGATIVE_CLAMP = 1e-12
+# The least value of each GridSpec field, as of a config file's grid section.
+GRID_MINIMUMS = {"width": 1, "height": 1, "vocab_size": 2}
 
 
 class StateError(RuntimeError):
@@ -43,9 +45,8 @@ class GridSpec:
     vocab_size: int
 
     def __post_init__(self) -> None:
-        json_value(self.width, "width", int, 1)
-        json_value(self.height, "height", int, 1)
-        json_value(self.vocab_size, "vocab_size", int, 2)
+        for name, minimum in GRID_MINIMUMS.items():
+            json_value(getattr(self, name), name, int, minimum)
 
     @property
     def size(self) -> int:

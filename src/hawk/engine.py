@@ -1,12 +1,12 @@
 """Raster-order decoding loop with spatial speculation.
 
 Round structure (speculative modes): :func:`build_pool` lays out one
-candidate layer per speculation depth 1..H from the round-start committed
-prefix. The layer at depth n merges the cached vertical predictions
-targeting position T+n, written rows earlier, with the horizontal head's
-prediction for it. The layers are combined as a Cartesian product,
-truncated to the node budget: the first ``node_budget`` paths in
-lexicographic order are kept. Verification walks the depths: the
+layer of draft distributions, one per candidate, for each speculation depth
+1..H from the round-start committed prefix. The layer at depth n merges the
+cached vertical predictions targeting position T+n, written rows earlier,
+with the horizontal head's prediction for it. The layers are combined as a
+Cartesian product, truncated to the node budget: the first ``node_budget``
+paths in lexicographic order are kept. Verification walks the depths: the
 candidates that continue a kept path through the accepted prefix are
 verified against the current target conditional, each drawing its token as
 the walk reaches it; the first rejection resamples, commits the resampled
@@ -16,11 +16,13 @@ between 1 and H+1 tokens and is accounted as exactly one target-model pass,
 which is what a batched tree verification would cost.
 
 Vertical head outputs are computed when a token commits, conditioned on the
-committed prefix only, and parked in the speculation cache until decoding
-reaches their target position. Writing at commit time (rather than while
-drafting) keeps every cached draft distribution independent of the
-verifier's randomness, which the exactness argument requires. Entries behind
-the frontier are evicted; live occupancy never exceeds
+committed prefix only, and written to the speculation cache's slot for their
+target position, one slot row per depth, until decoding reaches it. Writing
+at commit time (rather than while drafting) keeps every cached draft
+distribution independent of the verifier's randomness, which the exactness
+argument requires. Nothing is evicted: a slot behind the frontier is never
+read again, and the rows are cleared between sessions. Live occupancy
+(slots written and not yet committed) never exceeds
 ``width * vsd * (vsd + 1) / 2``.
 
 Draw order, for reproducibility: the draft stream supplies one uniform per
@@ -37,8 +39,9 @@ other candidate consumes its uniform and never gets a token.
 One batch is one :class:`DecodingContext`: its sessions run back to back,
 strictly sequentially, on one pair of streams, and its result is one
 :class:`BatchResult`. A context made with a ``trace`` list gets one row per
-verification step (``TRACE_COLUMNS``), its alpha from
-:func:`~hawk.verifier.chain_alphas`, appended by each round as it ends.
+verification step (``TRACE_COLUMNS``), appended by each round as it ends:
+its alpha from :func:`~hawk.verifier.chain_alphas`, and its ``source:depth``
+label from the pool layout, read when the pool is built.
 Batches over shared immutable models may run concurrently.
 """
 
@@ -65,9 +68,6 @@ from .models import DraftHeadSet, TargetModel
 from .oracle_metrics import modeled_speedup
 from .rng import UniformReader, stream
 from .verifier import (
-    Candidate,
-    HORIZONTAL,
-    VERTICAL,
     chain_alphas,
     lantern_sequential_verify,
     sequential_verify,
@@ -79,6 +79,22 @@ MODE_MEDUSA = "medusa"
 MODE_HAWK = "hawk"
 MODE_LANTERN = "lantern"
 MODES = (MODE_VANILLA, MODE_MEDUSA, MODE_HAWK, MODE_LANTERN)
+
+# Kind and least value of each number field of EngineConfig; a config file's
+# engine section reads the same fields, naming lantern_lam lantern_lambda.
+# Row 0 has no cached vertical entries, so every first-row layer rests on the
+# horizontal candidates alone: samples_per_horizontal >= 1.
+ENGINE_MINIMUMS = {
+    "horizontal_depth": (int, 1),
+    "vertical_depth": (int, 0),
+    "samples_per_horizontal": (int, 1),
+    "samples_per_vertical": (int, 0),
+    "node_budget": (int, 1),
+    "lantern_k": (int, 1),
+    "lantern_lam": (float, 1.0),
+    "draft_overhead_ratio": (float, 0),
+}
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -106,15 +122,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        # Row 0 has no cached vertical entries, so every first-row layer
-        # rests on the horizontal candidates alone: samples_per_horizontal >= 1.
-        for name, minimum in (
-            ("horizontal_depth", 1), ("vertical_depth", 0), ("samples_per_horizontal", 1),
-            ("samples_per_vertical", 0), ("node_budget", 1), ("lantern_k", 1),
-        ):
-            json_value(getattr(self, name), name, int, minimum)
-        json_value(self.lantern_lam, "lantern_lam", float, 1.0)
-        json_value(self.draft_overhead_ratio, "draft_overhead_ratio", float, 0)
+        for name, (kind, minimum) in ENGINE_MINIMUMS.items():
+            json_value(getattr(self, name), name, kind, minimum)
         if self.mode == MODE_HAWK and self.vertical_depth < 1:
             raise ValueError("hawk mode requires vertical_depth >= 1")
         if self.mode in (MODE_VANILLA, MODE_MEDUSA, MODE_LANTERN) and self.vertical_depth != 0:
@@ -122,7 +131,7 @@ class EngineConfig:
 
 
 def cache_capacity(image_width: int, vertical_depth: int) -> int:
-    """Live-entry bound for the speculation cache: width * vsd * (vsd+1) / 2."""
+    """Live-slot bound for the speculation cache: width * vsd * (vsd+1) / 2."""
     if image_width < 1:
         raise ValueError(f"image_width must be >= 1, got {image_width}")
     if vertical_depth < 0:
@@ -131,55 +140,36 @@ def cache_capacity(image_width: int, vertical_depth: int) -> int:
 
 
 class SpeculationCache:
-    """Vertical draft distributions keyed by (target raster index, depth).
+    """Vertical draft distributions in one slot row per depth.
 
-    Each entry remembers the commit index it was computed from; the key
-    relation target == source + depth * width is enforced on insert, so a
-    gathered entry of depth d always originates exactly d rows above its
-    target. Exceeding capacity raises instead of evicting, because a live
-    entry disappearing silently would be an engine bug.
+    ``rows[d - 1][target]`` holds what the commit of raster index
+    target - d * width wrote for the depth-d head: its draft,
+    ``samples_per_vertical`` times, as the tuple :func:`build_pool` splices
+    into a layer. An empty tuple marks a slot no commit of the session has
+    written, so a filled slot of depth d always originates exactly d rows
+    above its target. ``occupancy`` counts the live slots, written and not
+    yet committed, as :func:`commit_token` keeps it; exceeding capacity
+    raises, because more live drafts than the closed form allows would be an
+    engine bug.
     """
 
-    __slots__ = ("entries", "width", "vertical_depth", "capacity", "peak_occupancy")
+    __slots__ = ("rows", "capacity", "occupancy", "peak_occupancy")
 
-    def __init__(self, width: int, vertical_depth: int) -> None:
-        self.entries: dict[tuple[int, int], tuple[TokenDistribution, int]] = {}
-        self.width = width
-        self.vertical_depth = vertical_depth
-        self.capacity = cache_capacity(width, vertical_depth)
+    def __init__(self, grid: GridSpec, vertical_depth: int) -> None:
+        self.rows = [[()] * grid.size for _ in range(vertical_depth)]
+        self.capacity = cache_capacity(grid.width, vertical_depth)
+        self.occupancy = 0
         self.peak_occupancy = 0
 
-    @property
-    def occupancy(self) -> int:
-        return len(self.entries)
-
-    def insert(
-        self, target_index: int, depth: int, dist: TokenDistribution, source_index: int
-    ) -> None:
-        if target_index != source_index + depth * self.width:
-            raise RuntimeError(
-                f"cache key violation: target {target_index} != "
-                f"{source_index} + {depth} * {self.width}"
-            )
-        self.entries[(target_index, depth)] = (dist, source_index)
-        n = len(self.entries)
-        if n > self.capacity:
-            raise RuntimeError(f"speculation cache occupancy {n} exceeds capacity {self.capacity}")
-        if n > self.peak_occupancy:
-            self.peak_occupancy = n
-
-    def evict(self, position: int) -> None:
-        """Drop the entries targeting a position that has just been committed.
-
-        Positions are committed in raster order and each commit evicts its
-        own, so no entry behind the frontier is ever left to scan for.
-        """
-        for depth in range(1, self.vertical_depth + 1):
-            self.entries.pop((position, depth), None)
+    def clear(self) -> None:
+        """Empty every slot, between the sessions of a batch."""
+        for row in self.rows:
+            row[:] = [()] * len(row)
+        self.occupancy = 0
 
 
 class CandidateTree(NamedTuple):
-    """Depth-indexed candidate layers with one uniform per drawn candidate.
+    """Depth-indexed draft layers with one uniform per drawn candidate.
 
     The tree is their Cartesian product truncated to the node budget: the
     first ``node_budget`` paths in lexicographic order are kept. A layer's
@@ -188,7 +178,7 @@ class CandidateTree(NamedTuple):
     layer.
     """
 
-    layers: tuple[tuple[Candidate, ...], ...]
+    layers: tuple[tuple[TokenDistribution, ...], ...]
     uniforms: tuple[list[float], ...]
 
 
@@ -249,7 +239,7 @@ class DecodingContext:
         self.config = config
         self.grid = model.grid
         self.committed: list[int] = []
-        self.cache = SpeculationCache(self.grid.width, config.vertical_depth)
+        self.cache = SpeculationCache(self.grid, config.vertical_depth)
         self.draft_rng = stream(seed, "draft")
         self.verify_rng = stream(seed, "verify")
         # Only a speculative round draws draft uniforms, a block at a time.
@@ -279,30 +269,36 @@ class DecodingContext:
 
 def build_pool(
     ctx: DecodingContext, n: int, horizontal_output: TokenDistribution
-) -> tuple[Candidate, ...]:
-    """Candidate layer for speculation depth n.
+) -> tuple[TokenDistribution, ...]:
+    """Draft layer for speculation depth n, one draft per candidate.
 
-    Each cached vertical prediction targeting the position, by depth,
-    ``samples_per_vertical`` times, then the horizontal prediction
-    ``samples_per_horizontal`` times, so no layer is empty. Every candidate
-    keeps the distribution it is drawn from as its draft.
+    Each cached vertical draft targeting the position, by depth,
+    ``samples_per_vertical`` times, then the horizontal draft
+    ``samples_per_horizontal`` times, so no layer is empty.
     """
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
     position = len(ctx.committed) + n - 1
     if position >= ctx.grid.size:
         raise ValueError(f"speculation position {position} beyond grid end")
-    config = ctx.config
     layer = ()
-    for d in range(1, config.vertical_depth + 1):
-        entry = ctx.cache.entries.get((position, d))
-        if entry is not None:
-            layer += (Candidate(entry[0], VERTICAL, d),) * config.samples_per_vertical
-    return layer + (Candidate(horizontal_output, HORIZONTAL, n),) * config.samples_per_horizontal
+    for row in ctx.cache.rows:
+        layer += row[position]
+    return layer + (horizontal_output,) * ctx.config.samples_per_horizontal
+
+
+def _pool_labels(ctx: DecodingContext, n: int) -> list[str]:
+    """The ``source:depth`` label of each draft :func:`build_pool` lays out
+    for depth n, read from the same slots, so before any commit of the round."""
+    labels = []
+    position = len(ctx.committed) + n - 1
+    for d, row in enumerate(ctx.cache.rows, start=1):
+        labels += [f"vertical:{d}"] * len(row[position])
+    return labels + [f"horizontal:{n}"] * ctx.config.samples_per_horizontal
 
 
 def build_candidate_tree(
-    layers: Sequence[tuple[Candidate, ...]], config: EngineConfig, reader: UniformReader
+    layers: Sequence[tuple[TokenDistribution, ...]], config: EngineConfig, reader: UniformReader
 ) -> CandidateTree:
     """Take the uniforms of the layers from :func:`build_pool` off the
     context's draft reader, in layer order; the layers' product, capped by
@@ -312,25 +308,37 @@ def build_candidate_tree(
 
 
 def commit_token(ctx: DecodingContext, token: int) -> None:
-    """Append one token and apply the commit-time cache policy.
+    """Append one token and write its vertical drafts to the cache.
 
     For each vertical depth d the head is evaluated on the now-committed
-    prefix and stored under (commit_index + d * width, d); writes whose
-    target falls past the grid end are skipped. The entries targeting the
-    committed position are evicted first, so occupancy stays within capacity.
+    prefix and written to slot commit_index + d * width of row d - 1; writes
+    whose target falls past the grid end are skipped. The commit also ends
+    the life of each slot targeting its own position, one per depth d with
+    commit_index >= d * width, so occupancy stays within capacity.
     """
     t = len(ctx.committed)
     vertical_depth = ctx.config.vertical_depth
     ctx.committed.append(token)
     if vertical_depth:
-        ctx.cache.evict(t)
+        cache = ctx.cache
         width = ctx.grid.width
         total = ctx.grid.size
-        for d in range(1, vertical_depth + 1):
-            target_index = t + d * width
-            if target_index < total:
-                dist = ctx.draft_dist(ctx.heads.vertical[d - 1], ctx.committed)
-                ctx.cache.insert(target_index, d, dist, t)
+        copies = ctx.config.samples_per_vertical
+        heads = ctx.heads.vertical
+        occupancy = cache.occupancy - min(vertical_depth, t // width)
+        target = t
+        for d, row in enumerate(cache.rows):
+            target += width
+            if target < total:
+                row[target] = (ctx.draft_dist(heads[d], ctx.committed),) * copies
+                occupancy += 1
+        if occupancy > cache.capacity:
+            raise RuntimeError(
+                f"speculation cache occupancy {occupancy} exceeds capacity {cache.capacity}"
+            )
+        cache.occupancy = occupancy
+        if occupancy > cache.peak_occupancy:
+            cache.peak_occupancy = occupancy
 
 
 def decode_round(ctx: DecodingContext) -> None:
@@ -353,10 +361,14 @@ def decode_round(ctx: DecodingContext) -> None:
 
     config = ctx.config
     frontier = len(committed)
+    trace = ctx.trace
     layers = []
+    labels = []  # per layer, when tracing
     for n in range(1, min(config.horizontal_depth, total - frontier) + 1):
         horizontal = ctx.draft_dist(ctx.heads.horizontal[n - 1], committed)
         layers.append(build_pool(ctx, n, horizontal))
+        if trace is not None:
+            labels.append(_pool_labels(ctx, n))
     tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
 
     # Path (a_0, ..., a_n) has lexicographic rank sum(a_k * stride_k), where
@@ -369,20 +381,19 @@ def decode_round(ctx: DecodingContext) -> None:
     for k in range(len(layers) - 1, 0, -1):
         strides[k - 1] = strides[k] * len(layers[k])
     rng = ctx.verify_rng
-    trace = ctx.trace
-    walked = []  # (depth, target, candidates, outcome) per layer, when tracing
+    walked = []  # (depth, target, drafts, outcome) per layer, when tracing
     budget_left = config.node_budget
     for depth, stride in enumerate(strides, start=1):
-        candidates = tree.layers[depth - 1][: -(-budget_left // stride)]
+        drafts = tree.layers[depth - 1][: -(-budget_left // stride)]
         ctx.depth_attempts[depth] = ctx.depth_attempts.get(depth, 0) + 1
         target, uniforms = ctx.target_dist(committed), tree.uniforms[depth - 1]
         if config.mode == MODE_LANTERN:
-            outcome = lantern_sequential_verify(target, candidates, uniforms, rng,
+            outcome = lantern_sequential_verify(target, drafts, uniforms, rng,
                                                 ctx.neighborhoods, config.lantern_lam)
         else:
-            outcome = sequential_verify(target, candidates, uniforms, rng)
+            outcome = sequential_verify(target, drafts, uniforms, rng)
         if trace is not None:
-            walked.append((depth, target, candidates, outcome))
+            walked.append((depth, target, drafts, outcome))
         commit_token(ctx, outcome.emitted_token)
         if outcome.accepted_index is None:
             break
@@ -393,14 +404,14 @@ def decode_round(ctx: DecodingContext) -> None:
             commit_token(ctx, sample_index(ctx.target_dist(committed), rng))
     if trace is not None:
         count = len(committed) - frontier
-        for depth, target, candidates, outcome in walked:
+        for depth, target, drafts, outcome in walked:
             accepted = outcome.accepted_index
             if accepted is not None:  # the walk stopped at the accepted candidate
-                candidates = candidates[: accepted + 1]
-            alphas = chain_alphas(target, [c.draft_dist for c in candidates])
-            for i, c in enumerate(candidates):
-                trace.append((ctx.rounds, frontier, depth, f"{c.source}:{c.depth}",
-                              alphas[i], i == accepted, count))
+                drafts = drafts[: accepted + 1]
+            sources = labels[depth - 1]
+            for i, alpha in enumerate(chain_alphas(target, drafts)):
+                trace.append((ctx.rounds, frontier, depth, sources[i], alpha, i == accepted,
+                              count))
     ctx.rounds += 1
 
 
@@ -462,7 +473,9 @@ def decode_batch(
             decode_round(ctx)
         counts[tuple(ctx.committed)] += 1
         ctx.committed = []
-        ctx.cache.entries.clear()
+        # Only hawk has slots to clear; the call alone costs a 2x2 vanilla session 2%.
+        if ctx.cache.rows:
+            ctx.cache.clear()
     wall_clock_ms = (time.perf_counter() - start) * 1000.0
     return BatchResult(
         mode=config.mode,

@@ -522,9 +522,10 @@ def fit_tabular_draft_heads(
     dists: dict[int, dict[int, TokenDistribution]] = {d: {} for d in unique_offsets}
     for d, total in counts.items():
         rows = total.reshape(-1, k)
-        for code in np.flatnonzero(rows.any(axis=1)).tolist():
-            smoothed = rows[code].astype(np.float64) + smoothing
-            dists[d][code] = TokenDistribution._wrap(smoothed / smoothed.sum())
+        seen = np.flatnonzero(rows.any(axis=1))
+        smoothed = rows[seen] + float(smoothing)
+        probs = smoothed / smoothed.sum(axis=1, keepdims=True)
+        dists[d] = dict(zip(seen.tolist(), map(TokenDistribution._wrap, probs)))
 
     def head(offset: int) -> TabularDraftHead:
         return TabularDraftHead(offset, width, k, smoothing, dists[offset])

@@ -1,10 +1,9 @@
 """Multi-draft speculative verification with heterogeneous draft distributions.
 
-One verification round walks an ordered list of candidates, each naming the
-draft distribution q_i its token is drawn from. Step i draws candidate token
-t from q_i and accepts it with probability min(1, p_i(t) / q_i(t)), where p_1
-is the target conditional and each rejection refines the target via the
-residual update
+One verification round walks an ordered list of draft distributions, one
+per candidate. Step i draws candidate token t from its draft q_i and accepts
+it with probability min(1, p_i(t) / q_i(t)), where p_1 is the target
+conditional and each rejection refines the target via the residual update
 
     p_{i+1} = norm(max(0, p_i - q_i)).
 
@@ -24,8 +23,8 @@ the probability that the round falls through to the residual resample.
 
 Everything here is a pure function of its inputs plus an explicit random
 stream, so invocations are safe to run in parallel with independent streams.
-Draw order within a call: the caller passes one uniform per candidate,
-drawn independently of ``rng``, and step i's token is the index that
+Draw order within a call: the caller passes one uniform per draft, drawn
+independently of ``rng``, and step i's token is the index that
 ``uniforms[i]`` selects from q_i (:func:`~hawk.core.index_at`), computed
 when the walk reaches step i. ``rng`` supplies one uniform per verification
 step, then a single categorical draw if the round resamples.
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,31 +42,14 @@ from .core import TokenDistribution, index_at, sample_index
 
 logger = logging.getLogger(__name__)
 
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
-
-
-class Candidate(NamedTuple):
-    """One candidate slot: the draft distribution its token is drawn from.
-
-    ``source`` is "horizontal" or "vertical" and ``depth`` the head depth in
-    that direction (rows for vertical heads, raster steps for horizontal).
-    The token itself is drawn by the verification walk when it reaches the
-    slot.
-    """
-
-    draft_dist: TokenDistribution
-    source: str
-    depth: int
-
 
 @dataclass(slots=True)
 class VerificationOutcome:
     """Result of one round: exactly one emitted token.
 
-    ``accepted_index`` is the position of the accepting candidate in the
-    input order, or None when the round fell through to the resample. Step i
-    verified ``candidates[i]``, so an accepting walk took
+    ``accepted_index`` is the position of the accepting draft in the input
+    order, or None when the round fell through to the resample. Step i
+    verified ``drafts[i]``, so an accepting walk took
     ``accepted_index + 1`` steps and a resampling one all of them.
     """
 
@@ -104,7 +86,7 @@ def residual_update(
 
 def _walk(
     p: TokenDistribution,
-    candidates: Sequence[Candidate],
+    drafts: Sequence[TokenDistribution],
     uniforms: Sequence[float],
     rng: np.random.Generator,
     accept_rule: Callable[[TokenDistribution, TokenDistribution, int], float] | None,
@@ -112,17 +94,16 @@ def _walk(
     """Shared accept/reject walk; ``accept_rule(p_i, q_i, token)`` decides each
     step, or, if None, :func:`acceptance_ratio`'s rule and refusal, inlined.
 
-    If a residual ever degenerates with candidates remaining (only reachable
+    If a residual ever degenerates with drafts remaining (only reachable
     through floating-point exhaustion on tiny vocabularies), the remaining
-    candidates are rejected deterministically without consuming randomness
-    and the final resample uses the last non-degenerate residual.
+    drafts are rejected deterministically without consuming randomness and
+    the final resample uses the last non-degenerate residual.
     """
-    if not candidates:
-        raise ValueError("candidates must be nonempty")
+    if not drafts:
+        raise ValueError("drafts must be nonempty")
     p_cur = p
     exhausted = False
-    for index, candidate in enumerate(candidates):
-        q = candidate.draft_dist
+    for index, q in enumerate(drafts):
         token = index_at(q, uniforms[index])
         if exhausted:
             accepted = False
@@ -150,18 +131,18 @@ def _walk(
 
 def sequential_verify(
     p: TokenDistribution,
-    candidates: Sequence[Candidate],
+    drafts: Sequence[TokenDistribution],
     uniforms: Sequence[float],
     rng: np.random.Generator,
 ) -> VerificationOutcome:
-    """Verify candidates in order against p, emitting exactly one token.
+    """Verify drafts in order against p, emitting exactly one token.
 
-    Step i draws candidate i's token with ``uniforms[i]``. The first
-    acceptance wins and ends the walk, so the tokens of later candidates are
-    never computed. Otherwise the token is resampled from the residual left
-    after all rejections.
+    Step i draws its candidate token from ``drafts[i]`` with ``uniforms[i]``.
+    The first acceptance wins and ends the walk, so the tokens of later
+    candidates are never computed. Otherwise the token is resampled from the
+    residual left after all rejections.
     """
-    return _walk(p, candidates, uniforms, rng, None)
+    return _walk(p, drafts, uniforms, rng, None)
 
 
 def chain_alphas(p: TokenDistribution, drafts: Sequence[TokenDistribution]) -> list[float]:
@@ -227,7 +208,7 @@ def lantern_acceptance(
 
 def lantern_sequential_verify(
     p: TokenDistribution,
-    candidates: Sequence[Candidate],
+    drafts: Sequence[TokenDistribution],
     uniforms: Sequence[float],
     rng: np.random.Generator,
     neighborhoods: Sequence[np.ndarray | Sequence[int]],
@@ -245,7 +226,7 @@ def lantern_sequential_verify(
     def rule(p_cur: TokenDistribution, q: TokenDistribution, token: int) -> float:
         return lantern_acceptance(p_cur, q, token, neighborhoods[token], lam)
 
-    return _walk(p, candidates, uniforms, rng, rule)
+    return _walk(p, drafts, uniforms, rng, rule)
 
 
 def token_neighborhoods(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, ...]:

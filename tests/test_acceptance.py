@@ -297,8 +297,8 @@ def test_criterion_5_accept_length_ordering():
 
 @pytest.mark.parametrize("width,vsd,height", [(4, 1, 4), (4, 2, 6), (8, 3, 8)])
 def test_criterion_6_cache_law(width, vsd, height):
-    """Occupancy stays within the closed-form capacity and reaches it; gathered
-    entries always originate exactly depth rows above their target."""
+    """Occupancy stays within the closed-form capacity and reaches it; every
+    live slot holds the draft computed exactly depth rows above its target."""
     grid = GridSpec(width, height, 4)
     model = make_independent_target(grid, 77)
     heads = make_exact_heads(model, 2, vsd)
@@ -309,9 +309,17 @@ def test_criterion_6_cache_law(width, vsd, height):
     while len(ctx.committed) < grid.size:
         decode_round(ctx)
         assert ctx.cache.occupancy <= capacity
-        for (target, depth), (_, source) in ctx.cache.entries.items():
-            assert target - source == depth * width
-            assert target // width - source // width == depth
+        committed = ctx.committed
+        live = 0
+        for depth, row in enumerate(ctx.cache.rows, start=1):
+            for target in range(len(committed), grid.size):
+                if row[target]:
+                    (draft,) = row[target]
+                    source = target - depth * width
+                    assert draft is ctx.draft_dist(heads.vertical[depth - 1],
+                                                   committed[: source + 1])
+                    live += 1
+        assert live == ctx.cache.occupancy
     ok = ctx.cache.peak_occupancy == capacity
     report(
         6, ok,

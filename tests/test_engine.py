@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import itertools
 import weakref
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hawk.cli
 import hawk.engine
 import hawk.verifier
 from hawk.core import (
@@ -27,6 +29,7 @@ from hawk.engine import (
     EngineConfig,
     SpeculationCache,
     TRACE_COLUMNS,
+    _pool_labels,
     commit_token,
     build_candidate_tree,
     build_pool,
@@ -53,9 +56,6 @@ from hawk.oracle_metrics import (
 )
 from hawk.rng import stream
 from hawk.verifier import (
-    HORIZONTAL,
-    VERTICAL,
-    Candidate,
     VerificationOutcome,
     chain_alphas,
     sequential_verify,
@@ -75,39 +75,75 @@ class TestCacheFormulas:
             cache_capacity(4, -1)
 
 
+def _filled(cache):
+    """Every written slot of the cache, as {(target, depth): slot}."""
+    return {
+        (target, d): slot
+        for d, row in enumerate(cache.rows, start=1)
+        for target, slot in enumerate(row)
+        if slot
+    }
+
+
 class TestSpeculationCache:
-    def test_insert_gather_evict(self):
-        from hawk.core import TokenDistribution
+    def test_empty_slot_rows(self):
+        # One row per depth, one empty slot per raster index.
+        cache = SpeculationCache(GridSpec(4, 3, 2), 2)
+        assert cache.rows == [[()] * 12, [()] * 12]
+        assert (cache.capacity, cache.occupancy, cache.peak_occupancy) == (12, 0, 0)
+        assert SpeculationCache(GridSpec(4, 3, 2), 0).rows == []
 
-        cache = SpeculationCache(4, 2)
-        d = TokenDistribution([0.5, 0.5])
-        cache.insert(4, 1, d, 0)
-        cache.insert(8, 2, d, 0)
-        # Each entry keeps the position it was computed from.
-        assert cache.entries == {(4, 1): (d, 0), (8, 2): (d, 0)}
-        cache.evict(5)  # nothing targets 5
-        assert cache.occupancy == 2
-        cache.evict(4)
-        assert cache.entries == {(8, 2): (d, 0)}
-        assert cache.occupancy == 1
-        assert cache.peak_occupancy == 2
+    def test_commit_writes_one_slot_per_depth(self):
+        # The commit of t writes slot t + d * width of row d - 1 with
+        # samples_per_vertical copies of the depth-d draft of the committed
+        # prefix, and leaves every other slot as it was.
+        grid = GridSpec(4, 3, 3)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(model, 2, 2, 300, 5)
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=2, vertical_depth=2, samples_per_vertical=2
+        )
+        ctx = DecodingContext(model, heads, config, 3)
+        for t, token in enumerate([0, 1, 2, 0, 1, 2, 0, 1]):
+            want = _filled(ctx.cache)
+            commit_token(ctx, token)
+            for d in (1, 2):
+                if t + d * grid.width < grid.size:
+                    draft = ctx.draft_dist(heads.vertical[d - 1], ctx.committed)
+                    want[(t + d * grid.width, d)] = (draft, draft)
+            got = _filled(ctx.cache)
+            assert got.keys() == want.keys()
+            for key, slot in got.items():
+                assert len(slot) == 2 and all(a is b for a, b in zip(slot, want[key]))
 
-    def test_key_relation_enforced(self):
-        from hawk.core import TokenDistribution
-
-        cache = SpeculationCache(4, 1)
-        with pytest.raises(RuntimeError):
-            cache.insert(5, 1, TokenDistribution([1.0, 0.0]), 0)
+    def test_occupancy_counts_live_slots(self):
+        # Occupancy is the count of written slots not yet committed; it
+        # reaches capacity, drains to 0 by the end of the session, and
+        # clearing empties every slot but keeps the peak.
+        grid = GridSpec(4, 4, 3)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(model, 2, 2, 300, 5)
+        config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=2)
+        ctx = DecodingContext(model, heads, config, 3)
+        for t in range(grid.size):
+            commit_token(ctx, t % 3)
+            live = [key for key in _filled(ctx.cache) if key[0] > t]
+            assert ctx.cache.occupancy == len(live) <= ctx.cache.capacity == 12
+        assert ctx.cache.occupancy == 0
+        assert ctx.cache.peak_occupancy == 12
+        assert _filled(ctx.cache)
+        ctx.cache.clear()
+        assert _filled(ctx.cache) == {}
+        assert (ctx.cache.occupancy, ctx.cache.peak_occupancy) == (0, 12)
+        assert [len(row) for row in ctx.cache.rows] == [grid.size] * 2
 
     def test_overflow_raises(self):
-        from hawk.core import TokenDistribution
-
-        cache = SpeculationCache(2, 1)  # capacity 2
-        d = TokenDistribution([0.5, 0.5])
-        cache.insert(2, 1, d, 0)
-        cache.insert(3, 1, d, 1)
-        with pytest.raises(RuntimeError):
-            cache.insert(4, 1, d, 2)
+        grid, model, heads, config = _hawk_setup()
+        ctx = DecodingContext(model, heads, config, 3)
+        ctx.cache.capacity = 1
+        commit_token(ctx, 0)
+        with pytest.raises(RuntimeError, match="occupancy 2 exceeds capacity 1"):
+            commit_token(ctx, 1)
 
 
 class TestEngineConfig:
@@ -143,9 +179,10 @@ class TestCommitCachePolicy:
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         commit_token(ctx, 1)
-        assert set(ctx.cache.entries) == {(4, 1)}
-        dist, source = ctx.cache.entries[(4, 1)]
-        assert source == 0
+        ((key, (dist,)),) = _filled(ctx.cache).items()
+        assert key == (4, 1)
+        assert dist is ctx.draft_dist(heads.vertical[0], [1])  # computed from index 0
+        assert ctx.cache.occupancy == 1
 
     def test_vsd_zero_cache_untouched(self):
         grid = GridSpec(4, 4, 3)
@@ -154,13 +191,17 @@ class TestCommitCachePolicy:
         config = EngineConfig(mode="medusa", horizontal_depth=2)
         ctx = DecodingContext(model, heads, config, 3)
         commit_token(ctx, 1)
+        assert ctx.cache.rows == []
         assert ctx.cache.occupancy == 0
 
     def test_writes_near_grid_end_are_clipped(self):
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
-        ctx.committed = [0] * (grid.size - 1)
+        for _ in range(grid.size - 1):
+            commit_token(ctx, 0)
+        before = _filled(ctx.cache)
         commit_token(ctx, 1)  # commit index 15; target 19 beyond grid
+        assert _filled(ctx.cache) == before
         assert ctx.cache.occupancy == 0
 
 
@@ -169,7 +210,8 @@ class TestBuildPool:
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         horizontal = ctx.draft_dist(heads.horizontal[0], [])
-        assert build_pool(ctx, 1, horizontal) == (Candidate(horizontal, HORIZONTAL, 1),)
+        assert build_pool(ctx, 1, horizontal) == (horizontal,)
+        assert _pool_labels(ctx, 1) == ["horizontal:1"]
 
     def test_interior_position_gathers_vertical(self):
         grid, model, heads, config = _hawk_setup()
@@ -177,10 +219,9 @@ class TestBuildPool:
         for token in (0, 1, 2, 0):
             commit_token(ctx, token)
         horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed)
-        vertical = ctx.cache.entries[(4, 1)][0]  # row 1, col 0
-        assert build_pool(ctx, 1, horizontal) == (
-            Candidate(vertical, VERTICAL, 1), Candidate(horizontal, HORIZONTAL, 1)
-        )
+        vertical = ctx.draft_dist(heads.vertical[0], [0])  # for row 1, col 0
+        assert build_pool(ctx, 1, horizontal) == (vertical, horizontal)
+        assert _pool_labels(ctx, 1) == ["vertical:1", "horizontal:1"]
 
     def test_beyond_grid_rejected(self):
         grid, model, heads, config = _hawk_setup()
@@ -193,18 +234,22 @@ class TestBuildPool:
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 2, 2, 300, 5)
-        config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=2)
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=2, vertical_depth=2, samples_per_horizontal=2,
+            samples_per_vertical=2,
+        )
         ctx = DecodingContext(model, heads, config, 3)
-        for token in [0, 1, 2, 0, 1, 2, 0, 1]:  # rows 0 and 1 committed
+        tokens = [0, 1, 2, 0, 1, 2, 0, 1]  # rows 0 and 1 committed
+        for token in tokens:
             commit_token(ctx, token)
         horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed)
-        layer = build_pool(ctx, 1, horizontal)
-        # Row 2, col 0: one entry per vertical depth, then the horizontal draft.
-        assert layer == (
-            Candidate(ctx.cache.entries[(8, 1)][0], VERTICAL, 1),
-            Candidate(ctx.cache.entries[(8, 2)][0], VERTICAL, 2),
-            Candidate(horizontal, HORIZONTAL, 1),
-        )
+        one_up = ctx.draft_dist(heads.vertical[0], tokens[:5])
+        two_up = ctx.draft_dist(heads.vertical[1], tokens[:1])
+        # Row 2, col 0: each depth's draft samples_per_vertical times, by
+        # depth, then the horizontal draft samples_per_horizontal times.
+        assert build_pool(ctx, 1, horizontal) == (one_up,) * 2 + (two_up,) * 2 + (horizontal,) * 2
+        labels = ["vertical:1", "vertical:2", "horizontal:1"]
+        assert _pool_labels(ctx, 1) == [label for label in labels for _ in range(2)]
 
 
 class TestCandidateTree:
@@ -245,12 +290,10 @@ class TestCandidateTree:
         for first, live_after in ((0, 2), (1, 1)):
             widths = []
 
-            def accept(p, candidates, uniforms, rng, choice=first):
-                widths.append(len(candidates))
+            def accept(p, drafts, uniforms, rng, choice=first):
+                widths.append(len(drafts))
                 index = choice if len(widths) == 1 else 0
-                return VerificationOutcome(
-                    index_at(candidates[index].draft_dist, uniforms[index]), index
-                )
+                return VerificationOutcome(index_at(drafts[index], uniforms[index]), index)
 
             monkeypatch.setattr(hawk.engine, "sequential_verify", accept)
             ctx = DecodingContext(model, heads, config, 3)
@@ -265,9 +308,9 @@ class TestCandidateTree:
         for token in (0, 1, 2, 0):
             commit_token(ctx, token)
         hdist = ctx.draft_dist(heads.horizontal[0], ctx.committed)
-        vdist = ctx.cache.entries[(4, 1)][0]
+        vdist = ctx.draft_dist(heads.vertical[0], [0])
         tree = build_candidate_tree([build_pool(ctx, 1, hdist)], config, ctx.draft_uniforms)
-        assert tree.layers[0] == ((vdist, "vertical", 1), (hdist, "horizontal", 1))
+        assert tree.layers[0] == (vdist, hdist)
         assert len(tree.uniforms[0]) == 2
 
     def test_candidates_view(self):
@@ -283,10 +326,10 @@ class TestCandidateTree:
         (layer,), (uniforms,) = tree.layers, tree.uniforms
         assert len(layer) == len(uniforms) == 2
         rng = stream(0, "accept")
-        for i, (c, u) in enumerate(zip(layer, uniforms)):
-            outcome = sequential_verify(c.draft_dist, layer[i:], uniforms[i:], rng)
+        for i, (q, u) in enumerate(zip(layer, uniforms)):
+            outcome = sequential_verify(q, layer[i:], uniforms[i:], rng)
             assert outcome.accepted_index == 0
-            assert outcome.emitted_token == index_at(c.draft_dist, u)
+            assert outcome.emitted_token == index_at(q, u)
 
     def test_no_candidates_at_depth_one(self):
         # Row 0 has no cached vertical entries, so without horizontal
@@ -398,6 +441,25 @@ class TestLiveContinuations:
         assert len(drawn) == len(trace) < sum(map(sum, widths))
 
 
+def _pool_from_prefix(ctx, frontier, n):
+    """The drafts and labels of the depth-n pool of a round that starts at
+    ``frontier``, rebuilt from the committed prefix: each vertical draft of a
+    position committed before the round, by depth, ``samples_per_vertical``
+    times, then the horizontal draft ``samples_per_horizontal`` times."""
+    config, heads, width = ctx.config, ctx.heads, ctx.grid.width
+    drafts, labels = [], []
+    for d in range(1, config.vertical_depth + 1):
+        source = frontier + n - 1 - d * width
+        if 0 <= source < frontier:
+            draft = ctx.draft_dist(heads.vertical[d - 1], ctx.committed[: source + 1])
+            drafts += [draft] * config.samples_per_vertical
+            labels += [f"vertical:{d}"] * config.samples_per_vertical
+    horizontal = ctx.draft_dist(heads.horizontal[n - 1], ctx.committed[:frontier])
+    drafts += [horizontal] * config.samples_per_horizontal
+    labels += [f"horizontal:{n}"] * config.samples_per_horizontal
+    return drafts, labels
+
+
 # (samples_per_vertical, node_budget)
 DRAW_ORDER_CASES = [(1, 64), (0, 64), (2, 3)]
 
@@ -430,21 +492,16 @@ class TestDrawOrder:
             accept_rng = stream(frontier, "accept")
             tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
             for k in range(len(layers)):
-                horizontal = [(drafts[k], HORIZONTAL, k + 1)] * 2
-                entries = ctx.cache.entries
-                vertical = [
-                    (entries[(frontier + k, d)][0], VERTICAL, d)
-                    for d in (1, 2) if (frontier + k, d) in entries for _ in range(spv)
-                ]
-                want = vertical + horizontal
+                want, labels = _pool_from_prefix(ctx, frontier, k + 1)
                 assert list(tree.layers[k]) == want
+                assert _pool_labels(ctx, k + 1) == labels
                 # Verified against its own draft, a candidate is accepted at
                 # once, so the walk emits the token it drew.
                 walked = [
-                    sequential_verify(c.draft_dist, [c], [u], accept_rng).emitted_token
-                    for c, u in zip(tree.layers[k], tree.uniforms[k])
+                    sequential_verify(q, [q], [u], accept_rng).emitted_token
+                    for q, u in zip(tree.layers[k], tree.uniforms[k])
                 ]
-                assert walked == [sample_index(q, eager_rng) for q, _, _ in want]
+                assert walked == [sample_index(q, eager_rng) for q in want]
             assert len(tree.layers) == len(layers)
             assert ctx.draft_uniforms.take(1) == [eager_rng.random()]
             commit_token(ctx, sample[frontier])
@@ -556,7 +613,9 @@ class TestRoundProperties:
                 assert 1 <= len(committed) <= h + 1
                 assert ctx.cache.occupancy <= capacity
                 assert len(spy.rounds) == ctx.rounds
-                calls = spy.rounds[-1][1]
+                layers, calls = spy.rounds[-1]
+                pools = [_pool_from_prefix(ctx, frontier, n) for n in range(1, len(layers) + 1)]
+                assert list(layers) == [tuple(drafts) for drafts, _ in pools]
                 outcomes = [outcome for _, outcome in calls]
                 assert [o.emitted_token for o in outcomes] == committed[: len(outcomes)]
                 accepted = [o.accepted_index is not None for o in outcomes]
@@ -567,19 +626,21 @@ class TestRoundProperties:
                 assert len(committed) == len(outcomes) + bonus
                 # The round's own rows: one per verification step, in walk
                 # order, through the accepted candidate or all of them, each
-                # with its alpha on the residual chain of its layer's target.
+                # with its alpha on the residual chain of its layer's target
+                # and its label from the layout of the pool at round start.
                 rows = trace[first_row:]
                 want = []
-                for depth, (candidates, o) in enumerate(calls, start=1):
+                for depth, (drafts, o) in enumerate(calls, start=1):
                     if o.accepted_index is not None:
-                        candidates = candidates[: o.accepted_index + 1]
+                        drafts = drafts[: o.accepted_index + 1]
                     target = ctx.target_dist(ctx.committed[: frontier + depth - 1])
-                    alphas = chain_alphas(target, [c.draft_dist for c in candidates])
-                    assert len(alphas) == len(candidates)
+                    alphas = chain_alphas(target, drafts)
+                    assert len(alphas) == len(drafts)
+                    labels = pools[depth - 1][1]
                     want += [
-                        (ctx.rounds - 1, frontier, depth, f"{c.source}:{c.depth}", alpha,
+                        (ctx.rounds - 1, frontier, depth, labels[i], alpha,
                          i == o.accepted_index, len(committed))
-                        for i, (c, alpha) in enumerate(zip(candidates, alphas))
+                        for i, alpha in enumerate(alphas)
                     ]
                 assert rows == want
                 assert all(0.0 <= row[4] <= 1.0 + 1e-12 for row in rows)
@@ -677,10 +738,12 @@ class TestDecodeImage:
 
         def recording_commit(ctx, token):
             t = len(ctx.committed)
-            entry = ctx.cache.entries.get((t, 1))
-            if entry is not None:
-                h1 = ctx.draft_dist(ctx.heads.horizontal[0], ctx.committed)
-                reference.setdefault(ctx.config.mode, []).append((t, kl_divergence(entry[0], h1)))
+            for row in ctx.cache.rows[:1]:  # depth 1, when there is one
+                if row[t]:
+                    h1 = ctx.draft_dist(ctx.heads.horizontal[0], ctx.committed)
+                    reference.setdefault(ctx.config.mode, []).append(
+                        (t, kl_divergence(row[t][0], h1))
+                    )
             commit(ctx, token)
 
         monkeypatch.setattr(hawk.engine, "commit_token", recording_commit)
@@ -721,17 +784,68 @@ class TestDraftRebuild:
                 horizontal = None
                 if frontier < grid.size:
                     horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed)
-                snapshots.append((frontier, horizontal, dict(ctx.cache.entries)))
+                live = {key: slot for key, slot in _filled(ctx.cache).items()
+                        if key[0] >= frontier}
+                assert len(live) == ctx.cache.occupancy
+                snapshots.append((frontier, horizontal, live))
             tokens = ctx.committed
             for frontier, horizontal, entries in snapshots:
                 if horizontal is not None:
                     rebuilt, _ = _engine_drafts(heads, config, tokens, frontier, 0)
                     np.testing.assert_array_equal(horizontal.probs, rebuilt.probs)
-                for (t, d), (dist, source) in entries.items():
-                    assert source == t - d * grid.width
+                for (t, d), (dist,) in entries.items():
                     _, verticals = _engine_drafts(heads, config, tokens, t, d)
                     np.testing.assert_array_equal(dist.probs, verticals[d - 1].probs)
             assert sum(len(entries) for _, _, entries in snapshots) > 0
+
+
+# Grids narrower than the horizontal depth, node budget 5: (width, height,
+# engine fields) and, per speculative mode, the SHA-256 of 40 traced sessions
+# (grid counts, rounds, per-depth attempts and accepts, trace rows), recorded
+# before the cache became slot rows. Here a commit can write slot
+# frontier + width in the middle of a round whose pools were built from it
+# empty, so a label read after the round, or a slot left over from the
+# previous session, changes the rows.
+NARROW_GRIDS = {
+    "2x5_h3_v1": ((2, 5, dict(horizontal_depth=3, vertical_depth=1)), {
+        "medusa": "05541720a20bc4ae1e2aaeddbf00de9afc094da67164daa753309dd2c83b859a",
+        "hawk": "8eafa519cb0df3826c296779ce67c7150964ec28e6713515d2c8cabf5fec94b1",
+        "lantern": "639f61d3ac588edae00d555c648c0684f36218acaf23a4a1de6918815e3ced01",
+    }),
+    "1x6_h3_v2_spv2": ((1, 6, dict(horizontal_depth=3, vertical_depth=2,
+                                   samples_per_vertical=2)), {
+        "medusa": "fa5919ddfaed3ad2903460afc10e5d476b4a3361fb54ced81e8a3f598c6ee07e",
+        "hawk": "718b9be256a4dda75da9f327016f88a41a50e9328d7155f8969c14d780209094",
+        "lantern": "0c54cea7cda5b58fc83a782faf0add26b307e6399f1ea125039ce03b54c6e2cf",
+    }),
+    "2x4_h4_v2_sph2": ((2, 4, dict(horizontal_depth=4, vertical_depth=2,
+                                   samples_per_horizontal=2)), {
+        "medusa": "4074e67e0496634d69e5e711935fe3a56cbcaebc7a0685a10490bb2974bfc333",
+        "hawk": "d044b63867c23cfceff9e468cbb185a8d51fd099ffd05ffb6b609ca278754d50",
+        "lantern": "38562554bbe90d5aaaeb6729ca21c0a94ff9df408b7ad543309b0deb18006bdd",
+    }),
+}
+
+
+class TestNarrowGrids:
+    @pytest.mark.parametrize("name", sorted(NARROW_GRIDS))
+    def test_traced_batches_unchanged(self, name):
+        (width, height, fields), pinned = NARROW_GRIDS[name]
+        grid = GridSpec(width, height, 3)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(
+            model, fields["horizontal_depth"], fields["vertical_depth"], 200, 5, 0.5
+        )
+        variants = hawk.cli._mode_variants(EngineConfig(mode="hawk", node_budget=5, **fields))
+        digests = {}
+        for mode in pinned:
+            trace = []
+            batch = decode_batch(model, heads, variants[mode], 7, 40, trace=trace)
+            record = (sorted(batch.grid_counts.items()), batch.rounds,
+                      sorted(batch.depth_attempts.items()), sorted(batch.depth_accepts.items()),
+                      trace)
+            digests[mode] = hashlib.sha256(repr(record).encode()).hexdigest()
+        assert digests == pinned
 
 
 class TestMedusaEqualsHawkWithoutVerticalInfo:

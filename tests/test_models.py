@@ -470,6 +470,7 @@ REFERENCE_CASES = [
     (5, 1, 3, 2, 2, 60, 0.5),
     (3, 3, 2, 2, 1, 50, 0.5),
     (3, 3, 12, 2, 1, 80, 0.1),
+    (2, 3, 17, 2, 1, 60, 0.3),
     (4, 3, 3, 2, 1, 50, 0.0),
     (4, 4, 3, 2, 1, 1, 0.5),
     (4, 4, 3, 3, 2, 300, 1.0),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hawk.core import TokenDistribution, total_variation
 from hawk.rng import stream
 from hawk.verifier import (
-    Candidate,
     acceptance_ratio,
     chain_alphas,
     lantern_acceptance,
@@ -96,9 +95,7 @@ class TestSequentialVerify:
         gen = stream(1, "verify")
         for _ in range(200):
             token = int(gen.integers(3))
-            outcome = sequential_verify(
-                p, [Candidate(p, "horizontal", 1)], [selecting(p, token)], gen
-            )
+            outcome = sequential_verify(p, [p], [selecting(p, token)], gen)
             assert outcome.emitted_token == token
             assert outcome.accepted_index == 0
 
@@ -108,15 +105,15 @@ class TestSequentialVerify:
         q = dist(0.0, 0.5, 0.0, 0.5, 0.0)
         gen = stream(6, "verify")
         for u in (0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)):
-            outcome = sequential_verify(q, [Candidate(q, "horizontal", 1)], [u], gen)
+            outcome = sequential_verify(q, [q], [u], gen)
             assert q.prob(outcome.emitted_token) > 0.0
 
     def test_acceptance_leaves_later_candidates_untouched(self):
         p = dist(0.5, 0.3, 0.2)
         gen, reference = stream(2, "verify"), stream(2, "verify")
         q = dist(0.1, 0.8, 0.1)
-        cands = [Candidate(p, "vertical", 1), Candidate(q, "horizontal", 1)]
-        outcome = sequential_verify(p, cands, [selecting(p, 0), selecting(q, 1)], gen)
+        drafts = [p, q]
+        outcome = sequential_verify(p, drafts, [selecting(p, 0), selecting(q, 1)], gen)
         assert outcome.accepted_index == 0
         # One verification draw, for the accepting step alone.
         reference.random()
@@ -138,7 +135,7 @@ class TestSequentialVerify:
         gen = stream(5, "verify")
         saw_resample = False
         for _ in range(200):
-            outcome = sequential_verify(p, [Candidate(q, "horizontal", 1)], [selecting(q, 1)], gen)
+            outcome = sequential_verify(p, [q], [selecting(q, 1)], gen)
             if outcome.accepted_index is None:
                 saw_resample = True
                 assert outcome.emitted_token == 0
@@ -153,10 +150,10 @@ class TestSequentialVerify:
         p = dist(0.5, 0.5)
         q1 = dist(0.5, 0.5000000000000001)
         q2 = dist(0.9, 0.1)
-        cands = [Candidate(q1, "vertical", 1), Candidate(q2, "horizontal", 1)]
+        drafts = [q1, q2]
         rng = ScriptedRng([0.9999999999999999, 0.25])
         with caplog.at_level("WARNING", logger="hawk.verifier"):
-            outcome = sequential_verify(p, cands, [0.75, 0.95], rng)
+            outcome = sequential_verify(p, drafts, [0.75, 0.95], rng)
         assert (outcome.emitted_token, outcome.accepted_index) == (0, None)
         assert rng._uniforms == []  # the rejection of q1 and the resample
         assert [r.message for r in caplog.records] == [
@@ -178,13 +175,9 @@ class TestSequentialVerify:
         q3 = random_dist(gen, k)
         trials = 1_000_000
         counts = np.zeros(k)
-        cands = [
-            Candidate(q1, "vertical", 1),
-            Candidate(q2, "vertical", 2),
-            Candidate(q3, "horizontal", 1),
-        ]
+        drafts = [q1, q2, q3]
         for _ in range(trials):
-            outcome = sequential_verify(p, cands, gen.random(3).tolist(), gen)
+            outcome = sequential_verify(p, drafts, gen.random(3).tolist(), gen)
             counts[outcome.emitted_token] += 1
         empirical = TokenDistribution(counts / trials)
         assert total_variation(empirical, p) <= 0.01
@@ -199,9 +192,9 @@ class TestSequentialVerify:
         first, second = (qv, qh) if order == "vertical_first" else (qh, qv)
         trials = 100_000
         counts = np.zeros(k)
-        cands = [Candidate(first, "vertical", 1), Candidate(second, "horizontal", 1)]
+        drafts = [first, second]
         for _ in range(trials):
-            outcome = sequential_verify(p, cands, gen.random(2).tolist(), gen)
+            outcome = sequential_verify(p, drafts, gen.random(2).tolist(), gen)
             counts[outcome.emitted_token] += 1
         assert total_variation(TokenDistribution(counts / trials), p) <= 0.02
 
@@ -256,9 +249,9 @@ class TestMedusaSpecialCase:
             ref_idx, ref_token = classic_multidraft_reference(
                 p.probs, q.probs, tokens, uniforms
             )
-            cands = [Candidate(q, "horizontal", 1)] * m
+            drafts = [q] * m
             drafted = [selecting(q, t) for t in tokens]
-            outcome = sequential_verify(p, cands, drafted, ScriptedRng(uniforms))
+            outcome = sequential_verify(p, drafts, drafted, ScriptedRng(uniforms))
             assert outcome.accepted_index == ref_idx
             assert outcome.emitted_token == ref_token
 
@@ -360,7 +353,7 @@ class TestLantern:
         neighborhoods = [(0, 1, 2)] * 3
         gen = stream(31, "lantern-walk")
         outcome = lantern_sequential_verify(
-            p, [Candidate(q, "horizontal", 1)], [selecting(q, 1)], gen, neighborhoods, 2.0
+            p, [q], [selecting(q, 1)], gen, neighborhoods, 2.0
         )
         # full-vocabulary neighborhood accepts unconditionally
         assert outcome.accepted_index == 0
@@ -386,8 +379,6 @@ class TestTokenNeighborhoods:
 class TestCsvRows:
     def test_row_shape(self):
         p = dist(0.5, 0.5)
-        (candidate,) = candidates = [Candidate(p, "vertical", 2)]
-        outcome = sequential_verify(p, candidates, [selecting(p, 0)], stream(0, "csv"))
-        (alpha,) = chain_alphas(p, [candidate.draft_dist])
-        row = (candidate.depth, candidate.source, alpha, outcome.accepted_index == 0)
-        assert row == (2, "vertical", 1.0, True)
+        outcome = sequential_verify(p, [p], [selecting(p, 0)], stream(0, "csv"))
+        (alpha,) = chain_alphas(p, [p])
+        assert (alpha, outcome.accepted_index == 0) == (1.0, True)
