@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -43,15 +43,13 @@ class GridSpec:
     width: int
     height: int
     vocab_size: int
+    #: Total number of tokens in the grid; the engine reads it several times a round.
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, minimum in GRID_MINIMUMS.items():
             json_value(getattr(self, name), name, int, minimum)
-
-    @property
-    def size(self) -> int:
-        """Total number of tokens in the grid."""
-        return self.width * self.height
+        object.__setattr__(self, "size", self.width * self.height)
 
 
 class TokenDistribution:

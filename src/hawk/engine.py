@@ -462,8 +462,7 @@ def decode_batch(
     The whole batch is reproducible from the seed. Pass a list as ``trace``
     to collect one row per verification step (``TRACE_COLUMNS``).
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    json_value(count, "count", int, 1)
     ctx = DecodingContext(model, heads, config, seed, trace=trace)
     grid = ctx.grid
     counts: Counter = Counter()

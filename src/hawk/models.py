@@ -26,16 +26,18 @@ its conditional's sampling-table cuts at or below its uniform, which is the
 ``bisect_right`` of a per-token draw. The grids are counted or
 scored by signature code, ``column * (1 + k + k**2)`` plus 0 for the empty
 context, ``1 + a`` for ``(a,)`` and ``1 + k + a * k + b`` for ``(a, b)``
-(vocabulary k), so no Python runs per token there. Each fitted row is
-normalized on its own and held-out log terms are summed in sample, then
-position, order, so every probability and NLL equals that of a
-per-position loop bit for bit. Counting takes ``width * (1 + k + k**2) * k``
-integers per head offset.
+(vocabulary k), so no Python runs per token there. A block's codes are
+computed once; fitting counts, and each head scores, the flat cell
+``code * k + token`` of a frontier and the token d steps past it. Rows are
+normalized one by one and log terms subtracted in sample, then position,
+order, so every probability and NLL equals a per-position loop's bit for
+bit. Counting takes ``width * (1 + k + k**2) * k`` integers per offset.
 
 A tabular head keeps one table, keyed by signature code, and lays it out
-once as the code-by-token array of ``width * (1 + k + k**2) * k`` floats
-that scoring reads; ``predict`` computes the code of its prefix. Only the
-heads file spells a signature out, as a context and a column.
+once as the flat code-by-token array of ``width * (1 + k + k**2) * k`` logs
+(each probability floored at 1e-300) that scoring reads; ``predict``
+computes the code of its prefix. Only the heads file spells a signature
+out, as a context and a column.
 
 Models and head sets are immutable after construction, so concurrent readers
 are safe. Fitting is single-threaded per call; independent fits can run in
@@ -287,13 +289,11 @@ class DraftHead(abc.ABC):
     def predict(self, prefix: Sequence[int]) -> TokenDistribution:
         """Draft distribution given the committed prefix only."""
 
-    def true_token_probs(self, grids: np.ndarray) -> np.ndarray:
-        """What ``predict`` gives the true token, for a block of complete grids.
-
-        ``grids`` holds one grid per row, in raster order. Entry ``[i, L]``
-        of the result, for L in 0..size-offset, is
-        ``predict(grids[i, :L]).prob(grids[i, L - 1 + offset])``.
-        """
+    def true_token_logs(self, keys: np.ndarray, grids: np.ndarray) -> np.ndarray:
+        """Floored logs of what ``predict`` gives the true token, for a block of
+        complete grids, one per row, whose signature codes times k are ``keys``:
+        entry ``[i, L]``, for L in 0..size-offset, is
+        ``log(max(predict(grids[i, :L]).prob(grids[i, L - 1 + offset]), 1e-300))``."""
         raise NotImplementedError(f"{type(self).__name__} does not score grids in blocks")
 
 
@@ -342,6 +342,13 @@ def _signature_codes(grids: np.ndarray, width: int, vocab_size: int) -> np.ndarr
     return codes
 
 
+def _cell_index(keys: np.ndarray, grids: np.ndarray, offset: int) -> np.ndarray:
+    """Entry ``[i, L]``, for L in 0..size-offset, is the cell ``code * k + token`` of
+    frontier L of ``grids[i]`` and the token ``offset`` past it, given codes * k."""
+    span = max(0, grids.shape[1] - offset + 1)
+    return keys[:, :span] + grids[:, offset - 1 :]
+
+
 class TabularDraftHead(DraftHead):
     """Empirical conditional rows keyed by signature code; a signature never
     seen in fitting gets the smoothed empty count vector, i.e. uniform."""
@@ -362,9 +369,10 @@ class TabularDraftHead(DraftHead):
         self.smoothing = smoothing
         self.table = table
         self._fallback = TokenDistribution._wrap(np.full(vocab_size, 1.0 / vocab_size))
-        self._probs = np.full((_code_count(width, vocab_size), vocab_size), 1.0 / vocab_size)
+        probs = np.full((_code_count(width, vocab_size), vocab_size), 1.0 / vocab_size)
         for code, dist in table.items():
-            self._probs[code] = dist.probs
+            probs[code] = dist.probs
+        self._logs = np.log(np.maximum(probs, 1e-300)).ravel()
 
     def predict(self, prefix: Sequence[int]) -> TokenDistribution:
         k, length = self.vocab_size, len(prefix)
@@ -374,10 +382,8 @@ class TabularDraftHead(DraftHead):
             code = 1 + prefix[0] if length else 0
         return self.table.get(length % self.width * (1 + k + k * k) + code, self._fallback)
 
-    def true_token_probs(self, grids: np.ndarray) -> np.ndarray:
-        span = max(0, grids.shape[1] - self.offset + 1)
-        codes = _signature_codes(grids, self.width, self.vocab_size)[:, :span]
-        return self._probs[codes, grids[:, self.offset - 1 :]]
+    def true_token_logs(self, keys: np.ndarray, grids: np.ndarray) -> np.ndarray:
+        return self._logs.take(_cell_index(keys, grids, self.offset))
 
 
 class ExactDraftHead(DraftHead):
@@ -390,16 +396,15 @@ class ExactDraftHead(DraftHead):
             raise ValueError("exact heads require a prefix-independent target model")
         self.offset = offset
         self._model = model
+        # The flat position-by-token log table, read at ``position * k + token``.
+        self._logs = np.log(np.maximum([dist.probs for dist in model._dists], 1e-300)).ravel()
+        self._row_starts = np.arange(offset - 1, model.grid.size) * model.grid.vocab_size
 
     def predict(self, prefix: Sequence[int]) -> TokenDistribution:
         return self._model.position_conditional(len(prefix) - 1 + self.offset)
 
-    def true_token_probs(self, grids: np.ndarray) -> np.ndarray:
-        model = self._model
-        positions = range(self.offset - 1, grids.shape[1])
-        rows = np.array([model.position_conditional(p).probs for p in positions])
-        rows = rows.reshape(len(positions), model.grid.vocab_size)
-        return rows[np.arange(len(positions)), grids[:, self.offset - 1 :]]
+    def true_token_logs(self, keys: np.ndarray, grids: np.ndarray) -> np.ndarray:
+        return self._logs.take(self._row_starts + grids[:, self.offset - 1 :])
 
 
 def head_offsets(
@@ -505,19 +510,16 @@ def fit_tabular_draft_heads(
 
     unique_offsets = sorted(set(horizontal) | set(vertical))
     k = grid.vocab_size
-    size = grid.size
     width = grid.width
     cells = _code_count(width, k) * k
     # counts[d][code * k + token]: frontiers with that signature code whose
     # token d steps ahead is ``token``. Offsets past the grid count nothing.
-    counts = {d: np.zeros(cells, dtype=np.int64) for d in unique_offsets if d <= size}
+    counts = {d: np.zeros(cells, dtype=np.int64) for d in unique_offsets if d <= grid.size}
 
     for grids in _sample_blocks(model, sample_count, stream(seed, "head-fit")):
-        codes = _signature_codes(grids, width, k)
+        keys = _signature_codes(grids, width, k) * k
         for d, total in counts.items():
-            # Frontier length L predicts position L - 1 + d.
-            pairs = codes[:, : size - d + 1] * k + grids[:, d - 1 :]
-            total += np.bincount(pairs.ravel(), minlength=cells)
+            total += np.bincount(_cell_index(keys, grids, d).ravel(), minlength=cells)
 
     dists: dict[int, dict[int, TokenDistribution]] = {d: {} for d in unique_offsets}
     for d, total in counts.items():
@@ -568,27 +570,27 @@ def held_out_nll(
     behind the horizontal-vs-vertical decay comparison: heads at equal
     Euclidean rank (horizontal depth d vs vertical depth d) can be read off
     against each other. Heads with no position inside the grid get no key.
+    ``sample_count`` is checked by :func:`~hawk.core.json_value`.
     """
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    heads.check_grid(model.grid)
-    labeled = [("horizontal", i + 1, h) for i, h in enumerate(heads.horizontal)]
-    labeled += [("vertical", i + 1, h) for i, h in enumerate(heads.vertical)]
-    totals = {(direction, depth): 0.0 for direction, depth, _ in labeled}
+    json_value(sample_count, "sample_count", int, 1)
+    grid = model.grid
+    heads.check_grid(grid)
+    named = [(("horizontal", i + 1), h) for i, h in enumerate(heads.horizontal)]
+    named += [(("vertical", i + 1), h) for i, h in enumerate(heads.vertical)]
+    totals = {name: 0.0 for name, _ in named}
     for grids in _sample_blocks(model, sample_count, stream(seed, "head-holdout")):
-        for direction, depth, head in labeled:
-            logs = np.log(np.maximum(head.true_token_probs(grids), 1e-300))
+        keys = _signature_codes(grids, grid.width, grid.vocab_size) * grid.vocab_size
+        for name, head in named:
             # One subtraction per position, sample-major then length, carried
-            # across blocks: the sum a scalar loop would make, bit for bit.
-            carried = np.concatenate(([totals[(direction, depth)]], logs.ravel()))
-            totals[(direction, depth)] = float(np.subtract.accumulate(carried)[-1])
-    size = model.grid.size
-    out = {}
-    for direction, depth, head in labeled:
-        positions = sample_count * (size - head.offset + 1)
-        if positions > 0:
-            out[(direction, depth)] = totals[(direction, depth)] / positions
-    return out
+            # across blocks: the sum a scalar loop would make, bit for bit
+            # (numpy reduces subtract in order; only add's reduce is pairwise).
+            logs = head.true_token_logs(keys, grids).ravel()
+            totals[name] = float(np.subtract.reduce(logs, initial=totals[name]))
+    return {
+        name: totals[name] / (sample_count * (grid.size - head.offset + 1))
+        for name, head in named
+        if head.offset <= grid.size
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Grid shape, distribution arithmetic, and sampling transforms."""
 
+import dataclasses
 import math
 from bisect import bisect_right
 
@@ -48,6 +49,13 @@ class TestGridAddressing:
             GridSpec(3, 0, 4)
         with pytest.raises(ValueError):
             GridSpec(3, 3, 1)
+
+    def test_size_is_stored_and_outside_equality(self):
+        grid = GridSpec(4, 3, 5)
+        assert grid.size == 12 and vars(grid)["size"] == 12
+        assert repr(grid) == "GridSpec(width=4, height=3, vocab_size=5)"
+        assert grid == GridSpec(4, 3, 5) and hash(grid) == hash((4, 3, 5))
+        assert dataclasses.replace(grid, height=2).size == 8
 
 
 class TestTokenDistribution:

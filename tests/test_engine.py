@@ -866,6 +866,12 @@ class TestMedusaEqualsHawkWithoutVerticalInfo:
 
 
 class TestBatch:
+    @pytest.mark.parametrize("count", [True, 2.5, "3", 0])
+    def test_count_is_never_coerced(self, count):
+        grid, model, heads, config = _hawk_setup()
+        with pytest.raises(ValueError, match="field 'count' must be"):
+            decode_batch(model, heads, config, 21, count)
+
     def test_batch_of_one_matches_image(self):
         grid, model, heads, _ = _hawk_setup()
         config = EngineConfig(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hawk.models
 from hawk.cli import build_heads, build_model, load_run_config
 from hawk.core import GridSpec, sample_index, total_variation
 from hawk.models import (
@@ -372,6 +373,82 @@ class TestHeldOutNll:
         heads = fit_tabular_draft_heads(model, 1, 1, 2000, 23)
         nll = held_out_nll(model, heads, 300, 99)
         assert nll[("vertical", 1)] < nll[("horizontal", 1)]
+
+    @pytest.mark.parametrize("count", [True, 2.5, "3", 0])
+    def test_sample_count_is_never_coerced(self, count):
+        model = make_grid_markov_target(GRID, 5, 0.5)
+        heads = fit_tabular_draft_heads(model, 1, 1, 5, 9)
+        with pytest.raises(ValueError, match="field 'sample_count' must be"):
+            held_out_nll(model, heads, count, 1)
+
+    def test_codes_computed_once_per_block_for_any_number_of_heads(self, monkeypatch):
+        model = make_grid_markov_target(GRID, 5, 0.5)
+        few = fit_tabular_draft_heads(model, 1, 0, 20, 9)
+        many = fit_tabular_draft_heads(model, 3, 2, 20, 9)
+        blocks = []
+        codes = hawk.models._signature_codes
+
+        def counted(grids, width, vocab_size):
+            blocks.append(len(grids))
+            return codes(grids, width, vocab_size)
+
+        monkeypatch.setattr(hawk.models, "_signature_codes", counted)
+        for heads in (few, many):
+            blocks.clear()
+            held_out_nll(model, heads, _BLOCK_GRIDS + 1, 5)
+            assert blocks == [_BLOCK_GRIDS, 1]
+
+
+def _want_logs(head, grids):
+    """``log(max(p, 1e-300))`` of ``predict``'s probability of each true token."""
+    span = max(0, grids.shape[1] - head.offset + 1)
+    probs = [
+        [head.predict(grid[:L]).prob(grid[L - 1 + head.offset]) for L in range(span)]
+        for grid in grids.tolist()
+    ]
+    return np.log(np.maximum(np.array(probs).reshape(len(grids), span), 1e-300))
+
+
+class TestTrueTokenLogs:
+    @staticmethod
+    def _assert_bitwise(heads, grids, grid):
+        keys = _signature_codes(grids, grid.width, grid.vocab_size) * grid.vocab_size
+        for head in heads.horizontal + heads.vertical:
+            got, want = head.true_token_logs(keys, grids), _want_logs(head, grids)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_tabular_heads_with_unseen_codes_and_zero_counts(self):
+        grid = GridSpec(4, 3, 3)
+        model = make_grid_markov_target(grid, 11, 0.7)
+        grids = model.sample_grid(stream(3, "scored"), 40)
+        # One fitting sample leaves most held-out codes unseen, scored by the
+        # uniform fallback row; without smoothing, a seen row's unseen tokens
+        # have probability 0 and score the floor.
+        sparse = fit_tabular_draft_heads(model, 2, 1, 1, 23, 0.5)
+        unsmoothed = fit_tabular_draft_heads(model, 2, 1, 30, 23, 0.0)
+        for heads in (sparse, unsmoothed):
+            self._assert_bitwise(heads, grids, grid)
+        head = sparse.horizontal[0]
+        assert (_want_logs(head, grids) == np.log(1.0 / 3)).any()
+        head = unsmoothed.vertical[0]
+        assert (_want_logs(head, grids) == np.log(1e-300)).any()
+
+    def test_offsets_past_the_grid_score_no_position(self):
+        # On a 3x1 grid offset 3 scores one position and offsets 4 to 6 none.
+        grid = GridSpec(3, 1, 3)
+        model = make_grid_markov_target(grid, 11, 0.7)
+        heads = fit_tabular_draft_heads(model, 5, 2, 30, 23)
+        grids = model.sample_grid(stream(3, "scored"), 7)
+        self._assert_bitwise(heads, grids, grid)
+        keys = _signature_codes(grids, grid.width, grid.vocab_size) * grid.vocab_size
+        shapes = [h.true_token_logs(keys, grids).shape for h in heads.horizontal + heads.vertical]
+        assert shapes == [(7, 3), (7, 2), (7, 1), (7, 0), (7, 0), (7, 1), (7, 0)]
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 1)])
+    def test_exact_heads(self, shape):
+        model = make_independent_target(GridSpec(*shape, 4), 9)
+        grids = model.sample_grid(stream(3, "scored"), 20)
+        self._assert_bitwise(make_exact_heads(model, 2, 2), grids, model.grid)
 
 
 class TestSerialization:
