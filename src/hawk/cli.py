@@ -39,11 +39,14 @@ from .engine import (
     MODE_HAWK,
     MODE_VANILLA,
     ENGINE_MINIMUMS,
+    BatchResult,
     EngineConfig,
     TRACE_COLUMNS,
     decode_batch,
     decode_image,
     export_grid_image,
+    tree_nodes,
+    tree_widths,
 )
 from .models import (
     DraftHeadSet,
@@ -290,6 +293,16 @@ def _mode_variants(engine: EngineConfig) -> dict[str, EngineConfig]:
     return {"vanilla": vanilla, "medusa": medusa, "hawk": hawk, "lantern": lantern}
 
 
+def _tree_fields(engine: EngineConfig, result: BatchResult) -> str:
+    """The interior tree's shape and nodes, and the rounds the budget cut, for stdout."""
+    if engine.mode == MODE_VANILLA:
+        return ""
+    pool = engine.samples_per_horizontal + engine.samples_per_vertical * engine.vertical_depth
+    widths = tree_widths((pool,) * engine.horizontal_depth, engine.node_budget)
+    return (f" tree={'x'.join(map(str, widths))} nodes={tree_nodes(widths)}"
+            f" truncated_rounds={result.truncated_rounds}")
+
+
 def cmd_decode(config: RunConfig) -> int:
     model = build_model(config)
     heads = None if config.engine.mode == MODE_VANILLA else build_heads(config, model)
@@ -307,7 +320,7 @@ def cmd_decode(config: RunConfig) -> int:
     _write_manifest(config, outputs)
 
     print(f"mode={result.mode} accept_length={result.accept_length:.3f} "
-          f"modeled_speedup={result.modeled_speedup:.3f}")
+          f"modeled_speedup={result.modeled_speedup:.3f}{_tree_fields(config.engine, result)}")
     print(f"wall_clock_ms={result.wall_clock_ms:.1f}")
     return 0
 
@@ -363,7 +376,7 @@ def cmd_bench(config: RunConfig) -> int:
         print(f"mode={mode} accept_length={batch.accept_length:.3f} "
               f"modeled_speedup={batch.modeled_speedup:.3f} "
               f"wall_speedup={results[0].wall_clock_ms / batch.wall_clock_ms:.3f} "
-              f"wall_clock_ms={batch.wall_clock_ms:.1f}")
+              f"wall_clock_ms={batch.wall_clock_ms:.1f}{_tree_fields(engine, batch)}")
 
     hawk = variants["hawk"]
     curves = rejection_curve(

@@ -1,40 +1,37 @@
 """Raster-order decoding loop with spatial speculation.
 
-Round structure (speculative modes): :func:`build_pool` lays out one
-layer of draft distributions, one per candidate, for each speculation depth
-1..H from the round-start committed prefix. The layer at depth n merges the
-cached vertical predictions targeting position T+n, written rows earlier,
-with the horizontal head's prediction for it. The layers are combined as a
-Cartesian product, truncated to the node budget: the first ``node_budget``
-paths in lexicographic order are kept. Verification walks the depths: the
-candidates that continue a kept path through the accepted prefix are
-verified against the current target conditional, each drawing its token as
-the walk reaches it; the first rejection resamples, commits the resampled
-token, and ends the round. A round that accepts through every layer commits
-one extra bonus token drawn from the target. Every round therefore commits
-between 1 and H+1 tokens and is accounted as exactly one target-model pass,
-which is what a batched tree verification would cost.
+Round structure (speculative modes): for each speculation depth n = 1..H,
+:func:`build_pool` lays out one layer of draft distributions, one per
+candidate, from the round-start committed prefix: the cached vertical
+predictions targeting position T+n, written rows earlier, then the
+horizontal head's. The candidate tree keeps the first b_k candidates of
+layer k, its widths tapering with depth to at most ``node_budget`` nodes;
+any shape fixed before the verifier draws is exact, since every layer comes
+from the round-start prefix. The walk verifies each layer's candidates in
+turn against the current target conditional, each drawing its token when
+reached; the first rejection resamples, commits, and ends the round, and a
+round that accepts through every layer commits a bonus token from the
+target. A round thus commits 1 to H+1 tokens and is accounted as one
+target-model pass, which is what a batched tree verification would cost.
 
 Vertical head outputs are computed when a token commits, conditioned on the
 committed prefix only, and written to the speculation cache's slot for their
-target position, one slot row per depth, until decoding reaches it. Writing
-at commit time (rather than while drafting) keeps every cached draft
-distribution independent of the verifier's randomness, which the exactness
-argument requires. Nothing is evicted: a slot behind the frontier is never
-read again, and the rows are cleared between sessions. Live occupancy
-(slots written and not yet committed) never exceeds
-``width * vsd * (vsd + 1) / 2``.
+target position, one slot row per depth, until decoding reaches it; a
+context without vertical candidates keeps no rows. Writing at commit time
+(rather than while drafting) keeps every cached draft independent of the
+verifier's randomness, which the exactness argument requires. Nothing is
+evicted: a slot behind the frontier is never read again, and the rows are
+cleared between sessions. Live occupancy (slots written and not yet
+committed) never exceeds ``width * vsd * (vsd + 1) / 2``.
 
 Draw order, for reproducibility: the draft stream supplies one uniform per
-drawn candidate, round after round (layers in depth order, within a layer
-the vertical candidates by depth, then the horizontal ones); the verify
-stream supplies one uniform per verification step plus one categorical
-draw per resample or bonus token. A speculative context reads its draft
-stream through :class:`~hawk.rng.UniformReader`, which fetches uniforms in
-blocks and hands out the scalar draws in order. A candidate's token is the
-index its uniform selects from its draft. The verification walk computes it
-when it reaches the candidate and stops at the first acceptance, so every
-other candidate consumes its uniform and never gets a token.
+kept candidate, round after round (layers in depth order, within a layer
+the vertical candidates by depth, then the horizontal ones), read through
+:class:`~hawk.rng.UniformReader` in blocks; the verify stream supplies one
+uniform per verification step plus one categorical draw per resample or
+bonus token. A candidate's token is the index its uniform selects from its
+draft, computed only when the walk reaches it, so a candidate after the
+accepted one consumes its uniform and never gets a token.
 
 One batch is one :class:`DecodingContext`: its sessions run back to back,
 strictly sequentially, on one pair of streams, and its result is one
@@ -47,6 +44,8 @@ Batches over shared immutable models may run concurrently.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -169,17 +168,29 @@ class SpeculationCache:
 
 
 class CandidateTree(NamedTuple):
-    """Depth-indexed draft layers with one uniform per drawn candidate.
-
-    The tree is their Cartesian product truncated to the node budget: the
-    first ``node_budget`` paths in lexicographic order are kept. A layer's
-    live candidates therefore follow from the accepted prefix and the budget
-    by arithmetic (see :func:`decode_round`); they are the first ones of the
-    layer.
-    """
+    """Per depth, the first b_k drafts of its pool (:func:`tree_widths`) and one
+    uniform each; ``truncated`` says the node budget cut some pool."""
 
     layers: tuple[tuple[TokenDistribution, ...], ...]
     uniforms: tuple[list[float], ...]
+    truncated: bool
+
+
+def tree_nodes(widths: Sequence[int]) -> int:
+    """Nodes of the product tree with these layer widths: sum_k prod_{j<=k} b_j."""
+    return int(np.cumprod(widths).sum())
+
+
+@functools.lru_cache(maxsize=None)
+def tree_widths(lengths: tuple[int, ...], node_budget: int) -> tuple[int, ...]:
+    """Width b_k = max(1, b - k + 1) of depth k, capped by the layer's length, for
+    the largest b whose tree has at most ``node_budget`` nodes (a chain if none has)."""
+    widths = (1,) * len(lengths)
+    for b in itertools.count(2):
+        wider = tuple(min(n, max(1, b - k)) for k, n in enumerate(lengths))
+        if widths == lengths or tree_nodes(wider) > node_budget:
+            return widths
+        widths = wider
 
 
 TraceRow = tuple[int, int, int, str, float, bool, int]
@@ -239,12 +250,14 @@ class DecodingContext:
         self.config = config
         self.grid = model.grid
         self.committed: list[int] = []
-        self.cache = SpeculationCache(self.grid, config.vertical_depth)
+        depth = config.vertical_depth if config.samples_per_vertical else 0
+        self.cache = SpeculationCache(self.grid, depth)
         self.draft_rng = stream(seed, "draft")
         self.verify_rng = stream(seed, "verify")
         # Only a speculative round draws draft uniforms, a block at a time.
         self.draft_uniforms = None if config.mode == MODE_VANILLA else UniformReader(self.draft_rng)
         self.rounds = 0
+        self.truncated_rounds = 0
         self.trace = trace
         self.depth_attempts: dict[int, int] = {}
         self.depth_accepts: dict[int, int] = {}
@@ -300,11 +313,13 @@ def _pool_labels(ctx: DecodingContext, n: int) -> list[str]:
 def build_candidate_tree(
     layers: Sequence[tuple[TokenDistribution, ...]], config: EngineConfig, reader: UniformReader
 ) -> CandidateTree:
-    """Take the uniforms of the layers from :func:`build_pool` off the
-    context's draft reader, in layer order; the layers' product, capped by
-    ``config.node_budget``, is the tree.
-    """
-    return CandidateTree(tuple(layers), tuple(map(reader.take, map(len, layers))))
+    """The first b_k drafts of each :func:`build_pool` layer under ``config.node_budget``
+    (:func:`tree_widths`), with their uniforms off the context's draft reader, in order."""
+    lengths = tuple(map(len, layers))
+    widths = tree_widths(lengths, config.node_budget)
+    truncated = widths != lengths
+    kept = tuple(layer[:b] for layer, b in zip(layers, widths)) if truncated else tuple(layers)
+    return CandidateTree(kept, tuple(map(reader.take, widths)), truncated)
 
 
 def commit_token(ctx: DecodingContext, token: int) -> None:
@@ -317,10 +332,10 @@ def commit_token(ctx: DecodingContext, token: int) -> None:
     commit_index >= d * width, so occupancy stays within capacity.
     """
     t = len(ctx.committed)
-    vertical_depth = ctx.config.vertical_depth
     ctx.committed.append(token)
-    if vertical_depth:
-        cache = ctx.cache
+    cache = ctx.cache
+    if cache.rows:
+        vertical_depth = len(cache.rows)
         width = ctx.grid.width
         total = ctx.grid.size
         copies = ctx.config.samples_per_vertical
@@ -342,12 +357,8 @@ def commit_token(ctx: DecodingContext, token: int) -> None:
 
 
 def decode_round(ctx: DecodingContext) -> None:
-    """Run one decoding round; commits between 1 and H+1 tokens.
-
-    Accounted as a single target-model pass regardless of tree size: a real
-    deployment verifies the whole candidate tree in one batched forward.
-    If the context keeps a trace, the round appends its rows to it.
-    """
+    """Run one decoding round, one target pass that commits between 1 and H+1
+    tokens; if the context keeps a trace, the round appends its rows to it."""
     total = ctx.grid.size
     committed = ctx.committed
     if len(committed) >= total:
@@ -370,23 +381,12 @@ def decode_round(ctx: DecodingContext) -> None:
         if trace is not None:
             labels.append(_pool_labels(ctx, n))
     tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
-
-    # Path (a_0, ..., a_n) has lexicographic rank sum(a_k * stride_k), where
-    # stride_k is the product of the widths of the layers after k; it is kept
-    # iff its rank is below the node budget. With r the rank of the accepted
-    # prefix, candidate j at layer k continues a kept path iff
-    # j * stride_k < node_budget - r (= budget_left), so the live candidates
-    # are the first ceil(budget_left / stride_k) of the layer.
-    strides = [1] * len(layers)
-    for k in range(len(layers) - 1, 0, -1):
-        strides[k - 1] = strides[k] * len(layers[k])
+    ctx.truncated_rounds += tree.truncated
     rng = ctx.verify_rng
     walked = []  # (depth, target, drafts, outcome) per layer, when tracing
-    budget_left = config.node_budget
-    for depth, stride in enumerate(strides, start=1):
-        drafts = tree.layers[depth - 1][: -(-budget_left // stride)]
+    for depth, (drafts, uniforms) in enumerate(zip(tree.layers, tree.uniforms), start=1):
         ctx.depth_attempts[depth] = ctx.depth_attempts.get(depth, 0) + 1
-        target, uniforms = ctx.target_dist(committed), tree.uniforms[depth - 1]
+        target = ctx.target_dist(committed)
         if config.mode == MODE_LANTERN:
             outcome = lantern_sequential_verify(target, drafts, uniforms, rng,
                                                 ctx.neighborhoods, config.lantern_lam)
@@ -398,7 +398,6 @@ def decode_round(ctx: DecodingContext) -> None:
         if outcome.accepted_index is None:
             break
         ctx.depth_accepts[depth] = ctx.depth_accepts.get(depth, 0) + 1
-        budget_left -= outcome.accepted_index * stride
     else:
         if len(committed) < total:
             commit_token(ctx, sample_index(ctx.target_dist(committed), rng))
@@ -420,13 +419,15 @@ class BatchResult:
     """The result of one batch: one or more decode sessions on one context.
 
     ``draft_overhead_ratio`` is the one the batch's cost model uses: the
-    config's, or 0 for vanilla, which drafts nothing.
+    config's, or 0 for vanilla, which drafts nothing. ``truncated_rounds``
+    counts the rounds whose tree the node budget cut.
     """
 
     mode: str
     draft_overhead_ratio: float
     grid_counts: Counter
     rounds: int
+    truncated_rounds: int
     committed: int
     depth_attempts: dict[int, int]
     depth_accepts: dict[int, int]
@@ -481,6 +482,7 @@ def decode_batch(
         draft_overhead_ratio=0.0 if config.mode == MODE_VANILLA else config.draft_overhead_ratio,
         grid_counts=counts,
         rounds=ctx.rounds,
+        truncated_rounds=ctx.truncated_rounds,
         committed=count * grid.size,
         depth_attempts=dict(ctx.depth_attempts),
         depth_accepts=dict(ctx.depth_accepts),

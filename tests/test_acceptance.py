@@ -6,6 +6,7 @@ batches for the exactness criteria are shared through module-scoped
 fixtures.
 """
 
+import dataclasses
 import math
 import time
 
@@ -20,6 +21,7 @@ from hawk.engine import (
     cache_capacity,
     decode_batch,
     decode_round,
+    tree_widths,
 )
 from hawk.models import (
     fit_tabular_draft_heads,
@@ -172,8 +174,9 @@ def test_criterion_1_g_test(exactness_runs):
 # against the enumerated joint. Vertical depth 2 needs three rows, so the
 # grid is 2x3 at vocabulary 2 (64 outcomes); at vocabulary 2 only the
 # temperature transforms. Medusa and lantern get hawk's three candidates
-# per layer, and a budget of 3 paths cuts every tree with two layers of
-# more than one candidate.
+# per layer. A budget of 3 nodes cuts every tree of two layers to a chain;
+# a budget of 4 keeps two candidates at depth 1 and one at depth 2, so
+# pools of 3 become (2, 1).
 ORACLE_2X3_GRID = GridSpec(2, 3, 2)
 ORACLE_2X3_DECODES = 40_000
 ORACLE_2X3_TRANSFORM = SamplingConfig(temperature=0.8)
@@ -193,9 +196,9 @@ ORACLE_2X3_CONFIGS = {
 }
 
 
-def test_criterion_1_g_test_two_vertical_depths():
-    """Hawk at vertical depth 2 and medusa pass the G-test on a truncated,
-    transformed 2x3 oracle; lantern fails it."""
+def _g_test_2x3(budget, *seed_tags):
+    """G-test each mode's decodes at this node budget against the 2x3
+    enumerated joint; report ``(ok, details)``."""
     model = make_grid_markov_target(ORACLE_2X3_GRID, MODEL_SEED, 0.9)
     heads = fit_tabular_draft_heads(model, 2, 2, 500, HEADS_SEED, 1.0)
     exact = enumerate_joint(model, ORACLE_2X3_GRID, ORACLE_2X3_TRANSFORM)
@@ -203,16 +206,29 @@ def test_criterion_1_g_test_two_vertical_depths():
     details = []
     ok = True
     for mode, config in ORACLE_2X3_CONFIGS.items():
-        seed = derive_seed(MASTER_SEED, "acceptance-2x3", mode)
+        seed = derive_seed(MASTER_SEED, "acceptance-2x3", mode, *seed_tags)
+        config = dataclasses.replace(config, node_budget=budget)
         batch = decode_batch(model, heads, config, seed, ORACLE_2X3_DECODES)
+        assert batch.truncated_rounds > 0
         g, dof = g_statistic(batch.grid_counts, exact, min_expected=5.0)
         p = chi2_tail(g, dof)
         details.append(f"{mode} G={g:.2f} dof={dof} p={p:.3g}")
         ok = ok and (p < G_TEST_LEVEL if mode == "lantern" else p >= G_TEST_LEVEL)
-    report(
-        "1 (G-test, 2x3)", ok,
-        f"{', '.join(details)}, N={ORACLE_2X3_DECODES}, level={G_TEST_LEVEL}",
-    )
+    return ok, f"{', '.join(details)}, N={ORACLE_2X3_DECODES}, level={G_TEST_LEVEL}"
+
+
+def test_criterion_1_g_test_two_vertical_depths():
+    """Hawk at vertical depth 2 and medusa pass the G-test on a truncated,
+    transformed 2x3 oracle whose trees the budget cuts to chains; lantern
+    fails it."""
+    report("1 (G-test, 2x3)", *_g_test_2x3(3))
+
+
+def test_criterion_1_g_test_wide_top():
+    """The same gate on trees that are wider at the top than below: a budget
+    of 4 nodes cuts pools of 3 to (2, 1)."""
+    assert tree_widths((3, 3), 4) == (2, 1)
+    report("1 (G-test, 2x3, budget 4)", *_g_test_2x3(4, "budget", 4))
 
 
 def test_chi2_tail_matches_tabulated_quantiles():

@@ -434,6 +434,11 @@ class TestDecodeCommand:
         assert "accept_length=" in printed
         assert "modeled_speedup=" in printed
 
+    def test_prints_tree_shape_and_truncated_rounds(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["decode", "--config", str(path)]) == 0
+        assert "tree=2x2 nodes=6 truncated_rounds=0" in capsys.readouterr().out
+
     def test_vanilla_prints_unit_accept_length(self, tmp_path, capsys):
         path = write_config(tmp_path, engine={"mode": "vanilla", "vertical_depth": 0})
         assert main(["decode", "--config", str(path)]) == 0
@@ -539,6 +544,21 @@ class TestBenchCommand:
         assert [f["mode"] for f in fields] == ["vanilla", "medusa", "hawk", "lantern"]
         assert fields[0]["wall_speedup"] == "1.000"
         assert all(float(f["wall_speedup"]) > 0 for f in fields)
+
+    def test_prints_tree_shape_and_truncated_rounds(self, tmp_path, capsys):
+        # Pools of 2 at H=2 make a 6-node tree: within the default budget it
+        # is whole, and a budget of 3 cuts it to a chain wherever two layers
+        # hold two drafts. Vanilla has no tree.
+        grid = {"width": 4, "height": 4, "vocab_size": 4}
+        for budget, shape, cut in ((64, "tree=2x2 nodes=6", False), (3, "tree=1x1 nodes=2", True)):
+            path = write_config(tmp_path, grid=grid, engine={"node_budget": budget})
+            assert main(["bench", "--config", str(path)]) == 0
+            lines = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("mode=")]
+            assert "tree=" not in lines[0] and "truncated_rounds" not in lines[0]
+            for line in lines[1:]:
+                assert shape in line
+                assert (int(line.rsplit("truncated_rounds=", 1)[1]) > 0) == cut
 
     def test_deterministic_rerun(self, tmp_path):
         path = write_config(
@@ -717,7 +737,8 @@ class TestPinnedOutputs:
 # SHA-256 of each mode's decodes on the perfbench configs, which, unlike the
 # shipped ones, cover H=4, two vertical depths, repeated slots, a tree cut by
 # the node budget and a transform. Recorded before the speculative round was
-# restructured; a change that claims to keep every draw keeps these.
+# restructured, and for wide_tree_16x16 again when the node budget became a
+# tapered tree; a change that claims to keep every draw keeps these.
 PINNED_DECODES = {
     "oracle_2x2": {
         "vanilla": "36a96e2f600e581f8d5bc82f88e3587a6aff3b533e85f328d1d2fc355d8c5b7c",
@@ -733,9 +754,9 @@ PINNED_DECODES = {
     },
     "wide_tree_16x16": {
         "vanilla": "090eaca9a71f624a0d5ce0770b13173ab151eb9b44b267629898455f7f51f1c4",
-        "medusa": "8a1fcd8e5030f02bdf4107f24dfbe7e64d74058aa47825ae646e65847f7c21d7",
-        "hawk": "c079c40074d44649d584090711070e17ba6d45c67d6dcd992a5fdc50c55097a2",
-        "lantern": "045f226fc46c607937080be0186c798df41796a068608615659a122c433bce1e",
+        "medusa": "a9a23c47f8676cfe80e9ff1d777b54a0bb78fad3a0b3e8d53256ba86104d645e",
+        "hawk": "91a336c5123b4e33b196e4ee90ea6819118e4b72ba05bc8c0f3034ce107eae3b",
+        "lantern": "7773b2476397cef611b52419419b5b54a6f2d0d7c236616ab3ab8f8cf7f73685",
     },
 }
 
@@ -764,3 +785,23 @@ class TestPinnedPerfbenchDecodes:
     @pytest.mark.parametrize("name", sorted(PINNED_DECODES))
     def test_decode_digests_unchanged(self, name):
         assert _decode_digests(name) == PINNED_DECODES[name]
+
+
+class TestTruncatedRounds:
+    @pytest.mark.parametrize("path", [
+        "configs/bench_16x16.json", "configs/verify_quick.json", "configs/verify_2x2.json",
+        "perfbench/configs/wide_tree_16x16.json",
+    ])
+    def test_counted_only_where_the_budget_binds(self, path):
+        # The shipped configs' trees fit their budget whole; wide_tree_16x16
+        # cuts its interior pools of 6 to (4, 3, 2, 1). Reruns count the same.
+        config = load_run_config(ROOT / path)
+        model = build_model(config)
+        heads = build_heads(config, model)
+        binds = path.startswith("perfbench")
+        for mode, engine in hawk.cli._mode_variants(config.engine).items():
+            seed = derive_seed(config.seed, "truncated", mode)
+            first, again = (decode_batch(model, heads, engine, seed, 2).truncated_rounds
+                            for _ in range(2))
+            assert first == again
+            assert (first > 0) == (binds and mode != "vanilla"), mode

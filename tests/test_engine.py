@@ -38,6 +38,8 @@ from hawk.engine import (
     decode_image,
     decode_round,
     export_grid_image,
+    tree_nodes,
+    tree_widths,
 )
 from hawk.models import (
     DraftHead,
@@ -282,25 +284,30 @@ class TestCandidateTree:
         tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
         assert [len(layer) for layer in tree.layers] == [2, 2]
 
-    def test_node_budget_keeps_earliest_paths(self, monkeypatch):
-        # Budget 3 over two 2-wide layers keeps (0, 0), (0, 1) and (1, 0):
-        # accepting candidate 0 leaves two live continuations, candidate 1 one.
+    def test_node_budget_tapers_layer_widths(self, monkeypatch):
+        # Two 2-wide layers: budget 6 keeps the whole product (2 + 4 nodes),
+        # 4 and 5 keep (2, 1) and 3 keeps a chain; depth 2 verifies the same
+        # kept candidates whichever candidate depth 1 accepts.
         grid, model, heads, _ = _hawk_setup()
-        config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1, node_budget=3)
-        for first, live_after in ((0, 2), (1, 1)):
-            widths = []
+        for budget, kept in ((6, [2, 2]), (5, [2, 1]), (4, [2, 1]), (3, [1, 1])):
+            config = EngineConfig(
+                mode="hawk", horizontal_depth=2, vertical_depth=1, node_budget=budget
+            )
+            for first in range(kept[0]):
+                widths = []
 
-            def accept(p, drafts, uniforms, rng, choice=first):
-                widths.append(len(drafts))
-                index = choice if len(widths) == 1 else 0
-                return VerificationOutcome(index_at(drafts[index], uniforms[index]), index)
+                def accept(p, drafts, uniforms, rng, choice=first):
+                    widths.append(len(drafts))
+                    index = choice if len(widths) == 1 else 0
+                    return VerificationOutcome(index_at(drafts[index], uniforms[index]), index)
 
-            monkeypatch.setattr(hawk.engine, "sequential_verify", accept)
-            ctx = DecodingContext(model, heads, config, 3)
-            for token in (0, 1, 2, 0):
-                commit_token(ctx, token)
-            decode_round(ctx)
-            assert widths == [2, live_after]
+                monkeypatch.setattr(hawk.engine, "sequential_verify", accept)
+                ctx = DecodingContext(model, heads, config, 3)
+                for token in (0, 1, 2, 0):
+                    commit_token(ctx, token)
+                decode_round(ctx)
+                assert widths == kept
+                assert ctx.truncated_rounds == (kept != [2, 2])
 
     def test_vertical_first_layer_order(self):
         grid, model, heads, config = _hawk_setup()
@@ -342,22 +349,63 @@ class TestCandidateTree:
                 )
 
 
+def _tapered(lengths, b):
+    return tuple(min(n, max(1, b - k)) for k, n in enumerate(lengths))
+
+
+class TestTreeWidths:
+    @given(st.lists(st.integers(1, 7), min_size=1, max_size=5), st.integers(1, 300))
+    @example([6, 6, 6, 6], 64)
+    @example([1, 3], 3)
+    @example([2, 2, 2], 2)
+    @settings(max_examples=300, deadline=None)
+    def test_width_rule(self, lengths, budget):
+        widths = tree_widths(tuple(lengths), budget)
+        assert len(widths) == len(lengths)
+        assert all(1 <= b <= n for b, n in zip(widths, lengths))
+        assert tree_nodes(widths) == _nodes(widths)
+        if budget < len(lengths):
+            assert widths == (1,) * len(lengths)
+        else:
+            assert _nodes(widths) <= budget
+        # The widths are the tapered ones of some b, and every larger b
+        # either exceeds the budget or changes nothing.
+        top = max(lengths) + len(lengths)
+        b = min(c for c in range(1, top + 1) if _tapered(lengths, c) == widths)
+        for c in range(b + 1, top + 1):
+            wider = _tapered(lengths, c)
+            assert wider == widths or _nodes(wider) > budget
+        assert list(widths) == _widths_by_brute_force(lengths, budget)
+        if _nodes(lengths) <= budget:
+            assert widths == tuple(lengths)
+
+    def test_known_shapes(self):
+        # wide_tree_16x16's interior pools of 6 at budget 64; the 2x3 oracle's
+        # pools of 3 at budgets 3 and 4; the shipped configs' pools of 2.
+        assert tree_widths((6, 6, 6, 6), 64) == (4, 3, 2, 1)
+        assert tree_nodes((4, 3, 2, 1)) == 64
+        assert tree_widths((3, 3), 3) == (1, 1)
+        assert tree_widths((3, 3), 4) == (2, 1)
+        assert tree_widths((2, 2), 64) == (2, 2)
+        assert tree_widths((1, 2), 64) == (1, 2)
+
+
 class _VerifySpy:
-    """Records each round's layers and every verify call made by ``decode_round``."""
+    """Records each round's pools and tree and every verify call made by ``decode_round``."""
 
     def __init__(self, monkeypatch):
-        self.rounds = []  # (layers, [(candidates, outcome), ...]) per speculative round
+        self.rounds = []  # (pools, tree, [(candidates, outcome), ...]) per speculative round
         build = hawk.engine.build_candidate_tree
 
         def spy_tree(layers, config, reader):
             tree = build(layers, config, reader)
-            self.rounds.append((tree.layers, []))
+            self.rounds.append((tuple(layers), tree, []))
             return tree
 
         def spying(verify):
             def spy_verify(p, candidates, *args, **kwargs):
                 outcome = verify(p, candidates, *args, **kwargs)
-                self.rounds[-1][1].append((candidates, outcome))
+                self.rounds[-1][2].append((candidates, outcome))
                 return outcome
 
             return spy_verify
@@ -367,11 +415,20 @@ class _VerifySpy:
             monkeypatch.setattr(hawk.engine, name, spying(getattr(hawk.engine, name)))
 
 
-def _live_by_brute_force(widths, budget, prefix):
-    """Indices at layer len(prefix) that continue one of the first ``budget`` paths."""
-    kept = itertools.islice(itertools.product(*(range(w) for w in widths)), budget)
-    k = len(prefix)
-    return sorted({path[k] for path in kept if path[:k] == prefix})
+def _nodes(widths):
+    """Nodes of the product tree: one per kept path prefix, sum_k prod_{j<=k} b_j."""
+    return sum(int(np.prod(widths[: k + 1])) for k in range(len(widths)))
+
+
+def _widths_by_brute_force(lengths, budget):
+    """The tapered widths of the largest b that fits the budget, trying every b
+    up to the one that makes every layer whole; all ones if none fits."""
+    best = [1] * len(lengths)
+    for b in range(1, max(lengths) + len(lengths) + 1):
+        widths = [min(n, max(1, b - k)) for k, n in enumerate(lengths)]
+        if _nodes(widths) <= budget:
+            best = widths
+    return best
 
 
 # (horizontal_depth, vertical_depth, samples_per_horizontal, samples_per_vertical)
@@ -389,6 +446,10 @@ class TestLiveContinuations:
         "shape, budget", [(shape, b) for shape in LIVE_SHAPES for b in _budgets(shape)]
     )
     def test_matches_truncated_product(self, monkeypatch, shape, budget):
+        # Every round keeps the first b_k drafts of each pool, with the widths
+        # the tapering rule gives by brute force, and each depth verifies all
+        # of its kept drafts; a tree is cut (and counted) only when the whole
+        # product of its pools has more nodes than the budget.
         h, v, sph, spv = shape
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
@@ -399,26 +460,54 @@ class TestLiveContinuations:
             node_budget=budget,
         )
         spy = _VerifySpy(monkeypatch)
-        decode_batch(model, heads, config, 5, 8)
+        batch = decode_batch(model, heads, config, 5, 8)
         truncated = 0
-        for layers, calls in spy.rounds:
-            widths = [len(layer) for layer in layers]
-            truncated += np.prod(widths) > budget
-            prefix = ()
+        for pools, tree, calls in spy.rounds:
+            lengths = [len(pool) for pool in pools]
+            widths = _widths_by_brute_force(lengths, budget)
+            assert [len(layer) for layer in tree.layers] == widths
+            assert [len(uniforms) for uniforms in tree.uniforms] == widths
+            assert tree.layers == tuple(pool[:b] for pool, b in zip(pools, widths))
+            assert tree.truncated == (widths != lengths)
+            assert not tree.truncated or _nodes(lengths) > budget
+            truncated += tree.truncated
             for k, (candidates, outcome) in enumerate(calls):
-                live = _live_by_brute_force(widths, budget, prefix)
-                assert live == list(range(len(candidates)))
-                assert candidates == layers[k][: len(live)]
+                assert candidates == tree.layers[k]
                 if outcome.accepted_index is None:
                     break
-                prefix += (outcome.accepted_index,)
         assert spy.rounds
-        assert truncated or budget > np.prod([sph + spv * v] * h)
+        assert batch.truncated_rounds == truncated
+        assert truncated or _nodes([sph + spv * v] * h) <= budget
+
+    def test_every_depth_verifies_its_whole_kept_layer(self, monkeypatch):
+        # Every depth accepts, alternately its last candidate and its first,
+        # and whichever it was, the next depth verifies exactly its kept layer.
+        grid = GridSpec(5, 5, 3)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(model, 4, 2, 300, 5, 0.5)
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=4, vertical_depth=2, samples_per_horizontal=2,
+            samples_per_vertical=2, node_budget=40,
+        )
+        steps = []
+
+        def accept_in_turn(p, drafts, uniforms, rng):
+            steps.append(len(drafts))
+            index = (len(drafts) - 1) * (len(steps) % 2)
+            return VerificationOutcome(index_at(drafts[index], uniforms[index]), index)
+
+        monkeypatch.setattr(hawk.engine, "sequential_verify", accept_in_turn)
+        spy = _VerifySpy(monkeypatch)
+        decode_batch(model, heads, config, 5, 3)
+        for _, tree, calls in spy.rounds:
+            assert [candidates for candidates, _ in calls] == list(tree.layers)
+        assert any(tree.truncated for _, tree, _ in spy.rounds)
+        assert {o.accepted_index for _, _, calls in spy.rounds for _, o in calls} > {0, 1}
 
     def test_builds_only_the_candidates_walked(self, monkeypatch):
-        # A wide tree (H=4, V=2, interior layers 4 wide) cut by the budget:
-        # each verification step draws one candidate's token, and no other
-        # candidate's token is drawn.
+        # A wide tree (H=4, V=2, interior pools 4 wide) cut by the budget to
+        # (2, 1, 1, 1): each verification step draws one candidate's token,
+        # and no other kept candidate's token is drawn.
         grid = GridSpec(6, 6, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 4, 2, 300, 5, 0.5)
@@ -436,9 +525,10 @@ class TestLiveContinuations:
         spy = _VerifySpy(monkeypatch)
         trace = []
         decode_batch(model, heads, config, 5, 4, trace=trace)
-        widths = [[len(layer) for layer in layers] for layers, _ in spy.rounds]
-        assert any(np.prod(w) > config.node_budget for w in widths)
-        assert len(drawn) == len(trace) < sum(map(sum, widths))
+        kept = [[len(layer) for layer in tree.layers] for _, tree, _ in spy.rounds]
+        assert [2, 1, 1, 1] in kept
+        assert any(tree.truncated for _, tree, _ in spy.rounds)
+        assert len(drawn) == len(trace) < sum(map(sum, kept))
 
 
 def _pool_from_prefix(ctx, frontier, n):
@@ -469,11 +559,11 @@ class TestDrawOrder:
     def test_block_draw_matches_eager_draws(self, spv, budget):
         # The round's uniforms come off the context's draft reader, which
         # fetches them in blocks; every token the walk draws from them must
-        # equal the one an eager sample_index call per candidate on the draft
-        # stream gives in the documented order (rounds in turn, depth order,
-        # then within a layer the vertical candidates by depth before the
-        # horizontal ones), and after each round the next uniform the reader
-        # hands out must be the next eager draw.
+        # equal the one an eager sample_index call per kept candidate on the
+        # draft stream gives in the documented order (rounds in turn, depth
+        # order, then within a layer the vertical candidates by depth before
+        # the horizontal ones), and after each round the next uniform the
+        # reader hands out must be the next eager draw.
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 3, 2, 300, 5, 0.5)
@@ -491,8 +581,11 @@ class TestDrawOrder:
             layers = [build_pool(ctx, n, drafts[n - 1]) for n in depths]
             accept_rng = stream(frontier, "accept")
             tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
-            for k in range(len(layers)):
+            widths = _widths_by_brute_force([len(layer) for layer in layers], budget)
+            for k, b in enumerate(widths):
                 want, labels = _pool_from_prefix(ctx, frontier, k + 1)
+                assert list(layers[k]) == want
+                want = want[:b]
                 assert list(tree.layers[k]) == want
                 assert _pool_labels(ctx, k + 1) == labels
                 # Verified against its own draft, a candidate is accepted at
@@ -505,6 +598,29 @@ class TestDrawOrder:
             assert len(tree.layers) == len(layers)
             assert ctx.draft_uniforms.take(1) == [eager_rng.random()]
             commit_token(ctx, sample[frontier])
+
+    @pytest.mark.parametrize("spv, budget", DRAW_ORDER_CASES)
+    def test_each_round_takes_one_uniform_per_kept_candidate(self, monkeypatch, spv, budget):
+        # Decoded by decode_round, each round takes sum_k b_k uniforms off the
+        # draft stream, the next ones in order, whatever its walk accepted.
+        grid = GridSpec(4, 4, 3)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(model, 3, 2, 300, 5, 0.5)
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=3, vertical_depth=2, samples_per_horizontal=2,
+            samples_per_vertical=spv, node_budget=budget,
+        )
+        spy = _VerifySpy(monkeypatch)
+        ctx = DecodingContext(model, heads, config, 3)
+        eager_rng = stream(3, "draft")
+        while len(ctx.committed) < grid.size:
+            decode_round(ctx)
+            pools, tree, _ = spy.rounds[-1]
+            widths = _widths_by_brute_force([len(pool) for pool in pools], budget)
+            assert [len(uniforms) for uniforms in tree.uniforms] == widths
+            assert sum(tree.uniforms, []) == eager_rng.random(sum(widths)).tolist()
+        assert ctx.draft_uniforms.take(1) == [eager_rng.random()]
+        assert any(tree.truncated for _, tree, _ in spy.rounds) == (budget < 64 or spv > 0)
 
 
 class TestDecodeRound:
@@ -603,6 +719,7 @@ class TestRoundProperties:
         trace = []
         ctx = DecodingContext(model, heads, config, seed, trace=trace)
         capacity = cache_capacity(grid.width, v)
+        truncated = 0
         with pytest.MonkeyPatch.context() as patch:
             spy = _VerifySpy(patch)
             while len(ctx.committed) < grid.size:
@@ -613,9 +730,17 @@ class TestRoundProperties:
                 assert 1 <= len(committed) <= h + 1
                 assert ctx.cache.occupancy <= capacity
                 assert len(spy.rounds) == ctx.rounds
-                layers, calls = spy.rounds[-1]
+                layers, tree, calls = spy.rounds[-1]
                 pools = [_pool_from_prefix(ctx, frontier, n) for n in range(1, len(layers) + 1)]
                 assert list(layers) == [tuple(drafts) for drafts, _ in pools]
+                # The tree keeps the first b_k drafts of each pool, and every
+                # depth the walk reaches verifies all of them.
+                widths = _widths_by_brute_force([len(layer) for layer in layers],
+                                                config.node_budget)
+                assert tree.layers == tuple(layer[:b] for layer, b in zip(layers, widths))
+                assert [candidates for candidates, _ in calls] == list(tree.layers[: len(calls)])
+                truncated += tree.truncated
+                assert ctx.truncated_rounds == truncated
                 outcomes = [outcome for _, outcome in calls]
                 assert [o.emitted_token for o in outcomes] == committed[: len(outcomes)]
                 accepted = [o.accepted_index is not None for o in outcomes]
@@ -650,7 +775,7 @@ class TestRoundProperties:
         image_trace = []
         tokens, report = decode_image(model, heads, config, seed, trace=image_trace)
         assert tokens.reshape(-1).tolist() == ctx.committed
-        assert report.rounds == ctx.rounds
+        assert (report.rounds, report.truncated_rounds) == (ctx.rounds, ctx.truncated_rounds)
         assert image_trace == trace
 
 
@@ -762,6 +887,34 @@ class TestDecodeImage:
             decode_image(model, None, EngineConfig(mode="medusa"), 1)
 
 
+class TestZeroVerticalSamples:
+    def test_no_vertical_head_calls(self, monkeypatch):
+        # With samples_per_vertical 0 no pool holds a vertical draft, so the
+        # cache keeps no rows and no vertical head is ever called; the decodes
+        # are the ones recorded when every commit still computed them (300
+        # vertical head calls for these 10 grids).
+        grid = GridSpec(6, 6, 4)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(model, 2, 1, 300, 5, 0.5)
+        calls = []
+        head = heads.vertical[0]
+        predict = head.predict
+        monkeypatch.setattr(head, "predict", lambda prefix: calls.append(prefix) or predict(prefix))
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=2, vertical_depth=1, samples_per_vertical=0
+        )
+        trace = []
+        batch = decode_batch(model, heads, config, 3, 10, trace=trace)
+        record = (sorted(batch.grid_counts.items()), batch.rounds,
+                  sorted(batch.depth_attempts.items()), sorted(batch.depth_accepts.items()),
+                  trace)
+        assert calls == []
+        assert DecodingContext(model, heads, config, 3).cache.rows == []
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == (
+            "ab5904269476044d387673d5c7dbc8ede86df9eb7eb3dfba44e0f6c5ba7e6331"
+        )
+
+
 class TestDraftRebuild:
     def test_cached_drafts_are_the_rebuilt_ones(self):
         # The analysis code rebuilds the drafts the engine held from the
@@ -802,27 +955,27 @@ class TestDraftRebuild:
 # Grids narrower than the horizontal depth, node budget 5: (width, height,
 # engine fields) and, per speculative mode, the SHA-256 of 40 traced sessions
 # (grid counts, rounds, per-depth attempts and accepts, trace rows), recorded
-# before the cache became slot rows. Here a commit can write slot
+# when the node budget became a tapered tree. Here a commit can write slot
 # frontier + width in the middle of a round whose pools were built from it
 # empty, so a label read after the round, or a slot left over from the
 # previous session, changes the rows.
 NARROW_GRIDS = {
     "2x5_h3_v1": ((2, 5, dict(horizontal_depth=3, vertical_depth=1)), {
-        "medusa": "05541720a20bc4ae1e2aaeddbf00de9afc094da67164daa753309dd2c83b859a",
-        "hawk": "8eafa519cb0df3826c296779ce67c7150964ec28e6713515d2c8cabf5fec94b1",
-        "lantern": "639f61d3ac588edae00d555c648c0684f36218acaf23a4a1de6918815e3ced01",
+        "medusa": "a9c5603d53d3a10d79bc8d313e3ccb8cda7170d7fbb48acd5f2b2732114fd632",
+        "hawk": "5088ab24053707acc4c8d561c04033d96b99b6ad4376b882f26d130237f11ec2",
+        "lantern": "41b8d1d3aaf2c6aed3b233f4c86bc69cc2a4d5a171f5e805004d62f245f9df60",
     }),
     "1x6_h3_v2_spv2": ((1, 6, dict(horizontal_depth=3, vertical_depth=2,
                                    samples_per_vertical=2)), {
-        "medusa": "fa5919ddfaed3ad2903460afc10e5d476b4a3361fb54ced81e8a3f598c6ee07e",
-        "hawk": "718b9be256a4dda75da9f327016f88a41a50e9328d7155f8969c14d780209094",
-        "lantern": "0c54cea7cda5b58fc83a782faf0add26b307e6399f1ea125039ce03b54c6e2cf",
+        "medusa": "27763435d36434be2d124c08d9ab9c96f34cff26f7b3a59c435c02f1b9b35a16",
+        "hawk": "9c750811a98af97da47e6f98e5bb76d4716239eb1871aaeddcfa80053aafeb57",
+        "lantern": "db388eb4c7c8a84ff925acfb7ba2dd43a4e8e0c0b1a682968a19e37055db7002",
     }),
     "2x4_h4_v2_sph2": ((2, 4, dict(horizontal_depth=4, vertical_depth=2,
                                    samples_per_horizontal=2)), {
-        "medusa": "4074e67e0496634d69e5e711935fe3a56cbcaebc7a0685a10490bb2974bfc333",
-        "hawk": "d044b63867c23cfceff9e468cbb185a8d51fd099ffd05ffb6b609ca278754d50",
-        "lantern": "38562554bbe90d5aaaeb6729ca21c0a94ff9df408b7ad543309b0deb18006bdd",
+        "medusa": "ff712f96dac7d5a002eaab2209cfd352e7b8c1c79760628eb00979fed5ef3f8d",
+        "hawk": "74d3d57b9ad60bea3ca795fdf675fc6a4792ee771717a29560a2e05213b48f41",
+        "lantern": "bcba41cbcf9e97469908aa2a1a169a9ec6e7ba84a9f40fd5b09de529acdadafb",
     }),
 }
 

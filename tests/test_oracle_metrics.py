@@ -311,8 +311,8 @@ class TestKlTrace:
 def _result(mode, rounds, committed, attempts, accepts, ratio=0.0):
     return BatchResult(
         mode=mode, draft_overhead_ratio=ratio, grid_counts=Counter(), rounds=rounds,
-        committed=committed, depth_attempts=attempts, depth_accepts=accepts,
-        wall_clock_ms=12.5,
+        truncated_rounds=0, committed=committed, depth_attempts=attempts,
+        depth_accepts=accepts, wall_clock_ms=12.5,
     )
 
 
