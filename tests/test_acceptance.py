@@ -174,23 +174,23 @@ def test_criterion_1_g_test(exactness_runs):
 # against the enumerated joint. Vertical depth 2 needs three rows, so the
 # grid is 2x3 at vocabulary 2 (64 outcomes); at vocabulary 2 only the
 # temperature transforms. Medusa and lantern get hawk's three candidates
-# per layer. A budget of 3 nodes cuts every tree of two layers to a chain;
-# a budget of 4 keeps two candidates at depth 1 and one at depth 2, so
-# pools of 3 become (2, 1).
+# per layer, and each test sets the node budget: 3 nodes cut every tree of
+# two layers to a chain, and 4 keep two candidates at depth 1 and one at
+# depth 2, so pools of 3 become (2, 1).
 ORACLE_2X3_GRID = GridSpec(2, 3, 2)
 ORACLE_2X3_DECODES = 40_000
 ORACLE_2X3_TRANSFORM = SamplingConfig(temperature=0.8)
 ORACLE_2X3_CONFIGS = {
     "hawk": EngineConfig(
         mode="hawk", horizontal_depth=2, vertical_depth=2, samples_per_horizontal=1,
-        samples_per_vertical=1, node_budget=3, transform=ORACLE_2X3_TRANSFORM,
+        samples_per_vertical=1, transform=ORACLE_2X3_TRANSFORM,
     ),
     "medusa": EngineConfig(
-        mode="medusa", horizontal_depth=2, samples_per_horizontal=3, node_budget=3,
+        mode="medusa", horizontal_depth=2, samples_per_horizontal=3,
         transform=ORACLE_2X3_TRANSFORM,
     ),
     "lantern": EngineConfig(
-        mode="lantern", horizontal_depth=2, samples_per_horizontal=3, node_budget=3,
+        mode="lantern", horizontal_depth=2, samples_per_horizontal=3,
         transform=ORACLE_2X3_TRANSFORM, lantern_k=10, lantern_lam=2.0,
     ),
 }
