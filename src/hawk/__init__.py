@@ -1,9 +1,10 @@
 """Spatial speculative decoding over raster-order token grids.
 
 Desk-scale implementation of dual-direction (horizontal plus vertical) draft
-heads with exact multi-draft verification, a speculation cache for vertical
-predictions, vanilla / horizontal-only / relaxed-acceptance baselines, a
-brute-force joint-distribution oracle, and a benchmark harness.
+heads with exact multi-draft verification, vertical predictions computed
+from the committed prefix when a pool reads them, vanilla / horizontal-only /
+relaxed-acceptance baselines, a brute-force joint-distribution oracle, and a
+benchmark harness.
 """
 
 __version__ = "0.1.0"
@@ -25,7 +26,6 @@ from .engine import (
     CandidateTree,
     DecodingContext,
     EngineConfig,
-    SpeculationCache,
     build_candidate_tree,
     build_pool,
     cache_capacity,
@@ -50,6 +50,7 @@ from .models import (
     make_grid_markov_target,
     make_independent_target,
     save_head_set,
+    vertical_drafts,
 )
 from .oracle_metrics import (
     JointTable,

@@ -314,7 +314,7 @@ def cmd_decode(config: RunConfig) -> int:
         "trace.csv": lambda path: write_csv(path, TRACE_COLUMNS, trace),
         "metrics.csv": lambda path: write_metrics_csv(path, [result]),
     }
-    if result.mode == MODE_HAWK:
+    if result.mode == MODE_HAWK and config.engine.samples_per_vertical:
         kl = kl_trace(heads, config.engine, tokens)
         outputs["kl_trace.csv"] = lambda path: write_csv(path, KL_COLUMNS, kl)
     _write_manifest(config, outputs)
@@ -362,6 +362,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_bench(config: RunConfig) -> int:
     require_two_rows(config.grid)
+    if config.engine.samples_per_vertical < 1:
+        raise ValueError("the dual rejection curve requires engine.samples_per_vertical >= 1")
     variants = _mode_variants(config.engine)
     model = build_model(config)
     heads = build_heads(config, model)

@@ -2,27 +2,27 @@
 
 Round structure (speculative modes): for each speculation depth n = 1..H,
 :func:`build_pool` lays out one layer of draft distributions, one per
-candidate, from the round-start committed prefix: the cached vertical
-predictions targeting position T+n, written rows earlier, then the
-horizontal head's. The candidate tree keeps the first b_k candidates of
-layer k, its widths tapering with depth to at most ``node_budget`` nodes;
-any shape fixed before the verifier draws is exact, since every layer comes
-from the round-start prefix. The walk verifies each layer's candidates in
+candidate, from the round-start committed prefix: the vertical predictions
+targeting position T+n, made from the prefix through a token rows above,
+then the horizontal head's. The candidate tree keeps the first b_k
+candidates of layer k, its widths tapering with depth to at most
+``node_budget`` nodes; any shape fixed before the verifier draws is exact,
+since every layer comes from the round-start prefix. The walk verifies each layer's candidates in
 turn against the current target conditional, each drawing its token when
 reached; the first rejection resamples, commits, and ends the round, and a
 round that accepts through every layer commits a bonus token from the
 target. A round thus commits 1 to H+1 tokens and is accounted as one
 target-model pass, which is what a batched tree verification would cost.
 
-Vertical head outputs are computed when a token commits, conditioned on the
-committed prefix only, and written to the speculation cache's slot for their
-target position, one slot row per depth, until decoding reaches it; a
-context without vertical candidates keeps no rows. Writing at commit time
-(rather than while drafting) keeps every cached draft independent of the
-verifier's randomness, which the exactness argument requires. Nothing is
-evicted: a slot behind the frontier is never read again, and the rows are
-cleared between sessions. Live occupancy (slots written and not yet
-committed) never exceeds ``width * vsd * (vsd + 1) / 2``.
+A vertical draft is a pure function of the committed prefix: the depth-d
+head's prediction from the prefix through the token d rows above its target
+(:func:`~hawk.models.vertical_drafts`). A pool holds it once that source
+token is behind the round-start frontier, and :func:`build_pool` computes it
+when it lays the pool out, so no draft is stored between rounds, and one
+that no pool reads is never computed. Conditioning on the committed prefix
+only keeps every draft independent of the verifier's randomness, which the
+exactness argument requires. The (target, depth) pairs ahead of a frontier
+whose source is behind it number at most ``width * vsd * (vsd + 1) / 2``.
 
 Draw order, for reproducibility: the draft stream supplies one uniform per
 kept candidate, round after round (layers in depth order, within a layer
@@ -63,7 +63,7 @@ from .core import (
     json_value,
     sample_index,
 )
-from .models import DraftHeadSet, TargetModel
+from .models import DraftHeadSet, TargetModel, vertical_drafts
 from .oracle_metrics import modeled_speedup
 from .rng import UniformReader, stream
 from .verifier import (
@@ -81,7 +81,7 @@ MODES = (MODE_VANILLA, MODE_MEDUSA, MODE_HAWK, MODE_LANTERN)
 
 # Kind and least value of each number field of EngineConfig; a config file's
 # engine section reads the same fields, naming lantern_lam lantern_lambda.
-# Row 0 has no cached vertical entries, so every first-row layer rests on the
+# Row 0 has no vertical drafts, so every first-row layer rests on the
 # horizontal candidates alone: samples_per_horizontal >= 1.
 ENGINE_MINIMUMS = {
     "horizontal_depth": (int, 1),
@@ -100,7 +100,7 @@ class EngineConfig:
     """Decoding configuration.
 
     ``samples_per_horizontal`` / ``samples_per_vertical`` are per-pool
-    candidate counts (the latter applies to each cached vertical entry).
+    candidate counts (the latter applies to each vertical draft a pool holds).
     ``transform`` shapes the effective target conditional before
     verification, and head outputs get the same transform, which keeps
     drafts aligned with what they are verified against. Numbers are checked
@@ -130,7 +130,7 @@ class EngineConfig:
 
 
 def cache_capacity(image_width: int, vertical_depth: int) -> int:
-    """Live-slot bound for the speculation cache: width * vsd * (vsd+1) / 2."""
+    """Bound on the live vertical drafts of a session: width * vsd * (vsd+1) / 2."""
     if image_width < 1:
         raise ValueError(f"image_width must be >= 1, got {image_width}")
     if vertical_depth < 0:
@@ -138,33 +138,25 @@ def cache_capacity(image_width: int, vertical_depth: int) -> int:
     return image_width * (vertical_depth * (vertical_depth + 1)) // 2
 
 
-class SpeculationCache:
-    """Vertical draft distributions in one slot row per depth.
+@functools.lru_cache(maxsize=None)
+def peak_live_drafts(width: int, size: int, vertical_depth: int) -> int:
+    """The most (target, depth) pairs live at any frontier f, those with target
+    >= f and source target - d * width in [0, f): the max over f of
+    sum_d |[max(f, d * width), min(f + d * width, size))|."""
+    return max(
+        sum(max(0, min(f + d * width, size) - max(f, d * width))
+            for d in range(1, vertical_depth + 1))
+        for f in range(size + 1)
+    )
 
-    ``rows[d - 1][target]`` holds what the commit of raster index
-    target - d * width wrote for the depth-d head: its draft,
-    ``samples_per_vertical`` times, as the tuple :func:`build_pool` splices
-    into a layer. An empty tuple marks a slot no commit of the session has
-    written, so a filled slot of depth d always originates exactly d rows
-    above its target. ``occupancy`` counts the live slots, written and not
-    yet committed, as :func:`commit_token` keeps it; exceeding capacity
-    raises, because more live drafts than the closed form allows would be an
-    engine bug.
-    """
 
-    __slots__ = ("rows", "capacity", "occupancy", "peak_occupancy")
+class CacheBounds(NamedTuple):
+    """The live-draft ``capacity`` of a session and the ``peak_occupancy`` its
+    frontiers reach. Nothing in the engine reads them; they are kept because
+    the benchmark's tracer reports peak_occupancy / capacity per mode."""
 
-    def __init__(self, grid: GridSpec, vertical_depth: int) -> None:
-        self.rows = [[()] * grid.size for _ in range(vertical_depth)]
-        self.capacity = cache_capacity(grid.width, vertical_depth)
-        self.occupancy = 0
-        self.peak_occupancy = 0
-
-    def clear(self) -> None:
-        """Empty every slot, between the sessions of a batch."""
-        for row in self.rows:
-            row[:] = [()] * len(row)
-        self.occupancy = 0
+    capacity: int
+    peak_occupancy: int
 
 
 class CandidateTree(NamedTuple):
@@ -210,10 +202,11 @@ class DecodingContext:
     """One batch of decode sessions: run inputs, session state and counters.
 
     One object per batch holds everything a run mutates: the committed
-    prefix and speculation cache of the current session, the draft and
-    verify streams made from the seed, the counters (rounds, per-depth
-    attempts and accepts) and the optional trace. Its sessions run back to back:
-    between them only the prefix and the cache are reset.
+    prefix of the current session, the draft and verify streams made from
+    the seed, the counters (rounds, per-depth attempts and accepts) and the
+    optional trace. Its sessions run back to back: between them only the
+    prefix is reset. Every draft is computed from the prefix when a pool
+    reads it, so there is no draft store to reset.
 
     It holds no distribution cache: the effective target and draft
     distributions are the transform of what the model or head returns, and
@@ -251,7 +244,8 @@ class DecodingContext:
         self.grid = model.grid
         self.committed: list[int] = []
         depth = config.vertical_depth if config.samples_per_vertical else 0
-        self.cache = SpeculationCache(self.grid, depth)
+        self.cache = CacheBounds(cache_capacity(self.grid.width, depth),
+                                 peak_live_drafts(self.grid.width, self.grid.size, depth))
         self.draft_rng = stream(seed, "draft")
         self.verify_rng = stream(seed, "verify")
         # Only a speculative round draws draft uniforms, a block at a time.
@@ -281,33 +275,32 @@ class DecodingContext:
 
 
 def build_pool(
-    ctx: DecodingContext, n: int, horizontal_output: TokenDistribution
+    ctx: DecodingContext, n: int, horizontal_output: TokenDistribution,
+    labels: Optional[list[str]] = None,
 ) -> tuple[TokenDistribution, ...]:
-    """Draft layer for speculation depth n, one draft per candidate.
+    """Draft layer for speculation depth n, one draft per candidate, from the
+    committed prefix at round start.
 
-    Each cached vertical draft targeting the position, by depth,
-    ``samples_per_vertical`` times, then the horizontal draft
-    ``samples_per_horizontal`` times, so no layer is empty.
+    The vertical drafts :func:`~hawk.models.vertical_drafts` says a pool for
+    the position holds, then the horizontal draft ``samples_per_horizontal``
+    times, so no layer is empty. Each draft's ``source:depth`` label is
+    appended to ``labels`` when a list is given.
     """
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
-    position = len(ctx.committed) + n - 1
+    committed = ctx.committed
+    frontier = len(committed)
+    position = frontier + n - 1
     if position >= ctx.grid.size:
         raise ValueError(f"speculation position {position} beyond grid end")
+    config = ctx.config
     layer = ()
-    for row in ctx.cache.rows:
-        layer += row[position]
-    return layer + (horizontal_output,) * ctx.config.samples_per_horizontal
-
-
-def _pool_labels(ctx: DecodingContext, n: int) -> list[str]:
-    """The ``source:depth`` label of each draft :func:`build_pool` lays out
-    for depth n, read from the same slots, so before any commit of the round."""
-    labels = []
-    position = len(ctx.committed) + n - 1
-    for d, row in enumerate(ctx.cache.rows, start=1):
-        labels += [f"vertical:{d}"] * len(row[position])
-    return labels + [f"horizontal:{n}"] * ctx.config.samples_per_horizontal
+    if config.vertical_depth:  # the call alone costs a medusa pool half its build time
+        layer = vertical_drafts(ctx.draft_dist, ctx.heads, config, committed, position, frontier,
+                                labels)
+    if labels is not None:
+        labels += [f"horizontal:{n}"] * config.samples_per_horizontal
+    return layer + (horizontal_output,) * config.samples_per_horizontal
 
 
 def build_candidate_tree(
@@ -323,37 +316,8 @@ def build_candidate_tree(
 
 
 def commit_token(ctx: DecodingContext, token: int) -> None:
-    """Append one token and write its vertical drafts to the cache.
-
-    For each vertical depth d the head is evaluated on the now-committed
-    prefix and written to slot commit_index + d * width of row d - 1; writes
-    whose target falls past the grid end are skipped. The commit also ends
-    the life of each slot targeting its own position, one per depth d with
-    commit_index >= d * width, so occupancy stays within capacity.
-    """
-    t = len(ctx.committed)
+    """Append one token to the committed prefix."""
     ctx.committed.append(token)
-    cache = ctx.cache
-    if cache.rows:
-        vertical_depth = len(cache.rows)
-        width = ctx.grid.width
-        total = ctx.grid.size
-        copies = ctx.config.samples_per_vertical
-        heads = ctx.heads.vertical
-        occupancy = cache.occupancy - min(vertical_depth, t // width)
-        target = t
-        for d, row in enumerate(cache.rows):
-            target += width
-            if target < total:
-                row[target] = (ctx.draft_dist(heads[d], ctx.committed),) * copies
-                occupancy += 1
-        if occupancy > cache.capacity:
-            raise RuntimeError(
-                f"speculation cache occupancy {occupancy} exceeds capacity {cache.capacity}"
-            )
-        cache.occupancy = occupancy
-        if occupancy > cache.peak_occupancy:
-            cache.peak_occupancy = occupancy
 
 
 def decode_round(ctx: DecodingContext) -> None:
@@ -374,12 +338,11 @@ def decode_round(ctx: DecodingContext) -> None:
     frontier = len(committed)
     trace = ctx.trace
     layers = []
-    labels = []  # per layer, when tracing
+    labels = []  # per layer, a list when tracing
     for n in range(1, min(config.horizontal_depth, total - frontier) + 1):
         horizontal = ctx.draft_dist(ctx.heads.horizontal[n - 1], committed)
-        layers.append(build_pool(ctx, n, horizontal))
-        if trace is not None:
-            labels.append(_pool_labels(ctx, n))
+        labels.append(None if trace is None else [])
+        layers.append(build_pool(ctx, n, horizontal, labels[-1]))
     tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
     ctx.truncated_rounds += tree.truncated
     rng = ctx.verify_rng
@@ -473,9 +436,6 @@ def decode_batch(
             decode_round(ctx)
         counts[tuple(ctx.committed)] += 1
         ctx.committed = []
-        # Only hawk has slots to clear; the call alone costs a 2x2 vanilla session 2%.
-        if ctx.cache.rows:
-            ctx.cache.clear()
     wall_clock_ms = (time.perf_counter() - start) * 1000.0
     return BatchResult(
         mode=config.mode,

@@ -50,7 +50,7 @@ import abc
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,6 +63,9 @@ from .core import (
     sampling_table,
 )
 from .rng import stream
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .engine import EngineConfig
 
 FORMAT_VERSION = 1
 
@@ -462,6 +465,41 @@ class DraftHeadSet:
     @property
     def vertical_depth(self) -> int:
         return len(self.vertical)
+
+
+def vertical_drafts(
+    draft: Callable[[DraftHead, Sequence[int]], TokenDistribution],
+    heads: DraftHeadSet,
+    config: "EngineConfig",
+    tokens: Sequence[int],
+    position: int,
+    frontier: int,
+    labels: Optional[list[str]] = None,
+) -> tuple[TokenDistribution, ...]:
+    """The vertical drafts a pool for ``position`` holds in a round that starts
+    at ``frontier``; each one's ``vertical:d`` label is appended to ``labels``
+    when a list is given.
+
+    The depth-d draft is ``draft(heads.vertical[d - 1], tokens[:source + 1])``
+    for the token d rows above, source = position - d * width: the head's
+    prediction from the prefix through that token, which the committed prefix
+    alone fixes. A pool holds it, ``config.samples_per_vertical`` times, for
+    every depth d up to ``config.vertical_depth`` with 0 <= source < frontier,
+    in depth order.
+    """
+    width, copies = heads.width, config.samples_per_vertical
+    deepest = config.vertical_depth if copies else 0
+    # The shallowest depth whose source is behind the frontier.
+    d = max(1, (position - frontier) // width + 1)
+    source = position - d * width
+    drafts = ()
+    while d <= deepest and source >= 0:
+        drafts += (draft(heads.vertical[d - 1], tokens[: source + 1]),) * copies
+        if labels is not None:
+            labels += [f"vertical:{d}"] * copies
+        d += 1
+        source -= width
+    return drafts
 
 
 # Fitting and scoring sample and stack at most this many grids at a time.

@@ -31,7 +31,7 @@ from .core import (
     apply_sampling_config,
     kl_divergence,
 )
-from .models import DraftHeadSet, TargetModel
+from .models import DraftHeadSet, TargetModel, vertical_drafts
 from .rng import stream
 from .verifier import rejection_mass, residual_update
 
@@ -172,24 +172,10 @@ class RejectionCurves:
     horizontal_only: list[tuple[int, float]]
 
 
-def _engine_drafts(
-    heads: DraftHeadSet, config: "EngineConfig", tokens: Sequence[int], t: int, vertical_depth: int
-) -> tuple[TokenDistribution, list[TokenDistribution]]:
-    """The drafts the engine holds for position t when decoding ``tokens``.
-
-    The horizontal draft is the depth-1 head on ``tokens[:t]``. The depth-d
-    vertical draft was cached when the position d rows above committed, so
-    it is the depth-d head on ``tokens[:t - d * width + 1]``; one is returned
-    per depth up to ``vertical_depth`` and the row of t. Both carry the
-    transform, as :meth:`~hawk.engine.DecodingContext.draft_dist` applies it.
-    """
-    width, transform = heads.width, config.transform
-    horizontal = apply_sampling_config(heads.horizontal[0].predict(tokens[:t]), transform)
-    verticals = [
-        apply_sampling_config(heads.vertical[d - 1].predict(tokens[: t - d * width + 1]), transform)
-        for d in range(1, min(t // width, vertical_depth) + 1)
-    ]
-    return horizontal, verticals
+def _draft_fn(transform: SamplingConfig):
+    """A head's draft as :meth:`~hawk.engine.DecodingContext.draft_dist` makes it:
+    its prediction under ``transform``."""
+    return lambda head, prefix: apply_sampling_config(head.predict(prefix), transform)
 
 
 def require_two_rows(grid: GridSpec) -> None:
@@ -214,15 +200,18 @@ def rejection_curve(
     through the available vertical depths and then the horizontal head; the
     horizontal-only chain repeats the depth-1 horizontal distribution. The
     value at m is the chance that all m candidates are rejected, averaged
-    over positions. The drafts are the ones the engine would hold there
-    (see :func:`_engine_drafts`).
+    over positions. The drafts are the ones a pool for the position holds
+    once the tokens before it have committed: the depth-1 horizontal draft
+    and one copy of each vertical draft :func:`~hawk.models.vertical_drafts`
+    gives.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     if position_count < 1:
         raise ValueError(f"position_count must be >= 1, got {position_count}")
-    if config.vertical_depth < 1:
-        raise ValueError(f"rejection curves need vertical_depth >= 1, got {config.vertical_depth}")
+    if config.vertical_depth < 1 or config.samples_per_vertical < 1:
+        raise ValueError("rejection curves need vertical drafts: vertical_depth and "
+                         "samples_per_vertical >= 1")
     grid = model.grid
     require_two_rows(grid)
     gen = stream(seed, "rejection-curve")
@@ -232,11 +221,13 @@ def rejection_curve(
     # draw-until-enough loop would take.
     per_grid = grid.size - grid.width
     samples = [tuple(s) for s in model.sample_grid(gen, -(-position_count // per_grid)).tolist()]
+    draft = _draft_fn(config.transform)
     for n in range(position_count):
         sample, t = samples[n // per_grid], grid.width + n % per_grid
         target = apply_sampling_config(model.conditional(sample[:t]), config.transform)
-        horizontal, verticals = _engine_drafts(heads, config, sample, t, config.vertical_depth)
-        cycle = verticals + [horizontal]
+        horizontal = draft(heads.horizontal[0], sample[:t])
+        verticals = vertical_drafts(draft, heads, config, sample, t, t)
+        cycle = list(verticals[:: config.samples_per_vertical]) + [horizontal]
         dual_sums += rejection_mass(target, [cycle[i % len(cycle)] for i in range(m_max)])
         horiz_sums += rejection_mass(target, [horizontal] * m_max)
     return RejectionCurves(
@@ -252,18 +243,22 @@ def kl_trace(
 ) -> list[tuple[int, float]]:
     """KL(depth-1 vertical draft || horizontal draft) per position of a decoded grid.
 
-    The drafts are the ones the engine held when each position committed
-    (see :func:`_engine_drafts`). Every position from the second row on has
-    a depth-1 vertical entry then, so the trace covers positions
-    ``width .. size - 1`` in raster order.
+    The drafts are the ones a pool for each position holds once every token
+    before it has committed (:func:`~hawk.models.vertical_drafts` with the
+    frontier at the position). Every position from the second row on has a
+    depth-1 vertical draft then, so the trace covers positions
+    ``width .. size - 1`` in raster order. A config whose pools hold no
+    vertical draft has no trace.
     """
-    if heads.vertical_depth < 1:
-        raise ValueError("a KL trace needs at least one vertical head")
+    if min(heads.vertical_depth, config.vertical_depth, config.samples_per_vertical) < 1:
+        raise ValueError("a KL trace needs pools that hold a vertical head's drafts: "
+                         "vertical_depth and samples_per_vertical >= 1")
     flat = np.asarray(tokens).reshape(-1).tolist()
+    draft = _draft_fn(config.transform)
     out = []
     for t in range(heads.width, len(flat)):
-        horizontal, (vertical,) = _engine_drafts(heads, config, flat, t, 1)
-        out.append((t, kl_divergence(vertical, horizontal)))
+        vertical = vertical_drafts(draft, heads, config, flat, t, t)[0]
+        out.append((t, kl_divergence(vertical, draft(heads.horizontal[0], flat[:t]))))
     return out
 
 

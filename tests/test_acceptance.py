@@ -28,6 +28,7 @@ from hawk.models import (
     make_exact_heads,
     make_grid_markov_target,
     make_independent_target,
+    vertical_drafts,
 )
 from hawk.oracle_metrics import (
     empirical_joint_from_counts,
@@ -313,8 +314,9 @@ def test_criterion_5_accept_length_ordering():
 
 @pytest.mark.parametrize("width,vsd,height", [(4, 1, 4), (4, 2, 6), (8, 3, 8)])
 def test_criterion_6_cache_law(width, vsd, height):
-    """Occupancy stays within the closed-form capacity and reaches it; every
-    live slot holds the draft computed exactly depth rows above its target."""
+    """At every round's frontier, the (target, depth) pairs ahead of it whose
+    vertical draft a pool may hold number at most the closed-form capacity and
+    reach it; each holds the draft computed exactly depth rows above its target."""
     grid = GridSpec(width, height, 4)
     model = make_independent_target(grid, 77)
     heads = make_exact_heads(model, 2, vsd)
@@ -322,25 +324,30 @@ def test_criterion_6_cache_law(width, vsd, height):
     ctx = DecodingContext(model, heads, config, 5)
     capacity = cache_capacity(width, vsd)
     assert ctx.cache.capacity == capacity
+    peak = 0
     while len(ctx.committed) < grid.size:
-        decode_round(ctx)
-        assert ctx.cache.occupancy <= capacity
         committed = ctx.committed
+        frontier = len(committed)
         live = 0
-        for depth, row in enumerate(ctx.cache.rows, start=1):
-            for target in range(len(committed), grid.size):
-                if row[target]:
-                    (draft,) = row[target]
-                    source = target - depth * width
-                    assert draft is ctx.draft_dist(heads.vertical[depth - 1],
-                                                   committed[: source + 1])
-                    live += 1
-        assert live == ctx.cache.occupancy
-    ok = ctx.cache.peak_occupancy == capacity
+        for target in range(frontier, grid.size):
+            labels = []
+            drafts = vertical_drafts(
+                ctx.draft_dist, heads, config, committed, target, frontier, labels
+            )
+            for draft, label in zip(drafts, labels):
+                depth = int(label.split(":")[1])
+                source = target - depth * width
+                assert 0 <= source < frontier
+                assert draft is ctx.draft_dist(heads.vertical[depth - 1], committed[: source + 1])
+            live += len(drafts)
+        assert live <= capacity
+        peak = max(peak, live)
+        decode_round(ctx)
+    ok = peak == capacity == ctx.cache.peak_occupancy
     report(
         6, ok,
-        f"IW={width} VSD={vsd}: peak occupancy {ctx.cache.peak_occupancy} == "
-        f"capacity {capacity}, depth law held",
+        f"IW={width} VSD={vsd}: peak live drafts {peak} == capacity {capacity}, "
+        f"depth law held",
     )
 
 

@@ -445,6 +445,17 @@ class TestDecodeCommand:
         assert "accept_length=1.000" in capsys.readouterr().out
         assert not (tmp_path / "out" / "kl_trace.csv").exists()  # hawk runs only
 
+    def test_no_kl_trace_without_vertical_drafts(self, tmp_path):
+        # With samples_per_vertical 0 no pool holds a vertical draft, so there
+        # is no vertical draft to compare and no KL trace is written.
+        path = write_config(tmp_path, engine={"samples_per_vertical": 0})
+        assert main(["decode", "--config", str(path)]) == 0
+        out_dir = tmp_path / "out"
+        rows = (out_dir / "trace.csv").read_text().splitlines()[1:]
+        assert rows and not any(",vertical:" in row for row in rows)
+        assert not (out_dir / "kl_trace.csv").exists()
+        assert "kl_trace.csv" not in (out_dir / "manifest.json").read_text()
+
     def test_missing_output_dir_created(self, tmp_path):
         nested = tmp_path / "a" / "b" / "c"
         path = write_config(tmp_path, output_dir=str(nested))
@@ -525,6 +536,17 @@ class TestBenchCommand:
         path = write_config(tmp_path, grid={"width": 4, "height": 1, "vocab_size": 3})
         assert main(["bench", "--config", str(path)]) == 1
         assert "rejection curves need a grid of at least two rows, got 1" in capsys.readouterr().err
+        assert fitted == []
+        assert not (tmp_path / "out").exists()
+
+    def test_no_vertical_samples_refused_before_fitting(self, tmp_path, capsys, monkeypatch):
+        # The dual rejection curve and the KL trace compare vertical drafts,
+        # which pools with samples_per_vertical 0 never hold.
+        fitted = []
+        monkeypatch.setattr(hawk.cli, "fit_tabular_draft_heads", lambda *args: fitted.append(args))
+        path = write_config(tmp_path, engine={"samples_per_vertical": 0})
+        assert main(["bench", "--config", str(path)]) == 1
+        assert "engine.samples_per_vertical >= 1" in capsys.readouterr().err
         assert fitted == []
         assert not (tmp_path / "out").exists()
 

@@ -1,10 +1,11 @@
-"""Decoding loop: cache law, pools, candidate tree, round structure, exports."""
+"""Decoding loop: vertical-draft law, pools, candidate tree, round structure, exports."""
 
 import dataclasses
 import gc
 import hashlib
 import itertools
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,9 +28,7 @@ from hawk.core import (
 from hawk.engine import (
     DecodingContext,
     EngineConfig,
-    SpeculationCache,
     TRACE_COLUMNS,
-    _pool_labels,
     commit_token,
     build_candidate_tree,
     build_pool,
@@ -48,9 +47,10 @@ from hawk.models import (
     make_exact_heads,
     make_grid_markov_target,
     make_independent_target,
+    vertical_drafts,
 )
 from hawk.oracle_metrics import (
-    _engine_drafts,
+    _draft_fn,
     empirical_joint_from_counts,
     enumerate_joint,
     joint_tv,
@@ -77,28 +77,43 @@ class TestCacheFormulas:
             cache_capacity(4, -1)
 
 
-def _filled(cache):
-    """Every written slot of the cache, as {(target, depth): slot}."""
-    return {
-        (target, d): slot
-        for d, row in enumerate(cache.rows, start=1)
-        for target, slot in enumerate(row)
-        if slot
-    }
+def _live(ctx, frontier):
+    """The vertical drafts pools may hold ahead of ``frontier``, given the
+    committed prefix, as {(target, depth): [draft, ...]}."""
+    live = {}
+    for target in range(frontier, ctx.grid.size):
+        labels = []
+        drafts = vertical_drafts(
+            ctx.draft_dist, ctx.heads, ctx.config, ctx.committed, target, frontier, labels
+        )
+        for draft, label in zip(drafts, labels):
+            live.setdefault((target, int(label.split(":")[1])), []).append(draft)
+    return live
 
 
 class TestSpeculationCache:
+    """The drafts a speculation cache would hold: every vertical draft some pool
+    may read ahead of the frontier, computed from the committed prefix."""
+
     def test_empty_slot_rows(self):
-        # One row per depth, one empty slot per raster index.
-        cache = SpeculationCache(GridSpec(4, 3, 2), 2)
-        assert cache.rows == [[()] * 12, [()] * 12]
-        assert (cache.capacity, cache.occupancy, cache.peak_occupancy) == (12, 0, 0)
-        assert SpeculationCache(GridSpec(4, 3, 2), 0).rows == []
+        # Before any commit no pool holds a vertical draft. The context keeps
+        # only the closed-form bounds: on a 3-row grid no frontier has both
+        # depths' rows of drafts live, so the peak stays below capacity.
+        grid = GridSpec(4, 3, 2)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(model, 2, 2, 50, 5)
+        config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=2)
+        ctx = DecodingContext(model, heads, config, 3)
+        assert _live(ctx, 0) == {}
+        assert ctx.cache == (12, 8)
+        zero = dataclasses.replace(config, samples_per_vertical=0)
+        assert DecodingContext(model, heads, zero, 3).cache == (0, 0)
 
     def test_commit_writes_one_slot_per_depth(self):
-        # The commit of t writes slot t + d * width of row d - 1 with
-        # samples_per_vertical copies of the depth-d draft of the committed
-        # prefix, and leaves every other slot as it was.
+        # The commit of t makes one (target, depth) pair live per depth,
+        # target t + d * width, holding samples_per_vertical copies of the
+        # depth-d draft of the committed prefix; it ends the pairs targeting
+        # t, and every other pair keeps its draft.
         grid = GridSpec(4, 3, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 2, 2, 300, 5)
@@ -107,45 +122,61 @@ class TestSpeculationCache:
         )
         ctx = DecodingContext(model, heads, config, 3)
         for t, token in enumerate([0, 1, 2, 0, 1, 2, 0, 1]):
-            want = _filled(ctx.cache)
+            want = {key: slot for key, slot in _live(ctx, t).items() if key[0] > t}
             commit_token(ctx, token)
+            assert ctx.committed[-1] == token and len(ctx.committed) == t + 1
             for d in (1, 2):
                 if t + d * grid.width < grid.size:
                     draft = ctx.draft_dist(heads.vertical[d - 1], ctx.committed)
-                    want[(t + d * grid.width, d)] = (draft, draft)
-            got = _filled(ctx.cache)
+                    want[(t + d * grid.width, d)] = [draft, draft]
+            got = _live(ctx, t + 1)
             assert got.keys() == want.keys()
             for key, slot in got.items():
                 assert len(slot) == 2 and all(a is b for a, b in zip(slot, want[key]))
 
     def test_occupancy_counts_live_slots(self):
-        # Occupancy is the count of written slots not yet committed; it
-        # reaches capacity, drains to 0 by the end of the session, and
-        # clearing empties every slot but keeps the peak.
+        # The live pairs at every frontier stay within capacity and reach
+        # it; their most is the context's closed-form peak, and none is live
+        # once the grid is full.
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 2, 2, 300, 5)
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=2)
         ctx = DecodingContext(model, heads, config, 3)
+        counts = []
         for t in range(grid.size):
             commit_token(ctx, t % 3)
-            live = [key for key in _filled(ctx.cache) if key[0] > t]
-            assert ctx.cache.occupancy == len(live) <= ctx.cache.capacity == 12
-        assert ctx.cache.occupancy == 0
-        assert ctx.cache.peak_occupancy == 12
-        assert _filled(ctx.cache)
-        ctx.cache.clear()
-        assert _filled(ctx.cache) == {}
-        assert (ctx.cache.occupancy, ctx.cache.peak_occupancy) == (0, 12)
-        assert [len(row) for row in ctx.cache.rows] == [grid.size] * 2
+            counts.append(len(_live(ctx, t + 1)))
+        assert max(counts) == ctx.cache.peak_occupancy == ctx.cache.capacity == 12
+        assert counts[-1] == 0
 
-    def test_overflow_raises(self):
-        grid, model, heads, config = _hawk_setup()
-        ctx = DecodingContext(model, heads, config, 3)
-        ctx.cache.capacity = 1
-        commit_token(ctx, 0)
-        with pytest.raises(RuntimeError, match="occupancy 2 exceeds capacity 1"):
-            commit_token(ctx, 1)
+    def test_heads_called_only_for_pool_drafts(self, monkeypatch):
+        # A vertical head runs once for each vertical draft a pool holds (its
+        # samples_per_vertical copies are one call) and for nothing else:
+        # no draft is computed when its source commits.
+        grid = GridSpec(5, 5, 3)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(model, 3, 2, 300, 5, 0.5)
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=3, vertical_depth=2, samples_per_vertical=2
+        )
+        calls = Counter()
+        for d, head in enumerate(heads.vertical, start=1):
+            predict = head.predict
+            monkeypatch.setattr(
+                head, "predict",
+                lambda prefix, d=d, predict=predict: calls.update([d]) or predict(prefix),
+            )
+        pools = _PoolSpy(monkeypatch)
+        trace = []
+        decode_batch(model, heads, config, 3, 4, trace=trace)
+        held = Counter(
+            label for _, _, _, labels in pools.calls for label in labels
+            if label.startswith("vertical:")
+        )
+        assert held == {f"vertical:{d}": 2 * n for d, n in calls.items()}
+        assert set(held) == {"vertical:1", "vertical:2"}
+        assert any(row[3].startswith("vertical:") for row in trace)
 
 
 class TestEngineConfig:
@@ -178,13 +209,15 @@ def _hawk_setup(grid=None, seed=11):
 
 class TestCommitCachePolicy:
     def test_first_commit_writes_one_entry(self):
+        # A commit only appends; the first one makes one pair live, the
+        # depth-1 draft of index 0 for the position one row down.
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         commit_token(ctx, 1)
-        ((key, (dist,)),) = _filled(ctx.cache).items()
+        assert ctx.committed == [1]
+        ((key, (dist,)),) = _live(ctx, 1).items()
         assert key == (4, 1)
         assert dist is ctx.draft_dist(heads.vertical[0], [1])  # computed from index 0
-        assert ctx.cache.occupancy == 1
 
     def test_vsd_zero_cache_untouched(self):
         grid = GridSpec(4, 4, 3)
@@ -192,19 +225,22 @@ class TestCommitCachePolicy:
         heads = fit_tabular_draft_heads(model, 2, 0, 200, 5)
         config = EngineConfig(mode="medusa", horizontal_depth=2)
         ctx = DecodingContext(model, heads, config, 3)
-        commit_token(ctx, 1)
-        assert ctx.cache.rows == []
-        assert ctx.cache.occupancy == 0
+        for t in range(grid.size):
+            commit_token(ctx, 1)
+            assert _live(ctx, t + 1) == {}
+        assert ctx.cache == (0, 0)
 
     def test_writes_near_grid_end_are_clipped(self):
+        # No pair targets past the grid end: with the last row's source
+        # tokens committed, only the last row's positions are live, and none
+        # once the grid is full.
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         for _ in range(grid.size - 1):
             commit_token(ctx, 0)
-        before = _filled(ctx.cache)
+        assert set(_live(ctx, grid.size - 1)) == {(grid.size - 1, 1)}
         commit_token(ctx, 1)  # commit index 15; target 19 beyond grid
-        assert _filled(ctx.cache) == before
-        assert ctx.cache.occupancy == 0
+        assert _live(ctx, grid.size) == {}
 
 
 class TestBuildPool:
@@ -212,8 +248,9 @@ class TestBuildPool:
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         horizontal = ctx.draft_dist(heads.horizontal[0], [])
-        assert build_pool(ctx, 1, horizontal) == (horizontal,)
-        assert _pool_labels(ctx, 1) == ["horizontal:1"]
+        labels = []
+        assert build_pool(ctx, 1, horizontal, labels) == (horizontal,)
+        assert labels == ["horizontal:1"]
 
     def test_interior_position_gathers_vertical(self):
         grid, model, heads, config = _hawk_setup()
@@ -222,8 +259,10 @@ class TestBuildPool:
             commit_token(ctx, token)
         horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed)
         vertical = ctx.draft_dist(heads.vertical[0], [0])  # for row 1, col 0
+        labels = []
+        assert build_pool(ctx, 1, horizontal, labels) == (vertical, horizontal)
         assert build_pool(ctx, 1, horizontal) == (vertical, horizontal)
-        assert _pool_labels(ctx, 1) == ["vertical:1", "horizontal:1"]
+        assert labels == ["vertical:1", "horizontal:1"]
 
     def test_beyond_grid_rejected(self):
         grid, model, heads, config = _hawk_setup()
@@ -249,9 +288,11 @@ class TestBuildPool:
         two_up = ctx.draft_dist(heads.vertical[1], tokens[:1])
         # Row 2, col 0: each depth's draft samples_per_vertical times, by
         # depth, then the horizontal draft samples_per_horizontal times.
-        assert build_pool(ctx, 1, horizontal) == (one_up,) * 2 + (two_up,) * 2 + (horizontal,) * 2
-        labels = ["vertical:1", "vertical:2", "horizontal:1"]
-        assert _pool_labels(ctx, 1) == [label for label in labels for _ in range(2)]
+        labels = []
+        pool = build_pool(ctx, 1, horizontal, labels)
+        assert pool == (one_up,) * 2 + (two_up,) * 2 + (horizontal,) * 2
+        want = ["vertical:1", "vertical:2", "horizontal:1"]
+        assert labels == [label for label in want for _ in range(2)]
 
 
 class TestCandidateTree:
@@ -413,6 +454,22 @@ class _VerifySpy:
         monkeypatch.setattr(hawk.engine, "build_candidate_tree", spy_tree)
         for name in ("sequential_verify", "lantern_sequential_verify"):
             monkeypatch.setattr(hawk.engine, name, spying(getattr(hawk.engine, name)))
+
+
+class _PoolSpy:
+    """Records every ``build_pool`` call made by ``decode_round`` as (frontier,
+    n, layer, labels); labels is the round's own list when it keeps a trace."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        build = hawk.engine.build_pool
+
+        def spy_pool(ctx, n, horizontal, labels=None):
+            layer = build(ctx, n, horizontal, labels)
+            self.calls.append((len(ctx.committed), n, layer, labels))
+            return layer
+
+        monkeypatch.setattr(hawk.engine, "build_pool", spy_pool)
 
 
 def _nodes(widths):
@@ -578,16 +635,17 @@ class TestDrawOrder:
         for frontier in range(grid.size):
             depths = range(1, min(config.horizontal_depth, grid.size - frontier) + 1)
             drafts = [ctx.draft_dist(heads.horizontal[n - 1], ctx.committed) for n in depths]
-            layers = [build_pool(ctx, n, drafts[n - 1]) for n in depths]
+            labels = [[] for _ in depths]
+            layers = [build_pool(ctx, n, drafts[n - 1], labels[n - 1]) for n in depths]
             accept_rng = stream(frontier, "accept")
             tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
             widths = _widths_by_brute_force([len(layer) for layer in layers], budget)
             for k, b in enumerate(widths):
-                want, labels = _pool_from_prefix(ctx, frontier, k + 1)
+                want, want_labels = _pool_from_prefix(ctx, frontier, k + 1)
                 assert list(layers[k]) == want
+                assert labels[k] == want_labels
                 want = want[:b]
                 assert list(tree.layers[k]) == want
-                assert _pool_labels(ctx, k + 1) == labels
                 # Verified against its own draft, a candidate is accepted at
                 # once, so the walk emits the token it drew.
                 walked = [
@@ -625,7 +683,7 @@ class TestDrawOrder:
 
 class TestDecodeRound:
     @pytest.mark.parametrize("fn", [
-        decode_round, commit_token, build_pool, build_candidate_tree,
+        decode_round, commit_token, build_pool, vertical_drafts, build_candidate_tree,
         hawk.verifier._walk, hawk.verifier.sequential_verify,
         DecodingContext.target_dist, DecodingContext.draft_dist,
     ], ids=lambda fn: fn.__qualname__)
@@ -719,16 +777,19 @@ class TestRoundProperties:
         trace = []
         ctx = DecodingContext(model, heads, config, seed, trace=trace)
         capacity = cache_capacity(grid.width, v)
+        peak = 0
         truncated = 0
         with pytest.MonkeyPatch.context() as patch:
             spy = _VerifySpy(patch)
             while len(ctx.committed) < grid.size:
                 assert ctx.rounds < grid.size  # every round commits at least one token
                 frontier, first_row = len(ctx.committed), len(trace)
+                live = len(_live(ctx, frontier))
+                assert live <= capacity
+                peak = max(peak, live)
                 decode_round(ctx)
                 committed = ctx.committed[frontier:]
                 assert 1 <= len(committed) <= h + 1
-                assert ctx.cache.occupancy <= capacity
                 assert len(spy.rounds) == ctx.rounds
                 layers, tree, calls = spy.rounds[-1]
                 pools = [_pool_from_prefix(ctx, frontier, n) for n in range(1, len(layers) + 1)]
@@ -771,6 +832,7 @@ class TestRoundProperties:
                 assert all(0.0 <= row[4] <= 1.0 + 1e-12 for row in rows)
                 assert sum(row[5] for row in rows) == sum(accepted)
 
+        assert peak <= ctx.cache.peak_occupancy <= capacity
         # The same seed traced through decode_image writes the same rows.
         image_trace = []
         tokens, report = decode_image(model, heads, config, seed, trace=image_trace)
@@ -849,35 +911,41 @@ class TestDecodeImage:
             assert committed >= 1
 
     def test_kl_trace_only_on_hawk(self, monkeypatch):
-        # Reference: at each commit, the KL between the cached depth-1
-        # vertical entry for the position and the horizontal draft of the
-        # committed prefix. The trace computed from the decoded grid must
-        # equal it; only hawk caches vertical entries, so only hawk has one.
+        # Reference: for each position some traced round's pool held a depth-1
+        # vertical draft for, the KL between that draft and the depth-1
+        # horizontal draft of the prefix before the position. The trace
+        # computed from the decoded grid must equal it there, and cover every
+        # position from the second row on. Medusa pools hold no vertical
+        # draft, nor do hawk pools with samples_per_vertical 0, and kl_trace
+        # refuses both configs.
         grid, model, heads, _ = _hawk_setup()
         config = EngineConfig(
             mode="hawk", horizontal_depth=2, vertical_depth=1,
             transform=SamplingConfig(top_k=2, temperature=0.8),
         )
-        reference = {}
-        commit = hawk.engine.commit_token
-
-        def recording_commit(ctx, token):
-            t = len(ctx.committed)
-            for row in ctx.cache.rows[:1]:  # depth 1, when there is one
-                if row[t]:
-                    h1 = ctx.draft_dist(ctx.heads.horizontal[0], ctx.committed)
-                    reference.setdefault(ctx.config.mode, []).append(
-                        (t, kl_divergence(row[t][0], h1))
-                    )
-            commit(ctx, token)
-
-        monkeypatch.setattr(hawk.engine, "commit_token", recording_commit)
-        tokens, _ = decode_image(model, heads, config, 5)
-        assert kl_trace(heads, config, tokens) == reference["hawk"]
-        assert [pos for pos, _ in reference["hawk"]] == list(range(grid.width, grid.size))
+        pools = _PoolSpy(monkeypatch)
+        tokens, _ = decode_image(model, heads, config, 5, trace=[])
+        flat = tokens.reshape(-1).tolist()
+        held = {}
+        for frontier, n, layer, labels in pools.calls:
+            for draft, label in zip(layer, labels):
+                if label == "vertical:1":
+                    assert held.setdefault(frontier + n - 1, draft) is draft
+        trace = dict(kl_trace(heads, config, tokens))
+        assert list(trace) == list(range(grid.width, grid.size))
+        assert len(held) > grid.size // 2
+        for position, vertical in held.items():
+            horizontal = _draft_fn(config.transform)(heads.horizontal[0], flat[:position])
+            assert trace[position] == kl_divergence(vertical, horizontal)
         medusa = EngineConfig(mode="medusa", horizontal_depth=2, samples_per_horizontal=2)
-        decode_image(model, heads, medusa, 5)
-        assert list(reference) == ["hawk"]
+        no_vertical = dataclasses.replace(config, samples_per_vertical=0)
+        for other in (medusa, no_vertical):
+            pools.calls.clear()
+            decode_image(model, heads, other, 5, trace=[])
+            assert pools.calls
+            assert not any("vertical" in label for *_, labels in pools.calls for label in labels)
+            with pytest.raises(ValueError, match="vertical head"):
+                kl_trace(heads, other, tokens)
 
     def test_vanilla_heads_optional(self):
         grid = GridSpec(2, 2, 3)
@@ -909,18 +977,21 @@ class TestZeroVerticalSamples:
                   sorted(batch.depth_attempts.items()), sorted(batch.depth_accepts.items()),
                   trace)
         assert calls == []
-        assert DecodingContext(model, heads, config, 3).cache.rows == []
+        ctx = DecodingContext(model, heads, config, 3)
+        ctx.committed = list(max(batch.grid_counts))
+        assert all(_live(ctx, frontier) == {} for frontier in range(grid.size + 1))
+        assert ctx.cache == (0, 0) and calls == []
         assert hashlib.sha256(repr(record).encode()).hexdigest() == (
             "ab5904269476044d387673d5c7dbc8ede86df9eb7eb3dfba44e0f6c5ba7e6331"
         )
 
 
 class TestDraftRebuild:
-    def test_cached_drafts_are_the_rebuilt_ones(self):
+    def test_cached_drafts_are_the_rebuilt_ones(self, monkeypatch):
         # The analysis code rebuilds the drafts the engine held from the
-        # decoded grid alone. Every live cache entry, after every round, must
-        # be that rebuild, and so must the frontier's horizontal draft; the
-        # transform is not the identity, so a dropped transform shows too.
+        # decoded grid alone. Every draft of every round's pools must be that
+        # rebuild, vertical and horizontal; the transform is not the
+        # identity, so a dropped transform shows too.
         grid = GridSpec(4, 5, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 2, 2, 300, 5, 0.5)
@@ -928,28 +999,24 @@ class TestDraftRebuild:
         config = EngineConfig(
             mode="hawk", horizontal_depth=2, vertical_depth=2, transform=transform
         )
+        draft = _draft_fn(transform)
+        pools = _PoolSpy(monkeypatch)
+        checked = Counter()
         for seed in range(3):
-            ctx = DecodingContext(model, heads, config, seed)
-            snapshots = []
-            while len(ctx.committed) < grid.size:
-                decode_round(ctx)
-                frontier = len(ctx.committed)
-                horizontal = None
-                if frontier < grid.size:
-                    horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed)
-                live = {key: slot for key, slot in _filled(ctx.cache).items()
-                        if key[0] >= frontier}
-                assert len(live) == ctx.cache.occupancy
-                snapshots.append((frontier, horizontal, live))
-            tokens = ctx.committed
-            for frontier, horizontal, entries in snapshots:
-                if horizontal is not None:
-                    rebuilt, _ = _engine_drafts(heads, config, tokens, frontier, 0)
-                    np.testing.assert_array_equal(horizontal.probs, rebuilt.probs)
-                for (t, d), (dist,) in entries.items():
-                    _, verticals = _engine_drafts(heads, config, tokens, t, d)
-                    np.testing.assert_array_equal(dist.probs, verticals[d - 1].probs)
-            assert sum(len(entries) for _, _, entries in snapshots) > 0
+            pools.calls.clear()
+            tokens, _ = decode_image(model, heads, config, seed, trace=[])
+            tokens = tokens.reshape(-1).tolist()
+            for frontier, n, layer, labels in pools.calls:
+                vertical_labels = []
+                verticals = vertical_drafts(
+                    draft, heads, config, tokens, frontier + n - 1, frontier, vertical_labels
+                )
+                horizontal = draft(heads.horizontal[n - 1], tokens[:frontier])
+                assert labels == vertical_labels + [f"horizontal:{n}"]
+                for got, want in zip(layer, verticals + (horizontal,)):
+                    np.testing.assert_array_equal(got.probs, want.probs)
+                checked.update(label.split(":")[0] for label in labels)
+        assert checked["vertical"] > 0 and checked["horizontal"] > 0
 
 
 # Grids narrower than the horizontal depth, node budget 5: (width, height,
