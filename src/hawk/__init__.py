@@ -50,7 +50,6 @@ from .models import (
     make_grid_markov_target,
     make_independent_target,
     save_head_set,
-    vertical_drafts,
 )
 from .oracle_metrics import (
     JointTable,

@@ -1,44 +1,42 @@
 """Raster-order decoding loop with spatial speculation.
 
-Round structure (speculative modes): for each speculation depth n = 1..H,
-:func:`build_pool` lays out one layer of draft distributions, one per
-candidate, from the round-start committed prefix: the vertical predictions
-targeting position T+n, made from the prefix through a token rows above,
-then the horizontal head's. The candidate tree keeps the first b_k
-candidates of layer k, its widths tapering with depth to at most
-``node_budget`` nodes; any shape fixed before the verifier draws is exact,
-since every layer comes from the round-start prefix. The walk verifies each layer's candidates in
-turn against the current target conditional, each drawing its token when
-reached; the first rejection resamples, commits, and ends the round, and a
-round that accepts through every layer commits a bonus token from the
-target. A round thus commits 1 to H+1 tokens and is accounted as one
-target-model pass, which is what a batched tree verification would cost.
+Round structure (speculative modes): a round's shape is a function of its
+frontier alone. :func:`round_plans` gives every frontier's :class:`RoundPlan`
+for depths n = 1..H: each depth's pool as :func:`~hawk.models.pool_slots`
+lays it out (the vertical predictions targeting position T+n, made from the
+prefix through a token rows above, then the horizontal head's), cut to its
+first b_k candidates, the widths tapering with depth to at most
+``node_budget`` nodes. The walk verifies each layer in turn against the
+current target conditional; :func:`build_pool` computes the layer's kept
+drafts when the walk reaches it, and each candidate draws its token when
+reached. The first rejection resamples, commits, and ends the round, so a
+later layer costs no head call; a round that accepts through every layer
+commits a bonus token from the target. A round thus commits 1 to H+1 tokens
+and is accounted as one target-model pass, which is what a batched tree
+verification would cost.
 
-A vertical draft is a pure function of the committed prefix: the depth-d
-head's prediction from the prefix through the token d rows above its target
-(:func:`~hawk.models.vertical_drafts`). A pool holds it once that source
-token is behind the round-start frontier, and :func:`build_pool` computes it
-when it lays the pool out, so no draft is stored between rounds, and one
-that no pool reads is never computed. Conditioning on the committed prefix
-only keeps every draft independent of the verifier's randomness, which the
-exactness argument requires. The (target, depth) pairs ahead of a frontier
-whose source is behind it number at most ``width * vsd * (vsd + 1) / 2``.
+A draft is a pure function of the committed prefix, read in place by
+``predict(tokens, length)``, so nothing is stored between rounds. Drafts
+that depend on the committed prefix alone are independent of the
+verifier's randomness, so any tree shape fixed before it draws is exact.
+The (target, depth) pairs ahead of a frontier whose source is behind it
+number at most ``width * vsd * (vsd + 1) / 2``.
 
 Draw order, for reproducibility: the draft stream supplies one uniform per
 kept candidate, round after round (layers in depth order, within a layer
 the vertical candidates by depth, then the horizontal ones), read through
-:class:`~hawk.rng.UniformReader` in blocks; the verify stream supplies one
+:class:`~hawk.rng.UniformReader` in blocks before the walk, so a layer it
+never reaches still consumes its uniforms; the verify stream supplies one
 uniform per verification step plus one categorical draw per resample or
 bonus token. A candidate's token is the index its uniform selects from its
-draft, computed only when the walk reaches it, so a candidate after the
-accepted one consumes its uniform and never gets a token.
+draft, computed only when the walk reaches it.
 
 One batch is one :class:`DecodingContext`: its sessions run back to back,
 strictly sequentially, on one pair of streams, and its result is one
 :class:`BatchResult`. A context made with a ``trace`` list gets one row per
 verification step (``TRACE_COLUMNS``), appended by each round as it ends:
 its alpha from :func:`~hawk.verifier.chain_alphas`, and its ``source:depth``
-label from the pool layout, read when the pool is built.
+label from the plan's slots.
 Batches over shared immutable models may run concurrently.
 """
 
@@ -63,7 +61,7 @@ from .core import (
     json_value,
     sample_index,
 )
-from .models import DraftHeadSet, TargetModel, vertical_drafts
+from .models import DraftHeadSet, Slot, TargetModel, pool_slots
 from .oracle_metrics import modeled_speedup
 from .rng import UniformReader, stream
 from .verifier import (
@@ -159,15 +157,6 @@ class CacheBounds(NamedTuple):
     peak_occupancy: int
 
 
-class CandidateTree(NamedTuple):
-    """Per depth, the first b_k drafts of its pool (:func:`tree_widths`) and one
-    uniform each; ``truncated`` says the node budget cut some pool."""
-
-    layers: tuple[tuple[TokenDistribution, ...], ...]
-    uniforms: tuple[list[float], ...]
-    truncated: bool
-
-
 def tree_nodes(widths: Sequence[int]) -> int:
     """Nodes of the product tree with these layer widths: sum_k prod_{j<=k} b_j."""
     return int(np.cumprod(widths).sum())
@@ -183,6 +172,50 @@ def tree_widths(lengths: tuple[int, ...], node_budget: int) -> tuple[int, ...]:
         if widths == lengths or tree_nodes(wider) > node_budget:
             return widths
         widths = wider
+
+
+class RoundPlan(NamedTuple):
+    """Per depth of a round, the kept slots of its pool and their candidate
+    count b_k (:func:`tree_widths`); ``truncated``: the budget cut a pool."""
+
+    layers: tuple[tuple[Slot, ...], ...]
+    widths: tuple[int, ...]
+    truncated: bool
+
+
+@functools.lru_cache(maxsize=None)
+def round_plans(
+    width: int, height: int, horizontal_depth: int, vertical_depth: int,
+    samples_per_horizontal: int, samples_per_vertical: int, node_budget: int,
+) -> tuple[RoundPlan, ...]:
+    """The :class:`RoundPlan` of every frontier 0..size-1 of a grid: depths
+    1..min(H, size - frontier), each keeping the first b_k candidates of its
+    pool's :func:`~hawk.models.pool_slots`."""
+    size = width * height
+    plans = []
+    for frontier in range(size):
+        pools = [pool_slots(width, frontier, n, vertical_depth, samples_per_horizontal,
+                            samples_per_vertical)
+                 for n in range(1, min(horizontal_depth, size - frontier) + 1)]
+        lengths = tuple(sum(slot.copies for slot in pool) for pool in pools)
+        widths = tree_widths(lengths, node_budget)
+        layers = []
+        for pool, left in zip(pools, widths):  # the slots of the first b_k candidates
+            kept = []
+            for slot in pool:
+                if left > 0:
+                    kept.append(slot._replace(copies=min(slot.copies, left)))
+                left -= slot.copies
+            layers.append(tuple(kept))
+        plans.append(RoundPlan(tuple(layers), widths, widths != lengths))
+    return tuple(plans)
+
+
+class CandidateTree(NamedTuple):
+    """Per kept layer of a round, one uniform per kept candidate; a candidate's
+    draft is computed, and its token drawn, only when the walk reaches it."""
+
+    layers: tuple[list[float], ...]
 
 
 TraceRow = tuple[int, int, int, str, float, bool, int]
@@ -205,8 +238,8 @@ class DecodingContext:
     prefix of the current session, the draft and verify streams made from
     the seed, the counters (rounds, per-depth attempts and accepts) and the
     optional trace. Its sessions run back to back: between them only the
-    prefix is reset. Every draft is computed from the prefix when a pool
-    reads it, so there is no draft store to reset.
+    prefix is reset. Every draft is computed from the prefix when the walk
+    reaches its layer, so there is no draft store to reset.
 
     It holds no distribution cache: the effective target and draft
     distributions are the transform of what the model or head returns, and
@@ -248,8 +281,14 @@ class DecodingContext:
                                  peak_live_drafts(self.grid.width, self.grid.size, depth))
         self.draft_rng = stream(seed, "draft")
         self.verify_rng = stream(seed, "verify")
-        # Only a speculative round draws draft uniforms, a block at a time.
-        self.draft_uniforms = None if config.mode == MODE_VANILLA else UniformReader(self.draft_rng)
+        # Only a speculative round draws draft uniforms, a block at a time,
+        # and follows the plan of its frontier.
+        self.draft_uniforms = self.plans = None
+        if config.mode != MODE_VANILLA:
+            self.draft_uniforms = UniformReader(self.draft_rng)
+            self.plans = round_plans(self.grid.width, self.grid.height, config.horizontal_depth,
+                                     depth, config.samples_per_horizontal,
+                                     config.samples_per_vertical, config.node_budget)
         self.rounds = 0
         self.truncated_rounds = 0
         self.trace = trace
@@ -267,52 +306,29 @@ class DecodingContext:
             return dist
         return apply_sampling_config(dist, self.config.transform)
 
-    def draft_dist(self, head, prefix: Sequence[int]) -> TokenDistribution:
-        base = head.predict(prefix)
+    def draft_dist(self, head, tokens: Sequence[int], length: int) -> TokenDistribution:
+        base = head.predict(tokens, length)
         if self._identity:
             return base
         return apply_sampling_config(base, self.config.transform)
 
 
-def build_pool(
-    ctx: DecodingContext, n: int, horizontal_output: TokenDistribution,
-    labels: Optional[list[str]] = None,
-) -> tuple[TokenDistribution, ...]:
-    """Draft layer for speculation depth n, one draft per candidate, from the
-    committed prefix at round start.
-
-    The vertical drafts :func:`~hawk.models.vertical_drafts` says a pool for
-    the position holds, then the horizontal draft ``samples_per_horizontal``
-    times, so no layer is empty. Each draft's ``source:depth`` label is
-    appended to ``labels`` when a list is given.
-    """
-    if n < 1:
-        raise ValueError(f"depth must be >= 1, got {n}")
-    committed = ctx.committed
-    frontier = len(committed)
-    position = frontier + n - 1
-    if position >= ctx.grid.size:
-        raise ValueError(f"speculation position {position} beyond grid end")
-    config = ctx.config
+def build_pool(ctx: DecodingContext, slots: tuple[Slot, ...]) -> tuple[TokenDistribution, ...]:
+    """The drafts of one kept layer of a :class:`RoundPlan`, in slot order: each
+    slot's head on the committed prefix of its length, ``copies`` times."""
+    heads, committed = ctx.heads, ctx.committed
     layer = ()
-    if config.vertical_depth:  # the call alone costs a medusa pool half its build time
-        layer = vertical_drafts(ctx.draft_dist, ctx.heads, config, committed, position, frontier,
-                                labels)
-    if labels is not None:
-        labels += [f"horizontal:{n}"] * config.samples_per_horizontal
-    return layer + (horizontal_output,) * config.samples_per_horizontal
+    for direction, depth, length, copies, _ in slots:
+        head = getattr(heads, direction)[depth - 1]
+        layer += (ctx.draft_dist(head, committed, length),) * copies
+    return layer
 
 
-def build_candidate_tree(
-    layers: Sequence[tuple[TokenDistribution, ...]], config: EngineConfig, reader: UniformReader
-) -> CandidateTree:
-    """The first b_k drafts of each :func:`build_pool` layer under ``config.node_budget``
-    (:func:`tree_widths`), with their uniforms off the context's draft reader, in order."""
-    lengths = tuple(map(len, layers))
-    widths = tree_widths(lengths, config.node_budget)
-    truncated = widths != lengths
-    kept = tuple(layer[:b] for layer, b in zip(layers, widths)) if truncated else tuple(layers)
-    return CandidateTree(kept, tuple(map(reader.take, widths)), truncated)
+def build_candidate_tree(plan: RoundPlan, config: EngineConfig,
+                         reader: UniformReader) -> CandidateTree:
+    """One uniform per kept candidate of ``plan``, off the context's draft
+    reader, in order. ``config`` is unused here; the benchmark's tracer reads it."""
+    return CandidateTree(tuple(map(reader.take, plan.widths)))
 
 
 def commit_token(ctx: DecodingContext, token: int) -> None:
@@ -336,18 +352,14 @@ def decode_round(ctx: DecodingContext) -> None:
 
     config = ctx.config
     frontier = len(committed)
-    trace = ctx.trace
-    layers = []
-    labels = []  # per layer, a list when tracing
-    for n in range(1, min(config.horizontal_depth, total - frontier) + 1):
-        horizontal = ctx.draft_dist(ctx.heads.horizontal[n - 1], committed)
-        labels.append(None if trace is None else [])
-        layers.append(build_pool(ctx, n, horizontal, labels[-1]))
-    tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
-    ctx.truncated_rounds += tree.truncated
+    plan = ctx.plans[frontier]
+    tree = build_candidate_tree(plan, config, ctx.draft_uniforms)
+    ctx.truncated_rounds += plan.truncated
     rng = ctx.verify_rng
-    walked = []  # (depth, target, drafts, outcome) per layer, when tracing
-    for depth, (drafts, uniforms) in enumerate(zip(tree.layers, tree.uniforms), start=1):
+    trace = ctx.trace
+    walked = []  # (slots, target, drafts, outcome) per layer, when tracing
+    for depth, (slots, uniforms) in enumerate(zip(plan.layers, tree.layers), start=1):
+        drafts = build_pool(ctx, slots)
         ctx.depth_attempts[depth] = ctx.depth_attempts.get(depth, 0) + 1
         target = ctx.target_dist(committed)
         if config.mode == MODE_LANTERN:
@@ -356,7 +368,7 @@ def decode_round(ctx: DecodingContext) -> None:
         else:
             outcome = sequential_verify(target, drafts, uniforms, rng)
         if trace is not None:
-            walked.append((depth, target, drafts, outcome))
+            walked.append((slots, target, drafts, outcome))
         commit_token(ctx, outcome.emitted_token)
         if outcome.accepted_index is None:
             break
@@ -366,11 +378,13 @@ def decode_round(ctx: DecodingContext) -> None:
             commit_token(ctx, sample_index(ctx.target_dist(committed), rng))
     if trace is not None:
         count = len(committed) - frontier
-        for depth, target, drafts, outcome in walked:
+        for depth, (slots, target, drafts, outcome) in enumerate(walked, start=1):
             accepted = outcome.accepted_index
             if accepted is not None:  # the walk stopped at the accepted candidate
                 drafts = drafts[: accepted + 1]
-            sources = labels[depth - 1]
+            sources = []
+            for slot in slots:
+                sources += [slot.label] * slot.copies
             for i, alpha in enumerate(chain_alphas(target, drafts)):
                 trace.append((ctx.rounds, frontier, depth, sources[i], alpha, i == accepted,
                               count))

@@ -50,7 +50,7 @@ import abc
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,9 +63,6 @@ from .core import (
     sampling_table,
 )
 from .rng import stream
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .engine import EngineConfig
 
 FORMAT_VERSION = 1
 
@@ -289,8 +286,9 @@ class DraftHead(abc.ABC):
     offset: int
 
     @abc.abstractmethod
-    def predict(self, prefix: Sequence[int]) -> TokenDistribution:
-        """Draft distribution given the committed prefix only."""
+    def predict(self, tokens: Sequence[int], length: int) -> TokenDistribution:
+        """Draft distribution given the committed prefix ``tokens[:length]``
+        only, read in place: later tokens are ignored."""
 
     def true_token_logs(self, keys: np.ndarray, grids: np.ndarray) -> np.ndarray:
         """Floored logs of what ``predict`` gives the true token, for a block of
@@ -377,12 +375,12 @@ class TabularDraftHead(DraftHead):
             probs[code] = dist.probs
         self._logs = np.log(np.maximum(probs, 1e-300)).ravel()
 
-    def predict(self, prefix: Sequence[int]) -> TokenDistribution:
-        k, length = self.vocab_size, len(prefix)
+    def predict(self, tokens: Sequence[int], length: int) -> TokenDistribution:
+        k = self.vocab_size
         if length >= 2:
-            code = 1 + k + prefix[-2] * k + prefix[-1]
+            code = 1 + k + tokens[length - 2] * k + tokens[length - 1]
         else:
-            code = 1 + prefix[0] if length else 0
+            code = 1 + tokens[0] if length else 0
         return self.table.get(length % self.width * (1 + k + k * k) + code, self._fallback)
 
     def true_token_logs(self, keys: np.ndarray, grids: np.ndarray) -> np.ndarray:
@@ -403,8 +401,8 @@ class ExactDraftHead(DraftHead):
         self._logs = np.log(np.maximum([dist.probs for dist in model._dists], 1e-300)).ravel()
         self._row_starts = np.arange(offset - 1, model.grid.size) * model.grid.vocab_size
 
-    def predict(self, prefix: Sequence[int]) -> TokenDistribution:
-        return self._model.position_conditional(len(prefix) - 1 + self.offset)
+    def predict(self, tokens: Sequence[int], length: int) -> TokenDistribution:
+        return self._model.position_conditional(length - 1 + self.offset)
 
     def true_token_logs(self, keys: np.ndarray, grids: np.ndarray) -> np.ndarray:
         return self._logs.take(self._row_starts + grids[:, self.offset - 1 :])
@@ -467,39 +465,38 @@ class DraftHeadSet:
         return len(self.vertical)
 
 
-def vertical_drafts(
-    draft: Callable[[DraftHead, Sequence[int]], TokenDistribution],
-    heads: DraftHeadSet,
-    config: "EngineConfig",
-    tokens: Sequence[int],
-    position: int,
-    frontier: int,
-    labels: Optional[list[str]] = None,
-) -> tuple[TokenDistribution, ...]:
-    """The vertical drafts a pool for ``position`` holds in a round that starts
-    at ``frontier``; each one's ``vertical:d`` label is appended to ``labels``
-    when a list is given.
+class Slot(NamedTuple):
+    """``copies`` candidates of a pool sharing one draft: the ``direction`` head
+    of ``depth`` on the first ``length`` committed tokens, labelled ``label``."""
 
-    The depth-d draft is ``draft(heads.vertical[d - 1], tokens[:source + 1])``
-    for the token d rows above, source = position - d * width: the head's
-    prediction from the prefix through that token, which the committed prefix
-    alone fixes. A pool holds it, ``config.samples_per_vertical`` times, for
-    every depth d up to ``config.vertical_depth`` with 0 <= source < frontier,
-    in depth order.
-    """
-    width, copies = heads.width, config.samples_per_vertical
-    deepest = config.vertical_depth if copies else 0
-    # The shallowest depth whose source is behind the frontier.
-    d = max(1, (position - frontier) // width + 1)
-    source = position - d * width
-    drafts = ()
-    while d <= deepest and source >= 0:
-        drafts += (draft(heads.vertical[d - 1], tokens[: source + 1]),) * copies
-        if labels is not None:
-            labels += [f"vertical:{d}"] * copies
-        d += 1
-        source -= width
-    return drafts
+    direction: str
+    depth: int
+    length: int
+    copies: int
+    label: str
+
+
+def pool_slots(
+    width: int, frontier: int, n: int, vertical_depth: int,
+    samples_per_horizontal: int, samples_per_vertical: int,
+) -> tuple[Slot, ...]:
+    """The slots of the depth-n pool of a round that starts at ``frontier``, the
+    one statement of what a pool holds: for every depth d up to
+    ``vertical_depth`` whose source d rows above position frontier + n - 1 is
+    committed, the vertical head's draft from the prefix through the source,
+    ``samples_per_vertical`` times, in depth order; then the horizontal head's
+    draft from the whole prefix ``samples_per_horizontal`` times."""
+    slots = []
+    if samples_per_vertical:
+        # The shallowest depth whose source is behind the frontier.
+        d = (n - 1) // width + 1
+        source = frontier + n - 1 - d * width
+        while d <= vertical_depth and source >= 0:
+            slots.append(Slot("vertical", d, source + 1, samples_per_vertical, f"vertical:{d}"))
+            d += 1
+            source -= width
+    slots.append(Slot("horizontal", n, frontier, samples_per_horizontal, f"horizontal:{n}"))
+    return tuple(slots)
 
 
 # Fitting and scoring sample and stack at most this many grids at a time.

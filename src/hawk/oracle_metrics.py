@@ -31,7 +31,7 @@ from .core import (
     apply_sampling_config,
     kl_divergence,
 )
-from .models import DraftHeadSet, TargetModel, vertical_drafts
+from .models import DraftHeadSet, TargetModel, pool_slots
 from .rng import stream
 from .verifier import rejection_mass, residual_update
 
@@ -174,8 +174,9 @@ class RejectionCurves:
 
 def _draft_fn(transform: SamplingConfig):
     """A head's draft as :meth:`~hawk.engine.DecodingContext.draft_dist` makes it:
-    its prediction under ``transform``."""
-    return lambda head, prefix: apply_sampling_config(head.predict(prefix), transform)
+    its prediction from ``tokens[:length]`` under ``transform``."""
+    return lambda head, tokens, length: apply_sampling_config(head.predict(tokens, length),
+                                                              transform)
 
 
 def require_two_rows(grid: GridSpec) -> None:
@@ -201,9 +202,9 @@ def rejection_curve(
     horizontal-only chain repeats the depth-1 horizontal distribution. The
     value at m is the chance that all m candidates are rejected, averaged
     over positions. The drafts are the ones a pool for the position holds
-    once the tokens before it have committed: the depth-1 horizontal draft
-    and one copy of each vertical draft :func:`~hawk.models.vertical_drafts`
-    gives.
+    once the tokens before it have committed: one copy of each vertical draft
+    of its :func:`~hawk.models.pool_slots`, then the depth-1 horizontal
+    draft.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -225,9 +226,10 @@ def rejection_curve(
     for n in range(position_count):
         sample, t = samples[n // per_grid], grid.width + n % per_grid
         target = apply_sampling_config(model.conditional(sample[:t]), config.transform)
-        horizontal = draft(heads.horizontal[0], sample[:t])
-        verticals = vertical_drafts(draft, heads, config, sample, t, t)
-        cycle = list(verticals[:: config.samples_per_vertical]) + [horizontal]
+        horizontal = draft(heads.horizontal[0], sample, t)
+        cycle = [draft(heads.vertical[s.depth - 1], sample, s.length)
+                 for s in pool_slots(grid.width, t, 1, config.vertical_depth, 1, 1)[:-1]]
+        cycle.append(horizontal)
         dual_sums += rejection_mass(target, [cycle[i % len(cycle)] for i in range(m_max)])
         horiz_sums += rejection_mass(target, [horizontal] * m_max)
     return RejectionCurves(
@@ -244,7 +246,7 @@ def kl_trace(
     """KL(depth-1 vertical draft || horizontal draft) per position of a decoded grid.
 
     The drafts are the ones a pool for each position holds once every token
-    before it has committed (:func:`~hawk.models.vertical_drafts` with the
+    before it has committed (:func:`~hawk.models.pool_slots` with the
     frontier at the position). Every position from the second row on has a
     depth-1 vertical draft then, so the trace covers positions
     ``width .. size - 1`` in raster order. A config whose pools hold no
@@ -257,8 +259,8 @@ def kl_trace(
     draft = _draft_fn(config.transform)
     out = []
     for t in range(heads.width, len(flat)):
-        vertical = vertical_drafts(draft, heads, config, flat, t, t)[0]
-        out.append((t, kl_divergence(vertical, draft(heads.horizontal[0], flat[:t]))))
+        vertical = draft(heads.vertical[0], flat, pool_slots(heads.width, t, 1, 1, 1, 1)[0].length)
+        out.append((t, kl_divergence(vertical, draft(heads.horizontal[0], flat, t))))
     return out
 
 

@@ -18,6 +18,7 @@ from hawk.core import GridSpec, SamplingConfig, TokenDistribution
 from hawk.engine import (
     DecodingContext,
     EngineConfig,
+    build_pool,
     cache_capacity,
     decode_batch,
     decode_round,
@@ -28,7 +29,6 @@ from hawk.models import (
     make_exact_heads,
     make_grid_markov_target,
     make_independent_target,
-    vertical_drafts,
 )
 from hawk.oracle_metrics import (
     empirical_joint_from_counts,
@@ -315,8 +315,10 @@ def test_criterion_5_accept_length_ordering():
 @pytest.mark.parametrize("width,vsd,height", [(4, 1, 4), (4, 2, 6), (8, 3, 8)])
 def test_criterion_6_cache_law(width, vsd, height):
     """At every round's frontier, the (target, depth) pairs ahead of it whose
-    vertical draft a pool may hold number at most the closed-form capacity and
-    reach it; each holds the draft computed exactly depth rows above its target."""
+    vertical draft a pool may hold, those whose source depth rows above the
+    target is committed, number at most the closed-form capacity and reach
+    it; each vertical draft of the round's pools is computed from the prefix
+    through its source, exactly depth rows above its target."""
     grid = GridSpec(width, height, 4)
     model = make_independent_target(grid, 77)
     heads = make_exact_heads(model, 2, vsd)
@@ -328,18 +330,20 @@ def test_criterion_6_cache_law(width, vsd, height):
     while len(ctx.committed) < grid.size:
         committed = ctx.committed
         frontier = len(committed)
-        live = 0
-        for target in range(frontier, grid.size):
-            labels = []
-            drafts = vertical_drafts(
-                ctx.draft_dist, heads, config, committed, target, frontier, labels
-            )
-            for draft, label in zip(drafts, labels):
-                depth = int(label.split(":")[1])
-                source = target - depth * width
-                assert 0 <= source < frontier
-                assert draft is ctx.draft_dist(heads.vertical[depth - 1], committed[: source + 1])
-            live += len(drafts)
+        live = sum(
+            0 <= target - depth * width < frontier
+            for target in range(frontier, grid.size) for depth in range(1, vsd + 1)
+        )
+        for n, slots in enumerate(ctx.plans[frontier].layers, start=1):
+            drafts = iter(build_pool(ctx, slots))
+            for slot in slots:
+                copies = [next(drafts) for _ in range(slot.copies)]
+                if slot.direction == "vertical":
+                    source = frontier + n - 1 - slot.depth * width
+                    assert 0 <= source < frontier and slot.length == source + 1
+                    draft = ctx.draft_dist(heads.vertical[slot.depth - 1], committed[: source + 1],
+                                           source + 1)
+                    assert all(copy is draft for copy in copies)
         assert live <= capacity
         peak = max(peak, live)
         decode_round(ctx)

@@ -614,7 +614,8 @@ class TestFitCommand:
             for ha, hb in zip(getattr(expected, direction), getattr(loaded, direction)):
                 for prefix in probes:
                     np.testing.assert_array_equal(
-                        ha.predict(prefix).probs, hb.predict(prefix).probs
+                        ha.predict(prefix, len(prefix)).probs,
+                        hb.predict(prefix, len(prefix)).probs,
                     )
 
     def test_fit_requires_tabular(self, tmp_path):

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import hawk.cli
 import hawk.engine
+import hawk.models
 import hawk.verifier
 from hawk.core import (
     GridSpec,
@@ -37,17 +39,19 @@ from hawk.engine import (
     decode_image,
     decode_round,
     export_grid_image,
+    round_plans,
     tree_nodes,
     tree_widths,
 )
 from hawk.models import (
     DraftHead,
     DraftHeadSet,
+    Slot,
+    TabularDraftHead,
     fit_tabular_draft_heads,
     make_exact_heads,
     make_grid_markov_target,
     make_independent_target,
-    vertical_drafts,
 )
 from hawk.oracle_metrics import (
     _draft_fn,
@@ -56,12 +60,77 @@ from hawk.oracle_metrics import (
     joint_tv,
     kl_trace,
 )
-from hawk.rng import stream
+from hawk.rng import UniformReader, stream
 from hawk.verifier import (
     VerificationOutcome,
     chain_alphas,
     sequential_verify,
 )
+
+# The pool law as the engine stated it before rounds were planned by
+# frontier, kept as the reference for the plans: vertical_drafts and
+# build_pool from the sliced committed prefix, then the first tree_widths
+# candidates of each pool.
+
+
+def _vertical_drafts(draft, heads, config, tokens, position, frontier, labels=None):
+    """The vertical drafts a pool for ``position`` holds in a round that starts
+    at ``frontier``, each label appended to ``labels`` when given: for every
+    depth d up to ``config.vertical_depth`` with 0 <= source = position -
+    d * width < frontier, ``draft(heads.vertical[d - 1], tokens[:source + 1])``
+    ``samples_per_vertical`` times, in depth order."""
+    width, copies = heads.width, config.samples_per_vertical
+    deepest = config.vertical_depth if copies else 0
+    d = max(1, (position - frontier) // width + 1)
+    source = position - d * width
+    drafts = ()
+    while d <= deepest and source >= 0:
+        drafts += (draft(heads.vertical[d - 1], tokens[: source + 1]),) * copies
+        if labels is not None:
+            labels += [f"vertical:{d}"] * copies
+        d += 1
+        source -= width
+    return drafts
+
+
+def _build_pool(draft, heads, config, tokens, frontier, n, labels):
+    """The depth-n pool of a round that starts at ``frontier``: its vertical
+    drafts, then the horizontal draft ``samples_per_horizontal`` times."""
+    layer = ()
+    if config.vertical_depth:
+        layer = _vertical_drafts(draft, heads, config, tokens, frontier + n - 1, frontier, labels)
+    labels += [f"horizontal:{n}"] * config.samples_per_horizontal
+    return layer + (draft(heads.horizontal[n - 1], tokens[:frontier]),) * config.samples_per_horizontal
+
+
+def _reference_round(draft, heads, config, tokens, frontier, size):
+    """(kept drafts per depth, their labels, widths, pool lengths) of the round
+    that starts at ``frontier``: the first tree_widths drafts of each pool."""
+    pools, labels = [], []
+    for n in range(1, min(config.horizontal_depth, size - frontier) + 1):
+        labels.append([])
+        pools.append(_build_pool(draft, heads, config, tokens, frontier, n, labels[-1]))
+    lengths = tuple(map(len, pools))
+    widths = tree_widths(lengths, config.node_budget)
+    kept = [list(pool[:b]) for pool, b in zip(pools, widths)]
+    return kept, [names[:b] for names, b in zip(labels, widths)], widths, lengths
+
+
+def _prefix_draft(ctx):
+    """``ctx.draft_dist`` as a function of a head and a sliced prefix."""
+    return lambda head, prefix: ctx.draft_dist(head, prefix, len(prefix))
+
+
+def _ctx_round(ctx, frontier):
+    """:func:`_reference_round` on the context's committed prefix."""
+    return _reference_round(_prefix_draft(ctx), ctx.heads, ctx.config, ctx.committed, frontier,
+                            ctx.grid.size)
+
+
+def _labels(slots):
+    """The ``source:depth`` label of each candidate of a plan layer."""
+    return [slot.label for slot in slots for _ in range(slot.copies)]
+
 
 class TestCacheFormulas:
     def test_capacity_values(self):
@@ -83,8 +152,8 @@ def _live(ctx, frontier):
     live = {}
     for target in range(frontier, ctx.grid.size):
         labels = []
-        drafts = vertical_drafts(
-            ctx.draft_dist, ctx.heads, ctx.config, ctx.committed, target, frontier, labels
+        drafts = _vertical_drafts(
+            _prefix_draft(ctx), ctx.heads, ctx.config, ctx.committed, target, frontier, labels
         )
         for draft, label in zip(drafts, labels):
             live.setdefault((target, int(label.split(":")[1])), []).append(draft)
@@ -127,7 +196,7 @@ class TestSpeculationCache:
             assert ctx.committed[-1] == token and len(ctx.committed) == t + 1
             for d in (1, 2):
                 if t + d * grid.width < grid.size:
-                    draft = ctx.draft_dist(heads.vertical[d - 1], ctx.committed)
+                    draft = ctx.draft_dist(heads.vertical[d - 1], ctx.committed, t + 1)
                     want[(t + d * grid.width, d)] = [draft, draft]
             got = _live(ctx, t + 1)
             assert got.keys() == want.keys()
@@ -151,9 +220,10 @@ class TestSpeculationCache:
         assert counts[-1] == 0
 
     def test_heads_called_only_for_pool_drafts(self, monkeypatch):
-        # A vertical head runs once for each vertical draft a pool holds (its
-        # samples_per_vertical copies are one call) and for nothing else:
-        # no draft is computed when its source commits.
+        # A vertical head runs once for each vertical slot of a layer the walk
+        # reaches (its samples_per_vertical copies are one call) and for
+        # nothing else: no draft is computed when its source commits, nor for
+        # a layer the walk stops before.
         grid = GridSpec(5, 5, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 3, 2, 300, 5, 0.5)
@@ -165,16 +235,16 @@ class TestSpeculationCache:
             predict = head.predict
             monkeypatch.setattr(
                 head, "predict",
-                lambda prefix, d=d, predict=predict: calls.update([d]) or predict(prefix),
+                lambda tokens, length, d=d, predict=predict:
+                    calls.update([d]) or predict(tokens, length),
             )
         pools = _PoolSpy(monkeypatch)
         trace = []
         decode_batch(model, heads, config, 3, 4, trace=trace)
         held = Counter(
-            label for _, _, _, labels in pools.calls for label in labels
-            if label.startswith("vertical:")
+            slot.label for slots, _ in pools.calls for slot in slots if slot.direction == "vertical"
         )
-        assert held == {f"vertical:{d}": 2 * n for d, n in calls.items()}
+        assert held == {f"vertical:{d}": n for d, n in calls.items()}
         assert set(held) == {"vertical:1", "vertical:2"}
         assert any(row[3].startswith("vertical:") for row in trace)
 
@@ -217,7 +287,7 @@ class TestCommitCachePolicy:
         assert ctx.committed == [1]
         ((key, (dist,)),) = _live(ctx, 1).items()
         assert key == (4, 1)
-        assert dist is ctx.draft_dist(heads.vertical[0], [1])  # computed from index 0
+        assert dist is ctx.draft_dist(heads.vertical[0], [1], 1)  # computed from index 0
 
     def test_vsd_zero_cache_untouched(self):
         grid = GridSpec(4, 4, 3)
@@ -247,29 +317,33 @@ class TestBuildPool:
     def test_first_row_has_no_vertical(self):
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
-        horizontal = ctx.draft_dist(heads.horizontal[0], [])
-        labels = []
-        assert build_pool(ctx, 1, horizontal, labels) == (horizontal,)
-        assert labels == ["horizontal:1"]
+        (slot,) = ctx.plans[0].layers[0]
+        assert slot == Slot("horizontal", 1, 0, 1, "horizontal:1")
+        assert build_pool(ctx, (slot,)) == (ctx.draft_dist(heads.horizontal[0], [], 0),)
 
     def test_interior_position_gathers_vertical(self):
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         for token in (0, 1, 2, 0):
             commit_token(ctx, token)
-        horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed)
-        vertical = ctx.draft_dist(heads.vertical[0], [0])  # for row 1, col 0
-        labels = []
-        assert build_pool(ctx, 1, horizontal, labels) == (vertical, horizontal)
-        assert build_pool(ctx, 1, horizontal) == (vertical, horizontal)
-        assert labels == ["vertical:1", "horizontal:1"]
+        horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed, 4)
+        vertical = ctx.draft_dist(heads.vertical[0], [0], 1)  # for row 1, col 0
+        slots = ctx.plans[4].layers[0]
+        assert build_pool(ctx, slots) == (vertical, horizontal)
+        assert _labels(slots) == ["vertical:1", "horizontal:1"]
 
     def test_beyond_grid_rejected(self):
+        # Plans cover the frontiers of an unfinished grid, and no layer of
+        # one targets a position past the grid end; decode_round refuses a
+        # finished grid before it looks for a plan.
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
+        assert len(ctx.plans) == grid.size
+        for frontier, plan in enumerate(ctx.plans):
+            assert len(plan.layers) == min(config.horizontal_depth, grid.size - frontier)
         ctx.committed = [0] * grid.size
-        with pytest.raises(ValueError):
-            build_pool(ctx, 1, ctx.draft_dist(heads.horizontal[0], []))
+        with pytest.raises(StateError):
+            decode_round(ctx)
 
     def test_row_two_with_full_cache_gathers_both_depths(self):
         grid = GridSpec(4, 4, 3)
@@ -283,16 +357,15 @@ class TestBuildPool:
         tokens = [0, 1, 2, 0, 1, 2, 0, 1]  # rows 0 and 1 committed
         for token in tokens:
             commit_token(ctx, token)
-        horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed)
-        one_up = ctx.draft_dist(heads.vertical[0], tokens[:5])
-        two_up = ctx.draft_dist(heads.vertical[1], tokens[:1])
+        horizontal = ctx.draft_dist(heads.horizontal[0], ctx.committed, 8)
+        one_up = ctx.draft_dist(heads.vertical[0], tokens, 5)
+        two_up = ctx.draft_dist(heads.vertical[1], tokens, 1)
         # Row 2, col 0: each depth's draft samples_per_vertical times, by
         # depth, then the horizontal draft samples_per_horizontal times.
-        labels = []
-        pool = build_pool(ctx, 1, horizontal, labels)
-        assert pool == (one_up,) * 2 + (two_up,) * 2 + (horizontal,) * 2
+        slots = ctx.plans[8].layers[0]
+        assert build_pool(ctx, slots) == (one_up,) * 2 + (two_up,) * 2 + (horizontal,) * 2
         want = ["vertical:1", "vertical:2", "horizontal:1"]
-        assert labels == [label for label in want for _ in range(2)]
+        assert _labels(slots) == [label for label in want for _ in range(2)]
 
 
 class TestCandidateTree:
@@ -306,24 +379,15 @@ class TestCandidateTree:
             samples_per_vertical=0,
         )
         ctx = DecodingContext(model, heads, config, 3)
-        layers = [
-            build_pool(ctx, n, ctx.draft_dist(heads.horizontal[n - 1], []))
-            for n in (1, 2)
-        ]
-        tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
+        tree = build_candidate_tree(ctx.plans[0], config, ctx.draft_uniforms)
         assert [len(layer) for layer in tree.layers] == [1, 1]
 
     def test_cartesian_product_at_interior(self):
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
-        for token in (0, 1, 2, 0):
-            commit_token(ctx, token)
-        layers = [
-            build_pool(ctx, n, ctx.draft_dist(heads.horizontal[n - 1], ctx.committed))
-            for n in (1, 2)
-        ]
-        tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
+        tree = build_candidate_tree(ctx.plans[4], config, ctx.draft_uniforms)
         assert [len(layer) for layer in tree.layers] == [2, 2]
+        assert [len(slots) for slots in ctx.plans[4].layers] == [2, 2]
 
     def test_node_budget_tapers_layer_widths(self, monkeypatch):
         # Two 2-wide layers: budget 6 keeps the whole product (2 + 4 nodes),
@@ -355,11 +419,12 @@ class TestCandidateTree:
         ctx = DecodingContext(model, heads, config, 3)
         for token in (0, 1, 2, 0):
             commit_token(ctx, token)
-        hdist = ctx.draft_dist(heads.horizontal[0], ctx.committed)
-        vdist = ctx.draft_dist(heads.vertical[0], [0])
-        tree = build_candidate_tree([build_pool(ctx, 1, hdist)], config, ctx.draft_uniforms)
-        assert tree.layers[0] == (vdist, hdist)
-        assert len(tree.uniforms[0]) == 2
+        hdist = ctx.draft_dist(heads.horizontal[0], ctx.committed, 4)
+        vdist = ctx.draft_dist(heads.vertical[0], [0], 1)
+        plan = ctx.plans[4]
+        tree = build_candidate_tree(plan, config, ctx.draft_uniforms)
+        assert build_pool(ctx, plan.layers[0]) == (vdist, hdist)
+        assert len(tree.layers[0]) == 2
 
     def test_candidates_view(self):
         # A layer's live candidates are a prefix of it, each with its own
@@ -369,9 +434,9 @@ class TestCandidateTree:
         ctx = DecodingContext(model, heads, config, 3)
         for token in (0, 1, 2, 0):
             commit_token(ctx, token)
-        hdist = ctx.draft_dist(heads.horizontal[0], ctx.committed)
-        tree = build_candidate_tree([build_pool(ctx, 1, hdist)], config, ctx.draft_uniforms)
-        (layer,), (uniforms,) = tree.layers, tree.uniforms
+        plan = ctx.plans[4]
+        layer = build_pool(ctx, plan.layers[0])
+        uniforms = build_candidate_tree(plan, config, ctx.draft_uniforms).layers[0]
         assert len(layer) == len(uniforms) == 2
         rng = stream(0, "accept")
         for i, (q, u) in enumerate(zip(layer, uniforms)):
@@ -431,16 +496,143 @@ class TestTreeWidths:
         assert tree_widths((1, 2), 64) == (1, 2)
 
 
+def _symbolic_draft(head, prefix):
+    """A symbolic head's draft of a sliced prefix: (direction, depth, length)."""
+    return head + (len(prefix),)
+
+
+def _symbolic(slots):
+    """A plan layer's candidates as :func:`_symbolic_draft` gives them."""
+    return [(slot.direction, slot.depth, slot.length) for slot in slots
+            for _ in range(slot.copies)]
+
+
+@st.composite
+def plan_shapes(draw):
+    """(width, height, config) over odd shapes: 1xN, Nx1, width <= H, vertical
+    depth at or past the height, budget 1, no vertical samples."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    vertical_depth = draw(st.integers(0, 7))
+    config = EngineConfig(
+        mode="hawk" if vertical_depth else "medusa",
+        horizontal_depth=draw(st.integers(1, 5)),
+        vertical_depth=vertical_depth,
+        samples_per_horizontal=draw(st.integers(1, 3)),
+        samples_per_vertical=draw(st.integers(0, 3)),
+        node_budget=draw(st.sampled_from([1, 2, 3, 5, 9, 20, 64, 400])),
+    )
+    return width, height, config
+
+
+def _plan_case(width, height, **fields):
+    base = dict(mode="hawk", horizontal_depth=3, vertical_depth=2, samples_per_vertical=2,
+                node_budget=20)
+    return width, height, EngineConfig(**{**base, **fields})
+
+
+class TestRoundPlans:
+    @given(plan_shapes())
+    @example(_plan_case(1, 7))
+    @example(_plan_case(7, 1))
+    @example(_plan_case(2, 5, horizontal_depth=4))
+    @example(_plan_case(3, 4, node_budget=1))
+    @example(_plan_case(3, 4, samples_per_vertical=0))
+    @example(_plan_case(3, 3, vertical_depth=5))
+    @example(_plan_case(16, 16, horizontal_depth=4, samples_per_horizontal=2, node_budget=64))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pool_law(self, shape):
+        # Every frontier's plan keeps exactly the candidates, labels and
+        # widths the old pool law and tree_widths slicing give, cuts where it
+        # cut, and takes one uniform per kept candidate.
+        width, height, config = shape
+        size = width * height
+        heads = SimpleNamespace(
+            width=width,
+            horizontal=tuple(("horizontal", n) for n in range(1, config.horizontal_depth + 1)),
+            vertical=tuple(("vertical", d) for d in range(1, config.vertical_depth + 1)),
+        )
+        plans = round_plans(width, height, config.horizontal_depth, config.vertical_depth,
+                            config.samples_per_horizontal, config.samples_per_vertical,
+                            config.node_budget)
+        assert len(plans) == size
+        tokens = list(range(size))
+        for frontier, plan in enumerate(plans):
+            kept, labels, widths, lengths = _reference_round(
+                _symbolic_draft, heads, config, tokens, frontier, size
+            )
+            assert [_symbolic(slots) for slots in plan.layers] == kept
+            assert [_labels(slots) for slots in plan.layers] == labels
+            assert all(slot.copies >= 1 for slots in plan.layers for slot in slots)
+            assert plan.widths == widths
+            assert plan.truncated == (widths != lengths)
+            tree = build_candidate_tree(plan, config, UniformReader(stream(frontier, "plan")))
+            assert sum(map(len, tree.layers)) == sum(map(len, kept))
+
+    def test_context_reads_its_shape(self):
+        # A context looks its plans up once, by the grid and the config's
+        # shape numbers, with no vertical depth when no pool holds a vertical
+        # draft; contexts of one shape share the same plans.
+        grid, model, heads, config = _hawk_setup()
+        ctx = DecodingContext(model, heads, config, 3)
+        assert ctx.plans is round_plans(4, 4, 2, 1, 1, 1, 64)
+        assert DecodingContext(model, heads, config, 4).plans is ctx.plans
+        zero = dataclasses.replace(config, samples_per_vertical=0)
+        assert DecodingContext(model, heads, zero, 3).plans is round_plans(4, 4, 2, 0, 1, 0, 64)
+        assert DecodingContext(model, None, EngineConfig(mode="vanilla"), 3).plans is None
+
+
+class TestLazyLayers:
+    def test_unreached_layer_makes_no_head_call(self, monkeypatch):
+        # Every walk resamples at depth 1, so no round reaches depth 2: each
+        # round calls a head once per slot of its first layer and for nothing
+        # else, yet takes the uniforms of every kept candidate, so each round
+        # starts at the next uniform of an eager stream.
+        grid = GridSpec(4, 4, 3)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(model, 3, 2, 300, 5, 0.5)
+        config = EngineConfig(
+            mode="hawk", horizontal_depth=3, vertical_depth=2, samples_per_horizontal=2,
+            samples_per_vertical=2, node_budget=20,
+            transform=SamplingConfig(top_k=2, temperature=0.8),
+        )
+        calls = []
+        predict = TabularDraftHead.predict
+        monkeypatch.setattr(
+            TabularDraftHead, "predict",
+            lambda head, tokens, length:
+                calls.append((head, length)) or predict(head, tokens, length),
+        )
+
+        def resample(p, drafts, uniforms, rng):
+            return VerificationOutcome(sample_index(p, rng), None)
+
+        monkeypatch.setattr(hawk.engine, "sequential_verify", resample)
+        spy = _VerifySpy(monkeypatch)
+        ctx = DecodingContext(model, heads, config, 3)
+        eager_rng = stream(3, "draft")
+        while len(ctx.committed) < grid.size:
+            calls.clear()
+            decode_round(ctx)
+            plan, tree, verified = spy.rounds[-1]
+            assert len(verified) == 1 and len(ctx.committed) == len(spy.rounds)
+            assert calls == [(getattr(heads, slot.direction)[slot.depth - 1], slot.length)
+                             for slot in plan.layers[0]]
+            assert sum(tree.layers, []) == eager_rng.random(sum(plan.widths)).tolist()
+        assert ctx.draft_uniforms.take(1) == [eager_rng.random()]
+        assert sum(len(plan.layers) > 1 for plan, _, _ in spy.rounds) > grid.size // 2
+        assert any(plan.truncated for plan, _, _ in spy.rounds)
+
+
 class _VerifySpy:
-    """Records each round's pools and tree and every verify call made by ``decode_round``."""
+    """Records each round's plan and tree and every verify call made by ``decode_round``."""
 
     def __init__(self, monkeypatch):
-        self.rounds = []  # (pools, tree, [(candidates, outcome), ...]) per speculative round
+        self.rounds = []  # (plan, tree, [(candidates, outcome), ...]) per speculative round
         build = hawk.engine.build_candidate_tree
 
-        def spy_tree(layers, config, reader):
-            tree = build(layers, config, reader)
-            self.rounds.append((tuple(layers), tree, []))
+        def spy_tree(plan, config, reader):
+            tree = build(plan, config, reader)
+            self.rounds.append((plan, tree, []))
             return tree
 
         def spying(verify):
@@ -457,16 +649,15 @@ class _VerifySpy:
 
 
 class _PoolSpy:
-    """Records every ``build_pool`` call made by ``decode_round`` as (frontier,
-    n, layer, labels); labels is the round's own list when it keeps a trace."""
+    """Records every ``build_pool`` call made by ``decode_round`` as (slots, layer)."""
 
     def __init__(self, monkeypatch):
         self.calls = []
         build = hawk.engine.build_pool
 
-        def spy_pool(ctx, n, horizontal, labels=None):
-            layer = build(ctx, n, horizontal, labels)
-            self.calls.append((len(ctx.committed), n, layer, labels))
+        def spy_pool(ctx, slots):
+            layer = build(ctx, slots)
+            self.calls.append((slots, layer))
             return layer
 
         monkeypatch.setattr(hawk.engine, "build_pool", spy_pool)
@@ -517,23 +708,25 @@ class TestLiveContinuations:
             node_budget=budget,
         )
         spy = _VerifySpy(monkeypatch)
-        batch = decode_batch(model, heads, config, 5, 8)
+        ctx = DecodingContext(model, heads, config, 5)
         truncated = 0
-        for pools, tree, calls in spy.rounds:
-            lengths = [len(pool) for pool in pools]
-            widths = _widths_by_brute_force(lengths, budget)
-            assert [len(layer) for layer in tree.layers] == widths
-            assert [len(uniforms) for uniforms in tree.uniforms] == widths
-            assert tree.layers == tuple(pool[:b] for pool, b in zip(pools, widths))
-            assert tree.truncated == (widths != lengths)
-            assert not tree.truncated or _nodes(lengths) > budget
-            truncated += tree.truncated
-            for k, (candidates, outcome) in enumerate(calls):
-                assert candidates == tree.layers[k]
-                if outcome.accepted_index is None:
-                    break
+        for _ in range(8):
+            ctx.committed = []
+            while len(ctx.committed) < grid.size:
+                kept, _, widths, lengths = _ctx_round(ctx, len(ctx.committed))
+                decode_round(ctx)
+                plan, tree, calls = spy.rounds[-1]
+                assert list(plan.widths) == _widths_by_brute_force(lengths, budget)
+                assert [len(uniforms) for uniforms in tree.layers] == list(widths)
+                assert plan.truncated == (widths != lengths)
+                assert not plan.truncated or _nodes(lengths) > budget
+                truncated += plan.truncated
+                for k, (candidates, outcome) in enumerate(calls):
+                    assert list(candidates) == kept[k]
+                    if outcome.accepted_index is None:
+                        break
         assert spy.rounds
-        assert batch.truncated_rounds == truncated
+        assert ctx.truncated_rounds == truncated
         assert truncated or _nodes([sph + spv * v] * h) <= budget
 
     def test_every_depth_verifies_its_whole_kept_layer(self, monkeypatch):
@@ -555,10 +748,16 @@ class TestLiveContinuations:
 
         monkeypatch.setattr(hawk.engine, "sequential_verify", accept_in_turn)
         spy = _VerifySpy(monkeypatch)
+        pools = _PoolSpy(monkeypatch)
         decode_batch(model, heads, config, 5, 3)
-        for _, tree, calls in spy.rounds:
-            assert [candidates for candidates, _ in calls] == list(tree.layers)
-        assert any(tree.truncated for _, tree, _ in spy.rounds)
+        verified = [candidates for _, _, calls in spy.rounds for candidates, _ in calls]
+        assert verified == [layer for _, layer in pools.calls]
+        for plan, _, calls in spy.rounds:
+            assert [len(candidates) for candidates, _ in calls] == list(plan.widths)
+        assert [slots for slots, _ in pools.calls] == [
+            slots for plan, _, _ in spy.rounds for slots in plan.layers
+        ]
+        assert any(plan.truncated for plan, _, _ in spy.rounds)
         assert {o.accepted_index for _, _, calls in spy.rounds for _, o in calls} > {0, 1}
 
     def test_builds_only_the_candidates_walked(self, monkeypatch):
@@ -582,29 +781,10 @@ class TestLiveContinuations:
         spy = _VerifySpy(monkeypatch)
         trace = []
         decode_batch(model, heads, config, 5, 4, trace=trace)
-        kept = [[len(layer) for layer in tree.layers] for _, tree, _ in spy.rounds]
+        kept = [list(plan.widths) for plan, _, _ in spy.rounds]
         assert [2, 1, 1, 1] in kept
-        assert any(tree.truncated for _, tree, _ in spy.rounds)
+        assert any(plan.truncated for plan, _, _ in spy.rounds)
         assert len(drawn) == len(trace) < sum(map(sum, kept))
-
-
-def _pool_from_prefix(ctx, frontier, n):
-    """The drafts and labels of the depth-n pool of a round that starts at
-    ``frontier``, rebuilt from the committed prefix: each vertical draft of a
-    position committed before the round, by depth, ``samples_per_vertical``
-    times, then the horizontal draft ``samples_per_horizontal`` times."""
-    config, heads, width = ctx.config, ctx.heads, ctx.grid.width
-    drafts, labels = [], []
-    for d in range(1, config.vertical_depth + 1):
-        source = frontier + n - 1 - d * width
-        if 0 <= source < frontier:
-            draft = ctx.draft_dist(heads.vertical[d - 1], ctx.committed[: source + 1])
-            drafts += [draft] * config.samples_per_vertical
-            labels += [f"vertical:{d}"] * config.samples_per_vertical
-    horizontal = ctx.draft_dist(heads.horizontal[n - 1], ctx.committed[:frontier])
-    drafts += [horizontal] * config.samples_per_horizontal
-    labels += [f"horizontal:{n}"] * config.samples_per_horizontal
-    return drafts, labels
 
 
 # (samples_per_vertical, node_budget)
@@ -633,27 +813,23 @@ class TestDrawOrder:
         eager_rng = stream(3, "draft")
         sample = model.sample_grid(stream(4, "draw-order"), 1)[0].tolist()
         for frontier in range(grid.size):
-            depths = range(1, min(config.horizontal_depth, grid.size - frontier) + 1)
-            drafts = [ctx.draft_dist(heads.horizontal[n - 1], ctx.committed) for n in depths]
-            labels = [[] for _ in depths]
-            layers = [build_pool(ctx, n, drafts[n - 1], labels[n - 1]) for n in depths]
+            plan = ctx.plans[frontier]
+            kept, labels, widths, lengths = _ctx_round(ctx, frontier)
             accept_rng = stream(frontier, "accept")
-            tree = build_candidate_tree(layers, config, ctx.draft_uniforms)
-            widths = _widths_by_brute_force([len(layer) for layer in layers], budget)
-            for k, b in enumerate(widths):
-                want, want_labels = _pool_from_prefix(ctx, frontier, k + 1)
-                assert list(layers[k]) == want
-                assert labels[k] == want_labels
-                want = want[:b]
-                assert list(tree.layers[k]) == want
+            tree = build_candidate_tree(plan, config, ctx.draft_uniforms)
+            assert list(plan.widths) == _widths_by_brute_force(lengths, budget)
+            for k, slots in enumerate(plan.layers):
+                layer = build_pool(ctx, slots)
+                assert list(layer) == kept[k]
+                assert _labels(slots) == labels[k]
                 # Verified against its own draft, a candidate is accepted at
                 # once, so the walk emits the token it drew.
                 walked = [
                     sequential_verify(q, [q], [u], accept_rng).emitted_token
-                    for q, u in zip(tree.layers[k], tree.uniforms[k])
+                    for q, u in zip(layer, tree.layers[k])
                 ]
-                assert walked == [sample_index(q, eager_rng) for q in want]
-            assert len(tree.layers) == len(layers)
+                assert walked == [sample_index(q, eager_rng) for q in kept[k]]
+            assert len(tree.layers) == len(kept)
             assert ctx.draft_uniforms.take(1) == [eager_rng.random()]
             commit_token(ctx, sample[frontier])
 
@@ -672,20 +848,22 @@ class TestDrawOrder:
         ctx = DecodingContext(model, heads, config, 3)
         eager_rng = stream(3, "draft")
         while len(ctx.committed) < grid.size:
+            _, _, widths, lengths = _ctx_round(ctx, len(ctx.committed))
             decode_round(ctx)
-            pools, tree, _ = spy.rounds[-1]
-            widths = _widths_by_brute_force([len(pool) for pool in pools], budget)
-            assert [len(uniforms) for uniforms in tree.uniforms] == widths
-            assert sum(tree.uniforms, []) == eager_rng.random(sum(widths)).tolist()
+            _, tree, _ = spy.rounds[-1]
+            assert list(widths) == _widths_by_brute_force(lengths, budget)
+            assert [len(uniforms) for uniforms in tree.layers] == list(widths)
+            assert sum(tree.layers, []) == eager_rng.random(sum(widths)).tolist()
         assert ctx.draft_uniforms.take(1) == [eager_rng.random()]
-        assert any(tree.truncated for _, tree, _ in spy.rounds) == (budget < 64 or spv > 0)
+        assert any(plan.truncated for plan, _, _ in spy.rounds) == (budget < 64 or spv > 0)
 
 
 class TestDecodeRound:
     @pytest.mark.parametrize("fn", [
-        decode_round, commit_token, build_pool, vertical_drafts, build_candidate_tree,
+        decode_round, commit_token, build_pool, build_candidate_tree,
         hawk.verifier._walk, hawk.verifier.sequential_verify,
         DecodingContext.target_dist, DecodingContext.draft_dist,
+        hawk.models.TabularDraftHead.predict, hawk.models.ExactDraftHead.predict,
     ], ids=lambda fn: fn.__qualname__)
     def test_hot_path_has_no_cells(self, fn):
         # A local that a nested function, a generator expression or (before
@@ -791,16 +969,15 @@ class TestRoundProperties:
                 committed = ctx.committed[frontier:]
                 assert 1 <= len(committed) <= h + 1
                 assert len(spy.rounds) == ctx.rounds
-                layers, tree, calls = spy.rounds[-1]
-                pools = [_pool_from_prefix(ctx, frontier, n) for n in range(1, len(layers) + 1)]
-                assert list(layers) == [tuple(drafts) for drafts, _ in pools]
-                # The tree keeps the first b_k drafts of each pool, and every
+                plan, tree, calls = spy.rounds[-1]
+                kept, labels, widths, lengths = _ctx_round(ctx, frontier)
+                # The plan keeps the first b_k drafts of each pool, and every
                 # depth the walk reaches verifies all of them.
-                widths = _widths_by_brute_force([len(layer) for layer in layers],
-                                                config.node_budget)
-                assert tree.layers == tuple(layer[:b] for layer, b in zip(layers, widths))
-                assert [candidates for candidates, _ in calls] == list(tree.layers[: len(calls)])
-                truncated += tree.truncated
+                assert list(plan.widths) == _widths_by_brute_force(lengths, config.node_budget)
+                assert [_labels(slots) for slots in plan.layers] == labels
+                assert [len(uniforms) for uniforms in tree.layers] == list(widths)
+                assert [list(candidates) for candidates, _ in calls] == kept[: len(calls)]
+                truncated += plan.truncated
                 assert ctx.truncated_rounds == truncated
                 outcomes = [outcome for _, outcome in calls]
                 assert [o.emitted_token for o in outcomes] == committed[: len(outcomes)]
@@ -822,9 +999,9 @@ class TestRoundProperties:
                     target = ctx.target_dist(ctx.committed[: frontier + depth - 1])
                     alphas = chain_alphas(target, drafts)
                     assert len(alphas) == len(drafts)
-                    labels = pools[depth - 1][1]
+                    names = labels[depth - 1]
                     want += [
-                        (ctx.rounds - 1, frontier, depth, labels[i], alpha,
+                        (ctx.rounds - 1, frontier, depth, names[i], alpha,
                          i == o.accepted_index, len(committed))
                         for i, alpha in enumerate(alphas)
                     ]
@@ -927,15 +1104,16 @@ class TestDecodeImage:
         tokens, _ = decode_image(model, heads, config, 5, trace=[])
         flat = tokens.reshape(-1).tolist()
         held = {}
-        for frontier, n, layer, labels in pools.calls:
-            for draft, label in zip(layer, labels):
-                if label == "vertical:1":
-                    assert held.setdefault(frontier + n - 1, draft) is draft
+        for slots, layer in pools.calls:
+            for draft, label in zip(layer, _labels(slots)):
+                if label == "vertical:1":  # its source is one row above the position
+                    source = next(slot.length for slot in slots if slot.label == label) - 1
+                    assert held.setdefault(source + grid.width, draft) is draft
         trace = dict(kl_trace(heads, config, tokens))
         assert list(trace) == list(range(grid.width, grid.size))
         assert len(held) > grid.size // 2
         for position, vertical in held.items():
-            horizontal = _draft_fn(config.transform)(heads.horizontal[0], flat[:position])
+            horizontal = _draft_fn(config.transform)(heads.horizontal[0], flat, position)
             assert trace[position] == kl_divergence(vertical, horizontal)
         medusa = EngineConfig(mode="medusa", horizontal_depth=2, samples_per_horizontal=2)
         no_vertical = dataclasses.replace(config, samples_per_vertical=0)
@@ -943,7 +1121,7 @@ class TestDecodeImage:
             pools.calls.clear()
             decode_image(model, heads, other, 5, trace=[])
             assert pools.calls
-            assert not any("vertical" in label for *_, labels in pools.calls for label in labels)
+            assert not any(slot.direction == "vertical" for slots, _ in pools.calls for slot in slots)
             with pytest.raises(ValueError, match="vertical head"):
                 kl_trace(heads, other, tokens)
 
@@ -957,17 +1135,18 @@ class TestDecodeImage:
 
 class TestZeroVerticalSamples:
     def test_no_vertical_head_calls(self, monkeypatch):
-        # With samples_per_vertical 0 no pool holds a vertical draft, so the
-        # cache keeps no rows and no vertical head is ever called; the decodes
-        # are the ones recorded when every commit still computed them (300
-        # vertical head calls for these 10 grids).
+        # With samples_per_vertical 0 no pool holds a vertical draft, so no
+        # vertical head is ever called; the decodes are the ones recorded when
+        # every commit still computed them (300 vertical head calls for these
+        # 10 grids).
         grid = GridSpec(6, 6, 4)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 2, 1, 300, 5, 0.5)
         calls = []
         head = heads.vertical[0]
         predict = head.predict
-        monkeypatch.setattr(head, "predict", lambda prefix: calls.append(prefix) or predict(prefix))
+        monkeypatch.setattr(head, "predict",
+                            lambda tokens, length: calls.append(length) or predict(tokens, length))
         config = EngineConfig(
             mode="hawk", horizontal_depth=2, vertical_depth=1, samples_per_vertical=0
         )
@@ -1006,15 +1185,16 @@ class TestDraftRebuild:
             pools.calls.clear()
             tokens, _ = decode_image(model, heads, config, seed, trace=[])
             tokens = tokens.reshape(-1).tolist()
-            for frontier, n, layer, labels in pools.calls:
-                vertical_labels = []
-                verticals = vertical_drafts(
-                    draft, heads, config, tokens, frontier + n - 1, frontier, vertical_labels
-                )
-                horizontal = draft(heads.horizontal[n - 1], tokens[:frontier])
-                assert labels == vertical_labels + [f"horizontal:{n}"]
-                for got, want in zip(layer, verticals + (horizontal,)):
-                    np.testing.assert_array_equal(got.probs, want.probs)
+            for slots, layer in pools.calls:
+                # No pool is cut here, so each ends in its horizontal slot,
+                # whose prefix is the round's.
+                frontier, n = slots[-1].length, slots[-1].depth
+                labels = []
+                want = _build_pool(lambda head, prefix: draft(head, prefix, len(prefix)), heads,
+                                   config, tokens, frontier, n, labels)
+                assert _labels(slots) == labels and len(layer) == len(want)
+                for got, rebuilt in zip(layer, want):
+                    np.testing.assert_array_equal(got.probs, rebuilt.probs)
                 checked.update(label.split(":")[0] for label in labels)
         assert checked["vertical"] > 0 and checked["horizontal"] > 0
 
@@ -1146,8 +1326,8 @@ class _FreshCopyHead(DraftHead):
         self.inner = inner
         self.offset = inner.offset
 
-    def predict(self, prefix):
-        return TokenDistribution(self.inner.predict(prefix).probs)
+    def predict(self, tokens, length):
+        return TokenDistribution(self.inner.predict(tokens, length).probs)
 
 
 class TestDraftCache:
@@ -1167,8 +1347,8 @@ class TestDraftCache:
         for sample in model.sample_grid(gen, 20).tolist():
             for t in range(grid.size):
                 for head in heads.horizontal + heads.vertical:
-                    got = ctx.draft_dist(head, sample[:t])
-                    want = apply_sampling_config(head.inner.predict(sample[:t]), transform)
+                    got = ctx.draft_dist(head, sample, t)
+                    want = apply_sampling_config(head.inner.predict(sample, t), transform)
                     np.testing.assert_array_equal(got.probs, want.probs)
 
 
@@ -1183,8 +1363,8 @@ class _RecordingHead(_FreshCopyHead):
         super().__init__(inner)
         self.refs = refs
 
-    def predict(self, prefix):
-        out = _WeakReferableDistribution(self.inner.predict(prefix).probs)
+    def predict(self, tokens, length):
+        out = _WeakReferableDistribution(self.inner.predict(tokens, length).probs)
         self.refs.append(weakref.ref(out))
         return out
 
@@ -1206,14 +1386,14 @@ class TestTransformMemoLifetime:
         checked = []
         alive_at_session_start = []
 
-        def checked_draft_dist(ctx, head, prefix):
-            if not prefix and head is heads.horizontal[0]:
+        def checked_draft_dist(ctx, head, tokens, length):
+            if not length and head is heads.horizontal[0]:
                 # A session's first draft: nothing drafted earlier may survive.
                 gc.collect()
                 alive_at_session_start.append(sum(ref() is not None for ref in refs))
-            got = draft_dist(ctx, head, prefix)
+            got = draft_dist(ctx, head, tokens, length)
             # A fresh copy has an empty memo, so this recomputes the transform.
-            fresh = TokenDistribution(head.inner.predict(prefix).probs)
+            fresh = TokenDistribution(head.inner.predict(tokens, length).probs)
             np.testing.assert_array_equal(
                 got.probs, apply_sampling_config(fresh, transform).probs
             )

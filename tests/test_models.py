@@ -320,6 +320,17 @@ class TestFitting:
                 assert (dist.probs > 0).all()
                 assert abs(dist.probs.sum() - 1.0) < 1e-9
 
+    def test_predict_reads_only_the_first_length_tokens(self):
+        # predict(tokens, L) is the prediction from tokens[:L], whatever
+        # follows it: on a whole grid, the same object as on the sliced prefix.
+        model = make_grid_markov_target(GRID, 5, 0.5)
+        heads = fit_tabular_draft_heads(model, 2, 1, 100, 9)
+        exact = make_exact_heads(make_independent_target(GRID, 3), 2, 1)
+        grid = model.sample_grid(stream(4, "predict"), 1)[0].tolist()
+        for head in heads.horizontal + heads.vertical + exact.horizontal + exact.vertical:
+            for length in range(GRID.size - head.offset + 1):
+                assert head.predict(grid, length) is head.predict(grid[:length], length)
+
 
 class TestExactHeads:
     def test_matches_target_conditional(self):
@@ -328,11 +339,11 @@ class TestExactHeads:
         for length in range(0, GRID.size - 4):
             prefix = [0] * length
             np.testing.assert_array_equal(
-                heads.horizontal[0].predict(prefix).probs,
+                heads.horizontal[0].predict(prefix, length).probs,
                 model.position_conditional(length).probs,
             )
             np.testing.assert_array_equal(
-                heads.vertical[0].predict(prefix).probs,
+                heads.vertical[0].predict(prefix, length).probs,
                 model.position_conditional(length - 1 + 4).probs,
             )
 
@@ -403,7 +414,7 @@ def _want_logs(head, grids):
     """``log(max(p, 1e-300))`` of ``predict``'s probability of each true token."""
     span = max(0, grids.shape[1] - head.offset + 1)
     probs = [
-        [head.predict(grid[:L]).prob(grid[L - 1 + head.offset]) for L in range(span)]
+        [head.predict(grid, L).prob(grid[L - 1 + head.offset]) for L in range(span)]
         for grid in grids.tolist()
     ]
     return np.log(np.maximum(np.array(probs).reshape(len(grids), span), 1e-300))
@@ -462,7 +473,8 @@ class TestSerialization:
         for direction in ("horizontal", "vertical"):
             for ha, hb in zip(getattr(heads, direction), getattr(loaded, direction)):
                 for prefix in probes:
-                    np.testing.assert_array_equal(ha.predict(prefix).probs, hb.predict(prefix).probs)
+                    np.testing.assert_array_equal(ha.predict(prefix, len(prefix)).probs,
+                                                  hb.predict(prefix, len(prefix)).probs)
 
     def test_exact_heads_do_not_serialize(self, tmp_path):
         model = make_independent_target(GRID, 3)
@@ -529,7 +541,7 @@ def _reference_held_out_nll(model, heads, sample_count, seed):
         for direction, depth, head in labeled:
             acc = totals[(direction, depth)]
             for length in range(0, size - head.offset + 1):
-                q = head.predict(sample[:length])
+                q = head.predict(sample, length)
                 acc[0] -= float(np.log(max(q.prob(sample[length - 1 + head.offset]), 1e-300)))
                 acc[1] += 1
     return {key: acc[0] / acc[1] for key, acc in totals.items() if acc[1]}
