@@ -58,7 +58,6 @@ from .oracle_metrics import (
     enumerate_joint,
     joint_tv,
     kl_trace,
-    modeled_speedup,
     rejection_curve,
     verification_emitted_law,
 )

@@ -272,6 +272,11 @@ def _write_manifest(config: RunConfig, outputs: dict[str, Callable[[Path], None]
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _pool_width(engine: EngineConfig) -> int:
+    """Candidates in an interior pool: the horizontal ones plus those of each vertical depth."""
+    return engine.samples_per_horizontal + engine.samples_per_vertical * engine.vertical_depth
+
+
 def _mode_variants(engine: EngineConfig) -> dict[str, EngineConfig]:
     """Equal-budget engine configs for the four-mode comparison.
 
@@ -281,12 +286,9 @@ def _mode_variants(engine: EngineConfig) -> dict[str, EngineConfig]:
     """
     if engine.vertical_depth < 1:
         raise ValueError("mode comparison requires engine.vertical_depth >= 1")
-    medusa_width = (
-        engine.samples_per_horizontal + engine.samples_per_vertical * engine.vertical_depth
-    )
     hawk = dataclasses.replace(engine, mode="hawk")
     medusa = dataclasses.replace(
-        engine, mode="medusa", vertical_depth=0, samples_per_horizontal=medusa_width
+        engine, mode="medusa", vertical_depth=0, samples_per_horizontal=_pool_width(engine)
     )
     lantern = dataclasses.replace(medusa, mode="lantern")
     vanilla = dataclasses.replace(engine, mode="vanilla", vertical_depth=0)
@@ -297,8 +299,7 @@ def _tree_fields(engine: EngineConfig, result: BatchResult) -> str:
     """The interior tree's shape and nodes, and the rounds the budget cut, for stdout."""
     if engine.mode == MODE_VANILLA:
         return ""
-    pool = engine.samples_per_horizontal + engine.samples_per_vertical * engine.vertical_depth
-    widths = tree_widths((pool,) * engine.horizontal_depth, engine.node_budget)
+    widths = tree_widths((_pool_width(engine),) * engine.horizontal_depth, engine.node_budget)
     return (f" tree={'x'.join(map(str, widths))} nodes={tree_nodes(widths)}"
             f" truncated_rounds={result.truncated_rounds}")
 
@@ -319,8 +320,8 @@ def cmd_decode(config: RunConfig) -> int:
         outputs["kl_trace.csv"] = lambda path: write_csv(path, KL_COLUMNS, kl)
     _write_manifest(config, outputs)
 
-    print(f"mode={result.mode} accept_length={result.accept_length:.3f} "
-          f"modeled_speedup={result.modeled_speedup:.3f}{_tree_fields(config.engine, result)}")
+    print(f"mode={result.mode} accept_length={result.accept_length:.3f}"
+          f"{_tree_fields(config.engine, result)}")
     print(f"wall_clock_ms={result.wall_clock_ms:.1f}")
     return 0
 
@@ -374,9 +375,8 @@ def cmd_bench(config: RunConfig) -> int:
             model, heads, engine, derive_seed(config.seed, "bench", mode), config.bench_images
         )
         results.append(batch)
-        # The measured counterpart of modeled_speedup; results[0] is vanilla's.
+        # The measured speedup over vanilla, whose batch is results[0].
         print(f"mode={mode} accept_length={batch.accept_length:.3f} "
-              f"modeled_speedup={batch.modeled_speedup:.3f} "
               f"wall_speedup={results[0].wall_clock_ms / batch.wall_clock_ms:.3f} "
               f"wall_clock_ms={batch.wall_clock_ms:.1f}{_tree_fields(engine, batch)}")
 

@@ -62,7 +62,6 @@ from .core import (
     sample_index,
 )
 from .models import DraftHeadSet, Slot, TargetModel, pool_slots
-from .oracle_metrics import modeled_speedup
 from .rng import UniformReader, stream
 from .verifier import (
     chain_alphas,
@@ -89,7 +88,7 @@ ENGINE_MINIMUMS = {
     "node_budget": (int, 1),
     "lantern_k": (int, 1),
     "lantern_lam": (float, 1.0),
-    "draft_overhead_ratio": (float, 0),
+    "draft_overhead_ratio": (float, 0),  # read only by the benchmark; see EngineConfig
 }
 
 
@@ -103,6 +102,8 @@ class EngineConfig:
     verification, and head outputs get the same transform, which keeps
     drafts aligned with what they are verified against. Numbers are checked
     by :func:`~hawk.core.json_value`, as a config file's are.
+    ``draft_overhead_ratio`` is read by nothing in hawk, only by the
+    benchmark's reports; it goes when the benchmark stops reading it.
     """
 
     mode: str
@@ -394,14 +395,9 @@ def decode_round(ctx: DecodingContext) -> None:
 @dataclass
 class BatchResult:
     """The result of one batch: one or more decode sessions on one context.
-
-    ``draft_overhead_ratio`` is the one the batch's cost model uses: the
-    config's, or 0 for vanilla, which drafts nothing. ``truncated_rounds``
-    counts the rounds whose tree the node budget cut.
-    """
+    ``truncated_rounds`` counts the rounds whose tree the node budget cut."""
 
     mode: str
-    draft_overhead_ratio: float
     grid_counts: Counter
     rounds: int
     truncated_rounds: int
@@ -413,10 +409,6 @@ class BatchResult:
     @property
     def accept_length(self) -> float:
         return self.committed / self.rounds
-
-    @property
-    def modeled_speedup(self) -> float:
-        return modeled_speedup(self.accept_length, self.draft_overhead_ratio)
 
     @property
     def depth_accept_rates(self) -> dict[int, float]:
@@ -453,7 +445,6 @@ def decode_batch(
     wall_clock_ms = (time.perf_counter() - start) * 1000.0
     return BatchResult(
         mode=config.mode,
-        draft_overhead_ratio=0.0 if config.mode == MODE_VANILLA else config.draft_overhead_ratio,
         grid_counts=counts,
         rounds=ctx.rounds,
         truncated_rounds=ctx.truncated_rounds,

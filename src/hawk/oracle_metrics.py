@@ -6,13 +6,13 @@ thresholds are not hand-picked: the plain ancestral sampler is run at the
 same sample size to measure the Monte Carlo noise floor, and exact modes
 must land within a small multiple of it.
 
-The report side holds the cost-model speedup, theoretical
-rejection-probability curves for dual-direction versus horizontal-only
-drafting, the vertical-versus-horizontal KL trace of a decoded grid, and
-the CSV writers for the run results
-(:class:`~hawk.engine.BatchResult`). Wall clock is reported separately and
-never written into the CSV outputs, which must be byte-identical across
-reruns.
+The report side holds theoretical rejection-probability curves for
+dual-direction versus horizontal-only drafting, the vertical-versus-horizontal
+KL trace of a decoded grid, and the CSV writers for the run results
+(:class:`~hawk.engine.BatchResult`). The CSVs hold accept length, the
+deterministic figure. Speed is measured, not modeled: wall clock is printed
+(``hawk bench``'s ``wall_speedup``) and never written into the CSV outputs,
+which must be byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -31,12 +31,10 @@ from .core import (
     apply_sampling_config,
     kl_divergence,
 )
+from .engine import BatchResult, EngineConfig
 from .models import DraftHeadSet, TargetModel, pool_slots
 from .rng import stream
 from .verifier import rejection_mass, residual_update
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .engine import BatchResult, EngineConfig
 
 # Refuse exact enumeration beyond this many grid outcomes.
 MAX_ENUMERATION = 10**6
@@ -112,20 +110,6 @@ def joint_tv(a: JointTable, b: JointTable) -> float:
     return 0.5 * sum(abs(a.probs.get(k, 0.0) - b.probs.get(k, 0.0)) for k in keys)
 
 
-def modeled_speedup(accept_length: float, draft_overhead_ratio: float) -> float:
-    """Cost-model acceleration: accept_length / (1 + overhead ratio).
-
-    The overhead ratio is the relative per-pass cost the draft machinery
-    adds; zero overhead makes the speedup equal the accept length, the
-    idealized upper bound.
-    """
-    if accept_length < 1.0:
-        raise ValueError(f"accept_length must be >= 1, got {accept_length}")
-    if draft_overhead_ratio < 0.0:
-        raise ValueError(f"draft_overhead_ratio must be >= 0, got {draft_overhead_ratio}")
-    return accept_length / (1.0 + draft_overhead_ratio)
-
-
 def verification_emitted_law(
     p: TokenDistribution, drafts: Sequence[TokenDistribution]
 ) -> np.ndarray:
@@ -155,10 +139,7 @@ def verification_emitted_law(
             ratio = min(1.0, p_cur.prob(token) / qt)
             law[token] += weight * qt * ratio
             alpha += qt * ratio
-        residual, degenerate = residual_update(p_cur, q)
-        if degenerate:
-            residual = p_cur
-        walk(residual, index + 1, weight * (1.0 - alpha))
+        walk(residual_update(p_cur, q)[0], index + 1, weight * (1.0 - alpha))
 
     walk(p, 0, 1.0)
     return law
@@ -188,7 +169,7 @@ def require_two_rows(grid: GridSpec) -> None:
 def rejection_curve(
     model: TargetModel,
     heads: DraftHeadSet,
-    config: "EngineConfig",
+    config: EngineConfig,
     position_count: int,
     m_max: int,
     seed: int,
@@ -241,7 +222,7 @@ def rejection_curve(
 
 
 def kl_trace(
-    heads: DraftHeadSet, config: "EngineConfig", tokens: Union[np.ndarray, Sequence[int]]
+    heads: DraftHeadSet, config: EngineConfig, tokens: Union[np.ndarray, Sequence[int]]
 ) -> list[tuple[int, float]]:
     """KL(depth-1 vertical draft || horizontal draft) per position of a decoded grid.
 
@@ -276,7 +257,6 @@ METRICS_COLUMNS = (
     "rounds",
     "committed",
     "accept_length",
-    "modeled_speedup",
     "depth_accept_rates",
 )
 
@@ -293,11 +273,10 @@ def _rates_cell(rates: dict[int, float]) -> str:
     return "|".join(f"{d}:{rates[d]!r}" for d in sorted(rates))
 
 
-def write_metrics_csv(path: Union[str, Path], results: Sequence["BatchResult"]) -> None:
+def write_metrics_csv(path: Union[str, Path], results: Sequence[BatchResult]) -> None:
     """One row per run result, fixed column order (``METRICS_COLUMNS``)."""
     rows = (
-        (r.mode, r.rounds, r.committed, r.accept_length, r.modeled_speedup,
-         _rates_cell(r.depth_accept_rates))
+        (r.mode, r.rounds, r.committed, r.accept_length, _rates_cell(r.depth_accept_rates))
         for r in results
     )
     write_csv(path, METRICS_COLUMNS, rows)

@@ -72,15 +72,15 @@ def residual_update(
 
     Returns ``(residual, degenerate)``; ``degenerate`` is True when the
     leftover mass is zero (p dominated by q entrywise, which for normalized
-    inputs means p == q), in which case the uniform fallback is returned.
+    inputs means p == q), in which case ``p`` itself stands as the residual:
+    every caller keeps the last non-degenerate residual.
     """
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
     left = np.maximum(p.probs - q.probs, 0.0)
     mass = float(left.sum())
     if mass <= 0.0:
-        n = len(p)
-        return TokenDistribution._wrap(np.full(n, 1.0 / n)), True
+        return p, True
     return TokenDistribution._wrap(left / mass), False
 
 
@@ -117,14 +117,11 @@ def _walk(
         if accepted:
             return VerificationOutcome(token, index)
         if not exhausted:
-            residual, degenerate = residual_update(p_cur, q)
-            if degenerate:
-                exhausted = True
+            p_cur, exhausted = residual_update(p_cur, q)
+            if exhausted:
                 logger.warning(
                     "residual mass exhausted at step %d; keeping last residual", index
                 )
-            else:
-                p_cur = residual
     emitted = sample_index(p_cur, rng)
     return VerificationOutcome(emitted, None)
 
@@ -156,9 +153,7 @@ def chain_alphas(p: TokenDistribution, drafts: Sequence[TokenDistribution]) -> l
     for q in drafts:
         alphas.append(float(np.minimum(p_cur.probs, q.probs).sum()))
         if not exhausted:
-            residual, exhausted = residual_update(p_cur, q)
-            if not exhausted:
-                p_cur = residual
+            p_cur, exhausted = residual_update(p_cur, q)
     return alphas
 
 

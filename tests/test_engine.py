@@ -1049,7 +1049,6 @@ class TestDecodeImage:
         assert tokens.shape == (2, 2)
         assert report.rounds == 4
         assert report.accept_length == 1.0
-        assert report.modeled_speedup == 1.0
 
     def test_exact_heads_3x3_three_rounds(self):
         grid = GridSpec(3, 3, 4)
@@ -1282,29 +1281,15 @@ class TestBatch:
         assert batch.grid_counts == {tuple(tokens.reshape(-1).tolist()): 1}
         assert tokens.shape == (grid.height, grid.width)
         # Every field but the wall clock (grid counts, rounds, committed,
-        # per-depth attempts and accepts, mode and overhead ratio) is equal.
+        # per-depth attempts and accepts, mode) is equal.
         same = dataclasses.replace(result, wall_clock_ms=batch.wall_clock_ms)
         assert same == batch
         assert batch.depth_attempts and batch.committed == grid.size
-        assert batch.modeled_speedup == result.modeled_speedup == batch.accept_length / 1.105
 
     def test_batch_validation(self):
         grid, model, heads, config = _hawk_setup()
         with pytest.raises(ValueError):
             decode_batch(model, heads, config, 21, 0)
-
-    def test_vanilla_report_has_no_draft_overhead(self):
-        grid, model, heads, _ = _hawk_setup()
-        vanilla = EngineConfig(mode="vanilla", draft_overhead_ratio=0.105)
-        batch = decode_batch(model, None, vanilla, 21, 3)
-        assert (batch.mode, batch.draft_overhead_ratio) == ("vanilla", 0.0)
-        assert batch.modeled_speedup == 1.0
-        assert decode_image(model, None, vanilla, 21)[1].modeled_speedup == 1.0
-        config = EngineConfig(
-            mode="hawk", horizontal_depth=2, vertical_depth=1, draft_overhead_ratio=0.105
-        )
-        result = decode_batch(model, heads, config, 21, 3)
-        assert result.modeled_speedup == result.accept_length / 1.105
 
     def test_report_invariants(self):
         grid, model, heads, config = _hawk_setup()
@@ -1313,7 +1298,6 @@ class TestBatch:
         assert result.committed == 25 * grid.size
         assert sum(result.grid_counts.values()) == 25
         assert result.accept_length >= 1.0
-        assert result.modeled_speedup == result.accept_length  # no overhead configured
         assert list(result.depth_accept_rates) == sorted(result.depth_attempts)
         for rate in result.depth_accept_rates.values():
             assert 0.0 <= rate <= 1.0

@@ -20,7 +20,6 @@ from hawk.oracle_metrics import (
     enumerate_joint,
     joint_tv,
     kl_trace,
-    modeled_speedup,
     rejection_curve,
     verification_emitted_law,
     write_csv,
@@ -151,25 +150,6 @@ class TestJointTv:
         b = JointTable(GridSpec(1, 2, 3), {(0, 0): 1.0})
         with pytest.raises(ValueError):
             joint_tv(a, b)
-
-
-class TestModeledSpeedup:
-    def test_vanilla_baseline(self):
-        assert modeled_speedup(1.0, 0.0) == 1.0
-
-    def test_reported_pairing(self):
-        # accept length 1.890 with a ~10.5% drafting overhead lands on the
-        # 1.71x acceleration it is reported alongside
-        assert round(modeled_speedup(1.890, 0.105), 2) == 1.71
-
-    def test_large_overhead_limit(self):
-        assert modeled_speedup(2.0, 1e9) < 1e-8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            modeled_speedup(0.5, 0.0)
-        with pytest.raises(ValueError):
-            modeled_speedup(1.5, -0.1)
 
 
 class TestEmittedLaw:
@@ -308,31 +288,25 @@ class TestKlTrace:
             kl_trace(heads, config, tokens)
 
 
-def _result(mode, rounds, committed, attempts, accepts, ratio=0.0):
+def _result(mode, rounds, committed, attempts, accepts):
     return BatchResult(
-        mode=mode, draft_overhead_ratio=ratio, grid_counts=Counter(), rounds=rounds,
+        mode=mode, grid_counts=Counter(), rounds=rounds,
         truncated_rounds=0, committed=committed, depth_attempts=attempts,
         depth_accepts=accepts, wall_clock_ms=12.5,
     )
 
 
 class TestReportAndCsv:
-    def test_accept_length_validated(self):
-        result = _result("vanilla", 10, 5, {}, {})
-        with pytest.raises(ValueError):
-            result.modeled_speedup
-
     def test_metrics_csv_layout(self, tmp_path):
-        result = _result("hawk", 7, 16, {2: 4, 1: 4}, {1: 3, 2: 2}, ratio=0.25)
+        result = _result("hawk", 7, 16, {2: 4, 1: 4}, {1: 3, 2: 2})
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, [result])
         lines = path.read_text().splitlines()
-        assert lines[0] == "mode,rounds,committed,accept_length,modeled_speedup,depth_accept_rates"
+        assert lines[0] == "mode,rounds,committed,accept_length,depth_accept_rates"
         cells = lines[1].split(",")
         assert cells[:3] == ["hawk", "7", "16"]
         assert float(cells[3]) == 16 / 7
-        assert float(cells[4]) == 16 / 7 / 1.25
-        assert cells[5] == "1:0.75|2:0.5"
+        assert cells[4] == "1:0.75|2:0.5"
         assert "wall" not in lines[0]  # timings never enter the CSV
 
     def test_pairs_csv(self, tmp_path):
@@ -346,4 +320,4 @@ class TestReportAndCsv:
         write_metrics_csv(path, [result])
         cells = path.read_text().splitlines()[1].split(",")
         assert float(cells[3]) == 4 / 3
-        assert cells[5] == f"1:{1 / 3!r}"
+        assert cells[4] == f"1:{1 / 3!r}"

@@ -71,11 +71,13 @@ class TestResidualUpdate:
         assert not degenerate
         np.testing.assert_allclose(residual.probs, [1.0, 0.0, 0.0])
 
-    def test_identical_degenerates_to_uniform(self):
+    def test_identical_degenerates_to_itself(self):
+        # No mass is left, so p stands as its own residual: the walk and the
+        # alpha chain keep the last non-degenerate residual.
         p = dist(0.5, 0.3, 0.2)
         residual, degenerate = residual_update(p, p)
         assert degenerate
-        np.testing.assert_allclose(residual.probs, [1 / 3] * 3)
+        assert residual is p
 
     def test_disjoint_support_unchanged(self):
         p = dist(0.6, 0.4, 0.0)
