@@ -20,10 +20,15 @@ uniforms as one ``rng.random((count, size))`` array (PCG64 fills it exactly
 as ``count * size`` scalar draws), so row n is the grid the n-th one-grid
 call would draw, and gives each position the token ``sample_index`` would
 draw with its uniform. ``GridMarkovModel`` fills a block one anti-diagonal
-at a time, as a position reads only its left and above neighbors, and
-``IndependentPositionModel`` fills it in one step; a token is the count of
-its conditional's sampling-table cuts at or below its uniform, which is the
-``bisect_right`` of a per-token draw. The grids are counted or
+at a time, as a position reads only its left and above neighbors, both on
+the diagonal before its own. It keeps a block's tokens in a skewed layout,
+slot ``[d + 1, r + 1]`` for position ``(r, d - r)`` (its uniforms at
+``[d, r]``), where a diagonal's rows ``r0..r1-1`` are one slice and their
+left and above neighbors are the slices ``[d, r0 + 1 : r1 + 1]`` and
+``[d, r0 : r1]`` of the previous diagonal rather than gathers, and returns
+the tokens as one C-contiguous ``(count, size)`` array. ``IndependentPositionModel`` fills a block in one step. A token is
+the count of its conditional's sampling-table cuts at or below its uniform,
+which is the ``bisect_right`` of a per-token draw. The grids are counted or
 scored by signature code, ``column * (1 + k + k**2)`` plus 0 for the empty
 context, ``1 + a`` for ``(a,)`` and ``1 + k + a * k + b`` for ``(a, b)``
 (vocabulary k), so no Python runs per token there. A block's codes are
@@ -146,13 +151,20 @@ class GridMarkovModel(TargetModel):
         # Column left * (k + 1) + above of the cuts is that row's (the
         # boundary context is index k).
         self._cuts = _cut_rows([dist for row in self._rows for dist in row], k)
-        # Position (r, j) reads (r, j - 1) and (r - 1, j), both on the
-        # anti-diagonal before its own: the (rows, columns) of each diagonal.
+        # Position (r, c) reads (r, c - 1) and (r - 1, c), both on the
+        # anti-diagonal before its own. ``sample_grid`` keeps a block's tokens
+        # skewed: slot [d + 1, r + 1] holds position (r, d - r), so the left
+        # and above neighbors of diagonal d's rows r0..r1-1 are the slices
+        # [d, r0 + 1 : r1 + 1] and [d, r0 : r1] of the diagonal before it,
+        # not gathers. Slots [d, 0] (row -1) and [d, d + 1] (column -1) are
+        # never written and hold the boundary context. _diagonals holds each
+        # diagonal's (r0, r1), _raster each raster position's flat slot.
         height, width = grid.height, grid.width
-        self._diagonals = []
-        for d in range(height + width - 1):
-            rows = np.arange(max(0, d - width + 1), min(height, d + 1))
-            self._diagonals.append((rows, d - rows))
+        self._diagonals = [
+            (max(0, d - width + 1), min(height, d + 1)) for d in range(height + width - 1)
+        ]
+        rows, cols = np.divmod(np.arange(grid.size), width)
+        self._raster = (rows + cols + 1) * (height + 1) + rows + 1
 
     def _neighbor_key(self, prefix: Sequence[int]) -> tuple[int, int]:
         pos = len(prefix)
@@ -167,19 +179,28 @@ class GridMarkovModel(TargetModel):
 
     def sample_grid(self, rng: np.random.Generator, count: int) -> np.ndarray:
         # The base class's draw, a diagonal of every grid in the block at a
-        # time. tokens[r + 1, j + 1] holds position (r, j); row 0 and
-        # column 0 hold the boundary context.
-        grid, k = self.grid, self.grid.vocab_size
-        uniforms = rng.random((count, grid.size)).T.reshape(grid.height, grid.width, count)
-        tokens = np.full((grid.height + 1, grid.width + 1, count), k, dtype=np.int64)
-        for rows, cols in self._diagonals:
-            pair = tokens[rows + 1, cols] * (k + 1) + tokens[rows, cols + 1]
-            u = uniforms[rows, cols]
-            token = np.zeros(pair.shape, dtype=np.int64)
-            for cut in self._cuts:
-                token += cut[pair] <= u
-            tokens[rows + 1, cols + 1] = token
-        return tokens[1:, 1:].transpose(2, 0, 1).reshape(count, grid.size)
+        # time, in the skewed layout of __init__; skewed[d, r] is the uniform
+        # of position (r, d - r), so a diagonal's uniforms are one slice too.
+        # A token is the count of its cuts at or below its uniform. int16
+        # holds any vocabulary whose table fits in memory (k < 2**15).
+        height, width, k = self.grid.height, self.grid.width, self.grid.vocab_size
+        uniforms = rng.random((count, self.grid.size)).T.reshape(height, width, count)
+        skewed = np.empty((height + width - 1, height, count))
+        for r in range(height):
+            skewed[r : r + width, r] = uniforms[r]
+        tokens = np.full((height + width, height + 1, count), k, dtype=np.int16)
+        first, *rest = self._cuts
+        for d, (r0, r1) in enumerate(self._diagonals):
+            pair = tokens[d, r0 + 1 : r1 + 1].astype(np.intp)
+            pair *= k + 1
+            pair += tokens[d, r0:r1]
+            u = skewed[d, r0:r1]
+            token = tokens[d + 1, r0 + 1 : r1 + 1]
+            token[...] = first[pair] <= u
+            for cut in rest:
+                np.add(token, cut[pair] <= u, out=token)
+        slots = tokens.reshape((height + width) * (height + 1), count)
+        return slots[self._raster].T.astype(np.int64, order="C")
 
 
 def _random_rows(rng: np.random.Generator, count: int, vocab_size: int) -> np.ndarray:
@@ -335,11 +356,17 @@ def _signature_of(code: int, vocab_size: int) -> tuple[tuple[int, ...], int]:
 def _signature_codes(grids: np.ndarray, width: int, vocab_size: int) -> np.ndarray:
     """Column L of row i is the signature code of the prefix ``grids[i, :L]``, L < size."""
     k = vocab_size
-    codes = np.zeros(grids.shape, dtype=np.int64)
+    codes = np.empty(grids.shape, dtype=np.int64)
+    codes[:, 0] = 0
     if grids.shape[1] > 1:
-        codes[:, 1] = 1 + grids[:, 0]
-        codes[:, 2:] = 1 + k + grids[:, :-2] * k + grids[:, 1:-1]
-    codes += (np.arange(grids.shape[1]) % width) * (1 + k + k * k)
+        codes[:, 1] = grids[:, 0]
+        np.multiply(grids[:, :-2], k, out=codes[:, 2:])
+        codes[:, 2:] += grids[:, 1:-1]
+    # Each column's column term plus its context length's constant.
+    offsets = np.arange(grids.shape[1]) % width * (1 + k + k * k)
+    offsets[1:] += 1
+    offsets[2:] += k
+    codes += offsets
     return codes
 
 
@@ -500,11 +527,11 @@ def pool_slots(
 
 
 # Fitting and scoring sample and stack at most this many grids at a time.
-# Fitting bench_16x16's heads (3,000 grids of 16x16, vocabulary 6) took 65,
-# 53 and 44 ms at blocks of 64, 128 and 256 on a 2-vCPU x86 box, with
-# tracemalloc peaks of 1.0, 1.6 and 3.1 MiB. Over three set-ups of
-# image_16x16, maxrss ended 1.7 MiB higher at 256 than at 128, and no higher
-# at 128 than with the one-grid-per-call sampler at blocks of 32.
+# At blocks of 64, 128 and 256, perfbench's image_16x16 (bench_16x16's
+# heads: 3,000 grids of 16x16, vocabulary 6) read fit_s 35, 29 and 25 ms
+# and peak_rss_mb 41.0, 42.3 and 44.1 MiB (medians of 5 runs on a 2-vCPU
+# x86 box), and one fit's tracemalloc peaks were 0.97, 1.78 and 3.46 MiB.
+# 256 would fit a seventh faster for 1.9 MiB (4.4%) more peak RSS.
 _BLOCK_GRIDS = 128
 
 
@@ -552,7 +579,8 @@ def fit_tabular_draft_heads(
     counts = {d: np.zeros(cells, dtype=np.int64) for d in unique_offsets if d <= grid.size}
 
     for grids in _sample_blocks(model, sample_count, stream(seed, "head-fit")):
-        keys = _signature_codes(grids, width, k) * k
+        keys = _signature_codes(grids, width, k)
+        keys *= k
         for d, total in counts.items():
             total += np.bincount(_cell_index(keys, grids, d).ravel(), minlength=cells)
 
@@ -614,7 +642,8 @@ def held_out_nll(
     named += [(("vertical", i + 1), h) for i, h in enumerate(heads.vertical)]
     totals = {name: 0.0 for name, _ in named}
     for grids in _sample_blocks(model, sample_count, stream(seed, "head-holdout")):
-        keys = _signature_codes(grids, grid.width, grid.vocab_size) * grid.vocab_size
+        keys = _signature_codes(grids, grid.width, grid.vocab_size)
+        keys *= grid.vocab_size
         for name, head in named:
             # One subtraction per position, sample-major then length, carried
             # across blocks: the sum a scalar loop would make, bit for bit

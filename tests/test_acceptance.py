@@ -8,7 +8,10 @@ fixtures.
 
 import dataclasses
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -100,37 +103,47 @@ def random_dist(gen, k, floor=1e-3):
     return TokenDistribution(w / w.sum())
 
 
+def _exactness_batch(mode):
+    """One mode's exactness run: its ``grid_counts`` and ``accept_length``.
+
+    Built from the module constants in the calling process, so a worker
+    receives only the mode's name and no model or heads are pickled.
+    """
+    model = make_grid_markov_target(EXACTNESS_GRID, MODEL_SEED, 0.9)
+    heads = None
+    if mode != "vanilla":
+        heads = fit_tabular_draft_heads(model, 2, 1, 500, HEADS_SEED, 1.0)
+    config = LANTERN_CONFIG if mode == "lantern" else EXACTNESS_CONFIGS[mode]
+    batch = decode_batch(
+        model, heads, config, derive_seed(MASTER_SEED, "acceptance", mode), DECODES_PER_MODE
+    )
+    return batch.grid_counts, batch.accept_length
+
+
 @pytest.fixture(scope="module")
 def exactness_runs():
-    model = make_grid_markov_target(EXACTNESS_GRID, MODEL_SEED, 0.9)
-    heads = fit_tabular_draft_heads(model, 2, 1, 500, HEADS_SEED, 1.0)
-    exact = enumerate_joint(model, EXACTNESS_GRID, SamplingConfig())
-
-    start = time.perf_counter()
-    results = {}
-    for mode, config in EXACTNESS_CONFIGS.items():
-        mode_heads = None if mode == "vanilla" else heads
-        batch = decode_batch(
-            model, mode_heads, config,
-            derive_seed(MASTER_SEED, "acceptance", mode), DECODES_PER_MODE,
-        )
-        empirical = empirical_joint_from_counts(batch.grid_counts, EXACTNESS_GRID)
-        results[mode] = {
-            "tv": joint_tv(exact, empirical),
-            "g": g_statistic(batch.grid_counts, exact),
-            "accept_length": batch.accept_length,
-        }
-    exact_mode_seconds = time.perf_counter() - start
-
-    lantern = decode_batch(
-        model, heads, LANTERN_CONFIG,
-        derive_seed(MASTER_SEED, "acceptance", "lantern"), DECODES_PER_MODE,
+    # The four batches run in up to two fresh worker processes, longest
+    # first; each batch has its own seed, so its counts do not depend on
+    # where it runs. The pool is shut down before the fixture returns.
+    exact = enumerate_joint(
+        make_grid_markov_target(EXACTNESS_GRID, MODEL_SEED, 0.9), EXACTNESS_GRID, SamplingConfig()
     )
-    results["lantern"] = {
-        "tv": joint_tv(exact, empirical_joint_from_counts(lantern.grid_counts, EXACTNESS_GRID)),
-        "g": g_statistic(lantern.grid_counts, exact),
-        "accept_length": lantern.accept_length,
-    }
+    modes = ("lantern", "hawk", "medusa", "vanilla")
+    workers = min(2, len(os.sched_getaffinity(0)))
+    start = time.perf_counter()
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = {mode: pool.submit(_exactness_batch, mode) for mode in modes}
+        batches = {mode: futures[mode].result() for mode in EXACTNESS_CONFIGS}
+        exact_mode_seconds = time.perf_counter() - start
+        batches["lantern"] = futures["lantern"].result()
+
+    results = {}
+    for mode, (counts, accept_length) in batches.items():
+        results[mode] = {
+            "tv": joint_tv(exact, empirical_joint_from_counts(counts, EXACTNESS_GRID)),
+            "g": g_statistic(counts, exact),
+            "accept_length": accept_length,
+        }
     results["_exact_mode_seconds"] = exact_mode_seconds
     return results
 

@@ -142,6 +142,7 @@ class TestSampleGridStream:
         for n in (5, 1, 0, 12):
             grids = model.sample_grid(block, n)
             assert grids.shape == (n, grid.size) and grids.dtype == np.int64
+            assert grids.flags.c_contiguous
             assert [tuple(g) for g in grids.tolist()] == [
                 _scalar_sample(model, scalar) for _ in range(n)
             ]
