@@ -59,11 +59,10 @@ from .oracle_metrics import (
     joint_tv,
     kl_trace,
     rejection_curve,
-    verification_emitted_law,
 )
 from .verifier import (
+    Draws,
     VerificationOutcome,
-    acceptance_ratio,
     lantern_acceptance,
     lantern_sequential_verify,
     rejection_mass,

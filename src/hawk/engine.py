@@ -22,14 +22,13 @@ verifier's randomness, so any tree shape fixed before it draws is exact.
 The (target, depth) pairs ahead of a frontier whose source is behind it
 number at most ``width * vsd * (vsd + 1) / 2``.
 
-Draw order, for reproducibility: the draft stream supplies one uniform per
-kept candidate, round after round (layers in depth order, within a layer
-the vertical candidates by depth, then the horizontal ones), read through
-:class:`~hawk.rng.UniformReader` in blocks before the walk, so a layer it
-never reaches still consumes its uniforms; the verify stream supplies one
-uniform per verification step plus one categorical draw per resample or
-bonus token. A candidate's token is the index its uniform selects from its
-draft, computed only when the walk reaches it.
+Draw order, for reproducibility: every random choice goes through the
+context's :class:`~hawk.verifier.Draws`. A round takes one draft uniform
+per kept candidate (layers in depth order, within a layer the vertical
+candidates by depth, then the horizontal ones) before its walk, so a layer
+the walk never reaches still consumes its uniforms. The verify stream
+supplies one uniform per verification step plus one categorical draw per
+resample, bonus token or vanilla token.
 
 One batch is one :class:`DecodingContext`: its sessions run back to back,
 strictly sequentially, on one pair of streams, and its result is one
@@ -59,11 +58,12 @@ from .core import (
     TokenDistribution,
     apply_sampling_config,
     json_value,
-    sample_index,
+    sample_index,  # unused here: the benchmark's tracer rebinds hawk.engine.sample_index
 )
 from .models import DraftHeadSet, Slot, TargetModel, pool_slots
-from .rng import UniformReader, stream
+from .rng import stream
 from .verifier import (
+    Draws,
     chain_alphas,
     lantern_sequential_verify,
     sequential_verify,
@@ -236,11 +236,12 @@ class DecodingContext:
     """One batch of decode sessions: run inputs, session state and counters.
 
     One object per batch holds everything a run mutates: the committed
-    prefix of the current session, the draft and verify streams made from
-    the seed, the counters (rounds, per-depth attempts and accepts) and the
-    optional trace. Its sessions run back to back: between them only the
-    prefix is reset. Every draft is computed from the prefix when the walk
-    reaches its layer, so there is no draft store to reset.
+    prefix of the current session, ``draws`` (the
+    :class:`~hawk.verifier.Draws` on the seed's draft and verify streams),
+    the counters (rounds, per-depth attempts and accepts) and the optional
+    trace. Its sessions run back to back: between them only the prefix is
+    reset. Every draft is computed from the prefix when the walk reaches
+    its layer, so there is no draft store to reset.
 
     It holds no distribution cache: the effective target and draft
     distributions are the transform of what the model or head returns, and
@@ -262,16 +263,11 @@ class DecodingContext:
             if heads is None:
                 raise ValueError(f"{config.mode} mode requires draft heads")
             heads.check_grid(model.grid)
-            if heads.horizontal_depth < config.horizontal_depth:
-                raise ValueError(
-                    f"config wants horizontal depth {config.horizontal_depth}, "
-                    f"heads provide {heads.horizontal_depth}"
-                )
-            if heads.vertical_depth < config.vertical_depth:
-                raise ValueError(
-                    f"config wants vertical depth {config.vertical_depth}, "
-                    f"heads provide {heads.vertical_depth}"
-                )
+            for direction in ("horizontal", "vertical"):
+                want = getattr(config, f"{direction}_depth")
+                have = getattr(heads, f"{direction}_depth")
+                if have < want:
+                    raise ValueError(f"config wants {direction} depth {want}, heads provide {have}")
         self.model = model
         self.heads = heads
         self.config = config
@@ -280,13 +276,10 @@ class DecodingContext:
         depth = config.vertical_depth if config.samples_per_vertical else 0
         self.cache = CacheBounds(cache_capacity(self.grid.width, depth),
                                  peak_live_drafts(self.grid.width, self.grid.size, depth))
-        self.draft_rng = stream(seed, "draft")
-        self.verify_rng = stream(seed, "verify")
-        # Only a speculative round draws draft uniforms, a block at a time,
-        # and follows the plan of its frontier.
-        self.draft_uniforms = self.plans = None
+        self.draws = Draws(stream(seed, "draft"), stream(seed, "verify"))
+        # Only a speculative round follows the plan of its frontier.
+        self.plans = None
         if config.mode != MODE_VANILLA:
-            self.draft_uniforms = UniformReader(self.draft_rng)
             self.plans = round_plans(self.grid.width, self.grid.height, config.horizontal_depth,
                                      depth, config.samples_per_horizontal,
                                      config.samples_per_vertical, config.node_budget)
@@ -325,11 +318,10 @@ def build_pool(ctx: DecodingContext, slots: tuple[Slot, ...]) -> tuple[TokenDist
     return layer
 
 
-def build_candidate_tree(plan: RoundPlan, config: EngineConfig,
-                         reader: UniformReader) -> CandidateTree:
-    """One uniform per kept candidate of ``plan``, off the context's draft
-    reader, in order. ``config`` is unused here; the benchmark's tracer reads it."""
-    return CandidateTree(tuple(map(reader.take, plan.widths)))
+def build_candidate_tree(plan: RoundPlan, config: EngineConfig, draws: Draws) -> CandidateTree:
+    """One draft uniform per kept candidate of ``plan``, in order. ``config``
+    is unused here; the benchmark's tracer reads it."""
+    return CandidateTree(tuple(map(draws.uniforms, plan.widths)))
 
 
 def commit_token(ctx: DecodingContext, token: int) -> None:
@@ -347,16 +339,16 @@ def decode_round(ctx: DecodingContext) -> None:
 
     if ctx.config.mode == MODE_VANILLA:
         dist = ctx.target_dist(committed)
-        commit_token(ctx, sample_index(dist, ctx.verify_rng))
+        commit_token(ctx, ctx.draws.sample(dist))
         ctx.rounds += 1
         return
 
     config = ctx.config
     frontier = len(committed)
     plan = ctx.plans[frontier]
-    tree = build_candidate_tree(plan, config, ctx.draft_uniforms)
+    draws = ctx.draws
+    tree = build_candidate_tree(plan, config, draws)
     ctx.truncated_rounds += plan.truncated
-    rng = ctx.verify_rng
     trace = ctx.trace
     walked = []  # (slots, target, drafts, outcome) per layer, when tracing
     for depth, (slots, uniforms) in enumerate(zip(plan.layers, tree.layers), start=1):
@@ -364,10 +356,10 @@ def decode_round(ctx: DecodingContext) -> None:
         ctx.depth_attempts[depth] = ctx.depth_attempts.get(depth, 0) + 1
         target = ctx.target_dist(committed)
         if config.mode == MODE_LANTERN:
-            outcome = lantern_sequential_verify(target, drafts, uniforms, rng,
+            outcome = lantern_sequential_verify(target, drafts, uniforms, draws,
                                                 ctx.neighborhoods, config.lantern_lam)
         else:
-            outcome = sequential_verify(target, drafts, uniforms, rng)
+            outcome = sequential_verify(target, drafts, uniforms, draws)
         if trace is not None:
             walked.append((slots, target, drafts, outcome))
         commit_token(ctx, outcome.emitted_token)
@@ -376,7 +368,7 @@ def decode_round(ctx: DecodingContext) -> None:
         ctx.depth_accepts[depth] = ctx.depth_accepts.get(depth, 0) + 1
     else:
         if len(committed) < total:
-            commit_token(ctx, sample_index(ctx.target_dist(committed), rng))
+            commit_token(ctx, draws.sample(ctx.target_dist(committed)))
     if trace is not None:
         count = len(committed) - frontier
         for depth, (slots, target, drafts, outcome) in enumerate(walked, start=1):

@@ -15,20 +15,10 @@ history, the row index) would trade table size for fidelity; the two-token
 form keeps everything desk-scale.
 
 Fitting and held-out scoring draw ``sample_count`` grids in blocks, one
-``sample_grid(rng, count)`` call per block. A call draws the block's
-uniforms as one ``rng.random((count, size))`` array (PCG64 fills it exactly
-as ``count * size`` scalar draws), so row n is the grid the n-th one-grid
-call would draw, and gives each position the token ``sample_index`` would
-draw with its uniform. ``GridMarkovModel`` fills a block one anti-diagonal
-at a time, as a position reads only its left and above neighbors, both on
-the diagonal before its own. It keeps a block's tokens in a skewed layout,
-slot ``[d + 1, r + 1]`` for position ``(r, d - r)`` (its uniforms at
-``[d, r]``), where a diagonal's rows ``r0..r1-1`` are one slice and their
-left and above neighbors are the slices ``[d, r0 + 1 : r1 + 1]`` and
-``[d, r0 : r1]`` of the previous diagonal rather than gathers, and returns
-the tokens as one C-contiguous ``(count, size)`` array. ``IndependentPositionModel`` fills a block in one step. A token is
-the count of its conditional's sampling-table cuts at or below its uniform,
-which is the ``bisect_right`` of a per-token draw. The grids are counted or
+``sample_grid(rng, count)`` call per block, whose row n is the grid the
+n-th one-grid call would draw (:meth:`TargetModel.sample_grid`;
+``GridMarkovModel`` fills a block one anti-diagonal at a time, in the
+skewed layout its constructor describes). The grids are counted or
 scored by signature code, ``column * (1 + k + k**2)`` plus 0 for the empty
 context, ``1 + a`` for ``(a,)`` and ``1 + k + a * k + b`` for ``(a, b)``
 (vocabulary k), so no Python runs per token there. A block's codes are

@@ -1,10 +1,11 @@
 """Ground-truth machinery and measurement.
 
-Exact joint enumeration over tiny grids is the oracle that the
-distribution-preservation tests compare decoded output against. Statistical
-thresholds are not hand-picked: the plain ancestral sampler is run at the
-same sample size to measure the Monte Carlo noise floor, and exact modes
-must land within a small multiple of it.
+Exact joint enumeration over tiny grids, and :func:`enumerate_draws`, the
+exact law of code that draws through a :class:`~hawk.verifier.Draws`, are
+the oracles that the distribution-preservation tests compare against.
+Statistical thresholds are not hand-picked: the plain ancestral sampler is
+run at the same sample size to measure the Monte Carlo noise floor, and
+exact modes must land within a small multiple of it.
 
 The report side holds theoretical rejection-probability curves for
 dual-direction versus horizontal-only drafting, the vertical-versus-horizontal
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Callable, Hashable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .core import (
 from .engine import BatchResult, EngineConfig
 from .models import DraftHeadSet, TargetModel, pool_slots
 from .rng import stream
-from .verifier import rejection_mass, residual_update
+from .verifier import rejection_mass
 
 # Refuse exact enumeration beyond this many grid outcomes.
 MAX_ENUMERATION = 10**6
@@ -110,38 +111,64 @@ def joint_tv(a: JointTable, b: JointTable) -> float:
     return 0.5 * sum(abs(a.probs.get(k, 0.0) - b.probs.get(k, 0.0)) for k in keys)
 
 
-def verification_emitted_law(
-    p: TokenDistribution, drafts: Sequence[TokenDistribution]
-) -> np.ndarray:
-    """Exact law of the token emitted by a sequential verification round.
+class _PastScript(Exception):
+    """Raised at the first choice past a script, with its option count."""
 
-    Enumerates every sample path analytically: each draft proposes each
-    token with its own probability, the proposal is accepted with
-    min(1, p_cur/q), and rejection branches recurse with the residual
-    distribution. The distribution-preservation theorem says the result
-    equals ``p`` entrywise; tests assert exactly that.
-    """
-    n = len(p)
-    law = np.zeros(n)
 
-    def walk(p_cur: TokenDistribution, index: int, weight: float) -> None:
-        if weight <= 0.0:
-            return
-        if index == len(drafts):
-            law[:] += weight * p_cur.probs
-            return
-        q = drafts[index]
-        alpha = 0.0
-        for token in range(n):
-            qt = float(q.probs[token])
-            if qt <= 0.0:
-                continue
-            ratio = min(1.0, p_cur.prob(token) / qt)
-            law[token] += weight * qt * ratio
-            alpha += qt * ratio
-        walk(residual_update(p_cur, q)[0], index + 1, weight * (1.0 - alpha))
+class EnumeratingDraws:
+    """The enumerating twin of :class:`~hawk.verifier.Draws`: it replays a script of
+    choice indices and multiplies the weights of what they pick. A choice's
+    options are those of positive weight, in order: a token's, its support
+    weighted by its probabilities; an accept test's, accept then reject,
+    weighted min(1, r) and 1 - min(1, r). A choice of one option takes no
+    script entry. Draft uniforms are placeholders."""
 
-    walk(p, 0, 1.0)
+    __slots__ = ("script", "at", "weight")
+
+    def __init__(self, script: tuple[int, ...]) -> None:
+        self.script, self.at, self.weight = script, 0, 1.0
+
+    def _choose(self, weights: list[float]) -> int:
+        options = [i for i, w in enumerate(weights) if w > 0.0]
+        pick = 0
+        if len(options) > 1:
+            if self.at == len(self.script):
+                raise _PastScript(len(options))
+            pick = self.script[self.at]
+            self.at += 1
+        self.weight *= weights[options[pick]]
+        return options[pick]
+
+    def uniforms(self, n: int) -> list[None]:
+        return [None] * n
+
+    def token(self, q: TokenDistribution, u: None) -> int:
+        return self._choose(q.probs.tolist())
+
+    def accept(self, ratio: float) -> bool:
+        a = min(1.0, ratio)
+        return self._choose([a, 1.0 - a]) == 0
+
+    def sample(self, p: TokenDistribution) -> int:
+        return self._choose(p.probs.tolist())
+
+
+def enumerate_draws(run: Callable[[EnumeratingDraws], Hashable]) -> dict[Hashable, float]:
+    """Exact law of ``run(draws)``, which makes every random choice through
+    ``draws``: one run per script, depth first; a run that passes the end of
+    its script is discarded for the script extended by each of that choice's
+    options."""
+    law: dict[Hashable, float] = {}
+    scripts: list[tuple[int, ...]] = [()]
+    while scripts:
+        script = scripts.pop()
+        draws = EnumeratingDraws(script)
+        try:
+            outcome = run(draws)
+        except _PastScript as past:
+            scripts.extend(script + (i,) for i in range(past.args[0]))
+            continue
+        law[outcome] = law.get(outcome, 0.0) + draws.weight
     return law
 
 

@@ -21,13 +21,13 @@ computes it along the residual chain, and it alone, for the engine's trace
 and for :func:`rejection_mass`, the product of (1 - alpha_i) over a chain:
 the probability that the round falls through to the residual resample.
 
-Everything here is a pure function of its inputs plus an explicit random
-stream, so invocations are safe to run in parallel with independent streams.
-Draw order within a call: the caller passes one uniform per draft, drawn
-independently of ``rng``, and step i's token is the index that
-``uniforms[i]`` selects from q_i (:func:`~hawk.core.index_at`), computed
-when the walk reaches step i. ``rng`` supplies one uniform per verification
-step, then a single categorical draw if the round resamples.
+Every random choice is made by a :class:`Draws`, so calls with independent
+ones may run in parallel. Draw order within a call: step i's token is
+``draws.token(q_i, uniforms[i])``, chosen when the walk reaches step i;
+each step then makes one ``draws.accept`` test, and a resample one
+``draws.sample``. The enumerating twin of :class:`Draws`
+(:func:`~hawk.oracle_metrics.enumerate_draws`) branches at each choice
+instead, which gives the walk's exact law.
 """
 
 from __future__ import annotations
@@ -42,6 +42,40 @@ from .core import TokenDistribution, index_at, sample_index
 
 logger = logging.getLogger(__name__)
 
+# Draft uniforms fetched per refill; what Draws hands out does not depend on it.
+READ_BLOCK = 256
+
+
+class Draws:
+    """Every random choice of a decode: draft uniforms, fetched in blocks (PCG64
+    fills ``rng.random(n)`` with n scalar draws, so refills change nothing it
+    hands out), the token a uniform selects, and verify-stream accept tests
+    (a uniform below the ratio) and samples."""
+
+    __slots__ = ("draft_rng", "verify_rng", "_block", "_next")
+
+    def __init__(self, draft_rng: np.random.Generator, verify_rng: np.random.Generator) -> None:
+        self.draft_rng, self.verify_rng = draft_rng, verify_rng
+        self._block: list[float] = []
+        self._next = 0
+
+    def uniforms(self, n: int) -> list[float]:
+        start, end = self._next, self._next + n
+        if end > len(self._block):
+            self._block = self._block[start:] + self.draft_rng.random(max(n, READ_BLOCK)).tolist()
+            start, end = 0, n
+        self._next = end
+        return self._block[start:end]
+
+    def token(self, q: TokenDistribution, u: float) -> int:
+        return index_at(q, u)
+
+    def accept(self, ratio: float) -> bool:
+        return self.verify_rng.random() < ratio
+
+    def sample(self, p: TokenDistribution) -> int:
+        return sample_index(p, self.verify_rng)
+
 
 @dataclass(slots=True)
 class VerificationOutcome:
@@ -55,14 +89,6 @@ class VerificationOutcome:
 
     emitted_token: int
     accepted_index: int | None
-
-
-def acceptance_ratio(p: TokenDistribution, q: TokenDistribution, token: int) -> float:
-    """min(1, p(token) / q(token)); requires the token be sampleable under q."""
-    qt = q.prob(token)
-    if qt <= 0.0:
-        raise ValueError(f"token {token} has zero draft probability")
-    return min(1.0, p.prob(token) / qt)
 
 
 def residual_update(
@@ -88,32 +114,31 @@ def _walk(
     p: TokenDistribution,
     drafts: Sequence[TokenDistribution],
     uniforms: Sequence[float],
-    rng: np.random.Generator,
+    draws: Draws,
     accept_rule: Callable[[TokenDistribution, TokenDistribution, int], float] | None,
 ) -> VerificationOutcome:
-    """Shared accept/reject walk; ``accept_rule(p_i, q_i, token)`` decides each
-    step, or, if None, :func:`acceptance_ratio`'s rule and refusal, inlined.
-
-    If a residual ever degenerates with drafts remaining (only reachable
-    through floating-point exhaustion on tiny vocabularies), the remaining
-    drafts are rejected deterministically without consuming randomness and
-    the final resample uses the last non-degenerate residual.
+    """Shared accept/reject walk; ``accept_rule(p_i, q_i, token)`` gives each
+    step's acceptance probability, or, if None, the standard
+    min(1, p_i(token) / q_i(token)), which refuses a token of zero draft
+    probability. Once a residual degenerates (floating-point exhaustion on
+    tiny vocabularies), the remaining drafts are rejected without an accept
+    test and the resample uses the last non-degenerate residual.
     """
     if not drafts:
         raise ValueError("drafts must be nonempty")
     p_cur = p
     exhausted = False
     for index, q in enumerate(drafts):
-        token = index_at(q, uniforms[index])
+        token = draws.token(q, uniforms[index])
         if exhausted:
             accepted = False
         elif accept_rule is not None:
-            accepted = rng.random() < accept_rule(p_cur, q, token)
-        else:  # acceptance_ratio; u < min(1, r) exactly when u < r, as u < 1
+            accepted = draws.accept(accept_rule(p_cur, q, token))
+        else:  # accept(r) accepts with probability min(1, r), so r goes unclipped
             qt = q.probs[token]
             if qt <= 0.0:
                 raise ValueError(f"token {token} has zero draft probability")
-            accepted = rng.random() < p_cur.probs[token] / qt
+            accepted = draws.accept(p_cur.probs[token] / qt)
         if accepted:
             return VerificationOutcome(token, index)
         if not exhausted:
@@ -122,24 +147,19 @@ def _walk(
                 logger.warning(
                     "residual mass exhausted at step %d; keeping last residual", index
                 )
-    emitted = sample_index(p_cur, rng)
-    return VerificationOutcome(emitted, None)
+    return VerificationOutcome(draws.sample(p_cur), None)
 
 
 def sequential_verify(
     p: TokenDistribution,
     drafts: Sequence[TokenDistribution],
     uniforms: Sequence[float],
-    rng: np.random.Generator,
+    draws: Draws,
 ) -> VerificationOutcome:
-    """Verify drafts in order against p, emitting exactly one token.
-
-    Step i draws its candidate token from ``drafts[i]`` with ``uniforms[i]``.
-    The first acceptance wins and ends the walk, so the tokens of later
-    candidates are never computed. Otherwise the token is resampled from the
-    residual left after all rejections.
-    """
-    return _walk(p, drafts, uniforms, rng, None)
+    """Verify drafts in order against p, emitting exactly one token: the first
+    accepted candidate's, which ends the walk before later candidates draw
+    their tokens, or else one resampled from the final residual."""
+    return _walk(p, drafts, uniforms, draws, None)
 
 
 def chain_alphas(p: TokenDistribution, drafts: Sequence[TokenDistribution]) -> list[float]:
@@ -182,12 +202,11 @@ def lantern_acceptance(
 
     Returns min(1, lam * sum_{x in neighborhood} p(x) / q(token)), summed in
     the neighborhood's order. With a singleton neighborhood and lam = 1 this
-    is the standard ratio; any larger neighborhood containing the token and
-    any lam >= 1 can only raise it, so it dominates :func:`acceptance_ratio`
-    pointwise. This rule is NOT distribution preserving; it trades output
-    fidelity for acceptance rate and exists as a baseline to measure that
-    trade. Like :func:`acceptance_ratio`, it refuses a token of zero draft
-    probability.
+    is the standard min(1, p(token) / q(token)), which it dominates for any
+    larger neighborhood containing the token and any lam >= 1. It is NOT
+    distribution preserving: a baseline that trades output fidelity for
+    acceptance rate. Like the standard rule, it refuses a token of zero
+    draft probability.
     """
     if lam < 1.0:
         raise ValueError(f"lam must be >= 1, got {lam}")
@@ -205,7 +224,7 @@ def lantern_sequential_verify(
     p: TokenDistribution,
     drafts: Sequence[TokenDistribution],
     uniforms: Sequence[float],
-    rng: np.random.Generator,
+    draws: Draws,
     neighborhoods: Sequence[np.ndarray | Sequence[int]],
     lam: float,
 ) -> VerificationOutcome:
@@ -221,7 +240,7 @@ def lantern_sequential_verify(
     def rule(p_cur: TokenDistribution, q: TokenDistribution, token: int) -> float:
         return lantern_acceptance(p_cur, q, token, neighborhoods[token], lam)
 
-    return _walk(p, drafts, uniforms, rng, rule)
+    return _walk(p, drafts, uniforms, draws, rule)
 
 
 def token_neighborhoods(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, ...]:

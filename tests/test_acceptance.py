@@ -37,11 +37,11 @@ from hawk.oracle_metrics import (
     empirical_joint_from_counts,
     enumerate_joint,
     joint_tv,
+    enumerate_draws,
     rejection_curve,
-    verification_emitted_law,
 )
 from hawk.rng import derive_seed, stream
-from hawk.verifier import rejection_mass
+from hawk.verifier import lantern_sequential_verify, rejection_mass, sequential_verify
 
 # Fixed identities for the exactness runs; configs/verify_2x2.json mirrors them.
 EXACTNESS_GRID = GridSpec(2, 2, 3)
@@ -101,6 +101,44 @@ def chi2_tail(x, dof):
 def random_dist(gen, k, floor=1e-3):
     w = gen.random(k) + floor
     return TokenDistribution(w / w.sum())
+
+
+def sparse_dist(gen, k):
+    """A random distribution with zero-probability tokens, or a point mass."""
+    w = gen.random(k) + 1e-3
+    w[gen.random(k) < 0.5] = 0.0
+    if not w.any():
+        w[gen.integers(k)] = 1.0
+    return TokenDistribution(w / w.sum())
+
+
+def verifier_instances(gen, count):
+    """``count`` (p, drafts) rounds of 1-4 drafts over 2-4 tokens. Each draft is a
+    dense one, one with zero-probability tokens, or, after the first, a repeat
+    of the draft before it, as medusa's equal-budget layers repeat one q."""
+    instances = []
+    for _ in range(count):
+        k = int(gen.integers(2, 5))
+        p = random_dist(gen, k)
+        drafts = []
+        for _ in range(int(gen.integers(1, 5))):
+            kind = int(gen.integers(3 if drafts else 2))
+            drafts.append(random_dist(gen, k) if kind == 0
+                          else sparse_dist(gen, k) if kind == 1 else drafts[-1])
+        instances.append((p, drafts))
+    return instances
+
+
+def emitted_law(p, drafts, verify=sequential_verify, *rule):
+    """The exact law of the token ``verify`` emits: the walk itself, run under
+    :func:`~hawk.oracle_metrics.enumerate_draws` over every choice it makes."""
+    outcomes = enumerate_draws(
+        lambda draws: verify(p, drafts, draws.uniforms(len(drafts)), draws, *rule).emitted_token
+    )
+    law = np.zeros(len(p))
+    for token, weight in outcomes.items():
+        law[token] += weight
+    return law
 
 
 def _exactness_batch(mode):
@@ -252,16 +290,27 @@ def test_chi2_tail_matches_tabulated_quantiles():
 
 
 def test_criterion_2_verifier_exactness():
-    """Exhaustive expectation over all verification sample paths equals the target."""
+    """The law of the token sequential_verify emits, enumerated over every choice
+    its draws make, equals the target; lantern's relaxed walk fails the check."""
     gen = stream(MASTER_SEED, "acceptance", "verifier-exactness")
-    worst = 0.0
-    for _ in range(1000):
-        k = int(gen.integers(2, 5))
-        p = random_dist(gen, k)
-        drafts = [random_dist(gen, k), random_dist(gen, k)]
-        law = verification_emitted_law(p, drafts)
-        worst = max(worst, float(np.max(np.abs(law - p.probs))))
-    report(2, worst <= 1e-12, f"1000 instances, max entrywise error {worst:.2e} <= 1e-12")
+    instances = verifier_instances(gen, 999)
+    # test_residual_exhaustion's round: rejecting q1 leaves no residual mass.
+    instances.append((TokenDistribution([0.5, 0.5]),
+                      [TokenDistribution([0.5, 0.5000000000000001]), TokenDistribution([0.9, 0.1])]))
+    repeated = sum(any(a is b for a, b in zip(drafts, drafts[1:])) for _, drafts in instances)
+    sparse = sum(any(q.probs.min() == 0.0 for q in drafts) for _, drafts in instances)
+    worst = max(float(np.max(np.abs(emitted_law(p, drafts) - p.probs))) for p, drafts in instances)
+    # Every neighborhood the whole vocabulary: lantern accepts its first draft.
+    lantern = max(
+        float(np.max(np.abs(emitted_law(p, drafts, lantern_sequential_verify,
+                                        [tuple(range(len(p)))] * len(p),
+                                        LANTERN_CONFIG.lantern_lam) - p.probs)))
+        for p, drafts in instances
+    )
+    ok = worst <= 1e-12 and lantern > 1e-3 and repeated > 0 and sparse > 0
+    report(2, ok, f"{len(instances)} instances ({repeated} with a repeated draft, {sparse} "
+                  f"with zero-probability tokens), max entrywise error {worst:.2e} <= 1e-12; "
+                  f"lantern {lantern:.3f} > 1e-3")
 
 
 def test_criterion_3_rejection_monotonicity():

@@ -22,7 +22,8 @@ from hawk.core import (
     sampling_table,
     total_variation,
 )
-from hawk.rng import READ_BLOCK, UniformReader, stream
+from hawk.rng import stream
+from hawk.verifier import READ_BLOCK, Draws
 
 
 def dist(*probs):
@@ -268,13 +269,13 @@ class TestSampleIndex:
             assert d.prob(idx) > 0
 
 
-class TestUniformReader:
+class TestDrawsUniforms:
     def test_hands_out_the_scalar_stream(self):
         # Requests below, at and above the block, some of them empty, so
         # refills land inside requests and after partly used blocks; then
         # single draws across a refill.
-        reader, eager = UniformReader(stream(6, "reader")), stream(6, "reader")
+        draws, eager = Draws(stream(6, "reader"), stream(6, "verify")), stream(6, "reader")
         for n in (1, READ_BLOCK - 1, 2, READ_BLOCK, 0, 3 * READ_BLOCK + 5, 7):
-            assert reader.take(n) == [eager.random() for _ in range(n)]
+            assert draws.uniforms(n) == [eager.random() for _ in range(n)]
         for _ in range(READ_BLOCK + 1):
-            assert reader.take(1) == [eager.random()]
+            assert draws.uniforms(1) == [eager.random()]

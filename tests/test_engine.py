@@ -56,12 +56,14 @@ from hawk.models import (
 from hawk.oracle_metrics import (
     _draft_fn,
     empirical_joint_from_counts,
+    enumerate_draws,
     enumerate_joint,
     joint_tv,
     kl_trace,
 )
-from hawk.rng import UniformReader, stream
+from hawk.rng import stream
 from hawk.verifier import (
+    Draws,
     VerificationOutcome,
     chain_alphas,
     sequential_verify,
@@ -379,13 +381,13 @@ class TestCandidateTree:
             samples_per_vertical=0,
         )
         ctx = DecodingContext(model, heads, config, 3)
-        tree = build_candidate_tree(ctx.plans[0], config, ctx.draft_uniforms)
+        tree = build_candidate_tree(ctx.plans[0], config, ctx.draws)
         assert [len(layer) for layer in tree.layers] == [1, 1]
 
     def test_cartesian_product_at_interior(self):
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
-        tree = build_candidate_tree(ctx.plans[4], config, ctx.draft_uniforms)
+        tree = build_candidate_tree(ctx.plans[4], config, ctx.draws)
         assert [len(layer) for layer in tree.layers] == [2, 2]
         assert [len(slots) for slots in ctx.plans[4].layers] == [2, 2]
 
@@ -401,7 +403,7 @@ class TestCandidateTree:
             for first in range(kept[0]):
                 widths = []
 
-                def accept(p, drafts, uniforms, rng, choice=first):
+                def accept(p, drafts, uniforms, draws, choice=first):
                     widths.append(len(drafts))
                     index = choice if len(widths) == 1 else 0
                     return VerificationOutcome(index_at(drafts[index], uniforms[index]), index)
@@ -422,7 +424,7 @@ class TestCandidateTree:
         hdist = ctx.draft_dist(heads.horizontal[0], ctx.committed, 4)
         vdist = ctx.draft_dist(heads.vertical[0], [0], 1)
         plan = ctx.plans[4]
-        tree = build_candidate_tree(plan, config, ctx.draft_uniforms)
+        tree = build_candidate_tree(plan, config, ctx.draws)
         assert build_pool(ctx, plan.layers[0]) == (vdist, hdist)
         assert len(tree.layers[0]) == 2
 
@@ -436,11 +438,11 @@ class TestCandidateTree:
             commit_token(ctx, token)
         plan = ctx.plans[4]
         layer = build_pool(ctx, plan.layers[0])
-        uniforms = build_candidate_tree(plan, config, ctx.draft_uniforms).layers[0]
+        uniforms = build_candidate_tree(plan, config, ctx.draws).layers[0]
         assert len(layer) == len(uniforms) == 2
-        rng = stream(0, "accept")
+        draws = Draws(stream(0, "draft"), stream(0, "accept"))
         for i, (q, u) in enumerate(zip(layer, uniforms)):
-            outcome = sequential_verify(q, layer[i:], uniforms[i:], rng)
+            outcome = sequential_verify(q, layer[i:], uniforms[i:], draws)
             assert outcome.accepted_index == 0
             assert outcome.emitted_token == index_at(q, u)
 
@@ -565,7 +567,8 @@ class TestRoundPlans:
             assert all(slot.copies >= 1 for slots in plan.layers for slot in slots)
             assert plan.widths == widths
             assert plan.truncated == (widths != lengths)
-            tree = build_candidate_tree(plan, config, UniformReader(stream(frontier, "plan")))
+            draws = Draws(stream(frontier, "plan"), stream(frontier, "verify"))
+            tree = build_candidate_tree(plan, config, draws)
             assert sum(map(len, tree.layers)) == sum(map(len, kept))
 
     def test_context_reads_its_shape(self):
@@ -603,8 +606,8 @@ class TestLazyLayers:
                 calls.append((head, length)) or predict(head, tokens, length),
         )
 
-        def resample(p, drafts, uniforms, rng):
-            return VerificationOutcome(sample_index(p, rng), None)
+        def resample(p, drafts, uniforms, draws):
+            return VerificationOutcome(draws.sample(p), None)
 
         monkeypatch.setattr(hawk.engine, "sequential_verify", resample)
         spy = _VerifySpy(monkeypatch)
@@ -618,7 +621,7 @@ class TestLazyLayers:
             assert calls == [(getattr(heads, slot.direction)[slot.depth - 1], slot.length)
                              for slot in plan.layers[0]]
             assert sum(tree.layers, []) == eager_rng.random(sum(plan.widths)).tolist()
-        assert ctx.draft_uniforms.take(1) == [eager_rng.random()]
+        assert ctx.draws.uniforms(1) == [eager_rng.random()]
         assert sum(len(plan.layers) > 1 for plan, _, _ in spy.rounds) > grid.size // 2
         assert any(plan.truncated for plan, _, _ in spy.rounds)
 
@@ -630,8 +633,8 @@ class _VerifySpy:
         self.rounds = []  # (plan, tree, [(candidates, outcome), ...]) per speculative round
         build = hawk.engine.build_candidate_tree
 
-        def spy_tree(plan, config, reader):
-            tree = build(plan, config, reader)
+        def spy_tree(plan, config, draws):
+            tree = build(plan, config, draws)
             self.rounds.append((plan, tree, []))
             return tree
 
@@ -741,7 +744,7 @@ class TestLiveContinuations:
         )
         steps = []
 
-        def accept_in_turn(p, drafts, uniforms, rng):
+        def accept_in_turn(p, drafts, uniforms, draws):
             steps.append(len(drafts))
             index = (len(drafts) - 1) * (len(steps) % 2)
             return VerificationOutcome(index_at(drafts[index], uniforms[index]), index)
@@ -815,8 +818,8 @@ class TestDrawOrder:
         for frontier in range(grid.size):
             plan = ctx.plans[frontier]
             kept, labels, widths, lengths = _ctx_round(ctx, frontier)
-            accept_rng = stream(frontier, "accept")
-            tree = build_candidate_tree(plan, config, ctx.draft_uniforms)
+            accept = Draws(stream(frontier, "draft"), stream(frontier, "accept"))
+            tree = build_candidate_tree(plan, config, ctx.draws)
             assert list(plan.widths) == _widths_by_brute_force(lengths, budget)
             for k, slots in enumerate(plan.layers):
                 layer = build_pool(ctx, slots)
@@ -825,12 +828,12 @@ class TestDrawOrder:
                 # Verified against its own draft, a candidate is accepted at
                 # once, so the walk emits the token it drew.
                 walked = [
-                    sequential_verify(q, [q], [u], accept_rng).emitted_token
+                    sequential_verify(q, [q], [u], accept).emitted_token
                     for q, u in zip(layer, tree.layers[k])
                 ]
                 assert walked == [sample_index(q, eager_rng) for q in kept[k]]
             assert len(tree.layers) == len(kept)
-            assert ctx.draft_uniforms.take(1) == [eager_rng.random()]
+            assert ctx.draws.uniforms(1) == [eager_rng.random()]
             commit_token(ctx, sample[frontier])
 
     @pytest.mark.parametrize("spv, budget", DRAW_ORDER_CASES)
@@ -854,8 +857,35 @@ class TestDrawOrder:
             assert list(widths) == _widths_by_brute_force(lengths, budget)
             assert [len(uniforms) for uniforms in tree.layers] == list(widths)
             assert sum(tree.layers, []) == eager_rng.random(sum(widths)).tolist()
-        assert ctx.draft_uniforms.take(1) == [eager_rng.random()]
+        assert ctx.draws.uniforms(1) == [eager_rng.random()]
         assert any(plan.truncated for plan, _, _ in spy.rounds) == (budget < 64 or spv > 0)
+
+
+class TestEveryChoiceDraws:
+    @pytest.mark.parametrize("config", [
+        EngineConfig(mode="vanilla"),
+        EngineConfig(mode="medusa", horizontal_depth=2, samples_per_horizontal=2),
+        EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1),
+    ], ids=lambda config: config.mode)
+    def test_session_under_the_twin_is_the_joint(self, config):
+        # Every random choice of a session goes through ctx.draws, so whole
+        # sessions replayed on the enumerating twin give the exact law of the
+        # decoded grid, which is the target's joint for the exact modes.
+        grid = GridSpec(2, 2, 3)
+        model = make_grid_markov_target(grid, 1009, 0.9)
+        heads = fit_tabular_draft_heads(model, 2, 1, 500, 2003, 1.0)
+
+        def session(draws):
+            ctx = DecodingContext(model, heads, config, 0)
+            ctx.draws = draws
+            while len(ctx.committed) < grid.size:
+                decode_round(ctx)
+            return tuple(ctx.committed)
+
+        law = enumerate_draws(session)
+        exact = enumerate_joint(model, grid, SamplingConfig()).probs
+        assert law.keys() == exact.keys()
+        assert max(abs(law[key] - p) for key, p in exact.items()) <= 1e-12
 
 
 class TestDecodeRound:

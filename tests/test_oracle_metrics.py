@@ -15,18 +15,20 @@ from hawk.models import (
     make_independent_target,
 )
 from hawk.oracle_metrics import (
+    EnumeratingDraws,
     JointTable,
+    _PastScript,
     empirical_joint_from_counts,
+    enumerate_draws,
     enumerate_joint,
     joint_tv,
     kl_trace,
     rejection_curve,
-    verification_emitted_law,
     write_csv,
     write_metrics_csv,
 )
 from hawk.rng import stream
-from hawk.verifier import rejection_mass
+from hawk.verifier import rejection_mass, sequential_verify
 
 IDENTITY = SamplingConfig()
 
@@ -152,6 +154,18 @@ class TestJointTv:
             joint_tv(a, b)
 
 
+def emitted_law(p, drafts):
+    """The exact law of the token sequential_verify emits, over every choice it makes."""
+    outcomes = enumerate_draws(
+        lambda draws: sequential_verify(p, drafts, draws.uniforms(len(drafts)), draws)
+        .emitted_token
+    )
+    law = np.zeros(len(p))
+    for token, weight in outcomes.items():
+        law[token] += weight
+    return law
+
+
 class TestEmittedLaw:
     def test_matches_target_exactly(self):
         gen = stream(2, "law")
@@ -163,14 +177,46 @@ class TestEmittedLaw:
                 return TokenDistribution(w / w.sum())
 
             p = rand()
-            law = verification_emitted_law(p, [rand(), rand(), rand()])
+            law = emitted_law(p, [rand(), rand(), rand()])
             np.testing.assert_allclose(law, p.probs, atol=1e-12)
 
     def test_zero_support_drafts_handled(self):
         p = TokenDistribution([0.5, 0.5, 0.0])
         q = TokenDistribution([0.0, 1.0, 0.0])
-        law = verification_emitted_law(p, [q])
+        law = emitted_law(p, [q])
         np.testing.assert_allclose(law, p.probs, atol=1e-12)
+
+
+class TestEnumerateDraws:
+    def test_choices_replay_their_script(self):
+        # A token's options are its support in index order; an accept test's
+        # are accept then reject. A one-option choice takes no script entry.
+        q = TokenDistribution([0.25, 0.0, 0.75])
+        draws = EnumeratingDraws((1, 1, 0))
+        assert draws.uniforms(2) == [None, None]
+        assert draws.token(q, None) == 2
+        assert draws.accept(0.4) is False
+        assert draws.token(TokenDistribution([0.0, 1.0]), None) == 1
+        assert draws.accept(2.0) is True and draws.accept(0.0) is False
+        assert draws.sample(q) == 0
+        assert draws.weight == pytest.approx(0.75 * 0.6 * 0.25)
+        with pytest.raises(_PastScript):
+            draws.sample(q)
+
+    def test_law_of_a_run(self):
+        # Two samples and an accept test between them: every path once, each
+        # with the product of its weights, summed by outcome.
+        p = TokenDistribution([0.5, 0.3, 0.2])
+
+        def run(draws):
+            first = draws.sample(p)
+            return first, draws.sample(p) if draws.accept(0.25) else None
+
+        law = enumerate_draws(run)
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-15)
+        assert law[(1, None)] == pytest.approx(0.3 * 0.75)
+        assert law[(2, 0)] == pytest.approx(0.2 * 0.25 * 0.5)
+        assert len(law) == 3 + 3 * 3
 
 
 def _curve_setup():

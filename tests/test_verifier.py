@@ -1,14 +1,17 @@
 """Acceptance mathematics: ratios, residual chains, sequential verification."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawk.core import TokenDistribution, total_variation
+from hawk.oracle_metrics import enumerate_draws
 from hawk.rng import stream
 from hawk.verifier import (
-    acceptance_ratio,
+    Draws,
     chain_alphas,
     lantern_acceptance,
     lantern_sequential_verify,
@@ -28,6 +31,27 @@ def selecting(q, token):
     return float(np.cumsum(q.probs)[token] - q.probs[token] / 2)
 
 
+def draws_on(rng):
+    """A Draws whose verify stream is ``rng``; the walks here are handed their
+    draft uniforms, so its draft stream goes unread."""
+    return Draws(stream(0, "draft"), rng)
+
+
+def standard_ratio(p, q, token):
+    return min(1.0, p.prob(token) / q.prob(token))
+
+
+def accept_probability(p, q, token):
+    """The chance the walk accepts ``token`` drafted from q against p: the weight
+    of that acceptance over every choice its draws make, over q(token)."""
+
+    def outcome(draws):
+        walked = sequential_verify(p, [q], draws.uniforms(1), draws)
+        return walked.emitted_token, walked.accepted_index
+
+    return enumerate_draws(outcome).get((token, 0), 0.0) / q.prob(token)
+
+
 def random_dist(gen, k, floor=1e-3):
     w = gen.random(k) + floor
     return TokenDistribution(w / w.sum())
@@ -45,24 +69,27 @@ def dist_pairs(draw, k=4):
 
 
 class TestAcceptanceRatio:
+    # The walk's own accept rule, min(1, p(t) / q(t)), read off its enumeration.
     def test_identical_is_one(self):
         p = dist(0.5, 0.3, 0.2)
         for token in range(3):
-            assert acceptance_ratio(p, p, token) == 1.0
+            assert accept_probability(p, p, token) == 1.0
 
     def test_clipping(self):
         p = dist(0.5, 0.3, 0.2)
         q = dist(0.2, 0.5, 0.3)
-        assert acceptance_ratio(p, q, 0) == 1.0  # ratio 2.5 clipped
+        assert accept_probability(p, q, 0) == 1.0  # ratio 2.5 clipped
 
     def test_plain_ratio(self):
         p = dist(0.5, 0.3, 0.2)
         q = dist(0.2, 0.5, 0.3)
-        assert abs(acceptance_ratio(p, q, 1) - 0.6) < 1e-12
+        assert abs(accept_probability(p, q, 1) - 0.6) < 1e-12
 
     def test_zero_draft_probability_rejected(self):
-        with pytest.raises(ValueError):
-            acceptance_ratio(dist(0.5, 0.5), dist(1.0, 0.0), 1)
+        # Draws that propose a token the draft cannot produce are refused.
+        proposing = SimpleNamespace(token=lambda q, u: 1)
+        with pytest.raises(ValueError, match="token 1 has zero draft probability"):
+            sequential_verify(dist(0.5, 0.5), [dist(1.0, 0.0)], [0.5], proposing)
 
 
 class TestResidualUpdate:
@@ -97,7 +124,7 @@ class TestSequentialVerify:
         gen = stream(1, "verify")
         for _ in range(200):
             token = int(gen.integers(3))
-            outcome = sequential_verify(p, [p], [selecting(p, token)], gen)
+            outcome = sequential_verify(p, [p], [selecting(p, token)], draws_on(gen))
             assert outcome.emitted_token == token
             assert outcome.accepted_index == 0
 
@@ -107,7 +134,7 @@ class TestSequentialVerify:
         q = dist(0.0, 0.5, 0.0, 0.5, 0.0)
         gen = stream(6, "verify")
         for u in (0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)):
-            outcome = sequential_verify(q, [q], [u], gen)
+            outcome = sequential_verify(q, [q], [u], draws_on(gen))
             assert q.prob(outcome.emitted_token) > 0.0
 
     def test_acceptance_leaves_later_candidates_untouched(self):
@@ -115,7 +142,7 @@ class TestSequentialVerify:
         gen, reference = stream(2, "verify"), stream(2, "verify")
         q = dist(0.1, 0.8, 0.1)
         drafts = [p, q]
-        outcome = sequential_verify(p, drafts, [selecting(p, 0), selecting(q, 1)], gen)
+        outcome = sequential_verify(p, drafts, [selecting(p, 0), selecting(q, 1)], draws_on(gen))
         assert outcome.accepted_index == 0
         # One verification draw, for the accepting step alone.
         reference.random()
@@ -123,7 +150,7 @@ class TestSequentialVerify:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            sequential_verify(dist(0.5, 0.5), [], [], stream(0, "x"))
+            sequential_verify(dist(0.5, 0.5), [], [], draws_on(stream(0, "x")))
 
     def test_alpha_recorded_as_overlap_mass(self):
         p = dist(0.5, 0.3, 0.2)
@@ -137,7 +164,7 @@ class TestSequentialVerify:
         gen = stream(5, "verify")
         saw_resample = False
         for _ in range(200):
-            outcome = sequential_verify(p, [q], [selecting(q, 1)], gen)
+            outcome = sequential_verify(p, [q], [selecting(q, 1)], draws_on(gen))
             if outcome.accepted_index is None:
                 saw_resample = True
                 assert outcome.emitted_token == 0
@@ -155,7 +182,7 @@ class TestSequentialVerify:
         drafts = [q1, q2]
         rng = ScriptedRng([0.9999999999999999, 0.25])
         with caplog.at_level("WARNING", logger="hawk.verifier"):
-            outcome = sequential_verify(p, drafts, [0.75, 0.95], rng)
+            outcome = sequential_verify(p, drafts, [0.75, 0.95], draws_on(rng))
         assert (outcome.emitted_token, outcome.accepted_index) == (0, None)
         assert rng._uniforms == []  # the rejection of q1 and the resample
         assert [r.message for r in caplog.records] == [
@@ -178,8 +205,9 @@ class TestSequentialVerify:
         trials = 1_000_000
         counts = np.zeros(k)
         drafts = [q1, q2, q3]
+        draws = draws_on(gen)
         for _ in range(trials):
-            outcome = sequential_verify(p, drafts, gen.random(3).tolist(), gen)
+            outcome = sequential_verify(p, drafts, gen.random(3).tolist(), draws)
             counts[outcome.emitted_token] += 1
         empirical = TokenDistribution(counts / trials)
         assert total_variation(empirical, p) <= 0.01
@@ -195,14 +223,15 @@ class TestSequentialVerify:
         trials = 100_000
         counts = np.zeros(k)
         drafts = [first, second]
+        draws = draws_on(gen)
         for _ in range(trials):
-            outcome = sequential_verify(p, drafts, gen.random(2).tolist(), gen)
+            outcome = sequential_verify(p, drafts, gen.random(2).tolist(), draws)
             counts[outcome.emitted_token] += 1
         assert total_variation(TokenDistribution(counts / trials), p) <= 0.02
 
 
 class ScriptedRng:
-    """Replays a fixed uniform sequence; stands in for a Generator."""
+    """Replays a fixed uniform sequence; stands in for a Draws's verify stream."""
 
     def __init__(self, uniforms):
         self._uniforms = list(uniforms)
@@ -253,7 +282,7 @@ class TestMedusaSpecialCase:
             )
             drafts = [q] * m
             drafted = [selecting(q, t) for t in tokens]
-            outcome = sequential_verify(p, drafts, drafted, ScriptedRng(uniforms))
+            outcome = sequential_verify(p, drafts, drafted, draws_on(ScriptedRng(uniforms)))
             assert outcome.accepted_index == ref_idx
             assert outcome.emitted_token == ref_token
 
@@ -315,7 +344,7 @@ class TestLantern:
             q = random_dist(gen, k)
             token = int(gen.integers(k))
             got = lantern_acceptance(p, q, token, [token], 1.0)
-            assert got == pytest.approx(acceptance_ratio(p, q, token))
+            assert got == pytest.approx(standard_ratio(p, q, token))
 
     def test_full_vocabulary_always_accepts(self):
         p = dist(0.5, 0.3, 0.2)
@@ -335,7 +364,7 @@ class TestLantern:
             neighborhood = [token] + others[: size - 1]
             lam = 1.0 + float(gen.random()) * 3.0
             relaxed = lantern_acceptance(p, q, token, neighborhood, lam)
-            assert relaxed >= acceptance_ratio(p, q, token) - 1e-12
+            assert relaxed >= standard_ratio(p, q, token) - 1e-12
 
     def test_validation(self):
         p = dist(0.5, 0.5)
@@ -345,7 +374,7 @@ class TestLantern:
             lantern_acceptance(p, p, 0, [0], 0.5)  # lam below 1
 
     def test_zero_draft_probability_rejected(self):
-        # The same refusal as acceptance_ratio's.
+        # The same refusal as the standard rule's.
         with pytest.raises(ValueError, match="token 1 has zero draft probability"):
             lantern_acceptance(dist(0.5, 0.5), dist(1.0, 0.0), 1, [0, 1], 1.0)
 
@@ -355,7 +384,7 @@ class TestLantern:
         neighborhoods = [(0, 1, 2)] * 3
         gen = stream(31, "lantern-walk")
         outcome = lantern_sequential_verify(
-            p, [q], [selecting(q, 1)], gen, neighborhoods, 2.0
+            p, [q], [selecting(q, 1)], draws_on(gen), neighborhoods, 2.0
         )
         # full-vocabulary neighborhood accepts unconditionally
         assert outcome.accepted_index == 0
@@ -381,6 +410,6 @@ class TestTokenNeighborhoods:
 class TestCsvRows:
     def test_row_shape(self):
         p = dist(0.5, 0.5)
-        outcome = sequential_verify(p, [p], [selecting(p, 0)], stream(0, "csv"))
+        outcome = sequential_verify(p, [p], [selecting(p, 0)], draws_on(stream(0, "csv")))
         (alpha,) = chain_alphas(p, [p])
         assert (alpha, outcome.accepted_index == 0) == (1.0, True)
