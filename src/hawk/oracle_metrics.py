@@ -142,7 +142,7 @@ class EnumeratingDraws:
     def uniforms(self, n: int) -> list[None]:
         return [None] * n
 
-    def token(self, q: TokenDistribution, u: None) -> int:
+    def token(self, q: TokenDistribution, u: object) -> int:
         return self._choose(q.probs.tolist())
 
     def accept(self, ratio: float) -> bool:

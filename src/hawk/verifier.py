@@ -121,18 +121,15 @@ def _walk(
     step's acceptance probability, or, if None, the standard
     min(1, p_i(token) / q_i(token)), which refuses a token of zero draft
     probability. Once a residual degenerates (floating-point exhaustion on
-    tiny vocabularies), the remaining drafts are rejected without an accept
-    test and the resample uses the last non-degenerate residual.
+    tiny vocabularies), the remaining drafts are rejected without drawing
+    their tokens and the resample uses the last non-degenerate residual.
     """
     if not drafts:
         raise ValueError("drafts must be nonempty")
     p_cur = p
-    exhausted = False
     for index, q in enumerate(drafts):
         token = draws.token(q, uniforms[index])
-        if exhausted:
-            accepted = False
-        elif accept_rule is not None:
+        if accept_rule is not None:
             accepted = draws.accept(accept_rule(p_cur, q, token))
         else:  # accept(r) accepts with probability min(1, r), so r goes unclipped
             qt = q.probs[token]
@@ -141,12 +138,10 @@ def _walk(
             accepted = draws.accept(p_cur.probs[token] / qt)
         if accepted:
             return VerificationOutcome(token, index)
-        if not exhausted:
-            p_cur, exhausted = residual_update(p_cur, q)
-            if exhausted:
-                logger.warning(
-                    "residual mass exhausted at step %d; keeping last residual", index
-                )
+        p_cur, exhausted = residual_update(p_cur, q)
+        if exhausted:
+            logger.warning("residual mass exhausted at step %d; keeping last residual", index)
+            break
     return VerificationOutcome(draws.sample(p_cur), None)
 
 

@@ -35,9 +35,9 @@ from hawk.models import (
 )
 from hawk.oracle_metrics import (
     empirical_joint_from_counts,
+    enumerate_draws,
     enumerate_joint,
     joint_tv,
-    enumerate_draws,
     rejection_curve,
 )
 from hawk.rng import derive_seed, stream
