@@ -146,7 +146,7 @@ class EnumeratingDraws:
         return self._choose(q.probs.tolist())
 
     def accept(self, ratio: float) -> bool:
-        a = min(1.0, ratio)
+        a = min(1.0, float(ratio))
         return self._choose([a, 1.0 - a]) == 0
 
     def sample(self, p: TokenDistribution) -> int:
