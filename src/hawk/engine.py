@@ -15,6 +15,10 @@ commits a bonus token from the target. A round thus commits 1 to H+1 tokens
 and is accounted as one target-model pass, which is what a batched tree
 verification would cost.
 
+A slot reaches its head by position: ``Slot.head`` indexes the tuple of
+heads that each context builds once from its own head set. Plans hold no
+heads, so they stay cached per shape and no head set outlives its batches.
+
 A draft is a pure function of the committed prefix, read in place by
 ``predict(tokens, length)``, so nothing is stored between rounds. Drafts
 that depend on the committed prefix alone are independent of the
@@ -25,17 +29,20 @@ number at most ``width * vsd * (vsd + 1) / 2``.
 Draw order, for reproducibility: every random choice goes through the
 context's :class:`~hawk.verifier.Draws`. A round takes one draft uniform
 per kept candidate (layers in depth order, within a layer the vertical
-candidates by depth, then the horizontal ones) before its walk, so a layer
-the walk never reaches still consumes its uniforms. The verify stream
+candidates by depth, then the horizontal ones) before its walk, in one
+``draws.uniforms`` call that each depth slices (``RoundPlan.cuts``), so a
+layer the walk never reaches still consumes its uniforms. The verify stream
 supplies one uniform per verification step plus one categorical draw per
 resample, bonus token or vanilla token.
 
 One batch is one :class:`DecodingContext`: its sessions run back to back,
 strictly sequentially, on one pair of streams, and its result is one
-:class:`BatchResult`. A context made with a ``trace`` list gets one row per
-verification step (``TRACE_COLUMNS``), appended by each round as it ends:
-its alpha from :func:`~hawk.verifier.chain_alphas`, and its ``source:depth``
-label from the plan's slots.
+:class:`BatchResult`. The context counts per-depth attempts and accepts in
+lists, which the result reports as dicts keyed by depth. A context made
+with a ``trace`` list gets one row per verification step
+(``TRACE_COLUMNS``), appended by each round as it ends: its alpha from
+:func:`~hawk.verifier.chain_alphas`, and its ``source:depth`` label from
+the plan's slots.
 Batches over shared immutable models may run concurrently.
 """
 
@@ -177,11 +184,13 @@ def tree_widths(lengths: tuple[int, ...], node_budget: int) -> tuple[int, ...]:
 
 class RoundPlan(NamedTuple):
     """Per depth of a round, the kept slots of its pool and their candidate
-    count b_k (:func:`tree_widths`); ``truncated``: the budget cut a pool."""
+    count b_k (:func:`tree_widths`); ``truncated``: the budget cut a pool;
+    ``cuts``: per depth, the slice of the round's uniforms its candidates take."""
 
     layers: tuple[tuple[Slot, ...], ...]
     widths: tuple[int, ...]
     truncated: bool
+    cuts: tuple[slice, ...]
 
 
 @functools.lru_cache(maxsize=None)
@@ -208,15 +217,25 @@ def round_plans(
                     kept.append(slot._replace(copies=min(slot.copies, left)))
                 left -= slot.copies
             layers.append(tuple(kept))
-        plans.append(RoundPlan(tuple(layers), widths, widths != lengths))
+        ends = tuple(itertools.accumulate(widths))
+        cuts = tuple(map(slice, (0,) + ends, ends))
+        plans.append(RoundPlan(tuple(layers), widths, widths != lengths, cuts))
     return tuple(plans)
 
 
-class CandidateTree(NamedTuple):
-    """Per kept layer of a round, one uniform per kept candidate; a candidate's
-    draft is computed, and its token drawn, only when the walk reaches it."""
+class CandidateTree:
+    """A round's draft uniforms, one per kept candidate in plan order, cut per
+    depth by ``cuts``; a candidate's draft is computed, and its token drawn,
+    only when the walk reaches it."""
 
-    layers: tuple[list[float], ...]
+    __slots__ = ("uniforms", "cuts")
+
+    def __init__(self, uniforms: list[float], cuts: tuple[slice, ...]) -> None:
+        self.uniforms, self.cuts = uniforms, cuts
+
+    @property
+    def layers(self) -> tuple[list[float], ...]:
+        return tuple(map(self.uniforms.__getitem__, self.cuts))
 
 
 TraceRow = tuple[int, int, int, str, float, bool, int]
@@ -278,16 +297,18 @@ class DecodingContext:
                                  peak_live_drafts(self.grid.width, self.grid.size, depth))
         self.draws = Draws(stream(seed, "draft"), stream(seed, "verify"))
         # Only a speculative round follows the plan of its frontier.
-        self.plans = None
+        self.plans = self.slot_heads = None
         if config.mode != MODE_VANILLA:
             self.plans = round_plans(self.grid.width, self.grid.height, config.horizontal_depth,
                                      depth, config.samples_per_horizontal,
                                      config.samples_per_vertical, config.node_budget)
+            self.slot_heads = heads.vertical[:depth] + heads.horizontal
         self.rounds = 0
         self.truncated_rounds = 0
         self.trace = trace
-        self.depth_attempts: dict[int, int] = {}
-        self.depth_accepts: dict[int, int] = {}
+        # Entry d - 1 counts the rounds that reached, and that accepted at, depth d.
+        self.depth_attempts = [0] * config.horizontal_depth
+        self.depth_accepts = [0] * config.horizontal_depth
         self._identity = config.transform.is_identity
         if config.mode == MODE_LANTERN:
             self.neighborhoods = token_neighborhoods(model.token_embeddings, config.lantern_k)
@@ -310,18 +331,18 @@ class DecodingContext:
 def build_pool(ctx: DecodingContext, slots: tuple[Slot, ...]) -> tuple[TokenDistribution, ...]:
     """The drafts of one kept layer of a :class:`RoundPlan`, in slot order: each
     slot's head on the committed prefix of its length, ``copies`` times."""
-    heads, committed = ctx.heads, ctx.committed
+    heads, committed, draft = ctx.slot_heads, ctx.committed, ctx.draft_dist
     layer = ()
-    for direction, depth, length, copies, _ in slots:
-        head = getattr(heads, direction)[depth - 1]
-        layer += (ctx.draft_dist(head, committed, length),) * copies
+    for _, _, length, copies, _, head in slots:
+        layer += (draft(heads[head], committed, length),) * copies
     return layer
 
 
 def build_candidate_tree(plan: RoundPlan, config: EngineConfig, draws: Draws) -> CandidateTree:
-    """One draft uniform per kept candidate of ``plan``, in order. ``config``
-    is unused here; the benchmark's tracer reads it."""
-    return CandidateTree(tuple(map(draws.uniforms, plan.widths)))
+    """One draft uniform per kept candidate of ``plan``, in order, taken in one
+    ``draws.uniforms`` call. ``config`` is unused here; the benchmark's tracer
+    reads it."""
+    return CandidateTree(draws.uniforms(sum(plan.widths)), plan.cuts)
 
 
 def commit_token(ctx: DecodingContext, token: int) -> None:
@@ -347,25 +368,27 @@ def decode_round(ctx: DecodingContext) -> None:
     frontier = len(committed)
     plan = ctx.plans[frontier]
     draws = ctx.draws
-    tree = build_candidate_tree(plan, config, draws)
+    uniforms = build_candidate_tree(plan, config, draws).uniforms
     ctx.truncated_rounds += plan.truncated
     trace = ctx.trace
+    attempts, accepts = ctx.depth_attempts, ctx.depth_accepts
+    lantern = config.mode == MODE_LANTERN
     walked = []  # (slots, target, drafts, outcome) per layer, when tracing
-    for depth, (slots, uniforms) in enumerate(zip(plan.layers, tree.layers), start=1):
+    for depth, (slots, cut) in enumerate(zip(plan.layers, plan.cuts)):
         drafts = build_pool(ctx, slots)
-        ctx.depth_attempts[depth] = ctx.depth_attempts.get(depth, 0) + 1
+        attempts[depth] += 1
         target = ctx.target_dist(committed)
-        if config.mode == MODE_LANTERN:
-            outcome = lantern_sequential_verify(target, drafts, uniforms, draws,
+        if lantern:
+            outcome = lantern_sequential_verify(target, drafts, uniforms[cut], draws,
                                                 ctx.neighborhoods, config.lantern_lam)
         else:
-            outcome = sequential_verify(target, drafts, uniforms, draws)
+            outcome = sequential_verify(target, drafts, uniforms[cut], draws)
         if trace is not None:
             walked.append((slots, target, drafts, outcome))
         commit_token(ctx, outcome.emitted_token)
         if outcome.accepted_index is None:
             break
-        ctx.depth_accepts[depth] = ctx.depth_accepts.get(depth, 0) + 1
+        accepts[depth] += 1
     else:
         if len(committed) < total:
             commit_token(ctx, draws.sample(ctx.target_dist(committed)))
@@ -410,6 +433,10 @@ class BatchResult:
         }
 
 
+def _by_depth(counts: list[int]) -> dict[int, int]:
+    return {depth: count for depth, count in enumerate(counts, start=1) if count}
+
+
 def decode_batch(
     model: TargetModel,
     heads: Optional[DraftHeadSet],
@@ -441,8 +468,8 @@ def decode_batch(
         rounds=ctx.rounds,
         truncated_rounds=ctx.truncated_rounds,
         committed=count * grid.size,
-        depth_attempts=dict(ctx.depth_attempts),
-        depth_accepts=dict(ctx.depth_accepts),
+        depth_attempts=_by_depth(ctx.depth_attempts),
+        depth_accepts=_by_depth(ctx.depth_accepts),
         wall_clock_ms=wall_clock_ms,
     )
 

@@ -484,13 +484,17 @@ class DraftHeadSet:
 
 class Slot(NamedTuple):
     """``copies`` candidates of a pool sharing one draft: the ``direction`` head
-    of ``depth`` on the first ``length`` committed tokens, labelled ``label``."""
+    of ``depth`` on the first ``length`` committed tokens, labelled ``label``.
+    ``head`` is that head's position in ``vertical[:vertical_depth] +
+    horizontal`` of a head set, for the ``vertical_depth`` the pool was laid
+    out with, so a reader reaches it by index rather than by name."""
 
     direction: str
     depth: int
     length: int
     copies: int
     label: str
+    head: int
 
 
 def pool_slots(
@@ -509,10 +513,12 @@ def pool_slots(
         d = (n - 1) // width + 1
         source = frontier + n - 1 - d * width
         while d <= vertical_depth and source >= 0:
-            slots.append(Slot("vertical", d, source + 1, samples_per_vertical, f"vertical:{d}"))
+            slots.append(Slot("vertical", d, source + 1, samples_per_vertical, f"vertical:{d}",
+                              d - 1))
             d += 1
             source -= width
-    slots.append(Slot("horizontal", n, frontier, samples_per_horizontal, f"horizontal:{n}"))
+    slots.append(Slot("horizontal", n, frontier, samples_per_horizontal, f"horizontal:{n}",
+                      vertical_depth + n - 1))
     return tuple(slots)
 
 

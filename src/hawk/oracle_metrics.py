@@ -121,7 +121,8 @@ class EnumeratingDraws:
     options are those of positive weight, in order: a token's, its support
     weighted by its probabilities; an accept test's, accept then reject,
     weighted min(1, r) and 1 - min(1, r). A choice of one option takes no
-    script entry. Draft uniforms are placeholders."""
+    script entry. Draft uniforms are placeholders; residual exhaustion, which
+    every replay through it would report again, is not logged."""
 
     __slots__ = ("script", "at", "weight")
 
@@ -151,6 +152,9 @@ class EnumeratingDraws:
 
     def sample(self, p: TokenDistribution) -> int:
         return self._choose(p.probs.tolist())
+
+    def exhausted(self, step: int) -> None:
+        pass
 
 
 def enumerate_draws(run: Callable[[EnumeratingDraws], Hashable]) -> dict[Hashable, float]:

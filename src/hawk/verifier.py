@@ -21,13 +21,20 @@ computes it along the residual chain, and it alone, for the engine's trace
 and for :func:`rejection_mass`, the product of (1 - alpha_i) over a chain:
 the probability that the round falls through to the residual resample.
 
+Both accept rules run one walk, :func:`sequential_verify`, which
+:func:`lantern_sequential_verify` calls with its relaxed rule. It reads
+p_i(t) and q_i(t) as Python floats, so a step does no numpy scalar math.
+
 Every random choice is made by a :class:`Draws`, so calls with independent
 ones may run in parallel. Draw order within a call: step i's token is
 ``draws.token(q_i, uniforms[i])``, chosen when the walk reaches step i;
 each step then makes one ``draws.accept`` test, and a resample one
 ``draws.sample``. The enumerating twin of :class:`Draws`
 (:func:`~hawk.oracle_metrics.enumerate_draws`) branches at each choice
-instead, which gives the walk's exact law.
+instead, which gives the walk's exact law. Residual exhaustion is reported
+through the draw object too (``draws.exhausted(step)``): :class:`Draws`
+logs one warning per exhausted walk, and the twin logs nothing, so an
+enumerated replay stays silent.
 """
 
 from __future__ import annotations
@@ -52,12 +59,13 @@ class Draws:
     hands out), the token a uniform selects, and verify-stream accept tests
     (a uniform below the ratio) and samples."""
 
-    __slots__ = ("draft_rng", "verify_rng", "_block", "_next")
+    __slots__ = ("draft_rng", "verify_rng", "_block", "_next", "_random")
 
     def __init__(self, draft_rng: np.random.Generator, verify_rng: np.random.Generator) -> None:
         self.draft_rng, self.verify_rng = draft_rng, verify_rng
         self._block: list[float] = []
         self._next = 0
+        self._random = verify_rng.random
 
     def uniforms(self, n: int) -> list[float]:
         start, end = self._next, self._next + n
@@ -71,10 +79,13 @@ class Draws:
         return index_at(q, u)
 
     def accept(self, ratio: float) -> bool:
-        return self.verify_rng.random() < ratio
+        return self._random() < ratio
 
     def sample(self, p: TokenDistribution) -> int:
         return sample_index(p, self.verify_rng)
+
+    def exhausted(self, step: int) -> None:
+        logger.warning("residual mass exhausted at step %d; keeping last residual", step)
 
 
 @dataclass(slots=True)
@@ -110,51 +121,45 @@ def residual_update(
     return TokenDistribution._wrap(left / mass), False
 
 
-def _walk(
-    p: TokenDistribution,
-    drafts: Sequence[TokenDistribution],
-    uniforms: Sequence[float],
-    draws: Draws,
-    accept_rule: Callable[[TokenDistribution, TokenDistribution, int], float] | None,
-) -> VerificationOutcome:
-    """Shared accept/reject walk; ``accept_rule(p_i, q_i, token)`` gives each
-    step's acceptance probability, or, if None, the standard
-    min(1, p_i(token) / q_i(token)), which refuses a token of zero draft
-    probability. Once a residual degenerates (floating-point exhaustion on
-    tiny vocabularies), the remaining drafts are rejected without drawing
-    their tokens and the resample uses the last non-degenerate residual.
-    """
-    if not drafts:
-        raise ValueError("drafts must be nonempty")
-    p_cur = p
-    for index, q in enumerate(drafts):
-        token = draws.token(q, uniforms[index])
-        if accept_rule is not None:
-            accepted = draws.accept(accept_rule(p_cur, q, token))
-        else:  # accept(r) accepts with probability min(1, r), so r goes unclipped
-            qt = q.probs[token]
-            if qt <= 0.0:
-                raise ValueError(f"token {token} has zero draft probability")
-            accepted = draws.accept(p_cur.probs[token] / qt)
-        if accepted:
-            return VerificationOutcome(token, index)
-        p_cur, exhausted = residual_update(p_cur, q)
-        if exhausted:
-            logger.warning("residual mass exhausted at step %d; keeping last residual", index)
-            break
-    return VerificationOutcome(draws.sample(p_cur), None)
-
-
 def sequential_verify(
     p: TokenDistribution,
     drafts: Sequence[TokenDistribution],
     uniforms: Sequence[float],
     draws: Draws,
+    *,
+    accept_rule: Callable[[TokenDistribution, TokenDistribution, int], float] | None = None,
 ) -> VerificationOutcome:
     """Verify drafts in order against p, emitting exactly one token: the first
     accepted candidate's, which ends the walk before later candidates draw
-    their tokens, or else one resampled from the final residual."""
-    return _walk(p, drafts, uniforms, draws, None)
+    their tokens, or else one resampled from the final residual.
+
+    ``accept_rule(p_i, q_i, token)`` gives each step's acceptance
+    probability; without one, the standard min(1, p_i(token) / q_i(token)),
+    which refuses a token of zero draft probability. Once a residual
+    degenerates (floating-point exhaustion on tiny vocabularies), the
+    remaining drafts are rejected without drawing their tokens and the
+    resample uses the last non-degenerate residual.
+    """
+    if not drafts:
+        raise ValueError("drafts must be nonempty")
+    token_at, accept = draws.token, draws.accept
+    p_cur = p
+    for index, q in enumerate(drafts):
+        token = token_at(q, uniforms[index])
+        if accept_rule is None:  # accept(r) accepts with probability min(1, r): r goes unclipped
+            qt = q.probs.item(token)
+            if qt <= 0.0:
+                raise ValueError(f"token {token} has zero draft probability")
+            accepted = accept(p_cur.probs.item(token) / qt)
+        else:
+            accepted = accept(accept_rule(p_cur, q, token))
+        if accepted:
+            return VerificationOutcome(token, index)
+        p_cur, exhausted = residual_update(p_cur, q)
+        if exhausted:
+            draws.exhausted(index)
+            break
+    return VerificationOutcome(draws.sample(p_cur), None)
 
 
 def chain_alphas(p: TokenDistribution, drafts: Sequence[TokenDistribution]) -> list[float]:
@@ -235,7 +240,7 @@ def lantern_sequential_verify(
     def rule(p_cur: TokenDistribution, q: TokenDistribution, token: int) -> float:
         return lantern_acceptance(p_cur, q, token, neighborhoods[token], lam)
 
-    return _walk(p, drafts, uniforms, draws, rule)
+    return sequential_verify(p, drafts, uniforms, draws, accept_rule=rule)
 
 
 def token_neighborhoods(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, ...]:

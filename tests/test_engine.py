@@ -4,8 +4,10 @@ import dataclasses
 import gc
 import hashlib
 import itertools
+import multiprocessing
 import weakref
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -320,7 +322,7 @@ class TestBuildPool:
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         (slot,) = ctx.plans[0].layers[0]
-        assert slot == Slot("horizontal", 1, 0, 1, "horizontal:1")
+        assert slot == Slot("horizontal", 1, 0, 1, "horizontal:1", 1)  # after vertical:1
         assert build_pool(ctx, (slot,)) == (ctx.draft_dist(heads.horizontal[0], [], 0),)
 
     def test_interior_position_gathers_vertical(self):
@@ -891,7 +893,7 @@ class TestEveryChoiceDraws:
 class TestDecodeRound:
     @pytest.mark.parametrize("fn", [
         decode_round, commit_token, build_pool, build_candidate_tree,
-        hawk.verifier._walk, hawk.verifier.sequential_verify,
+        hawk.verifier.sequential_verify, hawk.verifier.Draws.accept,
         DecodingContext.target_dist, DecodingContext.draft_dist,
         hawk.models.TabularDraftHead.predict, hawk.models.ExactDraftHead.predict,
     ], ids=lambda fn: fn.__qualname__)
@@ -1331,6 +1333,57 @@ class TestBatch:
         assert list(result.depth_accept_rates) == sorted(result.depth_attempts)
         for rate in result.depth_accept_rates.values():
             assert 0.0 <= rate <= 1.0
+
+
+# Two head sets of one plan shape, fitted on one model with these seeds, and
+# the batch seeds each decodes: alternated in one process, each batch must be
+# what a process that never saw the other head set decodes.
+BINDING_FIT_SEEDS = (5, 6)
+BINDING_BATCH_SEEDS = (21, 22)
+
+
+def _binding_case(fit_seed):
+    grid = GridSpec(4, 4, 3)
+    model = make_grid_markov_target(grid, 11, 0.8)
+    heads = fit_tabular_draft_heads(model, 2, 1, 300, fit_seed, 0.5)
+    config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1,
+                          samples_per_horizontal=2, node_budget=6)
+    return model, heads, config
+
+
+def _binding_batch(model, heads, config, seed):
+    trace = []
+    batch = decode_batch(model, heads, config, seed, 6, trace=trace)
+    return (batch.grid_counts, batch.rounds, batch.depth_attempts, batch.depth_accepts, trace)
+
+
+def _fresh_binding_batches(fit_seed):
+    """Every batch of one head set, decoded in a process where no other head set ran."""
+    model, heads, config = _binding_case(fit_seed)
+    return [_binding_batch(model, heads, config, seed) for seed in BINDING_BATCH_SEEDS]
+
+
+class TestHeadBinding:
+    def test_alternating_head_sets_never_share_a_binding(self):
+        # Slots reach their heads by position in a tuple of the context's own
+        # head set, so a head set decoded after another of the same plan
+        # shape still uses its own heads, and nothing keeps a head set alive
+        # once its last batch is done.
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(2, mp_context=context, max_tasks_per_child=1) as pool:
+            fresh = dict(zip(BINDING_FIT_SEEDS,
+                             pool.map(_fresh_binding_batches, BINDING_FIT_SEEDS)))
+        assert fresh[BINDING_FIT_SEEDS[0]] != fresh[BINDING_FIT_SEEDS[1]]
+        cases = {fit_seed: _binding_case(fit_seed) for fit_seed in BINDING_FIT_SEEDS}
+        assert len({config for _, _, config in cases.values()}) == 1  # one plan shape
+        refs = {fit_seed: weakref.ref(heads) for fit_seed, (_, heads, _) in cases.items()}
+        for i, seed in enumerate(BINDING_BATCH_SEEDS):
+            for fit_seed in BINDING_FIT_SEEDS:
+                assert _binding_batch(*cases[fit_seed], seed) == fresh[fit_seed][i], fit_seed
+        for fit_seed in BINDING_FIT_SEEDS:
+            del cases[fit_seed]
+            gc.collect()
+            assert refs[fit_seed]() is None, fit_seed
 
 
 class _FreshCopyHead(DraftHead):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawk.core import TokenDistribution, total_variation
-from hawk.oracle_metrics import enumerate_draws
+from hawk.oracle_metrics import EnumeratingDraws, enumerate_draws
 from hawk.rng import stream
 from hawk.verifier import (
     Draws,
@@ -87,7 +87,7 @@ class TestAcceptanceRatio:
 
     def test_zero_draft_probability_rejected(self):
         # Draws that propose a token the draft cannot produce are refused.
-        proposing = SimpleNamespace(token=lambda q, u: 1)
+        proposing = SimpleNamespace(token=lambda q, u: 1, accept=lambda ratio: pytest.fail())
         with pytest.raises(ValueError, match="token 1 has zero draft probability"):
             sequential_verify(dist(0.5, 0.5), [dist(1.0, 0.0)], [0.5], proposing)
 
@@ -193,6 +193,34 @@ class TestSequentialVerify:
         assert rejection_mass(p, [q1, q2]) == [
             1.0 - alphas[0], (1.0 - alphas[0]) * (1.0 - alphas[1])
         ]
+
+    def test_exhaustion_logged_per_real_walk_never_per_replay(self, caplog, monkeypatch):
+        # test_residual_exhaustion's round. Enumerated, three of its replays
+        # reach the exhaustion and none logs; walked for real three times on
+        # scripted verify uniforms (reject q1 and resample, accept q1, reject
+        # q1 and resample), it logs once per exhausted walk.
+        p = dist(0.5, 0.5)
+        drafts = [dist(0.5, 0.5000000000000001), dist(0.9, 0.1)]
+        replays = []
+        silent = EnumeratingDraws.exhausted
+        monkeypatch.setattr(EnumeratingDraws, "exhausted",
+                            lambda draws, step: replays.append(step) or silent(draws, step))
+        with caplog.at_level("WARNING", logger="hawk.verifier"):
+            law = enumerate_draws(lambda draws: sequential_verify(p, drafts, [None] * 2,
+                                                                  draws).emitted_token)
+        assert replays == [0, 0, 0] and caplog.records == []
+        assert sum(law.values()) == pytest.approx(1.0)
+        rng = ScriptedRng([0.9999999999999999, 0.25, 0.5, 0.9999999999999999, 0.75])
+        with caplog.at_level("WARNING", logger="hawk.verifier"):
+            outcomes = [sequential_verify(p, drafts, [0.75, 0.95], draws_on(rng))
+                        for _ in range(3)]
+        assert [(o.emitted_token, o.accepted_index) for o in outcomes] == [
+            (0, None), (1, 0), (1, None)
+        ]
+        assert rng._uniforms == []
+        assert [r.message for r in caplog.records] == [
+            "residual mass exhausted at step 0; keeping last residual"
+        ] * 2
 
     def test_monte_carlo_exactness_heterogeneous(self):
         # Emitted-token law equals the target regardless of draft identity.

@@ -11,9 +11,13 @@ so the runs see only committed files. For every workload that the change's
 parent first when i is odd, the change first when i is even. The output
 holds both git SHAs, the machine's provenance as perfbench prints it, and
 per workload and end-to-end metric the quartiles and values of each side,
-the relative change of the medians and the pairs the change won and lost,
-plus the failed and attempted correctness checks and the full records of
-seed 1. Only the standard library is used.
+the relative change of the medians, the pairs the change won and lost, the
+parent's relative IQR, whether the change's median is worse than the
+parent's by more than the metric's bound (``beyond_bound``) and whether it
+is a resolved gain (``resolved_gain``: the change won at least 9 of 10
+pairs and the medians differ by more than the parent's IQR), plus the
+failed and attempted correctness checks and the full records of seed 1.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -64,24 +68,41 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: dict, metrics: list[dict]) -> dict:
-    """Per metric, each side's quartiles, the relative change of the medians
-    and the pairs in which the change was better or worse."""
+    """Per metric, each side's quartiles, the relative change of the medians,
+    the pairs in which the change was better or worse, the parent's IQR
+    relative to its median, and whether the change's median is worse than
+    the parent's by more than the metric's ``bound`` (a relative change)."""
     out = {}
     for spec in metrics:
         name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         gains = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
         parent, change = quartiles(values["parent"]), quartiles(values["change"])
+        median_change = change["median"] / parent["median"] - 1.0
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
+            "bound": spec["bound"],
             "parent": parent,
             "change": change,
-            "median_change": change["median"] / parent["median"] - 1.0,
+            "median_change": median_change,
             "change_wins": sum(gain > 0 for gain in gains),
             "change_losses": sum(gain < 0 for gain in gains),
+            "parent_relative_iqr": (parent["q3"] - parent["q1"]) / parent["median"],
+            "beyond_bound": -sign * median_change > spec["bound"],
         }
     return dict(sorted(out.items()))
+
+
+def resolved_gain(summary: dict) -> bool:
+    """A metric's change is a resolved gain: the change won at least 9 of 10
+    pairs, and its median is better than the parent's by more than the
+    parent's IQR."""
+    sign = 1 if summary["better"] == "higher" else -1
+    pairs = len(summary["parent"]["values"])
+    gain = sign * (summary["change"]["median"] - summary["parent"]["median"])
+    iqr = summary["parent"]["q3"] - summary["parent"]["q1"]
+    return 10 * summary["change_wins"] >= 9 * pairs and gain > iqr
 
 
 def main(argv=None) -> int:
@@ -117,6 +138,8 @@ def main(argv=None) -> int:
                 "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
                 "metrics": summarize(runs, benchmark["end_to_end"]),
             }
+            for summary in pairs[workload]["metrics"].values():
+                summary["resolved_gain"] = resolved_gain(summary)
     bench = {
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {args.seconds:g} --trace 0",
