@@ -7,7 +7,6 @@ import itertools
 import multiprocessing
 import weakref
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -1369,10 +1368,9 @@ class TestHeadBinding:
         # head set, so a head set decoded after another of the same plan
         # shape still uses its own heads, and nothing keeps a head set alive
         # once its last batch is done.
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(2, mp_context=context, max_tasks_per_child=1) as pool:
+        with multiprocessing.get_context("spawn").Pool(2, maxtasksperchild=1) as pool:
             fresh = dict(zip(BINDING_FIT_SEEDS,
-                             pool.map(_fresh_binding_batches, BINDING_FIT_SEEDS)))
+                             pool.map(_fresh_binding_batches, BINDING_FIT_SEEDS, chunksize=1)))
         assert fresh[BINDING_FIT_SEEDS[0]] != fresh[BINDING_FIT_SEEDS[1]]
         cases = {fit_seed: _binding_case(fit_seed) for fit_seed in BINDING_FIT_SEEDS}
         assert len({config for _, _, config in cases.values()}) == 1  # one plan shape
