@@ -37,8 +37,9 @@ resample, bonus token or vanilla token.
 
 One batch is one :class:`DecodingContext`: its sessions run back to back,
 strictly sequentially, on one pair of streams, and its result is one
-:class:`BatchResult`. The context counts per-depth attempts and accepts in
-lists, which the result reports as dicts keyed by depth. A context made
+:class:`BatchResult`. The context counts, per depth, the rounds whose walk
+ended there, and the result derives from those lists each depth's attempts
+and accepts, reported as dicts keyed by depth. A context made
 with a ``trace`` list gets one row per verification step
 (``TRACE_COLUMNS``), appended by each round as it ends: its alpha from
 :func:`~hawk.verifier.chain_alphas`, and its ``source:depth`` label from
@@ -306,9 +307,10 @@ class DecodingContext:
         self.rounds = 0
         self.truncated_rounds = 0
         self.trace = trace
-        # Entry d - 1 counts the rounds that reached, and that accepted at, depth d.
-        self.depth_attempts = [0] * config.horizontal_depth
-        self.depth_accepts = [0] * config.horizontal_depth
+        # Entry d - 1 counts the rounds whose walk ended at depth d: by a
+        # rejection there, or by accepting the last layer of their plan there.
+        self.rejected_at = [0] * config.horizontal_depth
+        self.accepted_through = [0] * config.horizontal_depth
         self._identity = config.transform.is_identity
         if config.mode == MODE_LANTERN:
             self.neighborhoods = token_neighborhoods(model.token_embeddings, config.lantern_k)
@@ -371,25 +373,25 @@ def decode_round(ctx: DecodingContext) -> None:
     uniforms = build_candidate_tree(plan, config, draws).uniforms
     ctx.truncated_rounds += plan.truncated
     trace = ctx.trace
-    attempts, accepts = ctx.depth_attempts, ctx.depth_accepts
     lantern = config.mode == MODE_LANTERN
+    cuts = plan.cuts
     walked = []  # (slots, target, drafts, outcome) per layer, when tracing
-    for depth, (slots, cut) in enumerate(zip(plan.layers, plan.cuts)):
+    for depth, slots in enumerate(plan.layers):
         drafts = build_pool(ctx, slots)
-        attempts[depth] += 1
         target = ctx.target_dist(committed)
         if lantern:
-            outcome = lantern_sequential_verify(target, drafts, uniforms[cut], draws,
+            outcome = lantern_sequential_verify(target, drafts, uniforms[cuts[depth]], draws,
                                                 ctx.neighborhoods, config.lantern_lam)
         else:
-            outcome = sequential_verify(target, drafts, uniforms[cut], draws)
+            outcome = sequential_verify(target, drafts, uniforms[cuts[depth]], draws)
         if trace is not None:
             walked.append((slots, target, drafts, outcome))
         commit_token(ctx, outcome.emitted_token)
         if outcome.accepted_index is None:
+            ctx.rejected_at[depth] += 1
             break
-        accepts[depth] += 1
     else:
+        ctx.accepted_through[depth] += 1
         if len(committed) < total:
             commit_token(ctx, draws.sample(ctx.target_dist(committed)))
     if trace is not None:
@@ -433,8 +435,21 @@ class BatchResult:
         }
 
 
-def _by_depth(counts: list[int]) -> dict[int, int]:
-    return {depth: count for depth, count in enumerate(counts, start=1) if count}
+def _depth_counts(
+    rejected_at: list[int], accepted_through: list[int]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Per depth from 1, where nonzero, the rounds that reached it and the rounds
+    that accepted there: a round whose walk ended at depth e reached depths
+    1..e and accepted at each of them, at e only if it did not reject there."""
+    attempts, accepts = {}, {}
+    reached = sum(rejected_at) + sum(accepted_through)
+    for depth, (rejected, accepted) in enumerate(zip(rejected_at, accepted_through), start=1):
+        if reached:
+            attempts[depth] = reached
+        if reached - rejected:
+            accepts[depth] = reached - rejected
+        reached -= rejected + accepted
+    return attempts, accepts
 
 
 def decode_batch(
@@ -462,14 +477,15 @@ def decode_batch(
         counts[tuple(ctx.committed)] += 1
         ctx.committed = []
     wall_clock_ms = (time.perf_counter() - start) * 1000.0
+    depth_attempts, depth_accepts = _depth_counts(ctx.rejected_at, ctx.accepted_through)
     return BatchResult(
         mode=config.mode,
         grid_counts=counts,
         rounds=ctx.rounds,
         truncated_rounds=ctx.truncated_rounds,
         committed=count * grid.size,
-        depth_attempts=_by_depth(ctx.depth_attempts),
-        depth_accepts=_by_depth(ctx.depth_accepts),
+        depth_attempts=depth_attempts,
+        depth_accepts=depth_accepts,
         wall_clock_ms=wall_clock_ms,
     )
 
