@@ -753,6 +753,21 @@ PINNED_OUTPUTS = {
         "metrics.csv": "3224fb4f8278b557593eb2841c55db851e0177a89630edb0c4fdf908064e6b2c",
         "trace.csv": "e2743b1853190c88162dd53e6978e7918316bf4900a46b4c2073796c49bccced",
     },
+    ("verify_quick", "verify"): {
+        "verify_report.csv": "66b552304f32775aa3f13f40370f782a463e20958fac009d8bf671a825b4da04",
+    },
+    ("bench_16x16", "bench"): {
+        "kl_trace.csv": "7797d4250413ec74fd16b3ad891d52af2bfe31b95fbe081b8eb52615e08a8588",
+        "metrics.csv": "8be9e0fb6fa0dbf9abb48a1ab50f4fbf02a00d1a524cdbffbbddad93916950a8",
+        "rejection_curve_dual.csv":
+            "eb770147844ca740a469c7c34ac3e102e04af3e66ca1bf1eebcb1427d3f68a04",
+        "rejection_curve_horizontal.csv":
+            "77d0f9d837898c734dc22e8ae87f3af7660df6e908ec6e5bb607b0e7bc247dfb",
+    },
+    ("bench_16x16", "fit"): {
+        "fit_report.csv": "df719d0cbb46762c37e8ece5592df66a0a6ec15e8d1d3edae33f3a051d857d8d",
+        "heads.json": "f04304d4f6529064e1014a2f24d6b6981a3f6aaaf51b9dda5ef39e654aa9598b",
+    },
 }
 
 
