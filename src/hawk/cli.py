@@ -431,10 +431,10 @@ def cmd_fit(config: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "decode": cmd_decode,
-    "verify": cmd_verify,
-    "bench": cmd_bench,
-    "fit": cmd_fit,
+    "decode": (cmd_decode, "decode one grid; write image, trace, and metrics"),
+    "verify": (cmd_verify, "compare decoded joints against the enumeration oracle"),
+    "bench": (cmd_bench, "accept-length and speedup metrics across modes"),
+    "fit": (cmd_fit, "fit tabular draft heads and report held-out NLL"),
 }
 
 
@@ -444,13 +444,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="Spatial speculative decoding over raster-order token grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "decode": "decode one grid; write image, trace, and metrics",
-        "verify": "compare decoded joints against the enumeration oracle",
-        "bench": "accept-length and speedup metrics across modes",
-        "fit": "fit tabular draft heads and report held-out NLL",
-    }
-    for name, text in help_text.items():
+    for name, (_, text) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
@@ -459,7 +453,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         config = load_run_config(args.config, seed_override=args.seed, out_override=args.out)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,8 +16,9 @@ and is accounted as one target-model pass, which is what a batched tree
 verification would cost.
 
 A slot reaches its head by position: ``Slot.head`` indexes the tuple of
-heads that each context builds once from its own head set. Plans hold no
-heads, so they stay cached per shape and no head set outlives its batches.
+heads that each context takes once from :func:`~hawk.models.slot_heads`.
+Plans hold three ints per slot and no heads, so they stay cached per shape
+and no head set outlives its batches.
 
 A draft is a pure function of the committed prefix, read in place by
 ``predict(tokens, length)``, so nothing is stored between rounds. Drafts
@@ -43,7 +44,7 @@ and accepts, reported as dicts keyed by depth. A context made
 with a ``trace`` list gets one row per verification step
 (``TRACE_COLUMNS``), appended by each round as it ends: its alpha from
 :func:`~hawk.verifier.chain_alphas`, and its ``source:depth`` label from
-the plan's slots.
+:func:`~hawk.models.slot_heads`.
 Batches over shared immutable models may run concurrently.
 """
 
@@ -68,7 +69,7 @@ from .core import (
     json_value,
     sample_index,  # unused here: the benchmark's tracer rebinds hawk.engine.sample_index
 )
-from .models import DraftHeadSet, Slot, TargetModel, pool_slots
+from .models import DraftHeadSet, Slot, TargetModel, pool_slots, slot_heads
 from .rng import stream
 from .verifier import (
     Draws,
@@ -298,12 +299,12 @@ class DecodingContext:
                                  peak_live_drafts(self.grid.width, self.grid.size, depth))
         self.draws = Draws(stream(seed, "draft"), stream(seed, "verify"))
         # Only a speculative round follows the plan of its frontier.
-        self.plans = self.slot_heads = None
+        self.plans = self.slot_heads = self.slot_labels = None
         if config.mode != MODE_VANILLA:
             self.plans = round_plans(self.grid.width, self.grid.height, config.horizontal_depth,
                                      depth, config.samples_per_horizontal,
                                      config.samples_per_vertical, config.node_budget)
-            self.slot_heads = heads.vertical[:depth] + heads.horizontal
+            self.slot_heads, self.slot_labels = slot_heads(heads, depth)
         self.rounds = 0
         self.truncated_rounds = 0
         self.trace = trace
@@ -335,7 +336,7 @@ def build_pool(ctx: DecodingContext, slots: tuple[Slot, ...]) -> tuple[TokenDist
     slot's head on the committed prefix of its length, ``copies`` times."""
     heads, committed, draft = ctx.slot_heads, ctx.committed, ctx.draft_dist
     layer = ()
-    for _, _, length, copies, _, head in slots:
+    for head, length, copies in slots:
         layer += (draft(heads[head], committed, length),) * copies
     return layer
 
@@ -402,7 +403,7 @@ def decode_round(ctx: DecodingContext) -> None:
                 drafts = drafts[: accepted + 1]
             sources = []
             for slot in slots:
-                sources += [slot.label] * slot.copies
+                sources += [ctx.slot_labels[slot.head]] * slot.copies
             for i, alpha in enumerate(chain_alphas(target, drafts)):
                 trace.append((ctx.rounds, frontier, depth, sources[i], alpha, i == accepted,
                               count))

@@ -111,26 +111,15 @@ class GridMarkovModel(TargetModel):
 
     ``tables[left, above]`` is a distribution row, with index -1 (the last
     slot) reserved for the boundary context at row starts and in the first
-    row. ``vertical_weight`` records how the tables were mixed at
-    construction: 1.0 means the above neighbor alone shapes the conditional,
-    0.0 the left neighbor alone.
+    row.
     """
 
-    def __init__(
-        self,
-        grid: GridSpec,
-        seed: int,
-        vertical_weight: float,
-        tables: np.ndarray,
-        token_embeddings: np.ndarray,
-    ) -> None:
+    def __init__(self, grid: GridSpec, tables: np.ndarray, token_embeddings: np.ndarray) -> None:
         k = grid.vocab_size
         tables = np.asarray(tables, dtype=np.float64)
         if tables.shape != (k + 1, k + 1, k):
             raise ValueError(f"tables must have shape {(k + 1, k + 1, k)}, got {tables.shape}")
         self.grid = grid
-        self.seed = seed
-        self.vertical_weight = float(vertical_weight)
         self.tables = tables
         self.token_embeddings = np.asarray(token_embeddings, dtype=np.float64)
         # Validate every row once, then hand out the same immutable objects.
@@ -225,26 +214,19 @@ def make_grid_markov_target(grid: GridSpec, seed: int, vertical_weight: float) -
                 (1.0 - vertical_weight) * left_rows[left] + vertical_weight * above_rows[above]
             )
     embeddings = _random_embeddings(stream(seed, "token-embeddings"), k)
-    return GridMarkovModel(grid, seed, vertical_weight, tables, embeddings)
+    return GridMarkovModel(grid, tables, embeddings)
 
 
 class IndependentPositionModel(TargetModel):
     """Target whose conditional at each position ignores the prefix entirely."""
 
-    def __init__(
-        self,
-        grid: GridSpec,
-        seed: int,
-        tables: np.ndarray,
-        token_embeddings: np.ndarray,
-    ) -> None:
+    def __init__(self, grid: GridSpec, tables: np.ndarray, token_embeddings: np.ndarray) -> None:
         tables = np.asarray(tables, dtype=np.float64)
         if tables.shape != (grid.size, grid.vocab_size):
             raise ValueError(
                 f"tables must have shape {(grid.size, grid.vocab_size)}, got {tables.shape}"
             )
         self.grid = grid
-        self.seed = seed
         self.tables = tables
         self.token_embeddings = np.asarray(token_embeddings, dtype=np.float64)
         self._dists = [TokenDistribution(row) for row in tables]
@@ -279,7 +261,7 @@ def make_independent_target(
     else:
         tables = _random_rows(gen, grid.size, grid.vocab_size)
     embeddings = _random_embeddings(stream(seed, "token-embeddings"), grid.vocab_size)
-    return IndependentPositionModel(grid, seed, tables, embeddings)
+    return IndependentPositionModel(grid, tables, embeddings)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +283,12 @@ class DraftHead(abc.ABC):
         """Draft distribution given the committed prefix ``tokens[:length]``
         only, read in place: later tokens are ignored."""
 
+    @abc.abstractmethod
     def true_token_logs(self, keys: np.ndarray, grids: np.ndarray) -> np.ndarray:
         """Floored logs of what ``predict`` gives the true token, for a block of
         complete grids, one per row, whose signature codes times k are ``keys``:
         entry ``[i, L]``, for L in 0..size-offset, is
         ``log(max(predict(grids[i, :L]).prob(grids[i, L - 1 + offset]), 1e-300))``."""
-        raise NotImplementedError(f"{type(self).__name__} does not score grids in blocks")
 
 
 def _code_count(width: int, vocab_size: int) -> int:
@@ -483,18 +465,27 @@ class DraftHeadSet:
 
 
 class Slot(NamedTuple):
-    """``copies`` candidates of a pool sharing one draft: the ``direction`` head
-    of ``depth`` on the first ``length`` committed tokens, labelled ``label``.
-    ``head`` is that head's position in ``vertical[:vertical_depth] +
-    horizontal`` of a head set, for the ``vertical_depth`` the pool was laid
-    out with, so a reader reaches it by index rather than by name."""
+    """``copies`` candidates of a pool sharing one draft: head ``head`` of
+    :func:`slot_heads`, for the ``vertical_depth`` the pool was laid out
+    with, on the first ``length`` committed tokens."""
 
-    direction: str
-    depth: int
+    head: int
     length: int
     copies: int
-    label: str
-    head: int
+
+
+def slot_heads(
+    heads: DraftHeadSet, vertical_depth: int
+) -> tuple[tuple[DraftHead, ...], tuple[str, ...]]:
+    """The heads a :class:`Slot` indexes, ``vertical[:vertical_depth] +
+    horizontal``, and each one's ``source:depth`` label."""
+    if heads.vertical_depth < vertical_depth:
+        raise ValueError(f"pools want vertical depth {vertical_depth}, "
+                         f"heads provide {heads.vertical_depth}")
+    vertical = heads.vertical[:vertical_depth]
+    labels = [f"vertical:{d}" for d in range(1, len(vertical) + 1)]
+    labels += [f"horizontal:{n}" for n in range(1, heads.horizontal_depth + 1)]
+    return vertical + heads.horizontal, tuple(labels)
 
 
 def pool_slots(
@@ -513,12 +504,10 @@ def pool_slots(
         d = (n - 1) // width + 1
         source = frontier + n - 1 - d * width
         while d <= vertical_depth and source >= 0:
-            slots.append(Slot("vertical", d, source + 1, samples_per_vertical, f"vertical:{d}",
-                              d - 1))
+            slots.append(Slot(d - 1, source + 1, samples_per_vertical))
             d += 1
             source -= width
-    slots.append(Slot("horizontal", n, frontier, samples_per_horizontal, f"horizontal:{n}",
-                      vertical_depth + n - 1))
+    slots.append(Slot(vertical_depth + n - 1, frontier, samples_per_horizontal))
     return tuple(slots)
 
 

@@ -33,7 +33,7 @@ from .core import (
     kl_divergence,
 )
 from .engine import BatchResult, EngineConfig
-from .models import DraftHeadSet, TargetModel, pool_slots
+from .models import DraftHeadSet, TargetModel, pool_slots, slot_heads
 from .rng import stream
 from .verifier import rejection_mass
 
@@ -214,9 +214,9 @@ def rejection_curve(
     horizontal-only chain repeats the depth-1 horizontal distribution. The
     value at m is the chance that all m candidates are rejected, averaged
     over positions. The drafts are the ones a pool for the position holds
-    once the tokens before it have committed: one copy of each vertical draft
-    of its :func:`~hawk.models.pool_slots`, then the depth-1 horizontal
-    draft.
+    once the tokens before it have committed: one copy of each slot of its
+    :func:`~hawk.models.pool_slots`, the vertical drafts then the depth-1
+    horizontal one.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -235,13 +235,13 @@ def rejection_curve(
     per_grid = grid.size - grid.width
     samples = [tuple(s) for s in model.sample_grid(gen, -(-position_count // per_grid)).tolist()]
     draft = _draft_fn(config.transform)
+    by_slot, _ = slot_heads(heads, config.vertical_depth)
     for n in range(position_count):
         sample, t = samples[n // per_grid], grid.width + n % per_grid
         target = apply_sampling_config(model.conditional(sample[:t]), config.transform)
-        horizontal = draft(heads.horizontal[0], sample, t)
-        cycle = [draft(heads.vertical[s.depth - 1], sample, s.length)
-                 for s in pool_slots(grid.width, t, 1, config.vertical_depth, 1, 1)[:-1]]
-        cycle.append(horizontal)
+        cycle = [draft(by_slot[s.head], sample, s.length)
+                 for s in pool_slots(grid.width, t, 1, config.vertical_depth, 1, 1)]
+        horizontal = cycle[-1]
         dual_sums += rejection_mass(target, [cycle[i % len(cycle)] for i in range(m_max)])
         horiz_sums += rejection_mass(target, [horizontal] * m_max)
     return RejectionCurves(

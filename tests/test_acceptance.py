@@ -400,10 +400,11 @@ def test_criterion_6_cache_law(width, vsd, height):
             drafts = iter(build_pool(ctx, slots))
             for slot in slots:
                 copies = [next(drafts) for _ in range(slot.copies)]
-                if slot.direction == "vertical":
-                    source = frontier + n - 1 - slot.depth * width
+                if slot.head < vsd:  # the vertical head of depth slot.head + 1
+                    d = slot.head + 1
+                    source = frontier + n - 1 - d * width
                     assert 0 <= source < frontier and slot.length == source + 1
-                    draft = ctx.draft_dist(heads.vertical[slot.depth - 1], committed[: source + 1],
+                    draft = ctx.draft_dist(heads.vertical[d - 1], committed[: source + 1],
                                            source + 1)
                     assert all(copy is draft for copy in copies)
         assert live <= capacity

@@ -130,9 +130,28 @@ def _ctx_round(ctx, frontier):
                             ctx.grid.size)
 
 
-def _labels(slots):
-    """The ``source:depth`` label of each candidate of a plan layer."""
-    return [slot.label for slot in slots for _ in range(slot.copies)]
+def _direction_depth(head, vsd):
+    """The (direction, depth) of ``Slot.head`` in a pool laid out with ``vsd``
+    vertical depths: the vertical heads by depth come first, then the
+    horizontal ones."""
+    return ("vertical", head + 1) if head < vsd else ("horizontal", head - vsd + 1)
+
+
+def _vsd(config):
+    """The vertical depths a context lays its pools out with."""
+    return config.vertical_depth if config.samples_per_vertical else 0
+
+
+def _slot_head(heads, slot, vsd):
+    """The head of ``heads`` that ``slot`` of a pool laid out with ``vsd`` reads."""
+    direction, depth = _direction_depth(slot.head, vsd)
+    return getattr(heads, direction)[depth - 1]
+
+
+def _labels(slots, vsd):
+    """The ``source:depth`` label of each candidate of a plan layer laid out with ``vsd``."""
+    return ["%s:%d" % _direction_depth(slot.head, vsd) for slot in slots
+            for _ in range(slot.copies)]
 
 
 class TestCacheFormulas:
@@ -245,7 +264,8 @@ class TestSpeculationCache:
         trace = []
         decode_batch(model, heads, config, 3, 4, trace=trace)
         held = Counter(
-            slot.label for slots, _ in pools.calls for slot in slots if slot.direction == "vertical"
+            f"vertical:{slot.head + 1}" for slots, _ in pools.calls for slot in slots
+            if slot.head < config.vertical_depth
         )
         assert held == {f"vertical:{d}": n for d, n in calls.items()}
         assert set(held) == {"vertical:1", "vertical:2"}
@@ -280,7 +300,7 @@ def _hawk_setup(grid=None, seed=11):
     return grid, model, heads, config
 
 
-class TestCommitCachePolicy:
+class TestLivePairsAfterCommit:
     def test_first_commit_writes_one_entry(self):
         # A commit only appends; the first one makes one pair live, the
         # depth-1 draft of index 0 for the position one row down.
@@ -321,7 +341,8 @@ class TestBuildPool:
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         (slot,) = ctx.plans[0].layers[0]
-        assert slot == Slot("horizontal", 1, 0, 1, "horizontal:1", 1)  # after vertical:1
+        assert slot == Slot(1, 0, 1)  # after vertical:1
+        assert _labels((slot,), 1) == ["horizontal:1"]
         assert build_pool(ctx, (slot,)) == (ctx.draft_dist(heads.horizontal[0], [], 0),)
 
     def test_interior_position_gathers_vertical(self):
@@ -333,7 +354,7 @@ class TestBuildPool:
         vertical = ctx.draft_dist(heads.vertical[0], [0], 1)  # for row 1, col 0
         slots = ctx.plans[4].layers[0]
         assert build_pool(ctx, slots) == (vertical, horizontal)
-        assert _labels(slots) == ["vertical:1", "horizontal:1"]
+        assert _labels(slots, 1) == ["vertical:1", "horizontal:1"]
 
     def test_beyond_grid_rejected(self):
         # Plans cover the frontiers of an unfinished grid, and no layer of
@@ -368,7 +389,7 @@ class TestBuildPool:
         slots = ctx.plans[8].layers[0]
         assert build_pool(ctx, slots) == (one_up,) * 2 + (two_up,) * 2 + (horizontal,) * 2
         want = ["vertical:1", "vertical:2", "horizontal:1"]
-        assert _labels(slots) == [label for label in want for _ in range(2)]
+        assert _labels(slots, 2) == [label for label in want for _ in range(2)]
 
 
 class TestCandidateTree:
@@ -504,9 +525,9 @@ def _symbolic_draft(head, prefix):
     return head + (len(prefix),)
 
 
-def _symbolic(slots):
+def _symbolic(slots, vsd):
     """A plan layer's candidates as :func:`_symbolic_draft` gives them."""
-    return [(slot.direction, slot.depth, slot.length) for slot in slots
+    return [_direction_depth(slot.head, vsd) + (slot.length,) for slot in slots
             for _ in range(slot.copies)]
 
 
@@ -563,8 +584,8 @@ class TestRoundPlans:
             kept, labels, widths, lengths = _reference_round(
                 _symbolic_draft, heads, config, tokens, frontier, size
             )
-            assert [_symbolic(slots) for slots in plan.layers] == kept
-            assert [_labels(slots) for slots in plan.layers] == labels
+            assert [_symbolic(slots, config.vertical_depth) for slots in plan.layers] == kept
+            assert [_labels(slots, config.vertical_depth) for slots in plan.layers] == labels
             assert all(slot.copies >= 1 for slots in plan.layers for slot in slots)
             assert plan.widths == widths
             assert plan.truncated == (widths != lengths)
@@ -619,7 +640,7 @@ class TestLazyLayers:
             decode_round(ctx)
             plan, tree, verified = spy.rounds[-1]
             assert len(verified) == 1 and len(ctx.committed) == len(spy.rounds)
-            assert calls == [(getattr(heads, slot.direction)[slot.depth - 1], slot.length)
+            assert calls == [(_slot_head(heads, slot, 2), slot.length)
                              for slot in plan.layers[0]]
             assert sum(tree.layers, []) == eager_rng.random(sum(plan.widths)).tolist()
         assert ctx.draws.uniforms(1) == [eager_rng.random()]
@@ -825,7 +846,7 @@ class TestDrawOrder:
             for k, slots in enumerate(plan.layers):
                 layer = build_pool(ctx, slots)
                 assert list(layer) == kept[k]
-                assert _labels(slots) == labels[k]
+                assert _labels(slots, _vsd(config)) == labels[k]
                 # Verified against its own draft, a candidate is accepted at
                 # once, so the walk emits the token it drew.
                 walked = [
@@ -1005,7 +1026,7 @@ class TestRoundProperties:
                 # The plan keeps the first b_k drafts of each pool, and every
                 # depth the walk reaches verifies all of them.
                 assert list(plan.widths) == _widths_by_brute_force(lengths, config.node_budget)
-                assert [_labels(slots) for slots in plan.layers] == labels
+                assert [_labels(slots, _vsd(config)) for slots in plan.layers] == labels
                 assert [len(uniforms) for uniforms in tree.layers] == list(widths)
                 assert [list(candidates) for candidates, _ in calls] == kept[: len(calls)]
                 truncated += plan.truncated
@@ -1135,9 +1156,9 @@ class TestDecodeImage:
         flat = tokens.reshape(-1).tolist()
         held = {}
         for slots, layer in pools.calls:
-            for draft, label in zip(layer, _labels(slots)):
+            for draft, label in zip(layer, _labels(slots, 1)):
                 if label == "vertical:1":  # its source is one row above the position
-                    source = next(slot.length for slot in slots if slot.label == label) - 1
+                    source = next(slot.length for slot in slots if slot.head == 0) - 1
                     assert held.setdefault(source + grid.width, draft) is draft
         trace = dict(kl_trace(heads, config, tokens))
         assert list(trace) == list(range(grid.width, grid.size))
@@ -1151,7 +1172,7 @@ class TestDecodeImage:
             pools.calls.clear()
             decode_image(model, heads, other, 5, trace=[])
             assert pools.calls
-            assert not any(slot.direction == "vertical" for slots, _ in pools.calls for slot in slots)
+            assert all(len(slots) == 1 for slots, _ in pools.calls)  # the horizontal slot
             with pytest.raises(ValueError, match="vertical head"):
                 kl_trace(heads, other, tokens)
 
@@ -1195,7 +1216,7 @@ class TestZeroVerticalSamples:
         )
 
 
-class TestDraftRebuild:
+class TestPoolDraftsFromTheGrid:
     def test_cached_drafts_are_the_rebuilt_ones(self, monkeypatch):
         # The analysis code rebuilds the drafts the engine held from the
         # decoded grid alone. Every draft of every round's pools must be that
@@ -1218,11 +1239,11 @@ class TestDraftRebuild:
             for slots, layer in pools.calls:
                 # No pool is cut here, so each ends in its horizontal slot,
                 # whose prefix is the round's.
-                frontier, n = slots[-1].length, slots[-1].depth
+                frontier, (_, n) = slots[-1].length, _direction_depth(slots[-1].head, 2)
                 labels = []
                 want = _build_pool(lambda head, prefix: draft(head, prefix, len(prefix)), heads,
                                    config, tokens, frontier, n, labels)
-                assert _labels(slots) == labels and len(layer) == len(want)
+                assert _labels(slots, 2) == labels and len(layer) == len(want)
                 for got, rebuilt in zip(layer, want):
                     np.testing.assert_array_equal(got.probs, rebuilt.probs)
                 checked.update(label.split(":")[0] for label in labels)
@@ -1394,8 +1415,11 @@ class _FreshCopyHead(DraftHead):
     def predict(self, tokens, length):
         return TokenDistribution(self.inner.predict(tokens, length).probs)
 
+    def true_token_logs(self, keys, grids):
+        return self.inner.true_token_logs(keys, grids)
 
-class TestDraftCache:
+
+class TestPerCallDrafts:
     def test_per_call_distributions_never_hit_stale_entries(self):
         grid, model, fitted, _ = _hawk_setup()
         heads = DraftHeadSet(

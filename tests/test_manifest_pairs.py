@@ -1,0 +1,77 @@
+"""``tools/manifest_pairs.compare`` and ``report``, the digest gate of a
+refactor, on a stubbed runner in place of ``hawk``."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+DIGESTS = {"metrics.csv": "aa", "trace.csv": "bb"}
+
+
+@pytest.fixture
+def manifest_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))  # for its ``from bench_pairs import ...``
+    spec = importlib.util.spec_from_file_location("manifest_pairs", TOOLS / "manifest_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def roots(tmp_path):
+    """Two trees, each with the same two configs."""
+    out = {}
+    for side in ("parent", "change"):
+        (tmp_path / side / "configs").mkdir(parents=True)
+        for name in ("a", "b"):
+            (tmp_path / side / "configs" / f"{name}.json").write_text("{}")
+        out[side] = tmp_path / side
+    return out
+
+
+def _stub(results):
+    """A runner that answers from ``results[(side, config, command)]``, else
+    exit 0 with ``DIGESTS``, and records every call's output directory."""
+    calls = []
+
+    def run(root, config, command, out):
+        calls.append(out)
+        return results.get((root.name, config, command), (0, dict(DIGESTS)))
+    run.calls = calls
+    return run
+
+
+def test_identical_runs_pass(manifest_pairs, roots, tmp_path, capsys):
+    run = _stub({})
+    rows = manifest_pairs.compare(roots, tmp_path / "out", run)
+    assert [(r["config"], r["command"]) for r in rows] == [
+        (config, command) for config in ("a", "b") for command in manifest_pairs.COMMANDS]
+    assert all(row["same"] for row in rows)
+    assert len(set(run.calls)) == len(run.calls) == 2 * len(rows)  # one directory per run
+    assert manifest_pairs.report(rows) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(rows) and all(line.endswith("exit 0/0 same") for line in lines)
+
+
+def test_one_digest_differs(manifest_pairs, roots, tmp_path, capsys):
+    moved = {**DIGESTS, "trace.csv": "cc"}
+    rows = manifest_pairs.compare(roots, tmp_path / "out",
+                                  _stub({("change", "b", "bench"): (0, moved)}))
+    assert [(r["config"], r["command"]) for r in rows if not r["same"]] == [("b", "bench")]
+    assert manifest_pairs.report(rows) == 1
+    out = capsys.readouterr().out
+    assert "b              bench   exit 0/0 DIFFERS: trace.csv" in out.splitlines()
+
+
+def test_refused_on_both_sides_is_equal(manifest_pairs, roots, tmp_path, capsys):
+    refused = {(side, "a", "verify"): (1, None) for side in ("parent", "change")}
+    rows = manifest_pairs.compare(roots, tmp_path / "out", _stub(refused))
+    assert all(row["same"] for row in rows)
+    assert manifest_pairs.report(rows) == 0
+    assert "a              verify  exit 1/1 same" in capsys.readouterr().out.splitlines()
+    # Refused on one side only is a difference, though neither wrote a manifest.
+    rows = manifest_pairs.compare(roots, tmp_path / "out",
+                                  _stub({("change", "a", "verify"): (1, None)}))
+    assert manifest_pairs.report(rows) == 1

@@ -163,8 +163,8 @@ def sparse_models(draw):
         weights.append(draw(st.integers(1, 3)))
         row[: top + 1] = np.array(weights) / sum(weights)
     if markov:
-        return GridMarkovModel(grid, 0, 0.5, tables, np.zeros((k, 2)))
-    return IndependentPositionModel(grid, 0, tables, np.zeros((k, 2)))
+        return GridMarkovModel(grid, tables, np.zeros((k, 2)))
+    return IndependentPositionModel(grid, tables, np.zeros((k, 2)))
 
 
 class _FixedUniforms:
@@ -203,8 +203,8 @@ class TestBlockSampler:
         embeddings = np.zeros((4, 2))
         uniforms = [0.0, 0.5, 0.75, 1 - 2**-53, 0.4999, 0.7500001] * 2
         for model in (
-            GridMarkovModel(grid, 0, 0.5, np.tile(row, (5, 5, 1)), embeddings),
-            IndependentPositionModel(grid, 0, np.tile(row, (grid.size, 1)), embeddings),
+            GridMarkovModel(grid, np.tile(row, (5, 5, 1)), embeddings),
+            IndependentPositionModel(grid, np.tile(row, (grid.size, 1)), embeddings),
         ):
             grids = model.sample_grid(_FixedUniforms(uniforms), 2)
             assert grids.tolist() == [[0, 1, 2, 2, 0, 2]] * 2
