@@ -1,5 +1,6 @@
 """Enumeration oracle, statistical distances, and benchmark reporting."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -280,6 +281,11 @@ class TestRejectionCurve:
             rejection_curve(model, heads, config, 0, 4, 9)
         with pytest.raises(ValueError):
             rejection_curve(model, heads, config, 10, 0, 9)
+        # Heads shallower than the config's vertical depth are refused, not
+        # read past their last vertical head.
+        deeper = dataclasses.replace(config, vertical_depth=2)
+        with pytest.raises(ValueError, match="pools want vertical depth 2, heads provide 1"):
+            rejection_curve(model, heads, deeper, 10, 4, 9)
 
     def test_one_row_grid_refused(self):
         # Positions come from the second row on, so a one-row grid has none
