@@ -12,6 +12,7 @@ import pkgutil
 from pathlib import Path
 
 import hawk
+from test_benchmark_hooks import _dotted  # the parse of ``test_run_uses_only_existing_names``
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,16 +25,6 @@ def _readme_names() -> set[str]:
     return {alias.name for node in ast.walk(ast.parse(code))
             if isinstance(node, ast.ImportFrom) and node.module == "hawk"
             for alias in node.names}
-
-
-def _dotted(node: ast.Attribute) -> list[str]:
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return parts[::-1]
 
 
 def _run_names() -> set[str]:

@@ -40,9 +40,9 @@ def run_hawk(root: Path, config: str, command: str, out: Path) -> Run:
          "--out", str(out)],
         cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True)
     manifest = out / "manifest.json"
-    outputs = json.loads(manifest.read_text(encoding="utf-8"))["outputs"] if manifest.exists() \
-        else None
-    return done.returncode, outputs
+    if not manifest.exists():
+        return done.returncode, None
+    return done.returncode, json.loads(manifest.read_text(encoding="utf-8"))["outputs"]
 
 
 def compare(roots: dict[str, Path], scratch: Path,
