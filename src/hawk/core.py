@@ -10,9 +10,9 @@ message and coerce nothing.
 
 All types here are immutable values and all functions are pure, so they are
 safe to share across threads or worker processes. A distribution lazily
-caches two derived values, its cumulative table and its last sampling
-transform; both are functions of the immutable entries, so a concurrent fill
-is a benign race.
+caches two derived values, its cut table and its last sampling transform;
+each is a function of the immutable entries, set in one assignment, so a
+concurrent fill is a benign race.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ class TokenDistribution:
 
     The entries are validated on construction: non-negative (tiny negative
     rounding noise is clamped) and summing to one within ``SUM_TOLERANCE``.
-    A cumulative table is cached lazily to make repeated sampling cheap, and
+    Its cut table is cached lazily to make repeated sampling cheap, and
     the last sampling transform applied is memoized as a ``(SamplingConfig,
     result)`` pair (see :func:`apply_sampling_config`), so the memo lives
     exactly as long as the distribution it describes.
     """
 
-    __slots__ = ("probs", "_cum", "_top", "_memo")
+    __slots__ = ("probs", "_cut", "_memo")
 
     def __init__(self, probs: Union[Sequence[float], np.ndarray]) -> None:
         arr = np.array(probs, dtype=np.float64)
@@ -79,8 +79,7 @@ class TokenDistribution:
             raise ValueError(f"probabilities sum to {total}, expected 1.0")
         arr.setflags(write=False)
         self.probs = arr
-        self._cum = None
-        self._top = -1
+        self._cut = None
         self._memo = None
 
     @classmethod
@@ -89,8 +88,7 @@ class TokenDistribution:
         out = object.__new__(cls)
         arr.setflags(write=False)
         out.probs = arr
-        out._cum = None
-        out._top = -1
+        out._cut = None
         out._memo = None
         return out
 
@@ -105,38 +103,25 @@ class TokenDistribution:
 
 
 def index_at(dist: TokenDistribution, u: float) -> int:
-    """The token index that the uniform variate ``u`` in [0, 1) selects from ``dist``.
-
-    Uses the cached cumulative table; cumulative rounding shortfall at the
-    upper end falls back to the last token with positive probability, so a
-    zero-probability token can never be returned.
-    """
-    cum = dist._cum
-    if cum is None:
-        cum = _fill_cumulative(dist)
-    i = int(np.searchsorted(cum, u, side="right"))
-    return i if i <= dist._top else dist._top
+    """The token index that the uniform variate ``u`` in [0, 1) selects from ``dist``:
+    the count of cuts of its cached :func:`sampling_table` at or below ``u``."""
+    cut = dist._cut
+    if cut is None:
+        cut = sampling_table(dist)
+    return int(np.searchsorted(cut, u, side="right"))
 
 
-def _fill_cumulative(dist: TokenDistribution) -> np.ndarray:
-    cum = np.cumsum(dist.probs)
-    # _top first: a reader that sees _cum set must also see _top.
-    dist._top = int(np.nonzero(dist.probs)[0][-1])
-    dist._cum = cum
-    return cum
-
-
-def sampling_table(dist: TokenDistribution) -> list[float]:
+def sampling_table(dist: TokenDistribution) -> np.ndarray:
     """The cumulative table of ``dist`` cut before its last positive-probability token.
 
-    ``bisect.bisect_right(sampling_table(dist), u)`` is ``index_at(dist, u)``
-    for every ``u``: a variate at or past the cut selects the last positive
-    token, which is the clamp of :func:`index_at`.
+    It is filled on first use and cached on ``dist``. A variate at or past the
+    last cut selects that last positive token, even where the cumulative sum
+    falls short of 1, so a zero-probability token is never selected.
     """
-    cum = dist._cum
-    if cum is None:
-        cum = _fill_cumulative(dist)
-    return cum[: dist._top].tolist()
+    cut = dist._cut
+    if cut is None:
+        cut = dist._cut = np.cumsum(dist.probs)[: np.nonzero(dist.probs)[0][-1]]
+    return cut
 
 
 def sample_index(dist: TokenDistribution, rng: np.random.Generator) -> int:

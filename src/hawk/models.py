@@ -98,7 +98,7 @@ class TargetModel(abc.ABC):
 def _cut_rows(dists: Sequence[TokenDistribution], vocab_size: int) -> list[np.ndarray]:
     """Entry j of row i is entry i of ``dists[j]``'s sampling table, +inf past
     its end, so the token ``dists[j]`` draws with a uniform is the count of
-    its cuts at or below it: the ``bisect_right`` of ``sample_index``."""
+    its cuts at or below it, as :func:`hawk.core.index_at` counts them."""
     cuts = np.full((vocab_size - 1, len(dists)), np.inf)
     for j, dist in enumerate(dists):
         table = sampling_table(dist)
@@ -145,15 +145,11 @@ class GridMarkovModel(TargetModel):
         rows, cols = np.divmod(np.arange(grid.size), width)
         self._raster = (rows + cols + 1) * (height + 1) + rows + 1
 
-    def _neighbor_key(self, prefix: Sequence[int]) -> tuple[int, int]:
+    def conditional(self, prefix: Sequence[int]) -> TokenDistribution:
         pos = len(prefix)
         width = self.grid.width
         left = prefix[pos - 1] if pos % width != 0 else _BOUNDARY
         above = prefix[pos - width] if pos >= width else _BOUNDARY
-        return left, above
-
-    def conditional(self, prefix: Sequence[int]) -> TokenDistribution:
-        left, above = self._neighbor_key(prefix)
         return self._rows[left][above]
 
     def sample_grid(self, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -1,7 +1,10 @@
 """``tools/bench_pairs.summarize`` and ``resolved_gain``, which write every paired
-BENCH file's verdicts, on synthetic records."""
+BENCH file's verdicts, on synthetic records, and its ``main`` on a stubbed
+``subprocess.run``."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -125,3 +128,38 @@ def test_beyond_bound_in_the_worse_direction(summarize):
     summary = summarize(fall, METRICS)
     assert not summary["setup_s"]["beyond_bound"]
     assert not summary["decodes_per_s.hawk"]["beyond_bound"]
+
+
+def test_a_revision_against_itself(bench_pairs, monkeypatch, tmp_path, capsys):
+    # An A/A run exports one SHA twice, each side into its own tree.
+    sha = "f" * 40
+    benchmark = {"workloads": [{"name": "w"}], "end_to_end": METRICS}
+    record = {"failed": 0, "attempted": 3,
+              "metrics": {spec["name"]: {"value": 1.0} for spec in METRICS}}
+    trees, runs = [], []
+
+    def run(command, cwd=None, **kwargs):
+        stdout = b""
+        if command[:2] == ("git", "rev-parse"):
+            stdout = sha
+        elif command[0] == "tar":
+            trees.append(Path(command[-1]))
+            (trees[-1] / "BENCHMARK.json").write_text(json.dumps(benchmark))
+        elif command[0] != "git":  # perfbench/run.py
+            runs.append(Path(cwd).name)
+            stdout = "provenance: {\"cpu\": \"x\"}\n" + json.dumps(record)
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["HEAD", "HEAD", "--pairs", "2", "--seconds", "1",
+                             "--out", str(out)]) == 0
+    assert [tree.name for tree in trees] == ["parent", "change"]
+    assert runs == ["parent", "change", "change", "parent"]
+    bench = json.loads(out.read_text())
+    assert bench["parent"] == bench["change"] == {"git_sha": sha}
+    assert bench["provenance"] == {"cpu": "x"}
+    pairs = bench["pairs"]["w"]
+    assert pairs["attempted"] == {"parent": 6, "change": 6}
+    for summary in pairs["metrics"].values():
+        assert summary["median_change"] == 0.0 and not summary["resolved_gain"]

@@ -6,7 +6,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hawk.core import (
@@ -227,17 +227,25 @@ class TestSampleIndex:
         short = dist(0.5, 0.5 - 1e-10, 0.0)  # cumulative shortfall at the upper end
         assert index_at(short, 1.0 - 5e-11) == 1
 
-    def test_sampling_table_bisects_to_index_at(self):
-        for d in (
-            dist(0.0, 0.5, 0.5, 0.0),
-            dist(0.5, 0.5 - 1e-10, 0.0),  # cumulative shortfall at the upper end
-            dist(1.0, 0.0),
-            dist(0.2, 0.5, 0.3),
-        ):
-            table = sampling_table(d)
-            cum = np.cumsum(d.probs).tolist()
-            for u in [0.0, 0.2, 0.5, 0.7, 1.0 - 5e-11, np.nextafter(1.0, 0.0), *cum]:
-                assert bisect_right(table, u) == index_at(d, u), (d, u)
+    @given(distributions(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+    @example(dist(0.0, 0.5, 0.5, 0.0), [])
+    @example(dist(0.5, 0.5 - 1e-10, 0.0), [])  # cumulative shortfall at the upper end
+    @example(dist(1.0, 0.0), [])
+    @example(dist(1.0, 0.0, 0.0), [])  # a point mass at token 0: no cuts at all
+    @example(dist(0.0, 0.0, 1.0), [])  # a point mass at the last token
+    @example(dist(0.2, 0.5, 0.3), [])
+    def test_sampling_table_bisects_to_index_at(self, d, uniforms):
+        # The reference rule: bisect the whole cumulative table, then clamp
+        # to the last positive-probability token.
+        cum = np.cumsum(d.probs).tolist()
+        last = int(np.nonzero(d.probs)[0][-1])
+        table = sampling_table(d)
+        assert sampling_table(d) is table and len(table) == last
+        steps = [np.nextafter(c, side) for c in cum for side in (0.0, 1.0)]
+        for u in [0.0, 0.2, 0.5, 0.7, 1.0 - 5e-11, np.nextafter(1.0, 0.0), *cum, *steps,
+                  *uniforms]:
+            want = min(bisect_right(cum, u), last)
+            assert bisect_right(table.tolist(), u) == index_at(d, u) == want, (d, u)
 
     def test_sample_index_is_index_at_of_next_uniform(self):
         d = dist(0.2, 0.5, 0.3)

@@ -39,13 +39,12 @@ def git(*args: str) -> str:
 
 
 def export(sha: str, into: Path) -> Path:
-    """The committed tree of ``sha``, unpacked into a new directory under ``into``."""
-    root = into / sha
-    root.mkdir()
+    """The committed tree of ``sha``, unpacked into the new directory ``into``."""
+    into.mkdir()
     archive = subprocess.run(("git", "archive", "--format=tar", sha), check=True,
                              capture_output=True).stdout
-    subprocess.run(("tar", "-x", "-C", str(root)), input=archive, check=True)
-    return root
+    subprocess.run(("tar", "-x", "-C", str(into)), input=archive, check=True)
+    return into
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -118,7 +117,7 @@ def main(argv=None) -> int:
     shas = {side: git("rev-parse", rev) for side, rev in zip(SIDES, (args.parent_rev,
                                                                     args.change_rev))}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
-        roots = {side: export(sha, Path(scratch)) for side, sha in shas.items()}
+        roots = {side: export(sha, Path(scratch) / side) for side, sha in shas.items()}
         benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         workloads = [w["name"] for w in benchmark["workloads"]]
         pairs, records, provenance = {}, {side: {} for side in SIDES}, None

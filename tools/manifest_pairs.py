@@ -82,10 +82,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="manifest-pairs-") as scratch:
         scratch = Path(scratch)
-        roots = {}
-        for side, rev in zip(SIDES, (args.parent_rev, args.change_rev)):
-            (scratch / "trees" / side).mkdir(parents=True)
-            roots[side] = export(git("rev-parse", rev), scratch / "trees" / side)
+        roots = {side: export(git("rev-parse", rev), scratch / side)
+                 for side, rev in zip(SIDES, (args.parent_rev, args.change_rev))}
         return report(compare(roots, scratch / "out"))
 
 
