@@ -86,11 +86,8 @@ GRID_FIELDS = {name: (int, None, minimum) for name, minimum in GRID_MINIMUMS.ite
 ENGINE_FIELDS = {
     "mode": (str, None),
     "temperature": (float, 1.0),
-    **{
-        "lantern_lambda" if name == "lantern_lam" else name:
-            (kind, getattr(EngineConfig, name), minimum)
-        for name, (kind, minimum) in ENGINE_MINIMUMS.items()
-    },
+    **{name: (kind, getattr(EngineConfig, name), minimum)
+       for name, (kind, minimum) in ENGINE_MINIMUMS.items()},
 }
 ENGINE_KEYS = {"top_k", *ENGINE_FIELDS}  # top_k is "all" or an integer
 ORACLE_FIELDS = {"decode_count": (int, 20000, 1), "tolerance_factor": (float, 3.0)}
@@ -162,7 +159,7 @@ def _parse_engine(raw: dict) -> EngineConfig:
         top_k=top_k if top_k == "all" else json_field(section, "top_k", "engine", int),
         temperature=read.pop("temperature"),
     )
-    return EngineConfig(transform=transform, lantern_lam=read.pop("lantern_lambda"), **read)
+    return EngineConfig(transform=transform, **read)
 
 
 def load_run_config(

@@ -152,43 +152,14 @@ class SamplingConfig:
         return self.top_k == "all" and self.temperature == 1.0
 
 
-def apply_temperature(dist: TokenDistribution, temperature: float) -> TokenDistribution:
-    """Rescale a distribution as ``p_i ** (1/temperature)``, renormalized.
-
-    Computed in log space so that very low temperatures concentrate mass on
-    the argmax instead of underflowing to zero.
-    """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    if temperature == 1.0:
-        return dist
-    with np.errstate(divide="ignore"):
-        scaled = np.log(dist.probs) / temperature
-    weights = np.exp(scaled - scaled.max())
-    return TokenDistribution._wrap(weights / weights.sum())
-
-
-def apply_top_k(dist: TokenDistribution, k: int) -> TokenDistribution:
-    """Keep the k most probable tokens, zero the rest, and renormalize.
-
-    Ties at the cutoff are broken in favor of the lowest token index so the
-    result is deterministic. ``k >= len(dist)`` is the identity.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n = len(dist)
-    if k >= n:
-        return dist
-    # lexsort: primary key -probs (descending prob), secondary key index.
-    order = np.lexsort((np.arange(n), -dist.probs))
-    kept = np.zeros(n)
-    keep = order[:k]
-    kept[keep] = dist.probs[keep]
-    return TokenDistribution._wrap(kept / kept.sum())
-
-
 def apply_sampling_config(dist: TokenDistribution, config: SamplingConfig) -> TokenDistribution:
     """Temperature first, then top-k, matching the usual sampling pipeline.
+
+    Temperature rescales the entries as ``p_i ** (1/temperature)``,
+    renormalized, in log space so that very low temperatures concentrate
+    mass on the argmax instead of underflowing to zero. Top-k then keeps the
+    k most probable tokens, breaking ties at the cutoff in favor of the
+    lowest token index, zeroes the rest and renormalizes.
 
     The result is memoized on ``dist`` for the last config applied to it;
     a transform that returns ``dist`` itself is not memoized, so the memo
@@ -197,11 +168,23 @@ def apply_sampling_config(dist: TokenDistribution, config: SamplingConfig) -> To
     memo = dist._memo
     if memo is not None and (memo[0] is config or memo[0] == config):
         return memo[1]
-    out = apply_temperature(dist, config.temperature)
-    if config.top_k != "all":
-        out = apply_top_k(out, int(config.top_k))
-    if out is not dist:
-        dist._memo = (config, out)
+    probs = dist.probs
+    if config.temperature != 1.0:
+        with np.errstate(divide="ignore"):
+            scaled = np.log(probs) / config.temperature
+        weights = np.exp(scaled - scaled.max())
+        probs = weights / weights.sum()
+    k, n = config.top_k, probs.size
+    if k != "all" and k < n:
+        # lexsort: primary key -probs (descending prob), secondary key index.
+        keep = np.lexsort((np.arange(n), -probs))[:k]
+        kept = np.zeros(n)
+        kept[keep] = probs[keep]
+        probs = kept / kept.sum()
+    if probs is dist.probs:
+        return dist
+    out = TokenDistribution._wrap(probs)
+    dist._memo = (config, out)
     return out
 
 
@@ -218,13 +201,6 @@ def kl_divergence(p: TokenDistribution, q: TokenDistribution) -> float:
     pm = p.probs[mask]
     value = float(np.sum(pm * (np.log(pm) - np.log(q.probs[mask]))))
     return max(value, 0.0)
-
-
-def total_variation(p: TokenDistribution, q: TokenDistribution) -> float:
-    """Total variation distance ``0.5 * sum |p - q|``, in [0, 1]."""
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
 _KIND_NAMES = {

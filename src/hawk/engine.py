@@ -86,7 +86,7 @@ MODE_LANTERN = "lantern"
 MODES = (MODE_VANILLA, MODE_MEDUSA, MODE_HAWK, MODE_LANTERN)
 
 # Kind and least value of each number field of EngineConfig; a config file's
-# engine section reads the same fields, naming lantern_lam lantern_lambda.
+# engine section reads the same fields.
 # Row 0 has no vertical drafts, so every first-row layer rests on the
 # horizontal candidates alone: samples_per_horizontal >= 1.
 ENGINE_MINIMUMS = {
@@ -96,7 +96,7 @@ ENGINE_MINIMUMS = {
     "samples_per_vertical": (int, 0),
     "node_budget": (int, 1),
     "lantern_k": (int, 1),
-    "lantern_lam": (float, 1.0),
+    "lantern_lambda": (float, 1.0),
     "draft_overhead_ratio": (float, 0),  # read only by the benchmark; see EngineConfig
 }
 
@@ -123,7 +123,7 @@ class EngineConfig:
     node_budget: int = 64
     transform: SamplingConfig = field(default_factory=SamplingConfig)
     lantern_k: int = 10
-    lantern_lam: float = 2.0
+    lantern_lambda: float = 2.0
     draft_overhead_ratio: float = 0.0
 
     def __post_init__(self) -> None:
@@ -382,7 +382,7 @@ def decode_round(ctx: DecodingContext) -> None:
         target = ctx.target_dist(committed)
         if lantern:
             outcome = lantern_sequential_verify(target, drafts, uniforms[cuts[depth]], draws,
-                                                ctx.neighborhoods, config.lantern_lam)
+                                                ctx.neighborhoods, config.lantern_lambda)
         else:
             outcome = sequential_verify(target, drafts, uniforms[cuts[depth]], draws)
         if trace is not None:

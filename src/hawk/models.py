@@ -684,7 +684,7 @@ def _head_from_json(obj: dict, where: str, width: int, vocab_size: int) -> Tabul
             [json_value(p, f"{at}.probs[{j}]", float) for j, p in enumerate(probs)]
         )
     smoothing = json_field(obj, "smoothing", where, float, minimum=0)
-    offset = json_field(obj, "offset", where, int)
+    offset = json_field(obj, "offset", where, int, minimum=1)
     return TabularDraftHead(offset, width, vocab_size, smoothing, table)
 
 
@@ -708,9 +708,9 @@ def save_head_set(heads: DraftHeadSet, path: Union[str, Path]) -> None:
 def load_head_set(path: Union[str, Path]) -> DraftHeadSet:
     """Read a head set written by :func:`save_head_set`.
 
-    The file is outside input: a file that cannot be read, a missing field
-    or one of the wrong JSON type (numbers must be finite, ``smoothing`` at
-    least 0) raises a ``ValueError`` that names it, and nothing is coerced.
+    The file is outside input: a file that cannot be read or is not JSON, a
+    missing field or one of the wrong JSON type (numbers must be finite,
+    ``smoothing`` at least 0, ``offset`` at least 1) raises a ``ValueError`` that names it, and nothing is coerced.
     So does an entry whose signature repeats an earlier one's or that no
     prefix of a grid of the file's width and vocabulary can have.
     """
@@ -718,6 +718,8 @@ def load_head_set(path: Union[str, Path]) -> DraftHeadSet:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValueError(f"cannot read head set {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"head set {path} is not valid JSON: {exc}") from exc
     version = json_field(payload, "format_version", "", int)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported head set format_version {version!r}")

@@ -247,9 +247,9 @@ def token_neighborhoods(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, ...
     """k-nearest-neighbor token sets under Euclidean distance in embedding space.
 
     Each set is a sorted ``intp`` array, which :func:`lantern_acceptance`
-    indexes with as it is. Each token's own point is at distance zero, so it
-    is always a member. ``k`` is clipped to the vocabulary size; ties break
-    by token index.
+    indexes with as it is. Each token's own point is at distance zero and
+    wins every tie, so it is always a member. ``k`` is clipped to the
+    vocabulary size; other ties break by token index.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -259,6 +259,6 @@ def token_neighborhoods(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, ...
     out = []
     for t in range(n):
         d = np.linalg.norm(points - points[t], axis=1)
-        order = np.lexsort((np.arange(n), d))
+        order = np.lexsort((np.arange(n), np.arange(n) != t, d))
         out.append(np.sort(order[:k]))
     return tuple(out)

@@ -68,7 +68,7 @@ LANTERN_CONFIG = EngineConfig(
     horizontal_depth=2,
     samples_per_horizontal=2,
     lantern_k=10,
-    lantern_lam=2.0,
+    lantern_lambda=2.0,
 )
 
 
@@ -243,7 +243,7 @@ ORACLE_2X3_CONFIGS = {
     ),
     "lantern": EngineConfig(
         mode="lantern", horizontal_depth=2, samples_per_horizontal=3,
-        transform=ORACLE_2X3_TRANSFORM, lantern_k=10, lantern_lam=2.0,
+        transform=ORACLE_2X3_TRANSFORM, lantern_k=10, lantern_lambda=2.0,
     ),
 }
 
@@ -304,7 +304,7 @@ def test_criterion_2_verifier_exactness():
     lantern = max(
         float(np.max(np.abs(emitted_law(p, drafts, lantern_sequential_verify,
                                         [tuple(range(len(p)))] * len(p),
-                                        LANTERN_CONFIG.lantern_lam) - p.probs)))
+                                        LANTERN_CONFIG.lantern_lambda) - p.probs)))
         for p, drafts in instances
     )
     ok = worst <= 1e-12 and lantern > 1e-3 and repeated > 0 and sparse > 0

@@ -253,7 +253,7 @@ class TestConfigLoading:
         )
         config = load_run_config(path)
         assert config.engine.transform == SamplingConfig()
-        assert config.engine.lantern_lam == 3.0
+        assert config.engine.lantern_lambda == 3.0
         assert config.engine.draft_overhead_ratio == 0.25
         assert config.tolerance_factor == 2.0
 
@@ -269,7 +269,7 @@ LIBRARY_REFUSALS = [
     (lambda v: SamplingConfig(temperature=v), "temperature", "engine", "temperature", INF),
     (lambda v: SamplingConfig(top_k=v), "top_k", "engine", "top_k", 2.5),
     (lambda v: SamplingConfig(top_k=v), "top_k", "engine", "top_k", True),
-    (lambda v: EngineConfig(mode="lantern", lantern_k=1, lantern_lam=v), "lantern_lam",
+    (lambda v: EngineConfig(mode="lantern", lantern_k=1, lantern_lambda=v), "lantern_lambda",
      "engine", "lantern_lambda", NAN),
     (lambda v: EngineConfig(mode="hawk", vertical_depth=1, node_budget=v), "node_budget",
      "engine", "node_budget", 2.5),
@@ -292,7 +292,7 @@ class TestLibraryRefusals:
     ):
         # The constructors read their numbers with the config reader. Let
         # through, a NaN temperature decodes every grid as zeros, a NaN
-        # lantern_lam accepts every draft, and a top_k of 2.5 or True acts
+        # lantern_lambda accepts every draft, and a top_k of 2.5 or True acts
         # as 2 or 1.
         with pytest.raises(ValueError, match=f"field '{name}' must be"):
             build(value)
@@ -383,6 +383,7 @@ class TestHeadsFile:
             ("horizontal.1.smoothing", float("-inf"),
              "'horizontal[1].smoothing' must be a number, got -inf"),
             ("horizontal.0.smoothing", -5.0, "'horizontal[0].smoothing' must be >= 0, got -5.0"),
+            ("horizontal.0.offset", 0, "'horizontal[0].offset' must be >= 1, got 0"),
         ],
     )
     def test_malformed_fields_named(self, tmp_path, capsys, heads_path, field, value, named):
@@ -399,6 +400,14 @@ class TestHeadsFile:
         path = write_config(tmp_path, heads={"kind": "file", "path": str(missing)})
         assert main(["decode", "--config", str(path)]) == 1
         assert f"cannot read head set {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_file_that_is_not_json_is_named(self, tmp_path, capsys, heads_path):
+        heads_path.write_text("not json")
+        path = write_config(tmp_path, heads={"kind": "file", "path": str(heads_path)})
+        assert main(["decode", "--config", str(path)]) == 1
+        assert f"error: head set {heads_path} is not valid JSON: Expecting value" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_vocab_size_must_match_grid(self, tmp_path, capsys, heads_path):
@@ -694,7 +703,7 @@ class TestShippedConfigs:
         lantern = hawk.cli._mode_variants(config.engine)["lantern"]
         assert lantern.lantern_k == 10 > config.grid.vocab_size
         for k, lam, all_accepted in [(10, 2.0, True), (1, 1.0, False)]:
-            engine = dataclasses.replace(lantern, lantern_k=k, lantern_lam=lam)
+            engine = dataclasses.replace(lantern, lantern_k=k, lantern_lambda=lam)
             rates = decode_batch(model, heads, engine, 17, 200).depth_accept_rates
             assert (set(rates.values()) == {1.0}) == all_accepted, (k, lam, rates)
 
@@ -726,8 +735,9 @@ class TestShippedConfigs:
         assert {name: tuple(cells.split(",")) for name, cells in rows} == columns
 
 
-# Per-file SHA-256s of the outputs of the shipped configs. A change that
-# claims to keep behaviour must leave every one of them as it is.
+# Per-file SHA-256s of the outputs of the shipped configs, and of one
+# perfbench config. A change that claims to keep behaviour must leave every
+# one of them as it is.
 PINNED_OUTPUTS = {
     ("verify_quick", "decode"): {
         "grid.pgm": "58d366c32dac002a5f63bd164b3d56db925c5568d96a1ba80f85460e35b5cc61",
@@ -768,6 +778,15 @@ PINNED_OUTPUTS = {
         "fit_report.csv": "df719d0cbb46762c37e8ece5592df66a0a6ec15e8d1d3edae33f3a051d857d8d",
         "heads.json": "f04304d4f6529064e1014a2f24d6b6981a3f6aaaf51b9dda5ef39e654aa9598b",
     },
+    # The one config with a transform (top-k 4, temperature 0.8).
+    ("wide_tree_16x16", "bench"): {
+        "kl_trace.csv": "514639812e8fe5a2f7aab3ca6786078ffe30ac2d227e40962ecb476b990f5250",
+        "metrics.csv": "c24a010f6e6c43823e843a4e772fb24a9eb7e587b5ec958de195296a6da05e77",
+        "rejection_curve_dual.csv":
+            "88e0c57f8254a0ec4f3d301ae2293a73443c50925a6d7504cb1c48415e9ee5bf",
+        "rejection_curve_horizontal.csv":
+            "b1aa45d0b49543ff331a1113b20cc14e8eb729f9349e310608db8713bc80f4e1",
+    },
 }
 
 
@@ -775,7 +794,10 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("config, command", sorted(PINNED_OUTPUTS))
     def test_output_digests_unchanged(self, tmp_path, config, command):
         out = tmp_path / "out"
-        args = [command, "--config", str(ROOT / "configs" / f"{config}.json"), "--out", str(out)]
+        path = ROOT / "configs" / f"{config}.json"
+        if not path.exists():
+            path = ROOT / "perfbench" / "configs" / f"{config}.json"
+        args = [command, "--config", str(path), "--out", str(out)]
         assert main(args) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == PINNED_OUTPUTS[(config, command)]

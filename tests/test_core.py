@@ -14,13 +14,10 @@ from hawk.core import (
     SamplingConfig,
     TokenDistribution,
     apply_sampling_config,
-    apply_temperature,
-    apply_top_k,
     index_at,
     kl_divergence,
     sample_index,
     sampling_table,
-    total_variation,
 )
 from hawk.rng import stream
 from hawk.verifier import READ_BLOCK, Draws
@@ -28,6 +25,14 @@ from hawk.verifier import READ_BLOCK, Draws
 
 def dist(*probs):
     return TokenDistribution(list(probs))
+
+
+def warm(d, temperature):
+    return apply_sampling_config(d, SamplingConfig(temperature=temperature))
+
+
+def top(d, k):
+    return apply_sampling_config(d, SamplingConfig(top_k=k))
 
 
 @st.composite
@@ -83,59 +88,59 @@ class TestTokenDistribution:
 class TestTemperature:
     def test_identity(self):
         d = dist(0.5, 0.3, 0.2)
-        assert apply_temperature(d, 1.0) is d
+        assert warm(d, 1.0) is d
 
     def test_half_temperature_squares(self):
         # scalar oracle: p_i^2 renormalized
         p = [0.5, 0.3, 0.2]
         expected = np.array([x * x for x in p])
         expected /= expected.sum()
-        out = apply_temperature(dist(*p), 0.5)
+        out = warm(dist(*p), 0.5)
         np.testing.assert_allclose(out.probs, expected, atol=1e-12)
         np.testing.assert_allclose(out.probs, [0.6579, 0.2368, 0.1053], atol=1e-4)
 
     def test_symmetric_fixed_point(self):
         for tau in (0.2, 0.7, 1.0, 3.5):
-            out = apply_temperature(dist(0.5, 0.5), tau)
+            out = warm(dist(0.5, 0.5), tau)
             np.testing.assert_allclose(out.probs, [0.5, 0.5])
 
     def test_cold_limit_concentrates_on_argmax(self):
-        out = apply_temperature(dist(0.5, 0.3, 0.2), 1e-3)
+        out = warm(dist(0.5, 0.3, 0.2), 1e-3)
         assert out.prob(0) > 0.999
 
     def test_invalid_temperature(self):
-        with pytest.raises(ValueError):
-            apply_temperature(dist(0.5, 0.5), 0.0)
-        with pytest.raises(ValueError):
-            apply_temperature(dist(0.5, 0.5), -1.0)
+        with pytest.raises(ValueError, match="temperature must be > 0, got 0.0"):
+            warm(dist(0.5, 0.5), 0.0)
+        with pytest.raises(ValueError, match="temperature must be > 0, got -1.0"):
+            warm(dist(0.5, 0.5), -1.0)
 
 
 class TestTopK:
     def test_keeps_top_two(self):
-        out = apply_top_k(dist(0.5, 0.3, 0.2), 2)
+        out = top(dist(0.5, 0.3, 0.2), 2)
         np.testing.assert_allclose(out.probs, [0.625, 0.375, 0.0])
 
     def test_full_k_is_identity(self):
         d = dist(0.5, 0.3, 0.2)
-        assert apply_top_k(d, 3) is d
-        assert apply_top_k(d, 10) is d
+        assert top(d, 3) is d
+        assert top(d, 10) is d
 
     def test_tie_broken_by_lowest_index(self):
         # oracle for the stated rule: sort by (-prob, index), keep first k
         p = [0.4, 0.4, 0.2]
         order = sorted(range(3), key=lambda i: (-p[i], i))
         assert order[0] == 0
-        out = apply_top_k(dist(*p), 1)
+        out = top(dist(*p), 1)
         np.testing.assert_allclose(out.probs, [1.0, 0.0, 0.0])
 
     def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            apply_top_k(dist(0.5, 0.5), 0)
+        with pytest.raises(ValueError, match="field 'top_k' must be >= 1, got 0"):
+            top(dist(0.5, 0.5), 0)
 
     @given(distributions(), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_properties(self, d, k):
-        out = apply_top_k(d, k)
+        out = top(d, k)
         assert abs(out.probs.sum() - 1.0) < 1e-9
         assert (out.probs >= 0).all()
         # dropped tokens stay at zero; retained tokens keep relative order
@@ -166,18 +171,6 @@ class TestDivergences:
         with pytest.raises(ValueError):
             kl_divergence(dist(0.5, 0.5), dist(0.5, 0.3, 0.2))
 
-    def test_tv_examples(self):
-        d = dist(0.5, 0.5)
-        assert total_variation(d, d) == 0.0
-        assert abs(total_variation(d, dist(0.25, 0.75)) - 0.25) < 1e-12
-        assert total_variation(dist(1.0, 0.0), dist(0.0, 1.0)) == 1.0
-
-    @given(distributions(min_size=3, max_size=3), distributions(3, 3), distributions(3, 3))
-    @settings(max_examples=80, deadline=None)
-    def test_tv_symmetry_and_triangle(self, a, b, c):
-        assert abs(total_variation(a, b) - total_variation(b, a)) < 1e-12
-        assert total_variation(a, c) <= total_variation(a, b) + total_variation(b, c) + 1e-12
-
 
 class TestSamplingConfig:
     def test_identity_flag(self):
@@ -196,8 +189,11 @@ class TestSamplingConfig:
     def test_apply_order_temperature_then_topk(self):
         d = dist(0.5, 0.3, 0.2)
         out = apply_sampling_config(d, SamplingConfig(top_k=2, temperature=0.5))
-        expected = apply_top_k(apply_temperature(d, 0.5), 2)
-        np.testing.assert_allclose(out.probs, expected.probs)
+        # scalar oracle: square and renormalize, then keep the top two and renormalize
+        squared = np.array([0.25, 0.09, 0.04]) / 0.38
+        expected = np.array([squared[0], squared[1], 0.0]) / (squared[0] + squared[1])
+        np.testing.assert_allclose(out.probs, expected)
+        np.testing.assert_allclose(out.probs, [0.7353, 0.2647, 0.0], atol=1e-4)
 
     def test_result_memoized_for_last_config(self):
         d = dist(0.5, 0.3, 0.2)
@@ -206,7 +202,7 @@ class TestSamplingConfig:
         assert apply_sampling_config(d, config) is out
         assert apply_sampling_config(d, SamplingConfig(top_k=2, temperature=0.5)) is out
         warmer = apply_sampling_config(d, SamplingConfig(temperature=0.5))
-        np.testing.assert_array_equal(warmer.probs, apply_temperature(d, 0.5).probs)
+        np.testing.assert_array_equal(warmer.probs, warm(dist(0.5, 0.3, 0.2), 0.5).probs)
         again = apply_sampling_config(d, config)
         assert again is not out
         np.testing.assert_array_equal(again.probs, out.probs)

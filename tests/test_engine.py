@@ -287,7 +287,7 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(mode="vanilla", node_budget=0)
         with pytest.raises(ValueError):
-            EngineConfig(mode="lantern", lantern_lam=0.5)
+            EngineConfig(mode="lantern", lantern_lambda=0.5)
         with pytest.raises(ValueError):
             EngineConfig(mode="medusa", samples_per_vertical=-1)
 

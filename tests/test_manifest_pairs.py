@@ -37,8 +37,8 @@ def _stub(results):
     calls = []
 
     def run(root, config, command, out):
-        calls.append(out)
-        return results.get((root.name, config, command), (0, dict(DIGESTS)))
+        calls.append((config, out))
+        return results.get((root.name, Path(config).stem, command), (0, dict(DIGESTS)))
     run.calls = calls
     return run
 
@@ -49,7 +49,8 @@ def test_identical_runs_pass(manifest_pairs, roots, tmp_path, capsys):
     assert [(r["config"], r["command"]) for r in rows] == [
         (config, command) for config in ("a", "b") for command in manifest_pairs.COMMANDS]
     assert all(row["same"] for row in rows)
-    assert len(set(run.calls)) == len(run.calls) == 2 * len(rows)  # one directory per run
+    outs = [out for _, out in run.calls]
+    assert len(set(outs)) == len(outs) == 2 * len(rows)  # one directory per run
     assert manifest_pairs.report(rows) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(rows) and all(line.endswith("exit 0/0 same") for line in lines)
@@ -75,3 +76,17 @@ def test_refused_on_both_sides_is_equal(manifest_pairs, roots, tmp_path, capsys)
     rows = manifest_pairs.compare(roots, tmp_path / "out",
                                   _stub({("change", "a", "verify"): (1, None)}))
     assert manifest_pairs.report(rows) == 1
+
+
+def test_perfbench_configs_run_after_the_shipped_ones(manifest_pairs, roots, tmp_path):
+    for root in roots.values():
+        (root / "perfbench" / "configs").mkdir(parents=True)
+        (root / "perfbench" / "configs" / "a.json").write_text("{}")
+    run = _stub({})
+    rows = manifest_pairs.compare(roots, tmp_path / "out", run)
+    assert [row["config"] for row in rows[::len(manifest_pairs.COMMANDS)]] == ["a", "b", "a"]
+    configs = [config for config, _ in run.calls]
+    assert configs[:2] == ["configs/a.json"] * 2
+    assert configs[-2:] == ["perfbench/configs/a.json"] * 2
+    outs = [out for _, out in run.calls]
+    assert len(set(outs)) == len(outs)  # the two a.json write apart

@@ -7,7 +7,8 @@ Run from the root of a checkout:
 Each revision is exported with ``git archive`` into a temporary directory,
 as ``tools/bench_pairs.py`` does, so the runs see only committed files. On
 each revision, ``hawk decode``, ``verify``, ``bench`` and ``fit`` run on
-every ``configs/*.json`` of the change, each into its own output directory.
+every ``configs/*.json`` and then every ``perfbench/configs/*.json`` of the
+change, each into its own output directory; the configs are only read.
 One row per (config, command) gives both exit codes and whether the
 manifests' ``outputs`` digests match; a command that exits nonzero writes
 no manifest, so two runs refused alike count as equal. The exit status is
@@ -28,16 +29,17 @@ from typing import Callable, Optional
 from bench_pairs import SIDES, export, git
 
 COMMANDS = ("decode", "verify", "bench", "fit")
+CONFIG_GLOBS = ("configs/*.json", "perfbench/configs/*.json")
 
 Run = tuple[int, Optional[dict]]
 
 
 def run_hawk(root: Path, config: str, command: str, out: Path) -> Run:
-    """The exit code of ``hawk <command>`` on ``configs/<config>.json`` of the
-    tree at ``root``, and its manifest's ``outputs`` (None if it wrote none)."""
+    """The exit code of ``hawk <command>`` on the config at ``config``, a path
+    relative to ``root``, in the tree at ``root``, and its manifest's
+    ``outputs`` (None if it wrote none)."""
     done = subprocess.run(
-        [sys.executable, "-m", "hawk.cli", command, "--config", f"configs/{config}.json",
-         "--out", str(out)],
+        [sys.executable, "-m", "hawk.cli", command, "--config", config, "--out", str(out)],
         cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True)
     manifest = out / "manifest.json"
     if not manifest.exists():
@@ -47,14 +49,17 @@ def run_hawk(root: Path, config: str, command: str, out: Path) -> Run:
 
 def compare(roots: dict[str, Path], scratch: Path,
             run: Callable[[Path, str, str, Path], Run] = run_hawk) -> list[dict]:
-    """Per config of the change and command, each side's run and whether they match."""
-    configs = sorted(path.stem for path in (roots["change"] / "configs").glob("*.json"))
+    """Per config of the change and command, each side's run and whether they
+    match; a row names its config by the file's stem."""
+    configs = [path.relative_to(roots["change"]) for pattern in CONFIG_GLOBS
+               for path in sorted(roots["change"].glob(pattern))]
     rows = []
     for config in configs:
         for command in COMMANDS:
-            runs = {side: run(roots[side], config, command, scratch / side / config / command)
+            runs = {side: run(roots[side], config.as_posix(), command,
+                              scratch / side / config.with_suffix("") / command)
                     for side in SIDES}
-            rows.append({"config": config, "command": command, **runs,
+            rows.append({"config": config.stem, "command": command, **runs,
                          "same": runs["parent"] == runs["change"]})
     return rows
 
