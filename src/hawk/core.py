@@ -155,11 +155,10 @@ class SamplingConfig:
 def apply_sampling_config(dist: TokenDistribution, config: SamplingConfig) -> TokenDistribution:
     """Temperature first, then top-k, matching the usual sampling pipeline.
 
-    Temperature rescales the entries as ``p_i ** (1/temperature)``,
-    renormalized, in log space so that very low temperatures concentrate
-    mass on the argmax instead of underflowing to zero. Top-k then keeps the
-    k most probable tokens, breaking ties at the cutoff in favor of the
-    lowest token index, zeroes the rest and renormalizes.
+    Temperature rescales ``p_i`` to ``p_i ** (1/temperature)``, renormalized,
+    in log space so that very low temperatures concentrate mass on the argmax
+    instead of underflowing to zero. Top-k keeps the k most probable tokens
+    (ties at the cutoff go to the lowest index), zeroes the rest and renormalizes.
 
     The result is memoized on ``dist`` for the last config applied to it;
     a transform that returns ``dist`` itself is not memoized, so the memo

@@ -710,9 +710,10 @@ def load_head_set(path: Union[str, Path]) -> DraftHeadSet:
 
     The file is outside input: a file that cannot be read or is not JSON, a
     missing field or one of the wrong JSON type (numbers must be finite,
-    ``smoothing`` at least 0, ``offset`` at least 1) raises a ``ValueError`` that names it, and nothing is coerced.
-    So does an entry whose signature repeats an earlier one's or that no
-    prefix of a grid of the file's width and vocabulary can have.
+    ``smoothing`` at least 0, ``offset`` at least 1) raises a ``ValueError``
+    that names it, and nothing is coerced. So does an entry whose signature
+    repeats an earlier one's or that no prefix of a grid of the file's width
+    and vocabulary can have.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))

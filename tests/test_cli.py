@@ -397,18 +397,14 @@ class TestHeadsFile:
 
     def test_unreadable_file_is_validation_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
-        path = write_config(tmp_path, heads={"kind": "file", "path": str(missing)})
-        assert main(["decode", "--config", str(path)]) == 1
-        assert f"cannot read head set {missing}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_file_that_is_not_json_is_named(self, tmp_path, capsys, heads_path):
-        heads_path.write_text("not json")
-        path = write_config(tmp_path, heads={"kind": "file", "path": str(heads_path)})
-        assert main(["decode", "--config", str(path)]) == 1
-        assert f"error: head set {heads_path} is not valid JSON: Expecting value" in (
-            capsys.readouterr().err)
-        assert not (tmp_path / "out").exists()
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("not json")
+        for heads, named in ((missing, f"cannot read head set {missing}"),
+                             (garbled, f"head set {garbled} is not valid JSON: Expecting value")):
+            path = write_config(tmp_path, heads={"kind": "file", "path": str(heads)})
+            assert main(["decode", "--config", str(path)]) == 1
+            assert named in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_vocab_size_must_match_grid(self, tmp_path, capsys, heads_path):
         path = write_config(

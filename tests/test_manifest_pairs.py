@@ -21,12 +21,12 @@ def manifest_pairs(monkeypatch):
 
 @pytest.fixture
 def roots(tmp_path):
-    """Two trees, each with the same two configs."""
+    """Two trees, each with the same two shipped configs and one perfbench config."""
     out = {}
     for side in ("parent", "change"):
-        (tmp_path / side / "configs").mkdir(parents=True)
-        for name in ("a", "b"):
-            (tmp_path / side / "configs" / f"{name}.json").write_text("{}")
+        for config in ("configs/a", "configs/b", "perfbench/configs/c"):
+            (tmp_path / side / config).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / f"{config}.json").write_text("{}")
         out[side] = tmp_path / side
     return out
 
@@ -47,9 +47,10 @@ def test_identical_runs_pass(manifest_pairs, roots, tmp_path, capsys):
     run = _stub({})
     rows = manifest_pairs.compare(roots, tmp_path / "out", run)
     assert [(r["config"], r["command"]) for r in rows] == [
-        (config, command) for config in ("a", "b") for command in manifest_pairs.COMMANDS]
+        (config, command) for config in ("a", "b", "c") for command in manifest_pairs.COMMANDS]
     assert all(row["same"] for row in rows)
-    outs = [out for _, out in run.calls]
+    configs, outs = zip(*run.calls)
+    assert configs[-1] == "perfbench/configs/c.json"  # a path in the tree, run from its root
     assert len(set(outs)) == len(outs) == 2 * len(rows)  # one directory per run
     assert manifest_pairs.report(rows) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -76,17 +77,3 @@ def test_refused_on_both_sides_is_equal(manifest_pairs, roots, tmp_path, capsys)
     rows = manifest_pairs.compare(roots, tmp_path / "out",
                                   _stub({("change", "a", "verify"): (1, None)}))
     assert manifest_pairs.report(rows) == 1
-
-
-def test_perfbench_configs_run_after_the_shipped_ones(manifest_pairs, roots, tmp_path):
-    for root in roots.values():
-        (root / "perfbench" / "configs").mkdir(parents=True)
-        (root / "perfbench" / "configs" / "a.json").write_text("{}")
-    run = _stub({})
-    rows = manifest_pairs.compare(roots, tmp_path / "out", run)
-    assert [row["config"] for row in rows[::len(manifest_pairs.COMMANDS)]] == ["a", "b", "a"]
-    configs = [config for config, _ in run.calls]
-    assert configs[:2] == ["configs/a.json"] * 2
-    assert configs[-2:] == ["perfbench/configs/a.json"] * 2
-    outs = [out for _, out in run.calls]
-    assert len(set(outs)) == len(outs)  # the two a.json write apart

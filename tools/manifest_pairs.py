@@ -35,8 +35,8 @@ Run = tuple[int, Optional[dict]]
 
 
 def run_hawk(root: Path, config: str, command: str, out: Path) -> Run:
-    """The exit code of ``hawk <command>`` on the config at ``config``, a path
-    relative to ``root``, in the tree at ``root``, and its manifest's
+    """The exit code of ``hawk <command>``, run in the tree at ``root`` on its
+    config file ``config`` (a path relative to ``root``), and its manifest's
     ``outputs`` (None if it wrote none)."""
     done = subprocess.run(
         [sys.executable, "-m", "hawk.cli", command, "--config", config, "--out", str(out)],
