@@ -120,12 +120,14 @@ def sampling_table(dist: TokenDistribution) -> np.ndarray:
     """
     cut = dist._cut
     if cut is None:
-        cut = dist._cut = np.cumsum(dist.probs)[: np.nonzero(dist.probs)[0][-1]]
+        probs = dist.probs
+        cut = dist._cut = probs.cumsum()[: probs.nonzero()[0][-1]]
     return cut
 
 
-def sample_index(dist: TokenDistribution, rng: np.random.Generator) -> int:
-    """Draw one token index from ``dist`` using a single uniform variate."""
+def sample_index(dist: TokenDistribution, rng) -> int:
+    """Draw one token index from ``dist`` using a single uniform variate,
+    ``rng.random()``: ``rng`` is a numpy generator or a :class:`~hawk.verifier.Draws`."""
     return index_at(dist, rng.random())
 
 

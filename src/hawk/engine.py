@@ -34,7 +34,8 @@ candidates by depth, then the horizontal ones) before its walk, in one
 ``draws.uniforms`` call that each depth slices (``RoundPlan.cuts``), so a
 layer the walk never reaches still consumes its uniforms. The verify stream
 supplies one uniform per verification step plus one categorical draw per
-resample, bonus token or vanilla token.
+resample, bonus token or vanilla token. ``Draws`` reads both streams in
+blocks, which changes no value it hands out, nor their order.
 
 One batch is one :class:`DecodingContext`: its sessions run back to back,
 strictly sequentially, on one pair of streams, and its result is one
@@ -345,7 +346,7 @@ def build_candidate_tree(plan: RoundPlan, config: EngineConfig, draws: Draws) ->
     """One draft uniform per kept candidate of ``plan``, in order, taken in one
     ``draws.uniforms`` call. ``config`` is unused here; the benchmark's tracer
     reads it."""
-    return CandidateTree(draws.uniforms(sum(plan.widths)), plan.cuts)
+    return CandidateTree(draws.uniforms(plan.cuts[-1].stop), plan.cuts)
 
 
 def commit_token(ctx: DecodingContext, token: int) -> None:
@@ -376,7 +377,8 @@ def decode_round(ctx: DecodingContext) -> None:
     trace = ctx.trace
     lantern = config.mode == MODE_LANTERN
     cuts = plan.cuts
-    walked = []  # (slots, target, drafts, outcome) per layer, when tracing
+    if trace is not None:
+        walked = []  # (slots, target, drafts, outcome) per layer
     for depth, slots in enumerate(plan.layers):
         drafts = build_pool(ctx, slots)
         target = ctx.target_dist(committed)

@@ -29,7 +29,9 @@ Every random choice is made by a :class:`Draws`, so calls with independent
 ones may run in parallel. Draw order within a call: step i's token is
 ``draws.token(q_i, uniforms[i])``, chosen when the walk reaches step i;
 each step then makes one ``draws.accept`` test, and a resample one
-``draws.sample``. The enumerating twin of :class:`Draws`
+``draws.sample``. :class:`Draws` reads both of its streams in blocks
+(:func:`block_reader`), and hands out the same values, in the same order,
+as scalar draws would. The enumerating twin of :class:`Draws`
 (:func:`~hawk.oracle_metrics.enumerate_draws`) branches at each choice
 instead, which gives the walk's exact law. Residual exhaustion is reported
 through the draw object too (``draws.exhausted(step)``): :class:`Draws`
@@ -39,9 +41,10 @@ enumerated replay stays silent.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,40 +52,44 @@ from .core import TokenDistribution, index_at, sample_index
 
 logger = logging.getLogger(__name__)
 
-# Draft uniforms fetched per refill; what Draws hands out does not depend on it.
+# Uniforms fetched per refill of either stream; what Draws hands out does not depend on it.
 READ_BLOCK = 256
 
 
-class Draws:
-    """Every random choice of a decode: draft uniforms, fetched in blocks (PCG64
-    fills ``rng.random(n)`` with n scalar draws, so refills change nothing it
-    hands out), the token a uniform selects, and verify-stream accept tests
-    (a uniform below the ratio) and samples."""
+def block_reader(rng: np.random.Generator) -> Iterator[float]:
+    """``rng``'s uniforms one at a time, as Python floats, fetched ``READ_BLOCK``
+    per ``rng.random`` call. PCG64 fills ``rng.random(n)`` with n scalar
+    draws, so the values and their order are those of scalar ``rng.random()``
+    calls; only the generator's end state runs ahead of them."""
+    blocks = map(rng.random, itertools.repeat(READ_BLOCK))
+    return itertools.chain.from_iterable(map(np.ndarray.tolist, blocks))
 
-    __slots__ = ("draft_rng", "verify_rng", "_block", "_next", "_random")
+
+class Draws:
+    """Every random choice of a decode, each stream read through a
+    :func:`block_reader`: draft uniforms, the token a uniform selects, and
+    verify-stream accept tests (a uniform below the ratio) and samples.
+
+    ``random()`` hands out the next verify-stream uniform. It is the
+    reader's own ``__next__``, so a draw runs no Python code."""
+
+    __slots__ = ("_draft", "random")
 
     def __init__(self, draft_rng: np.random.Generator, verify_rng: np.random.Generator) -> None:
-        self.draft_rng, self.verify_rng = draft_rng, verify_rng
-        self._block: list[float] = []
-        self._next = 0
-        self._random = verify_rng.random
+        self._draft = block_reader(draft_rng)
+        self.random = block_reader(verify_rng).__next__
 
     def uniforms(self, n: int) -> list[float]:
-        start, end = self._next, self._next + n
-        if end > len(self._block):
-            self._block = self._block[start:] + self.draft_rng.random(max(n, READ_BLOCK)).tolist()
-            start, end = 0, n
-        self._next = end
-        return self._block[start:end]
+        return list(itertools.islice(self._draft, n))
 
     def token(self, q: TokenDistribution, u: float) -> int:
         return index_at(q, u)
 
     def accept(self, ratio: float) -> bool:
-        return self._random() < ratio
+        return self.random() < ratio
 
     def sample(self, p: TokenDistribution) -> int:
-        return sample_index(p, self.verify_rng)
+        return sample_index(p, self)
 
     def exhausted(self, step: int) -> None:
         logger.warning("residual mass exhausted at step %d; keeping last residual", step)
@@ -112,13 +119,15 @@ def residual_update(
     inputs means p == q), in which case ``p`` itself stands as the residual:
     every caller keeps the last non-degenerate residual.
     """
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    left = np.maximum(p.probs - q.probs, 0.0)
-    mass = float(left.sum())
+    if p.probs.size != q.probs.size:
+        raise ValueError(f"length mismatch: {p.probs.size} vs {q.probs.size}")
+    left = p.probs - q.probs
+    np.maximum(left, 0.0, out=left)
+    mass = np.add.reduce(left)
     if mass <= 0.0:
         return p, True
-    return TokenDistribution._wrap(left / mass), False
+    left /= mass
+    return TokenDistribution._wrap(left), False
 
 
 def sequential_verify(

@@ -163,3 +163,31 @@ def test_a_revision_against_itself(bench_pairs, monkeypatch, tmp_path, capsys):
     assert pairs["attempted"] == {"parent": 6, "change": 6}
     for summary in pairs["metrics"].values():
         assert summary["median_change"] == 0.0 and not summary["resolved_gain"]
+    assert capsys.readouterr().out.splitlines() == [
+        "w decodes_per_s.hawk median  +0.00% wins  0 losses  0 beyond_bound false "
+        "resolved_gain false",
+        "w setup_s            median  +0.00% wins  0 losses  0 beyond_bound false "
+        "resolved_gain false",
+    ]
+
+
+def test_verdicts_one_line_per_workload_and_metric(bench_pairs):
+    # A resolved +10% and a 25% fall beyond its bound, on two workloads.
+    gain = bench_pairs.summarize(_rates([v * 1.1 for v in PARENT_RATES]), METRICS)
+    fall = bench_pairs.summarize(_runs({"setup_s": [1.0] * 4, "decodes_per_s.hawk": [100.0] * 4},
+                                       {"setup_s": [1.0] * 4, "decodes_per_s.hawk": [75.0] * 4}),
+                                 METRICS)
+    pairs = {"image_16x16": {"metrics": gain}, "wide_tree_16x16": {"metrics": fall}}
+    for paired in pairs.values():
+        for summary in paired["metrics"].values():
+            summary["resolved_gain"] = bench_pairs.resolved_gain(summary)
+    assert bench_pairs.verdicts(pairs) == [
+        "image_16x16     decodes_per_s.hawk median +10.00% wins 10 losses  0 "
+        "beyond_bound false resolved_gain true",
+        "image_16x16     setup_s            median  +0.00% wins  0 losses  0 "
+        "beyond_bound false resolved_gain false",
+        "wide_tree_16x16 decodes_per_s.hawk median -25.00% wins  0 losses  4 "
+        "beyond_bound true  resolved_gain false",
+        "wide_tree_16x16 setup_s            median  +0.00% wins  0 losses  0 "
+        "beyond_bound false resolved_gain false",
+    ]

@@ -283,3 +283,26 @@ class TestDrawsUniforms:
             assert draws.uniforms(n) == [eager.random() for _ in range(n)]
         for _ in range(READ_BLOCK + 1):
             assert draws.uniforms(1) == [eager.random()]
+
+
+class TestDrawsVerifyStream:
+    def test_hands_out_the_scalar_stream(self):
+        # Accept tests, samples and bare draws, interleaved over two refills,
+        # each take the next verify-stream scalar; an accept test passes a
+        # ratio just above its uniform and fails a ratio equal to it. Draft
+        # uniforms come from the other stream in between.
+        draws = Draws(stream(7, "draft"), stream(7, "verify"))
+        eager, eager_draft = stream(7, "verify"), stream(7, "draft")
+        d = dist(0.2, 0.5, 0.3)
+        for i in range(2 * READ_BLOCK + 7):
+            u = eager.random()
+            kind = i % 4
+            if kind == 0:
+                assert draws.random() == u
+            elif kind == 1:
+                assert draws.accept(np.nextafter(u, 1.0))
+            elif kind == 2:
+                assert not draws.accept(u)
+            else:
+                assert draws.sample(d) == index_at(d, u)
+                assert draws.uniforms(3) == [eager_draft.random() for _ in range(3)]

@@ -47,7 +47,9 @@ def test_identical_runs_pass(manifest_pairs, roots, tmp_path, capsys):
     run = _stub({})
     rows = manifest_pairs.compare(roots, tmp_path / "out", run)
     assert [(r["config"], r["command"]) for r in rows] == [
-        (config, command) for config in ("a", "b", "c") for command in manifest_pairs.COMMANDS]
+        (config, command) for config in ("configs/a.json", "configs/b.json",
+                                         "perfbench/configs/c.json")
+        for command in manifest_pairs.COMMANDS]
     assert all(row["same"] for row in rows)
     configs, outs = zip(*run.calls)
     assert configs[-1] == "perfbench/configs/c.json"  # a path in the tree, run from its root
@@ -61,10 +63,11 @@ def test_one_digest_differs(manifest_pairs, roots, tmp_path, capsys):
     moved = {**DIGESTS, "trace.csv": "cc"}
     rows = manifest_pairs.compare(roots, tmp_path / "out",
                                   _stub({("change", "b", "bench"): (0, moved)}))
-    assert [(r["config"], r["command"]) for r in rows if not r["same"]] == [("b", "bench")]
+    assert [(r["config"], r["command"]) for r in rows if not r["same"]] == [
+        ("configs/b.json", "bench")]
     assert manifest_pairs.report(rows) == 1
     out = capsys.readouterr().out
-    assert "b              bench   exit 0/0 DIFFERS: trace.csv" in out.splitlines()
+    assert "configs/b.json           bench   exit 0/0 DIFFERS: trace.csv" in out.splitlines()
 
 
 def test_refused_on_both_sides_is_equal(manifest_pairs, roots, tmp_path, capsys):
@@ -72,8 +75,24 @@ def test_refused_on_both_sides_is_equal(manifest_pairs, roots, tmp_path, capsys)
     rows = manifest_pairs.compare(roots, tmp_path / "out", _stub(refused))
     assert all(row["same"] for row in rows)
     assert manifest_pairs.report(rows) == 0
-    assert "a              verify  exit 1/1 same" in capsys.readouterr().out.splitlines()
+    assert "configs/a.json           verify  exit 1/1 same" in capsys.readouterr().out.splitlines()
     # Refused on one side only is a difference, though neither wrote a manifest.
     rows = manifest_pairs.compare(roots, tmp_path / "out",
                                   _stub({("change", "a", "verify"): (1, None)}))
     assert manifest_pairs.report(rows) == 1
+
+
+def test_rows_named_by_path_and_aligned(manifest_pairs, roots, tmp_path, capsys):
+    # A shipped config shares its stem with a perfbench one, and a long name
+    # widens the column for every row.
+    for config in ("configs/c", "perfbench/configs/wide_tree_16x16"):
+        for side in ("parent", "change"):
+            (tmp_path / side / f"{config}.json").write_text("{}")
+    rows = manifest_pairs.compare(roots, tmp_path / "out", _stub({}))
+    names = [row["config"] for row in rows[::len(manifest_pairs.COMMANDS)]]
+    assert names == ["configs/a.json", "configs/b.json", "configs/c.json",
+                     "perfbench/configs/c.json", "perfbench/configs/wide_tree_16x16.json"]
+    assert manifest_pairs.report(rows) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert {line.index(" exit ") for line in lines} == {len(names[-1]) + 8}
+    assert lines[-1].startswith("perfbench/configs/wide_tree_16x16.json fit     exit")

@@ -117,6 +117,18 @@ class TestResidualUpdate:
         with pytest.raises(ValueError):
             residual_update(dist(0.5, 0.5), dist(0.5, 0.3, 0.2))
 
+    def test_bit_identical_to_the_textbook_form(self):
+        # Dense drafts, and drafts that put no mass on every other token.
+        gen = stream(19, "residual")
+        for k in range(2, 41):
+            p = random_dist(gen, k)
+            sparse = random_dist(gen, k).probs * (np.arange(k) % 2)
+            for q in (random_dist(gen, k), TokenDistribution(sparse / sparse.sum())):
+                left = np.maximum(p.probs - q.probs, 0.0)
+                residual, degenerate = residual_update(p, q)
+                assert not degenerate
+                assert residual.probs.tobytes() == (left / left.sum()).tobytes()
+
 
 class TestSequentialVerify:
     def test_self_draft_always_accepts(self):
@@ -139,14 +151,14 @@ class TestSequentialVerify:
 
     def test_acceptance_leaves_later_candidates_untouched(self):
         p = dist(0.5, 0.3, 0.2)
-        gen, reference = stream(2, "verify"), stream(2, "verify")
+        draws, reference = draws_on(stream(2, "verify")), stream(2, "verify")
         q = dist(0.1, 0.8, 0.1)
         drafts = [p, q]
-        outcome = sequential_verify(p, drafts, [selecting(p, 0), selecting(q, 1)], draws_on(gen))
+        outcome = sequential_verify(p, drafts, [selecting(p, 0), selecting(q, 1)], draws)
         assert outcome.accepted_index == 0
         # One verification draw, for the accepting step alone.
         reference.random()
-        assert gen.random() == reference.random()
+        assert draws.random() == reference.random()
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
@@ -180,11 +192,13 @@ class TestSequentialVerify:
         q1 = dist(0.5, 0.5000000000000001)
         q2 = dist(0.9, 0.1)
         drafts = [q1, q2]
-        rng = ScriptedRng([0.9999999999999999, 0.25])
+        draws = draws_on(ScriptedRng([0.9999999999999999, 0.25]))
         with caplog.at_level("WARNING", logger="hawk.verifier"):
-            outcome = sequential_verify(p, drafts, [0.75, 0.95], draws_on(rng))
+            outcome = sequential_verify(p, drafts, [0.75, 0.95], draws)
         assert (outcome.emitted_token, outcome.accepted_index) == (0, None)
-        assert rng._uniforms == []  # the rejection of q1 and the resample
+        # The rejection of q1 and the resample took the script, and no more:
+        # an extra draw before the resample would have handed it the padding.
+        assert np.isnan(draws.random())
         assert [r.message for r in caplog.records] == [
             "residual mass exhausted at step 0; keeping last residual"
         ]
@@ -210,14 +224,13 @@ class TestSequentialVerify:
                                                                   draws).emitted_token)
         assert replays == [0, 0, 0] and caplog.records == []
         assert sum(law.values()) == pytest.approx(1.0)
-        rng = ScriptedRng([0.9999999999999999, 0.25, 0.5, 0.9999999999999999, 0.75])
+        draws = draws_on(ScriptedRng([0.9999999999999999, 0.25, 0.5, 0.9999999999999999, 0.75]))
         with caplog.at_level("WARNING", logger="hawk.verifier"):
-            outcomes = [sequential_verify(p, drafts, [0.75, 0.95], draws_on(rng))
-                        for _ in range(3)]
+            outcomes = [sequential_verify(p, drafts, [0.75, 0.95], draws) for _ in range(3)]
         assert [(o.emitted_token, o.accepted_index) for o in outcomes] == [
             (0, None), (1, 0), (1, None)
         ]
-        assert rng._uniforms == []
+        assert np.isnan(draws.random())  # the three walks took the script, and no more
         assert [r.message for r in caplog.records] == [
             "residual mass exhausted at step 0; keeping last residual"
         ] * 2
@@ -258,13 +271,15 @@ class TestSequentialVerify:
 
 
 class ScriptedRng:
-    """Replays a fixed uniform sequence; stands in for a Draws's verify stream."""
+    """Stands in for a Draws's verify stream, which it reads in blocks: the
+    script, then NaN padding, which no accept test passes."""
 
     def __init__(self, uniforms):
         self._uniforms = list(uniforms)
 
-    def random(self):
-        return self._uniforms.pop(0)
+    def random(self, n):
+        block, self._uniforms = self._uniforms[:n], self._uniforms[n:]
+        return np.array(block + [np.nan] * (n - len(block)))
 
 
 def classic_multidraft_reference(p, q, tokens, uniforms):
@@ -309,9 +324,14 @@ class TestMedusaSpecialCase:
             )
             drafts = [q] * m
             drafted = [selecting(q, t) for t in tokens]
-            outcome = sequential_verify(p, drafts, drafted, draws_on(ScriptedRng(uniforms)))
+            draws = draws_on(ScriptedRng(uniforms))
+            outcome = sequential_verify(p, drafts, drafted, draws)
             assert outcome.accepted_index == ref_idx
             assert outcome.emitted_token == ref_token
+            # The walk took the reference's uniforms: one per step, one more to resample.
+            taken = m + 1 if ref_idx is None else ref_idx + 1
+            after = draws.random()
+            assert (after == uniforms[taken]) if taken <= m else np.isnan(after)
 
 
 class TestRejectionMass:

@@ -17,7 +17,9 @@ parent's by more than the metric's bound (``beyond_bound``) and whether it
 is a resolved gain (``resolved_gain``: the change won at least 9 of 10
 pairs and the medians differ by more than the parent's IQR), plus the
 failed and attempted correctness checks and the full records of seed 1.
-Only the standard library is used.
+Standard output gets one line per workload and metric with the median
+change, the pairs won and lost and both verdicts. Only the standard library
+is used.
 """
 
 from __future__ import annotations
@@ -104,6 +106,21 @@ def resolved_gain(summary: dict) -> bool:
     return 10 * summary["change_wins"] >= 9 * pairs and gain > iqr
 
 
+def verdicts(pairs: dict) -> list[str]:
+    """One line per workload and metric of ``pairs``: the relative change of the
+    medians, the pairs the change won and lost, ``beyond_bound`` and
+    ``resolved_gain``, in aligned columns."""
+    rows = [(workload, name, summary) for workload, paired in pairs.items()
+            for name, summary in paired["metrics"].items()]
+    left = max((len(workload) for workload, _, _ in rows), default=0)
+    middle = max((len(name) for _, name, _ in rows), default=0)
+    return [f"{workload:<{left}} {name:<{middle}} median {s['median_change']:+7.2%} "
+            f"wins {s['change_wins']:>2} losses {s['change_losses']:>2} "
+            f"beyond_bound {str(s['beyond_bound']).lower():<5} "
+            f"resolved_gain {str(s['resolved_gain']).lower()}"
+            for workload, name, s in rows]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_rev")
@@ -152,6 +169,8 @@ def main(argv=None) -> int:
         "records": records,
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    for line in verdicts(pairs):
+        print(line)
     return 0
 
 

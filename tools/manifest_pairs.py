@@ -50,7 +50,8 @@ def run_hawk(root: Path, config: str, command: str, out: Path) -> Run:
 def compare(roots: dict[str, Path], scratch: Path,
             run: Callable[[Path, str, str, Path], Run] = run_hawk) -> list[dict]:
     """Per config of the change and command, each side's run and whether they
-    match; a row names its config by the file's stem."""
+    match; a row names its config by its path relative to the root, so two
+    configs that share a file name stay apart."""
     configs = [path.relative_to(roots["change"]) for pattern in CONFIG_GLOBS
                for path in sorted(roots["change"].glob(pattern))]
     rows = []
@@ -59,13 +60,15 @@ def compare(roots: dict[str, Path], scratch: Path,
             runs = {side: run(roots[side], config.as_posix(), command,
                               scratch / side / config.with_suffix("") / command)
                     for side in SIDES}
-            rows.append({"config": config.stem, "command": command, **runs,
+            rows.append({"config": config.as_posix(), "command": command, **runs,
                          "same": runs["parent"] == runs["change"]})
     return rows
 
 
 def report(rows: list[dict]) -> int:
-    """Print one line per row; 1 if any row differs, else 0."""
+    """Print one line per row, the config column as wide as its widest name;
+    1 if any row differs, else 0."""
+    width = max((len(row["config"]) for row in rows), default=0)
     for row in rows:
         (parent_code, parent), (change_code, change) = row["parent"], row["change"]
         if row["same"]:
@@ -75,7 +78,7 @@ def report(rows: list[dict]) -> int:
             moved = sorted(name for name in parent.keys() | change.keys()
                            if parent.get(name) != change.get(name))
             verdict = "DIFFERS" + (f": {' '.join(moved)}" if moved else "")
-        print(f"{row['config']:<14} {row['command']:<7} exit {parent_code}/{change_code} "
+        print(f"{row['config']:<{width}} {row['command']:<7} exit {parent_code}/{change_code} "
               f"{verdict}")
     return int(not all(row["same"] for row in rows))
 
