@@ -5,17 +5,20 @@ distribution-preservation report against the enumeration oracle), bench
 (metrics CSV across modes plus rejection/KL curves), fit (train and save
 tabular draft heads).
 
-Configs are strict JSON: a schema_version field, fixed sections, and unknown
-keys are errors so typos in experiment files cannot pass silently. Each
-field is read once, by ``hawk.core.json_field`` (the reader heads files use
-too), into the values the builders pass on. All randomness flows from the
-config's single master seed; subcommands derive purpose-tagged child
-streams from it. A command computes all its outputs first and hands them
-to ``_write_manifest``, the one writer of a run: it creates the output
-directory and writes the files, then a manifest echoing the effective
-config and the SHA-256 digest of each output, so a refused run leaves
-nothing behind. Rerunning with an identical manifest reproduces the outputs
-byte for byte (wall-clock timings are printed, never written to CSV).
+Configs are strict JSON: a schema_version field, fixed sections, and
+unknown keys are errors so typos in experiment files cannot pass silently.
+Each field is read once, by ``hawk.core.json_field`` (the reader heads
+files use too), into the values the builders pass on. Numbers are
+range-checked as the config is read, so a bad one is refused under its
+config name before anything is built, whether or not the command would build it.
+All randomness flows from the config's single master seed; subcommands
+derive purpose-tagged child streams from it. A command computes all its
+outputs first and hands them to ``_write_manifest``, the one writer of a
+run: it creates the output directory and writes the files, then a manifest
+echoing the effective config and the SHA-256 digest of each output, so a
+refused run leaves nothing behind. Rerunning with an identical manifest
+reproduces the outputs byte for byte (wall-clock timings are printed, never
+written to CSV).
 
 Exit codes: 0 success, 1 validation error, 2 runtime error, 3 verification
 criteria failed.
@@ -40,13 +43,13 @@ from .engine import (
     MODE_VANILLA,
     ENGINE_MINIMUMS,
     BatchResult,
+    DecodingContext,
     EngineConfig,
     TRACE_COLUMNS,
     decode_batch,
     decode_image,
     export_grid_image,
     tree_nodes,
-    tree_widths,
 )
 from .models import (
     DraftHeadSet,
@@ -96,11 +99,12 @@ BENCH_FIELDS = {
 }
 # The same for each model and heads kind; a field of another kind is an error.
 MODEL_FIELDS = {
-    "grid_markov": {"seed": (int, None), "vertical_weight": (float, None)},
+    "grid_markov": {"seed": (int, None), "vertical_weight": (float, None, 0)},
     "independent": {"seed": (int, None), "constant": (bool, False)},
 }
 HEADS_FIELDS = {
-    "tabular": {"sample_count": (int, None), "seed": (int, None), "smoothing": (float, 0.5)},
+    "tabular": {"sample_count": (int, None, 1), "seed": (int, None),
+                "smoothing": (float, 0.5, 0)},
     "exact": {},
     "file": {"path": (str, None)},
 }
@@ -196,6 +200,10 @@ def load_run_config(
         raise ValueError(
             f"field 'oracle.tolerance_factor' must be > 0, got {oracle['tolerance_factor']}"
         )
+    if model_spec.get("vertical_weight", 0) > 1:
+        raise ValueError(
+            f"field 'model.vertical_weight' must be <= 1, got {model_spec['vertical_weight']}"
+        )
     bench = _section(raw, "bench", BENCH_FIELDS, {})
 
     seed = json_field(raw, "seed", "config", int)
@@ -269,11 +277,6 @@ def _write_manifest(config: RunConfig, outputs: dict[str, Callable[[Path], None]
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _pool_width(engine: EngineConfig) -> int:
-    """Candidates in an interior pool: the horizontal ones plus those of each vertical depth."""
-    return engine.samples_per_horizontal + engine.samples_per_vertical * engine.vertical_depth
-
-
 def _mode_variants(engine: EngineConfig) -> dict[str, EngineConfig]:
     """Equal-budget engine configs for the four-mode comparison.
 
@@ -284,19 +287,22 @@ def _mode_variants(engine: EngineConfig) -> dict[str, EngineConfig]:
     if engine.vertical_depth < 1:
         raise ValueError("mode comparison requires engine.vertical_depth >= 1")
     hawk = dataclasses.replace(engine, mode="hawk")
-    medusa = dataclasses.replace(
-        engine, mode="medusa", vertical_depth=0, samples_per_horizontal=_pool_width(engine)
-    )
+    pool = engine.samples_per_horizontal + engine.samples_per_vertical * engine.vertical_depth
+    medusa = dataclasses.replace(engine, mode="medusa", vertical_depth=0,
+                                 samples_per_horizontal=pool)
     lantern = dataclasses.replace(medusa, mode="lantern")
     vanilla = dataclasses.replace(engine, mode="vanilla", vertical_depth=0)
     return {"vanilla": vanilla, "medusa": medusa, "hawk": hawk, "lantern": lantern}
 
 
-def _tree_fields(engine: EngineConfig, result: BatchResult) -> str:
-    """The interior tree's shape and nodes, and the rounds the budget cut, for stdout."""
+def _tree_fields(model: TargetModel, heads: Optional[DraftHeadSet], engine: EngineConfig,
+                 result: BatchResult) -> str:
+    """The widest round's tree shape and nodes among the plans a decoding context
+    on these inputs runs, and the rounds the budget cut, for stdout."""
     if engine.mode == MODE_VANILLA:
         return ""
-    widths = tree_widths((_pool_width(engine),) * engine.horizontal_depth, engine.node_budget)
+    plans = DecodingContext(model, heads, engine, 0).plans
+    widths = max((plan.widths for plan in plans), key=tree_nodes)
     return (f" tree={'x'.join(map(str, widths))} nodes={tree_nodes(widths)}"
             f" truncated_rounds={result.truncated_rounds}")
 
@@ -318,7 +324,7 @@ def cmd_decode(config: RunConfig) -> int:
     _write_manifest(config, outputs)
 
     print(f"mode={result.mode} accept_length={result.accept_length:.3f}"
-          f"{_tree_fields(config.engine, result)}")
+          f"{_tree_fields(model, heads, config.engine, result)}")
     print(f"wall_clock_ms={result.wall_clock_ms:.1f}")
     return 0
 
@@ -374,7 +380,7 @@ def cmd_bench(config: RunConfig) -> int:
         # The measured speedup over vanilla, whose batch is results[0].
         print(f"mode={mode} accept_length={batch.accept_length:.3f} "
               f"wall_speedup={results[0].wall_clock_ms / batch.wall_clock_ms:.3f} "
-              f"wall_clock_ms={batch.wall_clock_ms:.1f}{_tree_fields(engine, batch)}")
+              f"wall_clock_ms={batch.wall_clock_ms:.1f}{_tree_fields(model, heads, engine, batch)}")
 
     hawk = variants["hawk"]
     curves = rejection_curve(

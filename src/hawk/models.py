@@ -19,17 +19,18 @@ Fitting and held-out scoring draw ``sample_count`` grids in blocks, one
 n-th one-grid call would draw (:meth:`TargetModel.sample_grid`;
 ``GridMarkovModel`` fills a block one anti-diagonal at a time, in the
 skewed layout its constructor describes). The grids are counted or
-scored by signature code, ``column * (1 + k + k**2)`` plus 0 for the empty
-context, ``1 + a`` for ``(a,)`` and ``1 + k + a * k + b`` for ``(a, b)``
-(vocabulary k), so no Python runs per token there. A block's codes are
-computed once; fitting counts, and each head scores, the flat cell
-``code * k + token`` of a frontier and the token d steps past it. Rows are
-normalized one by one and log terms subtracted in sample, then position,
-order, so every probability and NLL equals a per-position loop's bit for
-bit. Counting takes ``width * (1 + k + k**2) * k`` integers per offset.
+scored by signature code: a context shorter than two tokens is padded on
+the left with the boundary token k (the vocabulary size), as the target's
+tables pad theirs, and the last two tokens ``(a, b)`` at column c have code
+``(c * (k + 1) + a) * (k + 1) + b``, so no Python runs per token there. A
+block's codes are computed once; fitting counts, and each head scores, the
+flat cell ``code * k + token`` of a frontier and the token d steps past it.
+Rows are normalized one by one and log terms subtracted in sample, then
+position, order, so every probability and NLL equals a per-position loop's
+bit for bit. Counting takes ``width * (k + 1)**2 * k`` integers per offset.
 
 A tabular head keeps one table, keyed by signature code, and lays it out
-once as the flat code-by-token array of ``width * (1 + k + k**2) * k`` logs
+once as the flat code-by-token array of ``width * (k + 1)**2 * k`` logs
 (each probability floored at 1e-300) that scoring reads; ``predict``
 computes the code of its prefix. Only the heads file spells a signature
 out, as a context and a column.
@@ -195,20 +196,17 @@ def make_grid_markov_target(grid: GridSpec, seed: int, vertical_weight: float) -
 
     ``vertical_weight`` mixes two independent conditional families: with
     weight w the conditional is ``(1 - w) * L[left] + w * A[above]``, so 0
-    depends only on the left neighbor and 1 only on the above neighbor.
+    depends only on the left neighbor and 1 only on the above neighbor. It is
+    read by :func:`~hawk.core.json_value`, as a config file's is.
     """
-    if not 0.0 <= vertical_weight <= 1.0:
-        raise ValueError(f"vertical_weight must be in [0, 1], got {vertical_weight}")
+    w = json_value(vertical_weight, "vertical_weight", float, 0)
+    if w > 1:
+        raise ValueError(f"field 'vertical_weight' must be <= 1, got {vertical_weight!r}")
     k = grid.vocab_size
     gen = stream(seed, "grid-markov-tables")
     left_rows = _random_rows(gen, k + 1, k)
     above_rows = _random_rows(gen, k + 1, k)
-    tables = np.empty((k + 1, k + 1, k))
-    for left in range(k + 1):
-        for above in range(k + 1):
-            tables[left, above] = (
-                (1.0 - vertical_weight) * left_rows[left] + vertical_weight * above_rows[above]
-            )
+    tables = (1.0 - w) * left_rows[:, None, :] + w * above_rows[None, :, :]
     embeddings = _random_embeddings(stream(seed, "token-embeddings"), k)
     return GridMarkovModel(grid, tables, embeddings)
 
@@ -288,7 +286,7 @@ class DraftHead(abc.ABC):
 
 
 def _code_count(width: int, vocab_size: int) -> int:
-    return width * (1 + vocab_size + vocab_size * vocab_size)
+    return width * (vocab_size + 1) ** 2
 
 
 def _signature_code(
@@ -299,42 +297,31 @@ def _signature_code(
     or column out of range, or a shorter context off its prefix's column."""
     ctx, column = signature
     k = vocab_size
-    if not 0 <= column < width or len(ctx) > 2 or not all(0 <= t < k for t in ctx):
+    if (not 0 <= column < width or len(ctx) > 2 or not all(0 <= t < k for t in ctx)
+            or len(ctx) < 2 and column != len(ctx) % width):
         return None
-    if len(ctx) == 2:
-        code = 1 + k + ctx[0] * k + ctx[1]
-    elif column != len(ctx) % width:
-        return None
-    else:
-        code = 1 + ctx[0] if ctx else 0
-    return column * (1 + k + k * k) + code
+    a, b = (k, k, *ctx)[-2:]
+    return (column * (k + 1) + a) * (k + 1) + b
 
 
 def _signature_of(code: int, vocab_size: int) -> tuple[tuple[int, ...], int]:
-    """The signature whose code is ``code``."""
+    """The signature whose code is ``code``: its context without the padding."""
     k = vocab_size
-    column, rest = divmod(code, 1 + k + k * k)
-    if rest == 0:
-        return (), column
-    if rest <= k:
-        return (rest - 1,), column
-    return divmod(rest - 1 - k, k), column
+    rest, b = divmod(code, k + 1)
+    column, a = divmod(rest, k + 1)
+    return tuple(t for t in (a, b) if t < k), column
 
 
 def _signature_codes(grids: np.ndarray, width: int, vocab_size: int) -> np.ndarray:
     """Column L of row i is the signature code of the prefix ``grids[i, :L]``, L < size."""
     k = vocab_size
     codes = np.empty(grids.shape, dtype=np.int64)
-    codes[:, 0] = 0
-    if grids.shape[1] > 1:
-        codes[:, 1] = grids[:, 0]
-        np.multiply(grids[:, :-2], k, out=codes[:, 2:])
-        codes[:, 2:] += grids[:, 1:-1]
-    # Each column's column term plus its context length's constant.
-    offsets = np.arange(grids.shape[1]) % width * (1 + k + k * k)
-    offsets[1:] += 1
-    offsets[2:] += k
-    codes += offsets
+    codes[:, :2] = k  # the token two back, padded
+    codes[:, 2:] = grids[:, :-2]
+    codes *= k + 1
+    codes[:, :1] += k  # the token one back, padded
+    codes[:, 1:] += grids[:, :-1]
+    codes += np.arange(grids.shape[1]) % width * (k + 1) ** 2
     return codes
 
 
@@ -371,12 +358,10 @@ class TabularDraftHead(DraftHead):
         self._logs = np.log(np.maximum(probs, 1e-300)).ravel()
 
     def predict(self, tokens: Sequence[int], length: int) -> TokenDistribution:
-        k = self.vocab_size
-        if length >= 2:
-            code = 1 + k + tokens[length - 2] * k + tokens[length - 1]
-        else:
-            code = 1 + tokens[0] if length else 0
-        return self.table.get(length % self.width * (1 + k + k * k) + code, self._fallback)
+        k = self.vocab_size  # also the token read before position 0
+        a = tokens[length - 2] if length > 1 else k
+        b = tokens[length - 1] if length else k
+        return self.table.get((length % self.width * (k + 1) + a) * (k + 1) + b, self._fallback)
 
     def true_token_logs(self, keys: np.ndarray, grids: np.ndarray) -> np.ndarray:
         return self._logs.take(_cell_index(keys, grids, self.offset))

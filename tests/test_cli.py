@@ -121,6 +121,26 @@ class TestConfigLoading:
         assert fitted == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, refusal",
+        [
+            ("heads", "sample_count", 0, "must be >= 1"),
+            ("heads", "smoothing", -1, "must be >= 0"),
+            ("model", "vertical_weight", -0.5, "must be >= 0"),
+            ("model", "vertical_weight", 1.5, "must be <= 1"),
+        ],
+    )
+    def test_model_and_heads_numbers_out_of_range_rejected(
+        self, tmp_path, capsys, section, key, value, refusal
+    ):
+        # Refused by the reader under the config's own key, so also by a
+        # vanilla decode, which builds no heads.
+        path = write_config(tmp_path, engine={"mode": "vanilla", "vertical_depth": 0},
+                            **{section: {key: value}})
+        assert main(["decode", "--config", str(path)]) == 1
+        assert f"field '{section}.{key}' {refusal}, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path)
         config = load_run_config(path, seed_override=7, out_override=str(tmp_path / "elsewhere"))
@@ -279,6 +299,10 @@ LIBRARY_REFUSALS = [
      "heads", "smoothing", NAN),
     (lambda v: fit_tabular_draft_heads(SMALL_MODEL, 1, 0, v, 9), "sample_count",
      "heads", "sample_count", 10.0),
+    (lambda v: make_grid_markov_target(GridSpec(2, 2, 3), 1, v), "vertical_weight",
+     "model", "vertical_weight", True),
+    (lambda v: make_grid_markov_target(GridSpec(2, 2, 3), 1, v), "vertical_weight",
+     "model", "vertical_weight", 1.5),
 ]
 
 
@@ -444,6 +468,18 @@ class TestDecodeCommand:
         assert main(["decode", "--config", str(path)]) == 0
         assert "tree=2x2 nodes=6 truncated_rounds=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("grid, depth, shape", [
+        ({"width": 3, "height": 3, "vocab_size": 3}, 4, "tree=2x2x2x1 nodes=22"),
+        ({"width": 1, "height": 4, "vocab_size": 3}, 2, "tree=2x1 nodes=4"),
+    ])
+    def test_prints_widest_planned_tree_past_the_width(self, tmp_path, capsys, grid, depth,
+                                                       shape):
+        # A pool more than the width past the frontier has no committed
+        # depth-1 vertical source, so it holds the horizontal draft alone.
+        path = write_config(tmp_path, grid=grid, engine={"horizontal_depth": depth})
+        assert main(["decode", "--config", str(path)]) == 0
+        assert f"{shape} truncated_rounds=0" in capsys.readouterr().out
+
     def test_vanilla_prints_unit_accept_length(self, tmp_path, capsys):
         path = write_config(tmp_path, engine={"mode": "vanilla", "vertical_depth": 0})
         assert main(["decode", "--config", str(path)]) == 0
@@ -567,16 +603,19 @@ class TestBenchCommand:
     def test_prints_tree_shape_and_truncated_rounds(self, tmp_path, capsys):
         # Pools of 2 at H=2 make a 6-node tree: within the default budget it
         # is whole, and a budget of 3 cuts it to a chain wherever two layers
-        # hold two drafts. Vanilla has no tree.
+        # hold two drafts. A hawk round from the first row's last column has
+        # one draft at depth 1 and two at depth 2, a 3-node tree that budget
+        # 3 keeps whole, so hawk prints that one. Vanilla has no tree.
         grid = {"width": 4, "height": 4, "vocab_size": 4}
-        for budget, shape, cut in ((64, "tree=2x2 nodes=6", False), (3, "tree=1x1 nodes=2", True)):
+        for budget, shape, hawk_shape, cut in ((64, "2x2 nodes=6", "2x2 nodes=6", False),
+                                               (3, "1x1 nodes=2", "1x2 nodes=3", True)):
             path = write_config(tmp_path, grid=grid, engine={"node_budget": budget})
             assert main(["bench", "--config", str(path)]) == 0
             lines = [line for line in capsys.readouterr().out.splitlines()
                      if line.startswith("mode=")]
             assert "tree=" not in lines[0] and "truncated_rounds" not in lines[0]
             for line in lines[1:]:
-                assert shape in line
+                assert f"tree={hawk_shape if line.startswith('mode=hawk') else shape} " in line
                 assert (int(line.rsplit("truncated_rounds=", 1)[1]) > 0) == cut
 
     def test_deterministic_rerun(self, tmp_path):

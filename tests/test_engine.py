@@ -55,6 +55,7 @@ from hawk.models import (
     make_independent_target,
 )
 from hawk.oracle_metrics import (
+    JointTable,
     _draft_fn,
     empirical_joint_from_counts,
     enumerate_draws,
@@ -883,6 +884,25 @@ class TestDrawOrder:
         assert any(plan.truncated for plan, _, _ in spy.rounds) == (budget < 64 or spv > 0)
 
 
+def _forward_law(model, heads, config):
+    """Exact law of a decoded grid: prefix masses pushed, in length order,
+    through each prefix's one-round kernel, ``enumerate_draws`` over one
+    ``decode_round`` from that prefix."""
+    ctx = DecodingContext(model, heads, config, 0)
+    masses = [Counter() for _ in range(model.grid.size + 1)]
+    masses[0][()] = 1.0
+    for by_prefix in masses[:-1]:
+        for prefix, mass in by_prefix.items():
+            def one_round(draws, prefix=prefix):
+                ctx.draws, ctx.committed = draws, list(prefix)
+                decode_round(ctx)
+                return tuple(ctx.committed)
+
+            for block, p in enumerate_draws(one_round).items():
+                masses[len(block)][block] += mass * p
+    return JointTable(model.grid, dict(masses[-1]))
+
+
 class TestEveryChoiceDraws:
     @pytest.mark.parametrize("config", [
         EngineConfig(mode="vanilla"),
@@ -908,6 +928,23 @@ class TestEveryChoiceDraws:
         exact = enumerate_joint(model, grid, SamplingConfig()).probs
         assert law.keys() == exact.keys()
         assert max(abs(law[key] - p) for key, p in exact.items()) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=lambda shape: "%dx%d" % shape)
+    def test_forward_pass_is_the_joint(self, shape):
+        # The exact modes match enumerate_joint in every cell; LANTERN's
+        # relaxed acceptance visibly does not.
+        grid = GridSpec(*shape, 3)
+        model = make_grid_markov_target(grid, 1009, 0.9)
+        heads = fit_tabular_draft_heads(model, 2, 1, 500, 2003, 1.0)
+        exact = enumerate_joint(model, grid, SamplingConfig())
+        medusa = EngineConfig(mode="medusa", horizontal_depth=2, samples_per_horizontal=2)
+        for config in (EngineConfig(mode="vanilla"), medusa,
+                       EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)):
+            law = _forward_law(model, heads, config).probs
+            assert law.keys() == exact.probs.keys()
+            assert max(abs(law[key] - p) for key, p in exact.probs.items()) <= 1e-12
+        lantern = _forward_law(model, heads, dataclasses.replace(medusa, mode="lantern"))
+        assert joint_tv(lantern, exact) > 0.05
 
 
 class TestDecodeRound:

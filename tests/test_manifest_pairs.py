@@ -96,3 +96,24 @@ def test_rows_named_by_path_and_aligned(manifest_pairs, roots, tmp_path, capsys)
     lines = capsys.readouterr().out.splitlines()
     assert {line.index(" exit ") for line in lines} == {len(names[-1]) + 8}
     assert lines[-1].startswith("perfbench/configs/wide_tree_16x16.json fit     exit")
+
+
+def test_line_counts_per_module_and_total(manifest_pairs, roots, capsys):
+    # wc -l counts newlines, so a last line without one is not counted; a
+    # module one side lacks counts 0 there.
+    files = {"parent": {"a.py": "x\ny\nz\n", "gone.py": "x\n"},
+             "change": {"a.py": "x\ny", "new.py": "x\ny\n"}}
+    for side, modules in files.items():
+        (roots[side] / "src" / "hawk").mkdir(parents=True)
+        for name, text in modules.items():
+            (roots[side] / "src" / "hawk" / name).write_text(text)
+        (roots[side] / "src" / "hawk" / "notes.txt").write_text("not\ncounted\n")
+    assert manifest_pairs.line_counts(roots["change"]) == {"a.py": 1, "new.py": 2}
+    manifest_pairs.report_lines(roots)
+    assert capsys.readouterr().out.splitlines() == [
+        "parent change  lines",
+        "     3      1  src/hawk/a.py",
+        "     1      0  src/hawk/gone.py",
+        "     0      2  src/hawk/new.py",
+        "     4      3  total (-1)",
+    ]

@@ -1,5 +1,6 @@
 """Target models, draft-head fitting, and serialization round trips."""
 
+import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -11,13 +12,15 @@ from hypothesis import strategies as st
 
 import hawk.models
 from hawk.cli import build_heads, build_model, load_run_config
-from hawk.core import GridSpec, sample_index
+from hawk.core import GridSpec, TokenDistribution, sample_index
 from hawk.models import (
     _BLOCK_GRIDS,
     DraftHeadSet,
     ExactDraftHead,
     GridMarkovModel,
     IndependentPositionModel,
+    TabularDraftHead,
+    _code_count,
     _sample_blocks,
     _signature_code,
     _signature_codes,
@@ -603,17 +606,24 @@ class TestBlockFitting:
         assert all(got[key] == ref[key] for key in ref), (got, ref)
 
     def test_signature_codes_match_signatures(self):
-        for width, height, k in [(1, 1, 2), (1, 5, 3), (5, 1, 2), (4, 3, 3)]:
+        # Every prefix's code is its signature's, and predict reads the table
+        # row at that code, on every width and height 1-5.
+        for width, height in itertools.product(range(1, 6), repeat=2):
+            k = 2 + (width + height) % 2
             grids = stream(width * 10 + height, "codes").integers(k, size=(20, width * height))
             codes = _signature_codes(grids, width, k)
+            table = {code: TokenDistribution(np.full(k, 1.0 / k))
+                     for code in range(_code_count(width, k))}
+            head = TabularDraftHead(1, width, k, 0.5, table)
             seen = set()
             for row, sample in zip(codes, grids.tolist()):
                 for length, code in enumerate(row.tolist()):
                     sig = _signature_at(sample, length, width)
                     assert _signature_code(sig, width, k) == code
                     assert _signature_of(code, k) == sig
+                    assert head.predict(sample, length) is table[code]
                     seen.add(code)
-            assert max(seen) < width * (1 + k + k * k)
+            assert max(seen) < _code_count(width, k)
 
     def test_unreachable_signatures_have_no_code(self):
         for sig in [((0,), 4), ((0,), -1), ((3,), 0), ((0, 0, 0), 1), ((-1, 0), 1),

@@ -11,8 +11,10 @@ every ``configs/*.json`` and then every ``perfbench/configs/*.json`` of the
 change, each into its own output directory; the configs are only read.
 One row per (config, command) gives both exit codes and whether the
 manifests' ``outputs`` digests match; a command that exits nonzero writes
-no manifest, so two runs refused alike count as equal. The exit status is
-1 if any row differs, else 0. Only the standard library is used.
+no manifest, so two runs refused alike count as equal. After the rows come
+the ``wc -l`` line counts of each side's ``src/hawk/*.py``, per module and in
+total, with the total's change. The exit status is 1 if any row differs,
+else 0. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -83,6 +85,26 @@ def report(rows: list[dict]) -> int:
     return int(not all(row["same"] for row in rows))
 
 
+def line_counts(root: Path) -> dict[str, int]:
+    """The newlines in each ``src/hawk/*.py`` under ``root``, as ``wc -l`` counts
+    them, by file name."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((root / "src" / "hawk").glob("*.py"))}
+
+
+def report_lines(roots: dict[str, Path]) -> None:
+    """Print each module's line count on both sides, then the totals and
+    their change; a module one side lacks counts 0 there."""
+    counts = {side: line_counts(roots[side]) for side in SIDES}
+    names = sorted(counts["parent"].keys() | counts["change"].keys())
+    print(f"{'parent':>6} {'change':>6}  lines")
+    for name in names:
+        print(f"{counts['parent'].get(name, 0):>6} {counts['change'].get(name, 0):>6}"
+              f"  src/hawk/{name}")
+    parent, change = (sum(counts[side].values()) for side in SIDES)
+    print(f"{parent:>6} {change:>6}  total ({change - parent:+d})")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_rev")
@@ -92,7 +114,9 @@ def main(argv=None) -> int:
         scratch = Path(scratch)
         roots = {side: export(git("rev-parse", rev), scratch / side)
                  for side, rev in zip(SIDES, (args.parent_rev, args.change_rev))}
-        return report(compare(roots, scratch / "out"))
+        status = report(compare(roots, scratch / "out"))
+        report_lines(roots)
+        return status
 
 
 if __name__ == "__main__":
