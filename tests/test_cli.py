@@ -474,8 +474,9 @@ class TestDecodeCommand:
     ])
     def test_prints_widest_planned_tree_past_the_width(self, tmp_path, capsys, grid, depth,
                                                        shape):
-        # A pool more than the width past the frontier has no committed
-        # depth-1 vertical source, so it holds the horizontal draft alone.
+        # A pool whose target is a row or more past the frontier has no
+        # committed depth-1 vertical source, so it holds the horizontal
+        # draft alone.
         path = write_config(tmp_path, grid=grid, engine={"horizontal_depth": depth})
         assert main(["decode", "--config", str(path)]) == 0
         assert f"{shape} truncated_rounds=0" in capsys.readouterr().out
