@@ -60,7 +60,9 @@ class TokenDistribution:
     Its cut table is cached lazily to make repeated sampling cheap, and
     the last sampling transform applied is memoized as a ``(SamplingConfig,
     result)`` pair (see :func:`apply_sampling_config`), so the memo lives
-    exactly as long as the distribution it describes.
+    exactly as long as the distribution it describes. The decoding context
+    reads that ``_memo`` pair inline, and calls the transform only when the
+    pair holds another config.
     """
 
     __slots__ = ("probs", "_cut", "_memo")

@@ -270,6 +270,9 @@ class DecodingContext:
     the transform is memoized on the returned distribution itself (see
     :func:`~hawk.core.apply_sampling_config`), so it stays warm across
     batches for persistent tables and is freed with per-call head outputs.
+    ``target_dist`` and ``draft_dist`` read that ``_memo`` pair inline when
+    it holds the context's own transform, and call the transform only on a
+    miss.
     """
 
     def __init__(
@@ -313,7 +316,8 @@ class DecodingContext:
         # rejection there, or by accepting the last layer of their plan there.
         self.rejected_at = [0] * config.horizontal_depth
         self.accepted_through = [0] * config.horizontal_depth
-        self._identity = config.transform.is_identity
+        # The transform whose memo target_dist and draft_dist read; None for the identity.
+        self._transform = None if config.transform.is_identity else config.transform
         if config.mode == MODE_LANTERN:
             self.neighborhoods = token_neighborhoods(model.token_embeddings, config.lantern_k)
         else:
@@ -321,21 +325,32 @@ class DecodingContext:
 
     def target_dist(self, prefix: Sequence[int]) -> TokenDistribution:
         dist = self.model.conditional(prefix)
-        if self._identity:
+        transform = self._transform
+        if transform is None:
             return dist
-        return apply_sampling_config(dist, self.config.transform)
+        memo = dist._memo
+        if memo is not None and memo[0] is transform:
+            return memo[1]
+        return apply_sampling_config(dist, transform)
 
     def draft_dist(self, head, tokens: Sequence[int], length: int) -> TokenDistribution:
         base = head.predict(tokens, length)
-        if self._identity:
+        transform = self._transform
+        if transform is None:
             return base
-        return apply_sampling_config(base, self.config.transform)
+        memo = base._memo
+        if memo is not None and memo[0] is transform:
+            return memo[1]
+        return apply_sampling_config(base, transform)
 
 
 def build_pool(ctx: DecodingContext, slots: tuple[Slot, ...]) -> tuple[TokenDistribution, ...]:
     """The drafts of one kept layer of a :class:`RoundPlan`, in slot order: each
     slot's head on the committed prefix of its length, ``copies`` times."""
     heads, committed, draft = ctx.slot_heads, ctx.committed, ctx.draft_dist
+    if len(slots) == 1:
+        ((head, length, copies),) = slots
+        return (draft(heads[head], committed, length),) * copies
     layer = ()
     for head, length, copies in slots:
         layer += (draft(heads[head], committed, length),) * copies
@@ -375,18 +390,19 @@ def decode_round(ctx: DecodingContext) -> None:
     uniforms = build_candidate_tree(plan, config, draws).uniforms
     ctx.truncated_rounds += plan.truncated
     trace = ctx.trace
-    lantern = config.mode == MODE_LANTERN
+    neighborhoods = ctx.neighborhoods  # set in LANTERN mode only
+    target_dist = ctx.target_dist
     cuts = plan.cuts
     if trace is not None:
         walked = []  # (slots, target, drafts, outcome) per layer
     for depth, slots in enumerate(plan.layers):
         drafts = build_pool(ctx, slots)
-        target = ctx.target_dist(committed)
-        if lantern:
-            outcome = lantern_sequential_verify(target, drafts, uniforms[cuts[depth]], draws,
-                                                ctx.neighborhoods, config.lantern_lambda)
-        else:
+        target = target_dist(committed)
+        if neighborhoods is None:
             outcome = sequential_verify(target, drafts, uniforms[cuts[depth]], draws)
+        else:
+            outcome = lantern_sequential_verify(target, drafts, uniforms[cuts[depth]], draws,
+                                                neighborhoods, config.lantern_lambda)
         if trace is not None:
             walked.append((slots, target, drafts, outcome))
         commit_token(ctx, outcome.emitted_token)
@@ -396,7 +412,7 @@ def decode_round(ctx: DecodingContext) -> None:
     else:
         ctx.accepted_through[depth] += 1
         if len(committed) < total:
-            commit_token(ctx, draws.sample(ctx.target_dist(committed)))
+            commit_token(ctx, draws.sample(target_dist(committed)))
     if trace is not None:
         count = len(committed) - frontier
         for depth, (slots, target, drafts, outcome) in enumerate(walked, start=1):

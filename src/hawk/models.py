@@ -31,9 +31,10 @@ bit for bit. Counting takes ``width * (k + 1)**2 * k`` integers per offset.
 
 A tabular head keeps one table, keyed by signature code, and lays it out
 once as the flat code-by-token array of ``width * (k + 1)**2 * k`` logs
-(each probability floored at 1e-300) that scoring reads; ``predict``
-computes the code of its prefix. Only the heads file spells a signature
-out, as a context and a column.
+(each probability floored at 1e-300) that scoring reads, and once as a
+code-ordered list of rows, the uniform fallback at codes that fitting never
+saw, which ``predict`` indexes with the code of its prefix. Only the heads
+file spells a signature out, as a context and a column.
 
 Models and head sets are immutable after construction, so concurrent readers
 are safe. Fitting is single-threaded per call; independent fits can run in
@@ -61,12 +62,6 @@ from .core import (
 from .rng import stream
 
 FORMAT_VERSION = 1
-
-# Index used for the out-of-grid neighbor slot in conditional tables.
-# Boundary contexts (row starts, first row) are distinct context values,
-# not vocabulary members.
-_BOUNDARY = -1
-
 
 class TargetModel(abc.ABC):
     """Autoregressive model over a token grid in raster order."""
@@ -110,9 +105,10 @@ def _cut_rows(dists: Sequence[TokenDistribution], vocab_size: int) -> list[np.nd
 class GridMarkovModel(TargetModel):
     """Toy spatial model: the conditional depends on the left and above neighbors.
 
-    ``tables[left, above]`` is a distribution row, with index -1 (the last
-    slot) reserved for the boundary context at row starts and in the first
-    row.
+    ``tables[left, above]`` is a distribution row, with index k (the last
+    slot, k the vocabulary size) reserved for the boundary context at row
+    starts and in the first row: a distinct context value, not a
+    vocabulary member.
     """
 
     def __init__(self, grid: GridSpec, tables: np.ndarray, token_embeddings: np.ndarray) -> None:
@@ -148,9 +144,9 @@ class GridMarkovModel(TargetModel):
 
     def conditional(self, prefix: Sequence[int]) -> TokenDistribution:
         pos = len(prefix)
-        width = self.grid.width
-        left = prefix[pos - 1] if pos % width != 0 else _BOUNDARY
-        above = prefix[pos - width] if pos >= width else _BOUNDARY
+        width, k = self.grid.width, self.grid.vocab_size
+        left = prefix[pos - 1] if pos % width != 0 else k
+        above = prefix[pos - width] if pos >= width else k
         return self._rows[left][above]
 
     def sample_grid(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -352,8 +348,11 @@ class TabularDraftHead(DraftHead):
         self.smoothing = smoothing
         self.table = table
         self._fallback = TokenDistribution._wrap(np.full(vocab_size, 1.0 / vocab_size))
-        probs = np.full((_code_count(width, vocab_size), vocab_size), 1.0 / vocab_size)
+        # Row ``code`` of ``_rows`` is ``table.get(code, _fallback)``, read by index.
+        self._rows = [self._fallback] * _code_count(width, vocab_size)
+        probs = np.full((len(self._rows), vocab_size), 1.0 / vocab_size)
         for code, dist in table.items():
+            self._rows[code] = dist
             probs[code] = dist.probs
         self._logs = np.log(np.maximum(probs, 1e-300)).ravel()
 
@@ -361,7 +360,7 @@ class TabularDraftHead(DraftHead):
         k = self.vocab_size  # also the token read before position 0
         a = tokens[length - 2] if length > 1 else k
         b = tokens[length - 1] if length else k
-        return self.table.get((length % self.width * (k + 1) + a) * (k + 1) + b, self._fallback)
+        return self._rows[(length % self.width * (k + 1) + a) * (k + 1) + b]
 
     def true_token_logs(self, keys: np.ndarray, grids: np.ndarray) -> np.ndarray:
         return self._logs.take(_cell_index(keys, grids, self.offset))

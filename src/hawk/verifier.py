@@ -29,9 +29,11 @@ Every random choice is made by a :class:`Draws`, so calls with independent
 ones may run in parallel. Draw order within a call: step i's token is
 ``draws.token(q_i, uniforms[i])``, chosen when the walk reaches step i;
 each step then makes one ``draws.accept`` test, and a resample one
-``draws.sample``. :class:`Draws` reads both of its streams in blocks
-(:func:`block_reader`), and hands out the same values, in the same order,
-as scalar draws would. The enumerating twin of :class:`Draws`
+``draws.sample``. :class:`Draws` reads both of its streams in blocks of
+``READ_BLOCK``: the verify stream through a :func:`block_reader`, and the
+draft stream into a kept list that ``draws.uniforms`` slices. Either hands
+out the same values, in the same order, as scalar draws would. The
+enumerating twin of :class:`Draws`
 (:func:`~hawk.oracle_metrics.enumerate_draws`) branches at each choice
 instead, which gives the walk's exact law. Residual exhaustion is reported
 through the draw object too (``draws.exhausted(step)``): :class:`Draws`
@@ -66,21 +68,33 @@ def block_reader(rng: np.random.Generator) -> Iterator[float]:
 
 
 class Draws:
-    """Every random choice of a decode, each stream read through a
-    :func:`block_reader`: draft uniforms, the token a uniform selects, and
-    verify-stream accept tests (a uniform below the ratio) and samples.
+    """Every random choice of a decode, each stream read ``READ_BLOCK`` at a
+    time: draft uniforms, the token a uniform selects, and verify-stream
+    accept tests (a uniform below the ratio) and samples.
 
-    ``random()`` hands out the next verify-stream uniform. It is the
-    reader's own ``__next__``, so a draw runs no Python code."""
+    ``random()`` hands out the next verify-stream uniform. It is a
+    :func:`block_reader`'s own ``__next__``, so a draw runs no Python code.
+    ``uniforms(n)`` slices the next n draft uniforms from a kept list, which
+    it refills from the draft stream when a request runs past its end."""
 
-    __slots__ = ("_draft", "random")
+    __slots__ = ("_draft_rng", "_kept", "_used", "random")
 
     def __init__(self, draft_rng: np.random.Generator, verify_rng: np.random.Generator) -> None:
-        self._draft = block_reader(draft_rng)
+        self._draft_rng = draft_rng
+        self._kept: list[float] = []
+        self._used = 0
         self.random = block_reader(verify_rng).__next__
 
     def uniforms(self, n: int) -> list[float]:
-        return list(itertools.islice(self._draft, n))
+        start, kept = self._used, self._kept
+        stop = start + n
+        if stop > len(kept):  # keep the unread tail, refilled to at least n
+            kept = kept[start:]
+            while len(kept) < n:
+                kept += self._draft_rng.random(READ_BLOCK).tolist()
+            self._kept, start, stop = kept, 0, n
+        self._used = stop
+        return kept[start:stop]
 
     def token(self, q: TokenDistribution, u: float) -> int:
         return index_at(q, u)
@@ -153,21 +167,22 @@ def sequential_verify(
         raise ValueError("drafts must be nonempty")
     token_at, accept = draws.token, draws.accept
     p_cur = p
-    for index, q in enumerate(drafts):
+    index = 0
+    for q in drafts:
         token = token_at(q, uniforms[index])
         if accept_rule is None:  # accept(r) accepts with probability min(1, r): r goes unclipped
             qt = q.probs.item(token)
             if qt <= 0.0:
                 raise ValueError(f"token {token} has zero draft probability")
-            accepted = accept(p_cur.probs.item(token) / qt)
-        else:
-            accepted = accept(accept_rule(p_cur, q, token))
-        if accepted:
+            if accept(p_cur.probs.item(token) / qt):
+                return VerificationOutcome(token, index)
+        elif accept(accept_rule(p_cur, q, token)):
             return VerificationOutcome(token, index)
         p_cur, exhausted = residual_update(p_cur, q)
         if exhausted:
             draws.exhausted(index)
             break
+        index += 1
     return VerificationOutcome(draws.sample(p_cur), None)
 
 

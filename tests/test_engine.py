@@ -931,26 +931,31 @@ class TestEveryChoiceDraws:
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=lambda shape: "%dx%d" % shape)
     def test_forward_pass_is_the_joint(self, shape):
-        # The exact modes match enumerate_joint in every cell; LANTERN's
-        # relaxed acceptance visibly does not.
+        # The exact modes match enumerate_joint in every cell, without a
+        # sampling transform and under one (whose memo the context reads
+        # inline); LANTERN's relaxed acceptance visibly does not.
         grid = GridSpec(*shape, 3)
         model = make_grid_markov_target(grid, 1009, 0.9)
         heads = fit_tabular_draft_heads(model, 2, 1, 500, 2003, 1.0)
-        exact = enumerate_joint(model, grid, SamplingConfig())
-        medusa = EngineConfig(mode="medusa", horizontal_depth=2, samples_per_horizontal=2)
-        for config in (EngineConfig(mode="vanilla"), medusa,
-                       EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)):
-            law = _forward_law(model, heads, config).probs
-            assert law.keys() == exact.probs.keys()
-            assert max(abs(law[key] - p) for key, p in exact.probs.items()) <= 1e-12
-        lantern = _forward_law(model, heads, dataclasses.replace(medusa, mode="lantern"))
-        assert joint_tv(lantern, exact) > 0.05
+        for transform in (SamplingConfig(), SamplingConfig(top_k=2, temperature=0.8)):
+            exact = enumerate_joint(model, grid, transform)
+            medusa = EngineConfig(mode="medusa", horizontal_depth=2, samples_per_horizontal=2,
+                                  transform=transform)
+            for config in (EngineConfig(mode="vanilla", transform=transform), medusa,
+                           EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1,
+                                        transform=transform)):
+                law = _forward_law(model, heads, config).probs
+                assert law.keys() == exact.probs.keys()
+                assert max(abs(law[key] - p) for key, p in exact.probs.items()) <= 1e-12
+            lantern = _forward_law(model, heads, dataclasses.replace(medusa, mode="lantern"))
+            assert joint_tv(lantern, exact) > 0.05
 
 
 class TestDecodeRound:
     @pytest.mark.parametrize("fn", [
         decode_round, commit_token, build_pool, build_candidate_tree,
         hawk.verifier.sequential_verify, hawk.verifier.Draws.accept,
+        hawk.verifier.Draws.uniforms,
         DecodingContext.target_dist, DecodingContext.draft_dist,
         hawk.models.TabularDraftHead.predict, hawk.models.ExactDraftHead.predict,
     ], ids=lambda fn: fn.__qualname__)
@@ -1532,6 +1537,40 @@ class TestTransformMemoLifetime:
         assert alive_at_session_start == [0] * 5
         assert len(checked) == len(refs) > 0
         assert all(ref() is None for ref in refs)
+
+
+class TestTransformMemoRead:
+    def test_lookups_read_the_memo_and_transform_only_on_a_miss(self, monkeypatch):
+        # A repeated lookup returns the memoized object without calling the
+        # transform; a context whose config holds an equal but distinct
+        # SamplingConfig misses the inline read and gets an equal result.
+        grid, model, heads, config = _hawk_setup()
+        transform = SamplingConfig(top_k=2, temperature=0.7)
+        ctx = DecodingContext(model, heads, dataclasses.replace(config, transform=transform), 0)
+        twin = DecodingContext(model, heads, dataclasses.replace(
+            config, transform=SamplingConfig(top_k=2, temperature=0.7)), 0)
+        calls = []
+
+        def counted(dist, config):
+            calls.append(config)
+            return apply_sampling_config(dist, config)
+
+        monkeypatch.setattr(hawk.engine, "apply_sampling_config", counted)
+        prefix = [0, 1, 2, 1, 0]
+        head = heads.horizontal[0]
+        for lookup, base in (
+            (lambda c: c.target_dist(prefix), model.conditional(prefix)),
+            (lambda c: c.draft_dist(head, prefix, len(prefix)), head.predict(prefix, len(prefix))),
+        ):
+            calls.clear()
+            first = lookup(ctx)
+            fresh = apply_sampling_config(TokenDistribution(base.probs), transform)
+            np.testing.assert_array_equal(first.probs, fresh.probs)
+            assert base._memo == (transform, first)
+            assert lookup(ctx) is first
+            assert len(calls) == 1
+            np.testing.assert_array_equal(lookup(twin).probs, first.probs)
+            assert len(calls) == 2 and calls[1] is twin.config.transform
 
 
 class TestTransformedExactness:

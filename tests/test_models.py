@@ -606,14 +606,16 @@ class TestBlockFitting:
         assert all(got[key] == ref[key] for key in ref), (got, ref)
 
     def test_signature_codes_match_signatures(self):
-        # Every prefix's code is its signature's, and predict reads the table
-        # row at that code, on every width and height 1-5.
+        # Every prefix's code is its signature's, and predict returns the
+        # very row that table.get names at that code, the fallback where the
+        # table has none (every third code here), on every width and height 1-5.
+        in_table = set()
         for width, height in itertools.product(range(1, 6), repeat=2):
             k = 2 + (width + height) % 2
             grids = stream(width * 10 + height, "codes").integers(k, size=(20, width * height))
             codes = _signature_codes(grids, width, k)
             table = {code: TokenDistribution(np.full(k, 1.0 / k))
-                     for code in range(_code_count(width, k))}
+                     for code in range(_code_count(width, k)) if code % 3}
             head = TabularDraftHead(1, width, k, 0.5, table)
             seen = set()
             for row, sample in zip(codes, grids.tolist()):
@@ -621,9 +623,11 @@ class TestBlockFitting:
                     sig = _signature_at(sample, length, width)
                     assert _signature_code(sig, width, k) == code
                     assert _signature_of(code, k) == sig
-                    assert head.predict(sample, length) is table[code]
+                    assert head.predict(sample, length) is table.get(code, head._fallback)
+                    in_table.add(code in table)
                     seen.add(code)
             assert max(seen) < _code_count(width, k)
+        assert in_table == {False, True}
 
     def test_unreachable_signatures_have_no_code(self):
         for sig in [((0,), 4), ((0,), -1), ((3,), 0), ((0, 0, 0), 1), ((-1, 0), 1),
