@@ -60,9 +60,7 @@ class TokenDistribution:
     Its cut table is cached lazily to make repeated sampling cheap, and
     the last sampling transform applied is memoized as a ``(SamplingConfig,
     result)`` pair (see :func:`apply_sampling_config`), so the memo lives
-    exactly as long as the distribution it describes. The decoding context
-    reads that ``_memo`` pair inline, and calls the transform only when the
-    pair holds another config.
+    exactly as long as the distribution it describes.
     """
 
     __slots__ = ("probs", "_cut", "_memo")
@@ -167,6 +165,12 @@ def apply_sampling_config(dist: TokenDistribution, config: SamplingConfig) -> To
     The result is memoized on ``dist`` for the last config applied to it;
     a transform that returns ``dist`` itself is not memoized, so the memo
     never refers back to its owner.
+
+    ``DecodingContext.target_dist`` and ``draft_dist`` in :mod:`hawk.engine`
+    depend on this exact memo layout: they read ``dist._memo`` inline as the
+    ``(config, result)`` pair and return ``result`` when ``config is`` their
+    own, saving this call on a hit. A change to the pair changes them too;
+    ``TestTransformMemoRead`` fails if either side changes alone.
     """
     memo = dist._memo
     if memo is not None and (memo[0] is config or memo[0] == config):

@@ -270,9 +270,10 @@ class DecodingContext:
     the transform is memoized on the returned distribution itself (see
     :func:`~hawk.core.apply_sampling_config`), so it stays warm across
     batches for persistent tables and is freed with per-call head outputs.
-    ``target_dist`` and ``draft_dist`` read that ``_memo`` pair inline when
-    it holds the context's own transform, and call the transform only on a
-    miss.
+    ``target_dist`` and ``draft_dist`` read that memo inline, as the
+    ``(config, result)`` pair that :func:`~hawk.core.apply_sampling_config`
+    stores, when it holds the context's own transform, and call the
+    transform only on a miss.
     """
 
     def __init__(
@@ -316,8 +317,7 @@ class DecodingContext:
         # rejection there, or by accepting the last layer of their plan there.
         self.rejected_at = [0] * config.horizontal_depth
         self.accepted_through = [0] * config.horizontal_depth
-        # The transform whose memo target_dist and draft_dist read; None for the identity.
-        self._transform = None if config.transform.is_identity else config.transform
+        self._identity = config.transform.is_identity
         if config.mode == MODE_LANTERN:
             self.neighborhoods = token_neighborhoods(model.token_embeddings, config.lantern_k)
         else:
@@ -325,32 +325,27 @@ class DecodingContext:
 
     def target_dist(self, prefix: Sequence[int]) -> TokenDistribution:
         dist = self.model.conditional(prefix)
-        transform = self._transform
-        if transform is None:
+        if self._identity:
             return dist
-        memo = dist._memo
-        if memo is not None and memo[0] is transform:
+        memo = dist._memo  # apply_sampling_config's (config, result) pair
+        if memo is not None and memo[0] is self.config.transform:
             return memo[1]
-        return apply_sampling_config(dist, transform)
+        return apply_sampling_config(dist, self.config.transform)
 
     def draft_dist(self, head, tokens: Sequence[int], length: int) -> TokenDistribution:
         base = head.predict(tokens, length)
-        transform = self._transform
-        if transform is None:
+        if self._identity:
             return base
-        memo = base._memo
-        if memo is not None and memo[0] is transform:
+        memo = base._memo  # apply_sampling_config's (config, result) pair
+        if memo is not None and memo[0] is self.config.transform:
             return memo[1]
-        return apply_sampling_config(base, transform)
+        return apply_sampling_config(base, self.config.transform)
 
 
 def build_pool(ctx: DecodingContext, slots: tuple[Slot, ...]) -> tuple[TokenDistribution, ...]:
     """The drafts of one kept layer of a :class:`RoundPlan`, in slot order: each
     slot's head on the committed prefix of its length, ``copies`` times."""
     heads, committed, draft = ctx.slot_heads, ctx.committed, ctx.draft_dist
-    if len(slots) == 1:
-        ((head, length, copies),) = slots
-        return (draft(heads[head], committed, length),) * copies
     layer = ()
     for head, length, copies in slots:
         layer += (draft(heads[head], committed, length),) * copies

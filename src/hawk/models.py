@@ -119,6 +119,7 @@ class GridMarkovModel(TargetModel):
         self.grid = grid
         self.tables = tables
         self.token_embeddings = np.asarray(token_embeddings, dtype=np.float64)
+        self._boundary = k  # the boundary context's index in each table axis
         # Validate every row once, then hand out the same immutable objects.
         self._rows = [
             [TokenDistribution(tables[left, above]) for above in range(k + 1)]
@@ -144,9 +145,9 @@ class GridMarkovModel(TargetModel):
 
     def conditional(self, prefix: Sequence[int]) -> TokenDistribution:
         pos = len(prefix)
-        width, k = self.grid.width, self.grid.vocab_size
-        left = prefix[pos - 1] if pos % width != 0 else k
-        above = prefix[pos - width] if pos >= width else k
+        width = self.grid.width
+        left = prefix[pos - 1] if pos % width != 0 else self._boundary
+        above = prefix[pos - width] if pos >= width else self._boundary
         return self._rows[left][above]
 
     def sample_grid(self, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -167,8 +167,7 @@ def sequential_verify(
         raise ValueError("drafts must be nonempty")
     token_at, accept = draws.token, draws.accept
     p_cur = p
-    index = 0
-    for q in drafts:
+    for index, q in enumerate(drafts):
         token = token_at(q, uniforms[index])
         if accept_rule is None:  # accept(r) accepts with probability min(1, r): r goes unclipped
             qt = q.probs.item(token)
@@ -182,7 +181,6 @@ def sequential_verify(
         if exhausted:
             draws.exhausted(index)
             break
-        index += 1
     return VerificationOutcome(draws.sample(p_cur), None)
 
 

@@ -130,15 +130,10 @@ def test_beyond_bound_in_the_worse_direction(summarize):
     assert not summary["decodes_per_s.hawk"]["beyond_bound"]
 
 
-SHA = "f" * 40
-
-
-def _stub_subprocess(bench_pairs, monkeypatch, workloads):
-    """Stub ``subprocess.run`` for ``main``: every revision is ``SHA``, every
-    exported tree declares ``workloads`` and ``METRICS``, and every perfbench
-    run passes its 3 checks with each metric at 1.0. Returns the trees
-    exported and the (tree, workload) of each perfbench run, as they happen."""
-    benchmark = {"workloads": [{"name": name} for name in workloads], "end_to_end": METRICS}
+def test_a_revision_against_itself(bench_pairs, monkeypatch, tmp_path, capsys):
+    # An A/A run exports one SHA twice, each side into its own tree.
+    sha = "f" * 40
+    benchmark = {"workloads": [{"name": "w"}], "end_to_end": METRICS}
     record = {"failed": 0, "attempted": 3,
               "metrics": {spec["name"]: {"value": 1.0} for spec in METRICS}}
     trees, runs = [], []
@@ -146,29 +141,23 @@ def _stub_subprocess(bench_pairs, monkeypatch, workloads):
     def run(command, cwd=None, **kwargs):
         stdout = b""
         if command[:2] == ("git", "rev-parse"):
-            stdout = SHA
+            stdout = sha
         elif command[0] == "tar":
             trees.append(Path(command[-1]))
             (trees[-1] / "BENCHMARK.json").write_text(json.dumps(benchmark))
         elif command[0] != "git":  # perfbench/run.py
-            runs.append((Path(cwd).name, command[command.index("--workload") + 1]))
+            runs.append(Path(cwd).name)
             stdout = "provenance: {\"cpu\": \"x\"}\n" + json.dumps(record)
         return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
-    return trees, runs
-
-
-def test_a_revision_against_itself(bench_pairs, monkeypatch, tmp_path, capsys):
-    # An A/A run exports one SHA twice, each side into its own tree.
-    trees, runs = _stub_subprocess(bench_pairs, monkeypatch, ["w"])
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["HEAD", "HEAD", "--pairs", "2", "--seconds", "1",
                              "--out", str(out)]) == 0
     assert [tree.name for tree in trees] == ["parent", "change"]
-    assert [tree for tree, _ in runs] == ["parent", "change", "change", "parent"]
+    assert runs == ["parent", "change", "change", "parent"]
     bench = json.loads(out.read_text())
-    assert bench["parent"] == bench["change"] == {"git_sha": SHA}
+    assert bench["parent"] == bench["change"] == {"git_sha": sha}
     assert bench["provenance"] == {"cpu": "x"}
     pairs = bench["pairs"]["w"]
     assert pairs["attempted"] == {"parent": 6, "change": 6}
@@ -180,31 +169,6 @@ def test_a_revision_against_itself(bench_pairs, monkeypatch, tmp_path, capsys):
         "w setup_s            median  +0.00% wins  0 losses  0 beyond_bound false "
         "resolved_gain false",
     ]
-
-
-def test_workload_option_runs_only_the_named_workloads(bench_pairs, monkeypatch, tmp_path):
-    # Named workloads run in BENCHMARK.json's order, each once however often
-    # it is named; without the option every declared workload runs.
-    _, runs = _stub_subprocess(bench_pairs, monkeypatch, ["a", "b", "c"])
-    out = tmp_path / "bench.json"
-    args = ["HEAD", "HEAD", "--pairs", "2", "--seconds", "1", "--out", str(out)]
-    assert bench_pairs.main(args + ["--workload", "c", "--workload", "a",
-                                    "--workload", "c"]) == 0
-    assert [workload for _, workload in runs] == ["a"] * 4 + ["c"] * 4
-    assert list(json.loads(out.read_text())["pairs"]) == ["a", "c"]
-    runs.clear()
-    assert bench_pairs.main(args) == 0
-    assert [workload for _, workload in runs] == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
-
-
-def test_an_unknown_workload_exits_1(bench_pairs, monkeypatch, tmp_path, capsys):
-    # Refused before any run, and no BENCH file is written.
-    _, runs = _stub_subprocess(bench_pairs, monkeypatch, ["a", "b"])
-    out = tmp_path / "bench.json"
-    assert bench_pairs.main(["HEAD", "HEAD", "--pairs", "2", "--seconds", "1", "--out", str(out),
-                             "--workload", "a", "--workload", "z"]) == 1
-    assert runs == [] and not out.exists()
-    assert capsys.readouterr().err == "unknown workload z; BENCHMARK.json declares a, b\n"
 
 
 def test_verdicts_one_line_per_workload_and_metric(bench_pairs):

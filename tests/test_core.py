@@ -199,6 +199,7 @@ class TestSamplingConfig:
         d = dist(0.5, 0.3, 0.2)
         config = SamplingConfig(top_k=2, temperature=0.5)
         out = apply_sampling_config(d, config)
+        assert d._memo == (config, out)  # the layout DecodingContext reads inline
         assert apply_sampling_config(d, config) is out
         assert apply_sampling_config(d, SamplingConfig(top_k=2, temperature=0.5)) is out
         warmer = apply_sampling_config(d, SamplingConfig(temperature=0.5))

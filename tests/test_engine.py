@@ -1544,6 +1544,8 @@ class TestTransformMemoRead:
         # A repeated lookup returns the memoized object without calling the
         # transform; a context whose config holds an equal but distinct
         # SamplingConfig misses the inline read and gets an equal result.
+        # The single transform call fails if the memo layout that
+        # apply_sampling_config writes and the inline read diverge.
         grid, model, heads, config = _hawk_setup()
         transform = SamplingConfig(top_k=2, temperature=0.7)
         ctx = DecodingContext(model, heads, dataclasses.replace(config, transform=transform), 0)

@@ -6,8 +6,7 @@ Run from the root of a checkout:
 
 Each revision is exported with ``git archive`` into a temporary directory,
 so the runs see only committed files. For every workload that the change's
-``BENCHMARK.json`` declares, or only those named by ``--workload NAME``
-(repeatable; a name it does not declare exits 1), pair i (seed i, i = 1..N) runs
+``BENCHMARK.json`` declares, pair i (seed i, i = 1..N) runs
 ``perfbench/run.py --trace 0`` once on each revision, back to back: the
 parent first when i is odd, the change first when i is even. The output
 holds both git SHAs, the machine's provenance as perfbench prints it, and
@@ -129,8 +128,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workload", action="append", metavar="NAME",
-                        help="run only this workload of BENCHMARK.json; repeatable")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
@@ -139,13 +136,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         roots = {side: export(sha, Path(scratch) / side) for side, sha in shas.items()}
         benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-        declared = [w["name"] for w in benchmark["workloads"]]
-        unknown = sorted(set(args.workload or ()) - set(declared))
-        if unknown:
-            print(f"unknown workload {', '.join(unknown)}; BENCHMARK.json declares "
-                  f"{', '.join(declared)}", file=sys.stderr)
-            return 1
-        workloads = [name for name in declared if not args.workload or name in args.workload]
+        workloads = [w["name"] for w in benchmark["workloads"]]
         pairs, records, provenance = {}, {side: {} for side in SIDES}, None
         for workload in workloads:
             runs = {side: [] for side in SIDES}
