@@ -2,8 +2,8 @@
 
 Subcommands: decode (one grid to image + trace + metrics), verify (the
 distribution-preservation report against the enumeration oracle), bench
-(metrics CSV across modes plus rejection/KL curves), fit (train and save
-tabular draft heads).
+(metrics CSV across modes plus the per-depth acceptance table of the exact
+speculative modes), fit (train and save tabular draft heads).
 
 Configs are strict JSON: a schema_version field, fixed sections, and
 unknown keys are errors so typos in experiment files cannot pass silently.
@@ -40,6 +40,7 @@ from . import __version__
 from .core import GRID_MINIMUMS, GridSpec, SamplingConfig, json_field
 from .engine import (
     MODE_HAWK,
+    MODE_MEDUSA,
     MODE_VANILLA,
     ENGINE_MINIMUMS,
     BatchResult,
@@ -66,9 +67,6 @@ from .oracle_metrics import (
     empirical_joint_from_counts,
     enumerate_joint,
     joint_tv,
-    kl_trace,
-    rejection_curve,
-    require_two_rows,
     write_csv,
     write_metrics_csv,
 )
@@ -78,8 +76,8 @@ SCHEMA_VERSION = 1
 
 VERIFY_COLUMNS = ("mode", "decodes", "tv", "tolerance", "accept_length", "status")
 FIT_COLUMNS = ("direction", "depth", "offset", "held_out_nll")
-KL_COLUMNS = ("position", "kl_vert_horiz")
-CURVE_COLUMNS = ("candidates", "mean_rejection_mass")
+ACCEPTANCE_COLUMNS = ("mode", "region", "depth", "reached", "accepted", "first_alpha",
+                      "layer_acceptance", "bound", "kept_width", "pool_length")
 
 # The fields each section reads, as (JSON kind, default[, minimum]); a field
 # without a default is required, and a key no field names is an error. The
@@ -94,9 +92,7 @@ ENGINE_FIELDS = {
 }
 ENGINE_KEYS = {"top_k", *ENGINE_FIELDS}  # top_k is "all" or an integer
 ORACLE_FIELDS = {"decode_count": (int, 20000, 1), "tolerance_factor": (float, 3.0)}
-BENCH_FIELDS = {
-    "images": (int, 4, 1), "rejection_positions": (int, 2000, 1), "rejection_m_max": (int, 4, 1),
-}
+BENCH_FIELDS = {"images": (int, 4, 1)}
 # The same for each model and heads kind; a field of another kind is an error.
 MODEL_FIELDS = {
     "grid_markov": {"seed": (int, None), "vertical_weight": (float, None, 0)},
@@ -121,8 +117,6 @@ class RunConfig:
     oracle_decode_count: int
     tolerance_factor: float
     bench_images: int
-    rejection_positions: int
-    rejection_m_max: int
     echo: dict  # effective config as echoed into the manifest
 
 
@@ -224,8 +218,6 @@ def load_run_config(
         oracle_decode_count=oracle["decode_count"],
         tolerance_factor=oracle["tolerance_factor"],
         bench_images=bench["images"],
-        rejection_positions=bench["rejection_positions"],
-        rejection_m_max=bench["rejection_m_max"],
         echo=echo,
     )
 
@@ -318,9 +310,6 @@ def cmd_decode(config: RunConfig) -> int:
         "trace.csv": lambda path: write_csv(path, TRACE_COLUMNS, trace),
         "metrics.csv": lambda path: write_metrics_csv(path, [result]),
     }
-    if result.mode == MODE_HAWK and config.engine.samples_per_vertical:
-        kl = kl_trace(heads, config.engine, tokens)
-        outputs["kl_trace.csv"] = lambda path: write_csv(path, KL_COLUMNS, kl)
     _write_manifest(config, outputs)
 
     print(f"mode={result.mode} accept_length={result.accept_length:.3f}"
@@ -363,10 +352,32 @@ def cmd_verify(config: RunConfig) -> int:
     return 3 if failed else 0
 
 
+def _acceptance_rows(results: list[BatchResult], grid: GridSpec,
+                     horizontal_depth: int) -> list[tuple]:
+    """The ``ACCEPTANCE_COLUMNS`` rows of traced batches: per batch, region
+    and depth, the rounds that reached the depth and accepted there, and the
+    means of the other terms of its ``layers``. A round's region is ``end``
+    if its plan has fewer than H layers, else ``row0`` if its frontier is in
+    the first row, else ``interior``."""
+    rows = []
+    for result in results:
+        sums: dict[tuple[str, int], list] = {}
+        for frontier, depth, *terms in result.layers:
+            region = ("end" if grid.size - frontier < horizontal_depth
+                      else "row0" if frontier < grid.width else "interior")
+            total = sums.setdefault((region, depth), [0] * (len(terms) + 1))
+            total[0] += 1
+            for i, term in enumerate(terms, start=1):
+                total[i] += term
+        for region in ("row0", "interior", "end"):
+            for depth in sorted(d for r, d in sums if r == region):
+                reached, accepted, *totals = sums[region, depth]
+                rows.append((result.mode, region, depth, reached, accepted,
+                             *(total / reached for total in totals)))
+    return rows
+
+
 def cmd_bench(config: RunConfig) -> int:
-    require_two_rows(config.grid)
-    if config.engine.samples_per_vertical < 1:
-        raise ValueError("the dual rejection curve requires engine.samples_per_vertical >= 1")
     variants = _mode_variants(config.engine)
     model = build_model(config)
     heads = build_heads(config, model)
@@ -382,24 +393,16 @@ def cmd_bench(config: RunConfig) -> int:
               f"wall_speedup={results[0].wall_clock_ms / batch.wall_clock_ms:.3f} "
               f"wall_clock_ms={batch.wall_clock_ms:.1f}{_tree_fields(model, heads, engine, batch)}")
 
-    hawk = variants["hawk"]
-    curves = rejection_curve(
-        model,
-        heads,
-        hawk,
-        config.rejection_positions,
-        config.rejection_m_max,
-        derive_seed(config.seed, "bench", "rejection"),
-    )
-    hawk_tokens, _ = decode_image(model, heads, hawk, derive_seed(config.seed, "bench", "kl"))
-    kl = kl_trace(heads, hawk, hawk_tokens)
+    # One traced batch per exact speculative mode, apart from the timed ones.
+    traced = [decode_batch(model, heads, variants[mode],
+                           derive_seed(config.seed, "bench", "acceptance", mode),
+                           config.bench_images, trace=[])
+              for mode in (MODE_MEDUSA, MODE_HAWK)]
+    rows = _acceptance_rows(traced, config.grid, config.engine.horizontal_depth)
 
     _write_manifest(config, {
         "metrics.csv": lambda path: write_metrics_csv(path, results),
-        "rejection_curve_dual.csv": lambda path: write_csv(path, CURVE_COLUMNS, curves.dual),
-        "rejection_curve_horizontal.csv":
-            lambda path: write_csv(path, CURVE_COLUMNS, curves.horizontal_only),
-        "kl_trace.csv": lambda path: write_csv(path, KL_COLUMNS, kl),
+        "acceptance.csv": lambda path: write_csv(path, ACCEPTANCE_COLUMNS, rows),
     })
     return 0
 

@@ -17,7 +17,6 @@ concurrent fill is a benign race.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -193,21 +192,6 @@ def apply_sampling_config(dist: TokenDistribution, config: SamplingConfig) -> To
     out = TokenDistribution._wrap(probs)
     dist._memo = (config, out)
     return out
-
-
-def kl_divergence(p: TokenDistribution, q: TokenDistribution) -> float:
-    """KL(p || q) in nats, with the 0 * log(0) terms dropped.
-
-    Returns ``math.inf`` when p puts mass where q has none.
-    """
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    mask = p.probs > 0.0
-    if np.any(mask & (q.probs <= 0.0)):
-        return math.inf
-    pm = p.probs[mask]
-    value = float(np.sum(pm * (np.log(pm) - np.log(q.probs[mask]))))
-    return max(value, 0.0)
 
 
 _KIND_NAMES = {

@@ -11,9 +11,11 @@ current target conditional; :func:`build_pool` computes the layer's kept
 drafts when the walk reaches it, and each candidate draws its token when
 reached. The first rejection resamples, commits, and ends the round, so a
 later layer costs no head call; a round that accepts through every layer
-commits a bonus token from the target. A round thus commits 1 to H+1 tokens
-and is accounted as one target-model pass, which is what a batched tree
-verification would cost.
+commits a bonus token from the target. A round thus commits 1 to H+1 tokens.
+It reads the target once per layer it reaches and once more for a bonus
+token, so every mode reads the target once per committed token; a round is
+one target pass, as accept length counts it, only in accounting, until one
+batched call scores the tree's nodes.
 
 A slot reaches its head by position: ``Slot.head`` indexes the tuple of
 heads that each context takes once from :func:`~hawk.models.slot_heads`.
@@ -45,7 +47,9 @@ and accepts, reported as dicts keyed by depth. A context made
 with a ``trace`` list gets one row per verification step
 (``TRACE_COLUMNS``), appended by each round as it ends: its alpha from
 :func:`~hawk.verifier.chain_alphas`, and its ``source:depth`` label from
-:func:`~hawk.models.slot_heads`.
+:func:`~hawk.models.slot_heads`. Such a context also keeps, in ``layers``,
+one row per layer a walk reached (:class:`BatchResult`), from the same
+walk.
 Batches over shared immutable models may run concurrently.
 """
 
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -188,12 +193,14 @@ def tree_widths(lengths: tuple[int, ...], node_budget: int) -> tuple[int, ...]:
 class RoundPlan(NamedTuple):
     """Per depth of a round, the kept slots of its pool and their candidate
     count b_k (:func:`tree_widths`); ``truncated``: the budget cut a pool;
-    ``cuts``: per depth, the slice of the round's uniforms its candidates take."""
+    ``cuts``: per depth, the slice of the round's uniforms its candidates take;
+    ``lengths``: per depth, the pool's candidate count before the cut."""
 
     layers: tuple[tuple[Slot, ...], ...]
     widths: tuple[int, ...]
     truncated: bool
     cuts: tuple[slice, ...]
+    lengths: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,7 +229,7 @@ def round_plans(
             layers.append(tuple(kept))
         ends = tuple(itertools.accumulate(widths))
         cuts = tuple(map(slice, (0,) + ends, ends))
-        plans.append(RoundPlan(tuple(layers), widths, widths != lengths, cuts))
+        plans.append(RoundPlan(tuple(layers), widths, widths != lengths, cuts, lengths))
     return tuple(plans)
 
 
@@ -313,6 +320,7 @@ class DecodingContext:
         self.rounds = 0
         self.truncated_rounds = 0
         self.trace = trace
+        self.layers = None if trace is None else []
         # Entry d - 1 counts the rounds whose walk ended at depth d: by a
         # rejection there, or by accepting the last layer of their plan there.
         self.rejected_at = [0] * config.horizontal_depth
@@ -365,8 +373,9 @@ def commit_token(ctx: DecodingContext, token: int) -> None:
 
 
 def decode_round(ctx: DecodingContext) -> None:
-    """Run one decoding round, one target pass that commits between 1 and H+1
-    tokens; if the context keeps a trace, the round appends its rows to it."""
+    """Run one decoding round, which commits between 1 and H+1 tokens; if the
+    context keeps a trace, the round appends its rows to it and its layers'
+    rows to ``ctx.layers``."""
     total = ctx.grid.size
     committed = ctx.committed
     if len(committed) >= total:
@@ -412,12 +421,20 @@ def decode_round(ctx: DecodingContext) -> None:
         count = len(committed) - frontier
         for depth, (slots, target, drafts, outcome) in enumerate(walked, start=1):
             accepted = outcome.accepted_index
+            alphas = chain_alphas(target, drafts)
+            missed = 1.0 - drafts[0].probs  # prod_i (1 - q_i(x)): no draft proposes x
+            for q in drafts[1:]:
+                missed *= 1.0 - q.probs
+            ctx.layers.append((frontier, depth, accepted is not None, alphas[0],
+                               1.0 - math.prod(1.0 - alpha for alpha in alphas),
+                               float(np.add.reduce(np.minimum(target.probs, 1.0 - missed))),
+                               len(drafts), plan.lengths[depth - 1]))
             if accepted is not None:  # the walk stopped at the accepted candidate
-                drafts = drafts[: accepted + 1]
+                alphas = alphas[: accepted + 1]
             sources = []
             for slot in slots:
                 sources += [ctx.slot_labels[slot.head]] * slot.copies
-            for i, alpha in enumerate(chain_alphas(target, drafts)):
+            for i, alpha in enumerate(alphas):
                 trace.append((ctx.rounds, frontier, depth, sources[i], alpha, i == accepted,
                               count))
     ctx.rounds += 1
@@ -426,7 +443,17 @@ def decode_round(ctx: DecodingContext) -> None:
 @dataclass
 class BatchResult:
     """The result of one batch: one or more decode sessions on one context.
-    ``truncated_rounds`` counts the rounds whose tree the node budget cut."""
+    ``truncated_rounds`` counts the rounds whose tree the node budget cut.
+
+    A traced batch also lists in ``layers``, in walk order, one row per
+    layer a walk reached: ``(frontier, depth, accepted, alpha, acceptance,
+    bound, width, pool)``. ``alpha`` is the first kept draft's alpha;
+    ``acceptance`` is the walk's chance to accept in the layer, 1 - prod(1 -
+    alpha_i) over the kept drafts' :func:`~hawk.verifier.chain_alphas`;
+    ``bound`` is the multi-draft bound sum_x min(p(x), 1 - prod_i(1 -
+    q_i(x))) of the kept drafts q_i on the layer's target p; ``width`` and
+    ``pool`` are the kept candidates and the pool's candidates before the
+    node budget cut."""
 
     mode: str
     grid_counts: Counter
@@ -436,6 +463,8 @@ class BatchResult:
     depth_attempts: dict[int, int]
     depth_accepts: dict[int, int]
     wall_clock_ms: float
+    layers: list[tuple[int, int, bool, float, float, float, int, int]] = field(
+        default_factory=list)
 
     @property
     def accept_length(self) -> float:
@@ -501,6 +530,7 @@ def decode_batch(
         depth_attempts=depth_attempts,
         depth_accepts=depth_accepts,
         wall_clock_ms=wall_clock_ms,
+        layers=ctx.layers or [],
     )
 
 

@@ -7,9 +7,7 @@ Statistical thresholds are not hand-picked: the plain ancestral sampler is
 run at the same sample size to measure the Monte Carlo noise floor, and
 exact modes must land within a small multiple of it.
 
-The report side holds theoretical rejection-probability curves for
-dual-direction versus horizontal-only drafting, the vertical-versus-horizontal
-KL trace of a decoded grid, and the CSV writers for the run results
+The report side holds the CSV writers for the run results
 (:class:`~hawk.engine.BatchResult`). The CSVs hold accept length, the
 deterministic figure. Speed is measured, not modeled: wall clock is printed
 (``hawk bench``'s ``wall_speedup``) and never written into the CSV outputs,
@@ -23,19 +21,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Sequence, Union
 
-import numpy as np
-
-from .core import (
-    GridSpec,
-    SamplingConfig,
-    TokenDistribution,
-    apply_sampling_config,
-    kl_divergence,
-)
-from .engine import BatchResult, EngineConfig
-from .models import DraftHeadSet, TargetModel, pool_slots, slot_heads
-from .rng import stream
-from .verifier import rejection_mass
+from .core import GridSpec, SamplingConfig, TokenDistribution, apply_sampling_config
+from .engine import BatchResult
+from .models import TargetModel
 
 # Refuse exact enumeration beyond this many grid outcomes.
 MAX_ENUMERATION = 10**6
@@ -174,106 +162,6 @@ def enumerate_draws(run: Callable[[EnumeratingDraws], Hashable]) -> dict[Hashabl
             continue
         law[outcome] = law.get(outcome, 0.0) + draws.weight
     return law
-
-
-@dataclass
-class RejectionCurves:
-    """Mean rejection mass by candidate count, for both pool constructions."""
-
-    dual: list[tuple[int, float]]
-    horizontal_only: list[tuple[int, float]]
-
-
-def _draft_fn(transform: SamplingConfig):
-    """A head's draft as :meth:`~hawk.engine.DecodingContext.draft_dist` makes it:
-    its prediction from ``tokens[:length]`` under ``transform``."""
-    return lambda head, tokens, length: apply_sampling_config(head.predict(tokens, length),
-                                                              transform)
-
-
-def require_two_rows(grid: GridSpec) -> None:
-    """Rejection curves take their positions from the second row on."""
-    if grid.height < 2:
-        raise ValueError(f"rejection curves need a grid of at least two rows, got {grid.height}")
-
-
-def rejection_curve(
-    model: TargetModel,
-    heads: DraftHeadSet,
-    config: EngineConfig,
-    position_count: int,
-    m_max: int,
-    seed: int,
-) -> RejectionCurves:
-    """Theoretical rejection probability versus candidate count.
-
-    Positions are taken from ancestral samples of the target, skipping the
-    first row (no vertical predictions exist there). At each position the
-    dual chain adds one candidate distribution per increment, cycling
-    through the available vertical depths and then the horizontal head; the
-    horizontal-only chain repeats the depth-1 horizontal distribution. The
-    value at m is the chance that all m candidates are rejected, averaged
-    over positions. The drafts are the ones a pool for the position holds
-    once the tokens before it have committed: one copy of each slot of its
-    :func:`~hawk.models.pool_slots`, the vertical drafts then the depth-1
-    horizontal one.
-    """
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
-    if position_count < 1:
-        raise ValueError(f"position_count must be >= 1, got {position_count}")
-    if config.vertical_depth < 1 or config.samples_per_vertical < 1:
-        raise ValueError("rejection curves need vertical drafts: vertical_depth and "
-                         "samples_per_vertical >= 1")
-    grid = model.grid
-    require_two_rows(grid)
-    gen = stream(seed, "rejection-curve")
-    dual_sums = np.zeros(m_max)
-    horiz_sums = np.zeros(m_max)
-    # Each grid gives size - width positions, so these are the grids a
-    # draw-until-enough loop would take.
-    per_grid = grid.size - grid.width
-    samples = [tuple(s) for s in model.sample_grid(gen, -(-position_count // per_grid)).tolist()]
-    draft = _draft_fn(config.transform)
-    by_slot, _ = slot_heads(heads, config.vertical_depth)
-    for n in range(position_count):
-        sample, t = samples[n // per_grid], grid.width + n % per_grid
-        target = apply_sampling_config(model.conditional(sample[:t]), config.transform)
-        cycle = [draft(by_slot[s.head], sample, s.length)
-                 for s in pool_slots(grid.width, t, 1, config.vertical_depth, 1, 1)]
-        horizontal = cycle[-1]
-        dual_sums += rejection_mass(target, [cycle[i % len(cycle)] for i in range(m_max)])
-        horiz_sums += rejection_mass(target, [horizontal] * m_max)
-    return RejectionCurves(
-        dual=[(m, float(dual_sums[m - 1] / position_count)) for m in range(1, m_max + 1)],
-        horizontal_only=[
-            (m, float(horiz_sums[m - 1] / position_count)) for m in range(1, m_max + 1)
-        ],
-    )
-
-
-def kl_trace(
-    heads: DraftHeadSet, config: EngineConfig, tokens: Union[np.ndarray, Sequence[int]]
-) -> list[tuple[int, float]]:
-    """KL(depth-1 vertical draft || horizontal draft) per position of a decoded grid.
-
-    The drafts are the ones a pool for each position holds once every token
-    before it has committed (:func:`~hawk.models.pool_slots` with the
-    frontier at the position). Every position from the second row on has a
-    depth-1 vertical draft then, so the trace covers positions
-    ``width .. size - 1`` in raster order. A config whose pools hold no
-    vertical draft has no trace.
-    """
-    if min(heads.vertical_depth, config.vertical_depth, config.samples_per_vertical) < 1:
-        raise ValueError("a KL trace needs pools that hold a vertical head's drafts: "
-                         "vertical_depth and samples_per_vertical >= 1")
-    flat = np.asarray(tokens).reshape(-1).tolist()
-    draft = _draft_fn(config.transform)
-    out = []
-    for t in range(heads.width, len(flat)):
-        vertical = draft(heads.vertical[0], flat, pool_slots(heads.width, t, 1, 1, 1, 1)[0].length)
-        out.append((t, kl_divergence(vertical, draft(heads.horizontal[0], flat, t))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ The walk only decides: its outcome is the emitted token and the index of
 the accepting candidate. A step's alpha is its marginal acceptance
 probability sum_x min(p_i(x), q_i(x)), the chance it accepts before
 conditioning on which token the draft proposed; :func:`chain_alphas`
-computes it along the residual chain, and it alone, for the engine's trace
-and for :func:`rejection_mass`, the product of (1 - alpha_i) over a chain:
-the probability that the round falls through to the residual resample.
+computes it along the residual chain, and it alone, for the engine's trace.
+The product of (1 - alpha_i) over a chain is the probability that the walk
+falls through to the residual resample.
 
 Both accept rules run one walk, :func:`sequential_verify`, which
 :func:`lantern_sequential_verify` calls with its relaxed rule. It reads
@@ -186,31 +186,19 @@ def sequential_verify(
 
 def chain_alphas(p: TokenDistribution, drafts: Sequence[TokenDistribution]) -> list[float]:
     """Entry j is the alpha sum_x min(p_j(x), q_j(x)) of draft j, where p_j is
-    the residual left by rejecting drafts 0..j-1 from p; as in the walk, once
-    a residual degenerates, the last non-degenerate one stands in.
+    the residual left by rejecting drafts 0..j-1 from p, for the steps the
+    walk can take: it stops, as the walk does, at the draft whose rejection
+    exhausts the residual, so the list is shorter than ``drafts`` then.
     """
     alphas = []
     p_cur = p
-    exhausted = False
-    for q in drafts:
-        alphas.append(float(np.minimum(p_cur.probs, q.probs).sum()))
-        if not exhausted:
-            p_cur, exhausted = residual_update(p_cur, q)
+    for index, q in enumerate(drafts):
+        if index:  # the residual left by rejecting the draft before q
+            p_cur, exhausted = residual_update(p_cur, drafts[index - 1])
+            if exhausted:
+                break
+        alphas.append(float(np.add.reduce(np.minimum(p_cur.probs, q.probs))))
     return alphas
-
-
-def rejection_mass(p: TokenDistribution, drafts: Sequence[TokenDistribution]) -> list[float]:
-    """Probability that the first m drafts of a chain are all rejected, for m = 1..len(drafts).
-
-    Entry m - 1 is prod_{j<=m} (1 - alpha_j) over :func:`chain_alphas`, so
-    the masses never increase along the chain.
-    """
-    masses = []
-    product = 1.0
-    for alpha in chain_alphas(p, drafts):
-        product *= 1.0 - alpha
-        masses.append(max(product, 0.0))
-    return masses
 
 
 def lantern_acceptance(

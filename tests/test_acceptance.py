@@ -38,10 +38,9 @@ from hawk.oracle_metrics import (
     enumerate_draws,
     enumerate_joint,
     joint_tv,
-    rejection_curve,
 )
 from hawk.rng import derive_seed, stream
-from hawk.verifier import lantern_sequential_verify, rejection_mass, sequential_verify
+from hawk.verifier import chain_alphas, lantern_sequential_verify, sequential_verify
 
 # Fixed identities for the exactness runs; configs/verify_2x2.json mirrors them.
 EXACTNESS_GRID = GridSpec(2, 2, 3)
@@ -314,34 +313,68 @@ def test_criterion_2_verifier_exactness():
 
 
 def test_criterion_3_rejection_monotonicity():
-    """Appending candidates never increases the chained rejection mass."""
+    """Each chain's acceptance 1 - prod(1 - alpha_i) over chain_alphas is the
+    chance that sequential_verify, enumerated over every choice its draws
+    make, accepts a draft; it never falls as drafts are appended, so the
+    chained rejection mass never rises."""
     gen = stream(MASTER_SEED, "acceptance", "monotone")
-    violations = 0
-    for _ in range(1000):
-        k = int(gen.integers(2, 7))
-        p = random_dist(gen, k)
-        drafts = [random_dist(gen, k) for _ in range(int(gen.integers(2, 6)))]
-        values = rejection_mass(p, drafts)
-        if any(b > a + 1e-15 for a, b in zip(values, values[1:])):
-            violations += 1
-    report(3, violations == 0, f"1000 chains, {violations} monotonicity violations")
+    instances = verifier_instances(gen, 999)
+    # test_residual_exhaustion's round: the walk stops at q1, and so does the chain.
+    instances.append((TokenDistribution([0.5, 0.5]),
+                      [TokenDistribution([0.5, 0.5000000000000001]), TokenDistribution([0.9, 0.1])]))
+    worst, falls, chains = 0.0, 0, 0
+    for p, drafts in instances:
+        acceptance = []
+        for m in range(1, len(drafts) + 1):
+            chain = drafts[:m]
+            law = enumerate_draws(lambda draws: sequential_verify(
+                p, chain, draws.uniforms(m), draws).accepted_index is not None)
+            acceptance.append(1.0 - math.prod(1.0 - alpha for alpha in chain_alphas(p, chain)))
+            worst = max(worst, abs(acceptance[-1] - law.get(True, 0.0)))
+        chains += len(drafts)
+        falls += any(b < a - 1e-15 for a, b in zip(acceptance, acceptance[1:]))
+    ok = worst <= 1e-12 and falls == 0
+    report(3, ok, f"{chains} chains of {len(instances)} rounds, max error {worst:.2e} <= 1e-12; "
+                  f"{falls} rounds whose acceptance fell as drafts were appended")
 
 
-def test_criterion_4_dual_source_advantage():
-    """Dual-direction pools reject less than horizontal-only at m in {2,3,4}."""
-    grid = GridSpec(12, 12, 6)
-    model = make_grid_markov_target(grid, 2024, 0.9)
-    heads = fit_tabular_draft_heads(model, 2, 1, 3000, 55, 0.5)
-    config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-    curves = rejection_curve(
-        model, heads, config, 10_000, 4,
-        derive_seed(MASTER_SEED, "acceptance", "rejection-curve"),
-    )
-    dual = dict(curves.dual)
-    horizontal = dict(curves.horizontal_only)
-    ok = all(dual[m] <= horizontal[m] for m in (2, 3, 4))
-    detail = ", ".join(f"m={m}: dual={dual[m]:.4f} vs horiz={horizontal[m]:.4f}" for m in (2, 3, 4))
-    report(4, ok, f"10000 positions; {detail}")
+def test_criterion_4_dual_source_advantage(tmp_path):
+    """Hawk's depth-1 layer acceptance in bench's acceptance.csv is above
+    medusa's, whose equal-budget pools repeat the horizontal draft: in the
+    interior, and over every round, row 0 included."""
+    import json
+
+    config = {
+        "schema_version": 1,
+        "seed": MASTER_SEED,
+        "output_dir": str(tmp_path / "out"),
+        "grid": {"width": 12, "height": 12, "vocab_size": 6},
+        "model": {"kind": "grid_markov", "seed": 2024, "vertical_weight": 0.9},
+        "heads": {"kind": "tabular", "sample_count": 3000, "seed": 55, "smoothing": 0.5},
+        "engine": {"mode": "hawk", "horizontal_depth": 2, "vertical_depth": 1},
+        "bench": {"images": 40},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["bench", "--config", str(path)]) == 0
+    lines = (tmp_path / "out" / "acceptance.csv").read_text().splitlines()
+    depth_1 = {}  # (mode, region): (reached, layer acceptance)
+    for line in lines[1:]:
+        mode, region, depth, reached, _, _, acceptance, *_ = line.split(",")
+        if depth == "1":
+            depth_1[mode, region] = (int(reached), float(acceptance))
+
+    def mean(mode):
+        rows = [row for (m, _), row in depth_1.items() if m == mode]
+        return sum(n * a for n, a in rows) / sum(n for n, _ in rows)
+
+    interior = {mode: depth_1[mode, "interior"][1] for mode in ("hawk", "medusa")}
+    overall = {mode: mean(mode) for mode in ("hawk", "medusa")}
+    ok = interior["hawk"] > interior["medusa"] and overall["hawk"] > overall["medusa"]
+    report(4, ok, f"depth 1, interior: hawk={interior['hawk']:.4f} > "
+                  f"medusa={interior['medusa']:.4f} ({depth_1['hawk', 'interior'][0]} and "
+                  f"{depth_1['medusa', 'interior'][0]} rounds); every round: "
+                  f"hawk={overall['hawk']:.4f} > medusa={overall['medusa']:.4f}")
 
 
 def test_criterion_5_accept_length_ordering():
@@ -466,7 +499,7 @@ def test_criterion_9_determinism(tmp_path):
         "heads": {"kind": "tabular", "sample_count": 300, "seed": 5, "smoothing": 0.5},
         "engine": {"mode": "hawk", "horizontal_depth": 2, "vertical_depth": 1},
         "oracle": {"decode_count": 2000, "tolerance_factor": 3.0},
-        "bench": {"images": 3, "rejection_positions": 200, "rejection_m_max": 3},
+        "bench": {"images": 3},
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))

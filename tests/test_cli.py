@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 import hawk.cli
 from hawk.cli import build_heads, build_model, load_run_config, main
 from hawk.core import GridSpec, SamplingConfig
-from hawk.engine import TRACE_COLUMNS, EngineConfig, decode_batch
+from hawk.engine import TRACE_COLUMNS, DecodingContext, EngineConfig, decode_batch
 from hawk.models import fit_tabular_draft_heads, load_head_set, make_grid_markov_target
 from hawk.oracle_metrics import METRICS_COLUMNS
 from hawk.rng import derive_seed
@@ -35,7 +37,7 @@ def write_config(tmp_path, **overrides):
         "heads": TABULAR,
         "engine": {"mode": "hawk", "horizontal_depth": 2, "vertical_depth": 1},
         "oracle": {"decode_count": 2000, "tolerance_factor": 3.0},
-        "bench": {"images": 3, "rejection_positions": 200, "rejection_m_max": 3},
+        "bench": {"images": 3},
     }
     # A section override is merged into the default section, unless it names
     # a kind: then it is the whole section, since other kinds read other keys.
@@ -84,7 +86,7 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="decode_count"):
             load_run_config(path)
 
-    @pytest.mark.parametrize("key", ["images", "rejection_positions", "rejection_m_max"])
+    @pytest.mark.parametrize("key", ["images"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_bench_counts_below_one_rejected(self, tmp_path, capsys, monkeypatch, key, value):
         fitted = []
@@ -183,8 +185,6 @@ class TestConfigLoading:
             ("grid", "vocab_size", 3.5),
             ("oracle", "decode_count", 2000.7),
             ("bench", "images", 3.2),
-            ("bench", "rejection_positions", False),
-            ("bench", "rejection_m_max", "3"),
             ("model", "seed", 1009.0),
             ("heads", "sample_count", 300.5),
             ("heads", "seed", True),
@@ -453,12 +453,19 @@ class TestHeadsFile:
         assert decoded == []  # refused before the vanilla decodes
 
 
+def _acceptance_rows(out_dir):
+    """The rows of a bench run's acceptance.csv, as dicts of strings."""
+    lines = (out_dir / "acceptance.csv").read_text().splitlines()
+    assert tuple(lines[0].split(",")) == hawk.cli.ACCEPTANCE_COLUMNS
+    return [dict(zip(hawk.cli.ACCEPTANCE_COLUMNS, line.split(","))) for line in lines[1:]]
+
+
 class TestDecodeCommand:
     def test_outputs_and_stdout(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["decode", "--config", str(path)]) == 0
         out_dir = tmp_path / "out"
-        for name in ("grid.pgm", "trace.csv", "metrics.csv", "kl_trace.csv", "manifest.json"):
+        for name in ("grid.pgm", "trace.csv", "metrics.csv", "manifest.json"):
             assert (out_dir / name).exists()
         printed = capsys.readouterr().out
         assert "accept_length=" in printed
@@ -485,18 +492,6 @@ class TestDecodeCommand:
         path = write_config(tmp_path, engine={"mode": "vanilla", "vertical_depth": 0})
         assert main(["decode", "--config", str(path)]) == 0
         assert "accept_length=1.000" in capsys.readouterr().out
-        assert not (tmp_path / "out" / "kl_trace.csv").exists()  # hawk runs only
-
-    def test_no_kl_trace_without_vertical_drafts(self, tmp_path):
-        # With samples_per_vertical 0 no pool holds a vertical draft, so there
-        # is no vertical draft to compare and no KL trace is written.
-        path = write_config(tmp_path, engine={"samples_per_vertical": 0})
-        assert main(["decode", "--config", str(path)]) == 0
-        out_dir = tmp_path / "out"
-        rows = (out_dir / "trace.csv").read_text().splitlines()[1:]
-        assert rows and not any(",vertical:" in row for row in rows)
-        assert not (out_dir / "kl_trace.csv").exists()
-        assert "kl_trace.csv" not in (out_dir / "manifest.json").read_text()
 
     def test_missing_output_dir_created(self, tmp_path):
         nested = tmp_path / "a" / "b" / "c"
@@ -566,31 +561,29 @@ class TestBenchCommand:
         assert len(metrics) == 5  # header + four modes
         modes = [line.split(",")[0] for line in metrics[1:]]
         assert modes == ["vanilla", "medusa", "hawk", "lantern"]
-        assert (out_dir / "rejection_curve_dual.csv").exists()
-        assert (out_dir / "rejection_curve_horizontal.csv").exists()
-        assert (out_dir / "kl_trace.csv").exists()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == ["acceptance.csv", "metrics.csv"]
+        rows = _acceptance_rows(out_dir)
+        assert {row["mode"] for row in rows} == {"medusa", "hawk"}
+        assert {row["region"] for row in rows} == {"row0", "interior", "end"}
 
-    def test_one_row_grid_refused_before_fitting(self, tmp_path, capsys, monkeypatch):
-        # Rejection curves need a second row; without one the command used to
-        # write metrics.csv and then loop forever looking for positions.
-        fitted = []
-        monkeypatch.setattr(hawk.cli, "fit_tabular_draft_heads", lambda *args: fitted.append(args))
+    def test_one_row_grid_has_no_interior_rows(self, tmp_path):
+        # Every round of a one-row grid starts in row 0, or near its end.
         path = write_config(tmp_path, grid={"width": 4, "height": 1, "vocab_size": 3})
-        assert main(["bench", "--config", str(path)]) == 1
-        assert "rejection curves need a grid of at least two rows, got 1" in capsys.readouterr().err
-        assert fitted == []
-        assert not (tmp_path / "out").exists()
+        assert main(["bench", "--config", str(path)]) == 0
+        rows = _acceptance_rows(tmp_path / "out")
+        assert rows and {row["region"] for row in rows} == {"row0", "end"}
 
-    def test_no_vertical_samples_refused_before_fitting(self, tmp_path, capsys, monkeypatch):
-        # The dual rejection curve and the KL trace compare vertical drafts,
-        # which pools with samples_per_vertical 0 never hold.
-        fitted = []
-        monkeypatch.setattr(hawk.cli, "fit_tabular_draft_heads", lambda *args: fitted.append(args))
-        path = write_config(tmp_path, engine={"samples_per_vertical": 0})
-        assert main(["bench", "--config", str(path)]) == 1
-        assert "engine.samples_per_vertical >= 1" in capsys.readouterr().err
-        assert fitted == []
-        assert not (tmp_path / "out").exists()
+    def test_no_vertical_samples_keep_one_horizontal_candidate(self, tmp_path):
+        # With samples_per_vertical 0 no pool holds a vertical draft, so each
+        # of hawk's layers keeps its one horizontal candidate, as medusa's
+        # equal-budget layers do.
+        path = write_config(tmp_path, grid={"width": 4, "height": 4, "vocab_size": 4},
+                            engine={"samples_per_vertical": 0})
+        assert main(["bench", "--config", str(path)]) == 0
+        rows = _acceptance_rows(tmp_path / "out")
+        assert {row["mode"] for row in rows} == {"medusa", "hawk"}
+        assert all(row["kept_width"] == row["pool_length"] == "1.0" for row in rows)
 
     def test_prints_wall_speedup_over_vanilla(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -714,8 +707,10 @@ class TestExitCodes:
 
 class TestShippedConfigs:
     def test_repo_configs_parse(self):
-        for name in ("verify_2x2.json", "verify_quick.json", "bench_16x16.json"):
-            config = load_run_config(ROOT / "configs" / name)
+        paths = sorted((ROOT / "configs").glob("*.json"))
+        assert len(paths) >= 3
+        for path in paths:
+            config = load_run_config(path)
             assert config.engine.mode == "hawk"
 
     @pytest.mark.parametrize(
@@ -764,8 +759,7 @@ class TestShippedConfigs:
             "metrics.csv": METRICS_COLUMNS,
             "trace.csv": TRACE_COLUMNS,
             "verify_report.csv": hawk.cli.VERIFY_COLUMNS,
-            "rejection_curve_*.csv": hawk.cli.CURVE_COLUMNS,
-            "kl_trace.csv": hawk.cli.KL_COLUMNS,
+            "acceptance.csv": hawk.cli.ACCEPTANCE_COLUMNS,
             "fit_report.csv": hawk.cli.FIT_COLUMNS,
         }
         assert {name: tuple(cells.split(",")) for name, cells in rows} == columns
@@ -777,17 +771,12 @@ class TestShippedConfigs:
 PINNED_OUTPUTS = {
     ("verify_quick", "decode"): {
         "grid.pgm": "58d366c32dac002a5f63bd164b3d56db925c5568d96a1ba80f85460e35b5cc61",
-        "kl_trace.csv": "b2282f9e6088e3a4106fde52e9467c068ecb0414d3b7b58ef213ed17a70b6ac6",
         "metrics.csv": "d99c1c283802d4a2d7caa1dfc2045758e63427f831a3307896335c6f844035ad",
         "trace.csv": "cffbb7529bc52a2a5490944bdc5a8c55ec150ca0fd29d4145e2cf7c11956c71a",
     },
     ("verify_quick", "bench"): {
-        "kl_trace.csv": "9d18fffb091da6665351e0d62f47223bf71583221d031e657bfd2ef83bbd708d",
+        "acceptance.csv": "d83876c769848427a68407f4d322f498034d484c8049b776e22dac05b6e6ae7b",
         "metrics.csv": "0f4998e9e477092c04922c4a073f5bf0fafbe357313299a1098da5ee2194893d",
-        "rejection_curve_dual.csv":
-            "bf7a9ed2a1d57c4fc257c14b2fa8a01e1cdc48d394be43fc940dba9020b41966",
-        "rejection_curve_horizontal.csv":
-            "240c368272bfc9423e4fd4b976d15300ea15ab1ad79c44d135600862cb1c1a67",
     },
     ("verify_quick", "fit"): {
         "fit_report.csv": "2616b3a6137e2f1f180fc5124bddd9299781b9d4874da8e5f2dad460204ee78d",
@@ -795,7 +784,6 @@ PINNED_OUTPUTS = {
     },
     ("bench_16x16", "decode"): {
         "grid.pgm": "183b9a26fcb1138b0da22db6c66e7a276d5f8f7b7ab53a43f30b369ddea10bed",
-        "kl_trace.csv": "1936bababf9e63a1086869d7219a6c297880a026e9e668661c8b9f3ff13af871",
         "metrics.csv": "3224fb4f8278b557593eb2841c55db851e0177a89630edb0c4fdf908064e6b2c",
         "trace.csv": "e2743b1853190c88162dd53e6978e7918316bf4900a46b4c2073796c49bccced",
     },
@@ -803,12 +791,8 @@ PINNED_OUTPUTS = {
         "verify_report.csv": "66b552304f32775aa3f13f40370f782a463e20958fac009d8bf671a825b4da04",
     },
     ("bench_16x16", "bench"): {
-        "kl_trace.csv": "7797d4250413ec74fd16b3ad891d52af2bfe31b95fbe081b8eb52615e08a8588",
+        "acceptance.csv": "432eecef96785ea04cc4c5140186da46201c2c183897abc0ff9ae55f0b27bc80",
         "metrics.csv": "8be9e0fb6fa0dbf9abb48a1ab50f4fbf02a00d1a524cdbffbbddad93916950a8",
-        "rejection_curve_dual.csv":
-            "eb770147844ca740a469c7c34ac3e102e04af3e66ca1bf1eebcb1427d3f68a04",
-        "rejection_curve_horizontal.csv":
-            "77d0f9d837898c734dc22e8ae87f3af7660df6e908ec6e5bb607b0e7bc247dfb",
     },
     ("bench_16x16", "fit"): {
         "fit_report.csv": "df719d0cbb46762c37e8ece5592df66a0a6ec15e8d1d3edae33f3a051d857d8d",
@@ -816,12 +800,8 @@ PINNED_OUTPUTS = {
     },
     # The one config with a transform (top-k 4, temperature 0.8).
     ("wide_tree_16x16", "bench"): {
-        "kl_trace.csv": "514639812e8fe5a2f7aab3ca6786078ffe30ac2d227e40962ecb476b990f5250",
+        "acceptance.csv": "4ae9187e9311717468b3c3cc27de4c79c4bfc2f8b958137ad353c21f79d1155c",
         "metrics.csv": "c24a010f6e6c43823e843a4e772fb24a9eb7e587b5ec958de195296a6da05e77",
-        "rejection_curve_dual.csv":
-            "88e0c57f8254a0ec4f3d301ae2293a73443c50925a6d7504cb1c48415e9ee5bf",
-        "rejection_curve_horizontal.csv":
-            "b1aa45d0b49543ff331a1113b20cc14e8eb729f9349e310608db8713bc80f4e1",
     },
 }
 
@@ -910,3 +890,56 @@ class TestTruncatedRounds:
                             for _ in range(2))
             assert first == again
             assert (first > 0) == (binds and mode != "vanilla"), mode
+
+
+class TestTargetReads:
+    @pytest.mark.parametrize("path", [
+        "configs/verify_quick.json", "perfbench/configs/wide_tree_16x16.json",
+    ])
+    def test_one_read_per_committed_token(self, monkeypatch, path):
+        # Every mode reads the target once per committed token, at that
+        # token's prefix: a speculative round reads it once per layer its walk
+        # reaches and once more for a bonus token. wide_tree_16x16 cuts its
+        # trees and transforms its drafts.
+        config = load_run_config(ROOT / path)
+        model = build_model(config)
+        heads = build_heads(config, model)
+        reads = []
+        target_dist = DecodingContext.target_dist
+        monkeypatch.setattr(DecodingContext, "target_dist",
+                            lambda ctx, prefix: reads.append(len(prefix)) or target_dist(ctx, prefix))
+        grids = 5
+        for mode, engine in hawk.cli._mode_variants(config.engine).items():
+            reads.clear()
+            batch = decode_batch(model, heads, engine, derive_seed(config.seed, "reads", mode), grids)
+            assert len(reads) == batch.committed, mode
+            assert Counter(reads) == dict.fromkeys(range(config.grid.size), grids), mode
+
+
+class TestAcceptanceTable:
+    @pytest.mark.parametrize("path", [
+        "configs/bench_16x16.json", "perfbench/configs/wide_tree_16x16.json",
+    ])
+    def test_accepts_within_the_layer_acceptances(self, path):
+        # bench's traced batches: per mode and depth, the layers reached and
+        # accepted are the batch's depth counts, and the accepts lie within
+        # 3.3 standard deviations of the summed layer acceptances, with the
+        # Poisson-binomial variance sum a (1 - a) of independent accept tests.
+        config = load_run_config(ROOT / path)
+        model = build_model(config)
+        heads = build_heads(config, model)
+        variants = hawk.cli._mode_variants(config.engine)
+        for mode in ("medusa", "hawk"):
+            batch = decode_batch(model, heads, variants[mode],
+                                 derive_seed(config.seed, "bench", "acceptance", mode),
+                                 config.bench_images, trace=[])
+            reached, accepted, expected, variance = Counter(), Counter(), Counter(), Counter()
+            for _, depth, accept, _, acceptance, *_ in batch.layers:
+                reached[depth] += 1
+                accepted[depth] += accept
+                expected[depth] += acceptance
+                variance[depth] += acceptance * (1.0 - acceptance)
+            assert reached == batch.depth_attempts and accepted == batch.depth_accepts
+            for depth in reached:
+                gap = abs(accepted[depth] - expected[depth])
+                assert gap <= 3.3 * math.sqrt(variance[depth]), (mode, depth, gap)

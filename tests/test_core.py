@@ -1,7 +1,6 @@
 """Grid shape, distribution arithmetic, and sampling transforms."""
 
 import dataclasses
-import math
 from bisect import bisect_right
 
 import numpy as np
@@ -15,7 +14,6 @@ from hawk.core import (
     TokenDistribution,
     apply_sampling_config,
     index_at,
-    kl_divergence,
     sample_index,
     sampling_table,
 )
@@ -150,26 +148,6 @@ class TestTopK:
             for j in kept:
                 if d.probs[i] > d.probs[j]:
                     assert out.probs[i] > out.probs[j]
-
-
-class TestDivergences:
-    def test_kl_self_is_zero(self):
-        d = dist(0.5, 0.3, 0.2)
-        assert kl_divergence(d, d) == 0.0
-
-    def test_kl_hand_value(self):
-        # 0.5*ln(2) + 0.5*ln(2/3)
-        expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-        got = kl_divergence(dist(0.5, 0.5), dist(0.25, 0.75))
-        assert abs(got - expected) < 1e-12
-        assert abs(got - 0.1438) < 1e-3
-
-    def test_kl_disjoint_support(self):
-        assert kl_divergence(dist(1.0, 0.0), dist(0.0, 1.0)) == math.inf
-
-    def test_kl_length_mismatch(self):
-        with pytest.raises(ValueError):
-            kl_divergence(dist(0.5, 0.5), dist(0.5, 0.3, 0.2))
 
 
 class TestSamplingConfig:

@@ -25,7 +25,6 @@ from hawk.core import (
     TokenDistribution,
     apply_sampling_config,
     index_at,
-    kl_divergence,
     sample_index,
 )
 from hawk.engine import (
@@ -56,12 +55,10 @@ from hawk.models import (
 )
 from hawk.oracle_metrics import (
     JointTable,
-    _draft_fn,
     empirical_joint_from_counts,
     enumerate_draws,
     enumerate_joint,
     joint_tv,
-    kl_trace,
 )
 from hawk.rng import stream
 from hawk.verifier import (
@@ -884,21 +881,21 @@ class TestDrawOrder:
         assert any(plan.truncated for plan, _, _ in spy.rounds) == (budget < 64 or spv > 0)
 
 
-def _forward_law(model, heads, config):
-    """Exact law of a decoded grid: prefix masses pushed, in length order,
-    through each prefix's one-round kernel, ``enumerate_draws`` over one
-    ``decode_round`` from that prefix."""
-    ctx = DecodingContext(model, heads, config, 0)
+def _forward_law(ctx, one_round=decode_round):
+    """Exact law of a grid decoded on ``ctx``: prefix masses pushed, in length
+    order, through each prefix's one-round kernel, ``enumerate_draws`` over
+    one ``one_round(ctx)`` from that prefix."""
+    model = ctx.model
     masses = [Counter() for _ in range(model.grid.size + 1)]
     masses[0][()] = 1.0
     for by_prefix in masses[:-1]:
         for prefix, mass in by_prefix.items():
-            def one_round(draws, prefix=prefix):
+            def run(draws, prefix=prefix):
                 ctx.draws, ctx.committed = draws, list(prefix)
-                decode_round(ctx)
+                one_round(ctx)
                 return tuple(ctx.committed)
 
-            for block, p in enumerate_draws(one_round).items():
+            for block, p in enumerate_draws(run).items():
                 masses[len(block)][block] += mass * p
     return JointTable(model.grid, dict(masses[-1]))
 
@@ -944,11 +941,56 @@ class TestEveryChoiceDraws:
             for config in (EngineConfig(mode="vanilla", transform=transform), medusa,
                            EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1,
                                         transform=transform)):
-                law = _forward_law(model, heads, config).probs
+                law = _forward_law(DecodingContext(model, heads, config, 0)).probs
                 assert law.keys() == exact.probs.keys()
                 assert max(abs(law[key] - p) for key, p in exact.probs.items()) <= 1e-12
-            lantern = _forward_law(model, heads, dataclasses.replace(medusa, mode="lantern"))
+            lantern = _forward_law(DecodingContext(
+                model, heads, dataclasses.replace(medusa, mode="lantern"), 0))
             assert joint_tv(lantern, exact) > 0.05
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=lambda shape: "%dx%d" % shape)
+    def test_layer_acceptance_is_the_walks_accepting_mass(self, shape, monkeypatch):
+        # Every layer that medusa and hawk walk from every reachable prefix,
+        # with and without a transform: the layer acceptance of its row in
+        # ``ctx.layers`` is the chance that its walk, enumerated over every
+        # choice, accepts a draft, and the multi-draft bound is not below it.
+        grid = GridSpec(*shape, 3)
+        model = make_grid_markov_target(grid, 1009, 0.9)
+        heads = fit_tabular_draft_heads(model, 2, 1, 500, 2003, 1.0)
+        walked = []
+        verify = hawk.engine.sequential_verify
+        monkeypatch.setattr(hawk.engine, "sequential_verify", lambda p, drafts, *args: (
+            walked.append((p, drafts)) or verify(p, drafts, *args)))
+        masses = {}
+
+        def checked_round(ctx):
+            # A replay that runs past its script ends mid-round, before the
+            # round appends its rows, so only finished rounds are checked.
+            walked.clear()
+            start = len(ctx.layers)
+            decode_round(ctx)
+            for (p, drafts), row in zip(walked, ctx.layers[start:], strict=True):
+                key = (p.probs.tobytes(), *(q.probs.tobytes() for q in drafts))
+                if key not in masses:
+                    masses[key] = enumerate_draws(lambda draws: sequential_verify(
+                        p, drafts, draws.uniforms(len(drafts)), draws
+                    ).accepted_index is not None).get(True, 0.0)
+                _, _, _, _, acceptance, bound, width, _ = row
+                assert width == len(drafts)
+                assert abs(acceptance - masses[key]) <= 1e-12
+                assert bound >= acceptance - 1e-12
+
+        for transform in (SamplingConfig(), SamplingConfig(top_k=2, temperature=0.8)):
+            for config in (
+                EngineConfig(mode="medusa", horizontal_depth=2, samples_per_horizontal=2,
+                             transform=transform),
+                EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1,
+                             transform=transform),
+            ):
+                ctx = DecodingContext(model, heads, config, 0, trace=[])
+                _forward_law(ctx, checked_round)
+                assert ctx.layers
+        assert len(masses) > 100
 
 
 class TestDecodeRound:
@@ -1180,44 +1222,6 @@ class TestDecodeImage:
             assert source.split(":")[0] in ("horizontal", "vertical")
             assert committed >= 1
 
-    def test_kl_trace_only_on_hawk(self, monkeypatch):
-        # Reference: for each position some traced round's pool held a depth-1
-        # vertical draft for, the KL between that draft and the depth-1
-        # horizontal draft of the prefix before the position. The trace
-        # computed from the decoded grid must equal it there, and cover every
-        # position from the second row on. Medusa pools hold no vertical
-        # draft, nor do hawk pools with samples_per_vertical 0, and kl_trace
-        # refuses both configs.
-        grid, model, heads, _ = _hawk_setup()
-        config = EngineConfig(
-            mode="hawk", horizontal_depth=2, vertical_depth=1,
-            transform=SamplingConfig(top_k=2, temperature=0.8),
-        )
-        pools = _PoolSpy(monkeypatch)
-        tokens, _ = decode_image(model, heads, config, 5, trace=[])
-        flat = tokens.reshape(-1).tolist()
-        held = {}
-        for slots, layer in pools.calls:
-            for draft, label in zip(layer, _labels(slots, 1)):
-                if label == "vertical:1":  # its source is one row above the position
-                    source = next(slot.length for slot in slots if slot.head == 0) - 1
-                    assert held.setdefault(source + grid.width, draft) is draft
-        trace = dict(kl_trace(heads, config, tokens))
-        assert list(trace) == list(range(grid.width, grid.size))
-        assert len(held) > grid.size // 2
-        for position, vertical in held.items():
-            horizontal = _draft_fn(config.transform)(heads.horizontal[0], flat, position)
-            assert trace[position] == kl_divergence(vertical, horizontal)
-        medusa = EngineConfig(mode="medusa", horizontal_depth=2, samples_per_horizontal=2)
-        no_vertical = dataclasses.replace(config, samples_per_vertical=0)
-        for other in (medusa, no_vertical):
-            pools.calls.clear()
-            decode_image(model, heads, other, 5, trace=[])
-            assert pools.calls
-            assert all(len(slots) == 1 for slots, _ in pools.calls)  # the horizontal slot
-            with pytest.raises(ValueError, match="vertical head"):
-                kl_trace(heads, other, tokens)
-
     def test_vanilla_heads_optional(self):
         grid = GridSpec(2, 2, 3)
         model = make_grid_markov_target(grid, 7, 0.5)
@@ -1271,7 +1275,9 @@ class TestPoolDraftsFromTheGrid:
         config = EngineConfig(
             mode="hawk", horizontal_depth=2, vertical_depth=2, transform=transform
         )
-        draft = _draft_fn(transform)
+        def draft(head, prefix):
+            return apply_sampling_config(head.predict(prefix, len(prefix)), transform)
+
         pools = _PoolSpy(monkeypatch)
         checked = Counter()
         for seed in range(3):
@@ -1283,8 +1289,7 @@ class TestPoolDraftsFromTheGrid:
                 # whose prefix is the round's.
                 frontier, (_, n) = slots[-1].length, _direction_depth(slots[-1].head, 2)
                 labels = []
-                want = _build_pool(lambda head, prefix: draft(head, prefix, len(prefix)), heads,
-                                   config, tokens, frontier, n, labels)
+                want = _build_pool(draft, heads, config, tokens, frontier, n, labels)
                 assert _labels(slots, 2) == labels and len(layer) == len(want)
                 for got, rebuilt in zip(layer, want):
                     np.testing.assert_array_equal(got.probs, rebuilt.probs)

@@ -1,20 +1,14 @@
 """Enumeration oracle, statistical distances, and benchmark reporting."""
 
-import dataclasses
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from hawk.core import GridSpec, SamplingConfig, TokenDistribution
-from hawk.engine import BatchResult, EngineConfig, decode_image
-from hawk.models import (
-    DraftHeadSet,
-    fit_tabular_draft_heads,
-    make_exact_heads,
-    make_grid_markov_target,
-    make_independent_target,
-)
+from hawk.engine import BatchResult
+from hawk.models import make_grid_markov_target, make_independent_target
 from hawk.oracle_metrics import (
     EnumeratingDraws,
     JointTable,
@@ -23,13 +17,11 @@ from hawk.oracle_metrics import (
     enumerate_draws,
     enumerate_joint,
     joint_tv,
-    kl_trace,
-    rejection_curve,
     write_csv,
     write_metrics_csv,
 )
 from hawk.rng import stream
-from hawk.verifier import rejection_mass, sequential_verify
+from hawk.verifier import chain_alphas, sequential_verify
 
 IDENTITY = SamplingConfig()
 
@@ -220,26 +212,11 @@ class TestEnumerateDraws:
         assert len(law) == 3 + 3 * 3
 
 
-def _curve_setup():
-    grid = GridSpec(6, 6, 4)
-    model = make_grid_markov_target(grid, 33, 0.9)
-    heads = fit_tabular_draft_heads(model, 2, 1, 600, 3)
-    config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-    return grid, model, heads, config
-
-
 class TestRejectionCurve:
-    def test_curves_non_increasing(self):
-        grid, model, heads, config = _curve_setup()
-        curves = rejection_curve(model, heads, config, 400, 4, 9)
-        for series in (curves.dual, curves.horizontal_only):
-            values = [v for _, v in series]
-            assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-            assert all(0.0 <= v <= 1.0 for v in values)
-
     def test_double_entry_against_reference_chain(self):
-        # Independent residual-chain implementation; the library values must
-        # match it on random instances.
+        # Independent residual-chain implementation; the chained rejection
+        # mass prod (1 - alpha_i) over chain_alphas must match it at every
+        # chain length on random instances.
         def reference_mass(p, drafts):
             p_cur = np.array(p.probs, dtype=float)
             product = 1.0
@@ -261,83 +238,10 @@ class TestRejectionCurve:
 
             p = rand()
             drafts = [rand() for _ in range(int(gen.integers(1, 5)))]
-            assert rejection_mass(p, drafts)[-1] == pytest.approx(
-                reference_mass(p, drafts), abs=1e-12
-            )
-
-    def test_heads_deeper_than_config_change_nothing(self):
-        # The curves cycle through the drafts the engine holds, which stop at
-        # the config's vertical depth however deep the heads go.
-        grid, model, _, config = _curve_setup()
-        deep = fit_tabular_draft_heads(model, 2, 2, 600, 3)
-        shallow = DraftHeadSet(deep.width, deep.horizontal, deep.vertical[:1])
-        assert rejection_curve(model, deep, config, 100, 4, 9) == rejection_curve(
-            model, shallow, config, 100, 4, 9
-        )
-
-    def test_validation(self):
-        grid, model, heads, config = _curve_setup()
-        with pytest.raises(ValueError):
-            rejection_curve(model, heads, config, 0, 4, 9)
-        with pytest.raises(ValueError):
-            rejection_curve(model, heads, config, 10, 0, 9)
-        # Heads shallower than the config's vertical depth are refused, not
-        # read past their last vertical head.
-        deeper = dataclasses.replace(config, vertical_depth=2)
-        with pytest.raises(ValueError, match="pools want vertical depth 2, heads provide 1"):
-            rejection_curve(model, heads, deeper, 10, 4, 9)
-
-    def test_one_row_grid_refused(self):
-        # Positions come from the second row on, so a one-row grid has none
-        # and the sampling loop would never end.
-        model = make_grid_markov_target(GridSpec(4, 1, 3), 33, 0.9)
-        heads = fit_tabular_draft_heads(model, 2, 1, 50, 3)
-        config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-        with pytest.raises(ValueError, match="at least two rows, got 1"):
-            rejection_curve(model, heads, config, 10, 4, 9)
-
-
-class TestKlTrace:
-    def test_exact_heads_give_zero_trace(self):
-        # With exact heads, the cached vertical and the horizontal prediction
-        # for a position are the same conditional, so every KL term is zero.
-        grid = GridSpec(4, 4, 4)
-        model = make_independent_target(grid, 9)
-        heads = make_exact_heads(model, 2, 1)
-        config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-        tokens, _ = decode_image(model, heads, config, 3)
-        trace = kl_trace(heads, config, tokens)
-        assert trace
-        assert all(value == pytest.approx(0.0, abs=1e-12) for _, value in trace)
-
-    def test_fitted_heads_disagree_on_vertical_model(self):
-        grid = GridSpec(5, 5, 4)
-        model = make_grid_markov_target(grid, 41, 1.0)
-        heads = fit_tabular_draft_heads(model, 2, 1, 800, 3)
-        config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-        tokens, _ = decode_image(model, heads, config, 3)
-        values = [v for _, v in kl_trace(heads, config, tokens)]
-        assert values
-        assert float(np.mean(values)) > 0.0
-
-    def test_first_row_never_contributes(self):
-        grid = GridSpec(4, 4, 4)
-        model = make_independent_target(grid, 9)
-        heads = make_exact_heads(model, 2, 1)
-        config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-        tokens, _ = decode_image(model, heads, config, 3)
-        trace = kl_trace(heads, config, tokens)
-        assert [pos for pos, _ in trace] == list(range(grid.width, grid.size))
-
-    def test_requires_hawk_mode(self):
-        # Only a head set with a vertical head, which hawk mode needs, has a trace.
-        grid = GridSpec(2, 2, 3)
-        model = make_grid_markov_target(grid, 7, 0.5)
-        tokens, _ = decode_image(model, None, EngineConfig(mode="vanilla"), 1)
-        heads = fit_tabular_draft_heads(model, 2, 0, 100, 3)
-        config = EngineConfig(mode="medusa", horizontal_depth=2)
-        with pytest.raises(ValueError, match="vertical head"):
-            kl_trace(heads, config, tokens)
+            masses = itertools.accumulate(chain_alphas(p, drafts), lambda m, a: m * (1.0 - a),
+                                          initial=1.0)
+            for m, mass in enumerate(masses):
+                assert mass == pytest.approx(reference_mass(p, drafts[:m]), abs=1e-12)
 
 
 def _result(mode, rounds, committed, attempts, accepts):

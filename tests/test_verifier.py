@@ -1,5 +1,6 @@
 """Acceptance mathematics: ratios, residual chains, sequential verification."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,6 @@ from hawk.verifier import (
     chain_alphas,
     lantern_acceptance,
     lantern_sequential_verify,
-    rejection_mass,
     residual_update,
     sequential_verify,
     token_neighborhoods,
@@ -186,8 +186,8 @@ class TestSequentialVerify:
     def test_residual_exhaustion(self, caplog):
         # q1 exceeds p by one ulp at token 1, so rejecting it leaves no
         # residual mass. The walk then rejects q2 without drawing and
-        # resamples from p, the last non-degenerate residual; alphas after
-        # the exhaustion are taken against p as well.
+        # resamples from p, the last non-degenerate residual; the chain of
+        # alphas stops at q1, as the walk does.
         p = dist(0.5, 0.5)
         q1 = dist(0.5, 0.5000000000000001)
         q2 = dist(0.9, 0.1)
@@ -202,11 +202,7 @@ class TestSequentialVerify:
         assert [r.message for r in caplog.records] == [
             "residual mass exhausted at step 0; keeping last residual"
         ]
-        alphas = chain_alphas(p, [q1, q2])
-        assert alphas == [1.0, 0.6]
-        assert rejection_mass(p, [q1, q2]) == [
-            1.0 - alphas[0], (1.0 - alphas[0]) * (1.0 - alphas[1])
-        ]
+        assert chain_alphas(p, [q1, q2]) == [1.0]
 
     def test_exhaustion_logged_per_real_walk_never_per_replay(self, caplog, monkeypatch):
         # test_residual_exhaustion's round. Enumerated, three of its replays
@@ -334,22 +330,29 @@ class TestMedusaSpecialCase:
             assert (after == uniforms[taken]) if taken <= m else np.isnan(after)
 
 
+def rejection_mass(p, drafts):
+    """prod (1 - alpha_i) over the chain: the chance the walk rejects every draft."""
+    return math.prod(1.0 - alpha for alpha in chain_alphas(p, drafts))
+
+
 class TestRejectionMass:
     def test_self_draft_zero(self):
         p = dist(0.5, 0.3, 0.2)
-        assert rejection_mass(p, [p]) == [0.0]
+        assert chain_alphas(p, [p, p]) == [1.0]  # the residual is exhausted
+        assert rejection_mass(p, [p]) == 0.0
 
     def test_single_draft(self):
         p = dist(0.5, 0.3, 0.2)
         q = dist(0.2, 0.5, 0.3)
-        assert abs(rejection_mass(p, [q])[-1] - 0.3) < 1e-12
+        assert abs(rejection_mass(p, [q]) - 0.3) < 1e-12
 
     def test_repeated_draft_chains_residual(self):
         # After one rejection the residual is [1,0,0]; the same draft still
         # overlaps it with mass 0.2, so the chain value is 0.3 * 0.8.
         p = dist(0.5, 0.3, 0.2)
         q = dist(0.2, 0.5, 0.3)
-        assert abs(rejection_mass(p, [q, q])[-1] - 0.24) < 1e-12
+        assert chain_alphas(p, [q, q]) == [pytest.approx(0.7), pytest.approx(0.2)]
+        assert abs(rejection_mass(p, [q, q]) - 0.24) < 1e-12
 
     def test_monotone_in_chain_length(self):
         gen = stream(19, "chains")
@@ -357,9 +360,10 @@ class TestRejectionMass:
             k = int(gen.integers(2, 6))
             p = random_dist(gen, k)
             drafts = [random_dist(gen, k) for _ in range(5)]
-            values = rejection_mass(p, drafts)
-            # Entry m - 1 is the mass of the first m drafts alone.
-            assert values == [rejection_mass(p, drafts[:m])[-1] for m in range(1, 6)]
+            alphas = chain_alphas(p, drafts)
+            # Entry m - 1 is the alpha of draft m - 1 whatever follows it.
+            assert alphas == [chain_alphas(p, drafts[:m])[-1] for m in range(1, 6)]
+            values = [rejection_mass(p, drafts[:m]) for m in range(1, 6)]
             assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_zero_overlap_append_is_noop(self):
@@ -368,7 +372,7 @@ class TestRejectionMass:
         p = dist(0.5, 0.0, 0.5)
         q_first = dist(0.0, 0.0, 1.0)  # residual after: [1, 0, 0]
         q_outside = dist(0.0, 1.0, 0.0)
-        base, appended = rejection_mass(p, [q_first, q_outside])
+        base, appended = (rejection_mass(p, [q_first, q_outside][:m]) for m in (1, 2))
         assert appended == pytest.approx(base)
 
     @given(dist_pairs())
