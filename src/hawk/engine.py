@@ -507,7 +507,8 @@ def decode_batch(
     """Run ``count`` decode sessions back to back on one pair of streams from the seed.
 
     The whole batch is reproducible from the seed. Pass a list as ``trace``
-    to collect one row per verification step (``TRACE_COLUMNS``).
+    to collect one row per verification step (``TRACE_COLUMNS``), and the
+    result's ``layers``.
     """
     json_value(count, "count", int, 1)
     ctx = DecodingContext(model, heads, config, seed, trace=trace)

@@ -453,7 +453,7 @@ class TestHeadsFile:
         assert decoded == []  # refused before the vanilla decodes
 
 
-def _acceptance_rows(out_dir):
+def _read_acceptance(out_dir):
     """The rows of a bench run's acceptance.csv, as dicts of strings."""
     lines = (out_dir / "acceptance.csv").read_text().splitlines()
     assert tuple(lines[0].split(",")) == hawk.cli.ACCEPTANCE_COLUMNS
@@ -563,7 +563,7 @@ class TestBenchCommand:
         assert modes == ["vanilla", "medusa", "hawk", "lantern"]
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert sorted(manifest["outputs"]) == ["acceptance.csv", "metrics.csv"]
-        rows = _acceptance_rows(out_dir)
+        rows = _read_acceptance(out_dir)
         assert {row["mode"] for row in rows} == {"medusa", "hawk"}
         assert {row["region"] for row in rows} == {"row0", "interior", "end"}
 
@@ -571,7 +571,7 @@ class TestBenchCommand:
         # Every round of a one-row grid starts in row 0, or near its end.
         path = write_config(tmp_path, grid={"width": 4, "height": 1, "vocab_size": 3})
         assert main(["bench", "--config", str(path)]) == 0
-        rows = _acceptance_rows(tmp_path / "out")
+        rows = _read_acceptance(tmp_path / "out")
         assert rows and {row["region"] for row in rows} == {"row0", "end"}
 
     def test_no_vertical_samples_keep_one_horizontal_candidate(self, tmp_path):
@@ -581,7 +581,7 @@ class TestBenchCommand:
         path = write_config(tmp_path, grid={"width": 4, "height": 4, "vocab_size": 4},
                             engine={"samples_per_vertical": 0})
         assert main(["bench", "--config", str(path)]) == 0
-        rows = _acceptance_rows(tmp_path / "out")
+        rows = _read_acceptance(tmp_path / "out")
         assert {row["mode"] for row in rows} == {"medusa", "hawk"}
         assert all(row["kept_width"] == row["pool_length"] == "1.0" for row in rows)
 
