@@ -30,11 +30,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .core import GRID_MINIMUMS, GridSpec, SamplingConfig, json_field
@@ -46,7 +49,7 @@ from .engine import (
     BatchResult,
     DecodingContext,
     EngineConfig,
-    TRACE_COLUMNS,
+    LayerRecord,
     decode_batch,
     decode_image,
     export_grid_image,
@@ -63,19 +66,17 @@ from .models import (
     make_independent_target,
     save_head_set,
 )
-from .oracle_metrics import (
-    empirical_joint_from_counts,
-    enumerate_joint,
-    joint_tv,
-    write_csv,
-    write_metrics_csv,
-)
+from .oracle_metrics import empirical_joint_from_counts, enumerate_joint, joint_tv
 from .rng import derive_seed
+from .verifier import chain_alphas
 
 SCHEMA_VERSION = 1
 
+METRICS_COLUMNS = ("mode", "rounds", "committed", "accept_length", "depth_accept_rates")
 VERIFY_COLUMNS = ("mode", "decodes", "tv", "tolerance", "accept_length", "status")
 FIT_COLUMNS = ("direction", "depth", "offset", "held_out_nll")
+TRACE_COLUMNS = ("round", "frontier_index", "depth", "source", "alpha", "accepted",
+                 "committed_this_round")
 ACCEPTANCE_COLUMNS = ("mode", "region", "depth", "reached", "accepted", "first_alpha",
                       "layer_acceptance", "bound", "kept_width", "pool_length")
 
@@ -250,6 +251,31 @@ def build_heads(config: RunConfig, model: TargetModel) -> DraftHeadSet:
     return heads
 
 
+def _fmt(value: object) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def write_csv(path: Path, columns: Sequence[str], rows: Iterable[tuple]) -> None:
+    """Header line plus one line per row; floats as repr, so the file is
+    byte-stable across runs and platforms, and bools as true/false."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_metrics_csv(path: Path, results: Sequence[BatchResult]) -> None:
+    """One ``METRICS_COLUMNS`` row per batch result; its depth acceptance
+    rates are one cell of ``depth:rate`` pairs joined by ``|``."""
+    write_csv(path, METRICS_COLUMNS, (
+        (r.mode, r.rounds, r.committed, r.accept_length,
+         "|".join(f"{d}:{rate!r}" for d, rate in r.depth_accept_rates.items()))
+        for r in results))
+
+
 def _write_manifest(config: RunConfig, outputs: dict[str, Callable[[Path], None]]) -> None:
     """Write a run: create the output directory, write each named output with
     its writer, then the manifest of their digests."""
@@ -299,15 +325,28 @@ def _tree_fields(model: TargetModel, heads: Optional[DraftHeadSet], engine: Engi
             f" truncated_rounds={result.truncated_rounds}")
 
 
+def _trace_rows(trace: list[LayerRecord]) -> list[tuple]:
+    """The ``TRACE_COLUMNS`` rows of a traced decode: one per verification step
+    its walks took, through the accepted candidate or the whole layer, each
+    with its alpha from :func:`~hawk.verifier.chain_alphas`."""
+    rows = []
+    for r in trace:  # a walk stops at its accepted candidate
+        steps = r.drafts if r.accepted is None else r.drafts[: r.accepted + 1]
+        rows += [(r.round, r.frontier, r.depth, r.sources[i], alpha, i == r.accepted, r.committed)
+                 for i, alpha in enumerate(chain_alphas(r.target, steps))]
+    return rows
+
+
 def cmd_decode(config: RunConfig) -> int:
     model = build_model(config)
     heads = None if config.engine.mode == MODE_VANILLA else build_heads(config, model)
-    trace: list = []
+    trace: list[LayerRecord] = []
     tokens, result = decode_image(model, heads, config.engine, config.seed, trace=trace)
+    rows = _trace_rows(trace)
 
     outputs = {
         "grid.pgm": lambda path: export_grid_image(tokens, config.grid, path),
-        "trace.csv": lambda path: write_csv(path, TRACE_COLUMNS, trace),
+        "trace.csv": lambda path: write_csv(path, TRACE_COLUMNS, rows),
         "metrics.csv": lambda path: write_metrics_csv(path, [result]),
     }
     _write_manifest(config, outputs)
@@ -352,27 +391,43 @@ def cmd_verify(config: RunConfig) -> int:
     return 3 if failed else 0
 
 
-def _acceptance_rows(results: list[BatchResult], grid: GridSpec,
+def _layer_terms(record: LayerRecord) -> tuple[bool, float, float, float, int, int]:
+    """A walked layer's acceptance terms: whether it accepted, the first kept
+    draft's alpha, the layer acceptance 1 - prod(1 - alpha_i) over the kept
+    drafts' :func:`~hawk.verifier.chain_alphas` (the walk's chance to accept),
+    the multi-draft bound sum_x min(p(x), 1 - prod_i(1 - q_i(x))) of the kept
+    drafts q_i on the target p, the kept width and the pool's length."""
+    alphas = chain_alphas(record.target, record.drafts)
+    missed = 1.0 - record.drafts[0].probs  # prod_i (1 - q_i(x)): no draft proposes x
+    for q in record.drafts[1:]:
+        missed *= 1.0 - q.probs
+    return (record.accepted is not None, alphas[0],
+            1.0 - math.prod(1.0 - alpha for alpha in alphas),
+            float(np.add.reduce(np.minimum(record.target.probs, 1.0 - missed))),
+            len(record.drafts), record.pool)
+
+
+def _acceptance_rows(traces: dict[str, list[LayerRecord]], grid: GridSpec,
                      horizontal_depth: int) -> list[tuple]:
-    """The ``ACCEPTANCE_COLUMNS`` rows of traced batches: per batch, region
-    and depth, the rounds that reached the depth and accepted there, and the
-    means of the other terms of its ``layers``. A round's region is ``end``
-    if its plan has fewer than H layers, else ``row0`` if its frontier is in
-    the first row, else ``interior``."""
+    """The ``ACCEPTANCE_COLUMNS`` rows of traced batches: per mode, region and
+    depth, the rounds that reached the depth and accepted there, and the means
+    of the other :func:`_layer_terms` of their records. A round's region is
+    ``end`` if its plan has fewer than H layers, else ``row0`` if its
+    frontier is in the first row, else ``interior``."""
     rows = []
-    for result in results:
+    for mode, trace in traces.items():
         sums: dict[tuple[str, int], list] = {}
-        for frontier, depth, *terms in result.layers:
+        for record in trace:
+            frontier = record.frontier
             region = ("end" if grid.size - frontier < horizontal_depth
                       else "row0" if frontier < grid.width else "interior")
-            total = sums.setdefault((region, depth), [0] * (len(terms) + 1))
-            total[0] += 1
-            for i, term in enumerate(terms, start=1):
+            total = sums.setdefault((region, record.depth), [0] * (len(ACCEPTANCE_COLUMNS) - 3))
+            for i, term in enumerate((1, *_layer_terms(record))):
                 total[i] += term
         for region in ("row0", "interior", "end"):
             for depth in sorted(d for r, d in sums if r == region):
                 reached, accepted, *totals = sums[region, depth]
-                rows.append((result.mode, region, depth, reached, accepted,
+                rows.append((mode, region, depth, reached, accepted,
                              *(total / reached for total in totals)))
     return rows
 
@@ -394,11 +449,12 @@ def cmd_bench(config: RunConfig) -> int:
               f"wall_clock_ms={batch.wall_clock_ms:.1f}{_tree_fields(model, heads, engine, batch)}")
 
     # One traced batch per exact speculative mode, apart from the timed ones.
-    traced = [decode_batch(model, heads, variants[mode],
-                           derive_seed(config.seed, "bench", "acceptance", mode),
-                           config.bench_images, trace=[])
-              for mode in (MODE_MEDUSA, MODE_HAWK)]
-    rows = _acceptance_rows(traced, config.grid, config.engine.horizontal_depth)
+    traces: dict[str, list[LayerRecord]] = {MODE_MEDUSA: [], MODE_HAWK: []}
+    for mode, trace in traces.items():
+        decode_batch(model, heads, variants[mode],
+                     derive_seed(config.seed, "bench", "acceptance", mode),
+                     config.bench_images, trace=trace)
+    rows = _acceptance_rows(traces, config.grid, config.engine.horizontal_depth)
 
     _write_manifest(config, {
         "metrics.csv": lambda path: write_metrics_csv(path, results),

@@ -44,12 +44,12 @@ strictly sequentially, on one pair of streams, and its result is one
 :class:`BatchResult`. The context counts, per depth, the rounds whose walk
 ended there, and the result derives from those lists each depth's attempts
 and accepts, reported as dicts keyed by depth. A context made
-with a ``trace`` list gets one row per verification step
-(``TRACE_COLUMNS``), appended by each round as it ends: its alpha from
-:func:`~hawk.verifier.chain_alphas`, and its ``source:depth`` label from
-:func:`~hawk.models.slot_heads`. Such a context also keeps, in ``layers``,
-one row per layer a walk reached (:class:`BatchResult`), from the same
-walk.
+with a ``trace`` list keeps the walk: each speculative round, as it ends,
+appends one :class:`LayerRecord` per layer its walk reached, and computes
+nothing from it. The reports are reductions of these records in
+:mod:`hawk.cli`: ``decode`` writes each walked step's alpha from
+:func:`~hawk.verifier.chain_alphas` to ``trace.csv``, and ``bench`` writes
+per-depth acceptance terms to ``acceptance.csv``.
 Batches over shared immutable models may run concurrently.
 """
 
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -79,7 +78,6 @@ from .models import DraftHeadSet, Slot, TargetModel, pool_slots, slot_heads
 from .rng import stream
 from .verifier import (
     Draws,
-    chain_alphas,
     lantern_sequential_verify,
     sequential_verify,
     token_neighborhoods,
@@ -248,17 +246,21 @@ class CandidateTree:
         return tuple(map(self.uniforms.__getitem__, self.cuts))
 
 
-TraceRow = tuple[int, int, int, str, float, bool, int]
+class LayerRecord(NamedTuple):
+    """One layer that a traced round's walk reached: the kept candidates'
+    ``source:depth`` labels and drafts in verification order, the accepting
+    candidate's index (None: the layer resampled), the pool's candidate count
+    before the node budget cut, and the tokens the round committed."""
 
-TRACE_COLUMNS = (
-    "round",
-    "frontier_index",
-    "depth",
-    "source",
-    "alpha",
-    "accepted",
-    "committed_this_round",
-)
+    round: int
+    frontier: int
+    depth: int
+    sources: tuple[str, ...]
+    target: TokenDistribution
+    drafts: tuple[TokenDistribution, ...]
+    accepted: Optional[int]
+    pool: int
+    committed: int
 
 
 class DecodingContext:
@@ -290,7 +292,7 @@ class DecodingContext:
         config: EngineConfig,
         seed: int,
         *,
-        trace: Optional[list[TraceRow]] = None,
+        trace: Optional[list[LayerRecord]] = None,
     ) -> None:
         if config.mode != MODE_VANILLA:
             if heads is None:
@@ -320,7 +322,6 @@ class DecodingContext:
         self.rounds = 0
         self.truncated_rounds = 0
         self.trace = trace
-        self.layers = None if trace is None else []
         # Entry d - 1 counts the rounds whose walk ended at depth d: by a
         # rejection there, or by accepting the last layer of their plan there.
         self.rejected_at = [0] * config.horizontal_depth
@@ -374,8 +375,7 @@ def commit_token(ctx: DecodingContext, token: int) -> None:
 
 def decode_round(ctx: DecodingContext) -> None:
     """Run one decoding round, which commits between 1 and H+1 tokens; if the
-    context keeps a trace, the round appends its rows to it and its layers'
-    rows to ``ctx.layers``."""
+    context keeps a trace, the round appends a record of each layer it reached."""
     total = ctx.grid.size
     committed = ctx.committed
     if len(committed) >= total:
@@ -398,7 +398,7 @@ def decode_round(ctx: DecodingContext) -> None:
     target_dist = ctx.target_dist
     cuts = plan.cuts
     if trace is not None:
-        walked = []  # (slots, target, drafts, outcome) per layer
+        walked = []  # (slots, target, drafts, accepted index) per layer
     for depth, slots in enumerate(plan.layers):
         drafts = build_pool(ctx, slots)
         target = target_dist(committed)
@@ -408,7 +408,7 @@ def decode_round(ctx: DecodingContext) -> None:
             outcome = lantern_sequential_verify(target, drafts, uniforms[cuts[depth]], draws,
                                                 neighborhoods, config.lantern_lambda)
         if trace is not None:
-            walked.append((slots, target, drafts, outcome))
+            walked.append((slots, target, drafts, outcome.accepted_index))
         commit_token(ctx, outcome.emitted_token)
         if outcome.accepted_index is None:
             ctx.rejected_at[depth] += 1
@@ -418,42 +418,20 @@ def decode_round(ctx: DecodingContext) -> None:
         if len(committed) < total:
             commit_token(ctx, draws.sample(target_dist(committed)))
     if trace is not None:
-        count = len(committed) - frontier
-        for depth, (slots, target, drafts, outcome) in enumerate(walked, start=1):
-            accepted = outcome.accepted_index
-            alphas = chain_alphas(target, drafts)
-            missed = 1.0 - drafts[0].probs  # prod_i (1 - q_i(x)): no draft proposes x
-            for q in drafts[1:]:
-                missed *= 1.0 - q.probs
-            ctx.layers.append((frontier, depth, accepted is not None, alphas[0],
-                               1.0 - math.prod(1.0 - alpha for alpha in alphas),
-                               float(np.add.reduce(np.minimum(target.probs, 1.0 - missed))),
-                               len(drafts), plan.lengths[depth - 1]))
-            if accepted is not None:  # the walk stopped at the accepted candidate
-                alphas = alphas[: accepted + 1]
-            sources = []
-            for slot in slots:
-                sources += [ctx.slot_labels[slot.head]] * slot.copies
-            for i, alpha in enumerate(alphas):
-                trace.append((ctx.rounds, frontier, depth, sources[i], alpha, i == accepted,
-                              count))
+        count, labels = len(committed) - frontier, ctx.slot_labels
+        for depth, (slots, target, drafts, accepted) in enumerate(walked, start=1):
+            sources = ()
+            for head, _, copies in slots:
+                sources += (labels[head],) * copies
+            trace.append(LayerRecord(ctx.rounds, frontier, depth, sources, target, drafts,
+                                     accepted, plan.lengths[depth - 1], count))
     ctx.rounds += 1
 
 
 @dataclass
 class BatchResult:
     """The result of one batch: one or more decode sessions on one context.
-    ``truncated_rounds`` counts the rounds whose tree the node budget cut.
-
-    A traced batch also lists in ``layers``, in walk order, one row per
-    layer a walk reached: ``(frontier, depth, accepted, alpha, acceptance,
-    bound, width, pool)``. ``alpha`` is the first kept draft's alpha;
-    ``acceptance`` is the walk's chance to accept in the layer, 1 - prod(1 -
-    alpha_i) over the kept drafts' :func:`~hawk.verifier.chain_alphas`;
-    ``bound`` is the multi-draft bound sum_x min(p(x), 1 - prod_i(1 -
-    q_i(x))) of the kept drafts q_i on the layer's target p; ``width`` and
-    ``pool`` are the kept candidates and the pool's candidates before the
-    node budget cut."""
+    ``truncated_rounds`` counts the rounds whose tree the node budget cut."""
 
     mode: str
     grid_counts: Counter
@@ -463,8 +441,6 @@ class BatchResult:
     depth_attempts: dict[int, int]
     depth_accepts: dict[int, int]
     wall_clock_ms: float
-    layers: list[tuple[int, int, bool, float, float, float, int, int]] = field(
-        default_factory=list)
 
     @property
     def accept_length(self) -> float:
@@ -502,13 +478,15 @@ def decode_batch(
     seed: int,
     count: int,
     *,
-    trace: Optional[list[TraceRow]] = None,
+    trace: Optional[list[LayerRecord]] = None,
 ) -> BatchResult:
     """Run ``count`` decode sessions back to back on one pair of streams from the seed.
 
     The whole batch is reproducible from the seed. Pass a list as ``trace``
-    to collect one row per verification step (``TRACE_COLUMNS``), and the
-    result's ``layers``.
+    to collect, in walk order, one :class:`LayerRecord` per layer a round's
+    walk reached; tracing draws nothing. ``hawk decode`` reduces the records
+    to ``trace.csv``, one row per verification step, and ``hawk bench`` to
+    ``acceptance.csv``, per-depth acceptance terms.
     """
     json_value(count, "count", int, 1)
     ctx = DecodingContext(model, heads, config, seed, trace=trace)
@@ -531,7 +509,6 @@ def decode_batch(
         depth_attempts=depth_attempts,
         depth_accepts=depth_accepts,
         wall_clock_ms=wall_clock_ms,
-        layers=ctx.layers or [],
     )
 
 
@@ -541,7 +518,7 @@ def decode_image(
     config: EngineConfig,
     seed: int,
     *,
-    trace: Optional[list[TraceRow]] = None,
+    trace: Optional[list[LayerRecord]] = None,
 ) -> tuple[np.ndarray, BatchResult]:
     """Decode one full grid: the height-by-width token array and the result
     of :func:`decode_batch` with a count of one."""

@@ -1,28 +1,21 @@
-"""Ground-truth machinery and measurement.
+"""Ground-truth machinery.
 
 Exact joint enumeration over tiny grids, and :func:`enumerate_draws`, the
 exact law of code that draws through a :class:`~hawk.verifier.Draws`, are
 the oracles that the distribution-preservation tests compare against.
 Statistical thresholds are not hand-picked: the plain ancestral sampler is
 run at the same sample size to measure the Monte Carlo noise floor, and
-exact modes must land within a small multiple of it.
-
-The report side holds the CSV writers for the run results
-(:class:`~hawk.engine.BatchResult`). The CSVs hold accept length, the
-deterministic figure. Speed is measured, not modeled: wall clock is printed
-(``hawk bench``'s ``wall_speedup``) and never written into the CSV outputs,
-which must be byte-identical across reruns.
+exact modes must land within a small multiple of it. The CSV reports are
+written by :mod:`hawk.cli`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Hashable, Iterable, Sequence, Union
+from typing import Callable, Hashable
 
 from .core import GridSpec, SamplingConfig, TokenDistribution, apply_sampling_config
-from .engine import BatchResult
 from .models import TargetModel
 
 # Refuse exact enumeration beyond this many grid outcomes.
@@ -163,46 +156,3 @@ def enumerate_draws(run: Callable[[EnumeratingDraws], Hashable]) -> dict[Hashabl
         law[outcome] = law.get(outcome, 0.0) + draws.weight
     return law
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-#
-# Floats are written with repr so outputs are byte-stable across runs and
-# platforms. Wall clock is deliberately not a column.
-
-METRICS_COLUMNS = (
-    "mode",
-    "rounds",
-    "committed",
-    "accept_length",
-    "depth_accept_rates",
-)
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _rates_cell(rates: dict[int, float]) -> str:
-    return "|".join(f"{d}:{rates[d]!r}" for d in sorted(rates))
-
-
-def write_metrics_csv(path: Union[str, Path], results: Sequence[BatchResult]) -> None:
-    """One row per run result, fixed column order (``METRICS_COLUMNS``)."""
-    rows = (
-        (r.mode, r.rounds, r.committed, r.accept_length, _rates_cell(r.depth_accept_rates))
-        for r in results
-    )
-    write_csv(path, METRICS_COLUMNS, rows)
-
-
-def write_csv(path: Union[str, Path], columns: Sequence[str], rows: Iterable[tuple]) -> None:
-    """Header line plus one line per row; floats as repr, bools as true/false."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -17,7 +17,8 @@ The walk only decides: its outcome is the emitted token and the index of
 the accepting candidate. A step's alpha is its marginal acceptance
 probability sum_x min(p_i(x), q_i(x)), the chance it accepts before
 conditioning on which token the draft proposed; :func:`chain_alphas`
-computes it along the residual chain, and it alone, for the engine's trace.
+computes it along the residual chain, and it alone, for the reports that
+reduce a traced walk.
 The product of (1 - alpha_i) over a chain is the probability that the walk
 falls through to the residual resample.
 

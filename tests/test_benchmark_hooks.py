@@ -65,12 +65,12 @@ def test_tracer_hooks_every_layer(perfbench, capsys):
     workload = run.WORKLOADS["oracle_2x2"]
     checks = run.Checks()
     tracer = spans.Tracer(run.MODES)
-    trace_rows = Counter()  # verification steps by mode, from the decodes' own traces
+    trace_rows = Counter()  # verification steps by mode: the rows of the decodes' traces
 
     def traced_session(name, fn, *args):
         trace = []
         result = tracer.call(name, functools.partial(fn, trace=trace), *args)
-        trace_rows[tracer.mode] += len(trace)
+        trace_rows[tracer.mode] += len(hawk.cli._trace_rows(trace))
         return result
 
     restore = tracer.install()

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import hawk.cli
-from hawk.cli import build_heads, build_model, load_run_config, main
+from hawk.cli import (
+    METRICS_COLUMNS, TRACE_COLUMNS, build_heads, build_model, load_run_config, main,
+)
 from hawk.core import GridSpec, SamplingConfig
-from hawk.engine import TRACE_COLUMNS, DecodingContext, EngineConfig, decode_batch
+from hawk.engine import DecodingContext, EngineConfig, decode_batch
 from hawk.models import fit_tabular_draft_heads, load_head_set, make_grid_markov_target
-from hawk.oracle_metrics import METRICS_COLUMNS
 from hawk.rng import derive_seed
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -861,7 +862,7 @@ def _decode_digests(name: str) -> dict[str, str]:
                              PINNED_DECODE_GRIDS[name], trace=trace)
         record = (sorted(batch.grid_counts.items()), batch.rounds,
                   sorted(batch.depth_attempts.items()), sorted(batch.depth_accepts.items()),
-                  trace)
+                  hawk.cli._trace_rows(trace))
         digests[mode] = hashlib.sha256(repr(record).encode()).hexdigest()
     return digests
 
@@ -916,6 +917,30 @@ class TestTargetReads:
             assert Counter(reads) == dict.fromkeys(range(config.grid.size), grids), mode
 
 
+class TestTracingDrawsNothing:
+    @pytest.mark.parametrize("path", [
+        "configs/verify_quick.json", "perfbench/configs/wide_tree_16x16.json",
+    ])
+    def test_traced_batch_is_the_untraced_batch(self, path):
+        # A traced round only records its walk, so every mode decodes the same
+        # grids in the same rounds with a trace as without one. wide_tree_16x16
+        # cuts its trees and transforms its drafts.
+        config = load_run_config(ROOT / path)
+        model = build_model(config)
+        heads = build_heads(config, model)
+        for mode, engine in hawk.cli._mode_variants(config.engine).items():
+            seed = derive_seed(config.seed, "traced", mode)
+            trace = []
+            plain, traced = (decode_batch(model, heads, engine, seed, 3, trace=t)
+                             for t in (None, trace))
+            assert ((plain.grid_counts, plain.rounds, plain.truncated_rounds,
+                     plain.depth_attempts, plain.depth_accepts)
+                    == (traced.grid_counts, traced.rounds, traced.truncated_rounds,
+                        traced.depth_attempts, traced.depth_accepts)), mode
+            # One record per layer a walk reached: vanilla rounds walk none.
+            assert len(trace) == (0 if mode == "vanilla" else sum(traced.depth_attempts.values()))
+
+
 class TestAcceptanceTable:
     @pytest.mark.parametrize("path", [
         "configs/bench_16x16.json", "perfbench/configs/wide_tree_16x16.json",
@@ -930,11 +955,14 @@ class TestAcceptanceTable:
         heads = build_heads(config, model)
         variants = hawk.cli._mode_variants(config.engine)
         for mode in ("medusa", "hawk"):
+            trace = []
             batch = decode_batch(model, heads, variants[mode],
                                  derive_seed(config.seed, "bench", "acceptance", mode),
-                                 config.bench_images, trace=[])
+                                 config.bench_images, trace=trace)
             reached, accepted, expected, variance = Counter(), Counter(), Counter(), Counter()
-            for _, depth, accept, _, acceptance, *_ in batch.layers:
+            for record in trace:
+                depth = record.depth
+                accept, _, acceptance, *_ = hawk.cli._layer_terms(record)
                 reached[depth] += 1
                 accepted[depth] += accept
                 expected[depth] += acceptance

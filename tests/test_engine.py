@@ -30,7 +30,6 @@ from hawk.core import (
 from hawk.engine import (
     DecodingContext,
     EngineConfig,
-    TRACE_COLUMNS,
     commit_token,
     build_candidate_tree,
     build_pool,
@@ -267,7 +266,7 @@ class TestSpeculationCache:
         )
         assert held == {f"vertical:{d}": n for d, n in calls.items()}
         assert set(held) == {"vertical:1", "vertical:2"}
-        assert any(row[3].startswith("vertical:") for row in trace)
+        assert any(row[3].startswith("vertical:") for row in hawk.cli._trace_rows(trace))
 
 
 class TestEngineConfig:
@@ -807,7 +806,7 @@ class TestLiveContinuations:
         kept = [list(plan.widths) for plan, _, _ in spy.rounds]
         assert [2, 1, 1, 1] in kept
         assert any(plan.truncated for plan, _, _ in spy.rounds)
-        assert len(drawn) == len(trace) < sum(map(sum, kept))
+        assert len(drawn) == len(hawk.cli._trace_rows(trace)) < sum(map(sum, kept))
 
 
 # (samples_per_vertical, node_budget)
@@ -951,9 +950,10 @@ class TestEveryChoiceDraws:
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=lambda shape: "%dx%d" % shape)
     def test_layer_acceptance_is_the_walks_accepting_mass(self, shape, monkeypatch):
         # Every layer that medusa and hawk walk from every reachable prefix,
-        # with and without a transform: the layer acceptance of its row in
-        # ``ctx.layers`` is the chance that its walk, enumerated over every
-        # choice, accepts a draft, and the multi-draft bound is not below it.
+        # with and without a transform: the layer acceptance that
+        # ``hawk.cli._layer_terms`` reduces from its trace record is the chance
+        # that its walk, enumerated over every choice, accepts a draft, and
+        # the multi-draft bound is not below it.
         grid = GridSpec(*shape, 3)
         model = make_grid_markov_target(grid, 1009, 0.9)
         heads = fit_tabular_draft_heads(model, 2, 1, 500, 2003, 1.0)
@@ -965,17 +965,18 @@ class TestEveryChoiceDraws:
 
         def checked_round(ctx):
             # A replay that runs past its script ends mid-round, before the
-            # round appends its rows, so only finished rounds are checked.
+            # round appends its records, so only finished rounds are checked.
             walked.clear()
-            start = len(ctx.layers)
+            start = len(ctx.trace)
             decode_round(ctx)
-            for (p, drafts), row in zip(walked, ctx.layers[start:], strict=True):
+            for (p, drafts), record in zip(walked, ctx.trace[start:], strict=True):
                 key = (p.probs.tobytes(), *(q.probs.tobytes() for q in drafts))
                 if key not in masses:
                     masses[key] = enumerate_draws(lambda draws: sequential_verify(
                         p, drafts, draws.uniforms(len(drafts)), draws
                     ).accepted_index is not None).get(True, 0.0)
-                _, _, _, _, acceptance, bound, width, _ = row
+                assert (record.target, record.drafts) == (p, drafts)
+                _, _, acceptance, bound, width, _ = hawk.cli._layer_terms(record)
                 assert width == len(drafts)
                 assert abs(acceptance - masses[key]) <= 1e-12
                 assert bound >= acceptance - 1e-12
@@ -989,7 +990,7 @@ class TestEveryChoiceDraws:
             ):
                 ctx = DecodingContext(model, heads, config, 0, trace=[])
                 _forward_law(ctx, checked_round)
-                assert ctx.layers
+                assert ctx.trace
         assert len(masses) > 100
 
 
@@ -1123,11 +1124,13 @@ class TestRoundProperties:
                 # unless the grid is full.
                 bonus = accepted[-1] and frontier + len(outcomes) < grid.size
                 assert len(committed) == len(outcomes) + bonus
-                # The round's own rows: one per verification step, in walk
+                # The round's own records, one per layer its walk reached,
+                # reduce to its rows: one per verification step, in walk
                 # order, through the accepted candidate or all of them, each
                 # with its alpha on the residual chain of its layer's target
                 # and its label from the layout of the pool at round start.
-                rows = trace[first_row:]
+                assert len(trace) - first_row == len(calls)
+                rows = hawk.cli._trace_rows(trace[first_row:])
                 want = []
                 for depth, (drafts, o) in enumerate(calls, start=1):
                     if o.accepted_index is not None:
@@ -1151,7 +1154,7 @@ class TestRoundProperties:
         tokens, report = decode_image(model, heads, config, seed, trace=image_trace)
         assert tokens.reshape(-1).tolist() == ctx.committed
         assert (report.rounds, report.truncated_rounds) == (ctx.rounds, ctx.truncated_rounds)
-        assert image_trace == trace
+        assert hawk.cli._trace_rows(image_trace) == hawk.cli._trace_rows(trace)
 
 
 class TestDecodeImage:
@@ -1214,9 +1217,10 @@ class TestDecodeImage:
         grid, model, heads, config = _hawk_setup()
         trace = []
         decode_image(model, heads, config, 5, trace=trace)
-        assert trace
-        for row in trace:
-            assert len(row) == len(TRACE_COLUMNS)
+        rows = hawk.cli._trace_rows(trace)
+        assert rows
+        for row in rows:
+            assert len(row) == len(hawk.cli.TRACE_COLUMNS)
             rnd, frontier, depth, source, alpha, accepted, committed = row
             assert 0 <= alpha <= 1.0 + 1e-12
             assert source.split(":")[0] in ("horizontal", "vertical")
@@ -1251,7 +1255,7 @@ class TestZeroVerticalSamples:
         batch = decode_batch(model, heads, config, 3, 10, trace=trace)
         record = (sorted(batch.grid_counts.items()), batch.rounds,
                   sorted(batch.depth_attempts.items()), sorted(batch.depth_accepts.items()),
-                  trace)
+                  hawk.cli._trace_rows(trace))
         assert calls == []
         ctx = DecodingContext(model, heads, config, 3)
         ctx.committed = list(max(batch.grid_counts))
@@ -1341,7 +1345,7 @@ class TestNarrowGrids:
             batch = decode_batch(model, heads, variants[mode], 7, 40, trace=trace)
             record = (sorted(batch.grid_counts.items()), batch.rounds,
                       sorted(batch.depth_attempts.items()), sorted(batch.depth_accepts.items()),
-                      trace)
+                      hawk.cli._trace_rows(trace))
             digests[mode] = hashlib.sha256(repr(record).encode()).hexdigest()
         assert digests == pinned
 
@@ -1421,7 +1425,8 @@ def _binding_case(fit_seed):
 def _binding_batch(model, heads, config, seed):
     trace = []
     batch = decode_batch(model, heads, config, seed, 6, trace=trace)
-    return (batch.grid_counts, batch.rounds, batch.depth_attempts, batch.depth_accepts, trace)
+    return (batch.grid_counts, batch.rounds, batch.depth_attempts, batch.depth_accepts,
+            hawk.cli._trace_rows(trace))
 
 
 def _fresh_binding_batches(fit_seed):

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hawk.cli import write_csv, write_metrics_csv
 from hawk.core import GridSpec, SamplingConfig, TokenDistribution
 from hawk.engine import BatchResult
 from hawk.models import make_grid_markov_target, make_independent_target
@@ -17,8 +18,6 @@ from hawk.oracle_metrics import (
     enumerate_draws,
     enumerate_joint,
     joint_tv,
-    write_csv,
-    write_metrics_csv,
 )
 from hawk.rng import stream
 from hawk.verifier import chain_alphas, sequential_verify
