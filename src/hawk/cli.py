@@ -3,7 +3,10 @@
 Subcommands: decode (one grid to image + trace + metrics), verify (the
 distribution-preservation report against the enumeration oracle), bench
 (metrics CSV across modes plus the per-depth acceptance table of the exact
-speculative modes), fit (train and save tabular draft heads).
+speculative modes), fit (train and save tabular draft heads). Every CSV is
+written here, and the two reports of a traced batch are reductions of the
+engine's walk records (:class:`~hawk.engine.LayerRecord`): each command
+computes only the one it writes.
 
 Configs are strict JSON: a schema_version field, fixed sections, and
 unknown keys are errors so typos in experiment files cannot pass silently.
