@@ -3,10 +3,10 @@
 Subcommands: decode (one grid to image + trace + metrics), verify (the
 distribution-preservation report against the enumeration oracle), bench
 (metrics CSV across modes plus the per-depth acceptance table of the exact
-speculative modes), fit (train and save tabular draft heads). Every CSV is
-written here, and the two reports of a traced batch are reductions of the
-engine's walk records (:class:`~hawk.engine.LayerRecord`): each command
-computes only the one it writes.
+speculative modes), fit (train and save tabular draft heads). Every output
+file is written here, and the two reports of a traced batch are reductions
+of the engine's walk records (:class:`~hawk.engine.LayerRecord`): each
+command computes only the one it writes.
 
 Configs are strict JSON: a schema_version field, fixed sections, and
 unknown keys are errors so typos in experiment files cannot pass silently.
@@ -55,7 +55,6 @@ from .engine import (
     LayerRecord,
     decode_batch,
     decode_image,
-    export_grid_image,
     tree_nodes,
 )
 from .models import (
@@ -277,6 +276,22 @@ def write_metrics_csv(path: Path, results: Sequence[BatchResult]) -> None:
         (r.mode, r.rounds, r.committed, r.accept_length,
          "|".join(f"{d}:{rate!r}" for d, rate in r.depth_accept_rates.items()))
         for r in results))
+
+
+def export_grid_image(tokens: np.ndarray | Sequence[int], grid: GridSpec, path: Path) -> None:
+    """Write the token grid as a binary 8-bit portable graymap.
+
+    Token values map linearly onto 0..255, so token 0 is black and the top
+    of the vocabulary is white.
+    """
+    flat = np.asarray(tokens, dtype=np.int64).reshape(-1)
+    if flat.size != grid.size:
+        raise ValueError(f"expected {grid.size} tokens, got {flat.size}")
+    if flat.min() < 0 or flat.max() >= grid.vocab_size:
+        raise ValueError("token values outside vocabulary range")
+    levels = np.rint(flat * (255.0 / (grid.vocab_size - 1))).astype(np.uint8)
+    header = f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + levels.tobytes())
 
 
 def _write_manifest(config: RunConfig, outputs: dict[str, Callable[[Path], None]]) -> None:

@@ -2,9 +2,9 @@
 
 Round structure (speculative modes): a round's shape is a function of its
 frontier alone. :func:`round_plans` gives every frontier's :class:`RoundPlan`
-for depths n = 1..H: each depth's pool as :func:`~hawk.models.pool_slots`
-lays it out (the vertical predictions targeting position T+n, made from the
-prefix through a token rows above, then the horizontal head's), cut to its
+for depths n = 1..H: each depth's pool as :func:`pool_slots` lays it out
+(the vertical predictions targeting position T+n, made from the prefix
+through a token rows above, then the horizontal head's), cut to its
 first b_k candidates, the widths tapering with depth to at most
 ``node_budget`` nodes. The walk verifies each layer in turn against the
 current target conditional; :func:`build_pool` computes the layer's kept
@@ -17,8 +17,8 @@ token, so every mode reads the target once per committed token; a round is
 one target pass, as accept length counts it, only in accounting, until one
 batched call scores the tree's nodes.
 
-A slot reaches its head by position: ``Slot.head`` indexes the tuple of
-heads that each context takes once from :func:`~hawk.models.slot_heads`.
+A slot reaches its head by position: ``Slot.head`` indexes the tuple
+``vertical[:vsd] + horizontal`` that each context takes once from its heads.
 Plans hold three ints per slot and no heads, so they stay cached per shape
 and no head set outlives its batches.
 
@@ -60,13 +60,11 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .core import (
-    GridSpec,
     SamplingConfig,
     StateError,
     TokenDistribution,
@@ -74,7 +72,7 @@ from .core import (
     json_value,
     sample_index,  # unused here: the benchmark's tracer rebinds hawk.engine.sample_index
 )
-from .models import DraftHeadSet, Slot, TargetModel, pool_slots, slot_heads
+from .models import DraftHeadSet, TargetModel
 from .rng import stream
 from .verifier import (
     Draws,
@@ -188,6 +186,40 @@ def tree_widths(lengths: tuple[int, ...], node_budget: int) -> tuple[int, ...]:
         widths = wider
 
 
+class Slot(NamedTuple):
+    """``copies`` candidates of a pool sharing one draft: head ``head`` of the
+    context's ``vertical[:vertical_depth] + horizontal``, for the
+    ``vertical_depth`` the pool was laid out with, on the first ``length``
+    committed tokens."""
+
+    head: int
+    length: int
+    copies: int
+
+
+def pool_slots(
+    width: int, frontier: int, n: int, vertical_depth: int,
+    samples_per_horizontal: int, samples_per_vertical: int,
+) -> tuple[Slot, ...]:
+    """The slots of the depth-n pool of a round that starts at ``frontier``, the
+    one statement of what a pool holds: for every depth d up to
+    ``vertical_depth`` whose source d rows above position frontier + n - 1 is
+    committed, the vertical head's draft from the prefix through the source,
+    ``samples_per_vertical`` times, in depth order; then the horizontal head's
+    draft from the whole prefix ``samples_per_horizontal`` times."""
+    slots = []
+    if samples_per_vertical:
+        # The shallowest depth whose source is behind the frontier.
+        d = (n - 1) // width + 1
+        source = frontier + n - 1 - d * width
+        while d <= vertical_depth and source >= 0:
+            slots.append(Slot(d - 1, source + 1, samples_per_vertical))
+            d += 1
+            source -= width
+    slots.append(Slot(vertical_depth + n - 1, frontier, samples_per_horizontal))
+    return tuple(slots)
+
+
 class RoundPlan(NamedTuple):
     """Per depth of a round, the kept slots of its pool and their candidate
     count b_k (:func:`tree_widths`); ``truncated``: the budget cut a pool;
@@ -208,7 +240,7 @@ def round_plans(
 ) -> tuple[RoundPlan, ...]:
     """The :class:`RoundPlan` of every frontier 0..size-1 of a grid: depths
     1..min(H, size - frontier), each keeping the first b_k candidates of its
-    pool's :func:`~hawk.models.pool_slots`."""
+    pool's :func:`pool_slots`."""
     size = width * height
     plans = []
     for frontier in range(size):
@@ -318,7 +350,10 @@ class DecodingContext:
             self.plans = round_plans(self.grid.width, self.grid.height, config.horizontal_depth,
                                      depth, config.samples_per_horizontal,
                                      config.samples_per_vertical, config.node_budget)
-            self.slot_heads, self.slot_labels = slot_heads(heads, depth)
+            # Slot.head indexes these heads, each labelled source:depth.
+            self.slot_heads = heads.vertical[:depth] + heads.horizontal
+            self.slot_labels = tuple([f"vertical:{d}" for d in range(1, depth + 1)] + [
+                f"horizontal:{n}" for n in range(1, heads.horizontal_depth + 1)])
         self.rounds = 0
         self.truncated_rounds = 0
         self.trace = trace
@@ -527,20 +562,3 @@ def decode_image(
     grid = model.grid
     return np.array(tokens, dtype=np.int64).reshape(grid.height, grid.width), result
 
-
-def export_grid_image(
-    tokens: Union[np.ndarray, Sequence[int]], grid: GridSpec, path: Union[str, Path]
-) -> None:
-    """Write the token grid as a binary 8-bit portable graymap.
-
-    Token values map linearly onto 0..255, so token 0 is black and the top
-    of the vocabulary is white.
-    """
-    flat = np.asarray(tokens, dtype=np.int64).reshape(-1)
-    if flat.size != grid.size:
-        raise ValueError(f"expected {grid.size} tokens, got {flat.size}")
-    if flat.min() < 0 or flat.max() >= grid.vocab_size:
-        raise ValueError("token values outside vocabulary range")
-    levels = np.rint(flat * (255.0 / (grid.vocab_size - 1))).astype(np.uint8)
-    header = f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + levels.tobytes())

@@ -47,7 +47,7 @@ import abc
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -443,53 +443,6 @@ class DraftHeadSet:
     @property
     def vertical_depth(self) -> int:
         return len(self.vertical)
-
-
-class Slot(NamedTuple):
-    """``copies`` candidates of a pool sharing one draft: head ``head`` of
-    :func:`slot_heads`, for the ``vertical_depth`` the pool was laid out
-    with, on the first ``length`` committed tokens."""
-
-    head: int
-    length: int
-    copies: int
-
-
-def slot_heads(
-    heads: DraftHeadSet, vertical_depth: int
-) -> tuple[tuple[DraftHead, ...], tuple[str, ...]]:
-    """The heads a :class:`Slot` indexes, ``vertical[:vertical_depth] +
-    horizontal``, and each one's ``source:depth`` label."""
-    if heads.vertical_depth < vertical_depth:
-        raise ValueError(f"pools want vertical depth {vertical_depth}, "
-                         f"heads provide {heads.vertical_depth}")
-    vertical = heads.vertical[:vertical_depth]
-    labels = [f"vertical:{d}" for d in range(1, len(vertical) + 1)]
-    labels += [f"horizontal:{n}" for n in range(1, heads.horizontal_depth + 1)]
-    return vertical + heads.horizontal, tuple(labels)
-
-
-def pool_slots(
-    width: int, frontier: int, n: int, vertical_depth: int,
-    samples_per_horizontal: int, samples_per_vertical: int,
-) -> tuple[Slot, ...]:
-    """The slots of the depth-n pool of a round that starts at ``frontier``, the
-    one statement of what a pool holds: for every depth d up to
-    ``vertical_depth`` whose source d rows above position frontier + n - 1 is
-    committed, the vertical head's draft from the prefix through the source,
-    ``samples_per_vertical`` times, in depth order; then the horizontal head's
-    draft from the whole prefix ``samples_per_horizontal`` times."""
-    slots = []
-    if samples_per_vertical:
-        # The shallowest depth whose source is behind the frontier.
-        d = (n - 1) // width + 1
-        source = frontier + n - 1 - d * width
-        while d <= vertical_depth and source >= 0:
-            slots.append(Slot(d - 1, source + 1, samples_per_vertical))
-            d += 1
-            source -= width
-    slots.append(Slot(vertical_depth + n - 1, frontier, samples_per_horizontal))
-    return tuple(slots)
 
 
 # Fitting and scoring sample and stack at most this many grids at a time.

@@ -18,6 +18,7 @@ import hawk.cli
 import hawk.engine
 import hawk.models
 import hawk.verifier
+from hawk.cli import export_grid_image
 from hawk.core import (
     GridSpec,
     SamplingConfig,
@@ -30,6 +31,7 @@ from hawk.core import (
 from hawk.engine import (
     DecodingContext,
     EngineConfig,
+    Slot,
     commit_token,
     build_candidate_tree,
     build_pool,
@@ -37,7 +39,6 @@ from hawk.engine import (
     decode_batch,
     decode_image,
     decode_round,
-    export_grid_image,
     round_plans,
     tree_nodes,
     tree_widths,
@@ -45,7 +46,6 @@ from hawk.engine import (
 from hawk.models import (
     DraftHead,
     DraftHeadSet,
-    Slot,
     TabularDraftHead,
     fit_tabular_draft_heads,
     make_exact_heads,
