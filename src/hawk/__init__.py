@@ -4,7 +4,7 @@ Desk-scale implementation of dual-direction (horizontal plus vertical) draft
 heads with exact multi-draft verification, vertical predictions computed
 from the committed prefix when a pool reads them, vanilla / horizontal-only /
 relaxed-acceptance baselines, a brute-force joint-distribution oracle, and a
-benchmark harness.
+command line that writes every report.
 """
 
 __version__ = "0.1.0"

@@ -466,11 +466,11 @@ def cmd_bench(config: RunConfig) -> int:
               f"wall_speedup={results[0].wall_clock_ms / batch.wall_clock_ms:.3f} "
               f"wall_clock_ms={batch.wall_clock_ms:.1f}{_tree_fields(model, heads, engine, batch)}")
 
-    # One traced batch per exact speculative mode, apart from the timed ones.
+    # Each exact speculative mode's timed batch again, traced: tracing draws
+    # nothing, so acceptance.csv explains the grids metrics.csv reports.
     traces: dict[str, list[LayerRecord]] = {MODE_MEDUSA: [], MODE_HAWK: []}
     for mode, trace in traces.items():
-        decode_batch(model, heads, variants[mode],
-                     derive_seed(config.seed, "bench", "acceptance", mode),
+        decode_batch(model, heads, variants[mode], derive_seed(config.seed, "bench", mode),
                      config.bench_images, trace=trace)
     rows = _acceptance_rows(traces, config.grid, config.engine.horizontal_depth)
 

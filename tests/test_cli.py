@@ -776,7 +776,7 @@ PINNED_OUTPUTS = {
         "trace.csv": "cffbb7529bc52a2a5490944bdc5a8c55ec150ca0fd29d4145e2cf7c11956c71a",
     },
     ("verify_quick", "bench"): {
-        "acceptance.csv": "d83876c769848427a68407f4d322f498034d484c8049b776e22dac05b6e6ae7b",
+        "acceptance.csv": "a87a73742c1b30c487df6a71ec11e0e054c742f09073463d0d3d9c789b79fd1e",
         "metrics.csv": "0f4998e9e477092c04922c4a073f5bf0fafbe357313299a1098da5ee2194893d",
     },
     ("verify_quick", "fit"): {
@@ -792,7 +792,7 @@ PINNED_OUTPUTS = {
         "verify_report.csv": "66b552304f32775aa3f13f40370f782a463e20958fac009d8bf671a825b4da04",
     },
     ("bench_16x16", "bench"): {
-        "acceptance.csv": "432eecef96785ea04cc4c5140186da46201c2c183897abc0ff9ae55f0b27bc80",
+        "acceptance.csv": "60d6d400e60addff9b00cc885b6e3497cb09ff4606542f9a16a62bf5d04ac520",
         "metrics.csv": "8be9e0fb6fa0dbf9abb48a1ab50f4fbf02a00d1a524cdbffbbddad93916950a8",
     },
     ("bench_16x16", "fit"): {
@@ -801,7 +801,7 @@ PINNED_OUTPUTS = {
     },
     # The one config with a transform (top-k 4, temperature 0.8).
     ("wide_tree_16x16", "bench"): {
-        "acceptance.csv": "4ae9187e9311717468b3c3cc27de4c79c4bfc2f8b958137ad353c21f79d1155c",
+        "acceptance.csv": "b5ac532220e3ff671c5960140182106e8a562aefd9695204a8b152eb8b343828",
         "metrics.csv": "c24a010f6e6c43823e843a4e772fb24a9eb7e587b5ec958de195296a6da05e77",
     },
 }
@@ -957,7 +957,7 @@ class TestAcceptanceTable:
         for mode in ("medusa", "hawk"):
             trace = []
             batch = decode_batch(model, heads, variants[mode],
-                                 derive_seed(config.seed, "bench", "acceptance", mode),
+                                 derive_seed(config.seed, "bench", mode),
                                  config.bench_images, trace=trace)
             reached, accepted, expected, variance = Counter(), Counter(), Counter(), Counter()
             for record in trace:
@@ -971,3 +971,23 @@ class TestAcceptanceTable:
             for depth in reached:
                 gap = abs(accepted[depth] - expected[depth])
                 assert gap <= 3.3 * math.sqrt(variance[depth]), (mode, depth, gap)
+
+    def test_table_explains_the_metrics_grids(self, tmp_path):
+        # bench traces each mode's timed batch again, so per mode and depth the
+        # table's accepts over reached, summed over regions, are metrics.csv's
+        # depth accept rates to the last bit.
+        config = ROOT / "configs" / "bench_16x16.json"
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path)]) == 0
+        reached, accepted = Counter(), Counter()
+        for line in (tmp_path / "acceptance.csv").read_text().splitlines()[1:]:
+            mode, _, depth, rounds, accepts, *_ = line.split(",")
+            reached[mode, int(depth)] += int(rounds)
+            accepted[mode, int(depth)] += int(accepts)
+        rates = {}
+        for line in (tmp_path / "metrics.csv").read_text().splitlines()[1:]:
+            mode, *_, cell = line.split(",")
+            if mode in ("medusa", "hawk"):
+                for pair in cell.split("|"):
+                    depth, rate = pair.split(":")
+                    rates[mode, int(depth)] = float(rate)
+        assert {key: accepted[key] / reached[key] for key in reached} == rates

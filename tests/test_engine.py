@@ -1266,6 +1266,35 @@ class TestZeroVerticalSamples:
         )
 
 
+
+class TestSlotHeadOrder:
+    @pytest.mark.parametrize("config", [
+        EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1),
+        EngineConfig(mode="hawk", horizontal_depth=3, vertical_depth=2, samples_per_vertical=0),
+        EngineConfig(mode="medusa", horizontal_depth=2, samples_per_horizontal=2),
+    ])
+    def test_deeper_heads_keep_the_layout_order(self, config):
+        # The heads reach two vertical depths, deeper than every layout here:
+        # a slot's head index counts only the layout's vertical depths, then
+        # the horizontal heads, so each slot reads the head its label names
+        # and every record's sources are its plan layer's labels.
+        grid = GridSpec(4, 4, 3)
+        model = make_grid_markov_target(grid, 11, 0.8)
+        heads = fit_tabular_draft_heads(model, 3, 2, 200, 5, 0.5)
+        ctx = DecodingContext(model, heads, config, 0)
+        vsd = _vsd(config)
+        assert len(ctx.slot_heads) == vsd + heads.horizontal_depth
+        for plan in ctx.plans:
+            for slot in itertools.chain.from_iterable(plan.layers):
+                assert ctx.slot_heads[slot.head] is _slot_head(heads, slot, vsd)
+        trace = []
+        batch = decode_batch(model, heads, config, 3, 5, trace=trace)
+        assert len(trace) == sum(batch.depth_attempts.values())
+        for record in trace:
+            slots = ctx.plans[record.frontier].layers[record.depth - 1]
+            assert list(record.sources) == _labels(slots, vsd)
+
+
 class TestPoolDraftsFromTheGrid:
     def test_cached_drafts_are_the_rebuilt_ones(self, monkeypatch):
         # The analysis code rebuilds the drafts the engine held from the
