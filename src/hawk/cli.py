@@ -278,7 +278,7 @@ def write_metrics_csv(path: Path, results: Sequence[BatchResult]) -> None:
         for r in results))
 
 
-def export_grid_image(tokens: np.ndarray | Sequence[int], grid: GridSpec, path: Path) -> None:
+def export_grid_image(tokens: np.ndarray | Sequence[int], grid: GridSpec, path: str | Path) -> None:
     """Write the token grid as a binary 8-bit portable graymap.
 
     Token values map linearly onto 0..255, so token 0 is black and the top

@@ -352,8 +352,9 @@ class DecodingContext:
                                      config.samples_per_vertical, config.node_budget)
             # Slot.head indexes these heads, each labelled source:depth.
             self.slot_heads = heads.vertical[:depth] + heads.horizontal
-            self.slot_labels = tuple([f"vertical:{d}" for d in range(1, depth + 1)] + [
-                f"horizontal:{n}" for n in range(1, heads.horizontal_depth + 1)])
+            labels = [f"vertical:{d}" for d in range(1, depth + 1)]
+            labels += [f"horizontal:{n}" for n in range(1, heads.horizontal_depth + 1)]
+            self.slot_labels = tuple(labels)
         self.rounds = 0
         self.truncated_rounds = 0
         self.trace = trace

@@ -1266,7 +1266,6 @@ class TestZeroVerticalSamples:
         )
 
 
-
 class TestSlotHeadOrder:
     @pytest.mark.parametrize("config", [
         EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1),
