@@ -63,9 +63,7 @@ from .models import (
     fit_tabular_draft_heads,
     held_out_nll,
     load_head_set,
-    make_exact_heads,
     make_grid_markov_target,
-    make_independent_target,
     save_head_set,
 )
 from .oracle_metrics import empirical_joint_from_counts, enumerate_joint, joint_tv
@@ -97,14 +95,10 @@ ENGINE_KEYS = {"top_k", *ENGINE_FIELDS}  # top_k is "all" or an integer
 ORACLE_FIELDS = {"decode_count": (int, 20000, 1), "tolerance_factor": (float, 3.0)}
 BENCH_FIELDS = {"images": (int, 4, 1)}
 # The same for each model and heads kind; a field of another kind is an error.
-MODEL_FIELDS = {
-    "grid_markov": {"seed": (int, None), "vertical_weight": (float, None, 0)},
-    "independent": {"seed": (int, None), "constant": (bool, False)},
-}
+MODEL_FIELDS = {"grid_markov": {"seed": (int, None), "vertical_weight": (float, None, 0)}}
 HEADS_FIELDS = {
     "tabular": {"sample_count": (int, None, 1), "seed": (int, None),
                 "smoothing": (float, 0.5, 0)},
-    "exact": {},
     "file": {"path": (str, None)},
 }
 
@@ -197,7 +191,7 @@ def load_run_config(
         raise ValueError(
             f"field 'oracle.tolerance_factor' must be > 0, got {oracle['tolerance_factor']}"
         )
-    if model_spec.get("vertical_weight", 0) > 1:
+    if model_spec["vertical_weight"] > 1:
         raise ValueError(
             f"field 'model.vertical_weight' must be <= 1, got {model_spec['vertical_weight']}"
         )
@@ -227,9 +221,7 @@ def load_run_config(
 
 def build_model(config: RunConfig) -> TargetModel:
     spec = config.model_spec
-    if spec["kind"] == "grid_markov":
-        return make_grid_markov_target(config.grid, spec["seed"], spec["vertical_weight"])
-    return make_independent_target(config.grid, spec["seed"], constant=spec["constant"])
+    return make_grid_markov_target(config.grid, spec["seed"], spec["vertical_weight"])
 
 
 def build_heads(config: RunConfig, model: TargetModel) -> DraftHeadSet:
@@ -244,8 +236,6 @@ def build_heads(config: RunConfig, model: TargetModel) -> DraftHeadSet:
             spec["seed"],
             spec["smoothing"],
         )
-    if spec["kind"] == "exact":
-        return make_exact_heads(model, engine.horizontal_depth, engine.vertical_depth)
     heads = load_head_set(spec["path"])
     # The engine makes the same check; making it here too lets verify and
     # bench refuse the file before their vanilla decodes.

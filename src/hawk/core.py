@@ -158,7 +158,8 @@ def apply_sampling_config(dist: TokenDistribution, config: SamplingConfig) -> To
 
     Temperature rescales ``p_i`` to ``p_i ** (1/temperature)``, renormalized,
     in log space so that very low temperatures concentrate mass on the argmax
-    instead of underflowing to zero. Top-k keeps the k most probable tokens
+    instead of underflowing to zero. Below about 1e-308, where every scaled
+    log overflows to -inf, it is the T -> 0 limit: uniform over the argmax ties. Top-k keeps the k most probable tokens
     (ties at the cutoff go to the lowest index), zeroes the rest and renormalizes.
 
     The result is memoized on ``dist`` for the last config applied to it;
@@ -176,9 +177,10 @@ def apply_sampling_config(dist: TokenDistribution, config: SamplingConfig) -> To
         return memo[1]
     probs = dist.probs
     if config.temperature != 1.0:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             scaled = np.log(probs) / config.temperature
-        weights = np.exp(scaled - scaled.max())
+        top = scaled.max()
+        weights = np.exp(scaled - top) if top > -np.inf else probs == probs.max()
         probs = weights / weights.sum()
     k, n = config.top_k, probs.size
     if k != "all" and k < n:
@@ -194,23 +196,21 @@ def apply_sampling_config(dist: TokenDistribution, config: SamplingConfig) -> To
     return out
 
 
-_KIND_NAMES = {
-    bool: "true or false", int: "an integer", float: "a number", str: "a string",
-    list: "a list", dict: "an object",
-}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "an object"}
 
 
 def json_value(value, name: str, kind: type, minimum=None):
     """``value`` if it is a JSON value of ``kind`` and at least ``minimum``.
 
     Otherwise a ``ValueError`` of the form ``field '<name>' must be <kind>,
-    got <value>`` (or ``must be >= <minimum>``). No boolean counts as a
-    number, an integer counts as a number but ``2.0`` is no integer, and a
-    number must be finite; a number comes back as a ``float``.
+    got <value>`` (or ``must be >= <minimum>``). A boolean is of no kind,
+    an integer counts as a number but ``2.0`` is no integer, and a number
+    must be finite; a number comes back as a ``float``.
     """
     number = kind is float
     if (
-        isinstance(value, bool) != (kind is bool)
+        isinstance(value, bool)
         or not isinstance(value, (int, float) if number else kind)
         or (number and not abs(value) <= sys.float_info.max)  # also refuses NaN
     ):

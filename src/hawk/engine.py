@@ -90,12 +90,13 @@ MODES = (MODE_VANILLA, MODE_MEDUSA, MODE_HAWK, MODE_LANTERN)
 # Kind and least value of each number field of EngineConfig; a config file's
 # engine section reads the same fields.
 # Row 0 has no vertical drafts, so every first-row layer rests on the
-# horizontal candidates alone: samples_per_horizontal >= 1.
+# horizontal candidates alone: samples_per_horizontal >= 1. A hawk round
+# without vertical candidates would be medusa's: samples_per_vertical >= 1.
 ENGINE_MINIMUMS = {
     "horizontal_depth": (int, 1),
     "vertical_depth": (int, 0),
     "samples_per_horizontal": (int, 1),
-    "samples_per_vertical": (int, 0),
+    "samples_per_vertical": (int, 1),
     "node_budget": (int, 1),
     "lantern_k": (int, 1),
     "lantern_lambda": (float, 1.0),
@@ -188,9 +189,8 @@ def tree_widths(lengths: tuple[int, ...], node_budget: int) -> tuple[int, ...]:
 
 class Slot(NamedTuple):
     """``copies`` candidates of a pool sharing one draft: head ``head`` of the
-    context's ``vertical[:vertical_depth] + horizontal``, for the
-    ``vertical_depth`` the pool was laid out with, on the first ``length``
-    committed tokens."""
+    context's ``vertical[:vertical_depth] + horizontal``, on the first
+    ``length`` committed tokens."""
 
     head: int
     length: int
@@ -208,14 +208,13 @@ def pool_slots(
     ``samples_per_vertical`` times, in depth order; then the horizontal head's
     draft from the whole prefix ``samples_per_horizontal`` times."""
     slots = []
-    if samples_per_vertical:
-        # The shallowest depth whose source is behind the frontier.
-        d = (n - 1) // width + 1
-        source = frontier + n - 1 - d * width
-        while d <= vertical_depth and source >= 0:
-            slots.append(Slot(d - 1, source + 1, samples_per_vertical))
-            d += 1
-            source -= width
+    # The shallowest depth whose source is behind the frontier.
+    d = (n - 1) // width + 1
+    source = frontier + n - 1 - d * width
+    while d <= vertical_depth and source >= 0:
+        slots.append(Slot(d - 1, source + 1, samples_per_vertical))
+        d += 1
+        source -= width
     slots.append(Slot(vertical_depth + n - 1, frontier, samples_per_horizontal))
     return tuple(slots)
 
@@ -340,7 +339,7 @@ class DecodingContext:
         self.config = config
         self.grid = model.grid
         self.committed: list[int] = []
-        depth = config.vertical_depth if config.samples_per_vertical else 0
+        depth = config.vertical_depth
         self.cache = CacheBounds(cache_capacity(self.grid.width, depth),
                                  peak_live_drafts(self.grid.width, self.grid.size, depth))
         self.draws = Draws(stream(seed, "draft"), stream(seed, "verify"))

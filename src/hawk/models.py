@@ -242,15 +242,9 @@ class IndependentPositionModel(TargetModel):
         return tokens
 
 
-def make_independent_target(
-    grid: GridSpec, seed: int, *, constant: bool = False
-) -> IndependentPositionModel:
-    """Seeded prefix-independent target; ``constant`` repeats one row everywhere."""
-    gen = stream(seed, "independent-tables")
-    if constant:
-        tables = np.tile(_random_rows(gen, 1, grid.vocab_size), (grid.size, 1))
-    else:
-        tables = _random_rows(gen, grid.size, grid.vocab_size)
+def make_independent_target(grid: GridSpec, seed: int) -> IndependentPositionModel:
+    """Seeded prefix-independent target, one random row per position."""
+    tables = _random_rows(stream(seed, "independent-tables"), grid.size, grid.vocab_size)
     embeddings = _random_embeddings(stream(seed, "token-embeddings"), grid.vocab_size)
     return IndependentPositionModel(grid, tables, embeddings)
 

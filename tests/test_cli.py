@@ -23,9 +23,8 @@ from hawk.rng import derive_seed
 ROOT = Path(__file__).resolve().parent.parent
 
 GRID_MARKOV = {"kind": "grid_markov", "seed": 1009, "vertical_weight": 0.9}
-INDEPENDENT = {"kind": "independent", "seed": 5}
 TABULAR = {"kind": "tabular", "sample_count": 300, "seed": 2003, "smoothing": 1.0}
-EXACT = {"kind": "exact"}
+FILE = {"kind": "file", "path": "heads.json"}
 
 
 def write_config(tmp_path, **overrides):
@@ -104,7 +103,7 @@ class TestConfigLoading:
             ("horizontal_depth", 0, 1),
             ("vertical_depth", -1, 0),
             ("samples_per_horizontal", 0, 1),
-            ("samples_per_vertical", -1, 0),
+            ("samples_per_vertical", 0, 1),
             ("node_budget", 0, 1),
             ("lantern_k", 0, 1),
             ("lantern_lambda", 0.5, 1.0),
@@ -201,22 +200,10 @@ class TestConfigLoading:
         assert main(["decode", "--config", str(path)]) == 1
         assert "config.seed" in capsys.readouterr().err
 
-    def test_non_bool_constant_rejected(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path, model={"kind": "independent", "seed": 5, "constant": "false"},
-            heads={"kind": "exact"},
-        )
-        assert main(["decode", "--config", str(path)]) == 1
-        assert "model.constant" in capsys.readouterr().err
-
     def test_json_integers_and_bools_accepted(self, tmp_path):
-        path = write_config(
-            tmp_path, model={**INDEPENDENT, "constant": False}, heads=EXACT,
-            engine={"top_k": 2, "node_budget": 5},
-        )
+        path = write_config(tmp_path, engine={"top_k": 2, "node_budget": 5})
         config = load_run_config(path)
         assert config.engine.transform.top_k == 2
-        assert config.model_spec["constant"] is False
         assert config.engine.node_budget == 5
 
     @pytest.mark.parametrize(
@@ -243,18 +230,21 @@ class TestConfigLoading:
         "model, heads, field",
         [
             ({**GRID_MARKOV, "constant": False}, TABULAR, "model.constant"),
-            ({**INDEPENDENT, "vertical_weight": 0.9}, EXACT, "model.vertical_weight"),
-            (INDEPENDENT, {**EXACT, "sample_count": 300}, "heads.sample_count"),
-            (INDEPENDENT, {**EXACT, "seed": 2003}, "heads.seed"),
-            (INDEPENDENT, {**EXACT, "smoothing": 1.0}, "heads.smoothing"),
+            ({**GRID_MARKOV, "smoothing": 1.0}, TABULAR, "model.smoothing"),
+            (GRID_MARKOV, {**FILE, "sample_count": 300}, "heads.sample_count"),
+            (GRID_MARKOV, {**FILE, "seed": 2003}, "heads.seed"),
+            (GRID_MARKOV, {**FILE, "smoothing": 1.0}, "heads.smoothing"),
             (GRID_MARKOV, {**TABULAR, "path": "heads.json"}, "heads.path"),
-            (GRID_MARKOV, {"kind": "file", "path": "heads.json", "seed": 2003}, "heads.seed"),
         ],
     )
     def test_fields_of_another_kind_rejected(self, tmp_path, capsys, model, heads, field):
+        # grid_markov is the one model kind, so a model key it does not read
+        # is unknown.
         path = write_config(tmp_path, model=model, heads=heads)
         assert main(["decode", "--config", str(path)]) == 1
-        assert f"'{field}' does not apply" in capsys.readouterr().err
+        refusal = (f"unknown config key '{field}'" if field.startswith("model.")
+                   else f"'{field}' does not apply")
+        assert refusal in capsys.readouterr().err
 
     def test_no_horizontal_candidates_rejected_before_fitting(
         self, tmp_path, capsys, monkeypatch
@@ -294,6 +284,8 @@ LIBRARY_REFUSALS = [
      "engine", "lantern_lambda", NAN),
     (lambda v: EngineConfig(mode="hawk", vertical_depth=1, node_budget=v), "node_budget",
      "engine", "node_budget", 2.5),
+    (lambda v: EngineConfig(mode="hawk", vertical_depth=1, samples_per_vertical=v),
+     "samples_per_vertical", "engine", "samples_per_vertical", 0),
     (lambda v: EngineConfig(mode="medusa", draft_overhead_ratio=v), "draft_overhead_ratio",
      "engine", "draft_overhead_ratio", -INF),
     (lambda v: fit_tabular_draft_heads(SMALL_MODEL, 1, 0, 10, 9, smoothing=v), "smoothing",
@@ -339,15 +331,6 @@ class TestBuilders:
         assert heads.horizontal_depth == 2
         assert heads.vertical_depth == 1
 
-    def test_exact_heads_require_independent_model(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            model={"kind": "independent", "seed": 5},
-            heads={"kind": "exact"},
-        )
-        config = load_run_config(path)
-        heads = build_heads(config, build_model(config))
-        assert heads.horizontal_depth == 2
 
 
 DELETE = object()
@@ -512,6 +495,19 @@ class TestDecodeCommand:
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
         assert path.read_bytes() == before  # input config never mutated
 
+    def test_subnormal_temperature_decodes_the_cold_limit(self, tmp_path):
+        # Below about 1e-308 every scaled log overflows to -inf: the decode is
+        # the T -> 0 limit, which 1e-300 already reaches, not a grid of zeros.
+        outputs = []
+        for temperature in (1e-300, 1e-320):
+            out = tmp_path / repr(temperature)
+            path = write_config(tmp_path, grid={"width": 4, "height": 4, "vocab_size": 3},
+                                engine={"temperature": temperature})
+            assert main(["decode", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        assert set(outputs[0]) == {"grid.pgm", "trace.csv", "metrics.csv"}
+        assert outputs[0] == outputs[1]
+
     def test_seed_override_changes_output(self, tmp_path):
         # big enough grid that distinct seeds cannot collide by luck
         path = write_config(tmp_path, grid={"width": 8, "height": 8, "vocab_size": 4})
@@ -574,17 +570,6 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(path)]) == 0
         rows = _read_acceptance(tmp_path / "out")
         assert rows and {row["region"] for row in rows} == {"row0", "end"}
-
-    def test_no_vertical_samples_keep_one_horizontal_candidate(self, tmp_path):
-        # With samples_per_vertical 0 no pool holds a vertical draft, so each
-        # of hawk's layers keeps its one horizontal candidate, as medusa's
-        # equal-budget layers do.
-        path = write_config(tmp_path, grid={"width": 4, "height": 4, "vocab_size": 4},
-                            engine={"samples_per_vertical": 0})
-        assert main(["bench", "--config", str(path)]) == 0
-        rows = _read_acceptance(tmp_path / "out")
-        assert {row["mode"] for row in rows} == {"medusa", "hawk"}
-        assert all(row["kept_width"] == row["pool_length"] == "1.0" for row in rows)
 
     def test_prints_wall_speedup_over_vanilla(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -649,13 +634,10 @@ class TestFitCommand:
                         hb.predict(prefix, len(prefix)).probs,
                     )
 
-    def test_fit_requires_tabular(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            model={"kind": "independent", "seed": 5},
-            heads={"kind": "exact"},
-        )
+    def test_fit_requires_tabular(self, tmp_path, capsys):
+        path = write_config(tmp_path, heads=FILE)
         assert main(["fit", "--config", str(path)]) == 1
+        assert "fit requires heads.kind == 'tabular'" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -682,9 +664,11 @@ class TestExitCodes:
             ({"engine": {"mode": 3}}, "field 'engine.mode' must be a string, got 3"),
             ({"bench": [1]}, "field 'config.bench' must be an object, got [1]"),
             ({"model": "x"}, "field 'config.model' must be an object, got 'x'"),
+            ({"model": {"kind": "independent", "seed": 5}}, "unknown model.kind 'independent'"),
+            ({"heads": {"kind": "exact"}}, "unknown heads.kind 'exact'"),
         ],
         ids=["grid", "engine", "oracle", "output_dir", "heads.path", "engine.mode", "bench",
-             "model"],
+             "model", "model.kind", "heads.kind"],
     )
     def test_mistyped_field_named_and_nothing_written(self, tmp_path, capsys, override, message):
         path = write_config(tmp_path, **override)
@@ -741,13 +725,19 @@ class TestShippedConfigs:
 
     def test_readme_schema_matches_parser(self, tmp_path):
         # The README's schema block, its comments stripped, is a valid config
-        # that names every engine key the parser reads and no other.
+        # that names every engine key the parser reads and no other, and each
+        # name its comments quote is a model or heads kind or field the
+        # parser reads.
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
-        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        section = readme.split("\n### Config schema", 1)[1]
+        block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
         path = tmp_path / "readme.json"
         path.write_text(re.sub(r"//.*", "", block))
         load_run_config(path)
         assert set(json.loads(path.read_text())["engine"]) == hawk.cli.ENGINE_KEYS
+        quoted = set(re.findall(r'"(\w+)"', " ".join(re.findall(r"//.*", block))))
+        kinds = {**hawk.cli.MODEL_FIELDS, **hawk.cli.HEADS_FIELDS}
+        assert quoted and quoted <= set(kinds).union(*kinds.values())
 
     def test_readme_output_schemas_match_columns(self):
         # Each row of the README's output-schema table spells out the column

@@ -1,6 +1,7 @@
 """Grid shape, distribution arithmetic, and sampling transforms."""
 
 import dataclasses
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -105,6 +106,13 @@ class TestTemperature:
     def test_cold_limit_concentrates_on_argmax(self):
         out = warm(dist(0.5, 0.3, 0.2), 1e-3)
         assert out.prob(0) > 0.999
+        # Below about 1e-308 every scaled log overflows to -inf: the result is
+        # the T -> 0 limit, uniform over the argmax ties, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tau in (1e-320, 5e-324):
+                np.testing.assert_array_equal(warm(dist(0.5, 0.3, 0.2), tau).probs, [1, 0, 0])
+                np.testing.assert_array_equal(warm(dist(0.5, 0.5, 0), tau).probs, [0.5, 0.5, 0])
 
     def test_invalid_temperature(self):
         with pytest.raises(ValueError, match="temperature must be > 0, got 0.0"):

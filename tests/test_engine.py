@@ -80,11 +80,10 @@ def _vertical_drafts(draft, heads, config, tokens, position, frontier, labels=No
     d * width < frontier, ``draft(heads.vertical[d - 1], tokens[:source + 1])``
     ``samples_per_vertical`` times, in depth order."""
     width, copies = heads.width, config.samples_per_vertical
-    deepest = config.vertical_depth if copies else 0
     d = max(1, (position - frontier) // width + 1)
     source = position - d * width
     drafts = ()
-    while d <= deepest and source >= 0:
+    while d <= config.vertical_depth and source >= 0:
         drafts += (draft(heads.vertical[d - 1], tokens[: source + 1]),) * copies
         if labels is not None:
             labels += [f"vertical:{d}"] * copies
@@ -132,11 +131,6 @@ def _direction_depth(head, vsd):
     vertical depths: the vertical heads by depth come first, then the
     horizontal ones."""
     return ("vertical", head + 1) if head < vsd else ("horizontal", head - vsd + 1)
-
-
-def _vsd(config):
-    """The vertical depths a context lays its pools out with."""
-    return config.vertical_depth if config.samples_per_vertical else 0
 
 
 def _slot_head(heads, slot, vsd):
@@ -194,8 +188,6 @@ class TestSpeculationCache:
         ctx = DecodingContext(model, heads, config, 3)
         assert _live(ctx, 0) == {}
         assert ctx.cache == (12, 8)
-        zero = dataclasses.replace(config, samples_per_vertical=0)
-        assert DecodingContext(model, heads, zero, 3).cache == (0, 0)
 
     def test_commit_writes_one_slot_per_depth(self):
         # The commit of t makes one (target, depth) pair live per depth,
@@ -286,7 +278,7 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(mode="lantern", lantern_lambda=0.5)
         with pytest.raises(ValueError):
-            EngineConfig(mode="medusa", samples_per_vertical=-1)
+            EngineConfig(mode="medusa", samples_per_vertical=0)
 
 
 def _hawk_setup(grid=None, seed=11):
@@ -392,13 +384,7 @@ class TestBuildPool:
 class TestCandidateTree:
     def test_single_chain(self):
         grid, model, heads, _ = _hawk_setup()
-        config = EngineConfig(
-            mode="hawk",
-            horizontal_depth=2,
-            vertical_depth=1,
-            samples_per_horizontal=1,
-            samples_per_vertical=0,
-        )
+        config = EngineConfig(mode="medusa", horizontal_depth=2, samples_per_horizontal=1)
         ctx = DecodingContext(model, heads, config, 3)
         tree = build_candidate_tree(ctx.plans[0], config, ctx.draws)
         assert [len(layer) for layer in tree.layers] == [1, 1]
@@ -539,7 +525,7 @@ def plan_shapes(draw):
         horizontal_depth=draw(st.integers(1, 5)),
         vertical_depth=vertical_depth,
         samples_per_horizontal=draw(st.integers(1, 3)),
-        samples_per_vertical=draw(st.integers(0, 3)),
+        samples_per_vertical=draw(st.integers(1, 3)),
         node_budget=draw(st.sampled_from([1, 2, 3, 5, 9, 20, 64, 400])),
     )
     return width, height, config
@@ -557,7 +543,6 @@ class TestRoundPlans:
     @example(_plan_case(7, 1))
     @example(_plan_case(2, 5, horizontal_depth=4))
     @example(_plan_case(3, 4, node_budget=1))
-    @example(_plan_case(3, 4, samples_per_vertical=0))
     @example(_plan_case(3, 3, vertical_depth=5))
     @example(_plan_case(16, 16, horizontal_depth=4, samples_per_horizontal=2, node_budget=64))
     @settings(max_examples=150, deadline=None)
@@ -592,14 +577,11 @@ class TestRoundPlans:
 
     def test_context_reads_its_shape(self):
         # A context looks its plans up once, by the grid and the config's
-        # shape numbers, with no vertical depth when no pool holds a vertical
-        # draft; contexts of one shape share the same plans.
+        # shape numbers; contexts of one shape share the same plans.
         grid, model, heads, config = _hawk_setup()
         ctx = DecodingContext(model, heads, config, 3)
         assert ctx.plans is round_plans(4, 4, 2, 1, 1, 1, 64)
         assert DecodingContext(model, heads, config, 4).plans is ctx.plans
-        zero = dataclasses.replace(config, samples_per_vertical=0)
-        assert DecodingContext(model, heads, zero, 3).plans is round_plans(4, 4, 2, 0, 1, 0, 64)
         assert DecodingContext(model, None, EngineConfig(mode="vanilla"), 3).plans is None
 
 
@@ -702,7 +684,7 @@ def _widths_by_brute_force(lengths, budget):
 
 
 # (horizontal_depth, vertical_depth, samples_per_horizontal, samples_per_vertical)
-LIVE_SHAPES = [(3, 1, 1, 1), (2, 2, 2, 1), (3, 0, 3, 0)]
+LIVE_SHAPES = [(3, 1, 1, 1), (2, 2, 2, 1), (3, 0, 3, 1)]
 
 
 def _budgets(shape):
@@ -809,13 +791,13 @@ class TestLiveContinuations:
         assert len(drawn) == len(hawk.cli._trace_rows(trace)) < sum(map(sum, kept))
 
 
-# (samples_per_vertical, node_budget)
+# (vertical_depth, node_budget); vertical depth 0 is medusa
 DRAW_ORDER_CASES = [(1, 64), (0, 64), (2, 3)]
 
 
 class TestDrawOrder:
-    @pytest.mark.parametrize("spv, budget", DRAW_ORDER_CASES)
-    def test_block_draw_matches_eager_draws(self, spv, budget):
+    @pytest.mark.parametrize("vsd, budget", DRAW_ORDER_CASES)
+    def test_block_draw_matches_eager_draws(self, vsd, budget):
         # The round's uniforms come off the context's draft reader, which
         # fetches them in blocks; every token the walk draws from them must
         # equal the one an eager sample_index call per kept candidate on the
@@ -827,8 +809,8 @@ class TestDrawOrder:
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 3, 2, 300, 5, 0.5)
         config = EngineConfig(
-            mode="hawk", horizontal_depth=3, vertical_depth=2, samples_per_horizontal=2,
-            samples_per_vertical=spv, node_budget=budget,
+            mode="hawk" if vsd else "medusa", horizontal_depth=3, vertical_depth=vsd,
+            samples_per_horizontal=2, samples_per_vertical=2, node_budget=budget,
             transform=SamplingConfig(top_k=2, temperature=0.8),
         )
         ctx = DecodingContext(model, heads, config, 3)
@@ -843,7 +825,7 @@ class TestDrawOrder:
             for k, slots in enumerate(plan.layers):
                 layer = build_pool(ctx, slots)
                 assert list(layer) == kept[k]
-                assert _labels(slots, _vsd(config)) == labels[k]
+                assert _labels(slots, config.vertical_depth) == labels[k]
                 # Verified against its own draft, a candidate is accepted at
                 # once, so the walk emits the token it drew.
                 walked = [
@@ -855,16 +837,16 @@ class TestDrawOrder:
             assert ctx.draws.uniforms(1) == [eager_rng.random()]
             commit_token(ctx, sample[frontier])
 
-    @pytest.mark.parametrize("spv, budget", DRAW_ORDER_CASES)
-    def test_each_round_takes_one_uniform_per_kept_candidate(self, monkeypatch, spv, budget):
+    @pytest.mark.parametrize("vsd, budget", DRAW_ORDER_CASES)
+    def test_each_round_takes_one_uniform_per_kept_candidate(self, monkeypatch, vsd, budget):
         # Decoded by decode_round, each round takes sum_k b_k uniforms off the
         # draft stream, the next ones in order, whatever its walk accepted.
         grid = GridSpec(4, 4, 3)
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 3, 2, 300, 5, 0.5)
         config = EngineConfig(
-            mode="hawk", horizontal_depth=3, vertical_depth=2, samples_per_horizontal=2,
-            samples_per_vertical=spv, node_budget=budget,
+            mode="hawk" if vsd else "medusa", horizontal_depth=3, vertical_depth=vsd,
+            samples_per_horizontal=2, samples_per_vertical=2, node_budget=budget,
         )
         spy = _VerifySpy(monkeypatch)
         ctx = DecodingContext(model, heads, config, 3)
@@ -877,7 +859,7 @@ class TestDrawOrder:
             assert [len(uniforms) for uniforms in tree.layers] == list(widths)
             assert sum(tree.layers, []) == eager_rng.random(sum(widths)).tolist()
         assert ctx.draws.uniforms(1) == [eager_rng.random()]
-        assert any(plan.truncated for plan, _, _ in spy.rounds) == (budget < 64 or spv > 0)
+        assert any(plan.truncated for plan, _, _ in spy.rounds) == (budget < 64 or vsd > 0)
 
 
 def _forward_law(ctx, one_round=decode_round):
@@ -1061,7 +1043,7 @@ def round_cases(draw):
         horizontal_depth=draw(st.integers(1, 4)),
         vertical_depth=draw(st.integers(1, 2)) if mode == "hawk" else 0,
         samples_per_horizontal=draw(st.integers(1, 2)),
-        samples_per_vertical=draw(st.integers(0, 2)),
+        samples_per_vertical=draw(st.integers(1, 2)),
         node_budget=draw(st.sampled_from([1, 2, 5, 64])),
         transform=SamplingConfig(
             top_k=draw(st.sampled_from(["all", 1, 2])),
@@ -1081,7 +1063,6 @@ class TestRoundProperties:
     @example(_hawk_case(1, 5), 0)
     @example(_hawk_case(5, 1), 0)
     @example(_hawk_case(2, 3, node_budget=1), 0)
-    @example(_hawk_case(3, 3, samples_per_vertical=0), 0)
     @example(_hawk_case(3, 3, transform=SamplingConfig(top_k=1, temperature=0.7)), 0)
     @settings(max_examples=60, deadline=None)
     def test_round_invariants(self, case, seed):
@@ -1111,7 +1092,7 @@ class TestRoundProperties:
                 # The plan keeps the first b_k drafts of each pool, and every
                 # depth the walk reaches verifies all of them.
                 assert list(plan.widths) == _widths_by_brute_force(lengths, config.node_budget)
-                assert [_labels(slots, _vsd(config)) for slots in plan.layers] == labels
+                assert [_labels(slots, config.vertical_depth) for slots in plan.layers] == labels
                 assert [len(uniforms) for uniforms in tree.layers] == list(widths)
                 assert [list(candidates) for candidates, _ in calls] == kept[: len(calls)]
                 truncated += plan.truncated
@@ -1234,42 +1215,10 @@ class TestDecodeImage:
             decode_image(model, None, EngineConfig(mode="medusa"), 1)
 
 
-class TestZeroVerticalSamples:
-    def test_no_vertical_head_calls(self, monkeypatch):
-        # With samples_per_vertical 0 no pool holds a vertical draft, so no
-        # vertical head is ever called; the decodes are the ones recorded when
-        # every commit still computed them (300 vertical head calls for these
-        # 10 grids).
-        grid = GridSpec(6, 6, 4)
-        model = make_grid_markov_target(grid, 11, 0.8)
-        heads = fit_tabular_draft_heads(model, 2, 1, 300, 5, 0.5)
-        calls = []
-        head = heads.vertical[0]
-        predict = head.predict
-        monkeypatch.setattr(head, "predict",
-                            lambda tokens, length: calls.append(length) or predict(tokens, length))
-        config = EngineConfig(
-            mode="hawk", horizontal_depth=2, vertical_depth=1, samples_per_vertical=0
-        )
-        trace = []
-        batch = decode_batch(model, heads, config, 3, 10, trace=trace)
-        record = (sorted(batch.grid_counts.items()), batch.rounds,
-                  sorted(batch.depth_attempts.items()), sorted(batch.depth_accepts.items()),
-                  hawk.cli._trace_rows(trace))
-        assert calls == []
-        ctx = DecodingContext(model, heads, config, 3)
-        ctx.committed = list(max(batch.grid_counts))
-        assert all(_live(ctx, frontier) == {} for frontier in range(grid.size + 1))
-        assert ctx.cache == (0, 0) and calls == []
-        assert hashlib.sha256(repr(record).encode()).hexdigest() == (
-            "ab5904269476044d387673d5c7dbc8ede86df9eb7eb3dfba44e0f6c5ba7e6331"
-        )
-
-
 class TestSlotHeadOrder:
     @pytest.mark.parametrize("config", [
         EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1),
-        EngineConfig(mode="hawk", horizontal_depth=3, vertical_depth=2, samples_per_vertical=0),
+        EngineConfig(mode="hawk", horizontal_depth=3, vertical_depth=1, samples_per_vertical=2),
         EngineConfig(mode="medusa", horizontal_depth=2, samples_per_horizontal=2),
     ])
     def test_deeper_heads_keep_the_layout_order(self, config):
@@ -1281,7 +1230,7 @@ class TestSlotHeadOrder:
         model = make_grid_markov_target(grid, 11, 0.8)
         heads = fit_tabular_draft_heads(model, 3, 2, 200, 5, 0.5)
         ctx = DecodingContext(model, heads, config, 0)
-        vsd = _vsd(config)
+        vsd = config.vertical_depth
         assert len(ctx.slot_heads) == vsd + heads.horizontal_depth
         for plan in ctx.plans:
             for slot in itertools.chain.from_iterable(plan.layers):

@@ -224,16 +224,18 @@ class TestIndependentModel:
                 model.conditional([0] * idx).probs, model.position_conditional(idx).probs
             )
 
-    def test_constant_variant(self):
-        model = make_independent_target(GRID, 3, constant=True)
-        base = model.position_conditional(0).probs
-        for idx in range(1, GRID.size):
-            np.testing.assert_array_equal(model.position_conditional(idx).probs, base)
-
     def test_out_of_range(self):
         model = make_independent_target(GRID, 3)
         with pytest.raises(ValueError):
             model.position_conditional(GRID.size)
+
+
+def _constant_target(grid, seed):
+    """An IndependentPositionModel with one seeded random row at every position:
+    the one row of ``make_independent_target`` on a 1x1 grid, tiled."""
+    row = make_independent_target(GridSpec(1, 1, grid.vocab_size), seed).position_conditional(0)
+    return IndependentPositionModel(grid, np.tile(row.probs, (grid.size, 1)),
+                                    np.zeros((grid.vocab_size, 2)))
 
 
 class TestOffsetClassification:
@@ -286,7 +288,7 @@ class TestFitting:
         # signature sees every sample, so it converges tightly; rare
         # signatures only get a loose bound.
         grid = GridSpec(4, 3, 4)
-        model = make_independent_target(grid, 21, constant=True)
+        model = _constant_target(grid, 21)
         truth = model.position_conditional(0)
         heads = fit_tabular_draft_heads(model, 1, 1, 4000, 13, smoothing=0.1)
         empty_code = _signature_code(((), 0), grid.width, grid.vocab_size)
@@ -295,7 +297,7 @@ class TestFitting:
 
     def test_convergence_trend(self):
         grid = GridSpec(4, 3, 4)
-        model = make_independent_target(grid, 21, constant=True)
+        model = _constant_target(grid, 21)
         truth = model.position_conditional(0)
         errs = []
         for n in (100, 1000, 10000):
