@@ -159,8 +159,9 @@ def apply_sampling_config(dist: TokenDistribution, config: SamplingConfig) -> To
     Temperature rescales ``p_i`` to ``p_i ** (1/temperature)``, renormalized,
     in log space so that very low temperatures concentrate mass on the argmax
     instead of underflowing to zero. Below about 1e-308, where every scaled
-    log overflows to -inf, it is the T -> 0 limit: uniform over the argmax ties. Top-k keeps the k most probable tokens
-    (ties at the cutoff go to the lowest index), zeroes the rest and renormalizes.
+    log overflows to -inf, it is the T -> 0 limit: uniform over the argmax
+    ties. Top-k keeps the k most probable tokens (ties at the cutoff go to the
+    lowest index), zeroes the rest and renormalizes.
 
     The result is memoized on ``dist`` for the last config applied to it;
     a transform that returns ``dist`` itself is not memoized, so the memo
@@ -196,8 +197,9 @@ def apply_sampling_config(dist: TokenDistribution, config: SamplingConfig) -> To
     return out
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
-               dict: "an object"}
+_KIND_NAMES = {
+    int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object",
+}
 
 
 def json_value(value, name: str, kind: type, minimum=None):
