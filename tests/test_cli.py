@@ -232,9 +232,10 @@ class TestConfigLoading:
             ({**GRID_MARKOV, "constant": False}, TABULAR, "model.constant"),
             ({**GRID_MARKOV, "smoothing": 1.0}, TABULAR, "model.smoothing"),
             (GRID_MARKOV, {**FILE, "sample_count": 300}, "heads.sample_count"),
-            (GRID_MARKOV, {**FILE, "seed": 2003}, "heads.seed"),
+            (GRID_MARKOV, {**FILE, "seed": None}, "heads.seed"),  # present, even as null
             (GRID_MARKOV, {**FILE, "smoothing": 1.0}, "heads.smoothing"),
             (GRID_MARKOV, {**TABULAR, "path": "heads.json"}, "heads.path"),
+            (GRID_MARKOV, {"kind": "file", "path": "heads.json", "seed": 2003}, "heads.seed"),
         ],
     )
     def test_fields_of_another_kind_rejected(self, tmp_path, capsys, model, heads, field):
