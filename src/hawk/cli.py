@@ -67,7 +67,7 @@ from .models import (
     save_head_set,
 )
 from .oracle_metrics import empirical_joint_from_counts, enumerate_joint, joint_tv
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .verifier import chain_alphas
 
 SCHEMA_VERSION = 1
@@ -197,9 +197,12 @@ def load_run_config(
         )
     bench = _section(raw, "bench", BENCH_FIELDS, {})
 
-    seed = json_field(raw, "seed", "config", int)
+    seed = check_seed(json_field(raw, "seed", "config", int), "config.seed")
+    for key, spec in (("model", model_spec), ("heads", heads_spec)):
+        if "seed" in spec:
+            check_seed(spec["seed"], f"{key}.seed")
     if seed_override is not None:
-        seed = seed_override
+        seed = check_seed(seed_override, "--seed")
     output_dir = json_field(raw, "output_dir", "config", str, out_override)
 
     echo = {k: v for k, v in raw.items() if k != "output_dir"}

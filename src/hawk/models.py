@@ -53,7 +53,6 @@ import numpy as np
 
 from .core import (
     GridSpec,
-    StateError,
     TokenDistribution,
     json_field,
     json_value,
@@ -91,17 +90,6 @@ class TargetModel(abc.ABC):
         """
 
 
-def _cut_rows(dists: Sequence[TokenDistribution], vocab_size: int) -> list[np.ndarray]:
-    """Entry j of row i is entry i of ``dists[j]``'s sampling table, +inf past
-    its end, so the token ``dists[j]`` draws with a uniform is the count of
-    its cuts at or below it, as :func:`hawk.core.index_at` counts them."""
-    cuts = np.full((vocab_size - 1, len(dists)), np.inf)
-    for j, dist in enumerate(dists):
-        table = sampling_table(dist)
-        cuts[: len(table), j] = table
-    return list(cuts)
-
-
 class GridMarkovModel(TargetModel):
     """Toy spatial model: the conditional depends on the left and above neighbors.
 
@@ -126,8 +114,15 @@ class GridMarkovModel(TargetModel):
             for left in range(k + 1)
         ]
         # Column left * (k + 1) + above of the cuts is that row's (the
-        # boundary context is index k).
-        self._cuts = _cut_rows([dist for row in self._rows for dist in row], k)
+        # boundary context is index k): entry i of a column is entry i of
+        # the row's sampling table, +inf past its end, so the token a row
+        # draws with a uniform is the count of its cuts at or below it, as
+        # hawk.core.index_at counts them.
+        cuts = np.full((k - 1, (k + 1) ** 2), np.inf)
+        for j, dist in enumerate(dist for row in self._rows for dist in row):
+            table = sampling_table(dist)
+            cuts[: len(table), j] = table
+        self._cuts = list(cuts)
         # Position (r, c) reads (r, c - 1) and (r - 1, c), both on the
         # anti-diagonal before its own. ``sample_grid`` keeps a block's tokens
         # skewed: slot [d + 1, r + 1] holds position (r, d - r), so the left
@@ -206,47 +201,6 @@ def make_grid_markov_target(grid: GridSpec, seed: int, vertical_weight: float) -
     tables = (1.0 - w) * left_rows[:, None, :] + w * above_rows[None, :, :]
     embeddings = _random_embeddings(stream(seed, "token-embeddings"), k)
     return GridMarkovModel(grid, tables, embeddings)
-
-
-class IndependentPositionModel(TargetModel):
-    """Target whose conditional at each position ignores the prefix entirely."""
-
-    def __init__(self, grid: GridSpec, tables: np.ndarray, token_embeddings: np.ndarray) -> None:
-        tables = np.asarray(tables, dtype=np.float64)
-        if tables.shape != (grid.size, grid.vocab_size):
-            raise ValueError(
-                f"tables must have shape {(grid.size, grid.vocab_size)}, got {tables.shape}"
-            )
-        self.grid = grid
-        self.tables = tables
-        self.token_embeddings = np.asarray(token_embeddings, dtype=np.float64)
-        self._dists = [TokenDistribution(row) for row in tables]
-        self._cuts = _cut_rows(self._dists, grid.vocab_size)  # column i for position i
-
-    def position_conditional(self, index: int) -> TokenDistribution:
-        if not 0 <= index < self.grid.size:
-            raise ValueError(f"position {index} out of range [0, {self.grid.size})")
-        return self._dists[index]
-
-    def conditional(self, prefix: Sequence[int]) -> TokenDistribution:
-        if len(prefix) >= self.grid.size:
-            raise StateError("grid already complete")
-        return self._dists[len(prefix)]
-
-    def sample_grid(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        # The base class's draw, every position of the block at once.
-        uniforms = rng.random((count, self.grid.size))
-        tokens = np.zeros(uniforms.shape, dtype=np.int64)
-        for cut in self._cuts:
-            tokens += cut <= uniforms
-        return tokens
-
-
-def make_independent_target(grid: GridSpec, seed: int) -> IndependentPositionModel:
-    """Seeded prefix-independent target, one random row per position."""
-    tables = _random_rows(stream(seed, "independent-tables"), grid.size, grid.vocab_size)
-    embeddings = _random_embeddings(stream(seed, "token-embeddings"), grid.vocab_size)
-    return IndependentPositionModel(grid, tables, embeddings)
 
 
 # ---------------------------------------------------------------------------
@@ -361,27 +315,6 @@ class TabularDraftHead(DraftHead):
         return self._logs.take(_cell_index(keys, grids, self.offset))
 
 
-class ExactDraftHead(DraftHead):
-    """Head returning the target's own position conditional; all-accept oracle."""
-
-    def __init__(self, offset: int, model: IndependentPositionModel) -> None:
-        if offset < 1:
-            raise ValueError(f"offset must be >= 1, got {offset}")
-        if not isinstance(model, IndependentPositionModel):
-            raise ValueError("exact heads require a prefix-independent target model")
-        self.offset = offset
-        self._model = model
-        # The flat position-by-token log table, read at ``position * k + token``.
-        self._logs = np.log(np.maximum([dist.probs for dist in model._dists], 1e-300)).ravel()
-        self._row_starts = np.arange(offset - 1, model.grid.size) * model.grid.vocab_size
-
-    def predict(self, tokens: Sequence[int], length: int) -> TokenDistribution:
-        return self._model.position_conditional(length - 1 + self.offset)
-
-    def true_token_logs(self, keys: np.ndarray, grids: np.ndarray) -> np.ndarray:
-        return self._logs.take(self._row_starts + grids[:, self.offset - 1 :])
-
-
 def head_offsets(
     width: int, horizontal_depth: int, vertical_depth: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -418,13 +351,10 @@ class DraftHeadSet:
             raise ValueError(f"vertical offsets must be {want_v}, got {got_v}")
 
     def check_grid(self, grid: GridSpec) -> None:
-        """Raise ``ValueError`` unless the heads fit ``grid``'s width and
-        vocabulary, and exact heads were made for ``grid`` itself."""
+        """Raise ``ValueError`` unless the heads fit ``grid``'s width and vocabulary."""
         if self.width != grid.width:
             raise ValueError(f"head set width {self.width} does not match grid width {grid.width}")
         for head in self.horizontal + self.vertical:
-            if isinstance(head, ExactDraftHead) and head._model.grid != grid:
-                raise ValueError(f"exact heads are for grid {head._model.grid}, not {grid}")
             if getattr(head, "vocab_size", grid.vocab_size) != grid.vocab_size:
                 raise ValueError(
                     f"head set vocab_size does not match grid vocab_size {grid.vocab_size}"
@@ -512,25 +442,6 @@ def fit_tabular_draft_heads(
         width=width,
         horizontal=tuple(head(d) for d in horizontal),
         vertical=tuple(head(d) for d in vertical),
-    )
-
-
-def make_exact_heads(
-    model: TargetModel, horizontal_depth: int, vertical_depth: int
-) -> DraftHeadSet:
-    """Heads for depths 1..H and 1..VSD that reproduce the target's
-    conditional at their offset exactly.
-
-    Only valid for an :class:`IndependentPositionModel`, and only on its
-    grid; with these heads every verification step accepts with probability
-    one.
-    """
-    width = model.grid.width
-    horizontal, vertical = head_offsets(width, horizontal_depth, vertical_depth)
-    return DraftHeadSet(
-        width=width,
-        horizontal=tuple(ExactDraftHead(d, model) for d in horizontal),
-        vertical=tuple(ExactDraftHead(d, model) for d in vertical),
     )
 
 

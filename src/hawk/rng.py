@@ -1,9 +1,9 @@
 """Seeded, splittable random streams.
 
 Every source of randomness in the package is a numpy PCG64 generator derived
-from a 64-bit master seed plus a sequence of purpose tags. Tags are hashed
-with SHA-256 so stream derivation is stable across platforms and Python
-processes (the built-in ``hash`` is salted and would not be).
+from a master seed in [0, 2**64) plus a sequence of purpose tags. Tags are
+hashed with SHA-256 so stream derivation is stable across platforms and
+Python processes (the built-in ``hash`` is salted and would not be).
 
 Only ``Generator.random()`` is used for draws throughout the package; all
 categorical sampling goes through cumulative tables. That keeps outputs
@@ -30,9 +30,17 @@ def _tag_entropy(tag: Tag) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def check_seed(seed: int, name: str) -> int:
+    """``seed`` if it is a master seed, an integer in [0, 2**64); otherwise a
+    ``ValueError`` that names the field ``name``. Nothing is masked."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"field '{name}' must be in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def seed_sequence(master_seed: int, *tags: Tag) -> np.random.SeedSequence:
     """Deterministic seed material for (master seed, purpose tags)."""
-    entropy = [master_seed & _MASK64] + [_tag_entropy(t) for t in tags]
+    entropy = [check_seed(master_seed, "master_seed")] + [_tag_entropy(t) for t in tags]
     return np.random.SeedSequence(entropy)
 
 

@@ -7,6 +7,7 @@ fixtures.
 """
 
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import os
@@ -27,12 +28,7 @@ from hawk.engine import (
     decode_round,
     tree_widths,
 )
-from hawk.models import (
-    fit_tabular_draft_heads,
-    make_exact_heads,
-    make_grid_markov_target,
-    make_independent_target,
-)
+from hawk.models import fit_tabular_draft_heads, make_grid_markov_target
 from hawk.oracle_metrics import (
     empirical_joint_from_counts,
     enumerate_draws,
@@ -41,6 +37,7 @@ from hawk.oracle_metrics import (
 )
 from hawk.rng import derive_seed, stream
 from hawk.verifier import chain_alphas, lantern_sequential_verify, sequential_verify
+from test_models import iid_oracle
 
 # Fixed identities for the exactness runs; configs/verify_2x2.json mirrors them.
 EXACTNESS_GRID = GridSpec(2, 2, 3)
@@ -415,8 +412,7 @@ def test_criterion_6_cache_law(width, vsd, height):
     it; each vertical draft of the round's pools is computed from the prefix
     through its source, exactly depth rows above its target."""
     grid = GridSpec(width, height, 4)
-    model = make_independent_target(grid, 77)
-    heads = make_exact_heads(model, 2, vsd)
+    model, heads = iid_oracle(grid, 77, 2, vsd)
     config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=vsd)
     ctx = DecodingContext(model, heads, config, 5)
     capacity = cache_capacity(width, vsd)
@@ -452,24 +448,33 @@ def test_criterion_6_cache_law(width, vsd, height):
 
 
 def test_criterion_7_all_accept_bound():
-    """Exact heads on an independent target accept everything every round."""
+    """Heads that draft an i.i.d. target exactly accept everything every round,
+    also at temperature 1.5, where a draft left untransformed would not be
+    its target and rounds would reject."""
     h = 2
+    grids = (GridSpec(3, 3, 4), GridSpec(4, 4, 4), GridSpec(5, 3, 6))
+    transforms = (SamplingConfig(), SamplingConfig(temperature=1.5))
     checked = 0
-    for grid in (GridSpec(3, 3, 4), GridSpec(4, 4, 4)):
-        model = make_independent_target(grid, 9)
-        heads = make_exact_heads(model, h, 1)
-        config = EngineConfig(mode="hawk", horizontal_depth=h, vertical_depth=1)
-        ctx = DecodingContext(model, heads, config, 13)
+    for grid, transform in itertools.product(grids, transforms):
+        model, heads = iid_oracle(grid, 9, h, 1)
+        config = EngineConfig(mode="hawk", horizontal_depth=h, vertical_depth=1,
+                              transform=transform)
+        trace = []
+        ctx = DecodingContext(model, heads, config, 13, trace=trace)
         per_round = []
         while len(ctx.committed) < grid.size:
             frontier = len(ctx.committed)
             decode_round(ctx)
             per_round.append(len(ctx.committed) - frontier)
             assert per_round[-1] == min(h + 1, grid.size - frontier)
-        full_rounds = [c for c in per_round[:-1]]
-        assert all(c == h + 1 for c in full_rounds)
+        assert all(c == h + 1 for c in per_round[:-1])
+        # Every draft of every layer is its target, so the first candidate
+        # is accepted.
+        assert all(np.array_equal(d.probs, r.target.probs) for r in trace for d in r.drafts)
+        assert [r.accepted for r in trace] == [0] * len(trace)
         checked += 1
-    report(7, checked == 2, f"every round committed min(H+1, remaining) on {checked} grids")
+    report(7, checked == 6, f"every round committed min(H+1, remaining) on {checked} "
+                            f"grid and transform pairs")
 
 
 def test_criterion_8_lantern_non_exactness(exactness_runs):

@@ -130,6 +130,10 @@ class TestConfigLoading:
             ("heads", "smoothing", -1, "must be >= 0"),
             ("model", "vertical_weight", -0.5, "must be >= 0"),
             ("model", "vertical_weight", 1.5, "must be <= 1"),
+            ("model", "seed", -1, "must be in [0, 2**64)"),
+            ("model", "seed", 2**64, "must be in [0, 2**64)"),
+            ("heads", "seed", -1, "must be in [0, 2**64)"),
+            ("heads", "seed", 2**64, "must be in [0, 2**64)"),
         ],
     )
     def test_model_and_heads_numbers_out_of_range_rejected(
@@ -667,14 +671,25 @@ class TestExitCodes:
             ({"model": "x"}, "field 'config.model' must be an object, got 'x'"),
             ({"model": {"kind": "independent", "seed": 5}}, "unknown model.kind 'independent'"),
             ({"heads": {"kind": "exact"}}, "unknown heads.kind 'exact'"),
+            ({"seed": -1}, "field 'config.seed' must be in [0, 2**64), got -1"),
+            ({"seed": 2**64}, f"field 'config.seed' must be in [0, 2**64), got {2**64}"),
         ],
         ids=["grid", "engine", "oracle", "output_dir", "heads.path", "engine.mode", "bench",
-             "model", "model.kind", "heads.kind"],
+             "model", "model.kind", "heads.kind", "seed=-1", "seed=2**64"],
     )
     def test_mistyped_field_named_and_nothing_written(self, tmp_path, capsys, override, message):
         path = write_config(tmp_path, **override)
         assert main(["decode", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_override_refused_and_nothing_written(self, tmp_path, capsys, seed):
+        # Seeds used to be masked to 64 bits: --seed -1 wrote the outputs of
+        # --seed 18446744073709551615 under another master_seed.
+        path = write_config(tmp_path)
+        assert main(["decode", "--config", str(path), "--seed", str(seed)]) == 1
+        assert f"field '--seed' must be in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["verify", "bench"])

@@ -7,6 +7,7 @@ import itertools
 import multiprocessing
 import weakref
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,9 +49,7 @@ from hawk.models import (
     DraftHeadSet,
     TabularDraftHead,
     fit_tabular_draft_heads,
-    make_exact_heads,
     make_grid_markov_target,
-    make_independent_target,
 )
 from hawk.oracle_metrics import (
     JointTable,
@@ -66,6 +65,7 @@ from hawk.verifier import (
     chain_alphas,
     sequential_verify,
 )
+from test_models import iid_oracle
 
 # The pool law as the engine stated it before rounds were planned by
 # frontier, kept as the reference for the plans: vertical_drafts and
@@ -982,7 +982,7 @@ class TestDecodeRound:
         hawk.verifier.sequential_verify, hawk.verifier.Draws.accept,
         hawk.verifier.Draws.uniforms,
         DecodingContext.target_dist, DecodingContext.draft_dist,
-        hawk.models.TabularDraftHead.predict, hawk.models.ExactDraftHead.predict,
+        hawk.models.TabularDraftHead.predict,
     ], ids=lambda fn: fn.__qualname__)
     def test_hot_path_has_no_cells(self, fn):
         # A local that a nested function, a generator expression or (before
@@ -1022,8 +1022,7 @@ class TestDecodeRound:
 
     def test_all_accept_round_pattern(self):
         grid = GridSpec(4, 4, 4)
-        model = make_independent_target(grid, 9)
-        heads = make_exact_heads(model, 2, 1)
+        model, heads = iid_oracle(grid, 9, 2, 1)
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
         ctx = DecodingContext(model, heads, config, 1)
         while len(ctx.committed) < grid.size:
@@ -1152,16 +1151,6 @@ class TestDecodeImage:
         with pytest.raises(ValueError, match="vocab_size does not match grid vocab_size 3"):
             decode_image(model, fit_tabular_draft_heads(other_vocab, 2, 1, 20, 5), config, 3)
 
-    def test_exact_heads_of_another_grid_rejected(self):
-        # Exact heads of a 4x4 vocab-3 model used to fail mid-decode on a
-        # 4x8 grid (position 16 out of range) and on a 4x4 vocab-4 grid
-        # (length mismatch); they are refused before the first round.
-        heads = make_exact_heads(make_independent_target(GridSpec(4, 4, 3), 9), 2, 1)
-        config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
-        for grid in (GridSpec(4, 8, 3), GridSpec(4, 4, 4)):
-            with pytest.raises(ValueError, match="exact heads are for grid"):
-                decode_image(make_independent_target(grid, 9), heads, config, 3)
-
     def test_vanilla_2x2(self):
         grid = GridSpec(2, 2, 3)
         model = make_grid_markov_target(grid, 7, 0.5)
@@ -1172,8 +1161,7 @@ class TestDecodeImage:
 
     def test_exact_heads_3x3_three_rounds(self):
         grid = GridSpec(3, 3, 4)
-        model = make_independent_target(grid, 9)
-        heads = make_exact_heads(model, 2, 1)
+        model, heads = iid_oracle(grid, 9, 2, 1)
         config = EngineConfig(mode="hawk", horizontal_depth=2, vertical_depth=1)
         tokens, report = decode_image(model, heads, config, 1)
         assert report.rounds == 3
@@ -1418,9 +1406,10 @@ class TestHeadBinding:
         # head set, so a head set decoded after another of the same plan
         # shape still uses its own heads, and nothing keeps a head set alive
         # once its last batch is done.
-        with multiprocessing.get_context("spawn").Pool(2, maxtasksperchild=1) as pool:
-            fresh = dict(zip(BINDING_FIT_SEEDS,
-                             pool.map(_fresh_binding_batches, BINDING_FIT_SEEDS, chunksize=1)))
+        # A worker that cannot start breaks the pool, which fails the test.
+        with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"),
+                                 max_tasks_per_child=1) as pool:
+            fresh = dict(zip(BINDING_FIT_SEEDS, pool.map(_fresh_binding_batches, BINDING_FIT_SEEDS)))
         assert fresh[BINDING_FIT_SEEDS[0]] != fresh[BINDING_FIT_SEEDS[1]]
         cases = {fit_seed: _binding_case(fit_seed) for fit_seed in BINDING_FIT_SEEDS}
         assert len({config for _, _, config in cases.values()}) == 1  # one plan shape

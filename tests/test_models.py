@@ -15,12 +15,12 @@ from hawk.cli import build_heads, build_model, load_run_config
 from hawk.core import GridSpec, TokenDistribution, sample_index
 from hawk.models import (
     _BLOCK_GRIDS,
+    DraftHead,
     DraftHeadSet,
-    ExactDraftHead,
     GridMarkovModel,
-    IndependentPositionModel,
     TabularDraftHead,
     _code_count,
+    _random_rows,
     _sample_blocks,
     _signature_code,
     _signature_codes,
@@ -29,15 +29,31 @@ from hawk.models import (
     head_offsets,
     held_out_nll,
     load_head_set,
-    make_exact_heads,
     make_grid_markov_target,
-    make_independent_target,
     save_head_set,
 )
 from hawk.rng import stream
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID = GridSpec(4, 4, 3)
+
+
+def iid_oracle(grid, seed, horizontal_depth, vertical_depth):
+    """(target, heads) of the all-accept oracle on ``grid``.
+
+    The target is a GridMarkovModel with one seeded random row at every
+    (left, above) pair, so each token is drawn from that row whatever precedes
+    it. Every head maps every signature code to that row, so each draft is
+    bitwise equal to its target, also after a transform (both go through
+    ``apply_sampling_config``): p / q is 1.0 and every verification accepts.
+    """
+    k = grid.vocab_size
+    row = _random_rows(stream(seed, "independent-tables"), 1, k)[0]
+    model = GridMarkovModel(grid, np.tile(row, (k + 1, k + 1, 1)), np.zeros((k, 2)))
+    table = dict.fromkeys(range(_code_count(grid.width, k)), model.conditional([]))
+    heads = [tuple(TabularDraftHead(d, grid.width, k, 0.0, table) for d in offsets)
+             for offsets in head_offsets(grid.width, horizontal_depth, vertical_depth)]
+    return model, DraftHeadSet(grid.width, *heads)
 
 
 class TestGridMarkovModel:
@@ -132,15 +148,11 @@ def _scalar_sample(model, gen):
 
 
 class TestSampleGridStream:
-    @pytest.mark.parametrize("kind", ["grid_markov", "independent"])
-    def test_block_draw_is_the_scalar_chain(self, kind):
+    def test_block_draw_is_the_scalar_chain(self):
         # One call of n grids consumes exactly n * size uniforms, and every
         # token is the one the scalar chain draws.
         grid = GridSpec(16, 16, 6)
-        if kind == "grid_markov":
-            model = make_grid_markov_target(grid, 2024, 0.9)
-        else:
-            model = make_independent_target(grid, 7)
+        model = make_grid_markov_target(grid, 2024, 0.9)
         block, scalar = stream(31, "draw"), stream(31, "draw")
         for n in (5, 1, 0, 12):
             grids = model.sample_grid(block, n)
@@ -154,20 +166,17 @@ class TestSampleGridStream:
 
 @st.composite
 def sparse_models(draw):
-    """A GridMarkovModel or an IndependentPositionModel of 1-5 by 1-5 over
-    2-5 tokens whose rows have zero-probability tokens, trailing ones included."""
+    """A GridMarkovModel of 1-5 by 1-5 over 2-5 tokens whose rows have
+    zero-probability tokens, trailing ones included."""
     grid = GridSpec(draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(2, 5)))
     k = grid.vocab_size
-    markov = draw(st.booleans())
-    tables = np.zeros((k + 1, k + 1, k) if markov else (grid.size, k))
+    tables = np.zeros((k + 1, k + 1, k))
     for row in tables.reshape(-1, k):
         top = draw(st.integers(0, k - 1))
         weights = draw(st.lists(st.integers(0, 3), min_size=top, max_size=top))
         weights.append(draw(st.integers(1, 3)))
         row[: top + 1] = np.array(weights) / sum(weights)
-    if markov:
-        return GridMarkovModel(grid, tables, np.zeros((k, 2)))
-    return IndependentPositionModel(grid, tables, np.zeros((k, 2)))
+    return GridMarkovModel(grid, tables, np.zeros((k, 2)))
 
 
 class _FixedUniforms:
@@ -205,37 +214,12 @@ class TestBlockSampler:
         row = [0.5, 0.25, 0.25 - 1e-10, 0.0]
         embeddings = np.zeros((4, 2))
         uniforms = [0.0, 0.5, 0.75, 1 - 2**-53, 0.4999, 0.7500001] * 2
-        for model in (
-            GridMarkovModel(grid, np.tile(row, (5, 5, 1)), embeddings),
-            IndependentPositionModel(grid, np.tile(row, (grid.size, 1)), embeddings),
-        ):
-            grids = model.sample_grid(_FixedUniforms(uniforms), 2)
-            assert grids.tolist() == [[0, 1, 2, 2, 0, 2]] * 2
-            scalar = _FixedUniforms(uniforms)
-            want = [_scalar_sample(model, scalar) for _ in range(2)]
-            assert [tuple(g) for g in grids.tolist()] == want
-
-
-class TestIndependentModel:
-    def test_position_lookup(self):
-        model = make_independent_target(GRID, 3)
-        for idx in range(GRID.size):
-            np.testing.assert_array_equal(
-                model.conditional([0] * idx).probs, model.position_conditional(idx).probs
-            )
-
-    def test_out_of_range(self):
-        model = make_independent_target(GRID, 3)
-        with pytest.raises(ValueError):
-            model.position_conditional(GRID.size)
-
-
-def _constant_target(grid, seed):
-    """An IndependentPositionModel with one seeded random row at every position:
-    the one row of ``make_independent_target`` on a 1x1 grid, tiled."""
-    row = make_independent_target(GridSpec(1, 1, grid.vocab_size), seed).position_conditional(0)
-    return IndependentPositionModel(grid, np.tile(row.probs, (grid.size, 1)),
-                                    np.zeros((grid.vocab_size, 2)))
+        model = GridMarkovModel(grid, np.tile(row, (5, 5, 1)), embeddings)
+        grids = model.sample_grid(_FixedUniforms(uniforms), 2)
+        assert grids.tolist() == [[0, 1, 2, 2, 0, 2]] * 2
+        scalar = _FixedUniforms(uniforms)
+        want = [_scalar_sample(model, scalar) for _ in range(2)]
+        assert [tuple(g) for g in grids.tolist()] == want
 
 
 class TestOffsetClassification:
@@ -288,8 +272,8 @@ class TestFitting:
         # signature sees every sample, so it converges tightly; rare
         # signatures only get a loose bound.
         grid = GridSpec(4, 3, 4)
-        model = _constant_target(grid, 21)
-        truth = model.position_conditional(0)
+        model = iid_oracle(grid, 21, 1, 0)[0]
+        truth = model.conditional([])
         heads = fit_tabular_draft_heads(model, 1, 1, 4000, 13, smoothing=0.1)
         empty_code = _signature_code(((), 0), grid.width, grid.vocab_size)
         for head in heads.horizontal + heads.vertical:
@@ -297,8 +281,8 @@ class TestFitting:
 
     def test_convergence_trend(self):
         grid = GridSpec(4, 3, 4)
-        model = _constant_target(grid, 21)
-        truth = model.position_conditional(0)
+        model = iid_oracle(grid, 21, 1, 0)[0]
+        truth = model.conditional([])
         errs = []
         for n in (100, 1000, 10000):
             heads = fit_tabular_draft_heads(model, 1, 0, n, 13, smoothing=0.1)
@@ -332,46 +316,21 @@ class TestFitting:
         # follows it: on a whole grid, the same object as on the sliced prefix.
         model = make_grid_markov_target(GRID, 5, 0.5)
         heads = fit_tabular_draft_heads(model, 2, 1, 100, 9)
-        exact = make_exact_heads(make_independent_target(GRID, 3), 2, 1)
+        exact = iid_oracle(GRID, 3, 2, 1)[1]
         grid = model.sample_grid(stream(4, "predict"), 1)[0].tolist()
         for head in heads.horizontal + heads.vertical + exact.horizontal + exact.vertical:
             for length in range(GRID.size - head.offset + 1):
                 assert head.predict(grid, length) is head.predict(grid[:length], length)
 
 
-class TestExactHeads:
-    def test_matches_target_conditional(self):
-        model = make_independent_target(GRID, 3)
-        heads = make_exact_heads(model, 2, 1)
-        for length in range(0, GRID.size - 4):
-            prefix = [0] * length
-            np.testing.assert_array_equal(
-                heads.horizontal[0].predict(prefix, length).probs,
-                model.position_conditional(length).probs,
-            )
-            np.testing.assert_array_equal(
-                heads.vertical[0].predict(prefix, length).probs,
-                model.position_conditional(length - 1 + 4).probs,
-            )
-
-    def test_rejects_prefix_dependent_model(self):
-        model = make_grid_markov_target(GRID, 5, 0.5)
-        with pytest.raises(ValueError):
-            make_exact_heads(model, 1, 0)
-        with pytest.raises(ValueError):
-            ExactDraftHead(1, model)
-
-
 class TestHeadSetValidation:
     def test_contiguous_horizontal_required(self):
-        model = make_independent_target(GRID, 3)
-        heads = make_exact_heads(model, 2, 0)
+        heads = iid_oracle(GRID, 3, 2, 0)[1]
         with pytest.raises(ValueError):
             DraftHeadSet(width=4, horizontal=(heads.horizontal[1],))
 
     def test_vertical_offsets_checked(self):
-        model = make_independent_target(GRID, 3)
-        good = make_exact_heads(model, 1, 2)
+        good = iid_oracle(GRID, 3, 1, 2)[1]
         assert good.vertical_depth == 2
         with pytest.raises(ValueError):
             DraftHeadSet(width=4, horizontal=good.horizontal, vertical=(good.vertical[1],))
@@ -462,11 +421,19 @@ class TestTrueTokenLogs:
         shapes = [h.true_token_logs(keys, grids).shape for h in heads.horizontal + heads.vertical]
         assert shapes == [(7, 3), (7, 2), (7, 1), (7, 0), (7, 0), (7, 1), (7, 0)]
 
-    @pytest.mark.parametrize("shape", [(3, 3), (4, 1)])
-    def test_exact_heads(self, shape):
-        model = make_independent_target(GridSpec(*shape, 4), 9)
-        grids = model.sample_grid(stream(3, "scored"), 20)
-        self._assert_bitwise(make_exact_heads(model, 2, 2), grids, model.grid)
+
+class _FixedHead(DraftHead):
+    """Drafts one distribution after every prefix: an exact head for the i.i.d.
+    target whose row it is, of no serializable kind."""
+
+    def __init__(self, offset, dist):
+        self.offset, self.dist = offset, dist
+
+    def predict(self, tokens, length):
+        return self.dist
+
+    def true_token_logs(self, keys, grids):
+        return np.log(self.dist.probs)[grids[:, self.offset - 1 :]]
 
 
 class TestSerialization:
@@ -484,9 +451,10 @@ class TestSerialization:
                                                   hb.predict(prefix, len(prefix)).probs)
 
     def test_exact_heads_do_not_serialize(self, tmp_path):
-        model = make_independent_target(GRID, 3)
-        heads = make_exact_heads(model, 1, 0)
-        with pytest.raises(ValueError):
+        # Only tabular heads have a file format.
+        model = iid_oracle(GRID, 3, 1, 0)[0]
+        heads = DraftHeadSet(width=4, horizontal=(_FixedHead(1, model.conditional([])),))
+        with pytest.raises(ValueError, match="tabular heads"):
             save_head_set(heads, tmp_path / "heads.json")
 
     def test_version_check(self, tmp_path):
@@ -597,15 +565,6 @@ class TestBlockFitting:
             ref = _reference_held_out_nll(model, scored, 30, 5)
             assert got.keys() == ref.keys()
             assert all(got[key] == ref[key] for key in ref), (got, ref)
-
-    @pytest.mark.parametrize("shape", [(3, 3), (1, 4), (4, 1)])
-    def test_exact_heads_match_per_position_loop(self, shape):
-        model = make_independent_target(GridSpec(*shape, 4), 9)
-        heads = make_exact_heads(model, 2, 2)
-        got = held_out_nll(model, heads, 300, 3)
-        ref = _reference_held_out_nll(model, heads, 300, 3)
-        assert got.keys() == ref.keys()
-        assert all(got[key] == ref[key] for key in ref), (got, ref)
 
     def test_signature_codes_match_signatures(self):
         # Every prefix's code is its signature's, and predict returns the

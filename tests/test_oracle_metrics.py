@@ -9,7 +9,7 @@ import pytest
 from hawk.cli import write_csv, write_metrics_csv
 from hawk.core import GridSpec, SamplingConfig, TokenDistribution
 from hawk.engine import BatchResult
-from hawk.models import make_grid_markov_target, make_independent_target
+from hawk.models import make_grid_markov_target
 from hawk.oracle_metrics import (
     EnumeratingDraws,
     JointTable,
@@ -21,6 +21,7 @@ from hawk.oracle_metrics import (
 )
 from hawk.rng import stream
 from hawk.verifier import chain_alphas, sequential_verify
+from test_models import iid_oracle
 
 IDENTITY = SamplingConfig()
 
@@ -28,12 +29,10 @@ IDENTITY = SamplingConfig()
 class TestEnumerateJoint:
     def test_single_cell_grid(self):
         grid = GridSpec(1, 1, 4)
-        model = make_independent_target(grid, 3)
+        model = make_grid_markov_target(grid, 3, 0.5)
         joint = enumerate_joint(model, grid, IDENTITY)
         for token in range(4):
-            assert joint.probs[(token,)] == pytest.approx(
-                model.position_conditional(0).prob(token)
-            )
+            assert joint.probs[(token,)] == pytest.approx(model.conditional([]).prob(token))
 
     def test_2x2_k3_has_81_entries_summing_to_one(self):
         grid = GridSpec(2, 2, 3)
@@ -43,13 +42,18 @@ class TestEnumerateJoint:
         assert joint.total() == pytest.approx(1.0, abs=1e-9)
 
     def test_independent_model_factorizes(self):
+        # Each token's probability read straight from the table at its left
+        # and above neighbors, k at the boundary.
         grid = GridSpec(2, 2, 3)
-        model = make_independent_target(grid, 8)
+        model = iid_oracle(grid, 8, 1, 0)[0]
         joint = enumerate_joint(model, grid, IDENTITY)
+        k = grid.vocab_size
         for key, value in joint.probs.items():
             product = 1.0
             for idx, token in enumerate(key):
-                product *= model.position_conditional(idx).prob(token)
+                left = key[idx - 1] if idx % grid.width else k
+                above = key[idx - grid.width] if idx >= grid.width else k
+                product *= model.tables[left, above, token]
             assert value == pytest.approx(product, rel=1e-12)
 
     def test_agrees_with_prefix_probability_chain(self):
@@ -77,7 +81,7 @@ class TestEnumerateJoint:
 
     def test_size_bound_refused(self):
         grid = GridSpec(5, 5, 4)
-        model = make_independent_target(grid, 3)
+        model = make_grid_markov_target(grid, 3, 0.5)
         with pytest.raises(ValueError):
             enumerate_joint(model, grid, IDENTITY)
 

@@ -53,3 +53,40 @@ def test_both_callers_are_read():
     # Guards the parsers: an empty parse would pass the test above for less.
     assert {"GridSpec", "decode_image", "BatchResult"} <= _readme_names()
     assert {"decode_batch", "held_out_nll", "enumerate_joint"} <= _run_names()
+
+
+# Read only by tests: the enumerating oracle's walk over every draw outcome,
+# which the exact gates run and no command needs.
+TEST_ONLY = {"enumerate_draws"}
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The public top-level functions and classes of a module, and the public
+    methods of its classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names |= {item.name for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+    return names
+
+
+def _read(paths) -> set[str]:
+    """Every name read as a ``Name`` or as an ``Attribute``'s attribute in ``paths``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_no_code_only_tests_read():
+    sources = sorted((ROOT / "src" / "hawk").glob("*.py"))
+    defined = set().union(*(_defined(ast.parse(p.read_text(encoding="utf-8"))) for p in sources))
+    callers = [*sources, *(ROOT / "perfbench").glob("*.py"), *(ROOT / "tools").glob("*.py")]
+    assert defined - _read(callers) == TEST_ONLY
