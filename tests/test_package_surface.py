@@ -4,6 +4,8 @@ Those callers are the README's Library use example, which imports from
 ``hawk``, and ``perfbench/run.py``, which reaches the package as
 ``hawk.<name>``. Every other name is imported from its module, so a
 re-export that comes back, or a documented name that goes, fails here.
+So does a public function, class or method of ``src/hawk`` that nothing in
+the package, ``perfbench`` or ``tools`` reads, since only tests would.
 """
 
 import ast
