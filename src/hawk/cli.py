@@ -10,8 +10,8 @@ command computes only the one it writes.
 
 Configs are strict JSON: a schema_version field, fixed sections, and
 unknown keys are errors so typos in experiment files cannot pass silently.
-Each field is read once, by ``hawk.core.json_field`` (the reader heads
-files use too), into the values the builders pass on. Numbers are
+Each field is read once, by ``hawk.core.json_field``, into the values the
+builders pass on. Numbers are
 range-checked as the config is read, so a bad one is refused under its
 config name before anything is built, whether or not the command would build it.
 All randomness flows from the config's single master seed; subcommands
@@ -23,8 +23,8 @@ refused run leaves nothing behind. Rerunning with an identical manifest
 reproduces the outputs byte for byte (wall-clock timings are printed, never
 written to CSV).
 
-Exit codes: 0 success, 1 validation error, 2 runtime error, 3 verification
-criteria failed.
+Exit codes: 0 success, 1 validation error (malformed arguments included),
+2 runtime error, 3 verification criteria failed.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .models import (
     TargetModel,
     fit_tabular_draft_heads,
     held_out_nll,
-    load_head_set,
     make_grid_markov_target,
     save_head_set,
 )
@@ -80,10 +79,13 @@ TRACE_COLUMNS = ("round", "frontier_index", "depth", "source", "alpha", "accepte
 ACCEPTANCE_COLUMNS = ("mode", "region", "depth", "reached", "accepted", "first_alpha",
                       "layer_acceptance", "bound", "kept_width", "pool_length")
 
-# The fields each section reads, as (JSON kind, default[, minimum]); a field
-# without a default is required, and a key no field names is an error. The
-# grid and engine numbers take their minimums, and the engine numbers their
-# defaults, from the classes that enforce them.
+# The keys of a config's top level, and the fields each section reads, as
+# (JSON kind, default[, minimum]); a field without a default is required, and
+# a key no field names is an error. The grid and engine numbers take their
+# minimums, and the engine numbers their defaults, from the classes that
+# enforce them.
+CONFIG_KEYS = {"schema_version", "seed", "output_dir", "grid", "model", "heads", "engine",
+               "oracle", "bench"}
 GRID_FIELDS = {name: (int, None, minimum) for name, minimum in GRID_MINIMUMS.items()}
 ENGINE_FIELDS = {
     "mode": (str, None),
@@ -94,12 +96,11 @@ ENGINE_FIELDS = {
 ENGINE_KEYS = {"top_k", *ENGINE_FIELDS}  # top_k is "all" or an integer
 ORACLE_FIELDS = {"decode_count": (int, 20000, 1), "tolerance_factor": (float, 3.0)}
 BENCH_FIELDS = {"images": (int, 4, 1)}
-# The same for each model and heads kind; a field of another kind is an error.
+# The same for each model and heads kind.
 MODEL_FIELDS = {"grid_markov": {"seed": (int, None), "vertical_weight": (float, None, 0)}}
 HEADS_FIELDS = {
     "tabular": {"sample_count": (int, None, 1), "seed": (int, None),
                 "smoothing": (float, 0.5, 0)},
-    "file": {"path": (str, None)},
 }
 
 
@@ -132,15 +133,12 @@ def _section(raw: dict, key: str, fields: dict, default: Optional[dict] = None) 
 
 def _kind(raw: dict, key: str, fields: dict[str, dict]) -> dict:
     """Kinded config section ``key``: its ``kind`` and the fields that kind
-    reads, each read once, after rejecting unknown keys and keys of other kinds."""
+    reads, each read once, after rejecting unknown keys."""
     section = json_field(raw, key, "config", dict)
     _check_keys(section, {"kind"}.union(*fields.values()), key)
     kind = json_field(section, "kind", key, str)
     if kind not in fields:
         raise ValueError(f"unknown {key}.kind {kind!r}")
-    extra = sorted(set(section) - {"kind"} - set(fields[kind]))
-    if extra:
-        raise ValueError(f"field '{key}.{extra[0]}' does not apply to {key}.kind {kind!r}")
     read = {name: json_field(section, name, key, *spec) for name, spec in fields[kind].items()}
     return {"kind": kind, **read}
 
@@ -149,10 +147,13 @@ def _parse_engine(raw: dict) -> EngineConfig:
     section = json_field(raw, "engine", "config", dict)
     _check_keys(section, ENGINE_KEYS, "engine")
     read = {key: json_field(section, key, "engine", *spec) for key, spec in ENGINE_FIELDS.items()}
+    temperature = read.pop("temperature")
+    if temperature <= 0:
+        raise ValueError(f"field 'engine.temperature' must be > 0, got {temperature}")
     top_k = section.get("top_k", "all")
     transform = SamplingConfig(
-        top_k=top_k if top_k == "all" else json_field(section, "top_k", "engine", int),
-        temperature=read.pop("temperature"),
+        top_k=top_k if top_k == "all" else json_field(section, "top_k", "engine", int, None, 1),
+        temperature=temperature,
     )
     return EngineConfig(transform=transform, **read)
 
@@ -172,12 +173,7 @@ def load_run_config(
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config root must be a JSON object")
-    _check_keys(
-        raw,
-        {"schema_version", "seed", "output_dir", "grid", "model", "heads", "engine",
-         "oracle", "bench"},
-        "config",
-    )
+    _check_keys(raw, CONFIG_KEYS, "config")
     version = json_field(raw, "schema_version", "config", int)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema_version {version!r}")
@@ -228,22 +224,9 @@ def build_model(config: RunConfig) -> TargetModel:
 
 
 def build_heads(config: RunConfig, model: TargetModel) -> DraftHeadSet:
-    spec = config.heads_spec
-    engine = config.engine
-    if spec["kind"] == "tabular":
-        return fit_tabular_draft_heads(
-            model,
-            engine.horizontal_depth,
-            engine.vertical_depth,
-            spec["sample_count"],
-            spec["seed"],
-            spec["smoothing"],
-        )
-    heads = load_head_set(spec["path"])
-    # The engine makes the same check; making it here too lets verify and
-    # bench refuse the file before their vanilla decodes.
-    heads.check_grid(config.grid)
-    return heads
+    spec, engine = config.heads_spec, config.engine
+    return fit_tabular_draft_heads(model, engine.horizontal_depth, engine.vertical_depth,
+                                   spec["sample_count"], spec["seed"], spec["smoothing"])
 
 
 def _fmt(value: object) -> str:
@@ -475,8 +458,6 @@ def cmd_bench(config: RunConfig) -> int:
 
 
 def cmd_fit(config: RunConfig) -> int:
-    if config.heads_spec["kind"] != "tabular":
-        raise ValueError("fit requires heads.kind == 'tabular'")
     model = build_model(config)
     started = time.perf_counter()
     heads = build_heads(config, model)
@@ -521,7 +502,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="override the output directory")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
 
     try:
         config = load_run_config(args.config, seed_override=args.seed, out_override=args.out)

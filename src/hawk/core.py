@@ -5,8 +5,8 @@ probability vectors around; this module owns their representation, the
 sampling transforms (temperature, top-k) that define effective target and
 draft distributions, and the shape of 2-D token grids. It also holds the
 one reader of JSON fields (:func:`json_value`, :func:`json_field`) that run
-configs and heads files share, so both refuse the same values with the same
-message and coerce nothing.
+configs and the library constructors share, so both refuse the same values
+with the same message and coerce nothing.
 
 All types here are immutable values and all functions are pure, so they are
 safe to share across threads or worker processes. A distribution lazily
@@ -198,7 +198,7 @@ def apply_sampling_config(dist: TokenDistribution, config: SamplingConfig) -> To
 
 
 _KIND_NAMES = {
-    int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object",
+    int: "an integer", float: "a number", str: "a string", dict: "an object",
 }
 
 
@@ -223,11 +223,8 @@ def json_value(value, name: str, kind: type, minimum=None):
 
 
 def json_field(obj, key: str, where: str, kind: type, default=None, minimum=None):
-    """Field ``key`` of the JSON object ``obj``, read by :func:`json_value`.
-
-    The field is named ``<where>.<key>``, or ``key`` when ``where`` is empty.
-    An absent field reads as ``default``, so a field without one is
-    required; so is every field of an ``obj`` that is no object.
+    """Field ``key`` of the JSON object ``obj``, read by :func:`json_value`
+    and named ``<where>.<key>``. An absent field reads as ``default``, so a
+    field without one is required.
     """
-    value = obj.get(key, default) if isinstance(obj, dict) else None
-    return json_value(value, f"{where}.{key}" if where else key, kind, minimum)
+    return json_value(obj.get(key, default), f"{where}.{key}", kind, minimum)

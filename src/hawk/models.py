@@ -34,7 +34,8 @@ once as the flat code-by-token array of ``width * (k + 1)**2 * k`` logs
 (each probability floored at 1e-300) that scoring reads, and once as a
 code-ordered list of rows, the uniform fallback at codes that fitting never
 saw, which ``predict`` indexes with the code of its prefix. Only the heads
-file spells a signature out, as a context and a column.
+file that ``save_head_set`` writes spells a signature out, as a context and
+a column.
 
 Models and head sets are immutable after construction, so concurrent readers
 are safe. Fitting is single-threaded per call; independent fits can run in
@@ -47,14 +48,13 @@ import abc
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .core import (
     GridSpec,
     TokenDistribution,
-    json_field,
     json_value,
     sampling_table,
 )
@@ -232,21 +232,6 @@ class DraftHead(abc.ABC):
 
 def _code_count(width: int, vocab_size: int) -> int:
     return width * (vocab_size + 1) ** 2
-
-
-def _signature_code(
-    signature: tuple[tuple[int, ...], int], width: int, vocab_size: int
-) -> Optional[int]:
-    """Code of ``signature`` (see the module docstring); None if no prefix of
-    a grid of this width and vocabulary has it: too long a context, a token
-    or column out of range, or a shorter context off its prefix's column."""
-    ctx, column = signature
-    k = vocab_size
-    if (not 0 <= column < width or len(ctx) > 2 or not all(0 <= t < k for t in ctx)
-            or len(ctx) < 2 and column != len(ctx) % width):
-        return None
-    a, b = (k, k, *ctx)[-2:]
-    return (column * (k + 1) + a) * (k + 1) + b
 
 
 def _signature_of(code: int, vocab_size: int) -> tuple[tuple[int, ...], int]:
@@ -485,9 +470,10 @@ def held_out_nll(
 # Serialization
 # ---------------------------------------------------------------------------
 #
-# Tabular head sets are saved as versioned JSON with fixed field names. Floats are written with Python's
-# repr, which round-trips binary64 exactly, so a load reproduces the stored
-# decimal representations bit for bit.
+# Tabular head sets are saved as versioned JSON with fixed field names, for
+# reading outside hawk: hawk reads no heads file, since the tabular spec that
+# a fit's manifest echoes rebuilds it. Floats are written with Python's repr,
+# which round-trips binary64, so each probability is stored exactly.
 
 
 def _head_to_json(head: DraftHead) -> dict:
@@ -505,32 +491,6 @@ def _head_to_json(head: DraftHead) -> dict:
     }
 
 
-def _head_from_json(obj: dict, where: str, width: int, vocab_size: int) -> TabularDraftHead:
-    table: dict[int, TokenDistribution] = {}
-    for i, entry in enumerate(json_field(obj, "entries", where, list)):
-        at = f"{where}.entries[{i}]"
-        context = json_field(entry, "context", at, list)
-        probs = json_field(entry, "probs", at, list)
-        if len(probs) != vocab_size:
-            raise ValueError(f"field '{at}.probs' must have {vocab_size} entries, got {len(probs)}")
-        ctx = tuple(json_value(t, f"{at}.context[{j}]", int) for j, t in enumerate(context))
-        column = json_field(entry, "column", at, int)
-        code = _signature_code((ctx, column), width, vocab_size)
-        if code is None:
-            raise ValueError(
-                f"head set entry '{at}' has context {list(ctx)} at column {column}, "
-                f"which no prefix of a width-{width}, vocab-{vocab_size} grid has"
-            )
-        if code in table:
-            raise ValueError(f"head set entry '{at}' repeats an earlier entry's signature")
-        table[code] = TokenDistribution(
-            [json_value(p, f"{at}.probs[{j}]", float) for j, p in enumerate(probs)]
-        )
-    smoothing = json_field(obj, "smoothing", where, float, minimum=0)
-    offset = json_field(obj, "offset", where, int, minimum=1)
-    return TabularDraftHead(offset, width, vocab_size, smoothing, table)
-
-
 def save_head_set(heads: DraftHeadSet, path: Union[str, Path]) -> None:
     vocab_sizes = {h.vocab_size for h in heads.horizontal + heads.vertical
                    if isinstance(h, TabularDraftHead)}
@@ -546,36 +506,3 @@ def save_head_set(heads: DraftHeadSet, path: Union[str, Path]) -> None:
     }
     with open(path, "w", encoding="utf-8") as out:
         json.dump(payload, out, indent=1, allow_nan=False)
-
-
-def load_head_set(path: Union[str, Path]) -> DraftHeadSet:
-    """Read a head set written by :func:`save_head_set`.
-
-    The file is outside input: a file that cannot be read or is not JSON, a
-    missing field or one of the wrong JSON type (numbers must be finite,
-    ``smoothing`` at least 0, ``offset`` at least 1) raises a ``ValueError``
-    that names it, and nothing is coerced. So does an entry whose signature
-    repeats an earlier one's or that no prefix of a grid of the file's width
-    and vocabulary can have.
-    """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"cannot read head set {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"head set {path} is not valid JSON: {exc}") from exc
-    version = json_field(payload, "format_version", "", int)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported head set format_version {version!r}")
-    if payload.get("kind") != "tabular_heads":
-        raise ValueError(f"unknown head set kind {payload.get('kind')!r}")
-    width = json_field(payload, "width", "", int, minimum=1)
-    vocab_size = json_field(payload, "vocab_size", "", int, minimum=2)
-    horizontal, vertical = (
-        tuple(
-            _head_from_json(obj, f"{direction}[{i}]", width, vocab_size)
-            for i, obj in enumerate(json_field(payload, direction, "", list))
-        )
-        for direction in ("horizontal", "vertical")
-    )
-    return DraftHeadSet(width=width, horizontal=horizontal, vertical=vertical)

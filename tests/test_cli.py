@@ -8,7 +8,6 @@ import re
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hawk.cli
@@ -17,14 +16,13 @@ from hawk.cli import (
 )
 from hawk.core import GridSpec, SamplingConfig
 from hawk.engine import DecodingContext, EngineConfig, decode_batch
-from hawk.models import fit_tabular_draft_heads, load_head_set, make_grid_markov_target
+from hawk.models import fit_tabular_draft_heads, make_grid_markov_target
 from hawk.rng import derive_seed
 
 ROOT = Path(__file__).resolve().parent.parent
 
 GRID_MARKOV = {"kind": "grid_markov", "seed": 1009, "vertical_weight": 0.9}
 TABULAR = {"kind": "tabular", "sample_count": 300, "seed": 2003, "smoothing": 1.0}
-FILE = {"kind": "file", "path": "heads.json"}
 
 
 def write_config(tmp_path, **overrides):
@@ -134,6 +132,9 @@ class TestConfigLoading:
             ("model", "seed", 2**64, "must be in [0, 2**64)"),
             ("heads", "seed", -1, "must be in [0, 2**64)"),
             ("heads", "seed", 2**64, "must be in [0, 2**64)"),
+            # The transform's numbers, refused under their config names too.
+            ("engine", "top_k", 0, "must be >= 1"),
+            ("engine", "temperature", 0.0, "must be > 0"),
         ],
     )
     def test_model_and_heads_numbers_out_of_range_rejected(
@@ -141,8 +142,9 @@ class TestConfigLoading:
     ):
         # Refused by the reader under the config's own key, so also by a
         # vanilla decode, which builds no heads.
-        path = write_config(tmp_path, engine={"mode": "vanilla", "vertical_depth": 0},
-                            **{section: {key: value}})
+        overrides = {"engine": {"mode": "vanilla", "vertical_depth": 0}}
+        overrides[section] = {**overrides.get(section, {}), key: value}
+        path = write_config(tmp_path, **overrides)
         assert main(["decode", "--config", str(path)]) == 1
         assert f"field '{section}.{key}' {refusal}, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -231,25 +233,27 @@ class TestConfigLoading:
         assert f"{section}.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "model, heads, field",
+        "model, heads, refusal",
         [
-            ({**GRID_MARKOV, "constant": False}, TABULAR, "model.constant"),
-            ({**GRID_MARKOV, "smoothing": 1.0}, TABULAR, "model.smoothing"),
-            (GRID_MARKOV, {**FILE, "sample_count": 300}, "heads.sample_count"),
-            (GRID_MARKOV, {**FILE, "seed": None}, "heads.seed"),  # present, even as null
-            (GRID_MARKOV, {**FILE, "smoothing": 1.0}, "heads.smoothing"),
-            (GRID_MARKOV, {**TABULAR, "path": "heads.json"}, "heads.path"),
-            (GRID_MARKOV, {"kind": "file", "path": "heads.json", "seed": 2003}, "heads.seed"),
+            ({**GRID_MARKOV, "constant": False}, TABULAR, "unknown config key 'model.constant'"),
+            ({**GRID_MARKOV, "smoothing": 1.0}, TABULAR, "unknown config key 'model.smoothing'"),
+            (GRID_MARKOV, {"kind": "file", "sample_count": 300}, "unknown heads.kind 'file'"),
+            (GRID_MARKOV, {"kind": "file", "seed": None}, "unknown heads.kind 'file'"),
+            (GRID_MARKOV, {"kind": "file", "smoothing": 1.0}, "unknown heads.kind 'file'"),
+            (GRID_MARKOV, {**TABULAR, "path": "heads.json"}, "unknown config key 'heads.path'"),
+            (GRID_MARKOV, {"kind": "file", "path": "heads.json", "seed": 2003},
+             "unknown config key 'heads.path'"),
         ],
+        ids=["model.constant", "model.smoothing", "file+sample_count", "file+seed",
+             "file+smoothing", "tabular+path", "file+path+seed"],
     )
-    def test_fields_of_another_kind_rejected(self, tmp_path, capsys, model, heads, field):
-        # grid_markov is the one model kind, so a model key it does not read
-        # is unknown.
+    def test_fields_of_another_kind_rejected(self, tmp_path, capsys, model, heads, refusal):
+        # grid_markov and tabular are the one model and heads kinds: a key
+        # neither reads is unknown, and so is the removed heads kind "file".
         path = write_config(tmp_path, model=model, heads=heads)
         assert main(["decode", "--config", str(path)]) == 1
-        refusal = (f"unknown config key '{field}'" if field.startswith("model.")
-                   else f"'{field}' does not apply")
         assert refusal in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_no_horizontal_candidates_rejected_before_fitting(
         self, tmp_path, capsys, monkeypatch
@@ -335,111 +339,6 @@ class TestBuilders:
         heads = build_heads(config, model)
         assert heads.horizontal_depth == 2
         assert heads.vertical_depth == 1
-
-
-
-DELETE = object()
-
-
-def _edit_heads(payload, path, value):
-    """Set (or, for ``DELETE``, delete) the field at a dotted path such as ``vertical.0.offset``."""
-    *parents, last = (int(key) if key.isdigit() else key for key in path.split("."))
-    for key in parents:
-        payload = payload[key]
-    if value is DELETE:
-        del payload[last]
-    else:
-        payload[last] = value
-
-
-class TestHeadsFile:
-    @pytest.fixture
-    def heads_path(self, tmp_path):
-        assert main(["fit", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)]) == 0
-        return tmp_path / "heads.json"
-
-    def test_saved_heads_decode(self, tmp_path, heads_path):
-        path = write_config(tmp_path, heads={"kind": "file", "path": str(heads_path)})
-        assert main(["decode", "--config", str(path)]) == 0
-
-    @pytest.mark.parametrize(
-        "field, value, named",
-        [
-            ("width", "2", "'width' must be an integer"),
-            ("vocab_size", 3.0, "'vocab_size' must be an integer"),
-            ("horizontal.0.offset", 1.7, "'horizontal[0].offset' must be an integer"),
-            ("vertical.0.smoothing", "1.0", "'vertical[0].smoothing' must be a number"),
-            ("horizontal.1.entries.0.column", True, "'horizontal[1].entries[0].column'"),
-            ("vertical.0.entries.1.context.0", 0.5, "'vertical[0].entries[1].context[0]'"),
-            ("horizontal.0.entries.0.probs.0", None, "'horizontal[0].entries[0].probs[0]'"),
-            ("horizontal.0.entries.0.probs.1", "0.5", "'horizontal[0].entries[0].probs[1]'"),
-            ("vertical.0.entries.0.probs.2", float("nan"),
-             "'vertical[0].entries[0].probs[2]' must be a number, got nan"),
-            ("width", DELETE, "'width' must be an integer, got None"),
-            ("vertical", DELETE, "'vertical' must be a list"),
-            ("horizontal.0.entries.0.probs", DELETE, "'horizontal[0].entries[0].probs'"),
-            ("horizontal.0.entries.0.probs", [0.5, 0.5], "'horizontal[0].entries[0].probs'"),
-            # Signatures that no prefix of the 2-wide, vocab-3 grid has, and
-            # a repeated one (entry 0 is ((), 0), entry 1 ((0, 0), 0)).
-            ("horizontal.0.entries.1.context", [0, 0, 0], "'horizontal[0].entries[1]' has"),
-            ("horizontal.0.entries.1.context.1", 3, "'horizontal[0].entries[1]' has"),
-            ("vertical.0.entries.1.column", 2, "'vertical[0].entries[1]' has"),
-            ("horizontal.1.entries.0.column", 1, "'horizontal[1].entries[0]' has"),
-            ("horizontal.0.entries.0.context", [0], "'horizontal[0].entries[0]' has"),
-            ("horizontal.0.entries.1.context", [], "'horizontal[0].entries[1]' repeats"),
-            # Sizes no grid has.
-            ("width", -2, "'width' must be >= 1, got -2"),
-            ("width", 0, "'width' must be >= 1, got 0"),
-            ("vocab_size", 1, "'vocab_size' must be >= 2, got 1"),
-            # Numbers that are not finite, and a smoothing below 0.
-            ("vertical.0.smoothing", float("nan"), "'vertical[0].smoothing' must be a number"),
-            ("horizontal.1.smoothing", float("-inf"),
-             "'horizontal[1].smoothing' must be a number, got -inf"),
-            ("horizontal.0.smoothing", -5.0, "'horizontal[0].smoothing' must be >= 0, got -5.0"),
-            ("horizontal.0.offset", 0, "'horizontal[0].offset' must be >= 1, got 0"),
-        ],
-    )
-    def test_malformed_fields_named(self, tmp_path, capsys, heads_path, field, value, named):
-        payload = json.loads(heads_path.read_text())
-        _edit_heads(payload, field, value)
-        heads_path.write_text(json.dumps(payload))
-        path = write_config(tmp_path, heads={"kind": "file", "path": str(heads_path)})
-        assert main(["decode", "--config", str(path)]) == 1
-        assert named in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_unreadable_file_is_validation_error(self, tmp_path, capsys):
-        missing = tmp_path / "absent.json"
-        garbled = tmp_path / "garbled.json"
-        garbled.write_text("not json")
-        for heads, named in ((missing, f"cannot read head set {missing}"),
-                             (garbled, f"head set {garbled} is not valid JSON: Expecting value")):
-            path = write_config(tmp_path, heads={"kind": "file", "path": str(heads)})
-            assert main(["decode", "--config", str(path)]) == 1
-            assert named in capsys.readouterr().err
-            assert not (tmp_path / "out").exists()
-
-    def test_vocab_size_must_match_grid(self, tmp_path, capsys, heads_path):
-        path = write_config(
-            tmp_path, grid={"width": 2, "height": 2, "vocab_size": 4},
-            heads={"kind": "file", "path": str(heads_path)},
-        )
-        assert main(["decode", "--config", str(path)]) == 1
-        assert "head set vocab_size does not match grid vocab_size 4" in capsys.readouterr().err
-
-    def test_width_must_match_grid(self, tmp_path, capsys, heads_path, monkeypatch):
-        path = write_config(
-            tmp_path, grid={"width": 4, "height": 2, "vocab_size": 3},
-            heads={"kind": "file", "path": str(heads_path)},
-        )
-        assert main(["decode", "--config", str(path)]) == 1
-        assert "head set width 2 does not match grid width 4" in capsys.readouterr().err
-        decoded = []
-        monkeypatch.setattr(hawk.cli, "decode_batch", lambda *args: decoded.append(args))
-        for command in ("verify", "bench"):
-            assert main([command, "--config", str(path)]) == 1
-            assert "head set width 2 does not match grid width 4" in capsys.readouterr().err
-        assert decoded == []  # refused before the vanilla decodes
 
 
 def _read_acceptance(out_dir):
@@ -626,24 +525,13 @@ class TestFitCommand:
         assert "held_out_nll" in printed
         assert re.search(r"^fit_s=\d+\.\d{3} holdout_s=\d+\.\d{3}$", printed, re.M)
 
-        config = load_run_config(path)
-        model = build_model(config)
-        expected = build_heads(config, model)
-        loaded = load_head_set(out_dir / "heads.json")
-        probes = [[], [1], [0, 2], [1, 1, 0, 2]]
-        for direction in ("horizontal", "vertical"):
-            for ha, hb in zip(getattr(expected, direction), getattr(loaded, direction)):
-                for prefix in probes:
-                    np.testing.assert_array_equal(
-                        ha.predict(prefix, len(prefix)).probs,
-                        hb.predict(prefix, len(prefix)).probs,
-                    )
-
-    def test_fit_requires_tabular(self, tmp_path, capsys):
-        path = write_config(tmp_path, heads=FILE)
-        assert main(["fit", "--config", str(path)]) == 1
-        assert "fit requires heads.kind == 'tabular'" in capsys.readouterr().err
-
+        # The tabular spec that the manifest echoes rebuilds heads.json byte
+        # for byte.
+        echo = json.loads((out_dir / "manifest.json").read_text())["config"]
+        again = tmp_path / "again"
+        (tmp_path / "echo.json").write_text(json.dumps({**echo, "output_dir": str(again)}))
+        assert main(["fit", "--config", str(tmp_path / "echo.json")]) == 0
+        assert (again / "heads.json").read_bytes() == (out_dir / "heads.json").read_bytes()
 
 class TestExitCodes:
     def test_missing_config_is_validation_error(self, tmp_path):
@@ -659,13 +547,31 @@ class TestExitCodes:
         assert main(["decode", "--config", str(path)]) == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [["decode", "--config", "CONFIG", "--seed", "abc"], ["decode"],
+         ["nosuch", "--config", "CONFIG"]],
+        ids=["seed=abc", "no-config", "no-such-command"],
+    )
+    def test_malformed_arguments_are_validation_errors(self, tmp_path, capsys, argv):
+        # argparse's own usage errors exit 2, the runtime-error code.
+        path = str(write_config(tmp_path))
+        assert main([path if arg == "CONFIG" else arg for arg in argv]) == 1
+        assert "usage: hawk" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["decode", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage: hawk" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "override, message",
         [
             ({"grid": 5}, "field 'config.grid' must be an object, got 5"),
             ({"engine": 5}, "field 'config.engine' must be an object, got 5"),
             ({"oracle": 5}, "field 'config.oracle' must be an object, got 5"),
             ({"output_dir": 5}, "field 'config.output_dir' must be a string, got 5"),
-            ({"heads": {"kind": "file", "path": 5}}, "field 'heads.path' must be a string, got 5"),
+            ({"heads": {"kind": "file"}}, "unknown heads.kind 'file'"),
             ({"engine": {"mode": 3}}, "field 'engine.mode' must be a string, got 3"),
             ({"bench": [1]}, "field 'config.bench' must be an object, got [1]"),
             ({"model": "x"}, "field 'config.model' must be an object, got 'x'"),
@@ -674,7 +580,7 @@ class TestExitCodes:
             ({"seed": -1}, "field 'config.seed' must be in [0, 2**64), got -1"),
             ({"seed": 2**64}, f"field 'config.seed' must be in [0, 2**64), got {2**64}"),
         ],
-        ids=["grid", "engine", "oracle", "output_dir", "heads.path", "engine.mode", "bench",
+        ids=["grid", "engine", "oracle", "output_dir", "heads.kind=file", "engine.mode", "bench",
              "model", "model.kind", "heads.kind", "seed=-1", "seed=2**64"],
     )
     def test_mistyped_field_named_and_nothing_written(self, tmp_path, capsys, override, message):
@@ -754,6 +660,28 @@ class TestShippedConfigs:
         quoted = set(re.findall(r'"(\w+)"', " ".join(re.findall(r"//.*", block))))
         kinds = {**hawk.cli.MODEL_FIELDS, **hawk.cli.HEADS_FIELDS}
         assert quoted and quoted <= set(kinds).union(*kinds.values())
+
+    def test_every_config_knob_is_set_by_a_shipped_config(self):
+        # A key, field or kind that the parser accepts but no shipped or
+        # benchmark config sets has no caller: ship a config that sets it, or
+        # delete it.
+        used = set()
+        for path in sorted(ROOT.glob("configs/*.json")) + sorted(
+                ROOT.glob("perfbench/configs/*.json")):
+            raw = json.loads(path.read_text(encoding="utf-8"))
+            used |= set(raw)
+            for key in ("grid", "engine", "oracle", "bench", "model", "heads"):
+                used |= {f"{key}.{name}" for name in raw.get(key, {}) if name != "kind"}
+            used |= {f'{key}.kind "{raw[key]["kind"]}"' for key in ("model", "heads")}
+        cli = hawk.cli
+        accepted = set(cli.CONFIG_KEYS)
+        for key, fields in (("grid", cli.GRID_FIELDS), ("engine", cli.ENGINE_KEYS),
+                            ("oracle", cli.ORACLE_FIELDS), ("bench", cli.BENCH_FIELDS)):
+            accepted |= {f"{key}.{name}" for name in fields}
+        for key, kinds in (("model", cli.MODEL_FIELDS), ("heads", cli.HEADS_FIELDS)):
+            for kind, fields in kinds.items():
+                accepted |= {f'{key}.kind "{kind}"', *(f"{key}.{name}" for name in fields)}
+        assert sorted(accepted - used) == []
 
     def test_readme_output_schemas_match_columns(self):
         # Each row of the README's output-schema table spells out the column

@@ -1,4 +1,4 @@
-"""Target models, draft-head fitting, and serialization round trips."""
+"""Target models, draft-head fitting, and the saved heads file."""
 
 import itertools
 import json
@@ -22,13 +22,11 @@ from hawk.models import (
     _code_count,
     _random_rows,
     _sample_blocks,
-    _signature_code,
     _signature_codes,
     _signature_of,
     fit_tabular_draft_heads,
     head_offsets,
     held_out_nll,
-    load_head_set,
     make_grid_markov_target,
     save_head_set,
 )
@@ -275,7 +273,8 @@ class TestFitting:
         model = iid_oracle(grid, 21, 1, 0)[0]
         truth = model.conditional([])
         heads = fit_tabular_draft_heads(model, 1, 1, 4000, 13, smoothing=0.1)
-        empty_code = _signature_code(((), 0), grid.width, grid.vocab_size)
+        empty_code = _signature_codes(np.zeros((1, 1), dtype=np.int64), grid.width,
+                                      grid.vocab_size)[0, 0]
         for head in heads.horizontal + heads.vertical:
             assert 0.5 * np.abs(head.table[empty_code].probs - truth.probs).sum() < 0.05
 
@@ -437,18 +436,30 @@ class _FixedHead(DraftHead):
 
 
 class TestSerialization:
-    def test_head_set_round_trip_identical_predictions(self, tmp_path):
+    def test_saved_entries_are_the_table_bit_for_bit(self, tmp_path):
+        # Each head's entries, sorted by (column, context), spell out each
+        # table code's signature once, with its row's floats exactly: repr
+        # round-trips binary64.
         model = make_grid_markov_target(GRID, 5, 0.5)
         heads = fit_tabular_draft_heads(model, 2, 1, 80, 9)
         path = tmp_path / "heads.json"
         save_head_set(heads, path)
-        loaded = load_head_set(path)
-        probes = [[], [1], [2, 0], [0, 1, 2, 1, 0]]
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        header = {key: payload[key] for key in ("format_version", "kind", "width", "vocab_size")}
+        assert header == {"format_version": 1, "kind": "tabular_heads", "width": 4, "vocab_size": 3}
         for direction in ("horizontal", "vertical"):
-            for ha, hb in zip(getattr(heads, direction), getattr(loaded, direction)):
-                for prefix in probes:
-                    np.testing.assert_array_equal(ha.predict(prefix, len(prefix)).probs,
-                                                  hb.predict(prefix, len(prefix)).probs)
+            saved = payload[direction]
+            assert len(saved) == len(getattr(heads, direction))
+            for head, obj in zip(getattr(heads, direction), saved):
+                assert (obj["offset"], obj["smoothing"]) == (head.offset, head.smoothing)
+                codes = {_signature_of(code, 3): code for code in head.table}
+                assert len(codes) == len(head.table)
+                signatures = [(tuple(entry["context"]), entry["column"])
+                              for entry in obj["entries"]]
+                assert signatures == sorted(signatures, key=lambda sig: (sig[1], sig[0]))
+                assert sorted(signatures) == sorted(codes)
+                for sig, entry in zip(signatures, obj["entries"]):
+                    assert entry["probs"] == head.table[codes[sig]].probs.tolist()
 
     def test_exact_heads_do_not_serialize(self, tmp_path):
         # Only tabular heads have a file format.
@@ -456,18 +467,6 @@ class TestSerialization:
         heads = DraftHeadSet(width=4, horizontal=(_FixedHead(1, model.conditional([])),))
         with pytest.raises(ValueError, match="tabular heads"):
             save_head_set(heads, tmp_path / "heads.json")
-
-    def test_version_check(self, tmp_path):
-        model = make_grid_markov_target(GRID, 5, 0.5)
-        heads = fit_tabular_draft_heads(model, 1, 1, 20, 9)
-        path = tmp_path / "heads.json"
-        save_head_set(heads, path)
-        text = path.read_text().replace('"format_version": 1', '"format_version": 99')
-        assert text != path.read_text()
-        path.write_text(text)
-        with pytest.raises(ValueError):
-            load_head_set(path)
-
 
 # ---------------------------------------------------------------------------
 # Block fitting and scoring against the per-position loops they replace
@@ -544,7 +543,7 @@ REFERENCE_CASES = [
 
 class TestBlockFitting:
     @pytest.mark.parametrize("case", REFERENCE_CASES, ids=lambda c: "x".join(map(str, c)))
-    def test_matches_per_position_loop(self, case, tmp_path):
+    def test_matches_per_position_loop(self, case):
         width, height, k, h, v, n, smoothing = case
         model = make_grid_markov_target(GridSpec(width, height, k), 11, 0.7)
         heads = fit_tabular_draft_heads(model, h, v, n, 19, smoothing)
@@ -556,11 +555,10 @@ class TestBlockFitting:
                 assert np.array_equal(dist.probs, want[head.offset][sig])
             assert all(type(code) is int for code in head.table)
 
-        # Scored fresh, from a saved copy, and for a head fitted on one sample
-        # (most held-out signatures unseen, so scored by the uniform fallback).
-        save_head_set(heads, tmp_path / "heads.json")
+        # Scored fresh, and for a head fitted on one sample (most held-out
+        # signatures unseen, so scored by the uniform fallback).
         sparse = fit_tabular_draft_heads(model, h, v, 1, 23, smoothing)
-        for scored in (heads, load_head_set(tmp_path / "heads.json"), sparse):
+        for scored in (heads, sparse):
             got = held_out_nll(model, scored, 30, 5)
             ref = _reference_held_out_nll(model, scored, 30, 5)
             assert got.keys() == ref.keys()
@@ -582,42 +580,12 @@ class TestBlockFitting:
             for row, sample in zip(codes, grids.tolist()):
                 for length, code in enumerate(row.tolist()):
                     sig = _signature_at(sample, length, width)
-                    assert _signature_code(sig, width, k) == code
                     assert _signature_of(code, k) == sig
                     assert head.predict(sample, length) is table.get(code, head._fallback)
                     in_table.add(code in table)
                     seen.add(code)
             assert max(seen) < _code_count(width, k)
         assert in_table == {False, True}
-
-    def test_unreachable_signatures_have_no_code(self):
-        for sig in [((0,), 4), ((0,), -1), ((3,), 0), ((0, 0, 0), 1), ((-1, 0), 1),
-                    ((), 3), ((0,), 2)]:
-            assert _signature_code(sig, 4, 3) is None
-
-    @pytest.mark.parametrize(
-        "context, column",
-        [
-            ([0, 1, 2], 1),  # more than two tokens
-            ([3], 1),  # a token outside the vocabulary
-            ([0, 1], 2),  # a column outside the width
-            ([], 1),  # an empty context off column 0
-            ([0], 0),  # a one-token context off column 1
-            ([], 0),  # the signature of the head's first entry again
-        ],
-        ids=["too-long", "token", "column", "empty-off-column", "one-token-off-column", "repeat"],
-    )
-    def test_loaded_entries_no_prefix_has_or_repeated_are_refused(self, tmp_path, context, column):
-        grid = GridSpec(2, 2, 3)
-        heads = fit_tabular_draft_heads(make_grid_markov_target(grid, 5, 0.5), 1, 1, 20, 9)
-        path = tmp_path / "heads.json"
-        save_head_set(heads, path)
-        payload = json.loads(path.read_text())
-        entries = payload["vertical"][0]["entries"]
-        entries.append({"context": context, "column": column, "probs": [0.98, 0.01, 0.01]})
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=rf"'vertical\[0\]\.entries\[{len(entries) - 1}\]'"):
-            load_head_set(path)
 
     def test_mismatched_heads_rejected(self):
         model = make_grid_markov_target(GRID, 5, 0.5)
