@@ -11,9 +11,9 @@ command computes only the one it writes.
 Configs are strict JSON: a schema_version field, fixed sections, and
 unknown keys are errors so typos in experiment files cannot pass silently.
 Each field is read once, by ``hawk.core.json_field``, into the values the
-builders pass on. Numbers are
-range-checked as the config is read, so a bad one is refused under its
-config name before anything is built, whether or not the command would build it.
+builders pass on. Numbers are range-checked as the config is read, so a bad
+one is refused under its config name before anything is built, whether or
+not the command would build it.
 All randomness flows from the config's single master seed; subcommands
 derive purpose-tagged child streams from it. A command computes all its
 outputs first and hands them to ``_write_manifest``, the one writer of a
@@ -224,9 +224,16 @@ def build_model(config: RunConfig) -> TargetModel:
 
 
 def build_heads(config: RunConfig, model: TargetModel) -> DraftHeadSet:
-    spec, engine = config.heads_spec, config.engine
-    return fit_tabular_draft_heads(model, engine.horizontal_depth, engine.vertical_depth,
-                                   spec["sample_count"], spec["seed"], spec["smoothing"])
+    spec = config.heads_spec
+    engine = config.engine
+    return fit_tabular_draft_heads(
+        model,
+        engine.horizontal_depth,
+        engine.vertical_depth,
+        spec["sample_count"],
+        spec["seed"],
+        spec["smoothing"],
+    )
 
 
 def _fmt(value: object) -> str:
