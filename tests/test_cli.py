@@ -553,7 +553,7 @@ class TestExitCodes:
         ids=["seed=abc", "no-config", "no-such-command"],
     )
     def test_malformed_arguments_are_validation_errors(self, tmp_path, capsys, argv):
-        # argparse's own usage errors exit 2, the runtime-error code.
+        # argparse exits 2 on its usage errors, and 2 is hawk's runtime-error code.
         path = str(write_config(tmp_path))
         assert main([path if arg == "CONFIG" else arg for arg in argv]) == 1
         assert "usage: hawk" in capsys.readouterr().err
