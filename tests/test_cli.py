@@ -233,25 +233,29 @@ class TestConfigLoading:
         assert f"{section}.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "model, heads, refusal",
+        "model, heads, field",
         [
-            ({**GRID_MARKOV, "constant": False}, TABULAR, "unknown config key 'model.constant'"),
-            ({**GRID_MARKOV, "smoothing": 1.0}, TABULAR, "unknown config key 'model.smoothing'"),
-            (GRID_MARKOV, {"kind": "file", "sample_count": 300}, "unknown heads.kind 'file'"),
-            (GRID_MARKOV, {"kind": "file", "seed": None}, "unknown heads.kind 'file'"),
-            (GRID_MARKOV, {"kind": "file", "smoothing": 1.0}, "unknown heads.kind 'file'"),
-            (GRID_MARKOV, {**TABULAR, "path": "heads.json"}, "unknown config key 'heads.path'"),
-            (GRID_MARKOV, {"kind": "file", "path": "heads.json", "seed": 2003},
-             "unknown config key 'heads.path'"),
+            ({**GRID_MARKOV, "constant": False}, TABULAR, "model.constant"),
+            ({**GRID_MARKOV, "smoothing": 1.0}, TABULAR, "model.smoothing"),
+            (GRID_MARKOV, {"kind": "file", "sample_count": 300}, "heads.sample_count"),
+            (GRID_MARKOV, {"kind": "file", "seed": None}, "heads.seed"),  # present, even as null
+            (GRID_MARKOV, {"kind": "file", "smoothing": 1.0}, "heads.smoothing"),
+            (GRID_MARKOV, {**TABULAR, "path": "heads.json"}, "heads.path"),
+            (GRID_MARKOV, {"kind": "file", "path": "heads.json", "seed": 2003}, "heads.seed"),
         ],
-        ids=["model.constant", "model.smoothing", "file+sample_count", "file+seed",
-             "file+smoothing", "tabular+path", "file+path+seed"],
     )
-    def test_fields_of_another_kind_rejected(self, tmp_path, capsys, model, heads, refusal):
+    def test_fields_of_another_kind_rejected(self, tmp_path, capsys, model, heads, field):
         # grid_markov and tabular are the one model and heads kinds: a key
         # neither reads is unknown, and so is the removed heads kind "file".
+        # An unknown key is refused before the kind it sits beside.
         path = write_config(tmp_path, model=model, heads=heads)
         assert main(["decode", "--config", str(path)]) == 1
+        if "path" in heads:
+            refusal = "unknown config key 'heads.path'"
+        elif heads["kind"] == "file":
+            refusal = "unknown heads.kind 'file'"
+        else:
+            refusal = f"unknown config key '{field}'"
         assert refusal in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -571,6 +575,7 @@ class TestExitCodes:
             ({"engine": 5}, "field 'config.engine' must be an object, got 5"),
             ({"oracle": 5}, "field 'config.oracle' must be an object, got 5"),
             ({"output_dir": 5}, "field 'config.output_dir' must be a string, got 5"),
+            ({"heads": {**TABULAR, "path": 5}}, "unknown config key 'heads.path'"),
             ({"heads": {"kind": "file"}}, "unknown heads.kind 'file'"),
             ({"engine": {"mode": 3}}, "field 'engine.mode' must be a string, got 3"),
             ({"bench": [1]}, "field 'config.bench' must be an object, got [1]"),
@@ -580,8 +585,9 @@ class TestExitCodes:
             ({"seed": -1}, "field 'config.seed' must be in [0, 2**64), got -1"),
             ({"seed": 2**64}, f"field 'config.seed' must be in [0, 2**64), got {2**64}"),
         ],
-        ids=["grid", "engine", "oracle", "output_dir", "heads.kind=file", "engine.mode", "bench",
-             "model", "model.kind", "heads.kind", "seed=-1", "seed=2**64"],
+        ids=["grid", "engine", "oracle", "output_dir", "heads.path", "heads.kind=file",
+             "engine.mode", "bench", "model", "model.kind", "heads.kind", "seed=-1",
+             "seed=2**64"],
     )
     def test_mistyped_field_named_and_nothing_written(self, tmp_path, capsys, override, message):
         path = write_config(tmp_path, **override)
